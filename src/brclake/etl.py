@@ -11,6 +11,7 @@ merely redelivers records that then die in dedup.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import crashpoints
 from .errors import InvalidAction
@@ -217,12 +218,13 @@ def compact(
     victims = [a for a in snapshot.live_files.values() if a.partition == partition]
     if len(victims) < min_files:
         return None
-    events: list[MarketEvent] = []
+    rows: list[tuple] = []
     for add in sorted(victims, key=lambda a: a.path):
-        for row in read_file(store.get(add.path)).rows():
-            events.append(event_from_row(row))
-    events.sort(key=lambda e: (e.event_time_us, e.sequence, e.event_id))
-    data = write_file([event_to_row(e) for e in events], TABLE_SCHEMA)
+        rows.extend(read_file(store.get(add.path)).rows())
+    # (event_time_us, sequence, event_id): the export's sort order, since
+    # UTF-8 byte order equals code-point order.
+    rows.sort(key=itemgetter(0, 5, 6))
+    data = write_file(rows, TABLE_SCHEMA)
     key = table.data_key(partition, committer)
     store.put(key, data)
     crashpoints.crashpoint("etl.mid_compaction")
@@ -230,10 +232,10 @@ def compact(
         AddFile(
             path=key,
             partition=partition,
-            rows=len(events),
+            rows=len(rows),
             bytes=len(data),
-            min_event_time_us=events[0].event_time_us,
-            max_event_time_us=events[-1].event_time_us,
+            min_event_time_us=rows[0][0],
+            max_event_time_us=rows[-1][0],
         )
     ] + [RemoveFile(a.path) for a in sorted(victims, key=lambda v: v.path)]
     try:
@@ -293,9 +295,7 @@ def build_action_registry(app) -> dict:
 
 def parse_partition(spec: str) -> PartitionKey:
     """Parse the rendered form symbol=SYM/date=YYYY-MM-DD."""
-    try:
-        symbol_part, date_part = spec.split("/")
-        assert symbol_part.startswith("symbol=") and date_part.startswith("date=")
-        return PartitionKey(symbol=symbol_part[7:], date=date_part[5:])
-    except (ValueError, AssertionError):
+    parts = spec.split("/")
+    if len(parts) != 2 or not parts[0].startswith("symbol=") or not parts[1].startswith("date="):
         raise InvalidAction(f"bad partition spec {spec!r}; want symbol=SYM/date=YYYY-MM-DD")
+    return PartitionKey(symbol=parts[0][7:], date=parts[1][5:])

@@ -14,7 +14,7 @@ import json
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import (
     AlreadyInitialized,
@@ -184,46 +184,39 @@ class LakeTable:
 
     # -- log access --------------------------------------------------------------
 
-    def current_version(self) -> int:
-        """Highest contiguous version in the log (names sort in version order)."""
-        metas = self.store.list(self.log_prefix)
-        version = 0
-        for meta in metas:
-            name = meta.key[len(self.log_prefix):]
-            if not name.endswith(".json"):
-                continue
-            v = int(name[:-5])
-            if v == version + 1:
-                version = v
-            else:
-                break
-        if version == 0:
-            raise NotInitialized(f"table {self.table_id!r} has no log")
-        return version
-
     def read_entry(self, version: int) -> LogEntry:
         try:
             return _entry_from_bytes(self.store.get(self._entry_key(version)))
         except NotFound:
             raise NoSuchVersion(version, self._cache.version)
 
+    def _entries_after(self, version: int) -> Iterator[LogEntry]:
+        """Committed entries newer than version, probed upward until the
+        first missing one: one GET per entry and no listing."""
+        while True:
+            try:
+                entry = self.read_entry(version + 1)
+            except NoSuchVersion:
+                return
+            yield entry
+            version += 1
+
     def read_log(self) -> list[LogEntry]:
-        return [self.read_entry(v) for v in range(1, self.current_version() + 1)]
+        entries = list(self._entries_after(0))
+        if not entries:
+            raise NotInitialized(f"table {self.table_id!r} has no log")
+        return entries
 
     def _advance_cache(self, to_version: int) -> Snapshot:
         while self._cache.version < to_version:
             self._cache.apply(self.read_entry(self._cache.version + 1))
         return self._cache
 
-    def _discover_current(self) -> int:
+    def current_version(self) -> int:
         """Advance the cache past every committed entry and return the current
         version. Reads only entries newer than the cache, so repeated calls
         (the commit retry loop) cost O(new entries), not O(log)."""
-        while True:
-            try:
-                entry = self.read_entry(self._cache.version + 1)
-            except NoSuchVersion:
-                break
+        for entry in self._entries_after(self._cache.version):
             self._cache.apply(entry)
         if self._cache.version == 0:
             raise NotInitialized(f"table {self.table_id!r} has no log")
@@ -238,8 +231,6 @@ class LakeTable:
         committer: str = DEFAULT_COMMITTER,
         now_us: int | None = None,
     ) -> LogEntry:
-        if self.store.list(self.log_prefix):
-            raise AlreadyInitialized(f"table {self.table_id!r} already has a log")
         entry = LogEntry(
             version=1,
             parent=0,
@@ -288,7 +279,7 @@ class LakeTable:
         if not actions:
             raise InvalidAction("commit requires at least one action")
         for _ in range(max_retries):
-            version = self._discover_current()
+            version = self.current_version()
             self._validate(self._cache, actions)
             entry = LogEntry(
                 version=version + 1,
@@ -307,7 +298,7 @@ class LakeTable:
         )
 
     def snapshot_at(self, version: int | None = None) -> Snapshot:
-        current = self._discover_current()
+        current = self.current_version()
         if version is None:
             version = current
         if version < 1 or version > current:

@@ -1,0 +1,91 @@
+"""Crash-safe local files shared by staging and the scheduler: a pid-file
+lock for the single writer, durable line appends, and torn-tail repair.
+
+A lock file holds ``{"pid", "token"}`` and is created with O_EXCL; a lock
+whose pid is no longer alive is stale and is stolen. An append is one
+buffered write + flush + fsync, so a crash can tear at most the final line
+of an append-only file. Readers see only newline-terminated lines, and the
+writer truncates a torn tail before its next append.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import secrets
+from pathlib import Path
+
+from .errors import SessionLockHeld
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True
+    return True
+
+
+def acquire_lock(path: Path, what: str) -> str:
+    """Create the lock file at path and return its token. A lock left by a
+    dead process is stolen; one held by a live process raises
+    SessionLockHeld naming ``what``."""
+    token = secrets.token_hex(8)
+    body = json.dumps({"pid": os.getpid(), "token": token}).encode()
+    for _ in range(4):
+        try:
+            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            try:
+                holder = json.loads(path.read_text())
+            except (OSError, ValueError):
+                holder = None
+            if holder and _alive(holder["pid"]):
+                raise SessionLockHeld(f"{what} locked by pid {holder['pid']}")
+            try:
+                os.unlink(path)  # stale: previous holder is gone
+            except FileNotFoundError:
+                pass
+            continue
+        with os.fdopen(fd, "wb") as f:
+            f.write(body)
+        return token
+    raise SessionLockHeld(f"could not acquire lock for {what}")
+
+
+def release_lock(path: Path, token: str) -> None:
+    """Remove the lock file if it still holds token."""
+    try:
+        if json.loads(path.read_text()).get("token") == token:
+            os.unlink(path)
+    except (OSError, ValueError):
+        pass
+
+
+def fsync_append(path: Path, data: bytes) -> None:
+    """Append data durably: one buffered write, then flush and fsync."""
+    with open(path, "ab") as f:
+        f.write(data)
+        f.flush()
+        os.fsync(f.fileno())
+
+
+def read_lines(path: Path) -> list[bytes]:
+    """Complete (newline-terminated) lines of an append-only file; a torn
+    trailing line from a crash mid-append is left out."""
+    return path.read_bytes().split(b"\n")[:-1]
+
+
+def repair_tail(path: Path) -> list[bytes]:
+    """Truncate a torn trailing line, so the next append starts a line of its
+    own, and return the complete lines. Only the file's writer calls this."""
+    lines = read_lines(path)
+    size = sum(len(line) + 1 for line in lines)
+    if path.stat().st_size != size:
+        with open(path, "r+b") as f:
+            f.truncate(size)
+            f.flush()
+            os.fsync(f.fileno())
+    return lines

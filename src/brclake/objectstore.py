@@ -324,14 +324,3 @@ def _parse_list_response(body: bytes) -> tuple[list[ObjectMeta], str | None]:
         elif tag == "NextContinuationToken":
             token = child.text or None
     return metas, (token if truncated else None)
-
-
-def open_store(kind: str, data_root: str | Path, s3_config: S3Config | None = None):
-    """Store factory used by the CLI: 'fs' under the data root, or 's3'."""
-    if kind == "fs":
-        return FsStore(Path(data_root) / "store")
-    if kind == "s3":
-        if s3_config is None:
-            raise ConfigInvalid("store", "s3 store requires S3 configuration")
-        return S3Store(s3_config)
-    raise ConfigInvalid("store", f"unknown store kind {kind!r}")

@@ -12,8 +12,6 @@ at most ``max_parallel_tasks`` per scheduling instant.
 from __future__ import annotations
 
 import json
-import os
-import secrets
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,9 +22,9 @@ from .errors import (
     ConfigInvalid,
     CorruptRunLog,
     CycleDetected,
-    SessionLockHeld,
 )
 from .fixedpoint import US_PER_DAY
+from .localfile import acquire_lock, fsync_append, release_lock, repair_tail
 
 PENDING = "Pending"
 QUEUED = "Queued"
@@ -283,21 +281,15 @@ class RunLog:
         self.path.parent.mkdir(parents=True, exist_ok=True)
 
     def append(self, transition: Transition) -> None:
-        with open(self.path, "ab") as f:
-            f.write(transition.to_json().encode() + b"\n")
-            f.flush()
-            os.fsync(f.fileno())
+        fsync_append(self.path, transition.to_json().encode() + b"\n")
 
     def replay(self) -> list[Transition]:
+        """Transitions logged so far. A torn trailing line from a crash
+        mid-append is truncated first, so the next append starts cleanly."""
         if not self.path.exists():
             return []
         out = []
-        raw = self.path.read_bytes().split(b"\n")
-        if raw and raw[-1] == b"":
-            raw.pop()
-        elif raw:
-            raw.pop()  # torn trailing line from a crash: ignore
-        for line_no, line in enumerate(raw, start=1):
+        for line_no, line in enumerate(repair_tail(self.path), start=1):
             try:
                 obj = json.loads(line)
                 out.append(
@@ -483,47 +475,10 @@ class Scheduler:
         self.env = env or {}
         self.runs_root.mkdir(parents=True, exist_ok=True)
         self._lock = self.runs_root / "lock"
-        self._token = secrets.token_hex(8)
-        self._acquire()
-
-    def _acquire(self) -> None:
-        body = json.dumps({"pid": os.getpid(), "token": self._token}).encode()
-        for _ in range(4):
-            try:
-                fd = os.open(self._lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                try:
-                    holder = json.loads(self._lock.read_text())
-                except (OSError, ValueError):
-                    holder = None
-                alive = False
-                if holder:
-                    try:
-                        os.kill(holder["pid"], 0)
-                        alive = True
-                    except ProcessLookupError:
-                        alive = False
-                    except PermissionError:
-                        alive = True
-                if alive:
-                    raise SessionLockHeld(f"scheduler already running (pid {holder['pid']})")
-                try:
-                    os.unlink(self._lock)
-                except FileNotFoundError:
-                    pass
-                continue
-            with os.fdopen(fd, "wb") as f:
-                f.write(body)
-            return
-        raise SessionLockHeld("could not acquire scheduler lock")
+        self._token = acquire_lock(self._lock, f"scheduler runs root {self.runs_root}")
 
     def close(self) -> None:
-        try:
-            holder = json.loads(self._lock.read_text())
-            if holder.get("token") == self._token:
-                os.unlink(self._lock)
-        except (OSError, ValueError):
-            pass
+        release_lock(self._lock, self._token)
 
     def __enter__(self) -> "Scheduler":
         return self

@@ -12,7 +12,9 @@ dense per connector, starting at 0; a segment holds at most
 ``max_segment_records`` records and is immutable once full. Appends are a
 single buffered write + fsync, so a crash between operations never tears a
 batch; a torn trailing line from a crash inside a write is truncated the next
-time a writer session opens the connector.
+time a writer session opens the connector. The session lock, the durable
+append and the torn-tail repair are the ``localfile`` helpers the scheduler's
+run logs use too.
 """
 
 from __future__ import annotations
@@ -28,11 +30,11 @@ from pathlib import Path
 from .errors import (
     CheckpointRegression,
     OffsetOutOfRange,
-    SessionLockHeld,
     StagingUnavailable,
     StorageFull,
 )
 from .events import MarketEvent
+from .localfile import acquire_lock, fsync_append, read_lines, release_lock, repair_tail
 
 DEFAULT_MAX_SEGMENT_RECORDS = 10_000
 
@@ -50,16 +52,6 @@ def _fsync_write(path: Path, data: bytes) -> None:
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, path)
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    return True
 
 
 class StagingStore:
@@ -91,23 +83,13 @@ class StagingStore:
                 segs.append((int(name[4:-6]), d / name))
         return segs
 
-    @staticmethod
-    def _read_lines(path: Path) -> list[bytes]:
-        """Complete (newline-terminated) lines of a segment file."""
-        data = path.read_bytes()
-        if not data:
-            return []
-        lines = data.split(b"\n")
-        lines.pop()  # empty tail after the final newline, or a torn line from a crash
-        return lines
-
     def tail_offset(self, connector_id: str) -> int:
         """Offset one past the last appended record (0 for a fresh connector)."""
         segs = self._segments(connector_id)
         if not segs:
             return 0
         start, path = segs[-1]
-        return start + len(self._read_lines(path))
+        return start + len(read_lines(path))
 
     # -- writer session ----------------------------------------------------
 
@@ -119,63 +101,10 @@ class StagingStore:
         """
         d = self._dir(connector_id)
         d.mkdir(parents=True, exist_ok=True)
-        lock = d / "lock"
-        token = secrets.token_hex(8)
-        body = json.dumps({"pid": os.getpid(), "token": token}).encode()
-        for _ in range(4):
-            try:
-                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                try:
-                    holder = json.loads(lock.read_text())
-                except (OSError, ValueError):
-                    holder = None
-                if holder and _pid_alive(holder["pid"]):
-                    raise SessionLockHeld(f"connector {connector_id!r} locked by pid {holder['pid']}")
-                try:
-                    os.unlink(lock)  # stale: previous holder is gone
-                except FileNotFoundError:
-                    pass
-                continue
-            with os.fdopen(fd, "wb") as f:
-                f.write(body)
-            self._repair_tail(connector_id)
-            return StagingSession(self, connector_id, token)
-        raise SessionLockHeld(f"could not acquire session lock for {connector_id!r}")
-
-    def _repair_tail(self, connector_id: str) -> None:
-        """Truncate a torn trailing line left by a crash mid-write."""
+        token = acquire_lock(d / "lock", f"connector {connector_id!r}")
         segs = self._segments(connector_id)
-        if not segs:
-            return
-        _, path = segs[-1]
-        data = path.read_bytes()
-        cut = data.rfind(b"\n") + 1
-        if cut != len(data):
-            with open(path, "r+b") as f:
-                f.truncate(cut)
-                f.flush()
-                os.fsync(f.fileno())
-
-    def _release(self, connector_id: str, token: str) -> None:
-        lock = self._dir(connector_id) / "lock"
-        try:
-            holder = json.loads(lock.read_text())
-        except (OSError, ValueError):
-            return
-        if holder.get("token") == token:
-            try:
-                os.unlink(lock)
-            except FileNotFoundError:
-                pass
-
-    def _active_segment(self, connector_id: str) -> tuple[int, int]:
-        """(start_offset, record_count) of the newest segment."""
-        segs = self._segments(connector_id)
-        if not segs:
-            return 0, 0
-        start, path = segs[-1]
-        return start, len(self._read_lines(path))
+        active = (segs[-1][0], len(repair_tail(segs[-1][1]))) if segs else (0, 0)
+        return StagingSession(self, connector_id, token, active)
 
     def _append(
         self, connector_id: str, events: list[MarketEvent], active: tuple[int, int]
@@ -196,10 +125,7 @@ class StagingStore:
                     json.dumps({**e.to_json_dict(), "offset": offset + i}, sort_keys=True).encode() + b"\n"
                     for i, e in enumerate(chunk)
                 )
-                with open(self._segment_path(connector_id, active_start), "ab") as f:
-                    f.write(blob)
-                    f.flush()
-                    os.fsync(f.fileno())
+                fsync_append(self._segment_path(connector_id, active_start), blob)
                 offset += len(chunk)
                 active_count += len(chunk)
         except OSError as exc:
@@ -223,7 +149,7 @@ class StagingStore:
         for start, path in segs[idx:]:
             if len(out) >= max_records:
                 break
-            lines = self._read_lines(path)
+            lines = read_lines(path)
             lo = max(0, offset - start)
             for i in range(lo, len(lines)):
                 obj = json.loads(lines[i])
@@ -295,7 +221,7 @@ class StagingStore:
         segs = self._segments(connector_id)
         removed = 0
         for start, path in segs[:-1]:
-            if start + len(self._read_lines(path)) <= committed:
+            if start + len(read_lines(path)) <= committed:
                 os.unlink(path)
                 removed += 1
         return removed
@@ -304,12 +230,12 @@ class StagingStore:
 class StagingSession:
     """Holder of a connector's single-writer lock; releases on close/exit."""
 
-    def __init__(self, store: StagingStore, connector_id: str, token: str):
+    def __init__(self, store: StagingStore, connector_id: str, token: str, active: tuple[int, int]):
         self.store = store
         self.connector_id = connector_id
         self._token = token
         self._open = True
-        self._active = store._active_segment(connector_id)
+        self._active = active  # (start_offset, record_count) of the newest segment
 
     def append_batch(self, events: list[MarketEvent]) -> tuple[int, int]:
         """Append events with consecutive offsets; returns (first, last)."""
@@ -328,7 +254,7 @@ class StagingSession:
 
     def close(self) -> None:
         if self._open:
-            self.store._release(self.connector_id, self._token)
+            release_lock(self.store._dir(self.connector_id) / "lock", self._token)
             self._open = False
 
     def __enter__(self) -> "StagingSession":

@@ -95,6 +95,18 @@ def test_second_init_error_kind(tmp_path):
     assert json.loads(result.stderr)["error"] == "AlreadyInitialized"
 
 
+def test_bad_partition_rejected_under_optimize(tmp_path):
+    # python -O strips assert statements, so validation must not rest on them
+    assert _brc("lake", "init", "--table", "trades", data_root=tmp_path).returncode == 0
+    env = dict(os.environ, BRC_DATA_ROOT=str(tmp_path))
+    env.pop("BRC_CONFIG", None)
+    result = subprocess.run([sys.executable, "-O", "-m", "brclake.cli", "etl", "compact",
+                             "--table", "trades", "--partition", "foo/bar"],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 1
+    assert json.loads(result.stderr.splitlines()[-1])["error"] == "InvalidAction"
+
+
 def test_help_lists_every_subcommand():
     result = subprocess.run([sys.executable, "-m", "brclake.cli", "--help"],
                             capture_output=True, text=True)

@@ -253,6 +253,10 @@ def test_torn_trailing_log_line_ignored(tmp_path):
     with open(log.path, "ab") as f:
         f.write(b'{"at_us": 1, "task_id": "a"')  # crash mid-append
     assert [t.state for t in log.replay()] == ["Queued"]
+    dag = _dag([TaskSpec("a", [], "ok")])
+    for _ in range(2):  # resume, then re-visit: the torn fragment must not corrupt the log
+        assert execute_run(dag, 0, {"ok": lambda ctx: None}, SimClock(0), tmp_path).succeeded
+    assert [t.state for t in log.replay()] == ["Queued", "Running", "Succeeded"]
 
 
 # -- backfill ------------------------------------------------------------------------------------
