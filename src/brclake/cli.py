@@ -111,9 +111,16 @@ _WIDTH_US = {"ms": 1_000, "s": 1_000_000, "m": 60_000_000, "h": 3_600_000_000, "
 
 def parse_bucket_width(text: str) -> int:
     m = _WIDTH_RE.match(text)
-    if not m:
+    if not m or int(m.group(1)) == 0:
         raise ConfigInvalid("ohlcv", f"bad bucket width {text!r}; want e.g. 1m, 30s, 500ms")
     return int(m.group(1)) * _WIDTH_US[m.group(2)]
+
+
+def parse_time(flag: str, text: str) -> int:
+    try:
+        return iso_to_us(text)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigInvalid(flag, f"bad ISO8601 time {text!r}: {exc}")
 
 
 def _emit(obj) -> None:
@@ -161,7 +168,7 @@ def _run(args: argparse.Namespace) -> int:
         registry = build_action_registry(app)
         with Scheduler(app.runs_root, registry) as scheduler:
             if args.cmd == "start":
-                until = iso_to_us(args.until) if args.until else None
+                until = parse_time("until", args.until) if args.until else None
                 results = scheduler.run_forever(dags, until_us=until)
                 _emit({"runs": len(results), "failed": sum(not r.succeeded for r in results)})
             else:
@@ -169,12 +176,13 @@ def _run(args: argparse.Namespace) -> int:
                     raise ConfigInvalid("dag", f"no DAG {args.dag!r} in {dags_dir}")
                 dag = dags[args.dag]
                 if args.cmd == "run-once":
-                    result = scheduler.run_once(dag, iso_to_us(args.at))
+                    result = scheduler.run_once(dag, parse_time("at", args.at))
                     _emit({"succeeded": result.succeeded, "states": result.states})
                     if not result.succeeded:
                         return 1
                 else:
-                    results = scheduler.backfill(dag, iso_to_us(args.from_ts), iso_to_us(args.to_ts))
+                    results = scheduler.backfill(
+                        dag, parse_time("from", args.from_ts), parse_time("to", args.to_ts))
                     _emit({
                         "runs": [r.logical_time_us for r in results],
                         "failed": sum(not r.succeeded for r in results),
@@ -185,15 +193,16 @@ def _run(args: argparse.Namespace) -> int:
     elif args.group == "query":
         request = ScanRequest(
             table_id=args.table,
-            time_range=(iso_to_us(args.from_ts), iso_to_us(args.to_ts)),
+            time_range=(parse_time("from", args.from_ts), parse_time("to", args.to_ts)),
             symbols=set(args.symbols.split(",")),
             version=args.version,
         )
+        width_us = parse_bucket_width(args.ohlcv) if args.ohlcv else None
         events = scan(app.store, app.table(args.table), request)
         sink = sys.stdout.buffer if args.out == "-" else open(args.out, "wb")
         try:
             if args.ohlcv:
-                count = export_bars(ohlcv(events, parse_bucket_width(args.ohlcv)), args.format, sink)
+                count = export_bars(ohlcv(events, width_us), args.format, sink)
             else:
                 count = export_events(events, args.format, sink)
             sink.flush()

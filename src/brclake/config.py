@@ -5,13 +5,13 @@ scheduler actions.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigInvalid
 from .lakehouse import LakeTable
+from .localfile import load_json_config
 from .objectstore import FsStore, S3Config, S3Store
 from .staging import StagingStore
 
@@ -44,16 +44,12 @@ def load_config(path: str | None = None, env: dict | None = None) -> AppConfig:
     """
     env = os.environ if env is None else env
     path = path or env.get(CONFIG_ENV)
-    obj: dict = {}
     if path:
-        try:
-            with open(path, encoding="utf-8") as f:
-                obj = json.load(f)
-        except OSError as exc:
-            raise ConfigInvalid("config", f"cannot read {path}: {exc}")
-        except ValueError as exc:
-            raise ConfigInvalid("config", f"invalid JSON in {path}: {exc}")
+        return load_json_config(path, lambda obj: _resolve(obj, env))
+    return _resolve({}, env)
 
+
+def _resolve(obj: dict, env) -> AppConfig:
     data_root = env.get(DATA_ROOT_ENV) or obj.get("data_root")
     if not data_root:
         raise ConfigInvalid("data_root", f"set in config file or {DATA_ROOT_ENV}")

@@ -37,8 +37,3 @@ def crashpoint(site: str) -> None:
         sys.stderr.write(f"crash injected at {site}\n")
         sys.stderr.flush()
         os._exit(CRASH_EXIT_CODE)
-
-
-def reset() -> None:
-    """Clear hit counters (in-process tests only)."""
-    _hits.clear()

@@ -6,6 +6,11 @@ at-least-once staging delivery, exact identity dedup (within the batch and
 against live files overlapping the batch's time range), and
 commit-then-checkpoint. A crash between the table commit and the checkpoint
 merely redelivers records that then die in dedup.
+
+Between staging and rendering an event travels as its encoded table row
+(``event_to_row``). Export, compaction and scans order rows by ``ROW_ORDER``
+and cross-batch dedup compares rows by ``ROW_IDENTITY``; both are defined
+here and nowhere else.
 """
 
 from __future__ import annotations
@@ -37,6 +42,18 @@ TABLE_COLUMNS: list[tuple[str, str]] = [
 ]
 
 TABLE_SCHEMA = [ColumnSchema(name, ptype) for name, ptype in TABLE_COLUMNS]
+
+_COLUMN_INDEX = {name: i for i, (name, _) in enumerate(TABLE_COLUMNS)}
+
+# MarketEvent.sort_key over encoded rows: the one row order of files, scans
+# and the oracle. UTF-8 byte order equals code-point order, so bytes columns
+# sort as their strings do.
+ROW_ORDER = itemgetter(*(_COLUMN_INDEX[name] for name in (
+    "event_time_us", "sequence", "event_id", "symbol", "source", "stream")))
+
+# MarketEvent.identity over encoded rows, and the columns dedup reads for it.
+IDENTITY_COLUMNS = ["source", "stream", "symbol", "event_id"]
+ROW_IDENTITY = itemgetter(*(_COLUMN_INDEX[name] for name in IDENTITY_COLUMNS))
 
 
 def event_to_row(event: MarketEvent) -> tuple:
@@ -90,8 +107,9 @@ def dedup(records: list[StagedRecord]) -> tuple[list[StagedRecord], int]:
 def _live_identities(
     store, table: LakeTable, partition: PartitionKey, t_min: int, t_max: int
 ) -> set[tuple]:
-    """Identities already present in the partition's live files overlapping
-    [t_min, t_max] — the exact cross-batch dedup check (no index, no bloom)."""
+    """Encoded identities (``ROW_IDENTITY``) already present in the
+    partition's live files overlapping [t_min, t_max] — the exact cross-batch
+    dedup check (no index, no bloom)."""
     snapshot = table.snapshot_at()
     identities: set[tuple] = set()
     for add in snapshot.live_files.values():
@@ -99,12 +117,7 @@ def _live_identities(
             continue
         if add.max_event_time_us < t_min or add.min_event_time_us > t_max:
             continue
-        parsed = read_file(store.get(add.path), projection=["source", "stream", "symbol", "event_id"])
-        for src, stream, sym, eid in zip(
-            parsed.columns["source"], parsed.columns["stream"],
-            parsed.columns["symbol"], parsed.columns["event_id"],
-        ):
-            identities.add((src.decode(), stream.decode(), sym.decode(), eid.decode()))
+        identities.update(read_file(store.get(add.path), projection=IDENTITY_COLUMNS).rows())
     return identities
 
 
@@ -134,20 +147,19 @@ def export_job(
 
     kept, dropped = dedup(records)
 
-    groups: dict[PartitionKey, list[MarketEvent]] = {}
+    groups: dict[PartitionKey, list[tuple]] = {}
     for record in kept:
-        groups.setdefault(partition_key(record.event), []).append(record.event)
+        groups.setdefault(partition_key(record.event), []).append(event_to_row(record.event))
 
-    sort_key = lambda e: (e.event_time_us, e.sequence, e.event_id)  # noqa: E731
-    published: dict[PartitionKey, list[MarketEvent]] = {}
-    for partition, events in groups.items():
-        lo = min(e.event_time_us for e in events)
-        hi = max(e.event_time_us for e in events)
+    published: dict[PartitionKey, list[tuple]] = {}
+    for partition, rows in groups.items():
+        lo = min(row[0] for row in rows)
+        hi = max(row[0] for row in rows)
         known = _live_identities(store, table, partition, lo, hi)
-        survivors = [e for e in events if e.identity not in known]
-        dropped += len(events) - len(survivors)
+        survivors = [row for row in rows if ROW_IDENTITY(row) not in known]
+        dropped += len(rows) - len(survivors)
         if survivors:
-            survivors.sort(key=sort_key)
+            survivors.sort(key=ROW_ORDER)
             published[partition] = survivors
 
     if not published:
@@ -157,21 +169,21 @@ def export_job(
     actions = []
     total_rows = 0
     for partition in sorted(published, key=lambda p: (p.symbol, p.date)):
-        events = published[partition]
-        data = write_file([event_to_row(e) for e in events], TABLE_SCHEMA)
+        rows = published[partition]
+        data = write_file(rows, TABLE_SCHEMA)
         key = table.data_key(partition, committer)
         store.put(key, data)
         actions.append(
             AddFile(
                 path=key,
                 partition=partition,
-                rows=len(events),
+                rows=len(rows),
                 bytes=len(data),
-                min_event_time_us=events[0].event_time_us,
-                max_event_time_us=events[-1].event_time_us,
+                min_event_time_us=rows[0][0],
+                max_event_time_us=rows[-1][0],
             )
         )
-        total_rows += len(events)
+        total_rows += len(rows)
     crashpoints.crashpoint("etl.pre_commit")
     entry = table.commit(actions, committer=committer, now_us=now_us)
     crashpoints.crashpoint("etl.post_commit_pre_checkpoint")
@@ -221,9 +233,7 @@ def compact(
     rows: list[tuple] = []
     for add in sorted(victims, key=lambda a: a.path):
         rows.extend(read_file(store.get(add.path)).rows())
-    # (event_time_us, sequence, event_id): the export's sort order, since
-    # UTF-8 byte order equals code-point order.
-    rows.sort(key=itemgetter(0, 5, 6))
+    rows.sort(key=ROW_ORDER)
     data = write_file(rows, TABLE_SCHEMA)
     key = table.data_key(partition, committer)
     store.put(key, data)

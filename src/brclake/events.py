@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -10,6 +9,7 @@ from typing import Any
 
 from .errors import ConfigInvalid
 from .fixedpoint import I64_MAX, I64_MIN
+from .localfile import load_json_config
 
 SOURCE_RE = re.compile(r"^[a-z0-9_-]+$")
 SYMBOL_RE = re.compile(r"^[A-Z0-9]+-[A-Z0-9]+$")
@@ -66,38 +66,10 @@ class MarketEvent:
 
     def sort_key(self) -> tuple:
         # (event_time_us, sequence, event_id) is the contractual order; the
-        # remaining fields only break ties between unrelated sources.
+        # remaining fields only break ties between unrelated sources. Encoded
+        # table rows sort the same way by etl.ROW_ORDER.
         return (self.event_time_us, self.sequence, self.event_id,
                 self.symbol, self.source, self.stream)
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "source": self.source,
-            "stream": self.stream,
-            "symbol": self.symbol,
-            "event_time_us": self.event_time_us,
-            "ingest_time_us": self.ingest_time_us,
-            "sequence": self.sequence,
-            "event_id": self.event_id,
-            "price_e8": self.price_e8,
-            "qty_e8": self.qty_e8,
-            "side": self.side,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict[str, Any]) -> "MarketEvent":
-        return cls(
-            source=obj["source"],
-            stream=obj["stream"],
-            symbol=obj["symbol"],
-            event_time_us=obj["event_time_us"],
-            ingest_time_us=obj["ingest_time_us"],
-            sequence=obj["sequence"],
-            event_id=obj["event_id"],
-            price_e8=obj["price_e8"],
-            qty_e8=obj["qty_e8"],
-            side=obj["side"],
-        )
 
 
 @dataclass
@@ -180,5 +152,4 @@ class ConnectorConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ConnectorConfig":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+        return load_json_config(path, cls.from_dict)

@@ -66,14 +66,18 @@ def us_to_iso(us: int) -> str:
 
 
 def iso_to_us(text: str) -> int:
-    """ISO8601 (Z or explicit offset; date-only allowed) -> microseconds UTC."""
+    """ISO8601 (Z or explicit offset; date-only allowed) -> microseconds UTC.
+
+    Raises ValueError for text that is not ISO8601 and OverflowError for an
+    instant outside the years 1-9999 UTC.
+    """
     raw = text.strip()
     if raw.endswith("Z"):
         raw = raw[:-1] + "+00:00"
     dt = datetime.fromisoformat(raw)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    delta = dt - _EPOCH
+    delta = dt.astimezone(timezone.utc) - _EPOCH
     return delta.days * US_PER_DAY + delta.seconds * 1_000_000 + delta.microseconds
 
 
@@ -81,9 +85,3 @@ def us_to_date(us: int) -> str:
     """UTC calendar date of a microsecond timestamp, rendered YYYY-MM-DD."""
     day = us // US_PER_DAY
     return f"{_EPOCH + timedelta(days=day):%Y-%m-%d}"
-
-
-def date_to_us(date: str) -> int:
-    """Midnight UTC of a YYYY-MM-DD date, in microseconds."""
-    dt = datetime.strptime(date, "%Y-%m-%d").replace(tzinfo=timezone.utc)
-    return int((dt - _EPOCH).total_seconds()) * 1_000_000

@@ -21,14 +21,15 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .crashpoints import CRASH_ENV, CRASH_EXIT_CODE, SITES
-from .errors import AssertionFailed
+from .errors import AssertionFailed, BrcError
 from .events import ConnectorConfig, MarketEvent
 from .fixedpoint import us_to_iso
 from .ingest import _SequenceCounters, generate_synthetic, normalize, replay_file
+from .localfile import load_json_config
 from .query import export_events
 
 _SITE_FOR_STEP = {
@@ -80,8 +81,7 @@ class Scenario:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Scenario":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+        return load_json_config(path, cls.from_dict)
 
 
 # -- brute-force oracle -------------------------------------------------------
@@ -180,17 +180,7 @@ def run_scenario(scenario: Scenario, data_root: str | Path) -> dict:
 
     for config in scenario.connectors:
         config_path = root / f"connector-{config.connector_id}.json"
-        payload = {
-            "connector_id": config.connector_id, "kind": config.kind,
-            "source": config.source, "symbols": config.symbols,
-            "seed": config.seed, "count": config.count,
-            "dup_prob_bp": config.dup_prob_bp, "replay_path": config.replay_path,
-            "ingest_time_mode": config.ingest_time_mode,
-            "batch_size": config.batch_size,
-            "rate_limit": {"rate_per_s": config.rate_limit.rate_per_s,
-                           "burst": config.rate_limit.burst},
-        }
-        config_path.write_text(json.dumps(payload, sort_keys=True))
+        config_path.write_text(json.dumps(asdict(config), sort_keys=True))
         runner.run("ingest", "ingest", "run", "--config", str(config_path))
 
     exports = {}
@@ -270,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--data-root or BRC_DATA_ROOT required")
     try:
         report = run_scenario(Scenario.from_file(args.scenario), args.data_root)
-    except AssertionFailed as exc:
+    except BrcError as exc:
         sys.stderr.write(exc.to_json() + "\n")
         return 1
     sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")

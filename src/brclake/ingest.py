@@ -52,23 +52,6 @@ class SyntheticState:
     price_e8: int
     last_event_time_us: int
 
-    def to_dict(self) -> dict:
-        return {
-            "next_index": self.next_index,
-            "prng_state": self.prng_state,
-            "price_e8": self.price_e8,
-            "last_event_time_us": self.last_event_time_us,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "SyntheticState":
-        return cls(
-            next_index=obj["next_index"],
-            prng_state=obj["prng_state"],
-            price_e8=obj["price_e8"],
-            last_event_time_us=obj["last_event_time_us"],
-        )
-
     @classmethod
     def initial(cls, seed: int) -> "SyntheticState":
         return cls(0, seed & MASK64, START_PRICE_E8, SYNTHETIC_EPOCH_US)
@@ -276,7 +259,7 @@ def run_connector(
 
         if config.kind == "synthetic":
             state = saved.get("synthetic")
-            start = SyntheticState.from_dict(state) if state else None
+            start = SyntheticState(**state) if state else None
             steps = synthetic_steps(config, start)
         else:
             skip = int(saved.get("replay_line", 0))
@@ -310,7 +293,7 @@ def run_connector(
                 seq = counters.next_for((raw.source, raw.stream, config.symbols[raw.raw_symbol]))
                 batch.append(normalize(raw, config, ingest_time, seq))
             if config.kind == "synthetic":
-                batch_state = {"synthetic": gen_state.to_dict()}
+                batch_state = {"synthetic": vars(gen_state)}
             else:
                 replay_line += 1
                 batch_state = {"replay_line": replay_line}

@@ -19,6 +19,7 @@ from typing import Iterable, Iterator
 from .errors import (
     AlreadyInitialized,
     CommitConflictExhausted,
+    ConfigInvalid,
     InvalidAction,
     NoSuchVersion,
     NotFound,
@@ -207,11 +208,6 @@ class LakeTable:
             raise NotInitialized(f"table {self.table_id!r} has no log")
         return entries
 
-    def _advance_cache(self, to_version: int) -> Snapshot:
-        while self._cache.version < to_version:
-            self._cache.apply(self.read_entry(self._cache.version + 1))
-        return self._cache
-
     def current_version(self) -> int:
         """Advance the cache past every committed entry and return the current
         version. Reads only entries newer than the cache, so repeated calls
@@ -303,9 +299,8 @@ class LakeTable:
             version = current
         if version < 1 or version > current:
             raise NoSuchVersion(version, current)
-        if version >= self._cache.version:
-            cached = self._advance_cache(version)
-            return Snapshot(cached.version, dict(cached.live_files), cached.schema_id)
+        if version == current:  # current_version left the cache at the head
+            return Snapshot(current, dict(self._cache.live_files), self._cache.schema_id)
         fresh = Snapshot(version=0)  # time travel below the cache: refold
         for v in range(1, version + 1):
             fresh.apply(self.read_entry(v))
@@ -338,7 +333,8 @@ def list_files(
     overlaps the half-open range. Sorted by (partition, path).
     """
     t0, t1 = time_range
-    assert t0 < t1, "time range must be non-empty"
+    if t0 >= t1:
+        raise ConfigInvalid("time_range", "must be non-empty")
     wanted = set(symbols)
     first_date = us_to_date(t0)
     last_date = us_to_date(t1 - 1)

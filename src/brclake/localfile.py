@@ -6,6 +6,9 @@ whose pid is no longer alive is stale and is stolen. An append is one
 buffered write + flush + fsync, so a crash can tear at most the final line
 of an append-only file. Readers see only newline-terminated lines, and the
 writer truncates a torn tail before its next append.
+
+Operators' JSON files (app, connector, DAG and scenario configs) are read by
+``load_json_config``, so every way such a file can be wrong is ConfigInvalid.
 """
 
 from __future__ import annotations
@@ -14,8 +17,11 @@ import json
 import os
 import secrets
 from pathlib import Path
+from typing import Any, Callable, TypeVar
 
-from .errors import SessionLockHeld
+from .errors import ConfigInvalid, SessionLockHeld
+
+T = TypeVar("T")
 
 
 def _alive(pid: int) -> bool:
@@ -89,3 +95,22 @@ def repair_tail(path: Path) -> list[bytes]:
             f.flush()
             os.fsync(f.fileno())
     return lines
+
+
+def load_json_config(path: str | Path, build: Callable[[Any], T]) -> T:
+    """Parse the JSON file at path and pass it to build. An unreadable file,
+    invalid JSON, or a field that is missing or of the wrong type raises
+    ConfigInvalid."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            obj = json.load(f)
+    except OSError as exc:
+        raise ConfigInvalid("config", f"cannot read {path}: {exc}")
+    except ValueError as exc:
+        raise ConfigInvalid("config", f"invalid JSON in {path}: {exc}")
+    try:
+        return build(obj)
+    except KeyError as exc:
+        raise ConfigInvalid(str(exc.args[0]), f"missing in {path}")
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigInvalid("config", f"ill-typed field in {path}: {exc}")

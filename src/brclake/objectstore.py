@@ -128,7 +128,6 @@ class S3Config:
     access_key: str
     secret_key: str
     bucket: str
-    path_style: bool = True
 
     def validate(self) -> None:
         scheme = urlsplit(self.endpoint).scheme
@@ -137,19 +136,6 @@ class S3Config:
         for field in ("region", "access_key", "secret_key", "bucket"):
             if not getattr(self, field):
                 raise ConfigInvalid(field, "required for the s3 store")
-
-    @classmethod
-    def from_env(cls, env: dict | None = None) -> "S3Config":
-        env = os.environ if env is None else env
-        cfg = cls(
-            endpoint=env.get("BRC_S3_ENDPOINT", ""),
-            region=env.get("BRC_S3_REGION", ""),
-            access_key=env.get("BRC_S3_ACCESS_KEY", ""),
-            secret_key=env.get("BRC_S3_SECRET_KEY", ""),
-            bucket=env.get("BRC_S3_BUCKET", ""),
-        )
-        cfg.validate()
-        return cfg
 
 
 class S3Store:

@@ -24,7 +24,7 @@ from .errors import (
     CycleDetected,
 )
 from .fixedpoint import US_PER_DAY
-from .localfile import acquire_lock, fsync_append, release_lock, repair_tail
+from .localfile import acquire_lock, fsync_append, load_json_config, release_lock, repair_tail
 
 PENDING = "Pending"
 QUEUED = "Queued"
@@ -173,8 +173,7 @@ class DagSpec:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "DagSpec":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
+        return load_json_config(path, cls.from_dict)
 
 
 def load_dags(dags_dir: str | Path) -> dict[str, DagSpec]:
@@ -455,7 +454,8 @@ def backfill(
     Runs whose log already shows every task Succeeded are resumed as no-ops,
     so an interrupted backfill picks up where it stopped.
     """
-    assert from_us < to_us, "backfill window must be non-empty"
+    if from_us >= to_us:
+        raise ConfigInvalid("backfill", "window must be non-empty")
     return [
         execute_run(dag, t, registry, clock, runs_root, env)
         for t in schedule_instants(dag.schedule, from_us, to_us)

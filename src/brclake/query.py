@@ -16,8 +16,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import NonTradeEvent, SinkError
-from .etl import TABLE_COLUMNS, event_from_row
+from .errors import ConfigInvalid, NonTradeEvent, SinkError
+from .etl import ROW_ORDER, TABLE_COLUMNS, event_from_row
 from .events import MarketEvent
 from .fixedpoint import format_e8, us_to_iso
 from .lakeformat import read_file
@@ -33,26 +33,29 @@ class ScanRequest:
 
     def validate(self) -> None:
         t0, t1 = self.time_range
-        assert t0 < t1, "time range must be non-empty"
-        assert self.symbols, "at least one symbol required"
+        if t0 >= t1:
+            raise ConfigInvalid("time_range", "must be non-empty")
+        if not self.symbols:
+            raise ConfigInvalid("symbols", "at least one symbol required")
 
 
 def scan(store, table: LakeTable, request: ScanRequest) -> Iterator[MarketEvent]:
     """Events within the request's range and symbols, globally sorted by
-    (event_time_us, sequence, event_id)."""
+    ROW_ORDER. Only partitions of the requested symbols are planned, so rows
+    need filtering by time alone; each file is fetched and decoded when the
+    merge first pulls from it, and only yielded rows become events."""
     request.validate()
     t0, t1 = request.time_range
     snapshot = table.snapshot_at(request.version)
     planned = list_files(snapshot, request.time_range, request.symbols)
 
-    def file_stream(path: str) -> Iterator[MarketEvent]:
+    def file_rows(path: str) -> Iterator[tuple]:
         for row in read_file(store.get(path)).rows():
-            event = event_from_row(row)
-            if t0 <= event.event_time_us < t1 and event.symbol in request.symbols:
-                yield event
+            if t0 <= row[0] < t1:
+                yield row
 
-    streams = [file_stream(add.path) for add in planned]
-    return heapq.merge(*streams, key=lambda e: e.sort_key())
+    streams = [file_rows(add.path) for add in planned]
+    return map(event_from_row, heapq.merge(*streams, key=ROW_ORDER))
 
 
 # -- OHLCV ---------------------------------------------------------------------
@@ -70,7 +73,8 @@ class OhlcvBar:
 
 def ohlcv(events: Iterable[MarketEvent], width_us: int) -> list[OhlcvBar]:
     """Fixed-width buckets over a sorted trade stream; empty buckets omitted."""
-    assert width_us > 0, "bucket width must be positive"
+    if width_us <= 0:
+        raise ConfigInvalid("ohlcv", "bucket width must be positive")
     bars: list[OhlcvBar] = []
     current: dict | None = None
     for event in events:

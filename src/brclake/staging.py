@@ -122,7 +122,7 @@ class StagingStore:
                     room = self.max_segment_records
                 chunk, remaining = remaining[:room], remaining[room:]
                 blob = b"".join(
-                    json.dumps({**e.to_json_dict(), "offset": offset + i}, sort_keys=True).encode() + b"\n"
+                    json.dumps({**vars(e), "offset": offset + i}, sort_keys=True).encode() + b"\n"
                     for i, e in enumerate(chunk)
                 )
                 fsync_append(self._segment_path(connector_id, active_start), blob)
@@ -154,7 +154,7 @@ class StagingStore:
             for i in range(lo, len(lines)):
                 obj = json.loads(lines[i])
                 rec_offset = obj.pop("offset")
-                out.append(StagedRecord(rec_offset, MarketEvent.from_json_dict(obj)))
+                out.append(StagedRecord(rec_offset, MarketEvent(**obj)))
                 if len(out) >= max_records:
                     break
         return out

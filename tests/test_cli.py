@@ -107,6 +107,73 @@ def test_bad_partition_rejected_under_optimize(tmp_path):
     assert json.loads(result.stderr.splitlines()[-1])["error"] == "InvalidAction"
 
 
+def _error_kind(result) -> str:
+    return json.loads(result.stderr.splitlines()[-1])["error"]
+
+
+@pytest.mark.parametrize("case", ["bad_json", "missing_file", "ill_typed_count"])
+def test_connector_config_errors_are_typed(tmp_path, case):
+    path = _connector_file(tmp_path)
+    if case == "bad_json":
+        path.write_text("{not json")
+    elif case == "missing_file":
+        path.unlink()
+    else:
+        path.write_text(json.dumps({**json.loads(path.read_text()), "count": "abc"}))
+    result = _brc("ingest", "run", "--config", str(path), data_root=tmp_path / "data")
+    assert result.returncode == 1
+    assert _error_kind(result) == "ConfigInvalid"
+
+
+def test_dag_task_without_id_is_config_invalid(tmp_path):
+    dags = tmp_path / "dags"
+    dags.mkdir()
+    (dags / "d.json").write_text(json.dumps({
+        "dag_id": "d", "schedule": {"interval": {"period_us": 3_600_000_000}},
+        "tasks": [{"action": "etl.export"}],
+    }))
+    result = _brc("sched", "run-once", "--dag", "d", "--at", "2021-01-01T00:00:00Z",
+                  "--dags", str(dags), data_root=tmp_path / "data")
+    assert result.returncode == 1
+    assert _error_kind(result) == "ConfigInvalid"
+
+
+def test_ill_typed_app_config_is_config_invalid(tmp_path):
+    path = tmp_path / "app.json"
+    path.write_text(json.dumps({"data_root": 5}))
+    result = _brc("--config", str(path), "lake", "init", "--table", "trades")
+    assert result.returncode == 1
+    assert _error_kind(result) == "ConfigInvalid"
+
+
+_DAY = ["--from", "2021-01-01T00:00:00Z", "--to", "2021-01-02T00:00:00Z"]
+
+
+@pytest.mark.parametrize("args", [
+    ["--from", "2021-01-01T00:00:00Z", "--to", "2021-01-01T00:00:00Z"],
+    ["--from", "bad", "--to", "2021-01-02T00:00:00Z"],
+    [*_DAY, "--ohlcv", "0s"],
+    ["--from", "2021-01-01T00:00:00Z", "--to", "9999-12-31T23:00:00-05:00"],
+])
+def test_query_argument_errors_are_typed(tmp_path, args):
+    assert _brc("lake", "init", "--table", "trades", data_root=tmp_path).returncode == 0
+    result = _brc("query", "--table", "trades", "--symbols", "BTC-USDT", *args, data_root=tmp_path)
+    assert result.returncode == 1
+    assert _error_kind(result) == "ConfigInvalid"
+
+
+def test_empty_query_range_rejected_under_optimize(tmp_path):
+    assert _brc("lake", "init", "--table", "trades", data_root=tmp_path).returncode == 0
+    env = dict(os.environ, BRC_DATA_ROOT=str(tmp_path))
+    env.pop("BRC_CONFIG", None)
+    result = subprocess.run([sys.executable, "-O", "-m", "brclake.cli", "query", "--table", "trades",
+                             "--symbols", "BTC-USDT", "--from", "2021-01-01T00:00:00Z",
+                             "--to", "2021-01-01T00:00:00Z"],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 1
+    assert _error_kind(result) == "ConfigInvalid"
+
+
 def test_help_lists_every_subcommand():
     result = subprocess.run([sys.executable, "-m", "brclake.cli", "--help"],
                             capture_output=True, text=True)
@@ -126,8 +193,9 @@ def test_bucket_width_parsing():
     assert parse_bucket_width("1m") == 60_000_000
     assert parse_bucket_width("500ms") == 500_000
     assert parse_bucket_width("2h") == 7_200_000_000
-    with pytest.raises(ConfigInvalid):
-        parse_bucket_width("five minutes")
+    for bad in ("five minutes", "0s"):
+        with pytest.raises(ConfigInvalid):
+            parse_bucket_width(bad)
 
 
 def test_parser_covers_spec_flags():

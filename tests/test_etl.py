@@ -1,9 +1,13 @@
+import io
+import json
+import random
 import threading
 
 import pytest
 
 from brclake import crashpoints
 from brclake.etl import (
+    ROW_ORDER,
     TABLE_COLUMNS,
     compact,
     dedup,
@@ -16,12 +20,15 @@ from brclake.etl import (
     parse_partition,
 )
 from brclake.fixedpoint import iso_to_us
+from brclake.harness import oracle_csv, oracle_events
+from brclake.ingest import run_connector
 from brclake.lakeformat import read_file
 from brclake.lakehouse import LakeTable, PartitionKey
 from brclake.objectstore import FsStore
+from brclake.query import ScanRequest, export_events, scan
 from brclake.staging import StagedRecord, StagingStore
 
-from conftest import make_event
+from conftest import make_config, make_event
 
 T0 = iso_to_us("2021-03-04T00:00:00Z")
 
@@ -44,6 +51,51 @@ def _stage(staging, events, connector="c"):
 def test_event_row_round_trip():
     event = make_event(event_time_us=T0 + 5, sequence=9, event_id="x-9")
     assert event_from_row(event_to_row(event)) == event
+
+    # Ties on every key but the last, and ids whose code-point order differs
+    # from their UTF-16 order: ROW_ORDER over rows must match sort_key.
+    events = [
+        make_event(event_time_us=T0 + t, sequence=seq, event_id=eid,
+                   symbol=symbol, source=source, stream=stream)
+        for t in (0, 1) for seq in (0, 1)
+        for eid in ("z", "z-1", "\u00e9", "\uffff", "\U00010000")
+        for symbol in ("BTC-USD", "ETH-USD") for source in ("a", "b")
+        for stream in ("trade", "quote")
+    ]
+    random.Random(7).shuffle(events)
+    assert [event_from_row(event_to_row(e)) for e in events] == events
+    rows = sorted((event_to_row(e) for e in events), key=ROW_ORDER)
+    assert [event_from_row(r) for r in rows] == sorted(events, key=lambda e: e.sort_key())
+
+
+@pytest.mark.parametrize("max_records", [2, 1])
+def test_source_tie_scans_in_oracle_order(tmp_path, max_records):
+    # Two lines that differ only in source share event time, id and sequence
+    # 0, so only the full row order separates them: in one file
+    # (max_records=2) or merged from two by compaction (max_records=1).
+    feed = tmp_path / "feed.jsonl"
+    feed.write_text("".join(
+        json.dumps({"source": source, "stream": "trade", "raw_symbol": "BTCUSDT",
+                    "event_time_us": T0,
+                    "payload": {"price": "1", "qty": "1", "side": "buy", "id": "x"}}) + "\n"
+        for source in ("b", "a")
+    ))
+    config = make_config(kind="replay", replay_path=str(feed))
+    store, staging, table = _env(tmp_path)
+    run_connector(config, staging)
+    assert export_all(staging, store, table, "c", max_records=max_records).rows_published == 2
+
+    request = ScanRequest("trades", (T0, T0 + 1), {"BTC-USDT"})
+    expected = oracle_csv(oracle_events([config]), request.time_range, request.symbols)
+
+    def scanned() -> bytes:
+        sink = io.BytesIO()
+        export_events(scan(store, table, request), "csv", sink)
+        return sink.getvalue()
+
+    assert scanned() == expected
+    assert compact(store, table, PartitionKey("BTC-USDT", "2021-03-04"), min_files=1) is not None
+    assert scanned() == expected
 
 
 # -- dedup ---------------------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from brclake.errors import AssertionFailed
-from brclake.harness import Scenario, oracle_events, run_scenario
+from brclake.harness import Scenario, main, oracle_events, run_scenario
 
 
 def _scenario_dict(crash_points=None, count=800, compact=False):
@@ -121,3 +121,10 @@ def test_scenario_with_replay_connector(tmp_path):
     report = run_scenario(scenario, tmp_path / "run")
     assert report["passed"], report
     assert report["row_counts"]["query"] == 40
+
+
+def test_main_reports_bad_scenario_file_as_typed_error(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text("{")
+    assert main(["run", str(path), "--data-root", str(tmp_path / "run")]) == 1
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "ConfigInvalid"

@@ -285,6 +285,12 @@ def test_backfill_executes_in_order_and_skips_done(tmp_path):
     assert executed == []
 
 
+def test_backfill_empty_window_rejected(tmp_path):
+    dag = DagSpec("bf", Interval(0, US_PER_DAY), [TaskSpec("a", [], "act")])
+    with pytest.raises(ConfigInvalid):
+        backfill(dag, US_PER_DAY, US_PER_DAY, {"act": lambda ctx: None}, SimClock(0), tmp_path)
+
+
 def test_backfill_after_partial_window(tmp_path):
     """Crash after run 2 of 3: a fresh backfill executes only run 3."""
     executed = []

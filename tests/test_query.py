@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brclake.errors import NonTradeEvent, NoSuchVersion
+from brclake.errors import ConfigInvalid, NonTradeEvent, NoSuchVersion
 from brclake.etl import TABLE_COLUMNS, event_from_row, export_all
 from brclake.fixedpoint import US_PER_DAY, iso_to_us, parse_decimal_e8
 from brclake.lakeformat import read_file
-from brclake.lakehouse import LakeTable, list_files
+from brclake.lakehouse import LakeTable, Snapshot, list_files
 from brclake.objectstore import FsStore
 from brclake.query import (
     OhlcvBar,
@@ -176,6 +176,15 @@ def test_ohlcv_gap_omitted():
     width = 60_000_000
     bars = ohlcv([_trade(T0 + 1, 10**8), _trade(T0 + 3 * width + 1, 2 * 10**8)], width)
     assert [b.bucket_start_us for b in bars] == [T0, T0 + 3 * width]
+
+
+def test_empty_inputs_rejected_without_assert():
+    with pytest.raises(ConfigInvalid):
+        ohlcv([], 0)
+    with pytest.raises(ConfigInvalid):
+        list_files(Snapshot(version=1), (T0, T0), {"BTC-USD"})
+    with pytest.raises(ConfigInvalid):
+        ScanRequest("trades", (T0, T0 + 1), set()).validate()
 
 
 def test_ohlcv_rejects_non_trades():
