@@ -62,6 +62,15 @@ class BadSide(BrcError):
         self.value = value
 
 
+class InvalidEvent(BrcError):
+    """A normalized event field outside the table's domain (source, stream,
+    symbol, event time or sequence)."""
+
+    def __init__(self, field: str, detail: str):
+        super().__init__(detail, field=field)
+        self.field = field
+
+
 class StagingUnavailable(BrcError):
     pass
 
@@ -171,6 +180,15 @@ class CommitConflictExhausted(BrcError):
 
 class InvalidAction(BrcError):
     pass
+
+
+class CorruptLog(BrcError):
+    """A committed log entry that cannot fold onto the entries before it."""
+
+    def __init__(self, version: int, detail: str, path: str | None = None):
+        super().__init__(f"log version {version}: {detail}", version=version, path=path)
+        self.version = version
+        self.path = path
 
 
 class NoSuchVersion(BrcError):

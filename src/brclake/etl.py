@@ -5,7 +5,10 @@ Exactly-once effect is the composition of three guarantees, in this order:
 at-least-once staging delivery, exact identity dedup (within the batch and
 against live files overlapping the batch's time range), and
 commit-then-checkpoint. A crash between the table commit and the checkpoint
-merely redelivers records that then die in dedup.
+merely redelivers records that then die in dedup. The cross-batch check reads
+each live file once per ``LakeTable`` handle and keeps its identities in the
+handle's ``identity_cache`` while the file is live, so an export fetches only
+files no earlier export through that handle has checked.
 
 Between staging and rendering an event travels as its encoded table row
 (``event_to_row``). Export, compaction and scans order rows by ``ROW_ORDER``
@@ -109,15 +112,27 @@ def _live_identities(
 ) -> set[tuple]:
     """Encoded identities (``ROW_IDENTITY``) already present in the
     partition's live files overlapping [t_min, t_max] — the exact cross-batch
-    dedup check (no index, no bloom)."""
+    dedup check.
+
+    Each file is fetched and decoded once per table handle: its identities
+    stay in ``table.identity_cache`` for as long as its path is live, and
+    paths no longer live are dropped on every call. Data keys are unique and
+    never rewritten, so a cached entry cannot go stale."""
     snapshot = table.snapshot_at()
+    cache = table.identity_cache
+    for path in cache.keys() - snapshot.live_files.keys():
+        del cache[path]
     identities: set[tuple] = set()
     for add in snapshot.live_files.values():
         if add.partition != partition:
             continue
         if add.max_event_time_us < t_min or add.min_event_time_us > t_max:
             continue
-        identities.update(read_file(store.get(add.path), projection=IDENTITY_COLUMNS).rows())
+        known = cache.get(add.path)
+        if known is None:
+            data = store.get(add.path)
+            known = cache[add.path] = frozenset(read_file(data, projection=IDENTITY_COLUMNS).rows())
+        identities |= known
     return identities
 
 

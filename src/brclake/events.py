@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .errors import ConfigInvalid
+from .errors import BadDecimal, BadSide, ConfigInvalid, InvalidEvent
 from .fixedpoint import I64_MAX, I64_MIN
 from .localfile import load_json_config
 
@@ -52,17 +52,23 @@ class MarketEvent:
         return (self.source, self.stream, self.symbol, self.event_id)
 
     def validate(self) -> None:
-        assert SOURCE_RE.match(self.source), f"bad source {self.source!r}"
-        assert self.stream in STREAMS, f"bad stream {self.stream!r}"
-        assert SYMBOL_RE.match(self.symbol), f"bad symbol {self.symbol!r}"
-        assert self.event_time_us > 0
-        assert 0 <= self.sequence <= I64_MAX
-        assert I64_MIN <= self.price_e8 <= I64_MAX
-        assert I64_MIN <= self.qty_e8 <= I64_MAX
-        assert self.side in SIDES, f"bad side {self.side!r}"
-        if self.stream == "trade":
-            assert self.price_e8 > 0 and self.qty_e8 > 0
-            assert self.side in ("buy", "sell")
+        if not SOURCE_RE.match(self.source):
+            raise InvalidEvent("source", f"bad source {self.source!r}")
+        if self.stream not in STREAMS:
+            raise InvalidEvent("stream", f"bad stream {self.stream!r}")
+        if not SYMBOL_RE.match(self.symbol):
+            raise InvalidEvent("symbol", f"bad symbol {self.symbol!r}")
+        if not 0 < self.event_time_us <= I64_MAX:
+            raise InvalidEvent("event_time_us", f"event time {self.event_time_us} not a positive int64")
+        if not 0 <= self.sequence <= I64_MAX:
+            raise InvalidEvent("sequence", f"sequence {self.sequence} not a non-negative int64")
+        for name, value in (("price", self.price_e8), ("qty", self.qty_e8)):
+            if not I64_MIN <= value <= I64_MAX:
+                raise BadDecimal(name, f"{name} {value} e-8 outside int64")
+            if self.stream == "trade" and value <= 0:
+                raise BadDecimal(name, f"trade {name} {value} e-8 not positive")
+        if self.side not in (("buy", "sell") if self.stream == "trade" else SIDES):
+            raise BadSide(self.side)
 
     def sort_key(self) -> tuple:
         # (event_time_us, sequence, event_id) is the contractual order; the
@@ -130,22 +136,29 @@ class ConnectorConfig:
 
     @classmethod
     def from_dict(cls, obj: dict[str, Any]) -> "ConnectorConfig":
-        rate = obj.get("rate_limit") or {}
+        """Build and validate a config from its JSON form; a field of the
+        wrong JSON type raises ConfigInvalid naming it."""
+        if not isinstance(obj, dict):
+            raise ConfigInvalid("connector", "must be a JSON object")
+        rate = _typed(obj, "rate_limit", dict, {})
+        symbols = _typed(obj, "symbols", dict, {})
+        if not all(isinstance(v, str) for v in symbols.values()):
+            raise ConfigInvalid("symbols", "values must be strings")
         cfg = cls(
-            connector_id=obj.get("connector_id", ""),
-            kind=obj.get("kind", ""),
-            source=obj.get("source", ""),
-            symbols=dict(obj.get("symbols") or {}),
-            seed=int(obj.get("seed", 0)),
-            count=int(obj.get("count", 0)),
-            dup_prob_bp=int(obj.get("dup_prob_bp", 0)),
+            connector_id=_typed(obj, "connector_id", str, ""),
+            kind=_typed(obj, "kind", str, ""),
+            source=_typed(obj, "source", str, ""),
+            symbols=dict(symbols),
+            seed=_typed(obj, "seed", int, 0),
+            count=_typed(obj, "count", int, 0),
+            dup_prob_bp=_typed(obj, "dup_prob_bp", int, 0),
             rate_limit=RateLimit(
-                rate_per_s=int(rate.get("rate_per_s", 1_000_000)),
-                burst=int(rate.get("burst", 1_000_000)),
+                rate_per_s=_typed(rate, "rate_per_s", int, 1_000_000, "rate_limit."),
+                burst=_typed(rate, "burst", int, 1_000_000, "rate_limit."),
             ),
-            replay_path=obj.get("replay_path", ""),
-            ingest_time_mode=obj.get("ingest_time_mode", "wall"),
-            batch_size=int(obj.get("batch_size", 500)),
+            replay_path=_typed(obj, "replay_path", str, ""),
+            ingest_time_mode=_typed(obj, "ingest_time_mode", str, "wall"),
+            batch_size=_typed(obj, "batch_size", int, 500),
         )
         cfg.validate()
         return cfg
@@ -153,3 +166,15 @@ class ConnectorConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "ConnectorConfig":
         return load_json_config(path, cls.from_dict)
+
+
+_JSON_TYPE_NAMES = {str: "a string", int: "an integer", dict: "an object"}
+
+
+def _typed(obj: dict, name: str, kind: type, default, prefix: str = ""):
+    """obj[name] if it has the JSON type kind (booleans are not integers),
+    default if absent; anything else raises ConfigInvalid."""
+    value = obj.get(name, default)
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ConfigInvalid(prefix + name, f"must be {_JSON_TYPE_NAMES[kind]}, got {value!r}")
+    return value

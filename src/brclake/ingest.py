@@ -102,11 +102,17 @@ def generate_synthetic(config: ConnectorConfig) -> Iterator[RawEvent]:
 RAW_FIELDS = ("source", "stream", "raw_symbol", "event_time_us", "payload")
 
 
-def replay_file(path: str | Path) -> Iterator[RawEvent]:
-    """Yield RawEvents from a JSON Lines file, in file order."""
+def replay_file(path: str | Path, start: int = 0) -> Iterator[RawEvent]:
+    """Yield RawEvents from a JSON Lines file, in file order, after its first
+    ``start`` non-blank lines. Those are counted but not parsed: a resumed
+    session pays for the lines it has not consumed yet. Errors carry file line
+    numbers, blank and skipped lines included."""
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             if not line.strip():
+                continue
+            if start:
+                start -= 1
                 continue
             try:
                 obj = json.loads(line)
@@ -117,6 +123,11 @@ def replay_file(path: str | Path) -> Iterator[RawEvent]:
             for name in RAW_FIELDS:
                 if name not in obj:
                     raise MissingField(name, line_no)
+            for name in ("source", "stream", "raw_symbol"):
+                if not isinstance(obj[name], str):
+                    raise MalformedLine(line_no, f"{name} on line {line_no} is not a string")
+            if type(obj["event_time_us"]) is not int:
+                raise MalformedLine(line_no, f"event_time_us on line {line_no} is not an integer")
             payload = obj["payload"]
             if not isinstance(payload, dict):
                 raise MalformedLine(line_no, f"payload on line {line_no} is not an object")
@@ -262,14 +273,8 @@ def run_connector(
             start = SyntheticState(**state) if state else None
             steps = synthetic_steps(config, start)
         else:
-            skip = int(saved.get("replay_line", 0))
-            def replay_steps():
-                for i, raw in enumerate(replay_file(config.replay_path)):
-                    if i < skip:
-                        continue
-                    yield [raw], None
-            steps = replay_steps()
-            replay_line = skip
+            replay_line = int(saved.get("replay_line", 0))
+            steps = (([raw], None) for raw in replay_file(config.replay_path, replay_line))
 
         batch: list[MarketEvent] = []
         batch_state: dict = {}
@@ -290,7 +295,9 @@ def run_connector(
                 while not bucket.take(now_us()):
                     time.sleep(bucket.wait_us() / 1_000_000)
                 ingest_time = raw.event_time_us if config.ingest_time_mode == "event_time" else now_us()
-                seq = counters.next_for((raw.source, raw.stream, config.symbols[raw.raw_symbol]))
+                # an unmapped raw symbol raises UnknownSymbol in normalize
+                symbol = config.symbols.get(raw.raw_symbol, "")
+                seq = counters.next_for((raw.source, raw.stream, symbol))
                 batch.append(normalize(raw, config, ingest_time, seq))
             if config.kind == "synthetic":
                 batch_state = {"synthetic": vars(gen_state)}

@@ -20,6 +20,7 @@ from .errors import (
     AlreadyInitialized,
     CommitConflictExhausted,
     ConfigInvalid,
+    CorruptLog,
     InvalidAction,
     NoSuchVersion,
     NotFound,
@@ -80,13 +81,16 @@ class Snapshot:
     schema_id: str = ""
 
     def apply(self, entry: LogEntry) -> None:
-        assert entry.version == self.version + 1, "log entries must fold in order"
+        if entry.version != self.version + 1:
+            raise CorruptLog(entry.version, f"does not follow version {self.version}")
         for action in entry.actions:
             if isinstance(action, AddFile):
-                assert action.path not in self.live_files, f"duplicate live path {action.path}"
+                if action.path in self.live_files:
+                    raise CorruptLog(entry.version, f"adds live path {action.path}", action.path)
                 self.live_files[action.path] = action
             elif isinstance(action, RemoveFile):
-                del self.live_files[action.path]
+                if self.live_files.pop(action.path, None) is None:
+                    raise CorruptLog(entry.version, f"removes non-live path {action.path}", action.path)
             else:
                 self.schema_id = action.schema_id
         self.version = entry.version
@@ -167,6 +171,8 @@ class LakeTable:
         self.store = store
         self.table_id = table_id
         self._cache = Snapshot(version=0)  # fold of entries 1.._cache.version
+        # data-file path -> its encoded dedup identities; see etl._live_identities
+        self.identity_cache: dict[str, frozenset] = {}
 
     # -- layout --------------------------------------------------------------
 

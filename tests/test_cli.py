@@ -8,16 +8,21 @@ import pytest
 from brclake.cli import build_parser, parse_bucket_width
 from brclake.config import load_config
 from brclake.errors import ConfigInvalid
+from brclake.lakehouse import AddFile, LogEntry, PartitionKey, entry_to_bytes
+from brclake.objectstore import FsStore
+from brclake.staging import StagingStore
 
 
-def _brc(*args, data_root=None, env_extra=None):
+def _brc(*args, data_root=None, env_extra=None, optimize=False):
+    # python -O strips assert statements, so validation must not rest on them
     env = dict(os.environ)
     env.pop("BRC_CONFIG", None)
     if data_root is not None:
         env["BRC_DATA_ROOT"] = str(data_root)
     if env_extra:
         env.update(env_extra)
-    return subprocess.run([sys.executable, "-m", "brclake.cli", *args],
+    flags = ["-O"] if optimize else []
+    return subprocess.run([sys.executable, *flags, "-m", "brclake.cli", *args],
                           capture_output=True, text=True, env=env)
 
 
@@ -96,13 +101,9 @@ def test_second_init_error_kind(tmp_path):
 
 
 def test_bad_partition_rejected_under_optimize(tmp_path):
-    # python -O strips assert statements, so validation must not rest on them
     assert _brc("lake", "init", "--table", "trades", data_root=tmp_path).returncode == 0
-    env = dict(os.environ, BRC_DATA_ROOT=str(tmp_path))
-    env.pop("BRC_CONFIG", None)
-    result = subprocess.run([sys.executable, "-O", "-m", "brclake.cli", "etl", "compact",
-                             "--table", "trades", "--partition", "foo/bar"],
-                            capture_output=True, text=True, env=env)
+    result = _brc("etl", "compact", "--table", "trades", "--partition", "foo/bar",
+                  data_root=tmp_path, optimize=True)
     assert result.returncode == 1
     assert json.loads(result.stderr.splitlines()[-1])["error"] == "InvalidAction"
 
@@ -164,14 +165,64 @@ def test_query_argument_errors_are_typed(tmp_path, args):
 
 def test_empty_query_range_rejected_under_optimize(tmp_path):
     assert _brc("lake", "init", "--table", "trades", data_root=tmp_path).returncode == 0
-    env = dict(os.environ, BRC_DATA_ROOT=str(tmp_path))
-    env.pop("BRC_CONFIG", None)
-    result = subprocess.run([sys.executable, "-O", "-m", "brclake.cli", "query", "--table", "trades",
-                             "--symbols", "BTC-USDT", "--from", "2021-01-01T00:00:00Z",
-                             "--to", "2021-01-01T00:00:00Z"],
-                            capture_output=True, text=True, env=env)
+    result = _brc("query", "--table", "trades", "--symbols", "BTC-USDT",
+                  "--from", "2021-01-01T00:00:00Z", "--to", "2021-01-01T00:00:00Z",
+                  data_root=tmp_path, optimize=True)
     assert result.returncode == 1
     assert _error_kind(result) == "ConfigInvalid"
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_invalid_replay_event_is_typed_and_stages_nothing(tmp_path, optimize):
+    feed = tmp_path / "feed.jsonl"
+    feed.write_text(json.dumps({
+        "source": "Bad Source", "stream": "trade", "raw_symbol": "BTCUSDT",
+        "event_time_us": 1_600_000_000_000_000,
+        "payload": {"price": "1", "qty": "1", "side": "buy", "id": "a"},
+    }) + "\n")
+    config = tmp_path / "r.json"
+    config.write_text(json.dumps({
+        "connector_id": "r", "kind": "replay", "source": "rep",
+        "symbols": {"BTCUSDT": "BTC-USDT"}, "replay_path": str(feed),
+    }))
+    data = tmp_path / "data"
+    result = _brc("ingest", "run", "--config", str(config), data_root=data, optimize=optimize)
+    assert result.returncode == 1
+    assert _error_kind(result) == "InvalidEvent"
+    assert StagingStore(data / "staging").tail_offset("r") == 0
+
+
+def test_ill_typed_inline_connector_fails_task_with_config_invalid(tmp_path):
+    dags = tmp_path / "dags"
+    dags.mkdir()
+    (dags / "d.json").write_text(json.dumps({
+        "dag_id": "d", "schedule": {"interval": {"period_us": 3_600_000_000}},
+        "tasks": [{"task_id": "ingest", "action": "ingest.run", "params": {"connector": {
+            "connector_id": "c1", "kind": "synthetic", "source": "syn",
+            "symbols": {"BTCUSDT": "BTC-USDT"}, "count": "abc"}}}],
+    }))
+    result = _brc("sched", "run-once", "--dag", "d", "--at", "1970-01-01T00:00:00Z",
+                  "--dags", str(dags), data_root=tmp_path / "data")
+    assert result.returncode == 1
+    assert json.loads(result.stdout)["states"] == {"ingest": "Failed"}
+    log = tmp_path / "data" / "runs" / "d" / "0" / "events.jsonl"
+    failed = json.loads(log.read_text().splitlines()[-1])
+    assert failed["state"] == "Failed"
+    assert failed["error"] == str(ConfigInvalid("count", "must be an integer, got 'abc'"))
+
+
+def test_corrupt_log_is_typed_under_optimize(tmp_path):
+    assert _brc("lake", "init", "--table", "trades", data_root=tmp_path).returncode == 0
+    add = AddFile("tables/trades/data/symbol=BTC-USD/date=2021-01-01/part-x.brcl",
+                  PartitionKey("BTC-USD", "2021-01-01"), 1, 10, 1, 1)
+    store = FsStore(tmp_path / "store")
+    for version in (2, 3):  # the second entry adds the same path again
+        store.put(f"tables/trades/_log/{version:020}.json",
+                  entry_to_bytes(LogEntry(version, version - 1, 0, [add], "hand")))
+    result = _brc("lake", "audit", "--table", "trades", data_root=tmp_path, optimize=True)
+    assert result.returncode == 1
+    error = json.loads(result.stderr.splitlines()[-1])
+    assert (error["error"], error["version"], error["path"]) == ("CorruptLog", 3, add.path)
 
 
 def test_help_lists_every_subcommand():

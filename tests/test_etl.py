@@ -263,6 +263,72 @@ def test_multiset_preserved_vs_staging_oracle(tmp_path):
     assert sorted(e.identity for e in table_events) == oracle_multiset
 
 
+# -- cross-batch dedup identity cache ----------------------------------------------------
+
+class _CountingStore:
+    """Records every data-file GET; everything else goes straight through."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.data_gets = []
+
+    def get(self, key):
+        if "/data/" in key:
+            self.data_gets.append(key)
+        return self.inner.get(key)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def test_overlapping_export_reads_each_live_file_once(tmp_path):
+    store, staging, table = _env(tmp_path)
+    counting = _CountingStore(store)
+    _stage(staging, _trades(40))
+    export_job(staging, counting, table, "c")
+    first = next(iter(table.snapshot_at().live_files))
+    _stage(staging, _trades(40, start_id=20))  # overlaps the first file's range
+    result = export_job(staging, counting, table, "c")
+    assert result.rows_published == 20 and result.dropped_duplicates == 20
+    assert counting.data_gets == [first]
+    _stage(staging, _trades(40, start_id=10))  # overlaps both live files
+    result = export_job(staging, counting, table, "c")
+    assert result.rows_published == 0 and result.dropped_duplicates == 40
+    assert sorted(counting.data_gets) == sorted(table.snapshot_at().live_files)
+    assert table.identity_cache.keys() == table.snapshot_at().live_files.keys()
+
+
+def test_compacted_paths_leave_the_identity_cache(tmp_path):
+    store, staging, table = _fragmented_table(tmp_path)
+    _stage(staging, _trades(100))  # full redelivery reads every live file
+    assert export_job(staging, store, table, "c").dropped_duplicates == 100
+    victims = set(table.snapshot_at().live_files)
+    assert table.identity_cache.keys() == victims
+    compact(store, table, live_partitions(table)[0])
+    _stage(staging, _trades(10, start_id=95))  # 5 duplicates of compacted rows
+    result = export_job(staging, store, table, "c")
+    assert result.rows_published == 5 and result.dropped_duplicates == 5
+    (merged,) = table.identity_cache  # the compacted file, victims gone
+    assert merged not in victims and merged in table.snapshot_at().live_files
+
+
+def test_duplicate_committed_by_another_handle_is_dropped(tmp_path):
+    store, staging, table = _env(tmp_path)
+    _stage(staging, _trades(30))
+    export_job(staging, store, table, "c")
+    _stage(staging, _trades(30))
+    assert export_job(staging, store, table, "c").dropped_duplicates == 30
+    assert len(table.identity_cache) == 1  # warm for the first file
+    other = LakeTable(store, "trades")  # another process's handle
+    _stage(staging, _trades(30, start_id=30), connector="d")
+    export_job(staging, store, other, "d")
+    _stage(staging, _trades(60))  # both files' rows again
+    result = export_job(staging, store, table, "c")
+    assert result.rows_published == 0 and result.dropped_duplicates == 60
+    assert len(table.identity_cache) == 2
+    assert sum(a.rows for a in table.snapshot_at().live_files.values()) == 60
+
+
 # -- compact -----------------------------------------------------------------------------
 
 def _fragmented_table(tmp_path, batches=4, per_batch=25):

@@ -8,10 +8,13 @@ from brclake import crashpoints
 from brclake.errors import (
     BadDecimal,
     BadSide,
+    ConfigInvalid,
+    InvalidEvent,
     MalformedLine,
     MissingField,
     UnknownSymbol,
 )
+from brclake.events import ConnectorConfig
 from brclake.ingest import (
     SplitMix64,
     TokenBucket,
@@ -23,7 +26,7 @@ from brclake.ingest import (
 )
 from brclake.staging import StagingStore
 
-from conftest import make_config
+from conftest import make_config, make_event
 
 
 # -- synthetic generator ---------------------------------------------------------
@@ -141,6 +144,24 @@ def test_normalize_unknown_symbol():
         normalize(_raw(symbol="DOGEUSD"), config, 0, 0)
 
 
+@pytest.mark.parametrize("fields, kind", [
+    ({"source": "Bad Source"}, InvalidEvent),
+    ({"stream": "tick"}, InvalidEvent),
+    ({"symbol": "btc-usd"}, InvalidEvent),
+    ({"event_time_us": 0}, InvalidEvent),
+    ({"event_time_us": 1 << 63}, InvalidEvent),
+    ({"sequence": -1}, InvalidEvent),
+    ({"price_e8": 1 << 63}, BadDecimal),
+    ({"qty_e8": 0}, BadDecimal),
+    ({"side": "na"}, BadSide),
+    ({"stream": "quote", "side": "hold"}, BadSide),
+])
+def test_event_validation_is_typed(fields, kind):
+    with pytest.raises(kind):
+        make_event(**fields).validate()
+    make_event(stream="quote", side="na", price_e8=0, qty_e8=0).validate()
+
+
 def test_normalize_bad_side():
     with pytest.raises(BadSide):
         normalize(_raw(side="hold"), make_config(), 0, 0)
@@ -205,6 +226,57 @@ def test_replay_malformed_line(tmp_path):
     assert err.value.line_no == 1
 
 
+def _replay_line(i, raw_symbol="BTCUSDT"):
+    return json.dumps({"source": "x", "stream": "trade", "raw_symbol": raw_symbol,
+                       "event_time_us": 1_600_000_000_000_000 + i,
+                       "payload": {"price": "1", "qty": "2", "side": "buy", "id": f"r-{i}"}})
+
+
+def test_replay_resume_yields_only_appended_lines(tmp_path):
+    path = _write_lines(tmp_path, [_replay_line(0), "", _replay_line(1), "  ", _replay_line(2)])
+    staging = StagingStore(tmp_path / "staging")
+    config = make_config(kind="replay", replay_path=str(path), batch_size=2)
+    assert run_connector(config, staging).events_appended == 3
+    with open(path, "a", encoding="utf-8") as f:
+        f.write("\n" + _replay_line(3) + "\n" + _replay_line(4) + "\n")
+    assert run_connector(config, staging).events_appended == 2
+    records = staging.read_from("c", 0, 100)
+    assert [r.event.event_id for r in records] == [f"r-{i}" for i in range(5)]
+    assert staging.load_connector_state("c")["replay_line"] == 5
+    assert run_connector(config, staging).events_appended == 0
+
+
+def test_replay_resume_reports_file_line_numbers(tmp_path):
+    # consumed lines are counted, not parsed: the malformed line 2 before the
+    # resume point is not re-validated, the one after it keeps its number
+    lines = [_replay_line(0), "{not json", "", _replay_line(2), "", "", "{not json either"]
+    path = _write_lines(tmp_path, lines)
+    assert next(replay_file(path, start=2)).payload["id"] == "r-2"
+    with pytest.raises(MalformedLine) as err:
+        list(replay_file(path, start=3))
+    assert err.value.line_no == 7
+
+
+@pytest.mark.parametrize("field, value", [
+    ("source", 5), ("stream", None), ("raw_symbol", ["BTCUSDT"]), ("event_time_us", "x"),
+    ("event_time_us", 1.5), ("event_time_us", True),
+])
+def test_replay_ill_typed_raw_field_is_malformed(tmp_path, field, value):
+    obj = json.loads(_replay_line(0))
+    obj[field] = value
+    with pytest.raises(MalformedLine) as err:
+        list(replay_file(_write_lines(tmp_path, ["", json.dumps(obj)])))
+    assert err.value.line_no == 2
+
+
+def test_replay_unmapped_symbol_is_typed(tmp_path):
+    path = _write_lines(tmp_path, [_replay_line(0, raw_symbol="XXX")])
+    staging = StagingStore(tmp_path / "staging")
+    with pytest.raises(UnknownSymbol):
+        run_connector(make_config(kind="replay", replay_path=str(path)), staging)
+    assert staging.tail_offset("c") == 0
+
+
 # -- token bucket ---------------------------------------------------------------------
 
 def test_bucket_burst_exhaustion():
@@ -233,6 +305,27 @@ def test_bucket_window_bound(raw_times, rate, burst):
     allowed = sum(bucket.take(t) for t in times)
     elapsed_s = times[-1] / 1_000_000
     assert allowed <= burst + rate * elapsed_s + 1e-9
+
+
+# -- connector config ------------------------------------------------------------------
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"count": "abc"}, "count"),
+    ({"seed": True}, "seed"),
+    ({"batch_size": 2.5}, "batch_size"),
+    ({"source": 5}, "source"),
+    ({"symbols": ["BTCUSDT"]}, "symbols"),
+    ({"symbols": {"BTCUSDT": 5}}, "symbols"),
+    ({"rate_limit": {"burst": "1"}}, "rate_limit.burst"),
+    ({"replay_path": None}, "replay_path"),
+])
+def test_connector_config_names_ill_typed_field(overrides, field):
+    obj = {"connector_id": "c", "kind": "synthetic", "source": "syn",
+           "symbols": {"BTCUSDT": "BTC-USDT"}, "count": 3}
+    assert ConnectorConfig.from_dict(obj).count == 3
+    with pytest.raises(ConfigInvalid) as err:
+        ConnectorConfig.from_dict({**obj, **overrides})
+    assert err.value.field == field
 
 
 # -- connector runner ------------------------------------------------------------------

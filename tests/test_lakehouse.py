@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from brclake.errors import (
     AlreadyInitialized,
+    CorruptLog,
     InvalidAction,
     NoSuchVersion,
     NotInitialized,
@@ -15,6 +16,7 @@ from brclake.fixedpoint import US_PER_DAY, iso_to_us, us_to_date
 from brclake.lakehouse import (
     AddFile,
     LakeTable,
+    LogEntry,
     PartitionKey,
     RemoveFile,
     Snapshot,
@@ -193,6 +195,19 @@ def test_fold_replay_reproduces_snapshot(script):
             replayed.apply(entry)
         assert set(replayed.live_files) == live
         assert replayed.version == table.current_version() == counter + 1
+
+
+@pytest.mark.parametrize("version, action, path", [
+    (4, _add("b"), None),  # skips version 3
+    (3, _add("a"), "a"),  # adds a live path again
+    (3, RemoveFile("b"), "b"),  # removes a path that is not live
+])
+def test_corrupt_log_fold_is_typed(version, action, path):
+    snapshot = Snapshot(version=1)
+    snapshot.apply(LogEntry(2, 1, 0, [_add("a")], "w"))
+    with pytest.raises(CorruptLog) as err:
+        snapshot.apply(LogEntry(version, version - 1, 0, [action], "w"))
+    assert (err.value.version, err.value.path) == (version, path)
 
 
 # -- pruning ------------------------------------------------------------------------------
