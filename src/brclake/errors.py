@@ -64,7 +64,7 @@ class BadSide(BrcError):
 
 class InvalidEvent(BrcError):
     """A normalized event field outside the table's domain (source, stream,
-    symbol, event time or sequence)."""
+    symbol, event id, event time or sequence)."""
 
     def __init__(self, field: str, detail: str):
         super().__init__(detail, field=field)

@@ -10,10 +10,12 @@ each live file once per ``LakeTable`` handle and keeps its identities in the
 handle's ``identity_cache`` while the file is live, so an export fetches only
 files no earlier export through that handle has checked.
 
-Between staging and rendering an event travels as its encoded table row
-(``event_to_row``). Export, compaction and scans order rows by ``ROW_ORDER``
-and cross-batch dedup compares rows by ``ROW_IDENTITY``; both are defined
-here and nowhere else.
+From the drain on, an event travels as its encoded table row
+(``event_to_row``, once per drained record). Rows are grouped by
+(symbol, UTC day) into partitions, ordered by ``ROW_ORDER`` and deduplicated,
+in the batch and across batches, by ``ROW_IDENTITY``; both are defined here
+and nowhere else. Export and compaction write every data file through
+``_publish``.
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from . import crashpoints
-from .errors import InvalidAction
+from .errors import ConfigInvalid, InvalidAction
 from .events import MarketEvent
-from .fixedpoint import us_to_date
+from .fixedpoint import US_PER_DAY, us_to_date
 from .lakeformat import BYTES, INT64, ColumnSchema, read_file, write_file
 from .lakehouse import AddFile, LakeTable, PartitionKey, RemoveFile
-from .staging import StagedRecord, StagingStore
+from .localfile import typed_field
+from .staging import StagingStore
 
 SCHEMA_ID = "trades_v1"
 
@@ -89,27 +92,21 @@ def event_from_row(row: tuple) -> MarketEvent:
     )
 
 
-def partition_key(event: MarketEvent) -> PartitionKey:
-    return PartitionKey(symbol=event.symbol, date=us_to_date(event.event_time_us))
-
-
-def dedup(records: list[StagedRecord]) -> tuple[list[StagedRecord], int]:
-    """First occurrence per dedup identity wins (lowest offset); later
-    occurrences are dropped. Records must arrive in offset order."""
+def dedup(rows: list[tuple]) -> tuple[list[tuple], int]:
+    """First occurrence per dedup identity (``ROW_IDENTITY``) wins; later
+    occurrences are dropped. Rows must arrive in staging offset order."""
     seen: set[tuple] = set()
     kept = []
-    for record in records:
-        identity = record.event.identity
+    for row in rows:
+        identity = ROW_IDENTITY(row)
         if identity in seen:
             continue
         seen.add(identity)
-        kept.append(record)
-    return kept, len(records) - len(kept)
+        kept.append(row)
+    return kept, len(rows) - len(kept)
 
 
-def _live_identities(
-    store, table: LakeTable, partition: PartitionKey, t_min: int, t_max: int
-) -> set[tuple]:
+def _live_identities(table: LakeTable, partition: PartitionKey, t_min: int, t_max: int) -> set[tuple]:
     """Encoded identities (``ROW_IDENTITY``) already present in the
     partition's live files overlapping [t_min, t_max] — the exact cross-batch
     dedup check.
@@ -130,10 +127,20 @@ def _live_identities(
             continue
         known = cache.get(add.path)
         if known is None:
-            data = store.get(add.path)
+            data = table.store.get(add.path)
             known = cache[add.path] = frozenset(read_file(data, projection=IDENTITY_COLUMNS).rows())
         identities |= known
     return identities
+
+
+def _publish(store, table: LakeTable, partition: PartitionKey, rows: list[tuple], committer: str) -> AddFile:
+    """Encode rows (in ``ROW_ORDER``) as one data file of the partition, put
+    it, and return the AddFile that publishes it."""
+    data = write_file(rows, TABLE_SCHEMA)
+    key = table.data_key(partition, committer)
+    store.put(key, data)
+    return AddFile(path=key, partition=partition, rows=len(rows), bytes=len(data),
+                   min_event_time_us=rows[0][0], max_event_time_us=rows[-1][0])
 
 
 @dataclass
@@ -150,8 +157,6 @@ def export_job(
     table: LakeTable,
     connector_id: str,
     max_records: int = 1_000_000_000,
-    committer: str = "etl",
-    now_us: int | None = None,
 ) -> ExportResult:
     """One unit of export work: drain -> dedup -> partition -> write -> commit
     -> checkpoint. Idempotent under replay at any crash point."""
@@ -160,50 +165,29 @@ def export_job(
     if not records:
         return ExportResult(0, None, next_checkpoint, 0)
 
-    kept, dropped = dedup(records)
-
-    groups: dict[PartitionKey, list[tuple]] = {}
-    for record in kept:
-        groups.setdefault(partition_key(record.event), []).append(event_to_row(record.event))
-
-    published: dict[PartitionKey, list[tuple]] = {}
-    for partition, rows in groups.items():
-        lo = min(row[0] for row in rows)
-        hi = max(row[0] for row in rows)
-        known = _live_identities(store, table, partition, lo, hi)
-        survivors = [row for row in rows if ROW_IDENTITY(row) not in known]
-        dropped += len(rows) - len(survivors)
-        if survivors:
-            survivors.sort(key=ROW_ORDER)
-            published[partition] = survivors
-
-    if not published:
-        staging.commit_checkpoint(connector_id, next_checkpoint)
-        return ExportResult(0, None, next_checkpoint, dropped)
+    rows, dropped = dedup([event_to_row(record.event) for record in records])
+    groups: dict[tuple[bytes, int], list[tuple]] = {}
+    for row in rows:
+        groups.setdefault((row[4], row[0] // US_PER_DAY), []).append(row)  # (symbol, UTC day)
 
     actions = []
-    total_rows = 0
-    for partition in sorted(published, key=lambda p: (p.symbol, p.date)):
-        rows = published[partition]
-        data = write_file(rows, TABLE_SCHEMA)
-        key = table.data_key(partition, committer)
-        store.put(key, data)
-        actions.append(
-            AddFile(
-                path=key,
-                partition=partition,
-                rows=len(rows),
-                bytes=len(data),
-                min_event_time_us=rows[0][0],
-                max_event_time_us=rows[-1][0],
-            )
-        )
-        total_rows += len(rows)
+    for (symbol, day), group in sorted(groups.items()):
+        partition = PartitionKey(symbol.decode(), us_to_date(day * US_PER_DAY))
+        group.sort(key=ROW_ORDER)
+        known = _live_identities(table, partition, group[0][0], group[-1][0])
+        survivors = [row for row in group if ROW_IDENTITY(row) not in known]
+        dropped += len(group) - len(survivors)
+        if survivors:
+            actions.append(_publish(store, table, partition, survivors, "etl"))
+
+    if not actions:
+        staging.commit_checkpoint(connector_id, next_checkpoint)
+        return ExportResult(0, None, next_checkpoint, dropped)
     crashpoints.crashpoint("etl.pre_commit")
-    entry = table.commit(actions, committer=committer, now_us=now_us)
+    entry = table.commit(actions, committer="etl")
     crashpoints.crashpoint("etl.post_commit_pre_checkpoint")
     staging.commit_checkpoint(connector_id, next_checkpoint)
-    return ExportResult(total_rows, entry.version, next_checkpoint, dropped)
+    return ExportResult(sum(a.rows for a in actions), entry.version, next_checkpoint, dropped)
 
 
 def export_all(
@@ -212,29 +196,25 @@ def export_all(
     table: LakeTable,
     connector_id: str,
     max_records: int = 100_000,
-    committer: str = "etl",
 ) -> ExportResult:
-    """Run export_job until the connector's staging backlog is drained."""
+    """Run export_job until a drain comes back short of max_records, which
+    means the connector's staging backlog is drained."""
+    if max_records < 1:
+        raise ConfigInvalid("max_records", "must be >= 1")
     total_rows = 0
     dropped = 0
     version = None
     while True:
-        result = export_job(staging, store, table, connector_id, max_records, committer)
+        result = export_job(staging, store, table, connector_id, max_records)
         total_rows += result.rows_published
         dropped += result.dropped_duplicates
         version = result.version or version
-        if result.next_checkpoint >= staging.tail_offset(connector_id):
+        # every drained record is either published or dropped as a duplicate
+        if result.rows_published + result.dropped_duplicates < max_records:
             return ExportResult(total_rows, version, result.next_checkpoint, dropped)
 
 
-def compact(
-    store,
-    table: LakeTable,
-    partition: PartitionKey,
-    min_files: int = 2,
-    committer: str = "compact",
-    now_us: int | None = None,
-) -> int | None:
+def compact(store, table: LakeTable, partition: PartitionKey, min_files: int = 2) -> int | None:
     """Merge a partition's live files into one; no-op below min_files.
 
     A concurrent compaction of the same partition loses the OCC race: its
@@ -242,29 +222,18 @@ def compact(
     InvalidAction and the loser aborts cleanly, leaving an orphaned file.
     """
     snapshot = table.snapshot_at()
-    victims = [a for a in snapshot.live_files.values() if a.partition == partition]
+    victims = sorted((a for a in snapshot.live_files.values() if a.partition == partition),
+                     key=lambda a: a.path)
     if len(victims) < min_files:
         return None
     rows: list[tuple] = []
-    for add in sorted(victims, key=lambda a: a.path):
+    for add in victims:
         rows.extend(read_file(store.get(add.path)).rows())
     rows.sort(key=ROW_ORDER)
-    data = write_file(rows, TABLE_SCHEMA)
-    key = table.data_key(partition, committer)
-    store.put(key, data)
+    merged = _publish(store, table, partition, rows, "compact")
     crashpoints.crashpoint("etl.mid_compaction")
-    actions = [
-        AddFile(
-            path=key,
-            partition=partition,
-            rows=len(rows),
-            bytes=len(data),
-            min_event_time_us=rows[0][0],
-            max_event_time_us=rows[-1][0],
-        )
-    ] + [RemoveFile(a.path) for a in sorted(victims, key=lambda v: v.path)]
     try:
-        entry = table.commit(actions, committer=committer, now_us=now_us)
+        entry = table.commit([merged] + [RemoveFile(a.path) for a in victims], committer="compact")
     except InvalidAction:
         return None  # lost the race to a concurrent compaction
     return entry.version
@@ -291,23 +260,23 @@ def build_action_registry(app) -> dict:
 
     def ingest_run(ctx) -> None:
         if "config_path" in ctx.params:
-            config = ConnectorConfig.from_file(ctx.params["config_path"])
+            config = ConnectorConfig.from_file(typed_field(ctx.params, "config_path", str))
         else:
-            config = ConnectorConfig.from_dict(ctx.params["connector"])
+            config = ConnectorConfig.from_dict(typed_field(ctx.params, "connector", dict))
         run_connector(config, app.staging)
 
     def etl_export(ctx) -> None:
-        table = app.table(ctx.params["table_id"])
+        table = app.table(typed_field(ctx.params, "table_id", str))
         export_all(
             app.staging, app.store, table,
-            connector_id=ctx.params["connector_id"],
-            max_records=int(ctx.params.get("max_records", 100_000)),
+            connector_id=typed_field(ctx.params, "connector_id", str),
+            max_records=typed_field(ctx.params, "max_records", int, 100_000),
         )
 
     def etl_compact(ctx) -> None:
-        table = app.table(ctx.params["table_id"])
-        spec = ctx.params.get("partition", "all")
-        min_files = int(ctx.params.get("min_files", 2))
+        table = app.table(typed_field(ctx.params, "table_id", str))
+        spec = typed_field(ctx.params, "partition", str, "all")
+        min_files = typed_field(ctx.params, "min_files", int, 2)
         if spec == "all":
             partitions = live_partitions(table)
         else:

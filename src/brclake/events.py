@@ -9,7 +9,7 @@ from typing import Any
 
 from .errors import BadDecimal, BadSide, ConfigInvalid, InvalidEvent
 from .fixedpoint import I64_MAX, I64_MIN
-from .localfile import load_json_config
+from .localfile import load_json_config, typed_field
 
 SOURCE_RE = re.compile(r"^[a-z0-9_-]+$")
 SYMBOL_RE = re.compile(r"^[A-Z0-9]+-[A-Z0-9]+$")
@@ -58,6 +58,10 @@ class MarketEvent:
             raise InvalidEvent("stream", f"bad stream {self.stream!r}")
         if not SYMBOL_RE.match(self.symbol):
             raise InvalidEvent("symbol", f"bad symbol {self.symbol!r}")
+        try:
+            self.event_id.encode()
+        except UnicodeEncodeError:  # a lone surrogate, which a JSON escape can carry
+            raise InvalidEvent("event_id", f"event id {self.event_id!r} is not valid UTF-8")
         if not 0 < self.event_time_us <= I64_MAX:
             raise InvalidEvent("event_time_us", f"event time {self.event_time_us} not a positive int64")
         if not 0 <= self.sequence <= I64_MAX:
@@ -140,25 +144,23 @@ class ConnectorConfig:
         wrong JSON type raises ConfigInvalid naming it."""
         if not isinstance(obj, dict):
             raise ConfigInvalid("connector", "must be a JSON object")
-        rate = _typed(obj, "rate_limit", dict, {})
-        symbols = _typed(obj, "symbols", dict, {})
-        if not all(isinstance(v, str) for v in symbols.values()):
-            raise ConfigInvalid("symbols", "values must be strings")
+        rate = typed_field(obj, "rate_limit", dict, {})
+        symbols = typed_field(obj, "symbols", dict, {}, items=str)
         cfg = cls(
-            connector_id=_typed(obj, "connector_id", str, ""),
-            kind=_typed(obj, "kind", str, ""),
-            source=_typed(obj, "source", str, ""),
+            connector_id=typed_field(obj, "connector_id", str, ""),
+            kind=typed_field(obj, "kind", str, ""),
+            source=typed_field(obj, "source", str, ""),
             symbols=dict(symbols),
-            seed=_typed(obj, "seed", int, 0),
-            count=_typed(obj, "count", int, 0),
-            dup_prob_bp=_typed(obj, "dup_prob_bp", int, 0),
+            seed=typed_field(obj, "seed", int, 0),
+            count=typed_field(obj, "count", int, 0),
+            dup_prob_bp=typed_field(obj, "dup_prob_bp", int, 0),
             rate_limit=RateLimit(
-                rate_per_s=_typed(rate, "rate_per_s", int, 1_000_000, "rate_limit."),
-                burst=_typed(rate, "burst", int, 1_000_000, "rate_limit."),
+                rate_per_s=typed_field(rate, "rate_per_s", int, 1_000_000, "rate_limit."),
+                burst=typed_field(rate, "burst", int, 1_000_000, "rate_limit."),
             ),
-            replay_path=_typed(obj, "replay_path", str, ""),
-            ingest_time_mode=_typed(obj, "ingest_time_mode", str, "wall"),
-            batch_size=_typed(obj, "batch_size", int, 500),
+            replay_path=typed_field(obj, "replay_path", str, ""),
+            ingest_time_mode=typed_field(obj, "ingest_time_mode", str, "wall"),
+            batch_size=typed_field(obj, "batch_size", int, 500),
         )
         cfg.validate()
         return cfg
@@ -167,14 +169,3 @@ class ConnectorConfig:
     def from_file(cls, path: str | Path) -> "ConnectorConfig":
         return load_json_config(path, cls.from_dict)
 
-
-_JSON_TYPE_NAMES = {str: "a string", int: "an integer", dict: "an object"}
-
-
-def _typed(obj: dict, name: str, kind: type, default, prefix: str = ""):
-    """obj[name] if it has the JSON type kind (booleans are not integers),
-    default if absent; anything else raises ConfigInvalid."""
-    value = obj.get(name, default)
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ConfigInvalid(prefix + name, f"must be {_JSON_TYPE_NAMES[kind]}, got {value!r}")
-    return value

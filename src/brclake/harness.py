@@ -29,7 +29,7 @@ from .errors import AssertionFailed, BrcError
 from .events import ConnectorConfig, MarketEvent
 from .fixedpoint import us_to_iso
 from .ingest import _SequenceCounters, generate_synthetic, normalize, replay_file
-from .localfile import load_json_config
+from .localfile import load_json_config, typed_field
 from .query import export_events
 
 _SITE_FOR_STEP = {
@@ -68,13 +68,13 @@ class Scenario:
     @classmethod
     def from_dict(cls, obj: dict) -> "Scenario":
         scenario = cls(
-            name=obj.get("name", "scenario"),
-            connectors=[ConnectorConfig.from_dict(c) for c in obj.get("connectors", [])],
-            table_id=obj.get("table_id", "trades"),
-            export_max_records=int(obj.get("export_max_records", 100_000)),
-            compact_after=bool(obj.get("compact_after", False)),
-            crash_points=list(obj.get("crash_points", [])),
-            expected=dict(obj.get("expected", {})),
+            name=typed_field(obj, "name", str, "scenario"),
+            connectors=[ConnectorConfig.from_dict(c) for c in typed_field(obj, "connectors", list, [])],
+            table_id=typed_field(obj, "table_id", str, "trades"),
+            export_max_records=typed_field(obj, "export_max_records", int, 100_000),
+            compact_after=typed_field(obj, "compact_after", bool, False),
+            crash_points=list(typed_field(obj, "crash_points", list, [], items=str)),
+            expected=dict(typed_field(obj, "expected", dict, {})),
         )
         scenario.validate()
         return scenario

@@ -8,7 +8,8 @@ of an append-only file. Readers see only newline-terminated lines, and the
 writer truncates a torn tail before its next append.
 
 Operators' JSON files (app, connector, DAG and scenario configs) are read by
-``load_json_config``, so every way such a file can be wrong is ConfigInvalid.
+``load_json_config`` and their fields by ``typed_field``, so every way such a
+file can be wrong is ConfigInvalid.
 """
 
 from __future__ import annotations
@@ -114,3 +115,32 @@ def load_json_config(path: str | Path, build: Callable[[Any], T]) -> T:
         raise ConfigInvalid(str(exc.args[0]), f"missing in {path}")
     except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigInvalid("config", f"ill-typed field in {path}: {exc}")
+
+
+_JSON_TYPE_NAMES = {str: "a string", int: "an integer", bool: "a boolean",
+                    dict: "an object", list: "an array"}
+_REQUIRED = object()
+
+
+def _has_type(value: Any, kind: type) -> bool:
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def typed_field(obj: dict, name: str, kind: type, default: Any = _REQUIRED,
+                prefix: str = "", items: type | None = None) -> Any:
+    """obj[name] if it has the JSON type kind (booleans are not integers),
+    default if absent; a field without a default is required. With items,
+    every element of an array (value of an object) must have that type too.
+    Anything else raises ConfigInvalid naming prefix + name; nothing is
+    coerced."""
+    if name not in obj:
+        if default is _REQUIRED:
+            raise ConfigInvalid(prefix + name, "is required")
+        return default
+    value = obj[name]
+    if not _has_type(value, kind):
+        raise ConfigInvalid(prefix + name, f"must be {_JSON_TYPE_NAMES[kind]}, got {value!r}")
+    if items is not None and not all(
+            _has_type(v, items) for v in (value.values() if kind is dict else value)):
+        raise ConfigInvalid(prefix + name, f"every element must be {_JSON_TYPE_NAMES[items]}")
+    return value

@@ -24,7 +24,7 @@ from .errors import (
     CycleDetected,
 )
 from .fixedpoint import US_PER_DAY
-from .localfile import acquire_lock, fsync_append, load_json_config, release_lock, repair_tail
+from .localfile import acquire_lock, fsync_append, load_json_config, release_lock, repair_tail, typed_field
 
 PENDING = "Pending"
 QUEUED = "Queued"
@@ -132,15 +132,19 @@ class DagSpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "DagSpec":
-        sched = obj.get("schedule") or {}
+        """Build and validate a DAG from its JSON form; a field of the wrong
+        JSON type raises ConfigInvalid naming it."""
+        sched = typed_field(obj, "schedule", dict, {})
         if "interval" in sched:
+            interval = typed_field(sched, "interval", dict)
             schedule: Schedule = Interval(
-                anchor_us=int(sched["interval"].get("anchor_us", 0)),
-                period_us=int(sched["interval"]["period_us"]),
+                anchor_us=typed_field(interval, "anchor_us", int, 0, "interval."),
+                period_us=typed_field(interval, "period_us", int, prefix="interval."),
             )
         elif "daily_at" in sched:
-            d = sched["daily_at"]
-            hour, minute = int(d.get("hour", 0)), int(d.get("minute", 0))
+            d = typed_field(sched, "daily_at", dict)
+            hour = typed_field(d, "hour", int, 0, "daily_at.")
+            minute = typed_field(d, "minute", int, 0, "daily_at.")
             if not (0 <= hour < 24 and 0 <= minute < 60):
                 raise ConfigInvalid("daily_at", f"bad time {hour:02}:{minute:02}")
             schedule = DailyAt(hour=hour, minute=minute)
@@ -148,25 +152,25 @@ class DagSpec:
             raise ConfigInvalid("schedule", "must define interval or daily_at")
         if isinstance(schedule, Interval) and schedule.period_us <= 0:
             raise ConfigInvalid("interval.period_us", "must be > 0")
-        tasks = [
-            TaskSpec(
-                task_id=t["task_id"],
-                depends_on=list(t.get("depends_on", [])),
-                action=t["action"],
-                params=dict(t.get("params", {})),
+        tasks = []
+        for t in typed_field(obj, "tasks", list, [], items=dict):
+            retry = typed_field(t, "retry", dict, {})
+            tasks.append(TaskSpec(
+                task_id=typed_field(t, "task_id", str),
+                depends_on=list(typed_field(t, "depends_on", list, [], items=str)),
+                action=typed_field(t, "action", str),
+                params=dict(typed_field(t, "params", dict, {})),
                 retry=RetryPolicy(
-                    max_attempts=int(t.get("retry", {}).get("max_attempts", 1)),
-                    base_delay_s=int(t.get("retry", {}).get("base_delay_s", 5)),
-                    cap_delay_s=int(t.get("retry", {}).get("cap_delay_s", 300)),
+                    max_attempts=typed_field(retry, "max_attempts", int, 1, "retry."),
+                    base_delay_s=typed_field(retry, "base_delay_s", int, 5, "retry."),
+                    cap_delay_s=typed_field(retry, "cap_delay_s", int, 300, "retry."),
                 ),
-            )
-            for t in obj.get("tasks", [])
-        ]
+            ))
         dag = cls(
-            dag_id=obj.get("dag_id", ""),
+            dag_id=typed_field(obj, "dag_id", str, ""),
             schedule=schedule,
             tasks=tasks,
-            max_parallel_tasks=int(obj.get("max_parallel_tasks", 1)),
+            max_parallel_tasks=typed_field(obj, "max_parallel_tasks", int, 1),
         )
         dag.validate()
         return dag

@@ -164,7 +164,8 @@ def export_rows(
     sink: io.IOBase,
 ) -> int:
     """Write rendered rows as CSV (header + LF lines) or JSONL; returns count."""
-    assert fmt in ("csv", "jsonl"), f"unknown format {fmt!r}"
+    if fmt not in ("csv", "jsonl"):
+        raise ConfigInvalid("format", f"unknown format {fmt!r}; want csv or jsonl")
     count = 0
     try:
         if fmt == "csv":

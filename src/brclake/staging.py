@@ -15,6 +15,10 @@ batch; a torn trailing line from a crash inside a write is truncated the next
 time a writer session opens the connector. The session lock, the durable
 append and the torn-tail repair are the ``localfile`` helpers the scheduler's
 run logs use too.
+
+A drain lists a connector's segments once and reads each segment it needs
+once, finding the tail from what it read; a checkpoint commit reads the
+newest segment once more to check the checkpoint against the tail.
 """
 
 from __future__ import annotations
@@ -137,26 +141,27 @@ class StagingStore:
     # -- readers -------------------------------------------------------------
 
     def read_from(self, connector_id: str, offset: int, max_records: int) -> list[StagedRecord]:
-        tail = self.tail_offset(connector_id)
-        if offset > tail:
-            raise OffsetOutOfRange(offset, tail - 1)
-        out: list[StagedRecord] = []
-        if offset == tail or max_records <= 0:
-            return out
+        """Up to max_records records from offset on. Lists the connector's
+        segments once and reads each segment it needs once; an offset past
+        the tail raises OffsetOutOfRange."""
         segs = self._segments(connector_id)
-        starts = [s for s, _ in segs]
-        idx = max(0, bisect_right(starts, offset) - 1)
+        idx = max(0, bisect_right([start for start, _ in segs], offset) - 1)
+        out: list[StagedRecord] = []
+        end = 0  # one past the last record of the segments read
         for start, path in segs[idx:]:
-            if len(out) >= max_records:
-                break
             lines = read_lines(path)
+            end = start + len(lines)
             lo = max(0, offset - start)
-            for i in range(lo, len(lines)):
-                obj = json.loads(lines[i])
+            for line in lines[lo:lo + max_records - len(out)]:
+                obj = json.loads(line)
                 rec_offset = obj.pop("offset")
                 out.append(StagedRecord(rec_offset, MarketEvent(**obj)))
-                if len(out) >= max_records:
-                    break
+            if len(out) >= max_records:
+                break
+        # Segments are dense, so only the newest segment can end before
+        # offset, and then end is the tail.
+        if offset > end:
+            raise OffsetOutOfRange(offset, end - 1)
         return out
 
     # -- export checkpoint ----------------------------------------------------
@@ -239,7 +244,8 @@ class StagingSession:
 
     def append_batch(self, events: list[MarketEvent]) -> tuple[int, int]:
         """Append events with consecutive offsets; returns (first, last)."""
-        assert self._open, "session closed"
+        if not self._open:
+            raise StagingUnavailable(f"session of connector {self.connector_id!r} is closed")
         if not events:
             tail = self._active[0] + self._active[1]
             return tail, tail - 1

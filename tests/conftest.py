@@ -1,3 +1,4 @@
+import subprocess
 import sys
 from pathlib import Path
 
@@ -47,3 +48,10 @@ def make_config(**overrides) -> ConnectorConfig:
     )
     base.update(overrides)
     return ConnectorConfig(**base)
+
+
+def run_optimized(code: str) -> subprocess.CompletedProcess:
+    """Run code under ``python -O``, which strips assert statements, from
+    this directory, so that ``import conftest`` puts src on the path."""
+    return subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          cwd=Path(__file__).resolve().parent)

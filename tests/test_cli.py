@@ -172,43 +172,69 @@ def test_empty_query_range_rejected_under_optimize(tmp_path):
     assert _error_kind(result) == "ConfigInvalid"
 
 
-@pytest.mark.parametrize("optimize", [False, True])
-def test_invalid_replay_event_is_typed_and_stages_nothing(tmp_path, optimize):
+def _ingest_one_replay_line(tmp_path, source="rep-x", event_id="a", optimize=False):
     feed = tmp_path / "feed.jsonl"
     feed.write_text(json.dumps({
-        "source": "Bad Source", "stream": "trade", "raw_symbol": "BTCUSDT",
+        "source": source, "stream": "trade", "raw_symbol": "BTCUSDT",
         "event_time_us": 1_600_000_000_000_000,
-        "payload": {"price": "1", "qty": "1", "side": "buy", "id": "a"},
+        "payload": {"price": "1", "qty": "1", "side": "buy", "id": event_id},
     }) + "\n")
     config = tmp_path / "r.json"
     config.write_text(json.dumps({
         "connector_id": "r", "kind": "replay", "source": "rep",
         "symbols": {"BTCUSDT": "BTC-USDT"}, "replay_path": str(feed),
     }))
-    data = tmp_path / "data"
-    result = _brc("ingest", "run", "--config", str(config), data_root=data, optimize=optimize)
+    return _brc("ingest", "run", "--config", str(config), data_root=tmp_path / "data", optimize=optimize)
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_invalid_replay_event_is_typed_and_stages_nothing(tmp_path, optimize):
+    result = _ingest_one_replay_line(tmp_path, source="Bad Source", optimize=optimize)
     assert result.returncode == 1
     assert _error_kind(result) == "InvalidEvent"
-    assert StagingStore(data / "staging").tail_offset("r") == 0
+    assert StagingStore(tmp_path / "data" / "staging").tail_offset("r") == 0
 
 
-def test_ill_typed_inline_connector_fails_task_with_config_invalid(tmp_path):
+def test_non_utf8_event_id_is_rejected_at_ingest(tmp_path):
+    # A lone surrogate survives JSON decoding but cannot be encoded as a row,
+    # so staging it would fail every later export of the connector.
+    result = _ingest_one_replay_line(tmp_path, event_id="\ud800")
+    assert result.returncode == 1
+    error = json.loads(result.stderr.splitlines()[-1])
+    assert (error["error"], error["field"]) == ("InvalidEvent", "event_id")
+    assert StagingStore(tmp_path / "data" / "staging").tail_offset("r") == 0
+
+
+def _run_one_task_dag(tmp_path, task) -> dict:
+    """Run a one-task DAG once and return the task's final run-log line."""
     dags = tmp_path / "dags"
     dags.mkdir()
     (dags / "d.json").write_text(json.dumps({
-        "dag_id": "d", "schedule": {"interval": {"period_us": 3_600_000_000}},
-        "tasks": [{"task_id": "ingest", "action": "ingest.run", "params": {"connector": {
-            "connector_id": "c1", "kind": "synthetic", "source": "syn",
-            "symbols": {"BTCUSDT": "BTC-USDT"}, "count": "abc"}}}],
+        "dag_id": "d", "schedule": {"interval": {"period_us": 3_600_000_000}}, "tasks": [task],
     }))
     result = _brc("sched", "run-once", "--dag", "d", "--at", "1970-01-01T00:00:00Z",
                   "--dags", str(dags), data_root=tmp_path / "data")
     assert result.returncode == 1
-    assert json.loads(result.stdout)["states"] == {"ingest": "Failed"}
+    assert json.loads(result.stdout)["states"] == {task["task_id"]: "Failed"}
     log = tmp_path / "data" / "runs" / "d" / "0" / "events.jsonl"
-    failed = json.loads(log.read_text().splitlines()[-1])
+    return json.loads(log.read_text().splitlines()[-1])
+
+
+def test_ill_typed_inline_connector_fails_task_with_config_invalid(tmp_path):
+    failed = _run_one_task_dag(tmp_path, {
+        "task_id": "ingest", "action": "ingest.run", "params": {"connector": {
+            "connector_id": "c1", "kind": "synthetic", "source": "syn",
+            "symbols": {"BTCUSDT": "BTC-USDT"}, "count": "abc"}}})
     assert failed["state"] == "Failed"
     assert failed["error"] == str(ConfigInvalid("count", "must be an integer, got 'abc'"))
+
+
+def test_ill_typed_action_param_fails_task_with_config_invalid(tmp_path):
+    failed = _run_one_task_dag(tmp_path, {
+        "task_id": "export", "action": "etl.export",
+        "params": {"connector_id": "c1", "table_id": "trades", "max_records": "abc"}})
+    assert failed["state"] == "Failed"
+    assert failed["error"] == str(ConfigInvalid("max_records", "must be an integer, got 'abc'"))
 
 
 def test_corrupt_log_is_typed_under_optimize(tmp_path):

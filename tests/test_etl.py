@@ -5,8 +5,10 @@ import threading
 
 import pytest
 
-from brclake import crashpoints
+from brclake import crashpoints, staging as staging_module
+from brclake.errors import ConfigInvalid
 from brclake.etl import (
+    ROW_IDENTITY,
     ROW_ORDER,
     TABLE_COLUMNS,
     compact,
@@ -16,7 +18,6 @@ from brclake.etl import (
     export_all,
     export_job,
     live_partitions,
-    partition_key,
     parse_partition,
 )
 from brclake.fixedpoint import iso_to_us
@@ -26,7 +27,7 @@ from brclake.lakeformat import read_file
 from brclake.lakehouse import LakeTable, PartitionKey
 from brclake.objectstore import FsStore
 from brclake.query import ScanRequest, export_events, scan
-from brclake.staging import StagedRecord, StagingStore
+from brclake.staging import StagingStore
 
 from conftest import make_config, make_event
 
@@ -101,35 +102,56 @@ def test_source_tie_scans_in_oracle_order(tmp_path, max_records):
 # -- dedup ---------------------------------------------------------------------
 
 def test_dedup_first_occurrence_wins():
-    records = [
-        StagedRecord(5, make_event(event_id="x")),
-        StagedRecord(6, make_event(event_id="y")),
-        StagedRecord(9, make_event(event_id="x")),
-    ]
-    kept, dropped = dedup(records)
-    assert [r.offset for r in kept] == [5, 6] and dropped == 1
+    rows = [event_to_row(make_event(event_id=eid, sequence=seq))
+            for eid, seq in (("x", 5), ("y", 6), ("x", 9))]
+    kept, dropped = dedup(rows)
+    assert [row[5] for row in kept] == [5, 6] and dropped == 1
 
 
 def test_dedup_no_duplicates():
-    records = [StagedRecord(i, make_event(event_id=f"e{i}")) for i in range(4)]
-    kept, dropped = dedup(records)
-    assert len(kept) == 4 and dropped == 0
+    rows = [event_to_row(make_event(event_id=f"e{i}")) for i in range(4)]
+    kept, dropped = dedup(rows)
+    assert kept == rows and dropped == 0
+
+
+def test_in_batch_duplicate_keeps_first_sequence(tmp_path):
+    store, staging, table = _env(tmp_path)
+    first = make_event(event_time_us=T0 + 5, sequence=1, event_id="x")
+    later = make_event(event_time_us=T0 + 5, sequence=7, event_id="x")  # same identity
+    _stage(staging, [first, make_event(event_time_us=T0, event_id="y"), later])
+    result = export_job(staging, store, table, "c")
+    assert (result.rows_published, result.dropped_duplicates) == (2, 1)
+    (add,) = table.snapshot_at().live_files.values()
+    rows = read_file(store.get(add.path)).rows()
+    assert [event_from_row(row) for row in rows if row[6] == b"x"] == [first]
 
 
 # -- partition key ----------------------------------------------------------------
 
-def test_partition_key_values():
-    event = make_event(symbol="BTC-USD", event_time_us=iso_to_us("2021-03-04T12:00:00Z"))
-    assert partition_key(event) == PartitionKey("BTC-USD", "2021-03-04")
-    assert partition_key(event).render() == "symbol=BTC-USD/date=2021-03-04"
+def _exported_partitions(tmp_path, events) -> dict[PartitionKey, list[int]]:
+    """Export events and return each live file's partition with its event times."""
+    store, staging, table = _env(tmp_path)
+    _stage(staging, events)
+    export_job(staging, store, table, "c")
+    return {add.partition: read_file(store.get(add.path)).columns["event_time_us"]
+            for add in table.snapshot_at().live_files.values()}
 
 
-def test_partition_key_midnight_boundaries():
+def test_partition_key_values(tmp_path):
+    noon = iso_to_us("2021-03-04T12:00:00Z")
+    partitions = _exported_partitions(tmp_path, [make_event(symbol="BTC-USD", event_time_us=noon)])
+    assert partitions == {PartitionKey("BTC-USD", "2021-03-04"): [noon]}
+    assert next(iter(partitions)).render() == "symbol=BTC-USD/date=2021-03-04"
+
+
+def test_partition_key_midnight_boundaries(tmp_path):
     midnight = iso_to_us("2021-03-04T00:00:00Z")
-    assert partition_key(make_event(event_time_us=midnight)).date == "2021-03-04"
-    assert partition_key(make_event(event_time_us=midnight - 1)).date == "2021-03-03"
     last_us = midnight + 86_400_000_000 - 1
-    assert partition_key(make_event(event_time_us=last_us)).date == "2021-03-04"
+    events = [make_event(event_time_us=t, event_id=f"e{t}") for t in (last_us, midnight - 1, midnight)]
+    assert _exported_partitions(tmp_path, events) == {
+        PartitionKey("BTC-USD", "2021-03-03"): [midnight - 1],
+        PartitionKey("BTC-USD", "2021-03-04"): [midnight, last_us],
+    }
 
 
 def test_parse_partition_round_trip():
@@ -255,12 +277,34 @@ def test_multiset_preserved_vs_staging_oracle(tmp_path):
     export_all(staging, store, table, "c", max_records=16)
     # oracle: brute-force dedup of the staged stream
     staged = staging.read_from("c", 0, 10_000)
-    oracle, _ = dedup(staged)
-    oracle_multiset = sorted(r.event.identity for r in oracle)
-    table_events = []
+    oracle, _ = dedup([event_to_row(r.event) for r in staged])
+    table_rows = []
     for add in table.snapshot_at().live_files.values():
-        table_events.extend(event_from_row(r) for r in read_file(store.get(add.path)).rows())
-    assert sorted(e.identity for e in table_events) == oracle_multiset
+        table_rows.extend(read_file(store.get(add.path)).rows())
+    assert sorted(map(ROW_IDENTITY, table_rows)) == sorted(map(ROW_IDENTITY, oracle))
+
+
+def test_export_all_rejects_non_positive_batch(tmp_path):
+    store, staging, table = _env(tmp_path)
+    _stage(staging, _trades(3))
+    with pytest.raises(ConfigInvalid):
+        export_all(staging, store, table, "c", max_records=0)
+
+
+def test_one_export_reads_the_active_segment_twice(tmp_path, monkeypatch):
+    store, staging, table = _env(tmp_path)
+    _stage(staging, _trades(30))
+    reads = []
+    read_lines = staging_module.read_lines
+
+    def counting_read_lines(path):
+        reads.append(path.name)
+        return read_lines(path)
+
+    monkeypatch.setattr(staging_module, "read_lines", counting_read_lines)
+    result = export_all(staging, store, table, "c", max_records=100)  # one export_job
+    assert result.rows_published == 30
+    assert reads == [f"seg-{0:020}.jsonl"] * 2  # the drain and the checkpoint's tail check
 
 
 # -- cross-batch dedup identity cache ----------------------------------------------------
@@ -282,8 +326,9 @@ class _CountingStore:
 
 
 def test_overlapping_export_reads_each_live_file_once(tmp_path):
-    store, staging, table = _env(tmp_path)
+    store, staging, _ = _env(tmp_path)
     counting = _CountingStore(store)
+    table = LakeTable(counting, "trades")
     _stage(staging, _trades(40))
     export_job(staging, counting, table, "c")
     first = next(iter(table.snapshot_at().live_files))

@@ -13,6 +13,7 @@ from brclake.errors import (
     SessionLockHeld,
 )
 from brclake.fixedpoint import US_PER_DAY, iso_to_us
+from brclake.harness import Scenario
 from brclake.orchestrator import (
     DagSpec,
     DailyAt,
@@ -336,6 +337,24 @@ def test_dag_validation_errors(tmp_path):
             "dag_id": "x", "schedule": {"interval": {"period_us": 1}},
             "tasks": [{"task_id": "a", "action": "n", "depends_on": ["nope"]}],
         })
+
+
+def _dag_with(**fields) -> dict:
+    tasks = [{"task_id": "a", "action": "n"}, {"task_id": "b", "action": "n"},
+             {"task_id": "ab", "action": "n", **fields}]
+    return {"dag_id": "x", "schedule": {"interval": {"period_us": 1}}, "tasks": tasks}
+
+
+@pytest.mark.parametrize("build, obj, field", [
+    (DagSpec.from_dict, _dag_with(depends_on="ab"), "depends_on"),  # was ['a', 'b']
+    (DagSpec.from_dict, _dag_with(retry={"max_attempts": 2.5}), "retry.max_attempts"),  # was 2
+    (DagSpec.from_dict, _dag_with(params=[["k", "v"]]), "params"),  # was {'k': 'v'}
+    (Scenario.from_dict, {"name": "s", "compact_after": "false"}, "compact_after"),  # was True
+], ids=["depends_on_string", "max_attempts_float", "params_pairs", "compact_after_string"])
+def test_config_fields_are_not_coerced(build, obj, field):
+    with pytest.raises(ConfigInvalid) as info:
+        build(obj)
+    assert info.value.field == field
 
 
 def test_scheduler_lock_exclusive(tmp_path):

@@ -22,7 +22,7 @@ from brclake.query import (
 )
 from brclake.staging import StagingStore
 
-from conftest import make_event
+from conftest import make_event, run_optimized
 
 T0 = iso_to_us("2021-03-01T00:00:00Z")
 SYMBOLS = ["BTC-USD", "ETH-USD", "XRP-USD"]
@@ -185,6 +185,22 @@ def test_empty_inputs_rejected_without_assert():
         list_files(Snapshot(version=1), (T0, T0), {"BTC-USD"})
     with pytest.raises(ConfigInvalid):
         ScanRequest("trades", (T0, T0 + 1), set()).validate()
+
+
+def test_unknown_export_format_rejected_under_optimize():
+    result = run_optimized("""
+import io
+import conftest
+from brclake.errors import ConfigInvalid
+from brclake.query import export_events
+sink = io.BytesIO()
+try:
+    export_events([conftest.make_event()], "xml", sink)
+except ConfigInvalid as exc:
+    print(exc.field)
+print(len(sink.getvalue()))
+""")
+    assert result.stdout.split() == ["format", "0"], result.stderr
 
 
 def test_ohlcv_rejects_non_trades():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from brclake.errors import CheckpointRegression, OffsetOutOfRange, SessionLockHeld
 from brclake.staging import StagingStore
 
-from conftest import make_event
+from conftest import make_event, run_optimized
 
 
 def _events(n, start=0):
@@ -29,6 +29,10 @@ def test_batch_crossing_segment_cap(tmp_path):
     segments = sorted(p.name for p in (tmp_path / "c").glob("seg-*.jsonl"))
     assert segments == [f"seg-{0:020}.jsonl", f"seg-{10_000:020}.jsonl"]
     assert len(store.read_from("c", 0, 20_000)) == 10_001
+    assert [r.offset for r in store.read_from("c", 9_999, 5)] == [9_999, 10_000]
+    with pytest.raises(OffsetOutOfRange) as info:
+        store.read_from("c", 10_002, 0)
+    assert (info.value.offset, info.value.tail) == (10_002, 10_000)
 
 
 def test_read_from_window_and_tail(tmp_path):
@@ -37,8 +41,12 @@ def test_read_from_window_and_tail(tmp_path):
         session.append_batch(_events(5))
     assert [r.offset for r in store.read_from("c", 0, 3)] == [0, 1, 2]
     assert store.read_from("c", 5, 10) == []
-    with pytest.raises(OffsetOutOfRange):
+    with pytest.raises(OffsetOutOfRange) as info:
         store.read_from("c", 9, 1)
+    assert (info.value.offset, info.value.tail) == (9, 4)
+    with pytest.raises(OffsetOutOfRange) as info:
+        store.read_from("fresh", 1, 1)
+    assert (info.value.offset, info.value.tail) == (1, -1)
 
 
 def test_append_read_round_trip(tmp_path):
@@ -179,3 +187,20 @@ def test_checkpoint_cannot_exceed_tail(tmp_path):
     store.commit_checkpoint("c", 3)  # == tail is fine
     with pytest.raises(OffsetOutOfRange):
         store.commit_checkpoint("c", 4)
+
+
+def test_append_after_close_rejected_under_optimize(tmp_path):
+    result = run_optimized(f"""
+from conftest import make_event
+from brclake.errors import StagingUnavailable
+from brclake.staging import StagingStore
+store = StagingStore({str(tmp_path)!r})
+session = store.open_session("c")
+session.close()
+try:
+    session.append_batch([make_event()])
+except StagingUnavailable:
+    print("rejected")
+print(store.tail_offset("c"))
+""")
+    assert result.stdout.split() == ["rejected", "0"], result.stderr
