@@ -14,14 +14,7 @@ from pathlib import Path
 
 from .config import AppContext, load_config
 from .errors import BrcError, ConfigInvalid
-from .etl import (
-    TABLE_COLUMNS,
-    build_action_registry,
-    compact,
-    export_all,
-    live_partitions,
-    parse_partition,
-)
+from .etl import SCHEMA_ID, TABLE_COLUMNS, build_action_registry, compact_partitions, export_all
 from .events import ConnectorConfig
 from .fixedpoint import iso_to_us
 from .ingest import run_connector
@@ -32,11 +25,11 @@ from .query import ScanRequest, export_bars, export_events, ohlcv, scan
 EPILOG = """\
 configuration:
   --config/BRC_CONFIG points at a JSON file: {"data_root": ..., "store":
-  "fs"|"s3", "s3": {...}, "dags_dir": ..., "tables": [...]}. Environment
+  "fs"|"s3", "s3": {...}, "dags_dir": ...}. Environment
   overrides the file: BRC_DATA_ROOT, BRC_S3_ENDPOINT, BRC_S3_REGION,
   BRC_S3_ACCESS_KEY, BRC_S3_SECRET_KEY, BRC_S3_BUCKET. Defaults: fs store
   under <data_root>/store, staging under <data_root>/staging, dags under
-  <data_root>/dags, table "trades" with schema trades_v1.
+  <data_root>/dags. Every table has the trades_v1 schema.
 """
 
 
@@ -96,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     lake = sub.add_parser("lake", help="table log operations").add_subparsers(dest="cmd", required=True)
     p = lake.add_parser("init", help="create an empty table")
     p.add_argument("--table", required=True)
-    p.add_argument("--schema", help="schema id (default from config)")
     p = lake.add_parser("log", help="print the transaction log")
     p.add_argument("--table", required=True)
     p = lake.add_parser("audit", help="referential integrity report")
@@ -105,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_WIDTH_RE = re.compile(r"^(\d+)(ms|s|m|h|d)$")
+_WIDTH_RE = re.compile(r"^(\d{1,18})(ms|s|m|h|d)$")  # bounded: int() refuses > 4300 digits
 _WIDTH_US = {"ms": 1_000, "s": 1_000_000, "m": 60_000_000, "h": 3_600_000_000, "d": 86_400_000_000}
 
 
@@ -149,17 +141,10 @@ def _run(args: argparse.Namespace) -> int:
         })
 
     elif args.group == "etl" and args.cmd == "compact":
-        table = app.table(args.table)
-        if args.all:
-            partitions = live_partitions(table)
-        elif args.partition:
-            partitions = [parse_partition(args.partition)]
-        else:
+        spec = "all" if args.all else args.partition
+        if not spec:
             raise ConfigInvalid("partition", "give --partition or --all")
-        versions = {}
-        for partition in partitions:
-            version = compact(app.store, table, partition, min_files=args.min_files)
-            versions[partition.render()] = version
+        versions = compact_partitions(app.store, app.table(args.table), spec, args.min_files)
         _emit({"compacted": versions})
 
     elif args.group == "sched":
@@ -214,9 +199,8 @@ def _run(args: argparse.Namespace) -> int:
     elif args.group == "lake":
         table = app.table(args.table)
         if args.cmd == "init":
-            schema_id = args.schema or app.config.schema_for(args.table)
-            entry = table.init(schema_id, TABLE_COLUMNS)
-            _emit({"table": args.table, "version": entry.version, "schema_id": schema_id})
+            entry = table.init(SCHEMA_ID, TABLE_COLUMNS)
+            _emit({"table": args.table, "version": entry.version, "schema_id": SCHEMA_ID})
         elif args.cmd == "log":
             for entry in table.read_log():
                 sys.stdout.write(entry_to_bytes(entry).decode() + "\n")

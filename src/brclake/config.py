@@ -6,19 +6,17 @@ scheduler actions.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigInvalid
 from .lakehouse import LakeTable
-from .localfile import load_json_config
+from .localfile import load_json_config, typed_field
 from .objectstore import FsStore, S3Config, S3Store
 from .staging import StagingStore
 
 CONFIG_ENV = "BRC_CONFIG"
 DATA_ROOT_ENV = "BRC_DATA_ROOT"
-
-DEFAULT_TABLES = [{"table_id": "trades", "schema_id": "trades_v1"}]
 
 
 @dataclass
@@ -27,13 +25,6 @@ class AppConfig:
     store_kind: str = "fs"
     s3: S3Config | None = None
     dags_dir: Path | None = None
-    tables: list[dict] = field(default_factory=lambda: list(DEFAULT_TABLES))
-
-    def schema_for(self, table_id: str) -> str:
-        for entry in self.tables:
-            if entry["table_id"] == table_id:
-                return entry.get("schema_id", "trades_v1")
-        return "trades_v1"
 
 
 def load_config(path: str | None = None, env: dict | None = None) -> AppConfig:
@@ -50,7 +41,7 @@ def load_config(path: str | None = None, env: dict | None = None) -> AppConfig:
 
 
 def _resolve(obj: dict, env) -> AppConfig:
-    data_root = env.get(DATA_ROOT_ENV) or obj.get("data_root")
+    data_root = env.get(DATA_ROOT_ENV) or typed_field(obj, "data_root", str, "")
     if not data_root:
         raise ConfigInvalid("data_root", f"set in config file or {DATA_ROOT_ENV}")
     root = Path(data_root)
@@ -62,41 +53,38 @@ def _resolve(obj: dict, env) -> AppConfig:
     except OSError as exc:
         raise ConfigInvalid("data_root", f"{root} not writable: {exc}")
 
-    store_kind = obj.get("store", "fs")
+    store_kind = typed_field(obj, "store", str, "fs")
     s3 = None
     if store_kind == "s3":
-        section = obj.get("s3") or {}
+        section = typed_field(obj, "s3", dict, {})
         s3 = S3Config(
-            endpoint=env.get("BRC_S3_ENDPOINT") or section.get("endpoint", ""),
-            region=env.get("BRC_S3_REGION") or section.get("region", ""),
-            access_key=env.get("BRC_S3_ACCESS_KEY") or section.get("access_key", ""),
-            secret_key=env.get("BRC_S3_SECRET_KEY") or section.get("secret_key", ""),
-            bucket=env.get("BRC_S3_BUCKET") or section.get("bucket", ""),
+            endpoint=env.get("BRC_S3_ENDPOINT") or typed_field(section, "endpoint", str, "", "s3."),
+            region=env.get("BRC_S3_REGION") or typed_field(section, "region", str, "", "s3."),
+            access_key=env.get("BRC_S3_ACCESS_KEY") or typed_field(section, "access_key", str, "", "s3."),
+            secret_key=env.get("BRC_S3_SECRET_KEY") or typed_field(section, "secret_key", str, "", "s3."),
+            bucket=env.get("BRC_S3_BUCKET") or typed_field(section, "bucket", str, "", "s3."),
         )
         s3.validate()
     elif store_kind != "fs":
         raise ConfigInvalid("store", f"unknown store kind {store_kind!r}")
 
-    dags_dir = obj.get("dags_dir")
+    dags_dir = typed_field(obj, "dags_dir", str, "")
     return AppConfig(
         data_root=root,
         store_kind=store_kind,
         s3=s3,
         dags_dir=Path(dags_dir) if dags_dir else root / "dags",
-        tables=list(obj.get("tables") or DEFAULT_TABLES),
     )
 
 
 class AppContext:
     """Wired stores and tables for one process."""
 
-    def __init__(self, config: AppConfig, probe_s3: bool = True):
+    def __init__(self, config: AppConfig):
         self.config = config
         if config.store_kind == "s3":
-            store = S3Store(config.s3)
-            if probe_s3:
-                store.probe_conditional_put()
-            self.store = store
+            self.store = S3Store(config.s3)
+            self.store.probe_conditional_put()
         else:
             self.store = FsStore(config.data_root / "store")
         self.staging = StagingStore(config.data_root / "staging")

@@ -221,6 +221,8 @@ def compact(store, table: LakeTable, partition: PartitionKey, min_files: int = 2
     RemoveFiles are no longer live on rebase, so the commit raises
     InvalidAction and the loser aborts cleanly, leaving an orphaned file.
     """
+    if min_files < 1:
+        raise ConfigInvalid("min_files", "must be >= 1")
     snapshot = table.snapshot_at()
     victims = sorted((a for a in snapshot.live_files.values() if a.partition == partition),
                      key=lambda a: a.path)
@@ -243,6 +245,16 @@ def live_partitions(table: LakeTable) -> list[PartitionKey]:
     snapshot = table.snapshot_at()
     return sorted({a.partition for a in snapshot.live_files.values()},
                   key=lambda p: (p.symbol, p.date))
+
+
+def compact_partitions(store, table: LakeTable, spec: str,
+                       min_files: int = 2) -> dict[str, int | None]:
+    """Compact every live partition (spec ``"all"``) or the one partition
+    ``symbol=S/date=D``; map each rendered partition to its new version, or
+    None where ``compact`` did nothing. ``brc etl compact`` and the
+    ``etl.compact`` action both run through here."""
+    partitions = live_partitions(table) if spec == "all" else [parse_partition(spec)]
+    return {p.render(): compact(store, table, p, min_files=min_files) for p in partitions}
 
 
 # -- orchestrator action bindings ------------------------------------------------
@@ -275,14 +287,8 @@ def build_action_registry(app) -> dict:
 
     def etl_compact(ctx) -> None:
         table = app.table(typed_field(ctx.params, "table_id", str))
-        spec = typed_field(ctx.params, "partition", str, "all")
-        min_files = typed_field(ctx.params, "min_files", int, 2)
-        if spec == "all":
-            partitions = live_partitions(table)
-        else:
-            partitions = [parse_partition(spec)]
-        for partition in partitions:
-            compact(app.store, table, partition, min_files=min_files)
+        compact_partitions(app.store, table, typed_field(ctx.params, "partition", str, "all"),
+                           min_files=typed_field(ctx.params, "min_files", int, 2))
 
     return {"ingest.run": ingest_run, "etl.export": etl_export, "etl.compact": etl_compact}
 

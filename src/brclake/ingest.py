@@ -15,7 +15,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import crashpoints
 from .errors import BadDecimal, BadSide, MalformedLine, MissingField, UnknownSymbol
@@ -249,11 +249,7 @@ class _SequenceCounters:
         return seq
 
 
-def run_connector(
-    config: ConnectorConfig,
-    staging: StagingStore,
-    now_us: Callable[[], int] = lambda: time.time_ns() // 1000,
-) -> SessionSummary:
+def run_connector(config: ConnectorConfig, staging: StagingStore) -> SessionSummary:
     """Generate or replay events, normalize, and append to staging.
 
     Delivery is at-least-once: connector state (generator position plus
@@ -292,9 +288,10 @@ def run_connector(
 
         for raws, gen_state in steps:
             for raw in raws:
-                while not bucket.take(now_us()):
+                while not bucket.take(time.time_ns() // 1000):
                     time.sleep(bucket.wait_us() / 1_000_000)
-                ingest_time = raw.event_time_us if config.ingest_time_mode == "event_time" else now_us()
+                ingest_time = (raw.event_time_us if config.ingest_time_mode == "event_time"
+                               else time.time_ns() // 1000)
                 # an unmapped raw symbol raises UnknownSymbol in normalize
                 symbol = config.symbols.get(raw.raw_symbol, "")
                 seq = counters.next_for((raw.source, raw.stream, symbol))

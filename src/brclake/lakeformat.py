@@ -335,11 +335,7 @@ def _stat_from_json(value: Any, physical_type: str) -> Any:
 
 # -- file writer ---------------------------------------------------------------------------
 
-def write_file(
-    rows: Sequence[Sequence[Any]],
-    schema: Sequence[ColumnSchema],
-    writer: str = DEFAULT_WRITER,
-) -> bytes:
+def write_file(rows: Sequence[Sequence[Any]], schema: Sequence[ColumnSchema]) -> bytes:
     """Serialize rows to a complete .brcl file; byte-identical across runs."""
     names = set()
     for col in schema:
@@ -387,7 +383,7 @@ def write_file(
         "format_version": FORMAT_VERSION,
         "row_count": len(rows),
         "schema": [{"name": c.name, "physical_type": c.physical_type} for c in schema],
-        "writer": writer,
+        "writer": DEFAULT_WRITER,
     }
     footer_bytes = json.dumps(footer, sort_keys=True, separators=(",", ":")).encode()
     parts.append(footer_bytes)

@@ -28,6 +28,7 @@ from .errors import (
     PreconditionFailed,
 )
 from .fixedpoint import us_to_date
+from .localfile import typed_field
 
 DEFAULT_COMMITTER = "brc"
 
@@ -122,22 +123,27 @@ def _action_to_json(action: Action) -> dict:
 
 def _action_from_json(obj: dict) -> Action:
     if "add_file" in obj:
-        a = obj["add_file"]
+        a = typed_field(obj, "add_file", dict)
+        partition = typed_field(a, "partition", dict)
         return AddFile(
-            path=a["path"],
-            partition=PartitionKey(a["partition"]["symbol"], a["partition"]["date"]),
-            rows=a["rows"],
-            bytes=a["bytes"],
-            min_event_time_us=a["min_event_time_us"],
-            max_event_time_us=a["max_event_time_us"],
+            path=typed_field(a, "path", str),
+            partition=PartitionKey(typed_field(partition, "symbol", str),
+                                   typed_field(partition, "date", str)),
+            rows=typed_field(a, "rows", int),
+            bytes=typed_field(a, "bytes", int),
+            min_event_time_us=typed_field(a, "min_event_time_us", int),
+            max_event_time_us=typed_field(a, "max_event_time_us", int),
         )
     if "remove_file" in obj:
-        return RemoveFile(path=obj["remove_file"]["path"])
-    s = obj["set_schema"]
-    return SetSchema(
-        schema_id=s["schema_id"],
-        columns=tuple((c["name"], c["physical_type"]) for c in s["columns"]),
-    )
+        return RemoveFile(path=typed_field(typed_field(obj, "remove_file", dict), "path", str))
+    if "set_schema" in obj:
+        s = typed_field(obj, "set_schema", dict)
+        return SetSchema(
+            schema_id=typed_field(s, "schema_id", str),
+            columns=tuple((typed_field(c, "name", str), typed_field(c, "physical_type", str))
+                          for c in typed_field(s, "columns", list, items=dict)),
+        )
+    raise ValueError(f"unknown action {sorted(obj)}")
 
 
 def entry_to_bytes(entry: LogEntry) -> bytes:
@@ -154,13 +160,18 @@ def entry_to_bytes(entry: LogEntry) -> bytes:
 
 
 def _entry_from_bytes(data: bytes) -> LogEntry:
+    """Decode a log entry, checking every field's JSON type (booleans are not
+    integers). Malformed JSON or an unknown action raises ValueError, and a
+    missing or ill-typed field ConfigInvalid naming it."""
     obj = json.loads(data)
+    if not isinstance(obj, dict):
+        raise ValueError("entry is not a JSON object")
     return LogEntry(
-        version=obj["version"],
-        parent=obj["parent"],
-        committed_at_us=obj["committed_at_us"],
-        actions=[_action_from_json(a) for a in obj["actions"]],
-        committer=obj["committer"],
+        version=typed_field(obj, "version", int),
+        parent=typed_field(obj, "parent", int),
+        committed_at_us=typed_field(obj, "committed_at_us", int),
+        actions=[_action_from_json(a) for a in typed_field(obj, "actions", list, items=dict)],
+        committer=typed_field(obj, "committer", str),
     )
 
 
@@ -193,9 +204,15 @@ class LakeTable:
 
     def read_entry(self, version: int) -> LogEntry:
         try:
-            return _entry_from_bytes(self.store.get(self._entry_key(version)))
+            data = self.store.get(self._entry_key(version))
         except NotFound:
             raise NoSuchVersion(version, self._cache.version)
+        try:
+            return _entry_from_bytes(data)
+        except ConfigInvalid as exc:
+            raise CorruptLog(version, f"field {exc.field!r} {exc.reason}")
+        except ValueError as exc:
+            raise CorruptLog(version, str(exc))
 
     def _entries_after(self, version: int) -> Iterator[LogEntry]:
         """Committed entries newer than version, probed upward until the
@@ -226,19 +243,13 @@ class LakeTable:
 
     # -- operations ---------------------------------------------------------------
 
-    def init(
-        self,
-        schema_id: str,
-        columns: Iterable[tuple[str, str]],
-        committer: str = DEFAULT_COMMITTER,
-        now_us: int | None = None,
-    ) -> LogEntry:
+    def init(self, schema_id: str, columns: Iterable[tuple[str, str]]) -> LogEntry:
         entry = LogEntry(
             version=1,
             parent=0,
-            committed_at_us=time.time_ns() // 1000 if now_us is None else now_us,
+            committed_at_us=time.time_ns() // 1000,
             actions=[SetSchema(schema_id=schema_id, columns=tuple(columns))],
-            committer=committer,
+            committer=DEFAULT_COMMITTER,
         )
         try:
             self.store.put(self._entry_key(1), entry_to_bytes(entry), if_none_match=True)
@@ -270,7 +281,6 @@ class LakeTable:
         actions: list[Action],
         committer: str = DEFAULT_COMMITTER,
         max_retries: int = 10,
-        now_us: int | None = None,
     ) -> LogEntry:
         """Validate against the current snapshot and append the next version.
 
@@ -286,7 +296,7 @@ class LakeTable:
             entry = LogEntry(
                 version=version + 1,
                 parent=version,
-                committed_at_us=time.time_ns() // 1000 if now_us is None else now_us,
+                committed_at_us=time.time_ns() // 1000,
                 actions=list(actions),
                 committer=committer,
             )

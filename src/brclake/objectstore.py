@@ -4,7 +4,8 @@ Both backends expose the same five operations (put/get/list/head/delete) with
 content-MD5 etags, bytewise-sorted listings, and an atomic put-if-absent that
 the transaction log uses as its only concurrency-control primitive.
 
-Keys are '/'-separated segments of [A-Za-z0-9._=-], at most 900 bytes. The
+Keys are '/'-separated segments of [A-Za-z0-9._=-], other than '.' and
+'..', at most 900 bytes, so no key names a path outside the store. The
 filesystem backend maps keys to paths under ``root/objects`` and stages
 writes in ``root/tmp``; conditional puts become an os.link onto the final
 path, which the kernel makes atomic.
@@ -43,7 +44,7 @@ def validate_key(key: str) -> str:
     if len(key.encode()) > MAX_KEY_BYTES:
         raise InvalidKey(key, f"key exceeds {MAX_KEY_BYTES} bytes")
     for segment in key.split("/"):
-        if not _SEGMENT_RE.match(segment):
+        if not _SEGMENT_RE.match(segment) or segment in (".", ".."):
             raise InvalidKey(key, f"bad segment {segment!r}")
     return key
 
@@ -96,7 +97,7 @@ class FsStore:
     def get(self, key: str) -> bytes:
         try:
             return self._path(key).read_bytes()
-        except (FileNotFoundError, IsADirectoryError):
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
             raise NotFound(key)
 
     def head(self, key: str) -> ObjectMeta:
@@ -110,8 +111,15 @@ class FsStore:
             pass
 
     def list(self, prefix: str = "") -> list[ObjectMeta]:
+        """Objects whose keys start with prefix. Only the deepest directory
+        the prefix names is walked."""
+        directory = prefix.rpartition("/")[0]
+        try:
+            start = self._path(directory) if directory else self._objects
+        except InvalidKey:
+            return []  # no valid key lies under an invalid directory
         metas = []
-        for dirpath, _, filenames in os.walk(self._objects):
+        for dirpath, _, filenames in os.walk(start):
             rel = os.path.relpath(dirpath, self._objects)
             for name in filenames:
                 key = name if rel == "." else f"{rel}/{name}".replace(os.sep, "/")

@@ -340,8 +340,6 @@ class ActionContext:
 
     logical_time_us: int
     params: dict[str, Any]
-    clock: Any
-    env: dict[str, Any] = field(default_factory=dict)
 
 
 ActionFn = Callable[[ActionContext], Any]
@@ -366,7 +364,6 @@ def execute_run(
     registry: dict[str, ActionFn],
     clock,
     runs_root: Path,
-    env: dict[str, Any] | None = None,
 ) -> RunResult:
     """Execute (or resume) one run of a DAG at a logical time."""
     dag.validate()
@@ -408,9 +405,7 @@ def execute_run(
             for tid in batch:
                 task = tasks[tid]
                 try:
-                    registry[task.action](
-                        ActionContext(logical_time_us, task.params, clock, env or {})
-                    )
+                    registry[task.action](ActionContext(logical_time_us, task.params))
                 except Exception as exc:  # noqa: BLE001 - task failure is data here
                     attempt = attempts[tid]
                     if attempt < task.retry.max_attempts:
@@ -451,7 +446,6 @@ def backfill(
     registry: dict[str, ActionFn],
     clock,
     runs_root: Path,
-    env: dict[str, Any] | None = None,
 ) -> list[RunResult]:
     """One run per schedule instant in [from_us, to_us), ascending, sequential.
 
@@ -461,7 +455,7 @@ def backfill(
     if from_us >= to_us:
         raise ConfigInvalid("backfill", "window must be non-empty")
     return [
-        execute_run(dag, t, registry, clock, runs_root, env)
+        execute_run(dag, t, registry, clock, runs_root)
         for t in schedule_instants(dag.schedule, from_us, to_us)
     ]
 
@@ -471,12 +465,10 @@ def backfill(
 class Scheduler:
     """Owns a runs directory (single process via lock file) and executes DAGs."""
 
-    def __init__(self, runs_root: str | Path, registry: dict[str, ActionFn],
-                 clock=None, env: dict[str, Any] | None = None):
+    def __init__(self, runs_root: str | Path, registry: dict[str, ActionFn], clock=None):
         self.runs_root = Path(runs_root)
         self.registry = registry
         self.clock = clock or WallClock()
-        self.env = env or {}
         self.runs_root.mkdir(parents=True, exist_ok=True)
         self._lock = self.runs_root / "lock"
         self._token = acquire_lock(self._lock, f"scheduler runs root {self.runs_root}")
@@ -491,10 +483,10 @@ class Scheduler:
         self.close()
 
     def run_once(self, dag: DagSpec, logical_time_us: int) -> RunResult:
-        return execute_run(dag, logical_time_us, self.registry, self.clock, self.runs_root, self.env)
+        return execute_run(dag, logical_time_us, self.registry, self.clock, self.runs_root)
 
     def backfill(self, dag: DagSpec, from_us: int, to_us: int) -> list[RunResult]:
-        return backfill(dag, from_us, to_us, self.registry, self.clock, self.runs_root, self.env)
+        return backfill(dag, from_us, to_us, self.registry, self.clock, self.runs_root)
 
     def run_forever(self, dags: dict[str, DagSpec], until_us: int | None = None) -> list[RunResult]:
         """Execute each DAG at its schedule instants until until_us (or forever)."""

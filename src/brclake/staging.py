@@ -211,11 +211,6 @@ class StagingStore:
 
     # -- maintenance -------------------------------------------------------------
 
-    def connectors(self) -> list[str]:
-        if not self.root.is_dir():
-            return []
-        return sorted(p.name for p in self.root.iterdir() if p.is_dir())
-
     def prune(self, connector_id: str) -> int:
         """Remove sealed segments fully below the committed checkpoint.
 

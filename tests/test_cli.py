@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from brclake.cli import build_parser, parse_bucket_width
+from brclake import errors
+from brclake.cli import build_parser, main, parse_bucket_width
 from brclake.config import load_config
 from brclake.errors import ConfigInvalid
 from brclake.lakehouse import AddFile, LogEntry, PartitionKey, entry_to_bytes
@@ -44,7 +49,6 @@ def test_minimal_config_defaults(tmp_path):
     config = load_config(str(path), env={})
     assert config.store_kind == "fs"
     assert config.dags_dir == tmp_path / "data" / "dags"
-    assert config.tables[0]["table_id"] == "trades"
 
 
 def test_s3_config_requires_secret(tmp_path):
@@ -270,7 +274,7 @@ def test_bucket_width_parsing():
     assert parse_bucket_width("1m") == 60_000_000
     assert parse_bucket_width("500ms") == 500_000
     assert parse_bucket_width("2h") == 7_200_000_000
-    for bad in ("five minutes", "0s"):
+    for bad in ("five minutes", "0s", "9" * 5000 + "m"):
         with pytest.raises(ConfigInvalid):
             parse_bucket_width(bad)
 
@@ -283,6 +287,89 @@ def test_parser_covers_spec_flags():
         "--version", "3", "--ohlcv", "1m", "--format", "jsonl", "--out", "-",
     ])
     assert args.version == 3 and args.format == "jsonl"
+
+
+# -- in-process CLI ------------------------------------------------------------------------
+
+def _main(*argv: str) -> tuple[int, str]:
+    """Run brc in this process; return its exit code and stderr."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")  # query writes to stdout.buffer
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse usage error
+            code = exc.code
+    return code, err.getvalue()
+
+
+def _small_table(tmp_path, monkeypatch) -> None:
+    """A trades table holding 50 events in several files, set up in-process."""
+    monkeypatch.delenv("BRC_CONFIG", raising=False)
+    monkeypatch.setenv("BRC_DATA_ROOT", str(tmp_path / "data"))
+    connector = _connector_file(tmp_path, count=50)
+    for argv in (["lake", "init", "--table", "trades"],
+                 ["ingest", "run", "--config", str(connector)],
+                 ["etl", "export", "--connector", "c1", "--table", "trades", "--max-records", "20"]):
+        assert _main(*argv) == (0, "")
+
+
+@pytest.mark.parametrize("args", [
+    ["--partition", "symbol=BTC-USD/date=2021-01-01", "--min-files", "0"],
+    ["--all", "--min-files", "-3"],
+])
+def test_compact_rejects_min_files_below_one(tmp_path, monkeypatch, args):
+    _small_table(tmp_path, monkeypatch)
+    code, err = _main("etl", "compact", "--table", "trades", *args)
+    assert code == 1
+    error = json.loads(err.splitlines()[-1])
+    assert (error["error"], error["field"]) == ("ConfigInvalid", "min_files")
+
+
+def test_table_id_cannot_escape_the_store(tmp_path):
+    result = _brc("lake", "init", "--table", "../../..", data_root=tmp_path)
+    assert result.returncode == 1
+    assert _error_kind(result) == "InvalidKey"
+    objects = tmp_path / "store" / "objects"
+    assert [p for p in tmp_path.rglob("*") if p.is_file() and objects not in p.parents] == []
+
+
+# The last name puts the table's keys below an existing object, the log entry.
+_TABLES = st.one_of(
+    st.lists(st.sampled_from(["trades", "t", ".", "..", "/"]), max_size=4).map("".join),
+    st.sampled_from(["trades", "../../..", "trades/_log/00000000000000000001.json"]))
+_TIMES = st.one_of(st.text(max_size=30), st.sampled_from(["2020-09-13T00:00:00Z", "2020-09-15T00:00:00Z"]))
+_QUERY_ARGS = st.tuples(
+    _TABLES, st.one_of(st.text(max_size=20), st.just("BTC-USDT")), _TIMES, _TIMES,
+    st.none() | st.integers(), st.none() | st.text(max_size=10) | st.just("1m"),
+).map(lambda a: ["query", "--table", a[0], "--symbols", a[1], "--from", a[2], "--to", a[3]]
+      + ([] if a[4] is None else ["--version", str(a[4])])
+      + ([] if a[5] is None else ["--ohlcv", a[5]]))
+_COMPACT_ARGS = st.tuples(
+    _TABLES, st.none() | st.text(max_size=40) | st.just("symbol=BTC-USDT/date=2020-09-13"),
+    st.none() | st.integers(), st.booleans(),
+).map(lambda a: ["etl", "compact", "--table", a[0]]
+      + ([] if a[1] is None else ["--partition", a[1]])
+      + ([] if a[2] is None else ["--min-files", str(a[2])])
+      + (["--all"] if a[3] else []))
+
+
+def test_cli_argument_fuzz(tmp_path, monkeypatch):
+    """Any query or compaction arguments end in success, a typed error or a
+    usage error; never in an untyped exception."""
+    _small_table(tmp_path, monkeypatch)
+    kinds = {name for name, cls in vars(errors).items()
+             if isinstance(cls, type) and issubclass(cls, errors.BrcError)}
+
+    @given(st.one_of(_QUERY_ARGS, _COMPACT_ARGS))
+    @settings(max_examples=150, deadline=None, database=None)
+    def run(argv):
+        code, err = _main(*argv)
+        assert code in (0, 1, 2), (argv, err)
+        if code == 1:
+            assert json.loads(err.splitlines()[-1])["error"] in kinds, (argv, err)
+
+    run()
 
 
 # -- full pipeline through the CLI ---------------------------------------------------------

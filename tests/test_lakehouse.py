@@ -20,6 +20,7 @@ from brclake.lakehouse import (
     PartitionKey,
     RemoveFile,
     Snapshot,
+    entry_to_bytes,
     list_files,
 )
 from brclake.objectstore import FsStore
@@ -208,6 +209,38 @@ def test_corrupt_log_fold_is_typed(version, action, path):
     with pytest.raises(CorruptLog) as err:
         snapshot.apply(LogEntry(version, version - 1, 0, [action], "w"))
     assert (err.value.version, err.value.path) == (version, path)
+
+
+_GOOD_ENTRY = json.loads(entry_to_bytes(LogEntry(2, 1, 0, [_add("a")], "w")))
+
+
+def _entry_with(**fields) -> bytes:
+    return json.dumps({**_GOOD_ENTRY, **fields}).encode()
+
+
+def _entry_with_add(**fields) -> bytes:
+    add = {**_GOOD_ENTRY["actions"][0]["add_file"], **fields}
+    return _entry_with(actions=[{"add_file": add}])
+
+
+@pytest.mark.parametrize("data", [
+    b'{"version": 2}',
+    b"not json",
+    b"[2]",
+    _entry_with(actions=[{"set_schemata": {}}]),
+    _entry_with_add(rows="many"),
+    _entry_with_add(rows=True),
+    _entry_with_add(partition={"symbol": "BTC-USD"}),
+    _entry_with(committed_at_us=1.5),
+], ids=["missing_fields", "not_json", "not_object", "unknown_action", "string_rows",
+        "bool_rows", "partition_without_date", "float_time"])
+def test_malformed_log_entry_is_corrupt_log(tmp_path, data):
+    table = _table(tmp_path)
+    table.init("trades_v1", [])
+    table.store.put(table._entry_key(2), data)
+    with pytest.raises(CorruptLog) as err:
+        table.read_entry(2)
+    assert err.value.version == 2
 
 
 # -- pruning ------------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import os
 import threading
 
 import pytest
@@ -20,6 +21,8 @@ def test_get_round_trip_and_missing(tmp_path):
     assert store.get("k") == b"payload"
     with pytest.raises(NotFound):
         store.get("missing")
+    with pytest.raises(NotFound):
+        store.get("k/under-an-object")
     store.put("empty", b"")
     assert store.get("empty") == b""
 
@@ -70,6 +73,42 @@ def test_key_validation():
     for bad in ("", "/lead", "a//b", "a/../b" + "!", "sp ace", "a" * 901):
         with pytest.raises(InvalidKey):
             validate_key(bad)
+
+
+@pytest.mark.parametrize("key", ["a/../b", "..", "./a", "../../outside.txt"])
+def test_dot_segments_cannot_escape_the_store(tmp_path, key):
+    store = FsStore(tmp_path / "store")
+    (tmp_path / "outside.txt").write_bytes(b"secret")
+    for op in (lambda: store.get(key), lambda: store.put(key, b"x"), lambda: store.delete(key)):
+        with pytest.raises(InvalidKey):
+            op()
+    assert (tmp_path / "outside.txt").read_bytes() == b"secret"
+    assert [p for p in (tmp_path / "store").rglob("*") if p.is_file()] == []
+
+
+def test_list_walks_only_the_prefix_directory(tmp_path, monkeypatch):
+    store = FsStore(tmp_path)
+    for key in ("t/a/data/x", "t/a/data/y", "t/a/other", "t/b/data/z", "u"):
+        store.put(key, b"v")
+    walked, read = [], []
+    real_walk, real_get = os.walk, FsStore.get
+
+    def recording_walk(top, *args, **kwargs):
+        for entry in real_walk(top, *args, **kwargs):
+            walked.append(entry[0])
+            yield entry
+
+    def recording_get(self, key):
+        read.append(key)
+        return real_get(self, key)
+
+    monkeypatch.setattr(os, "walk", recording_walk)
+    monkeypatch.setattr(FsStore, "get", recording_get)
+    assert [m.key for m in store.list("t/a/da")] == ["t/a/data/x", "t/a/data/y"]
+    assert sorted(read) == ["t/a/data/x", "t/a/data/y"]
+    prefix_dir = tmp_path / "objects" / "t" / "a"
+    assert walked and all(os.path.commonpath([d, prefix_dir]) == str(prefix_dir) for d in walked)
+    assert store.list("../") == []
 
 
 def test_concurrent_conditional_put_single_winner(tmp_path):
