@@ -11,12 +11,20 @@ from typing import Any
 
 
 class BrcError(Exception):
-    """Base class for all operational errors."""
+    """Base class for all operational errors. The keyword fields a subclass
+    passes up are stored once, in ``fields``: they make up the JSON line and
+    read as attributes (``exc.version``)."""
 
     def __init__(self, detail: str = "", **fields: Any):
         super().__init__(detail or self.__class__.__name__)
         self.detail = detail
         self.fields = fields
+
+    def __getattr__(self, name: str) -> Any:
+        try:
+            return self.__dict__["fields"][name]
+        except KeyError:
+            raise AttributeError(name) from None
 
     @property
     def kind(self) -> str:
@@ -33,33 +41,27 @@ class BrcError(Exception):
 class MalformedLine(BrcError):
     def __init__(self, line_no: int, detail: str = ""):
         super().__init__(detail or f"unparseable line {line_no}", line_no=line_no)
-        self.line_no = line_no
 
 
 class MissingField(BrcError):
     def __init__(self, name: str, line_no: int | None = None):
         where = f" at line {line_no}" if line_no is not None else ""
         super().__init__(f"missing field {name!r}{where}", name=name, line_no=line_no)
-        self.name = name
-        self.line_no = line_no
 
 
 class UnknownSymbol(BrcError):
     def __init__(self, raw_symbol: str):
         super().__init__(f"no mapping for raw symbol {raw_symbol!r}", raw_symbol=raw_symbol)
-        self.raw_symbol = raw_symbol
 
 
 class BadDecimal(BrcError):
     def __init__(self, field: str, detail: str = ""):
         super().__init__(detail or f"unparseable or out-of-range decimal in {field!r}", field=field)
-        self.field = field
 
 
 class BadSide(BrcError):
     def __init__(self, value: str):
         super().__init__(f"bad side {value!r}", value=value)
-        self.value = value
 
 
 class InvalidEvent(BrcError):
@@ -68,7 +70,6 @@ class InvalidEvent(BrcError):
 
     def __init__(self, field: str, detail: str):
         super().__init__(detail, field=field)
-        self.field = field
 
 
 class StagingUnavailable(BrcError):
@@ -88,8 +89,16 @@ class StorageFull(BrcError):
 class OffsetOutOfRange(BrcError):
     def __init__(self, offset: int, tail: int):
         super().__init__(f"offset {offset} beyond tail {tail} + 1", offset=offset, tail=tail)
-        self.offset = offset
-        self.tail = tail
+
+
+class CorruptStaging(BrcError):
+    """A staging file that cannot be read back: a checkpoint or connector
+    state that is not the JSON object its reader expects, or a segment
+    record line (``line_no``, from 1) that is not a staged record."""
+
+    def __init__(self, path: str, detail: str, line_no: int | None = None):
+        where = f" line {line_no}" if line_no is not None else ""
+        super().__init__(f"{path}{where}: {detail}", path=path, line_no=line_no)
 
 
 class CheckpointRegression(BrcError):
@@ -98,8 +107,6 @@ class CheckpointRegression(BrcError):
             f"checkpoint regression: stored {stored}, requested {requested}",
             stored=stored, requested=requested,
         )
-        self.stored = stored
-        self.requested = requested
 
 
 # -- columnar format ---------------------------------------------------------
@@ -122,8 +129,6 @@ class SchemaViolation(BrcError):
             detail or f"row {row_index} violates schema at column {column!r}",
             row_index=row_index, column=column,
         )
-        self.row_index = row_index
-        self.column = column
 
 
 class BadMagic(BrcError):
@@ -133,7 +138,6 @@ class BadMagic(BrcError):
 class ChecksumMismatch(BrcError):
     def __init__(self, column: str):
         super().__init__(f"crc32c mismatch in column {column!r}", column=column)
-        self.column = column
 
 
 class FooterCorrupt(BrcError):
@@ -145,19 +149,16 @@ class FooterCorrupt(BrcError):
 class InvalidKey(BrcError):
     def __init__(self, key: str, detail: str = ""):
         super().__init__(detail or f"invalid object key {key!r}", key=key)
-        self.key = key
 
 
 class PreconditionFailed(BrcError):
     def __init__(self, key: str):
         super().__init__(f"object already exists: {key}", key=key)
-        self.key = key
 
 
 class NotFound(BrcError):
     def __init__(self, key: str):
         super().__init__(f"no such object: {key}", key=key)
-        self.key = key
 
 
 class BackendUnavailable(BrcError):
@@ -187,15 +188,11 @@ class CorruptLog(BrcError):
 
     def __init__(self, version: int, detail: str, path: str | None = None):
         super().__init__(f"log version {version}: {detail}", version=version, path=path)
-        self.version = version
-        self.path = path
 
 
 class NoSuchVersion(BrcError):
     def __init__(self, version: int, current: int):
         super().__init__(f"no version {version} (current {current})", version=version, current=current)
-        self.version = version
-        self.current = current
 
 
 # -- orchestrator ------------------------------------------------------------
@@ -203,20 +200,16 @@ class NoSuchVersion(BrcError):
 class CycleDetected(BrcError):
     def __init__(self, cycle: list[str]):
         super().__init__("dependency cycle: " + " -> ".join(cycle), cycle=cycle)
-        self.cycle = cycle
 
 
 class ActionNotRegistered(BrcError):
     def __init__(self, task_id: str, action: str):
         super().__init__(f"task {task_id!r}: no action {action!r} registered", task_id=task_id, action=action)
-        self.task_id = task_id
-        self.action = action
 
 
 class CorruptRunLog(BrcError):
     def __init__(self, line_no: int, detail: str = ""):
         super().__init__(detail or f"corrupt run log at line {line_no}", line_no=line_no)
-        self.line_no = line_no
 
 
 # -- query / cli / harness ---------------------------------------------------
@@ -232,8 +225,6 @@ class SinkError(BrcError):
 class ConfigInvalid(BrcError):
     def __init__(self, field: str, reason: str):
         super().__init__(f"config field {field!r}: {reason}", field=field, reason=reason)
-        self.field = field
-        self.reason = reason
 
 
 class AssertionFailed(BrcError):

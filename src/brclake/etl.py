@@ -5,10 +5,15 @@ Exactly-once effect is the composition of three guarantees, in this order:
 at-least-once staging delivery, exact identity dedup (within the batch and
 against live files overlapping the batch's time range), and
 commit-then-checkpoint. A crash between the table commit and the checkpoint
-merely redelivers records that then die in dedup. The cross-batch check reads
-each live file once per ``LakeTable`` handle and keeps its identities in the
-handle's ``identity_cache`` while the file is live, so an export fetches only
-files no earlier export through that handle has checked.
+merely redelivers records that then die in dedup. One exporter at a time
+drains a connector: ``export_job`` holds the connector's exporter lock, a
+file beside the staging checkpoint, from the drain through the checkpoint,
+so two exporters sharing a checkpoint always share the lock too.
+
+The cross-batch check reads each live file once per ``LakeTable`` handle and
+keeps its identities in the handle's ``identity_cache`` while the file is
+live, so an export fetches only files no earlier export through that handle
+has checked.
 
 From the drain on, an event travels as its encoded table row
 (``event_to_row``, once per drained record). Rows are grouped by
@@ -21,11 +26,12 @@ and nowhere else. Export and compaction write every data file through
 from __future__ import annotations
 
 from dataclasses import dataclass
+from datetime import date
 from operator import itemgetter
 
 from . import crashpoints
 from .errors import ConfigInvalid, InvalidAction
-from .events import MarketEvent
+from .events import SYMBOL_RE, MarketEvent
 from .fixedpoint import US_PER_DAY, us_to_date
 from .lakeformat import BYTES, INT64, ColumnSchema, read_file, write_file
 from .lakehouse import AddFile, LakeTable, PartitionKey, RemoveFile
@@ -159,35 +165,39 @@ def export_job(
     max_records: int = 1_000_000_000,
 ) -> ExportResult:
     """One unit of export work: drain -> dedup -> partition -> write -> commit
-    -> checkpoint. Idempotent under replay at any crash point."""
-    records, next_checkpoint = staging.drain_batch(connector_id, max_records)
-    crashpoints.crashpoint("etl.post_drain")
-    if not records:
-        return ExportResult(0, None, next_checkpoint, 0)
+    -> checkpoint. Idempotent under replay at any crash point. The
+    connector's exporter lock is held from the drain through the checkpoint,
+    so a second exporter of the connector raises SessionLockHeld instead of
+    publishing the same records again."""
+    with staging.exporter_lock(connector_id):
+        records, next_checkpoint = staging.drain_batch(connector_id, max_records)
+        crashpoints.crashpoint("etl.post_drain")
+        if not records:
+            return ExportResult(0, None, next_checkpoint, 0)
 
-    rows, dropped = dedup([event_to_row(record.event) for record in records])
-    groups: dict[tuple[bytes, int], list[tuple]] = {}
-    for row in rows:
-        groups.setdefault((row[4], row[0] // US_PER_DAY), []).append(row)  # (symbol, UTC day)
+        rows, dropped = dedup([event_to_row(record.event) for record in records])
+        groups: dict[tuple[bytes, int], list[tuple]] = {}
+        for row in rows:
+            groups.setdefault((row[4], row[0] // US_PER_DAY), []).append(row)  # (symbol, UTC day)
 
-    actions = []
-    for (symbol, day), group in sorted(groups.items()):
-        partition = PartitionKey(symbol.decode(), us_to_date(day * US_PER_DAY))
-        group.sort(key=ROW_ORDER)
-        known = _live_identities(table, partition, group[0][0], group[-1][0])
-        survivors = [row for row in group if ROW_IDENTITY(row) not in known]
-        dropped += len(group) - len(survivors)
-        if survivors:
-            actions.append(_publish(store, table, partition, survivors, "etl"))
+        actions = []
+        for (symbol, day), group in sorted(groups.items()):
+            partition = PartitionKey(symbol.decode(), us_to_date(day * US_PER_DAY))
+            group.sort(key=ROW_ORDER)
+            known = _live_identities(table, partition, group[0][0], group[-1][0])
+            survivors = [row for row in group if ROW_IDENTITY(row) not in known]
+            dropped += len(group) - len(survivors)
+            if survivors:
+                actions.append(_publish(store, table, partition, survivors, "etl"))
 
-    if not actions:
+        if not actions:
+            staging.commit_checkpoint(connector_id, next_checkpoint)
+            return ExportResult(0, None, next_checkpoint, dropped)
+        crashpoints.crashpoint("etl.pre_commit")
+        entry = table.commit(actions, committer="etl")
+        crashpoints.crashpoint("etl.post_commit_pre_checkpoint")
         staging.commit_checkpoint(connector_id, next_checkpoint)
-        return ExportResult(0, None, next_checkpoint, dropped)
-    crashpoints.crashpoint("etl.pre_commit")
-    entry = table.commit(actions, committer="etl")
-    crashpoints.crashpoint("etl.post_commit_pre_checkpoint")
-    staging.commit_checkpoint(connector_id, next_checkpoint)
-    return ExportResult(sum(a.rows for a in actions), entry.version, next_checkpoint, dropped)
+        return ExportResult(sum(a.rows for a in actions), entry.version, next_checkpoint, dropped)
 
 
 def export_all(
@@ -294,8 +304,17 @@ def build_action_registry(app) -> dict:
 
 
 def parse_partition(spec: str) -> PartitionKey:
-    """Parse the rendered form symbol=SYM/date=YYYY-MM-DD."""
+    """Parse the rendered form symbol=SYM/date=YYYY-MM-DD; SYM must be a
+    normalized symbol and the date a real calendar day."""
     parts = spec.split("/")
-    if len(parts) != 2 or not parts[0].startswith("symbol=") or not parts[1].startswith("date="):
+    if (len(parts) != 2 or not parts[0].startswith("symbol=") or not parts[1].startswith("date=")
+            or not SYMBOL_RE.fullmatch(parts[0][7:]) or not _is_iso_date(parts[1][5:])):
         raise InvalidAction(f"bad partition spec {spec!r}; want symbol=SYM/date=YYYY-MM-DD")
     return PartitionKey(symbol=parts[0][7:], date=parts[1][5:])
+
+
+def _is_iso_date(text: str) -> bool:
+    try:
+        return date.fromisoformat(text).isoformat() == text
+    except ValueError:
+        return False

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterator
 
@@ -21,6 +21,7 @@ from . import crashpoints
 from .errors import BadDecimal, BadSide, MalformedLine, MissingField, UnknownSymbol
 from .events import REQUIRED_PAYLOAD, ConnectorConfig, MarketEvent, RawEvent
 from .fixedpoint import format_e8, parse_decimal_e8
+from .localfile import typed_field
 from .staging import StagingStore
 
 MASK64 = (1 << 64) - 1
@@ -249,6 +250,16 @@ class _SequenceCounters:
         return seq
 
 
+def _read_resume(saved: dict) -> tuple[dict, SyntheticState | None, int]:
+    """Sequence counters, generator position and replay line of a saved
+    connector state, each field read through ``typed_field``."""
+    synthetic = typed_field(saved, "synthetic", dict, None)
+    start = None if synthetic is None else SyntheticState(
+        *(typed_field(synthetic, f.name, int, prefix="synthetic.") for f in fields(SyntheticState)))
+    return (typed_field(saved, "seq_counters", dict, {}, items=int), start,
+            typed_field(saved, "replay_line", int, 0))
+
+
 def run_connector(config: ConnectorConfig, staging: StagingStore) -> SessionSummary:
     """Generate or replay events, normalize, and append to staging.
 
@@ -261,15 +272,12 @@ def run_connector(config: ConnectorConfig, staging: StagingStore) -> SessionSumm
     appended = 0
     last_offset = -1
     with staging.open_session(config.connector_id) as session:
-        saved = session.load_state() or {}
-        counters = _SequenceCounters(saved.get("seq_counters"))
+        seq_counters, start, replay_line = session.load_state(_read_resume) or ({}, None, 0)
+        counters = _SequenceCounters(seq_counters)
 
         if config.kind == "synthetic":
-            state = saved.get("synthetic")
-            start = SyntheticState(**state) if state else None
             steps = synthetic_steps(config, start)
         else:
-            replay_line = int(saved.get("replay_line", 0))
             steps = (([raw], None) for raw in replay_file(config.replay_path, replay_line))
 
         batch: list[MarketEvent] = []

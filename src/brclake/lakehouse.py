@@ -81,17 +81,43 @@ class Snapshot:
     live_files: dict[str, AddFile] = field(default_factory=dict)
     schema_id: str = ""
 
-    def apply(self, entry: LogEntry) -> None:
+    def check(self, entry: LogEntry) -> None:
+        """The one rule for log entries, which folds and commits share: the
+        entry is the next version; each add_file has rows >= 1, min <= max
+        event time and a path not yet live; each remove_file names a live
+        path; no path appears twice; set_schema only at init (version 1).
+        A breach raises CorruptLog naming the version (and path)."""
         if entry.version != self.version + 1:
             raise CorruptLog(entry.version, f"does not follow version {self.version}")
+        touched: set[str] = set()
+        for action in entry.actions:
+            if isinstance(action, SetSchema):
+                if entry.version != 1:
+                    raise CorruptLog(entry.version, "set_schema is only valid at table init")
+                continue
+            if action.path in touched:
+                raise CorruptLog(entry.version, f"touches path {action.path} twice", action.path)
+            touched.add(action.path)
+            if isinstance(action, RemoveFile):
+                if action.path not in self.live_files:
+                    raise CorruptLog(entry.version, f"removes non-live path {action.path}", action.path)
+            elif action.path in self.live_files:
+                raise CorruptLog(entry.version, f"adds live path {action.path}", action.path)
+            elif action.rows < 1:
+                raise CorruptLog(entry.version, f"add_file {action.path}: rows must be >= 1", action.path)
+            elif action.min_event_time_us > action.max_event_time_us:
+                raise CorruptLog(entry.version, f"add_file {action.path}: min > max event time",
+                                 action.path)
+
+    def apply(self, entry: LogEntry) -> None:
+        """Fold entry onto the snapshot; it is checked first, so an entry
+        that breaks the rule changes nothing."""
+        self.check(entry)
         for action in entry.actions:
             if isinstance(action, AddFile):
-                if action.path in self.live_files:
-                    raise CorruptLog(entry.version, f"adds live path {action.path}", action.path)
                 self.live_files[action.path] = action
             elif isinstance(action, RemoveFile):
-                if self.live_files.pop(action.path, None) is None:
-                    raise CorruptLog(entry.version, f"removes non-live path {action.path}", action.path)
+                del self.live_files[action.path]
             else:
                 self.schema_id = action.schema_id
         self.version = entry.version
@@ -257,34 +283,17 @@ class LakeTable:
             raise AlreadyInitialized(f"table {self.table_id!r} already has a log")
         return entry
 
-    def _validate(self, snapshot: Snapshot, actions: list[Action]) -> None:
-        added: set[str] = set()
-        removed: set[str] = set()
-        for action in actions:
-            if isinstance(action, AddFile):
-                if action.rows < 1:
-                    raise InvalidAction(f"add_file {action.path}: rows must be >= 1")
-                if action.min_event_time_us > action.max_event_time_us:
-                    raise InvalidAction(f"add_file {action.path}: min > max event time")
-                if action.path in snapshot.live_files or action.path in added:
-                    raise InvalidAction(f"add_file {action.path}: path already live")
-                added.add(action.path)
-            elif isinstance(action, RemoveFile):
-                if action.path not in snapshot.live_files or action.path in removed:
-                    raise InvalidAction(f"remove_file {action.path}: not live")
-                removed.add(action.path)
-            else:
-                raise InvalidAction("set_schema is only valid at table init")
-
     def commit(
         self,
         actions: list[Action],
         committer: str = DEFAULT_COMMITTER,
         max_retries: int = 10,
     ) -> LogEntry:
-        """Validate against the current snapshot and append the next version.
+        """Check the entry against the current snapshot with the fold's rule
+        (``Snapshot.check``; a breach is InvalidAction) and append it as the
+        next version.
 
-        On a conditional-put collision the commit re-reads, re-validates
+        On a conditional-put collision the commit re-reads, re-checks
         against the new snapshot (rebase), and retries; disjoint concurrent
         adds always merge, while removing an already-removed file fails.
         """
@@ -292,7 +301,6 @@ class LakeTable:
             raise InvalidAction("commit requires at least one action")
         for _ in range(max_retries):
             version = self.current_version()
-            self._validate(self._cache, actions)
             entry = LogEntry(
                 version=version + 1,
                 parent=version,
@@ -300,6 +308,10 @@ class LakeTable:
                 actions=list(actions),
                 committer=committer,
             )
+            try:
+                self._cache.check(entry)
+            except CorruptLog as exc:
+                raise InvalidAction(exc.detail) from None
             try:
                 self.store.put(self._entry_key(entry.version), entry_to_bytes(entry), if_none_match=True)
                 return entry

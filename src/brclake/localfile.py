@@ -1,7 +1,8 @@
 """Crash-safe local files shared by staging and the scheduler: a pid-file
 lock for the single writer, durable line appends, and torn-tail repair.
 
-A lock file holds ``{"pid", "token"}`` and is created with O_EXCL; a lock
+A lock file holds ``{"pid", "token"}`` and appears whole: it is a hard link
+of a file already holding that body, made only if no lock exists. A lock
 whose pid is no longer alive is stale and is stolen. An append is one
 buffered write + flush + fsync, so a crash can tear at most the final line
 of an append-only file. Readers see only newline-terminated lines, and the
@@ -40,11 +41,17 @@ def acquire_lock(path: Path, what: str) -> str:
     dead process is stolen; one held by a live process raises
     SessionLockHeld naming ``what``."""
     token = secrets.token_hex(8)
-    body = json.dumps({"pid": os.getpid(), "token": token}).encode()
-    for _ in range(4):
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
+    # A contender must never read a lock still being written, which it would
+    # take for stale, so the lock appears as a link of a complete file.
+    body_path = path.with_name(f"{path.name}.{token}")
+    body_path.write_text(json.dumps({"pid": os.getpid(), "token": token}))
+    try:
+        for _ in range(4):
+            try:
+                os.link(body_path, path)
+                return token
+            except FileExistsError:
+                pass
             try:
                 holder = json.loads(path.read_text())
             except (OSError, ValueError):
@@ -55,10 +62,8 @@ def acquire_lock(path: Path, what: str) -> str:
                 os.unlink(path)  # stale: previous holder is gone
             except FileNotFoundError:
                 pass
-            continue
-        with os.fdopen(fd, "wb") as f:
-            f.write(body)
-        return token
+    finally:
+        os.unlink(body_path)
     raise SessionLockHeld(f"could not acquire lock for {what}")
 
 

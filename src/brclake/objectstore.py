@@ -70,22 +70,26 @@ class FsStore:
         return self._objects / validate_key(key)
 
     def put(self, key: str, data: bytes, if_none_match: bool = False) -> ObjectMeta:
+        """Store data at key. A key that a filesystem cannot hold beside the
+        existing keys (below an object, or onto a directory of keys, both of
+        which S3 allows) raises InvalidKey."""
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self._tmp / f"put-{secrets.token_hex(8)}"
         try:
+            path.parent.mkdir(parents=True, exist_ok=True)
             with open(tmp, "wb") as f:
                 f.write(data)
                 f.flush()
                 os.fsync(f.fileno())
             if if_none_match:
-                try:
-                    os.link(tmp, path)  # atomic no-replace
-                except FileExistsError:
-                    raise PreconditionFailed(key)
+                os.link(tmp, path)  # atomic no-replace
             else:
                 os.replace(tmp, path)
                 tmp = None
+        except (FileExistsError, IsADirectoryError, NotADirectoryError):
+            if if_none_match and path.is_file():
+                raise PreconditionFailed(key)
+            raise InvalidKey(key, f"key {key!r} collides with a key or key prefix in the store")
         finally:
             if tmp is not None:
                 try:
@@ -107,8 +111,8 @@ class FsStore:
     def delete(self, key: str) -> None:
         try:
             os.unlink(self._path(key))
-        except FileNotFoundError:
-            pass
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+            pass  # absent, or only a prefix of other keys: a no-op, as on S3
 
     def list(self, prefix: str = "") -> list[ObjectMeta]:
         """Objects whose keys start with prefix. Only the deepest directory

@@ -13,7 +13,8 @@ from __future__ import annotations
 import heapq
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import groupby
 from typing import Iterable, Iterator
 
 from .errors import ConfigInvalid, NonTradeEvent, SinkError
@@ -72,82 +73,42 @@ class OhlcvBar:
 
 
 def ohlcv(events: Iterable[MarketEvent], width_us: int) -> list[OhlcvBar]:
-    """Fixed-width buckets over a sorted trade stream; empty buckets omitted."""
+    """Fixed-width buckets over a sorted trade stream; empty buckets omitted.
+    Each run of trades in one bucket folds into one bar."""
     if width_us <= 0:
         raise ConfigInvalid("ohlcv", "bucket width must be positive")
     bars: list[OhlcvBar] = []
-    current: dict | None = None
-    for event in events:
-        if event.stream != "trade":
-            raise NonTradeEvent(f"ohlcv over stream {event.stream!r}")
-        bucket = event.event_time_us // width_us * width_us
-        if current is None or current["bucket"] != bucket:
-            if current is not None:
-                bars.append(_close_bar(current))
-            current = {
-                "bucket": bucket,
-                "open": event.price_e8,
-                "high": event.price_e8,
-                "low": event.price_e8,
-                "close": event.price_e8,
-                "volume": event.qty_e8,
-                "count": 1,
-            }
-        else:
-            current["high"] = max(current["high"], event.price_e8)
-            current["low"] = min(current["low"], event.price_e8)
-            current["close"] = event.price_e8
-            current["volume"] += event.qty_e8
-            current["count"] += 1
-    if current is not None:
-        bars.append(_close_bar(current))
+    for bucket, group in groupby(_trades(events), key=lambda e: e.event_time_us // width_us * width_us):
+        trades = list(group)
+        prices = [e.price_e8 for e in trades]
+        bars.append(OhlcvBar(bucket, prices[0], max(prices), min(prices), prices[-1],
+                             sum(e.qty_e8 for e in trades), len(trades)))
     return bars
 
 
-def _close_bar(acc: dict) -> OhlcvBar:
-    return OhlcvBar(
-        bucket_start_us=acc["bucket"],
-        open_e8=acc["open"],
-        high_e8=acc["high"],
-        low_e8=acc["low"],
-        close_e8=acc["close"],
-        volume_e8=acc["volume"],
-        trade_count=acc["count"],
-    )
+def _trades(events: Iterable[MarketEvent]) -> Iterator[MarketEvent]:
+    for event in events:
+        if event.stream != "trade":
+            raise NonTradeEvent(f"ohlcv over stream {event.stream!r}")
+        yield event
 
 
 # -- export --------------------------------------------------------------------------
 
 EVENT_HEADER = [name for name, _ in TABLE_COLUMNS]
-BAR_HEADER = ["bucket_start_us", "open_e8", "high_e8", "low_e8", "close_e8",
-              "volume_e8", "trade_count"]
+BAR_HEADER = [f.name for f in fields(OhlcvBar)]
 
 
-def _render_event(event: MarketEvent) -> dict[str, str | int]:
-    return {
-        "event_time_us": us_to_iso(event.event_time_us),
-        "ingest_time_us": us_to_iso(event.ingest_time_us),
-        "source": event.source,
-        "stream": event.stream,
-        "symbol": event.symbol,
-        "sequence": event.sequence,
-        "event_id": event.event_id,
-        "price_e8": format_e8(event.price_e8),
-        "qty_e8": format_e8(event.qty_e8),
-        "side": event.side,
-    }
+def _render_event(event: MarketEvent) -> tuple[str | int, ...]:
+    return (us_to_iso(event.event_time_us), us_to_iso(event.ingest_time_us),
+            event.source, event.stream, event.symbol, event.sequence, event.event_id,
+            format_e8(event.price_e8), format_e8(event.qty_e8), event.side)
 
 
-def _render_bar(bar: OhlcvBar) -> dict[str, str | int]:
-    return {
-        "bucket_start_us": us_to_iso(bar.bucket_start_us),
-        "open_e8": format_e8(bar.open_e8),
-        "high_e8": format_e8(bar.high_e8),
-        "low_e8": format_e8(bar.low_e8),
-        "close_e8": format_e8(bar.close_e8),
-        "volume_e8": format_e8(bar.volume_e8),
-        "trade_count": bar.trade_count,
-    }
+def _render_bar(bar: OhlcvBar) -> tuple[str | int, ...]:
+    return (us_to_iso(bar.bucket_start_us), format_e8(bar.open_e8), format_e8(bar.high_e8),
+            format_e8(bar.low_e8), format_e8(bar.close_e8), format_e8(bar.volume_e8),
+            bar.trade_count)
 
 
 def _csv_field(value: str | int) -> str:
@@ -158,12 +119,13 @@ def _csv_field(value: str | int) -> str:
 
 
 def export_rows(
-    rows: Iterable[dict[str, str | int]],
+    rows: Iterable[tuple[str | int, ...]],
     header: list[str],
     fmt: str,
     sink: io.IOBase,
 ) -> int:
-    """Write rendered rows as CSV (header + LF lines) or JSONL; returns count."""
+    """Write rendered rows, whose values follow header, as CSV (header + LF
+    lines) or JSONL; returns count."""
     if fmt not in ("csv", "jsonl"):
         raise ConfigInvalid("format", f"unknown format {fmt!r}; want csv or jsonl")
     count = 0
@@ -171,11 +133,11 @@ def export_rows(
         if fmt == "csv":
             sink.write((",".join(header) + "\n").encode())
             for row in rows:
-                sink.write((",".join(_csv_field(row[h]) for h in header) + "\n").encode())
+                sink.write((",".join(map(_csv_field, row)) + "\n").encode())
                 count += 1
         else:
             for row in rows:
-                sink.write((json.dumps(row, sort_keys=True) + "\n").encode())
+                sink.write((json.dumps(dict(zip(header, row)), sort_keys=True) + "\n").encode())
                 count += 1
     except OSError as exc:
         raise SinkError(str(exc))

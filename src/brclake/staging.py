@@ -6,6 +6,7 @@ On-disk layout, one directory per connector under the staging root:
     {connector_id}/checkpoint.json                exporter's committed offset
     {connector_id}/connector_state.json           connector resume state
     {connector_id}/lock                           single-writer session lock
+    {connector_id}/export.lock                    single-exporter lock
 
 Record lines are JSON objects: MarketEvent fields plus "offset". Offsets are
 dense per connector, starting at 0; a segment holds at most
@@ -19,6 +20,10 @@ run logs use too.
 A drain lists a connector's segments once and reads each segment it needs
 once, finding the tail from what it read; a checkpoint commit reads the
 newest segment once more to check the checkpoint against the tail.
+
+A checkpoint, connector state or record line that cannot be read back is
+CorruptStaging naming its file (and line). Record lines are parsed without
+checks of their own: only a failed parse is turned into the typed error.
 """
 
 from __future__ import annotations
@@ -28,17 +33,23 @@ import json
 import os
 import secrets
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterator, TypeVar
 
 from .errors import (
     CheckpointRegression,
+    ConfigInvalid,
+    CorruptStaging,
     OffsetOutOfRange,
     StagingUnavailable,
     StorageFull,
 )
 from .events import MarketEvent
-from .localfile import acquire_lock, fsync_append, read_lines, release_lock, repair_tail
+from .localfile import acquire_lock, fsync_append, read_lines, release_lock, repair_tail, typed_field
+
+T = TypeVar("T")
 
 DEFAULT_MAX_SEGMENT_RECORDS = 10_000
 
@@ -56,6 +67,21 @@ def _fsync_write(path: Path, data: bytes) -> None:
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, path)
+
+
+def _read_json(path: Path, read: Callable[[dict], T]) -> T:
+    """read applied to the JSON object in the staging file at path. A file
+    that is not a JSON object, or a field that read (through
+    ``typed_field``) finds missing or ill-typed, raises CorruptStaging."""
+    try:
+        obj = json.loads(path.read_bytes())
+        if not isinstance(obj, dict):
+            raise ValueError("not a JSON object")
+        return read(obj)
+    except ConfigInvalid as exc:
+        raise CorruptStaging(str(path), f"field {exc.field!r} {exc.reason}")
+    except ValueError as exc:
+        raise CorruptStaging(str(path), str(exc))
 
 
 class StagingStore:
@@ -152,10 +178,15 @@ class StagingStore:
             lines = read_lines(path)
             end = start + len(lines)
             lo = max(0, offset - start)
-            for line in lines[lo:lo + max_records - len(out)]:
-                obj = json.loads(line)
-                rec_offset = obj.pop("offset")
-                out.append(StagedRecord(rec_offset, MarketEvent(**obj)))
+            before = len(out)
+            try:
+                for line in lines[lo:lo + max_records - len(out)]:
+                    obj = json.loads(line)
+                    rec_offset = obj.pop("offset")
+                    out.append(StagedRecord(rec_offset, MarketEvent(**obj)))
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                line_no = lo + len(out) - before + 1
+                raise CorruptStaging(str(path), f"not a staged record: {exc!r}", line_no)
             if len(out) >= max_records:
                 break
         # Segments are dense, so only the newest segment can end before
@@ -173,7 +204,7 @@ class StagingStore:
         path = self._checkpoint_path(connector_id)
         if not path.exists():
             return 0
-        return json.loads(path.read_text())["committed_offset"]
+        return _read_json(path, lambda obj: typed_field(obj, "committed_offset", int))
 
     def drain_batch(self, connector_id: str, max_records: int) -> tuple[list[StagedRecord], int]:
         """Records from the committed offset onward, plus the checkpoint to
@@ -203,11 +234,29 @@ class StagingStore:
         d.mkdir(parents=True, exist_ok=True)
         _fsync_write(d / "connector_state.json", json.dumps(state, sort_keys=True).encode())
 
-    def load_connector_state(self, connector_id: str) -> dict | None:
+    def load_connector_state(self, connector_id: str, read: Callable[[dict], T] = dict) -> T | None:
+        """read applied to the saved state, or None before the first save."""
         path = self._dir(connector_id) / "connector_state.json"
         if not path.exists():
             return None
-        return json.loads(path.read_text())
+        return _read_json(path, read)
+
+    # -- exporter lock -------------------------------------------------------------
+
+    @contextmanager
+    def exporter_lock(self, connector_id: str) -> Iterator[None]:
+        """Hold the connector's exporter lock for the body, so that one
+        exporter at a time drains the connector and commits its checkpoint.
+        A second exporter raises SessionLockHeld; the lock of a dead process
+        is stolen, and the body's exceptions release it."""
+        d = self._dir(connector_id)
+        d.mkdir(parents=True, exist_ok=True)
+        path = d / "export.lock"
+        token = acquire_lock(path, f"exporter of connector {connector_id!r}")
+        try:
+            yield
+        finally:
+            release_lock(path, token)
 
     # -- maintenance -------------------------------------------------------------
 
@@ -250,8 +299,8 @@ class StagingSession:
     def save_state(self, state: dict) -> None:
         self.store.save_connector_state(self.connector_id, state)
 
-    def load_state(self) -> dict | None:
-        return self.store.load_connector_state(self.connector_id)
+    def load_state(self, read: Callable[[dict], T]) -> T | None:
+        return self.store.load_connector_state(self.connector_id, read)
 
     def close(self) -> None:
         if self._open:

@@ -1,12 +1,14 @@
 import io
 import json
+import os
 import random
+import sys
 import threading
 
 import pytest
 
 from brclake import crashpoints, staging as staging_module
-from brclake.errors import ConfigInvalid
+from brclake.errors import ConfigInvalid, InvalidAction, SessionLockHeld
 from brclake.etl import (
     ROW_IDENTITY,
     ROW_ORDER,
@@ -157,6 +159,11 @@ def test_partition_key_midnight_boundaries(tmp_path):
 def test_parse_partition_round_trip():
     pk = PartitionKey("BTC-USD", "2021-03-04")
     assert parse_partition(pk.render()) == pk
+    for spec in ("symbol=/date=not-a-date", "symbol=btc-usd/date=2021-03-04",
+                 "symbol=BTC-USD/date=2021-02-30", "symbol=BTC-USD/date=20210304",
+                 "symbol=BTC-USD/date=2021-3-4", "symbol=BTC-USD/date="):
+        with pytest.raises(InvalidAction):
+            parse_partition(spec)
 
 
 # -- export_job -------------------------------------------------------------------------
@@ -224,6 +231,63 @@ def _crash_at(monkeypatch, site_name):
             raise _SimulatedCrash
 
     monkeypatch.setattr(crashpoints, "crashpoint", crash)
+
+
+def test_second_exporter_of_a_connector_is_refused(tmp_path, monkeypatch):
+    """Two exporters of one connector would both drain from the same
+    checkpoint and publish the batch twice; the second must be refused."""
+    store, staging, table = _env(tmp_path)
+    _stage(staging, _trades(100))
+    paused, release = threading.Event(), threading.Event()
+
+    def pause_first(site):
+        if site == "etl.pre_commit" and threading.current_thread() is first:
+            paused.set()
+            release.wait(30)
+
+    monkeypatch.setattr(crashpoints, "crashpoint", pause_first)
+    first = threading.Thread(target=export_job, args=(staging, store, table, "c"))
+    first.start()
+    try:
+        assert paused.wait(30)
+        with pytest.raises(SessionLockHeld):
+            export_job(staging, store, LakeTable(store, "trades"), "c")
+    finally:
+        release.set()
+        first.join(30)
+    assert not first.is_alive()
+    assert table.current_version() == 2
+    assert sum(a.rows for a in table.snapshot_at().live_files.values()) == 100
+    assert export_job(staging, store, table, "c").rows_published == 0  # lock released
+
+
+def test_racing_exporters_publish_each_record_once(tmp_path):
+    """More exporter threads than cores race for one connector with a short
+    switch interval; every record they publish is published once."""
+    store, staging, table = _env(tmp_path)
+    _stage(staging, _trades(300))
+    refused = []
+
+    def export():
+        try:
+            export_job(staging, store, LakeTable(store, "trades"), "c", max_records=15)
+        except SessionLockHeld:
+            refused.append(1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            threads = [threading.Thread(target=export) for _ in range(len(os.sched_getaffinity(0)) + 3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    live_rows = sum(a.rows for a in table.snapshot_at().live_files.values())
+    assert live_rows == staging.committed_offset("c") > 0
 
 
 def test_crash_between_commit_and_checkpoint_is_idempotent(tmp_path, monkeypatch):

@@ -19,6 +19,7 @@ from brclake.lakehouse import (
     LogEntry,
     PartitionKey,
     RemoveFile,
+    SetSchema,
     Snapshot,
     entry_to_bytes,
     list_files,
@@ -202,13 +203,19 @@ def test_fold_replay_reproduces_snapshot(script):
     (4, _add("b"), None),  # skips version 3
     (3, _add("a"), "a"),  # adds a live path again
     (3, RemoveFile("b"), "b"),  # removes a path that is not live
+    (3, _add("c", rows=0), "c"),  # commit refuses an empty file
+    (3, _add("c", lo=5, hi=4), "c"),  # min > max event time
+    (3, SetSchema("other", ()), None),  # a schema change after init
+    (3, [_add("new"), RemoveFile("ghost")], "ghost"),  # checked before any change
 ])
 def test_corrupt_log_fold_is_typed(version, action, path):
-    snapshot = Snapshot(version=1)
+    snapshot = Snapshot(version=1, schema_id="s")
     snapshot.apply(LogEntry(2, 1, 0, [_add("a")], "w"))
+    actions = action if isinstance(action, list) else [action]
     with pytest.raises(CorruptLog) as err:
-        snapshot.apply(LogEntry(version, version - 1, 0, [action], "w"))
+        snapshot.apply(LogEntry(version, version - 1, 0, actions, "w"))
     assert (err.value.version, err.value.path) == (version, path)
+    assert (snapshot.version, set(snapshot.live_files), snapshot.schema_id) == (2, {"a"}, "s")
 
 
 _GOOD_ENTRY = json.loads(entry_to_bytes(LogEntry(2, 1, 0, [_add("a")], "w")))

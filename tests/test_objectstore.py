@@ -86,6 +86,24 @@ def test_dot_segments_cannot_escape_the_store(tmp_path, key):
     assert [p for p in (tmp_path / "store").rglob("*") if p.is_file()] == []
 
 
+def test_key_below_or_over_another_key_is_typed(tmp_path):
+    """S3 holds "a/b" beside "a/b/c"; a filesystem cannot, so each such put
+    is InvalidKey, and deleting a key that is only a prefix does nothing."""
+    store = FsStore(tmp_path)
+    store.put("a/b", b"1")
+    for key in ("a/b/c", "a/b/c/d"):
+        with pytest.raises(InvalidKey):
+            store.put(key, b"2")
+    for if_none_match in (False, True):
+        with pytest.raises(InvalidKey):
+            store.put("a", b"3", if_none_match=if_none_match)
+    store.delete("a")
+    assert store.get("a/b") == b"1"
+    with pytest.raises(PreconditionFailed):
+        store.put("a/b", b"4", if_none_match=True)
+    assert [m.key for m in store.list()] == ["a/b"]
+
+
 def test_list_walks_only_the_prefix_directory(tmp_path, monkeypatch):
     store = FsStore(tmp_path)
     for key in ("t/a/data/x", "t/a/data/y", "t/a/other", "t/b/data/z", "u"):

@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brclake.errors import CheckpointRegression, OffsetOutOfRange, SessionLockHeld
+from brclake.errors import CheckpointRegression, CorruptStaging, OffsetOutOfRange, SessionLockHeld
+from brclake.ingest import run_connector
 from brclake.staging import StagingStore
 
-from conftest import make_event, run_optimized
+from conftest import make_config, make_event, run_optimized
 
 
 def _events(n, start=0):
@@ -164,6 +165,37 @@ def test_distinct_connectors_are_independent(tmp_path):
     s2.append_batch(_events(3))
     s1.close(), s2.close()
     assert store.tail_offset("a") == 2 and store.tail_offset("b") == 3
+
+
+# -- corrupt staging state ---------------------------------------------------------
+
+SEGMENT = "seg-00000000000000000000.jsonl"
+
+
+@pytest.mark.parametrize("name, content, reader, line_no", [
+    ("checkpoint.json", '{"committed_offset": "x"}', "drain", None),
+    ("checkpoint.json", "garbage", "drain", None),
+    ("checkpoint.json", "{}", "prune", None),
+    ("connector_state.json", '{"seq_counters": 5}', "ingest", None),
+    ("connector_state.json", '{"synthetic": {"a": 1}}', "ingest", None),
+    (SEGMENT, '{"x": 1}\n', "drain", 3),
+], ids=["string_offset", "not_json", "missing_offset", "counters_not_object",
+        "unknown_generator_field", "record_without_offset"])
+def test_corrupt_staging_state_is_typed(tmp_path, name, content, reader, line_no):
+    store = StagingStore(tmp_path)
+    with store.open_session("c") as session:
+        session.append_batch(_events(2))
+    path = tmp_path / "c" / name
+    with open(path, "a" if name == SEGMENT else "w") as f:
+        f.write(content)
+    with pytest.raises(CorruptStaging) as err:
+        if reader == "drain":
+            store.drain_batch("c", 100)
+        elif reader == "prune":
+            store.prune("c")
+        else:
+            run_connector(make_config(), store)
+    assert (err.value.path, err.value.line_no) == (str(path), line_no)
 
 
 # -- prune -----------------------------------------------------------------------------
