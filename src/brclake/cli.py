@@ -97,12 +97,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_WIDTH_RE = re.compile(r"^(\d{1,18})(ms|s|m|h|d)$")  # bounded: int() refuses > 4300 digits
+_WIDTH_RE = re.compile(r"(\d{1,18})(ms|s|m|h|d)")  # bounded: int() refuses > 4300 digits
 _WIDTH_US = {"ms": 1_000, "s": 1_000_000, "m": 60_000_000, "h": 3_600_000_000, "d": 86_400_000_000}
 
 
 def parse_bucket_width(text: str) -> int:
-    m = _WIDTH_RE.match(text)
+    m = _WIDTH_RE.fullmatch(text)
     if not m or int(m.group(1)) == 0:
         raise ConfigInvalid("ohlcv", f"bad bucket width {text!r}; want e.g. 1m, 30s, 500ms")
     return int(m.group(1)) * _WIDTH_US[m.group(2)]

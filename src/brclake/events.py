@@ -11,8 +11,9 @@ from .errors import BadDecimal, BadSide, ConfigInvalid, InvalidEvent
 from .fixedpoint import I64_MAX, I64_MIN
 from .localfile import load_json_config, typed_field
 
-SOURCE_RE = re.compile(r"^[a-z0-9_-]+$")
-SYMBOL_RE = re.compile(r"^[A-Z0-9]+-[A-Z0-9]+$")
+# Matched with fullmatch: a pattern ending in $ also matches before a final "\n".
+SOURCE_RE = re.compile(r"[a-z0-9_-]+")
+SYMBOL_RE = re.compile(r"[A-Z0-9]+-[A-Z0-9]+")
 
 STREAMS = ("trade", "quote", "book_snapshot")
 SIDES = ("buy", "sell", "na")
@@ -52,11 +53,11 @@ class MarketEvent:
         return (self.source, self.stream, self.symbol, self.event_id)
 
     def validate(self) -> None:
-        if not SOURCE_RE.match(self.source):
+        if not SOURCE_RE.fullmatch(self.source):
             raise InvalidEvent("source", f"bad source {self.source!r}")
         if self.stream not in STREAMS:
             raise InvalidEvent("stream", f"bad stream {self.stream!r}")
-        if not SYMBOL_RE.match(self.symbol):
+        if not SYMBOL_RE.fullmatch(self.symbol):
             raise InvalidEvent("symbol", f"bad symbol {self.symbol!r}")
         try:
             self.event_id.encode()
@@ -116,12 +117,12 @@ class ConnectorConfig:
             raise ConfigInvalid("connector_id", "must be non-empty")
         if self.kind not in ("synthetic", "replay"):
             raise ConfigInvalid("kind", f"unknown connector kind {self.kind!r}")
-        if not SOURCE_RE.match(self.source):
+        if not SOURCE_RE.fullmatch(self.source):
             raise ConfigInvalid("source", f"{self.source!r} must match [a-z0-9_-]+")
         if not self.symbols:
             raise ConfigInvalid("symbols", "at least one symbol mapping required")
         for raw, normalized in self.symbols.items():
-            if not SYMBOL_RE.match(normalized):
+            if not SYMBOL_RE.fullmatch(normalized):
                 raise ConfigInvalid("symbols", f"{raw!r} maps to non-canonical {normalized!r}")
         if not 0 <= self.dup_prob_bp <= 10_000:
             raise ConfigInvalid("dup_prob_bp", "must be within [0, 10000]")

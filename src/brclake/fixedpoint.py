@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from datetime import datetime, timedelta, timezone
+from functools import lru_cache
 
 from .errors import BadDecimal
 
@@ -61,8 +62,11 @@ _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 def us_to_iso(us: int) -> str:
     """Microseconds UTC -> ISO8601 with microsecond precision and Z suffix."""
-    dt = _EPOCH + timedelta(microseconds=us)
-    return f"{dt:%Y-%m-%dT%H:%M:%S}.{dt.microsecond:06d}Z"
+    day, us_of_day = divmod(us, US_PER_DAY)
+    s, micro = divmod(us_of_day, 1_000_000)
+    m, s = divmod(s, 60)
+    h, m = divmod(m, 60)
+    return f"{_day_to_date(day)}T{h:02d}:{m:02d}:{s:02d}.{micro:06d}Z"
 
 
 def iso_to_us(text: str) -> int:
@@ -83,5 +87,11 @@ def iso_to_us(text: str) -> int:
 
 def us_to_date(us: int) -> str:
     """UTC calendar date of a microsecond timestamp, rendered YYYY-MM-DD."""
-    day = us // US_PER_DAY
+    return _day_to_date(us // US_PER_DAY)
+
+
+@lru_cache(maxsize=1024)
+def _day_to_date(day: int) -> str:
+    # Rows cluster in a few days, so each day's date is formatted once;
+    # datetime raises OverflowError outside the years 1-9999.
     return f"{_EPOCH + timedelta(days=day):%Y-%m-%d}"

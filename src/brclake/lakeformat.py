@@ -68,7 +68,7 @@ class ColumnSchema:
     physical_type: str
 
     def validate(self) -> None:
-        if not re.match(r"^[a-z_][a-z0-9_]*$", self.name):
+        if not re.fullmatch(r"[a-z_][a-z0-9_]*", self.name):
             raise ValueError(f"bad column name {self.name!r}")
         if self.physical_type not in PHYSICAL_TYPES:
             raise ValueError(f"bad physical type {self.physical_type!r}")

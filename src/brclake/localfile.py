@@ -1,12 +1,17 @@
-"""Crash-safe local files shared by staging and the scheduler: a pid-file
-lock for the single writer, durable line appends, and torn-tail repair.
+"""Crash-safe local files shared by staging and the scheduler: a lock for
+the single writer, durable line appends, and torn-tail repair.
 
-A lock file holds ``{"pid", "token"}`` and appears whole: it is a hard link
-of a file already holding that body, made only if no lock exists. A lock
-whose pid is no longer alive is stale and is stolen. An append is one
-buffered write + flush + fsync, so a crash can tear at most the final line
-of an append-only file. Readers see only newline-terminated lines, and the
-writer truncates a torn tail before its next append.
+A lock is an exclusive ``flock`` on the lock file, held by the open file
+that ``acquire_lock`` returns until it is closed. The kernel drops it when
+the holder's process dies, so a dead holder's lock is free to the next
+acquirer with no pid probe and nothing to steal; and as every acquirer
+locks the same file, which is never unlinked, two cannot both hold it. The
+file's body, ``{"pid", "token"}`` of the latest holder, only names that
+holder in SessionLockHeld. The lock is per open file, so two threads of one
+process exclude each other too. An append is one buffered write + flush +
+fsync, so a crash can tear at most the final line of an append-only file.
+Readers see only newline-terminated lines, and the writer truncates a torn
+tail before its next append.
 
 Operators' JSON files (app, connector, DAG and scenario configs) are read by
 ``load_json_config`` and their fields by ``typed_field``, so every way such a
@@ -15,65 +20,40 @@ file can be wrong is ConfigInvalid.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import secrets
 from pathlib import Path
-from typing import Any, Callable, TypeVar
+from typing import Any, BinaryIO, Callable, TypeVar
 
 from .errors import ConfigInvalid, SessionLockHeld
 
 T = TypeVar("T")
 
 
-def _alive(pid: int) -> bool:
+def acquire_lock(path: Path, what: str) -> BinaryIO:
+    """Lock the file at path, creating it if needed, and return the open
+    file that holds the lock; closing it releases the lock. A lock held by
+    another open file, in this process or another, raises SessionLockHeld
+    naming ``what``."""
+    f = os.fdopen(os.open(path, os.O_RDWR | os.O_CREAT, 0o666), "r+b")
     try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    return True
-
-
-def acquire_lock(path: Path, what: str) -> str:
-    """Create the lock file at path and return its token. A lock left by a
-    dead process is stolen; one held by a live process raises
-    SessionLockHeld naming ``what``."""
-    token = secrets.token_hex(8)
-    # A contender must never read a lock still being written, which it would
-    # take for stale, so the lock appears as a link of a complete file.
-    body_path = path.with_name(f"{path.name}.{token}")
-    body_path.write_text(json.dumps({"pid": os.getpid(), "token": token}))
-    try:
-        for _ in range(4):
-            try:
-                os.link(body_path, path)
-                return token
-            except FileExistsError:
-                pass
-            try:
-                holder = json.loads(path.read_text())
-            except (OSError, ValueError):
-                holder = None
-            if holder and _alive(holder["pid"]):
-                raise SessionLockHeld(f"{what} locked by pid {holder['pid']}")
-            try:
-                os.unlink(path)  # stale: previous holder is gone
-            except FileNotFoundError:
-                pass
-    finally:
-        os.unlink(body_path)
-    raise SessionLockHeld(f"could not acquire lock for {what}")
-
-
-def release_lock(path: Path, token: str) -> None:
-    """Remove the lock file if it still holds token."""
-    try:
-        if json.loads(path.read_text()).get("token") == token:
-            os.unlink(path)
-    except (OSError, ValueError):
-        pass
+        fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        try:
+            holder = f"pid {json.loads(f.read())['pid']}"
+        except (ValueError, KeyError, TypeError):  # the holder is still writing its body
+            holder = "another holder"
+        f.close()
+        raise SessionLockHeld(f"{what} locked by {holder}")
+    except BaseException:
+        f.close()
+        raise
+    f.truncate()
+    f.write(json.dumps({"pid": os.getpid(), "token": secrets.token_hex(8)}).encode())
+    f.flush()
+    return f
 
 
 def fsync_append(path: Path, data: bytes) -> None:

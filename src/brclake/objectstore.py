@@ -34,7 +34,7 @@ from .errors import (
 )
 from .sigv4 import EMPTY_PAYLOAD_SHA256, sign_request_v4, uri_encode_path
 
-_SEGMENT_RE = re.compile(r"^[A-Za-z0-9._=-]+$")
+_SEGMENT_RE = re.compile(r"[A-Za-z0-9._=-]+")
 MAX_KEY_BYTES = 900
 
 
@@ -44,7 +44,7 @@ def validate_key(key: str) -> str:
     if len(key.encode()) > MAX_KEY_BYTES:
         raise InvalidKey(key, f"key exceeds {MAX_KEY_BYTES} bytes")
     for segment in key.split("/"):
-        if not _SEGMENT_RE.match(segment) or segment in (".", ".."):
+        if not _SEGMENT_RE.fullmatch(segment) or segment in (".", ".."):
             raise InvalidKey(key, f"bad segment {segment!r}")
     return key
 

@@ -24,7 +24,7 @@ from .errors import (
     CycleDetected,
 )
 from .fixedpoint import US_PER_DAY
-from .localfile import acquire_lock, fsync_append, load_json_config, release_lock, repair_tail, typed_field
+from .localfile import acquire_lock, fsync_append, load_json_config, repair_tail, typed_field
 
 PENDING = "Pending"
 QUEUED = "Queued"
@@ -470,11 +470,10 @@ class Scheduler:
         self.registry = registry
         self.clock = clock or WallClock()
         self.runs_root.mkdir(parents=True, exist_ok=True)
-        self._lock = self.runs_root / "lock"
-        self._token = acquire_lock(self._lock, f"scheduler runs root {self.runs_root}")
+        self._lock = acquire_lock(self.runs_root / "lock", f"scheduler runs root {self.runs_root}")
 
     def close(self) -> None:
-        release_lock(self._lock, self._token)
+        self._lock.close()
 
     def __enter__(self) -> "Scheduler":
         return self

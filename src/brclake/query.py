@@ -129,11 +129,18 @@ def export_rows(
     if fmt not in ("csv", "jsonl"):
         raise ConfigInvalid("format", f"unknown format {fmt!r}; want csv or jsonl")
     count = 0
+    separators = len(header) - 1
     try:
         if fmt == "csv":
             sink.write((",".join(header) + "\n").encode())
             for row in rows:
-                sink.write((",".join(map(_csv_field, row)) + "\n").encode())
+                # Quoting is checked once per line: only a field holding a
+                # comma, quote, CR or LF needs it, and a comma shows as one
+                # separator too many.
+                line = ",".join(map(str, row))
+                if line.count(",") > separators or '"' in line or "\n" in line or "\r" in line:
+                    line = ",".join(map(_csv_field, row))
+                sink.write((line + "\n").encode())
                 count += 1
         else:
             for row in rows:

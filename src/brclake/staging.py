@@ -36,7 +36,7 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, TypeVar
+from typing import BinaryIO, Callable, Iterator, TypeVar
 
 from .errors import (
     CheckpointRegression,
@@ -47,7 +47,7 @@ from .errors import (
     StorageFull,
 )
 from .events import MarketEvent
-from .localfile import acquire_lock, fsync_append, read_lines, release_lock, repair_tail, typed_field
+from .localfile import acquire_lock, fsync_append, read_lines, repair_tail, typed_field
 
 T = TypeVar("T")
 
@@ -126,15 +126,19 @@ class StagingStore:
     def open_session(self, connector_id: str) -> "StagingSession":
         """Acquire the single-writer lock for a connector.
 
-        A lock file left behind by a dead process is stolen; a lock held by a
-        live process raises SessionLockHeld.
+        The lock dies with its holder's process; a lock held by a live
+        session raises SessionLockHeld.
         """
         d = self._dir(connector_id)
         d.mkdir(parents=True, exist_ok=True)
-        token = acquire_lock(d / "lock", f"connector {connector_id!r}")
-        segs = self._segments(connector_id)
-        active = (segs[-1][0], len(repair_tail(segs[-1][1]))) if segs else (0, 0)
-        return StagingSession(self, connector_id, token, active)
+        lock = acquire_lock(d / "lock", f"connector {connector_id!r}")
+        try:
+            segs = self._segments(connector_id)
+            active = (segs[-1][0], len(repair_tail(segs[-1][1]))) if segs else (0, 0)
+        except BaseException:
+            lock.close()
+            raise
+        return StagingSession(self, connector_id, lock, active)
 
     def _append(
         self, connector_id: str, events: list[MarketEvent], active: tuple[int, int]
@@ -247,16 +251,12 @@ class StagingStore:
     def exporter_lock(self, connector_id: str) -> Iterator[None]:
         """Hold the connector's exporter lock for the body, so that one
         exporter at a time drains the connector and commits its checkpoint.
-        A second exporter raises SessionLockHeld; the lock of a dead process
-        is stolen, and the body's exceptions release it."""
+        A second exporter raises SessionLockHeld; the lock dies with its
+        holder's process, and the body's exceptions release it."""
         d = self._dir(connector_id)
         d.mkdir(parents=True, exist_ok=True)
-        path = d / "export.lock"
-        token = acquire_lock(path, f"exporter of connector {connector_id!r}")
-        try:
+        with acquire_lock(d / "export.lock", f"exporter of connector {connector_id!r}"):
             yield
-        finally:
-            release_lock(path, token)
 
     # -- maintenance -------------------------------------------------------------
 
@@ -279,10 +279,10 @@ class StagingStore:
 class StagingSession:
     """Holder of a connector's single-writer lock; releases on close/exit."""
 
-    def __init__(self, store: StagingStore, connector_id: str, token: str, active: tuple[int, int]):
+    def __init__(self, store: StagingStore, connector_id: str, lock: BinaryIO, active: tuple[int, int]):
         self.store = store
         self.connector_id = connector_id
-        self._token = token
+        self._lock = lock
         self._open = True
         self._active = active  # (start_offset, record_count) of the newest segment
 
@@ -304,7 +304,7 @@ class StagingSession:
 
     def close(self) -> None:
         if self._open:
-            release_lock(self.store._dir(self.connector_id) / "lock", self._token)
+            self._lock.close()
             self._open = False
 
     def __enter__(self) -> "StagingSession":

@@ -159,6 +159,7 @@ _DAY = ["--from", "2021-01-01T00:00:00Z", "--to", "2021-01-02T00:00:00Z"]
     ["--from", "bad", "--to", "2021-01-02T00:00:00Z"],
     [*_DAY, "--ohlcv", "0s"],
     ["--from", "2021-01-01T00:00:00Z", "--to", "9999-12-31T23:00:00-05:00"],
+    [*_DAY, "--ohlcv", "1m\n"],
 ])
 def test_query_argument_errors_are_typed(tmp_path, args):
     assert _brc("lake", "init", "--table", "trades", data_root=tmp_path).returncode == 0

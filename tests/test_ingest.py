@@ -155,6 +155,8 @@ def test_normalize_unknown_symbol():
     ({"qty_e8": 0}, BadDecimal),
     ({"side": "na"}, BadSide),
     ({"stream": "quote", "side": "hold"}, BadSide),
+    ({"symbol": "BTC-USD\n"}, InvalidEvent),
+    ({"source": "syn\n"}, InvalidEvent),
 ])
 def test_event_validation_is_typed(fields, kind):
     with pytest.raises(kind):

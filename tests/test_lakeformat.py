@@ -258,6 +258,8 @@ def test_schema_violations():
         write_file([], SCHEMA)
     with pytest.raises(SchemaViolation):
         write_file([(2**63, b"x", True)], SCHEMA)
+    with pytest.raises(ValueError):
+        write_file([(1,)], [ColumnSchema("ts\n", INT64)])
 
 
 def test_corrupt_chunk_detected_by_crc():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from brclake.errors import ConfigInvalid, NonTradeEvent, NoSuchVersion
 from brclake.etl import TABLE_COLUMNS, event_from_row, export_all
-from brclake.fixedpoint import US_PER_DAY, iso_to_us, parse_decimal_e8
+from brclake.fixedpoint import US_PER_DAY, format_e8, iso_to_us, parse_decimal_e8
 from brclake.lakeformat import read_file
 from brclake.lakehouse import LakeTable, Snapshot, list_files
 from brclake.objectstore import FsStore
@@ -239,6 +239,37 @@ def test_csv_rendering_exact():
     assert lines[1] == ("2021-03-04T12:00:00.000000Z,2021-03-04T12:00:00.000000Z,"
                         "syn,trade,BTC-USD,7,c-7,12345.00000000,0.50000000,buy")
     assert lines[2] == ""
+
+
+def test_csv_quoting_and_times_match_reference_writer():
+    import csv
+    from datetime import datetime, timedelta, timezone
+
+    def iso(us):
+        dt = datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(microseconds=us)
+        return dt.strftime("%Y-%m-%dT%H:%M:%S.%fZ")
+
+    def reference_line(row):
+        # csv.writer quotes a lone CR only when CR is in its line terminator,
+        # so write with "\r\n" and swap the terminator for the export's "\n".
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        return buf.getvalue()[:-2] + "\n"
+
+    midnight = iso_to_us("2021-03-05T00:00:00Z")
+    ids = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rhere", '",\r\n', "ünïcödé-✓", ",,"]
+    events = [make_event(event_time_us=midnight + d, ingest_time_us=midnight - d,
+                         sequence=i, event_id=eid, side=("buy", "sell", "na")[i % 3])
+              for i, eid in enumerate(ids) for d in (-1, 0, 1)]
+    sink = io.BytesIO()
+    assert export_events(events, "csv", sink) == len(events)
+    expected = reference_line([name for name, _ in TABLE_COLUMNS])
+    for e in events:
+        expected += reference_line([iso(e.event_time_us), iso(e.ingest_time_us), e.source,
+                                    e.stream, e.symbol, e.sequence, e.event_id,
+                                    format_e8(e.price_e8), format_e8(e.qty_e8), e.side])
+    assert sink.getvalue() == expected.encode()
+    assert b"2021-03-04T23:59:59.999999Z,2021-03-05T00:00:00.000001Z" in sink.getvalue()
 
 
 def test_csv_header_only_for_empty():

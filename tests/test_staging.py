@@ -1,7 +1,10 @@
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brclake import localfile
 from brclake.errors import CheckpointRegression, CorruptStaging, OffsetOutOfRange, SessionLockHeld
 from brclake.ingest import run_connector
 from brclake.staging import StagingStore
@@ -156,6 +159,43 @@ def test_stale_lock_from_dead_pid_is_stolen(tmp_path):
     (tmp_path / "c").mkdir()
     (tmp_path / "c" / "lock").write_text('{"pid": 999999999, "token": "dead"}')
     store.open_session("c").close()
+
+
+def test_two_acquirers_of_a_stale_lock_do_not_both_hold_it(tmp_path, monkeypatch):
+    """Both acquirers find a dead holder's lock. An acquirer that probes the
+    holder's pid pauses there until both have read it, and the second goes
+    on only after the first has returned; exactly one may hold the lock."""
+    path = tmp_path / "lock"
+    path.write_text('{"pid": 999999999, "token": "dead"}')
+    both_read, first_done = threading.Barrier(2, timeout=10), threading.Event()
+
+    def dead_after_pause(pid):
+        both_read.wait()
+        if threading.current_thread().name == "second":
+            first_done.wait(10)
+        return False
+
+    monkeypatch.setattr(localfile, "_alive", dead_after_pause, raising=False)
+    held = {}
+
+    def acquire():
+        name = threading.current_thread().name
+        try:
+            held[name] = localfile.acquire_lock(path, "test")
+        except SessionLockHeld:
+            pass
+        finally:
+            if name == "first":
+                first_done.set()
+
+    threads = [threading.Thread(target=acquire, name=name) for name in ("first", "second")]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(30)
+    assert not any(t.is_alive() for t in threads)
+    assert len(held) == 1, f"held by {sorted(held)}"
+    held.popitem()[1].close()
 
 
 def test_distinct_connectors_are_independent(tmp_path):
