@@ -16,10 +16,10 @@ live, so an export fetches only files no earlier export through that handle
 has checked.
 
 From the drain on, an event travels as its encoded table row
-(``event_to_row``, once per drained record). Rows are grouped by
-(symbol, UTC day) into partitions, ordered by ``ROW_ORDER`` and deduplicated,
-in the batch and across batches, by ``ROW_IDENTITY``; both are defined here
-and nowhere else. Export and compaction write every data file through
+(``events.TABLE_COLUMNS``), which the drain decodes staged lines to. Rows
+are grouped by (symbol, UTC day) into partitions, ordered by ``ROW_ORDER``
+and deduplicated, in the batch and across batches, by ``ROW_IDENTITY``; both
+are defined here and nowhere else. Export and compaction write every data file through
 ``_publish``.
 """
 
@@ -31,27 +31,14 @@ from operator import itemgetter
 
 from . import crashpoints
 from .errors import ConfigInvalid, InvalidAction
-from .events import SYMBOL_RE, MarketEvent
+from .events import SYMBOL_RE, TABLE_COLUMNS, event_from_row  # noqa: F401 (event_from_row re-exported)
 from .fixedpoint import US_PER_DAY, us_to_date
-from .lakeformat import BYTES, INT64, ColumnSchema, read_file, write_file
+from .lakeformat import ColumnSchema, read_file, write_file
 from .lakehouse import AddFile, LakeTable, PartitionKey, RemoveFile
 from .localfile import typed_field
 from .staging import StagingStore
 
 SCHEMA_ID = "trades_v1"
-
-TABLE_COLUMNS: list[tuple[str, str]] = [
-    ("event_time_us", INT64),
-    ("ingest_time_us", INT64),
-    ("source", BYTES),
-    ("stream", BYTES),
-    ("symbol", BYTES),
-    ("sequence", INT64),
-    ("event_id", BYTES),
-    ("price_e8", INT64),
-    ("qty_e8", INT64),
-    ("side", BYTES),
-]
 
 TABLE_SCHEMA = [ColumnSchema(name, ptype) for name, ptype in TABLE_COLUMNS]
 
@@ -66,36 +53,6 @@ ROW_ORDER = itemgetter(*(_COLUMN_INDEX[name] for name in (
 # MarketEvent.identity over encoded rows, and the columns dedup reads for it.
 IDENTITY_COLUMNS = ["source", "stream", "symbol", "event_id"]
 ROW_IDENTITY = itemgetter(*(_COLUMN_INDEX[name] for name in IDENTITY_COLUMNS))
-
-
-def event_to_row(event: MarketEvent) -> tuple:
-    return (
-        event.event_time_us,
-        event.ingest_time_us,
-        event.source.encode(),
-        event.stream.encode(),
-        event.symbol.encode(),
-        event.sequence,
-        event.event_id.encode(),
-        event.price_e8,
-        event.qty_e8,
-        event.side.encode(),
-    )
-
-
-def event_from_row(row: tuple) -> MarketEvent:
-    return MarketEvent(
-        event_time_us=row[0],
-        ingest_time_us=row[1],
-        source=row[2].decode(),
-        stream=row[3].decode(),
-        symbol=row[4].decode(),
-        sequence=row[5],
-        event_id=row[6].decode(),
-        price_e8=row[7],
-        qty_e8=row[8],
-        side=row[9].decode(),
-    )
 
 
 def dedup(rows: list[tuple]) -> tuple[list[tuple], int]:
@@ -175,7 +132,7 @@ def export_job(
         if not records:
             return ExportResult(0, None, next_checkpoint, 0)
 
-        rows, dropped = dedup([event_to_row(record.event) for record in records])
+        rows, dropped = dedup([record.row for record in records])
         groups: dict[tuple[bytes, int], list[tuple]] = {}
         for row in rows:
             groups.setdefault((row[4], row[0] // US_PER_DAY), []).append(row)  # (symbol, UTC day)

@@ -1,14 +1,23 @@
-"""Raw and normalized market event records plus connector configuration."""
+"""Raw and normalized market event records, their encoded table row, plus
+connector configuration.
+
+``TABLE_COLUMNS`` is the one statement of the table's row layout: an event's
+encoded row (``event_to_row``) holds its fields in that order, text as UTF-8
+bytes. Staging decodes its lines straight to this row, and etl and query
+work on it from the drain to the scan.
+"""
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Any
 
 from .errors import BadDecimal, BadSide, ConfigInvalid, InvalidEvent
 from .fixedpoint import I64_MAX, I64_MIN
+from .lakeformat import BYTES, INT64
 from .localfile import load_json_config, typed_field
 
 # Matched with fullmatch: a pattern ending in $ also matches before a final "\n".
@@ -20,6 +29,25 @@ SIDES = ("buy", "sell", "na")
 
 # payload keys a raw event must carry, by stream kind
 REQUIRED_PAYLOAD = {"trade": ("price", "qty", "side", "id")}
+
+# The table's columns, in the order of an encoded row. MarketEvent has one
+# field per column: its BYTES columns are str fields, its INT64 columns int.
+TABLE_COLUMNS: list[tuple[str, str]] = [
+    ("event_time_us", INT64),
+    ("ingest_time_us", INT64),
+    ("source", BYTES),
+    ("stream", BYTES),
+    ("symbol", BYTES),
+    ("sequence", INT64),
+    ("event_id", BYTES),
+    ("price_e8", INT64),
+    ("qty_e8", INT64),
+    ("side", BYTES),
+]
+TEXT_FIELDS = tuple(name for name, ptype in TABLE_COLUMNS if ptype == BYTES)
+INT_FIELDS = tuple(name for name, ptype in TABLE_COLUMNS if ptype == INT64)
+_text_fields = attrgetter(*TEXT_FIELDS)
+_int_fields = attrgetter(*INT_FIELDS)
 
 
 @dataclass
@@ -53,6 +81,16 @@ class MarketEvent:
         return (self.source, self.stream, self.symbol, self.event_id)
 
     def validate(self) -> None:
+        texts, ints = _text_fields(self), _int_fields(self)
+        if set(map(type, texts)) != {str}:
+            name, value = next((n, v) for n, v in zip(TEXT_FIELDS, texts) if type(v) is not str)
+            raise InvalidEvent(name, f"{name} {value!r} is not a string")
+        if set(map(type, ints)) != {int} or min(ints) < I64_MIN or max(ints) > I64_MAX:
+            name, value = next((n, v) for n, v in zip(INT_FIELDS, ints)
+                               if type(v) is not int or not I64_MIN <= v <= I64_MAX)
+            if name in ("price_e8", "qty_e8"):
+                raise BadDecimal(name[:-3], f"{name[:-3]} {value!r} e-8 is not an int64")
+            raise InvalidEvent(name, f"{name} {value!r} is not an int64")
         if not SOURCE_RE.fullmatch(self.source):
             raise InvalidEvent("source", f"bad source {self.source!r}")
         if self.stream not in STREAMS:
@@ -63,15 +101,14 @@ class MarketEvent:
             self.event_id.encode()
         except UnicodeEncodeError:  # a lone surrogate, which a JSON escape can carry
             raise InvalidEvent("event_id", f"event id {self.event_id!r} is not valid UTF-8")
-        if not 0 < self.event_time_us <= I64_MAX:
+        if self.event_time_us <= 0:
             raise InvalidEvent("event_time_us", f"event time {self.event_time_us} not a positive int64")
-        if not 0 <= self.sequence <= I64_MAX:
+        if self.sequence < 0:
             raise InvalidEvent("sequence", f"sequence {self.sequence} not a non-negative int64")
-        for name, value in (("price", self.price_e8), ("qty", self.qty_e8)):
-            if not I64_MIN <= value <= I64_MAX:
-                raise BadDecimal(name, f"{name} {value} e-8 outside int64")
-            if self.stream == "trade" and value <= 0:
-                raise BadDecimal(name, f"trade {name} {value} e-8 not positive")
+        if self.stream == "trade":
+            for name, value in (("price", self.price_e8), ("qty", self.qty_e8)):
+                if value <= 0:
+                    raise BadDecimal(name, f"trade {name} {value} e-8 not positive")
         if self.side not in (("buy", "sell") if self.stream == "trade" else SIDES):
             raise BadSide(self.side)
 
@@ -81,6 +118,36 @@ class MarketEvent:
         # table rows sort the same way by etl.ROW_ORDER.
         return (self.event_time_us, self.sequence, self.event_id,
                 self.symbol, self.source, self.stream)
+
+
+def event_to_row(event: MarketEvent) -> tuple:
+    return (
+        event.event_time_us,
+        event.ingest_time_us,
+        event.source.encode(),
+        event.stream.encode(),
+        event.symbol.encode(),
+        event.sequence,
+        event.event_id.encode(),
+        event.price_e8,
+        event.qty_e8,
+        event.side.encode(),
+    )
+
+
+def event_from_row(row: tuple) -> MarketEvent:
+    return MarketEvent(
+        event_time_us=row[0],
+        ingest_time_us=row[1],
+        source=row[2].decode(),
+        stream=row[3].decode(),
+        symbol=row[4].decode(),
+        sequence=row[5],
+        event_id=row[6].decode(),
+        price_e8=row[7],
+        qty_e8=row[8],
+        side=row[9].decode(),
+    )
 
 
 @dataclass

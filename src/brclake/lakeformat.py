@@ -31,7 +31,9 @@ import re
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Any, Callable, Sequence
+from itertools import accumulate, groupby, islice
+from operator import add, le
+from typing import Any, Callable, Iterable, Sequence
 
 from .crc32c import crc32c
 from .errors import (
@@ -98,65 +100,42 @@ class FileFooter:
 
 _U32 = struct.Struct("<I")
 _I64 = struct.Struct("<q")
+_BOOL = struct.Struct("?")
+_U64_MOD = 1 << 64
+
+# One DELTA varint: up to nine continuation bytes and a final byte. A longer
+# run of continuation bytes leaves bytes no match covers.
+_VARINT = re.compile(rb"[\x80-\xff]{0,9}[\x00-\x7f]")
 
 
-def _zigzag(n: int) -> int:
-    return ((n << 1) ^ (n >> 63)) & ((1 << 64) - 1)
+_VALUE_TYPES = {INT64: {int}, BYTES: {bytes, bytearray}, BOOL: {bool}}
 
 
-def _unzigzag(u: int) -> int:
-    return (u >> 1) ^ -(u & 1)
+def _column_bounds(values: Sequence[Any], physical_type: str) -> tuple[Any, Any] | None:
+    """(min, max) of a non-empty column whose every value has its physical
+    type; None if any value does not. INT64 values are ints (not bools)
+    within int64, BYTES values bytes or bytearray, BOOL values bools."""
+    if not set(map(type, values)) <= _VALUE_TYPES[physical_type]:
+        return None
+    lo, hi = min(values), max(values)
+    if physical_type == INT64 and (lo < I64_MIN or hi > I64_MAX):
+        return None
+    return lo, hi
 
 
-def _wrap_i64(n: int) -> int:
-    return (n + 2**63) % 2**64 - 2**63
-
-
-def _varint_encode(u: int, out: bytearray) -> None:
-    while u >= 0x80:
-        out.append((u & 0x7F) | 0x80)
-        u >>= 7
-    out.append(u)
-
-
-def _varint_decode(data: bytes, pos: int) -> tuple[int, int]:
-    result = 0
-    shift = 0
-    start = pos
-    while True:
-        if pos >= len(data):
-            raise CorruptChunk("truncated varint")
-        if pos - start >= 10:
-            raise CorruptChunk("varint overflow")
-        b = data[pos]
-        pos += 1
-        result |= (b & 0x7F) << shift
-        if not b & 0x80:
-            break
-        shift += 7
-    if result >= 1 << 64:
-        raise CorruptChunk("varint overflow")
-    return result, pos
-
-
-def _check_value(value: Any, physical_type: str) -> bool:
+def _plain_values(values: Sequence[Any], physical_type: str) -> Iterable[bytes]:
+    """The PLAIN encoding of each value."""
     if physical_type == INT64:
-        return type(value) is int and I64_MIN <= value <= I64_MAX
-    if physical_type == BYTES:
-        return type(value) in (bytes, bytearray)
-    return type(value) is bool
+        return map(_I64.pack, values)
+    if physical_type == BOOL:
+        return map(_BOOL.pack, values)
+    return map(add, map(_U32.pack, map(len, values)), values)
 
 
 def _encode_plain(values: Sequence[Any], physical_type: str) -> bytes:
     if physical_type == INT64:
         return struct.pack(f"<{len(values)}q", *values)
-    if physical_type == BOOL:
-        return bytes(1 if v else 0 for v in values)
-    parts = []
-    for v in values:
-        parts.append(_U32.pack(len(v)))
-        parts.append(bytes(v))
-    return b"".join(parts)
+    return b"".join(_plain_values(values, physical_type))
 
 
 def _decode_plain(data: bytes, physical_type: str, count: int, pos: int = 0) -> tuple[list, int]:
@@ -199,44 +178,39 @@ def encode_column(values: Sequence[Any], physical_type: str, encoding: Encoding)
         return _encode_plain(values, physical_type)
 
     if encoding == Encoding.RLE:
-        out = bytearray()
-        i = 0
-        n = len(values)
-        while i < n:
-            j = i
-            while j < n and values[j] == values[i]:
-                j += 1
-            out += _U32.pack(j - i)
-            out += _encode_plain(values[i:i + 1], physical_type)
-            i = j
-        return bytes(out)
+        run_values, run_lengths = [], []
+        for value, run in groupby(values):
+            run_values.append(value)
+            run_lengths.append(_U32.pack(len(list(run))))
+        return b"".join(map(add, run_lengths, _plain_values(run_values, physical_type)))
 
     if encoding == Encoding.DICT:
-        index: dict[Any, int] = {}
-        order = []
-        codes = []
-        for v in values:
-            key = bytes(v) if physical_type == BYTES else v
-            code = index.get(key)
-            if code is None:
-                code = len(order)
-                index[key] = code
-                order.append(v)
-            codes.append(code)
+        keys = list(map(bytes, values)) if physical_type == BYTES else values
+        dictionary = list(dict.fromkeys(keys))  # first-occurrence order
+        codes = map({key: code for code, key in enumerate(dictionary)}.__getitem__, keys)
         return (
-            _U32.pack(len(order))
-            + _encode_plain(order, physical_type)
-            + struct.pack(f"<{len(codes)}I", *codes)
+            _U32.pack(len(dictionary))
+            + _encode_plain(dictionary, physical_type)
+            + struct.pack(f"<{len(keys)}I", *codes)
         )
 
-    # DELTA
+    # DELTA: each delta wrapped to int64, zigzagged and written as a varint
     if not values:
         return b""
     out = bytearray(_I64.pack(values[0]))
     prev = values[0]
-    for v in values[1:]:
-        _varint_encode(_zigzag(_wrap_i64(v - prev)), out)
-        prev = v
+    for value in islice(values, 1, None):
+        delta = value - prev
+        prev = value
+        if delta > I64_MAX:
+            delta -= _U64_MOD
+        elif delta < I64_MIN:
+            delta += _U64_MOD
+        u = delta << 1 if delta >= 0 else (-delta << 1) - 1
+        while u >= 0x80:
+            out.append((u & 0x7F) | 0x80)
+            u >>= 7
+        out.append(u)
     return bytes(out)
 
 
@@ -273,28 +247,44 @@ def decode_column(data: bytes, physical_type: str, encoding: Encoding, value_cou
             raise CorruptChunk("truncated DICT indices")
         codes = struct.unpack_from(f"<{value_count}I", data, pos)
         pos = end
-        values = []
-        for code in codes:
-            if code >= dict_size:
-                raise CorruptChunk(f"DICT index {code} >= dict size {dict_size}")
-            values.append(dictionary[code])
+        if codes and max(codes) >= dict_size:
+            raise CorruptChunk(f"DICT index {max(codes)} >= dict size {dict_size}")
+        values = list(map(dictionary.__getitem__, codes))
 
-    else:  # DELTA
-        if value_count == 0:
-            values, pos = [], 0
-        else:
-            if len(data) < 8:
-                raise CorruptChunk("truncated DELTA first value")
-            (prev,) = _I64.unpack_from(data, 0)
-            values = [prev]
-            pos = 8
-            for _ in range(value_count - 1):
-                u, pos = _varint_decode(data, pos)
-                prev = _wrap_i64(prev + _unzigzag(u))
-                values.append(prev)
+    elif value_count == 0:  # DELTA
+        values, pos = [], 0
+    else:
+        values = _decode_delta(data, value_count)
+        pos = len(data)
 
     if pos != len(data):
         raise CorruptChunk(f"{len(data) - pos} trailing bytes")
+    return values
+
+
+def _decode_delta(data: bytes, value_count: int) -> list[int]:
+    """The value_count values of a non-empty DELTA chunk: the first value,
+    then each value's varint delta from the one before."""
+    if len(data) < 8:
+        raise CorruptChunk("truncated DELTA first value")
+    varints = _VARINT.findall(data, 8)
+    if len(varints) != value_count - 1 or sum(map(len, varints)) != len(data) - 8:
+        raise CorruptChunk(f"DELTA chunk of {value_count} values does not hold "
+                           f"{value_count - 1} whole varints of at most 10 bytes")
+    deltas = []
+    for varint in varints:
+        u = 0
+        for b in reversed(varint):
+            u = (u << 7) | (b & 0x7F)
+        deltas.append((u >> 1) ^ -(u & 1))
+    if deltas and (max(deltas) > I64_MAX or min(deltas) < I64_MIN):  # the varint was >= 2**64
+        raise CorruptChunk("varint overflow")
+    (first,) = _I64.unpack_from(data, 0)
+    values = list(accumulate(deltas, initial=first))
+    if min(values) < I64_MIN or max(values) > I64_MAX:  # some delta wrapped around int64
+        values = [first]
+        for delta in deltas:
+            values.append((values[-1] + delta + 2**63) % _U64_MOD - 2**63)
     return values
 
 
@@ -304,22 +294,15 @@ def choose_encoding(values: Sequence[Any], physical_type: str) -> Encoding:
     n = len(values)
     if n == 0:
         return Encoding.PLAIN
-    if physical_type == INT64 and all(values[i] <= values[i + 1] for i in range(n - 1)):
+    if physical_type == INT64 and all(map(le, values, islice(values, 1, None))):
         return Encoding.DELTA
-    distinct = len(set(bytes(v) if physical_type == BYTES else v for v in values))
+    distinct = len(set(map(bytes, values) if physical_type == BYTES else values))
     if distinct <= max(1, n // 10):
         return Encoding.DICT if physical_type == BYTES else Encoding.RLE
     return Encoding.PLAIN
 
 
 # -- stats ----------------------------------------------------------------------------
-
-def _column_stats(values: Sequence[Any], physical_type: str) -> tuple[Any, Any]:
-    lo, hi = min(values), max(values)
-    if physical_type == BYTES:
-        return bytes(lo[:STATS_TRUNCATE_BYTES]), bytes(hi[:STATS_TRUNCATE_BYTES])
-    return lo, hi
-
 
 def _stat_to_json(value: Any, physical_type: str) -> Any:
     if physical_type == BYTES:
@@ -346,23 +329,15 @@ def write_file(rows: Sequence[Sequence[Any]], schema: Sequence[ColumnSchema]) ->
     if not rows:
         raise SchemaViolation(0, "", "row_count must be >= 1")
 
-    columns: list[list[Any]] = [[] for _ in schema]
-    for r, row in enumerate(rows):
-        if len(row) != len(schema):
-            raise SchemaViolation(r, "", f"row {r} has {len(row)} cells, schema has {len(schema)}")
-        for c, col in enumerate(schema):
-            v = row[c]
-            if not _check_value(v, col.physical_type):
-                raise SchemaViolation(r, col.name)
-            columns[c].append(v)
-
+    columns = _checked_columns(rows, schema)
     parts = [MAGIC]
     offset = len(MAGIC)
     chunks = []
-    for col, values in zip(schema, columns):
+    for col, (values, (lo, hi)) in zip(schema, columns):
         encoding = choose_encoding(values, col.physical_type)
         encoded = encode_column(values, col.physical_type, encoding)
-        lo, hi = _column_stats(values, col.physical_type)
+        if col.physical_type == BYTES:
+            lo, hi = lo[:STATS_TRUNCATE_BYTES], hi[:STATS_TRUNCATE_BYTES]
         chunks.append(
             {
                 "byte_length": len(encoded),
@@ -390,6 +365,25 @@ def write_file(rows: Sequence[Sequence[Any]], schema: Sequence[ColumnSchema]) ->
     parts.append(_U32.pack(len(footer_bytes)))
     parts.append(MAGIC)
     return b"".join(parts)
+
+
+def _checked_columns(rows: Sequence[Sequence[Any]], schema: Sequence[ColumnSchema]) -> list[tuple]:
+    """(values, (min, max)) of each column of rows. The first bad cell in
+    row-major order raises SchemaViolation: a row with the wrong number of
+    cells, or a value not of its column's physical type."""
+    width = len(schema)
+    ragged = None if set(map(len, rows)) == {width} else next(
+        r for r, row in enumerate(rows) if len(row) != width)
+    columns = list(zip(*(rows if ragged is None else rows[:ragged])))
+    bounds = [_column_bounds(values, col.physical_type) for col, values in zip(schema, columns)]
+    if None in bounds:
+        r, c = min((next(r for r, v in enumerate(values) if _column_bounds((v,), col.physical_type) is None), c)
+                   for c, (col, values) in enumerate(zip(schema, columns)) if bounds[c] is None)
+        raise SchemaViolation(r, schema[c].name)
+    if ragged is not None:
+        n = len(rows[ragged])
+        raise SchemaViolation(ragged, "", f"row {ragged} has {n} cells, schema has {width}")
+    return list(zip(columns, bounds))
 
 
 # -- file reader ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from itertools import groupby
 from typing import Iterable, Iterator
 
 from .errors import ConfigInvalid, NonTradeEvent, SinkError
-from .etl import ROW_ORDER, TABLE_COLUMNS, event_from_row
-from .events import MarketEvent
+from .etl import ROW_ORDER
+from .events import TABLE_COLUMNS, MarketEvent, event_from_row
 from .fixedpoint import format_e8, us_to_iso
 from .lakeformat import read_file
 from .lakehouse import LakeTable, list_files

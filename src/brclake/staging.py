@@ -8,22 +8,31 @@ On-disk layout, one directory per connector under the staging root:
     {connector_id}/lock                           single-writer session lock
     {connector_id}/export.lock                    single-exporter lock
 
-Record lines are JSON objects: MarketEvent fields plus "offset". Offsets are
-dense per connector, starting at 0; a segment holds at most
-``max_segment_records`` records and is immutable once full. Appends are a
-single buffered write + fsync, so a crash between operations never tears a
-batch; a torn trailing line from a crash inside a write is truncated the next
-time a writer session opens the connector. The session lock, the durable
-append and the torn-tail repair are the ``localfile`` helpers the scheduler's
-run logs use too.
+Record lines are JSON objects: MarketEvent fields plus "offset", keys sorted,
+written from one template (``_staged_line``) whose output equals
+``json.dumps({**vars(event), "offset": offset}, sort_keys=True)`` for every
+event that passes ``MarketEvent.validate``. Offsets are dense per connector,
+starting at 0; a segment holds at most ``max_segment_records`` records and is
+immutable once full. Appends are a single buffered write + fsync, so a crash
+between operations never tears a batch; a torn trailing line from a crash
+inside a write is truncated the next time a writer session opens the
+connector. The session lock, the durable append and the torn-tail repair are
+the ``localfile`` helpers the scheduler's run logs use too.
 
 A drain lists a connector's segments once and reads each segment it needs
 once, finding the tail from what it read; a checkpoint commit reads the
 newest segment once more to check the checkpoint against the tail.
 
-A checkpoint, connector state or record line that cannot be read back is
-CorruptStaging naming its file (and line). Record lines are parsed without
-checks of their own: only a failed parse is turned into the typed error.
+A drain decodes each record line straight to the event's encoded table row
+(``events.TABLE_COLUMNS`` order, text as UTF-8), without building a
+MarketEvent. Its lines are type-checked a column at a time over the drained
+batch: a line must hold exactly the staged keys, its text fields JSON
+strings and its numeric fields JSON integers within int64 (``true`` is not
+an integer).
+
+A checkpoint, connector state or record line that cannot be read back, or a
+record line that fails those checks, is CorruptStaging naming its file (and
+line).
 """
 
 from __future__ import annotations
@@ -34,9 +43,10 @@ import os
 import secrets
 from bisect import bisect_right
 from contextlib import contextmanager
-from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
+from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, TypeVar
+from typing import BinaryIO, Callable, Iterator, NamedTuple, TypeVar
 
 from .errors import (
     CheckpointRegression,
@@ -46,7 +56,8 @@ from .errors import (
     StagingUnavailable,
     StorageFull,
 )
-from .events import MarketEvent
+from .events import TABLE_COLUMNS, TEXT_FIELDS, MarketEvent, event_from_row
+from .fixedpoint import I64_MAX, I64_MIN
 from .localfile import acquire_lock, fsync_append, read_lines, repair_tail, typed_field
 
 T = TypeVar("T")
@@ -54,10 +65,56 @@ T = TypeVar("T")
 DEFAULT_MAX_SEGMENT_RECORDS = 10_000
 
 
-@dataclass(frozen=True)
-class StagedRecord:
+class StagedRecord(NamedTuple):
+    """A drained record: its staging offset and its encoded table row."""
+
     offset: int
-    event: MarketEvent
+    row: tuple
+
+    @property
+    def event(self) -> MarketEvent:
+        return event_from_row(self.row)
+
+
+def _staged_line(event: MarketEvent, offset: int) -> str:
+    """The record line of event at offset, keys in sorted order."""
+    e = event
+    return (f'{{"event_id": {_json_str(e.event_id)}, "event_time_us": {e.event_time_us}, '
+            f'"ingest_time_us": {e.ingest_time_us}, "offset": {offset}, "price_e8": {e.price_e8}, '
+            f'"qty_e8": {e.qty_e8}, "sequence": {e.sequence}, "side": {_json_str(e.side)}, '
+            f'"source": {_json_str(e.source)}, "stream": {_json_str(e.stream)}, '
+            f'"symbol": {_json_str(e.symbol)}}}\n')
+
+
+_DECODER = json.JSONDecoder()
+# A record line's values: its row's cells in TABLE_COLUMNS order, then its offset.
+_LINE_VALUES = itemgetter(*(name for name, _ in TABLE_COLUMNS), "offset")
+_LINE_KEYS = len(TABLE_COLUMNS) + 1
+_TEXT_CELLS = {i for i, (name, _) in enumerate(TABLE_COLUMNS) if name in TEXT_FIELDS}
+_FIELD_NAMES = [name for name, _ in TABLE_COLUMNS] + ["offset"]
+
+
+def _cells(column: tuple, cell: int) -> list | tuple | None:
+    """A column of line values as row cells: text encoded to UTF-8, numbers
+    as they are. None when a value fails its type check: text must be str
+    (and encodable), numbers int (not bool) within int64."""
+    types = set(map(type, column))
+    if cell in _TEXT_CELLS:
+        try:
+            return list(map(str.encode, column)) if types == {str} else None
+        except UnicodeEncodeError:  # a lone surrogate, which a JSON escape can carry
+            return None
+    if types != {int} or min(column) < I64_MIN or max(column) > I64_MAX:
+        return None
+    return column
+
+
+def _corrupt_line(sources: list[tuple[int, Path, int]], index: int, detail: str) -> CorruptStaging:
+    """CorruptStaging naming the file and line of the index-th line a read
+    took; sources holds (index of its first line taken, path, line index of
+    that line) per segment read."""
+    first, path, lo = sources[bisect_right([s[0] for s in sources], index) - 1]
+    return CorruptStaging(str(path), detail, lo + index - first + 1)
 
 
 def _fsync_write(path: Path, data: bytes) -> None:
@@ -155,10 +212,7 @@ class StagingStore:
                     active_count = 0
                     room = self.max_segment_records
                 chunk, remaining = remaining[:room], remaining[room:]
-                blob = b"".join(
-                    json.dumps({**vars(e), "offset": offset + i}, sort_keys=True).encode() + b"\n"
-                    for i, e in enumerate(chunk)
-                )
+                blob = "".join(map(_staged_line, chunk, range(offset, offset + len(chunk)))).encode()
                 fsync_append(self._segment_path(connector_id, active_start), blob)
                 offset += len(chunk)
                 active_count += len(chunk)
@@ -173,31 +227,43 @@ class StagingStore:
     def read_from(self, connector_id: str, offset: int, max_records: int) -> list[StagedRecord]:
         """Up to max_records records from offset on. Lists the connector's
         segments once and reads each segment it needs once; an offset past
-        the tail raises OffsetOutOfRange."""
+        the tail raises OffsetOutOfRange, and a line that is not a staged
+        record raises CorruptStaging."""
         segs = self._segments(connector_id)
         idx = max(0, bisect_right([start for start, _ in segs], offset) - 1)
-        out: list[StagedRecord] = []
+        values: list[tuple] = []  # _LINE_VALUES of each line read
+        sources: list[tuple[int, Path, int]] = []  # see _corrupt_line
         end = 0  # one past the last record of the segments read
         for start, path in segs[idx:]:
             lines = read_lines(path)
             end = start + len(lines)
             lo = max(0, offset - start)
-            before = len(out)
-            try:
-                for line in lines[lo:lo + max_records - len(out)]:
-                    obj = json.loads(line)
-                    rec_offset = obj.pop("offset")
-                    out.append(StagedRecord(rec_offset, MarketEvent(**obj)))
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                line_no = lo + len(out) - before + 1
-                raise CorruptStaging(str(path), f"not a staged record: {exc!r}", line_no)
-            if len(out) >= max_records:
+            sources.append((len(values), path, lo))
+            for line in lines[lo:lo + max_records - len(values)]:
+                try:
+                    text = line.decode()
+                    obj, stop = _DECODER.raw_decode(text)
+                    if stop != len(text):
+                        raise ValueError(f"extra data at column {stop + 1}")
+                    if len(obj) != _LINE_KEYS:
+                        raise ValueError(f"{len(obj)} keys, want {sorted(_FIELD_NAMES)}")
+                    values.append(_LINE_VALUES(obj))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise _corrupt_line(sources, len(values), f"not a staged record: {exc!r}")
+            if len(values) >= max_records:
                 break
         # Segments are dense, so only the newest segment can end before
         # offset, and then end is the tail.
         if offset > end:
             raise OffsetOutOfRange(offset, end - 1)
-        return out
+        if not values:
+            return []
+        columns = [_cells(column, cell) for cell, column in enumerate(zip(*values))]
+        if None in columns:
+            index, cell = min((next(i for i, v in enumerate(column) if _cells((v,), cell) is None), cell)
+                              for cell, column in enumerate(zip(*values)) if columns[cell] is None)
+            raise _corrupt_line(sources, index, f"{_FIELD_NAMES[cell]} {values[index][cell]!r} has the wrong type")
+        return list(map(StagedRecord, columns.pop(), zip(*columns)))
 
     # -- export checkpoint ----------------------------------------------------
 

@@ -8,20 +8,19 @@ import threading
 import pytest
 
 from brclake import crashpoints, staging as staging_module
-from brclake.errors import ConfigInvalid, InvalidAction, SessionLockHeld
+from brclake.errors import ConfigInvalid, CorruptStaging, InvalidAction, SessionLockHeld
 from brclake.etl import (
     ROW_IDENTITY,
     ROW_ORDER,
     TABLE_COLUMNS,
     compact,
     dedup,
-    event_from_row,
-    event_to_row,
     export_all,
     export_job,
     live_partitions,
     parse_partition,
 )
+from brclake.events import event_from_row, event_to_row
 from brclake.fixedpoint import iso_to_us
 from brclake.harness import oracle_csv, oracle_events
 from brclake.ingest import run_connector
@@ -346,6 +345,20 @@ def test_multiset_preserved_vs_staging_oracle(tmp_path):
     for add in table.snapshot_at().live_files.values():
         table_rows.extend(read_file(store.get(add.path)).rows())
     assert sorted(map(ROW_IDENTITY, table_rows)) == sorted(map(ROW_IDENTITY, oracle))
+
+
+@pytest.mark.parametrize("change", [{"source": 5}, {"price_e8": "100"}])
+def test_malformed_staged_line_fails_typed_at_drain(tmp_path, change):
+    store, staging, table = _env(tmp_path)
+    _stage(staging, [make_event(event_id="a")])
+    segment = tmp_path / "staging" / "c" / "seg-00000000000000000000.jsonl"
+    line = {**vars(make_event(event_id="b", sequence=1)), "offset": 1, **change}
+    with open(segment, "a") as f:
+        f.write(json.dumps(line, sort_keys=True) + "\n")
+    with pytest.raises(CorruptStaging) as err:
+        export_all(staging, store, table, "c")
+    assert (err.value.path, err.value.line_no) == (str(segment), 2)
+    assert not table.snapshot_at().live_files and staging.committed_offset("c") == 0
 
 
 def test_export_all_rejects_non_positive_batch(tmp_path):

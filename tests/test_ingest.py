@@ -164,6 +164,23 @@ def test_event_validation_is_typed(fields, kind):
     make_event(stream="quote", side="na", price_e8=0, qty_e8=0).validate()
 
 
+@pytest.mark.parametrize("fields, kind, field", [
+    ({"event_time_us": 1.5}, InvalidEvent, "event_time_us"),
+    ({"event_time_us": True}, InvalidEvent, "event_time_us"),
+    ({"ingest_time_us": "x"}, InvalidEvent, "ingest_time_us"),
+    ({"ingest_time_us": 1 << 63}, InvalidEvent, "ingest_time_us"),
+    ({"sequence": True}, InvalidEvent, "sequence"),
+    ({"price_e8": 2.0}, BadDecimal, "price"),
+    ({"qty_e8": True}, BadDecimal, "qty"),
+    ({"source": 5}, InvalidEvent, "source"),
+    ({"event_id": b"e-0"}, InvalidEvent, "event_id"),
+])
+def test_event_validation_checks_types(fields, kind, field):
+    with pytest.raises(kind) as err:
+        make_event(**fields).validate()
+    assert err.value.field == field
+
+
 def test_normalize_bad_side():
     with pytest.raises(BadSide):
         normalize(_raw(side="hold"), make_config(), 0, 0)

@@ -306,3 +306,108 @@ def test_projection_of_full_file_round_trips():
     data = write_file(rows, SCHEMA)
     parsed = read_file(data, projection=["up", "ts"])
     assert parsed.columns == {"up": [True, False], "ts": [1, 2]}
+
+
+# -- column-at-a-time write and decode paths --------------------------------------------
+
+def _varint(u):
+    out = bytearray()
+    while u >= 0x80:
+        out.append(u & 0x7F | 0x80)
+        u >>= 7
+    out.append(u)
+    return bytes(out)
+
+
+def test_schema_violation_names_the_first_bad_cell_in_row_major_order():
+    good = (1, b"x", True)
+    cases = [
+        ([good, (1, b"x"), (True, b"x", True)], (1, "")),  # ragged row before a bad cell
+        ([good, (1, "s", True), (1, b"x")], (1, "sym")),  # ragged row after a bad cell
+        ([(1, b"x", True, 4), good], (0, "")),  # ragged first row
+        ([good, (1, b"x", 1), good, (2**63, b"x", True)], (1, "up")),  # earlier row, later column
+        ([good, good, (True, bytearray(b"x"), None)], (2, "ts")),  # two bad cells in one row
+        ([good, (-(2**63) - 1, b"x", True)], (1, "ts")),  # int64 bounds
+    ]
+    for rows, (row_index, column) in cases:
+        with pytest.raises(SchemaViolation) as err:
+            write_file(rows, SCHEMA)
+        assert (err.value.row_index, err.value.column) == (row_index, column), rows
+
+
+def test_bytearray_cells_write_the_bytes_of_bytes_cells():
+    rows = [(i, [b"BTC-USD", b"ETH-USD"][i % 2], i % 3 == 0) for i in range(50)]
+    mixed = [(t, bytearray(s) if t % 3 else s, up) for t, s, up in rows]
+    assert write_file(mixed, SCHEMA) == write_file(rows, SCHEMA)  # DICT
+    unique = [(t, b"id-%d" % t, up) for t, _, up in rows]
+    as_bytearray = [(t, bytearray(s), up) for t, s, up in unique]
+    assert write_file(as_bytearray, SCHEMA) == write_file(unique, SCHEMA)  # PLAIN
+    for encoding in Encoding:
+        if encoding != Encoding.DELTA:
+            values = [bytearray(b"ab"), b"ab", bytearray(b"c")]
+            assert encode_column(values, BYTES, encoding) == encode_column(list(map(bytes, values)), BYTES, encoding)
+
+
+def test_delta_varints_of_ten_bytes_and_beyond():
+    i64_max, i64_min = 2**63 - 1, -(2**63)
+    first = struct.pack("<q", i64_max)
+    ten_bytes = _varint(2**64 - 1)  # zigzag of -2**63
+    assert len(ten_bytes) == 10
+    assert decode_column(first + ten_bytes, INT64, Encoding.DELTA, 2) == [i64_max, -1]
+    for bad in (b"\x80" * 10 + b"\x00",  # 11 bytes
+                b"\x80" * 9 + b"\x02",  # 2**64
+                b"\xff" * 9 + b"\x03",  # above 2**64
+                b"\x81",  # truncated continuation
+                b"\x02\x81"):  # truncated after a whole varint
+        count = 3 if bad == b"\x02\x81" else 2
+        with pytest.raises(CorruptChunk):
+            decode_column(first + bad, INT64, Encoding.DELTA, count)
+    with pytest.raises(CorruptChunk):  # fewer varints than values
+        decode_column(first + b"\x02", INT64, Encoding.DELTA, 3)
+    with pytest.raises(CorruptChunk):  # more varints than values
+        decode_column(first + b"\x02\x02", INT64, Encoding.DELTA, 2)
+    with pytest.raises(CorruptChunk):
+        decode_column(first[:7], INT64, Encoding.DELTA, 1)
+
+
+def test_delta_wraps_around_int64():
+    values = [2**63 - 1, -(2**63), 2**63 - 1]
+    encoded = encode_column(values, INT64, Encoding.DELTA)
+    assert encoded == struct.pack("<q", 2**63 - 1) + b"\x02\x01"  # deltas +1 and -1 after wrapping
+    assert decode_column(encoded, INT64, Encoding.DELTA, 3) == values
+
+
+def test_dict_last_index_out_of_range():
+    encoded = bytearray(encode_column([b"a", b"b", b"a"], BYTES, Encoding.DICT))
+    encoded[-4] = 2  # last index -> 2 with dict_size 2
+    with pytest.raises(CorruptChunk):
+        decode_column(bytes(encoded), BYTES, Encoding.DICT, 3)
+
+
+MIXED_SCHEMA = [ColumnSchema("ts", INT64), ColumnSchema("qty", INT64), ColumnSchema("px", INT64),
+                ColumnSchema("sym", BYTES), ColumnSchema("id", BYTES), ColumnSchema("note", BYTES),
+                ColumnSchema("up", BOOL), ColumnSchema("odd", BOOL), ColumnSchema("big", INT64)]
+
+
+def _mixed_rows():
+    return [(1_600_000_000_000_000 + i * i * 977 - (i % 7 == 0) * 3,
+             (i // 25) % 3 * 10**8,
+             ((i * 2654435761) % 2**63) * (-1) ** i,
+             [b"BTC-USD", b"ETH-USD", b"SOL-USD"][i % 3],
+             f"id-{i:04d}-é".encode(),
+             bytes([i % 256]) * (i % 90),
+             i % 40 < 20,
+             (i * 7919) % 11 < 5,
+             2**63 - 1 if i == 239 else -(2**63) + i * (2**55 + 12345))
+            for i in range(240)]
+
+
+def test_mixed_table_bytes_are_pinned():
+    import hashlib
+    rows = _mixed_rows()
+    data = write_file(rows, MIXED_SCHEMA)
+    parsed = read_file(data)
+    assert [c.encoding.name for c in parsed.footer.chunks] == [
+        "DELTA", "RLE", "PLAIN", "DICT", "PLAIN", "PLAIN", "RLE", "RLE", "DELTA"]
+    assert hashlib.sha256(data).hexdigest() == "a2cf4788b6d2678b8aa1d234ab0edd4236c1c64fdd8812602b084e4767275b52"
+    assert parsed.rows() == rows

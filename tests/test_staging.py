@@ -1,4 +1,7 @@
+import json
+import shutil
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,9 +10,12 @@ from hypothesis import strategies as st
 from brclake import localfile
 from brclake.errors import CheckpointRegression, CorruptStaging, OffsetOutOfRange, SessionLockHeld
 from brclake.ingest import run_connector
-from brclake.staging import StagingStore
+from brclake.events import MarketEvent, event_to_row
+from brclake.staging import StagingStore, _staged_line
 
 from conftest import make_config, make_event, run_optimized
+
+SEGMENT = "seg-00000000000000000000.jsonl"
 
 
 def _events(n, start=0):
@@ -207,6 +213,74 @@ def test_distinct_connectors_are_independent(tmp_path):
     assert store.tail_offset("a") == 2 and store.tail_offset("b") == 3
 
 
+# -- record line format ----------------------------------------------------------
+
+ID_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t\r\u2028\ufeff\uffff'),
+    st.characters(max_codepoint=0x7f),
+    st.characters(min_codepoint=0x80, max_codepoint=0xffff, blacklist_categories=("Cs",)),
+    st.characters(min_codepoint=0x10000),
+), max_size=12)
+I64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+
+
+@st.composite
+def valid_events(draw):
+    stream = draw(st.sampled_from(["trade", "quote", "book_snapshot"]))
+    positive = st.integers(min_value=1, max_value=2**63 - 1)
+    return MarketEvent(
+        source=draw(st.from_regex(r"[a-z0-9_-]+", fullmatch=True)),
+        stream=stream,
+        symbol=draw(st.from_regex(r"[A-Z0-9]+-[A-Z0-9]+", fullmatch=True)),
+        event_time_us=draw(positive),
+        ingest_time_us=draw(I64),
+        sequence=draw(st.integers(min_value=0, max_value=2**63 - 1)),
+        event_id=draw(ID_TEXT),
+        price_e8=draw(positive if stream == "trade" else I64),
+        qty_e8=draw(positive if stream == "trade" else I64),
+        side=draw(st.sampled_from(["buy", "sell"] if stream == "trade" else ["buy", "sell", "na"])),
+    )
+
+
+@given(valid_events(), st.integers(min_value=0, max_value=2**63 - 1))
+@settings(max_examples=300, deadline=None)
+def test_staged_line_matches_json_dumps(event, offset):
+    event.validate()
+    assert _staged_line(event, offset) == json.dumps({**vars(event), "offset": offset}, sort_keys=True) + "\n"
+
+
+# Written by the json.dumps serializer the line template replaced.
+FIXTURE_IDS = ["plain-1", 'quote"d', "back\\slash", "ctl\x00\x01\x1f\x7f", "nl\n tab\t cr\r",
+               "caf\u00e9 \u4e2d\u6587", "astral \U0001F600 \U00010000", "sep \u2028\u2029", "",
+               "u\ufeff\uffff"]
+
+
+def _fixture_events():
+    events = []
+    for i, event_id in enumerate(FIXTURE_IDS):
+        stream = ("trade", "quote", "book_snapshot")[i % 3]
+        events.append(MarketEvent(
+            source="syn_feed-2", stream=stream, symbol="BTC-USD",
+            event_time_us=1_600_000_000_000_000 + i, ingest_time_us=[-(2**63), 2**63 - 1, 0][i % 3],
+            sequence=[0, 2**63 - 1, 17][i % 3], event_id=event_id,
+            price_e8=10**8 if stream == "trade" else [-(2**63), 0, 2**63 - 1][i % 3],
+            qty_e8=2**63 - 1 if stream == "trade" else -5, side="sell" if stream == "trade" else "na"))
+    return events
+
+
+def test_segment_written_by_json_dumps_drains_to_the_same_rows(tmp_path):
+    fixture = Path(__file__).parent / "fixtures" / SEGMENT
+    events = _fixture_events()
+    (tmp_path / "c").mkdir()
+    shutil.copy(fixture, tmp_path / "c" / SEGMENT)
+    records = StagingStore(tmp_path).read_from("c", 0, 100)
+    assert [r.row for r in records] == [event_to_row(e) for e in events]
+    assert [r.event for r in records] == events
+    with StagingStore(tmp_path / "rewritten").open_session("c") as session:
+        session.append_batch(events)
+    assert (tmp_path / "rewritten" / "c" / SEGMENT).read_bytes() == fixture.read_bytes()
+
+
 # -- corrupt staging state ---------------------------------------------------------
 
 SEGMENT = "seg-00000000000000000000.jsonl"
@@ -238,6 +312,72 @@ def test_corrupt_staging_state_is_typed(tmp_path, name, content, reader, line_no
     assert (err.value.path, err.value.line_no) == (str(path), line_no)
 
 
+def _staged(event, offset):
+    return {**vars(event), "offset": offset}
+
+
+@pytest.mark.parametrize("change", [
+    {"source": 5},
+    {"side": None},
+    {"event_id": ["e-2"]},
+    {"price_e8": "100"},
+    {"sequence": True},
+    {"qty_e8": 1.5},
+    {"event_time_us": 1 << 63},
+    {"offset": "2"},
+    {"venue": "x"},
+    {"event_id": "\ud800"},
+], ids=["int_source", "null_side", "list_event_id", "string_price", "bool_sequence", "float_qty",
+        "time_beyond_int64", "string_offset", "extra_key", "lone_surrogate"])
+def test_malformed_record_line_is_corrupt_staging(tmp_path, change):
+    store = StagingStore(tmp_path)
+    with store.open_session("c") as session:
+        session.append_batch(_events(2))
+    path = tmp_path / "c" / SEGMENT
+    with open(path, "a") as f:
+        f.write(json.dumps({**_staged(_events(3)[2], 2), **change}, sort_keys=True) + "\n")
+    with pytest.raises(CorruptStaging) as err:
+        store.drain_batch("c", 100)
+    assert (err.value.path, err.value.line_no) == (str(path), 3)
+    assert [r.offset for r in store.read_from("c", 0, 2)] == [0, 1]  # lines before it still drain
+
+
+@pytest.mark.parametrize("renamed", [None, "sidE"], ids=["missing", "renamed"])
+def test_missing_key_is_corrupt_staging(tmp_path, renamed):
+    store = StagingStore(tmp_path)
+    line = _staged(_events(1)[0], 0)
+    side = line.pop("side")
+    if renamed:
+        line[renamed] = side
+    (tmp_path / "c").mkdir()
+    (tmp_path / "c" / SEGMENT).write_text(json.dumps(line) + "\n")
+    with pytest.raises(CorruptStaging) as err:
+        store.read_from("c", 0, 10)
+    assert err.value.line_no == 1
+
+
+def test_corrupt_staging_names_the_first_bad_line_across_segments(tmp_path):
+    store = StagingStore(tmp_path, max_segment_records=3)
+    events = _events(8)
+    segments = [(0, events[:3]), (3, events[3:6]), (6, events[6:])]
+    (tmp_path / "c").mkdir()
+    for start, chunk in segments:
+        lines = [_staged(e, start + i) for i, e in enumerate(chunk)]
+        if start == 3:
+            lines[2]["sequence"] = "5"  # offset 5: second segment, line 3
+        if start == 6:
+            lines[0]["source"] = 1  # offset 6, after it
+        (tmp_path / "c" / f"seg-{start:020}.jsonl").write_text(
+            "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines))
+    with pytest.raises(CorruptStaging) as err:
+        store.read_from("c", 1, 100)
+    assert (err.value.path, err.value.line_no) == (str(tmp_path / "c" / f"seg-{3:020}.jsonl"), 3)
+    with pytest.raises(CorruptStaging) as err:  # the read starts inside the bad line's segment
+        store.read_from("c", 4, 100)
+    assert (err.value.path, err.value.line_no) == (str(tmp_path / "c" / f"seg-{3:020}.jsonl"), 3)
+    assert [r.event for r in store.read_from("c", 1, 4)] == events[1:5]
+
+
 # -- prune -----------------------------------------------------------------------------
 
 def test_prune_removes_only_fully_drained_sealed_segments(tmp_path):
@@ -265,7 +405,8 @@ def test_append_after_close_rejected_under_optimize(tmp_path):
     result = run_optimized(f"""
 from conftest import make_event
 from brclake.errors import StagingUnavailable
-from brclake.staging import StagingStore
+from brclake.events import MarketEvent, event_to_row
+from brclake.staging import StagingStore, _staged_line
 store = StagingStore({str(tmp_path)!r})
 session = store.open_session("c")
 session.close()
