@@ -19,6 +19,7 @@ from .events import ConnectorConfig
 from .fixedpoint import iso_to_us
 from .ingest import run_connector
 from .lakehouse import entry_to_bytes
+from .localfile import load_json_config
 from .orchestrator import Scheduler, load_dags
 from .query import ScanRequest, export_bars, export_events, ohlcv, scan
 
@@ -123,7 +124,8 @@ def _run(args: argparse.Namespace) -> int:
     app = AppContext(load_config(args.config))
 
     if args.group == "ingest":
-        summary = run_connector(ConnectorConfig.from_file(args.connector_config), app.staging)
+        config = load_json_config(args.connector_config, ConnectorConfig.from_dict)
+        summary = run_connector(config, app.staging)
         _emit({"events_appended": summary.events_appended, "last_offset": summary.last_offset})
 
     elif args.group == "staging":

@@ -35,7 +35,7 @@ from .events import SYMBOL_RE, TABLE_COLUMNS, event_from_row  # noqa: F401 (even
 from .fixedpoint import US_PER_DAY, us_to_date
 from .lakeformat import ColumnSchema, read_file, write_file
 from .lakehouse import AddFile, LakeTable, PartitionKey, RemoveFile
-from .localfile import typed_field
+from .localfile import load_json_config, typed_field
 from .staging import StagingStore
 
 SCHEMA_ID = "trades_v1"
@@ -239,7 +239,7 @@ def build_action_registry(app) -> dict:
 
     def ingest_run(ctx) -> None:
         if "config_path" in ctx.params:
-            config = ConnectorConfig.from_file(typed_field(ctx.params, "config_path", str))
+            config = load_json_config(typed_field(ctx.params, "config_path", str), ConnectorConfig.from_dict)
         else:
             config = ConnectorConfig.from_dict(typed_field(ctx.params, "connector", dict))
         run_connector(config, app.staging)

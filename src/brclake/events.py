@@ -12,13 +12,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from operator import attrgetter
-from pathlib import Path
 from typing import Any
 
 from .errors import BadDecimal, BadSide, ConfigInvalid, InvalidEvent
 from .fixedpoint import I64_MAX, I64_MIN
 from .lakeformat import BYTES, INT64
-from .localfile import load_json_config, typed_field
+from .localfile import record_from_json
 
 # Matched with fullmatch: a pattern ending in $ also matches before a final "\n".
 SOURCE_RE = re.compile(r"[a-z0-9_-]+")
@@ -208,32 +207,11 @@ class ConnectorConfig:
 
     @classmethod
     def from_dict(cls, obj: dict[str, Any]) -> "ConnectorConfig":
-        """Build and validate a config from its JSON form; a field of the
-        wrong JSON type raises ConfigInvalid naming it."""
+        """Read and validate a config from its JSON form; a missing or
+        ill-typed field raises ConfigInvalid naming it."""
         if not isinstance(obj, dict):
             raise ConfigInvalid("connector", "must be a JSON object")
-        rate = typed_field(obj, "rate_limit", dict, {})
-        symbols = typed_field(obj, "symbols", dict, {}, items=str)
-        cfg = cls(
-            connector_id=typed_field(obj, "connector_id", str, ""),
-            kind=typed_field(obj, "kind", str, ""),
-            source=typed_field(obj, "source", str, ""),
-            symbols=dict(symbols),
-            seed=typed_field(obj, "seed", int, 0),
-            count=typed_field(obj, "count", int, 0),
-            dup_prob_bp=typed_field(obj, "dup_prob_bp", int, 0),
-            rate_limit=RateLimit(
-                rate_per_s=typed_field(rate, "rate_per_s", int, 1_000_000, "rate_limit."),
-                burst=typed_field(rate, "burst", int, 1_000_000, "rate_limit."),
-            ),
-            replay_path=typed_field(obj, "replay_path", str, ""),
-            ingest_time_mode=typed_field(obj, "ingest_time_mode", str, "wall"),
-            batch_size=typed_field(obj, "batch_size", int, 500),
-        )
+        cfg = record_from_json(cls, obj)
         cfg.validate()
         return cfg
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ConnectorConfig":
-        return load_json_config(path, cls.from_dict)
 

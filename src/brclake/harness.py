@@ -21,15 +21,15 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .crashpoints import CRASH_ENV, CRASH_EXIT_CODE, SITES
 from .errors import AssertionFailed, BrcError
 from .events import ConnectorConfig, MarketEvent
 from .fixedpoint import us_to_iso
-from .ingest import _SequenceCounters, generate_synthetic, normalize, replay_file
-from .localfile import load_json_config, typed_field
+from .ingest import ConnectorState, generate_synthetic, normalize, replay_file
+from .localfile import load_json_config, record_from_json, record_to_json
 from .query import export_events
 
 _SITE_FOR_STEP = {
@@ -41,8 +41,8 @@ _SITE_FOR_STEP = {
 
 @dataclass
 class Scenario:
-    name: str
-    connectors: list[ConnectorConfig]
+    name: str = "scenario"
+    connectors: list[ConnectorConfig] = field(default_factory=list)
     table_id: str = "trades"
     export_max_records: int = 100_000
     compact_after: bool = False
@@ -67,21 +67,9 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Scenario":
-        scenario = cls(
-            name=typed_field(obj, "name", str, "scenario"),
-            connectors=[ConnectorConfig.from_dict(c) for c in typed_field(obj, "connectors", list, [])],
-            table_id=typed_field(obj, "table_id", str, "trades"),
-            export_max_records=typed_field(obj, "export_max_records", int, 100_000),
-            compact_after=typed_field(obj, "compact_after", bool, False),
-            crash_points=list(typed_field(obj, "crash_points", list, [], items=str)),
-            expected=dict(typed_field(obj, "expected", dict, {})),
-        )
+        scenario = record_from_json(cls, obj)
         scenario.validate()
         return scenario
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "Scenario":
-        return load_json_config(path, cls.from_dict)
 
 
 # -- brute-force oracle -------------------------------------------------------
@@ -93,10 +81,10 @@ def oracle_events(connectors: list[ConnectorConfig]) -> list[MarketEvent]:
     deduped: list[MarketEvent] = []
     seen: set[tuple] = set()
     for config in connectors:
-        counters = _SequenceCounters()
+        state = ConnectorState()
         raws = generate_synthetic(config) if config.kind == "synthetic" else replay_file(config.replay_path)
         for raw in raws:
-            sequence = counters.next_for((raw.source, raw.stream, config.symbols[raw.raw_symbol]))
+            sequence = state.next_sequence((raw.source, raw.stream, config.symbols[raw.raw_symbol]))
             event = normalize(raw, config, raw.event_time_us, sequence)
             if event.identity in seen:
                 continue
@@ -180,7 +168,7 @@ def run_scenario(scenario: Scenario, data_root: str | Path) -> dict:
 
     for config in scenario.connectors:
         config_path = root / f"connector-{config.connector_id}.json"
-        config_path.write_text(json.dumps(asdict(config), sort_keys=True))
+        config_path.write_text(json.dumps(record_to_json(config), sort_keys=True))
         runner.run("ingest", "ingest", "run", "--config", str(config_path))
 
     exports = {}
@@ -259,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     if not args.data_root:
         parser.error("--data-root or BRC_DATA_ROOT required")
     try:
-        report = run_scenario(Scenario.from_file(args.scenario), args.data_root)
+        report = run_scenario(load_json_config(args.scenario, Scenario.from_dict), args.data_root)
     except BrcError as exc:
         sys.stderr.write(exc.to_json() + "\n")
         return 1

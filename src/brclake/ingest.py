@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Iterator
 
@@ -21,7 +22,7 @@ from . import crashpoints
 from .errors import BadDecimal, BadSide, MalformedLine, MissingField, UnknownSymbol
 from .events import REQUIRED_PAYLOAD, ConnectorConfig, MarketEvent, RawEvent
 from .fixedpoint import format_e8, parse_decimal_e8
-from .localfile import typed_field
+from .localfile import record_from_json, record_to_json
 from .staging import StagingStore
 
 MASK64 = (1 << 64) - 1
@@ -237,27 +238,21 @@ class SessionSummary:
     last_offset: int
 
 
-class _SequenceCounters:
-    """Per-(source, stream, symbol) monotone counters, JSON round-trippable."""
+@dataclass
+class ConnectorState:
+    """What a connector saves after each appended batch: its per-(source,
+    stream, symbol) sequence counters and its position, the synthetic
+    generator's state or the count of replay lines consumed."""
 
-    def __init__(self, values: dict[str, int] | None = None):
-        self.values = dict(values or {})
+    seq_counters: dict[str, int] = field(default_factory=dict)
+    synthetic: SyntheticState | None = None
+    replay_line: int | None = None
 
-    def next_for(self, event_key: tuple[str, str, str]) -> int:
+    def next_sequence(self, event_key: tuple[str, str, str]) -> int:
         key = "|".join(event_key)
-        seq = self.values.get(key, 0)
-        self.values[key] = seq + 1
+        seq = self.seq_counters.get(key, 0)
+        self.seq_counters[key] = seq + 1
         return seq
-
-
-def _read_resume(saved: dict) -> tuple[dict, SyntheticState | None, int]:
-    """Sequence counters, generator position and replay line of a saved
-    connector state, each field read through ``typed_field``."""
-    synthetic = typed_field(saved, "synthetic", dict, None)
-    start = None if synthetic is None else SyntheticState(
-        *(typed_field(synthetic, f.name, int, prefix="synthetic.") for f in fields(SyntheticState)))
-    return (typed_field(saved, "seq_counters", dict, {}, items=int), start,
-            typed_field(saved, "replay_line", int, 0))
 
 
 def run_connector(config: ConnectorConfig, staging: StagingStore) -> SessionSummary:
@@ -272,16 +267,16 @@ def run_connector(config: ConnectorConfig, staging: StagingStore) -> SessionSumm
     appended = 0
     last_offset = -1
     with staging.open_session(config.connector_id) as session:
-        seq_counters, start, replay_line = session.load_state(_read_resume) or ({}, None, 0)
-        counters = _SequenceCounters(seq_counters)
+        saved = session.load_state(partial(record_from_json, ConnectorState)) or ConnectorState()
+        state = ConnectorState(saved.seq_counters)  # as of the last batch appended
+        replay_line = saved.replay_line or 0
 
         if config.kind == "synthetic":
-            steps = synthetic_steps(config, start)
+            steps = synthetic_steps(config, saved.synthetic)
         else:
             steps = (([raw], None) for raw in replay_file(config.replay_path, replay_line))
 
         batch: list[MarketEvent] = []
-        batch_state: dict = {}
 
         def flush() -> None:
             nonlocal appended, last_offset
@@ -291,7 +286,7 @@ def run_connector(config: ConnectorConfig, staging: StagingStore) -> SessionSumm
             appended += len(batch)
             last_offset = last
             crashpoints.crashpoint("ingest.append")
-            session.save_state({"seq_counters": counters.values, **batch_state})
+            session.save_state(record_to_json(state))
             batch.clear()
 
         for raws, gen_state in steps:
@@ -302,13 +297,13 @@ def run_connector(config: ConnectorConfig, staging: StagingStore) -> SessionSumm
                                else time.time_ns() // 1000)
                 # an unmapped raw symbol raises UnknownSymbol in normalize
                 symbol = config.symbols.get(raw.raw_symbol, "")
-                seq = counters.next_for((raw.source, raw.stream, symbol))
+                seq = state.next_sequence((raw.source, raw.stream, symbol))
                 batch.append(normalize(raw, config, ingest_time, seq))
             if config.kind == "synthetic":
-                batch_state = {"synthetic": vars(gen_state)}
+                state.synthetic = gen_state
             else:
                 replay_line += 1
-                batch_state = {"replay_line": replay_line}
+                state.replay_line = replay_line
             if len(batch) >= config.batch_size:
                 flush()
         flush()

@@ -39,12 +39,14 @@ from .crc32c import crc32c
 from .errors import (
     BadMagic,
     ChecksumMismatch,
+    ConfigInvalid,
     CorruptChunk,
     FooterCorrupt,
     IllegalEncoding,
     SchemaViolation,
 )
 from .fixedpoint import I64_MAX, I64_MIN
+from .localfile import typed_field
 
 MAGIC = b"BRCL"
 FORMAT_VERSION = 1
@@ -310,7 +312,8 @@ def _stat_to_json(value: Any, physical_type: str) -> Any:
     return value
 
 
-def _stat_from_json(value: Any, physical_type: str) -> Any:
+def _stat_from_json(chunk: dict, name: str, physical_type: str) -> Any:
+    value = typed_field(chunk, name, {INT64: int, BYTES: str, BOOL: bool}[physical_type])
     if physical_type == BYTES:
         return value.encode("latin-1")
     return value
@@ -318,14 +321,18 @@ def _stat_from_json(value: Any, physical_type: str) -> Any:
 
 # -- file writer ---------------------------------------------------------------------------
 
-def write_file(rows: Sequence[Sequence[Any]], schema: Sequence[ColumnSchema]) -> bytes:
-    """Serialize rows to a complete .brcl file; byte-identical across runs."""
+def _validate_schema(schema: Sequence[ColumnSchema]) -> None:
     names = set()
     for col in schema:
         col.validate()
         if col.name in names:
             raise ValueError(f"duplicate column name {col.name!r}")
         names.add(col.name)
+
+
+def write_file(rows: Sequence[Sequence[Any]], schema: Sequence[ColumnSchema]) -> bytes:
+    """Serialize rows to a complete .brcl file; byte-identical across runs."""
+    _validate_schema(schema)
     if not rows:
         raise SchemaViolation(0, "", "row_count must be >= 1")
 
@@ -388,6 +395,13 @@ def _checked_columns(rows: Sequence[Sequence[Any]], schema: Sequence[ColumnSchem
 
 # -- file reader ---------------------------------------------------------------------------
 
+def _count(obj: dict, name: str) -> int:
+    value = typed_field(obj, name, int)
+    if value < 0:
+        raise ConfigInvalid(name, f"must be >= 0, got {value}")
+    return value
+
+
 @dataclass
 class ParsedFile:
     columns: dict[str, list]
@@ -418,32 +432,34 @@ def read_file_via(
         raise FooterCorrupt(f"footer length {footer_len} exceeds file")
     try:
         footer_obj = json.loads(fetch(footer_start, footer_len).decode())
-        schema = [ColumnSchema(c["name"], c["physical_type"]) for c in footer_obj["schema"]]
+        schema = [ColumnSchema(typed_field(c, "name", str), typed_field(c, "physical_type", str))
+                  for c in typed_field(footer_obj, "schema", list, items=dict)]
+        _validate_schema(schema)
         chunks = [
             ColumnChunk(
-                encoding=Encoding[c["encoding"]],
-                value_count=c["value_count"],
-                byte_offset=c["byte_offset"],
-                byte_length=c["byte_length"],
-                crc32c=c["crc32c"],
-                min=_stat_from_json(c["min"], s.physical_type),
-                max=_stat_from_json(c["max"], s.physical_type),
+                encoding=Encoding[typed_field(c, "encoding", str)],
+                value_count=_count(c, "value_count"),
+                byte_offset=_count(c, "byte_offset"),
+                byte_length=_count(c, "byte_length"),
+                crc32c=_count(c, "crc32c"),
+                min=_stat_from_json(c, "min", s.physical_type),
+                max=_stat_from_json(c, "max", s.physical_type),
             )
-            for c, s in zip(footer_obj["chunks"], schema)
+            for c, s in zip(typed_field(footer_obj, "chunks", list, items=dict), schema, strict=True)
         ]
         footer = FileFooter(
-            format_version=footer_obj["format_version"],
-            row_count=footer_obj["row_count"],
+            format_version=_count(footer_obj, "format_version"),
+            row_count=_count(footer_obj, "row_count"),
             schema=schema,
             chunks=chunks,
-            writer=footer_obj["writer"],
+            writer=typed_field(footer_obj, "writer", str),
         )
+    except ConfigInvalid as exc:
+        raise FooterCorrupt(f"footer field {exc.field!r} {exc.reason}")
     except (ValueError, KeyError, TypeError) as exc:
         raise FooterCorrupt(f"unparseable footer: {exc}")
     if footer.format_version != FORMAT_VERSION:
         raise FooterCorrupt(f"unsupported format version {footer.format_version}")
-    if len(footer.chunks) != len(footer.schema):
-        raise FooterCorrupt("chunk count does not match schema")
     if any(c.value_count != footer.row_count for c in footer.chunks):
         raise FooterCorrupt("chunk value counts disagree with row count")
 

@@ -28,7 +28,8 @@ from .errors import (
     PreconditionFailed,
 )
 from .fixedpoint import us_to_date
-from .localfile import typed_field
+from .lakeformat import ColumnSchema
+from .localfile import record_from_json, record_to_json
 
 DEFAULT_COMMITTER = "brc"
 
@@ -60,7 +61,7 @@ class RemoveFile:
 @dataclass(frozen=True)
 class SetSchema:
     schema_id: str
-    columns: tuple[tuple[str, str], ...]  # (name, physical_type) pairs
+    columns: tuple[ColumnSchema, ...]
 
 
 Action = AddFile | RemoveFile | SetSchema
@@ -123,82 +124,8 @@ class Snapshot:
         self.version = entry.version
 
 
-# -- JSON codec --------------------------------------------------------------
-
-def _action_to_json(action: Action) -> dict:
-    if isinstance(action, AddFile):
-        return {
-            "add_file": {
-                "bytes": action.bytes,
-                "max_event_time_us": action.max_event_time_us,
-                "min_event_time_us": action.min_event_time_us,
-                "partition": {"date": action.partition.date, "symbol": action.partition.symbol},
-                "path": action.path,
-                "rows": action.rows,
-            }
-        }
-    if isinstance(action, RemoveFile):
-        return {"remove_file": {"path": action.path}}
-    return {
-        "set_schema": {
-            "columns": [{"name": n, "physical_type": t} for n, t in action.columns],
-            "schema_id": action.schema_id,
-        }
-    }
-
-
-def _action_from_json(obj: dict) -> Action:
-    if "add_file" in obj:
-        a = typed_field(obj, "add_file", dict)
-        partition = typed_field(a, "partition", dict)
-        return AddFile(
-            path=typed_field(a, "path", str),
-            partition=PartitionKey(typed_field(partition, "symbol", str),
-                                   typed_field(partition, "date", str)),
-            rows=typed_field(a, "rows", int),
-            bytes=typed_field(a, "bytes", int),
-            min_event_time_us=typed_field(a, "min_event_time_us", int),
-            max_event_time_us=typed_field(a, "max_event_time_us", int),
-        )
-    if "remove_file" in obj:
-        return RemoveFile(path=typed_field(typed_field(obj, "remove_file", dict), "path", str))
-    if "set_schema" in obj:
-        s = typed_field(obj, "set_schema", dict)
-        return SetSchema(
-            schema_id=typed_field(s, "schema_id", str),
-            columns=tuple((typed_field(c, "name", str), typed_field(c, "physical_type", str))
-                          for c in typed_field(s, "columns", list, items=dict)),
-        )
-    raise ValueError(f"unknown action {sorted(obj)}")
-
-
 def entry_to_bytes(entry: LogEntry) -> bytes:
-    return json.dumps(
-        {
-            "actions": [_action_to_json(a) for a in entry.actions],
-            "committed_at_us": entry.committed_at_us,
-            "committer": entry.committer,
-            "parent": entry.parent,
-            "version": entry.version,
-        },
-        sort_keys=True,
-    ).encode()
-
-
-def _entry_from_bytes(data: bytes) -> LogEntry:
-    """Decode a log entry, checking every field's JSON type (booleans are not
-    integers). Malformed JSON or an unknown action raises ValueError, and a
-    missing or ill-typed field ConfigInvalid naming it."""
-    obj = json.loads(data)
-    if not isinstance(obj, dict):
-        raise ValueError("entry is not a JSON object")
-    return LogEntry(
-        version=typed_field(obj, "version", int),
-        parent=typed_field(obj, "parent", int),
-        committed_at_us=typed_field(obj, "committed_at_us", int),
-        actions=[_action_from_json(a) for a in typed_field(obj, "actions", list, items=dict)],
-        committer=typed_field(obj, "committer", str),
-    )
+    return json.dumps(record_to_json(entry), sort_keys=True).encode()
 
 
 class LakeTable:
@@ -234,7 +161,7 @@ class LakeTable:
         except NotFound:
             raise NoSuchVersion(version, self._cache.version)
         try:
-            return _entry_from_bytes(data)
+            return record_from_json(LogEntry, json.loads(data))
         except ConfigInvalid as exc:
             raise CorruptLog(version, f"field {exc.field!r} {exc.reason}")
         except ValueError as exc:
@@ -274,7 +201,7 @@ class LakeTable:
             version=1,
             parent=0,
             committed_at_us=time.time_ns() // 1000,
-            actions=[SetSchema(schema_id=schema_id, columns=tuple(columns))],
+            actions=[SetSchema(schema_id, tuple(ColumnSchema(*pair) for pair in columns))],
             committer=DEFAULT_COMMITTER,
         )
         try:

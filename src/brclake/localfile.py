@@ -14,16 +14,27 @@ Readers see only newline-terminated lines, and the writer truncates a torn
 tail before its next append.
 
 Operators' JSON files (app, connector, DAG and scenario configs) are read by
-``load_json_config`` and their fields by ``typed_field``, so every way such a
-file can be wrong is ConfigInvalid.
+``load_json_config`` and every JSON field by ``typed_field``, so every way
+such a file can be wrong is ConfigInvalid. The connector, DAG and scenario
+configs, log entries, run-log lines and connector state are dataclasses, read
+by ``record_from_json`` and written by ``record_to_json`` from their fields'
+names, types and defaults. A union of records is an object whose one key
+names the member: its class name in snake case (``add_file``). Where
+positional construction rules out a dataclass default, a field states its JSON
+default in ``metadata[JSON_DEFAULT]``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import fcntl
+import functools
 import json
 import os
+import re
 import secrets
+import types
+import typing
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, TypeVar
 
@@ -96,9 +107,7 @@ def load_json_config(path: str | Path, build: Callable[[Any], T]) -> T:
         raise ConfigInvalid("config", f"invalid JSON in {path}: {exc}")
     try:
         return build(obj)
-    except KeyError as exc:
-        raise ConfigInvalid(str(exc.args[0]), f"missing in {path}")
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigInvalid("config", f"ill-typed field in {path}: {exc}")
 
 
@@ -129,3 +138,114 @@ def typed_field(obj: dict, name: str, kind: type, default: Any = _REQUIRED,
             _has_type(v, items) for v in (value.values() if kind is dict else value)):
         raise ConfigInvalid(prefix + name, f"every element must be {_JSON_TYPE_NAMES[items]}")
     return value
+
+
+# -- record codec --------------------------------------------------------------
+
+JSON_DEFAULT = "json_default"  # field metadata key: the field's JSON default
+_PRIMITIVES = (str, int, bool)
+
+
+def record_from_json(cls: type[T], obj: Any, prefix: str = "") -> T:
+    """The dataclass cls read from its JSON object obj; keys that name no
+    field are ignored, and a field without a default is required. A nested
+    record's fields are named with the key that holds it as a prefix (for a
+    union, the member's tag); an array's records take the prefix of the
+    array's owner. Anything else raises ConfigInvalid naming prefix + field;
+    nothing is coerced."""
+    if not isinstance(obj, dict):
+        raise ConfigInvalid(_tag(cls), "must be an object")
+    args = []
+    for name, kind, items, decode, missing in _plan(cls)[0]:
+        if name in obj:
+            value = obj[name]
+            if type(value) is not kind or items is not None:  # the common case skips the call
+                value = typed_field(obj, name, kind, prefix=prefix, items=items)
+            args.append(value if decode is None else decode(value, prefix, name))
+        elif missing is None:
+            raise ConfigInvalid(prefix + name, "is required")
+        else:
+            args.append(missing())
+    return cls(*args)
+
+
+def record_to_json(record: Any) -> dict:
+    """The JSON object of a dataclass record, the inverse of
+    ``record_from_json``; a field holding None is left out."""
+    obj = {}
+    for name, encode in _plan(type(record))[1]:
+        value = getattr(record, name)
+        if value is not None:
+            obj[name] = value if encode is None else encode(value)
+    return obj
+
+
+@functools.cache
+def _plan(cls: type) -> tuple[list[tuple], list[tuple]]:
+    """How each field of cls is read, (name, JSON kind, item kind, decode,
+    missing), and written, (name, encode); resolved once per class."""
+    hints = typing.get_type_hints(cls)
+    reads, writes = [], []
+    for f in dataclasses.fields(cls):
+        kind, items, decode, encode = _value_codec(hints[f.name])
+        default = f.metadata.get(JSON_DEFAULT, f.default)  # a JSON value
+        if f.default_factory is not dataclasses.MISSING:
+            missing = f.default_factory
+        elif default is dataclasses.MISSING:
+            missing = None
+        elif decode is None or default is None:
+            missing = functools.partial(_same, default)
+        else:  # a fresh value per record, never one shared
+            missing = functools.partial(decode, default, "", f.name)
+        reads.append((f.name, kind, items, decode, missing))
+        writes.append((f.name, encode))
+    return reads, writes
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+def _tag(cls: type) -> str:
+    return re.sub(r"(?<=[a-z0-9])(?=[A-Z])", "_", cls.__name__).lower()
+
+
+def _value_codec(tp: Any) -> tuple[type, type | None, Callable | None, Callable | None]:
+    """(JSON kind, item kind, decode(value, prefix, name), encode(value)) of
+    a field annotated tp; a None decode or encode keeps the value as it is."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp in _PRIMITIVES:
+        return tp, None, None, None
+    if dataclasses.is_dataclass(tp):
+        return dict, None, lambda v, p, n: record_from_json(tp, v, p + n + "."), record_to_json
+    if origin in (types.UnionType, typing.Union):
+        members = {_tag(cls): cls for cls in args if cls is not type(None)}
+        if len(members) == 1:  # X | None: absent and None are the same
+            return _value_codec(*members.values())
+        return dict, None, functools.partial(_union_from_json, members), _union_to_json
+    if tp is dict or origin is dict:
+        return dict, args[1] if args and args[1] in _PRIMITIVES else None, lambda v, p, n: dict(v), None
+    if origin in (list, tuple):
+        element = args[0]
+        if element in _PRIMITIVES:
+            return list, element, lambda v, p, n: origin(v), list
+        if dataclasses.is_dataclass(element):
+            decode, encode = (lambda x, p, n: record_from_json(element, x, p)), record_to_json
+        else:  # a union of records
+            _, _, decode, encode = _value_codec(element)
+        return list, dict, lambda v, p, n: origin(decode(x, p, n) for x in v), lambda v: list(map(encode, v))
+    raise TypeError(f"no JSON record codec for {tp!r}")
+
+
+def _union_from_json(members: dict[str, type], obj: dict, prefix: str, name: str) -> Any:
+    """The member whose tag is the one key of obj that is a member's tag;
+    other keys are ignored, as in any record."""
+    tags = [key for key in obj if key in members]
+    if len(tags) != 1:
+        raise ConfigInvalid(prefix + name, f"must hold exactly one of {', '.join(members)}")
+    return record_from_json(members[tags[0]], typed_field(obj, tags[0], dict, prefix=prefix),
+                            prefix + tags[0] + ".")
+
+
+def _union_to_json(record: Any) -> dict:
+    return {_tag(type(record)): record_to_json(record)}

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable
 
@@ -24,7 +24,8 @@ from .errors import (
     CycleDetected,
 )
 from .fixedpoint import US_PER_DAY
-from .localfile import acquire_lock, fsync_append, load_json_config, repair_tail, typed_field
+from .localfile import (JSON_DEFAULT, acquire_lock, fsync_append, load_json_config, record_from_json,
+                        record_to_json, repair_tail)
 
 PENDING = "Pending"
 QUEUED = "Queued"
@@ -49,14 +50,14 @@ _LEGAL = {
 
 @dataclass(frozen=True)
 class Interval:
-    anchor_us: int
+    anchor_us: int = field(metadata={JSON_DEFAULT: 0})
     period_us: int
 
 
 @dataclass(frozen=True)
 class DailyAt:
-    hour: int
-    minute: int
+    hour: int = 0
+    minute: int = 0
 
 
 Schedule = Interval | DailyAt
@@ -96,7 +97,7 @@ class RetryPolicy:
 @dataclass
 class TaskSpec:
     task_id: str
-    depends_on: list[str]
+    depends_on: list[str] = field(metadata={JSON_DEFAULT: []})
     action: str
     params: dict[str, Any] = field(default_factory=dict)
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -106,13 +107,18 @@ class TaskSpec:
 class DagSpec:
     dag_id: str
     schedule: Schedule
-    tasks: list[TaskSpec]
+    tasks: list[TaskSpec] = field(default_factory=list)
     max_parallel_tasks: int = 1
 
     def task_map(self) -> dict[str, TaskSpec]:
         return {t.task_id: t for t in self.tasks}
 
     def validate(self) -> None:
+        schedule = self.schedule
+        if isinstance(schedule, Interval) and schedule.period_us <= 0:
+            raise ConfigInvalid("interval.period_us", "must be > 0")
+        if isinstance(schedule, DailyAt) and not (0 <= schedule.hour < 24 and 0 <= schedule.minute < 60):
+            raise ConfigInvalid("daily_at", f"bad time {schedule.hour:02}:{schedule.minute:02}")
         if not self.dag_id:
             raise ConfigInvalid("dag_id", "must be non-empty")
         if self.max_parallel_tasks < 1:
@@ -132,58 +138,17 @@ class DagSpec:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "DagSpec":
-        """Build and validate a DAG from its JSON form; a field of the wrong
-        JSON type raises ConfigInvalid naming it."""
-        sched = typed_field(obj, "schedule", dict, {})
-        if "interval" in sched:
-            interval = typed_field(sched, "interval", dict)
-            schedule: Schedule = Interval(
-                anchor_us=typed_field(interval, "anchor_us", int, 0, "interval."),
-                period_us=typed_field(interval, "period_us", int, prefix="interval."),
-            )
-        elif "daily_at" in sched:
-            d = typed_field(sched, "daily_at", dict)
-            hour = typed_field(d, "hour", int, 0, "daily_at.")
-            minute = typed_field(d, "minute", int, 0, "daily_at.")
-            if not (0 <= hour < 24 and 0 <= minute < 60):
-                raise ConfigInvalid("daily_at", f"bad time {hour:02}:{minute:02}")
-            schedule = DailyAt(hour=hour, minute=minute)
-        else:
-            raise ConfigInvalid("schedule", "must define interval or daily_at")
-        if isinstance(schedule, Interval) and schedule.period_us <= 0:
-            raise ConfigInvalid("interval.period_us", "must be > 0")
-        tasks = []
-        for t in typed_field(obj, "tasks", list, [], items=dict):
-            retry = typed_field(t, "retry", dict, {})
-            tasks.append(TaskSpec(
-                task_id=typed_field(t, "task_id", str),
-                depends_on=list(typed_field(t, "depends_on", list, [], items=str)),
-                action=typed_field(t, "action", str),
-                params=dict(typed_field(t, "params", dict, {})),
-                retry=RetryPolicy(
-                    max_attempts=typed_field(retry, "max_attempts", int, 1, "retry."),
-                    base_delay_s=typed_field(retry, "base_delay_s", int, 5, "retry."),
-                    cap_delay_s=typed_field(retry, "cap_delay_s", int, 300, "retry."),
-                ),
-            ))
-        dag = cls(
-            dag_id=typed_field(obj, "dag_id", str, ""),
-            schedule=schedule,
-            tasks=tasks,
-            max_parallel_tasks=typed_field(obj, "max_parallel_tasks", int, 1),
-        )
+        """Read and validate a DAG from its JSON form; a missing or ill-typed
+        field raises ConfigInvalid naming it."""
+        dag = record_from_json(cls, obj)
         dag.validate()
         return dag
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "DagSpec":
-        return load_json_config(path, cls.from_dict)
 
 
 def load_dags(dags_dir: str | Path) -> dict[str, DagSpec]:
     dags = {}
     for path in sorted(Path(dags_dir).glob("*.json")):
-        dag = DagSpec.from_file(path)
+        dag = load_json_config(path, DagSpec.from_dict)
         dags[dag.dag_id] = dag
     return dags
 
@@ -270,10 +235,20 @@ class Transition:
     extra: dict[str, Any] = field(default_factory=dict)
 
     def to_json(self) -> str:
-        obj = {"at_us": self.at_us, "attempt": self.attempt,
-               "state": self.state, "task_id": self.task_id}
-        obj.update(self.extra)
+        """The run-log line: the extras are keys beside the fields."""
+        obj = record_to_json(self)
+        obj.update(obj.pop("extra"))
         return json.dumps(obj, sort_keys=True)
+
+    @classmethod
+    def from_json(cls, obj: Any) -> "Transition":
+        """Inverse of to_json; a missing or ill-typed field raises ConfigInvalid."""
+        transition = record_from_json(cls, obj)
+        transition.extra = {k: v for k, v in obj.items() if k not in _FIELDS}
+        return transition
+
+
+_FIELDS = {f.name for f in fields(Transition)}
 
 
 class RunLog:
@@ -294,18 +269,10 @@ class RunLog:
         out = []
         for line_no, line in enumerate(repair_tail(self.path), start=1):
             try:
-                obj = json.loads(line)
-                out.append(
-                    Transition(
-                        at_us=obj["at_us"],
-                        task_id=obj["task_id"],
-                        attempt=obj["attempt"],
-                        state=obj["state"],
-                        extra={k: v for k, v in obj.items()
-                               if k not in ("at_us", "task_id", "attempt", "state")},
-                    )
-                )
-            except (ValueError, KeyError) as exc:
+                out.append(Transition.from_json(json.loads(line)))
+            except ConfigInvalid as exc:
+                raise CorruptRunLog(line_no, f"line {line_no}: field {exc.field!r} {exc.reason}")
+            except ValueError as exc:
                 raise CorruptRunLog(line_no, f"line {line_no}: {exc}")
         return out
 
@@ -454,6 +421,7 @@ def backfill(
     """
     if from_us >= to_us:
         raise ConfigInvalid("backfill", "window must be non-empty")
+    dag.validate()
     return [
         execute_run(dag, t, registry, clock, runs_root)
         for t in schedule_instants(dag.schedule, from_us, to_us)
@@ -489,6 +457,8 @@ class Scheduler:
 
     def run_forever(self, dags: dict[str, DagSpec], until_us: int | None = None) -> list[RunResult]:
         """Execute each DAG at its schedule instants until until_us (or forever)."""
+        for dag in dags.values():
+            dag.validate()
         results = []
         pending = {dag_id: next_run_after(dag.schedule, self.clock.now_us())
                    for dag_id, dag in dags.items()}

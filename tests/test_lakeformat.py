@@ -1,3 +1,4 @@
+import json
 import struct
 
 import pytest
@@ -280,6 +281,38 @@ def test_bad_magic_and_footer():
     broken = data[:-8] + struct.pack("<I", 2**31) + data[-4:]
     with pytest.raises(FooterCorrupt):
         read_file(broken)
+
+
+def _with_footer(data: bytes, edit) -> bytes:
+    """The file data with its footer object changed in place by edit."""
+    (footer_len,) = struct.unpack("<I", data[-8:-4])
+    footer = json.loads(data[-8 - footer_len:-8])
+    edit(footer)
+    body = json.dumps(footer).encode()
+    return data[:-8 - footer_len] + body + struct.pack("<I", len(body)) + data[-4:]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda f: f["chunks"][0].update(byte_offset=4.0),
+    lambda f: f["chunks"][0].update(value_count="2"),
+    lambda f: f["chunks"][1].update(byte_length=-1),
+    lambda f: f["chunks"][2].update(crc32c=True),
+    lambda f: f["chunks"][0].update(encoding="ZSTD"),
+    lambda f: f.update(row_count=2.0),
+    lambda f: f["chunks"][1].update(min=7),
+    lambda f: f["chunks"][0].update(max="2"),
+    lambda f: f["schema"][1].update(physical_type="FLOAT"),
+    lambda f: f["schema"][2].update(name="ts"),
+    lambda f: f["chunks"].append(f["chunks"][0]),
+    lambda f: f.pop("writer"),
+], ids=["float_offset", "string_count", "negative_length", "bool_crc", "unknown_encoding",
+        "float_row_count", "int_bytes_stat", "string_int64_stat", "unknown_physical_type",
+        "repeated_column", "extra_chunk", "no_writer"])
+def test_ill_typed_footer_is_footer_corrupt(edit):
+    data = write_file([(1, b"x", True), (2, b"y", False)], SCHEMA)
+    assert read_file(_with_footer(data, lambda f: None)).rows() == [(1, b"x", True), (2, b"y", False)]
+    with pytest.raises(FooterCorrupt):
+        read_file(_with_footer(data, edit))
 
 
 def test_projection_reads_only_needed_ranges():

@@ -24,7 +24,9 @@ from brclake.lakehouse import (
     entry_to_bytes,
     list_files,
 )
+from brclake.lakeformat import ColumnSchema
 from brclake.objectstore import FsStore
+from conftest import run_optimized
 
 DAY0 = iso_to_us("2021-03-01T00:00:00Z")
 
@@ -239,8 +241,10 @@ def _entry_with_add(**fields) -> bytes:
     _entry_with_add(rows=True),
     _entry_with_add(partition={"symbol": "BTC-USD"}),
     _entry_with(committed_at_us=1.5),
+    _entry_with(actions=[{"remove_file": {"path": "a"}, "add_file": _GOOD_ENTRY["actions"][0]["add_file"]}]),
+    _entry_with(actions=[{"set_schema": {"schema_id": "s", "columns": [["ts", "INT64"]]}}]),
 ], ids=["missing_fields", "not_json", "not_object", "unknown_action", "string_rows",
-        "bool_rows", "partition_without_date", "float_time"])
+        "bool_rows", "partition_without_date", "float_time", "two_action_kinds", "column_pair"])
 def test_malformed_log_entry_is_corrupt_log(tmp_path, data):
     table = _table(tmp_path)
     table.init("trades_v1", [])
@@ -248,6 +252,44 @@ def test_malformed_log_entry_is_corrupt_log(tmp_path, data):
     with pytest.raises(CorruptLog) as err:
         table.read_entry(2)
     assert err.value.version == 2
+
+
+def test_entry_bytes_are_pinned():
+    entry = LogEntry(3, 2, 1_600_000_000_123_456, [
+        SetSchema("trades_v1", (ColumnSchema("event_time_us", "INT64"), ColumnSchema("symbol", "BYTES"))),
+        AddFile("tables/t/data/symbol=BTC-USD/date=2020-09-13/part-a.brcl",
+                PartitionKey("BTC-USD", "2020-09-13"), 2, 310, 1_600_000_000_000_000, 1_600_000_000_999_999),
+        RemoveFile("tables/t/data/symbol=BTC-USD/date=2020-09-13/part-0.brcl"),
+    ], "brc")
+    data = entry_to_bytes(entry)
+    assert data == (
+        b'{"actions": [{"set_schema": {"columns": [{"name": "event_time_us", "physical_type": "INT64"}, '
+        b'{"name": "symbol", "physical_type": "BYTES"}], "schema_id": "trades_v1"}}, '
+        b'{"add_file": {"bytes": 310, "max_event_time_us": 1600000000999999, '
+        b'"min_event_time_us": 1600000000000000, "partition": {"date": "2020-09-13", "symbol": "BTC-USD"}, '
+        b'"path": "tables/t/data/symbol=BTC-USD/date=2020-09-13/part-a.brcl", "rows": 2}}, '
+        b'{"remove_file": {"path": "tables/t/data/symbol=BTC-USD/date=2020-09-13/part-0.brcl"}}], '
+        b'"committed_at_us": 1600000000123456, "committer": "brc", "parent": 2, "version": 3}')
+
+
+def test_ill_typed_records_are_typed_errors_under_optimize(tmp_path):
+    result = run_optimized(f"""
+import conftest
+from brclake.errors import BrcError
+from brclake.lakehouse import LakeTable
+from brclake.objectstore import FsStore
+from brclake.orchestrator import DagSpec
+table = LakeTable(FsStore({str(tmp_path)!r}), "t")
+table.store.put(table._entry_key(1), b'{{"version": 1, "parent": 0, "committed_at_us": 0, '
+                b'"actions": [{{"remove_file": {{"path": 7}}}}], "committer": "w"}}')
+dag = {{"dag_id": "d", "schedule": {{"interval": {{"period_us": "60"}}}}}}
+for read in (lambda: table.read_entry(1), lambda: DagSpec.from_dict(dag)):
+    try:
+        read()
+    except BrcError as exc:
+        print(exc.kind, exc.fields.get("version", exc.fields.get("field")))
+""")
+    assert result.stdout.split() == ["CorruptLog", "1", "ConfigInvalid", "interval.period_us"], result.stderr
 
 
 # -- pruning ------------------------------------------------------------------------------

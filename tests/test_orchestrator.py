@@ -260,6 +260,36 @@ def test_torn_trailing_log_line_ignored(tmp_path):
     assert [t.state for t in log.replay()] == ["Queued", "Running", "Succeeded"]
 
 
+def test_transition_line_is_pinned(tmp_path):
+    transition = Transition(120_000_000, "export", 2, "Retrying", {"delay_s": 10, "error": "boom"})
+    line = transition.to_json()
+    assert line == ('{"at_us": 120000000, "attempt": 2, "delay_s": 10, "error": "boom", '
+                    '"state": "Retrying", "task_id": "export"}')
+    log = RunLog(run_log_path(tmp_path, "d", 0))
+    log.append(transition)
+    assert log.replay() == [transition]
+
+
+@pytest.mark.parametrize("line", [
+    "[1]",
+    '"x"',
+    "5",
+    '{"at_us": 1, "task_id": "a", "attempt": "1", "state": "Running"}',
+    '{"at_us": 1, "task_id": 5, "attempt": 1, "state": "Running"}',
+    '{"at_us": 1.5, "task_id": "a", "attempt": 1, "state": "Running"}',
+    '{"at_us": 1, "task_id": "a", "attempt": 1, "state": null}',
+    '{"at_us": 1, "task_id": "a", "attempt": 1}',
+], ids=["array", "string", "number", "string_attempt", "int_task_id", "float_at_us", "null_state", "no_state"])
+def test_ill_typed_run_log_line_is_corrupt_run_log(tmp_path, line):
+    log = RunLog(run_log_path(tmp_path, "d", 0))
+    log.append(Transition(0, "a", 1, "Queued"))
+    with open(log.path, "a") as f:
+        f.write(line + "\n")
+    with pytest.raises(CorruptRunLog) as err:
+        log.replay()
+    assert err.value.line_no == 2 and "line 2" in err.value.detail
+
+
 # -- backfill ------------------------------------------------------------------------------------
 
 def test_backfill_counts():
@@ -290,6 +320,32 @@ def test_backfill_empty_window_rejected(tmp_path):
     dag = DagSpec("bf", Interval(0, US_PER_DAY), [TaskSpec("a", [], "act")])
     with pytest.raises(ConfigInvalid):
         backfill(dag, US_PER_DAY, US_PER_DAY, {"act": lambda ctx: None}, SimClock(0), tmp_path)
+
+
+def test_zero_period_interval_is_config_invalid(tmp_path):
+    dag = DagSpec("d", Interval(0, 0), [TaskSpec("a", [], "act")])
+    with pytest.raises(ConfigInvalid) as err:
+        dag.validate()
+    assert err.value.field == "interval.period_us"
+    with pytest.raises(ConfigInvalid):
+        backfill(dag, 0, US_PER_DAY, {"act": lambda ctx: None}, SimClock(0), tmp_path)
+    with Scheduler(tmp_path / "runs", {"act": lambda ctx: None}, clock=SimClock(0)) as scheduler:
+        with pytest.raises(ConfigInvalid):
+            scheduler.run_forever({"d": dag}, until_us=MIN)
+
+
+@pytest.mark.parametrize("hour, minute", [(25, 0), (24, 0), (0, 60), (-1, 0)])
+def test_daily_at_out_of_range_is_config_invalid(hour, minute):
+    with pytest.raises(ConfigInvalid) as err:
+        DagSpec("d", DailyAt(hour, minute), []).validate()
+    assert err.value.field == "daily_at"
+
+
+def test_schedule_with_two_kinds_is_config_invalid():
+    with pytest.raises(ConfigInvalid) as err:
+        DagSpec.from_dict({"dag_id": "d", "schedule": {"interval": {"period_us": MIN},
+                                                       "daily_at": {"hour": 1}}})
+    assert err.value.field == "schedule"
 
 
 def test_backfill_after_partial_window(tmp_path):
