@@ -20,8 +20,8 @@ configs, log entries, run-log lines and connector state are dataclasses, read
 by ``record_from_json`` and written by ``record_to_json`` from their fields'
 names, types and defaults. A union of records is an object whose one key
 names the member: its class name in snake case (``add_file``). Where
-positional construction rules out a dataclass default, a field states its JSON
-default in ``metadata[JSON_DEFAULT]``.
+positional construction rules out a dataclass default, a field states a
+factory of its JSON default in ``metadata[JSON_DEFAULT]``.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def typed_field(obj: dict, name: str, kind: type, default: Any = _REQUIRED,
 
 # -- record codec --------------------------------------------------------------
 
-JSON_DEFAULT = "json_default"  # field metadata key: the field's JSON default
+JSON_DEFAULT = "json_default"  # field metadata key: a factory of the field's JSON default
 _PRIMITIVES = (str, int, bool)
 
 
@@ -158,9 +158,7 @@ def record_from_json(cls: type[T], obj: Any, prefix: str = "") -> T:
     args = []
     for name, kind, items, decode, missing in _plan(cls)[0]:
         if name in obj:
-            value = obj[name]
-            if type(value) is not kind or items is not None:  # the common case skips the call
-                value = typed_field(obj, name, kind, prefix=prefix, items=items)
+            value = typed_field(obj, name, kind, prefix=prefix, items=items)
             args.append(value if decode is None else decode(value, prefix, name))
         elif missing is None:
             raise ConfigInvalid(prefix + name, "is required")
@@ -188,22 +186,12 @@ def _plan(cls: type) -> tuple[list[tuple], list[tuple]]:
     reads, writes = [], []
     for f in dataclasses.fields(cls):
         kind, items, decode, encode = _value_codec(hints[f.name])
-        default = f.metadata.get(JSON_DEFAULT, f.default)  # a JSON value
-        if f.default_factory is not dataclasses.MISSING:
-            missing = f.default_factory
-        elif default is dataclasses.MISSING:
-            missing = None
-        elif decode is None or default is None:
-            missing = functools.partial(_same, default)
-        else:  # a fresh value per record, never one shared
-            missing = functools.partial(decode, default, "", f.name)
+        missing = f.metadata.get(JSON_DEFAULT, f.default_factory)
+        if missing is dataclasses.MISSING:
+            missing = None if f.default is dataclasses.MISSING else lambda d=f.default: d
         reads.append((f.name, kind, items, decode, missing))
         writes.append((f.name, encode))
     return reads, writes
-
-
-def _same(value: Any) -> Any:
-    return value
 
 
 def _tag(cls: type) -> str:
@@ -218,7 +206,7 @@ def _value_codec(tp: Any) -> tuple[type, type | None, Callable | None, Callable 
         return tp, None, None, None
     if dataclasses.is_dataclass(tp):
         return dict, None, lambda v, p, n: record_from_json(tp, v, p + n + "."), record_to_json
-    if origin in (types.UnionType, typing.Union):
+    if origin is types.UnionType:
         members = {_tag(cls): cls for cls in args if cls is not type(None)}
         if len(members) == 1:  # X | None: absent and None are the same
             return _value_codec(*members.values())

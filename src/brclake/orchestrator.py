@@ -50,7 +50,7 @@ _LEGAL = {
 
 @dataclass(frozen=True)
 class Interval:
-    anchor_us: int = field(metadata={JSON_DEFAULT: 0})
+    anchor_us: int = field(metadata={JSON_DEFAULT: lambda: 0})
     period_us: int
 
 
@@ -97,7 +97,7 @@ class RetryPolicy:
 @dataclass
 class TaskSpec:
     task_id: str
-    depends_on: list[str] = field(metadata={JSON_DEFAULT: []})
+    depends_on: list[str] = field(metadata={JSON_DEFAULT: list})
     action: str
     params: dict[str, Any] = field(default_factory=dict)
     retry: RetryPolicy = field(default_factory=RetryPolicy)

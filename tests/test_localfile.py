@@ -34,7 +34,7 @@ def _values(tp: Any) -> st.SearchStrategy:
         hints = typing.get_type_hints(tp)
         return st.builds(tp, **{f.name: _values(hints[f.name]) for f in dataclasses.fields(tp)})
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin in (types.UnionType, typing.Union):
+    if origin is types.UnionType:
         return st.one_of([_values(arg) for arg in args])
     if origin in (list, tuple):
         return st.lists(_values(args[0]), max_size=3).map(origin)
