@@ -133,6 +133,9 @@ def replay_file(path: str | Path, start: int = 0) -> Iterator[RawEvent]:
             payload = obj["payload"]
             if not isinstance(payload, dict):
                 raise MalformedLine(line_no, f"payload on line {line_no} is not an object")
+            for name, value in payload.items():
+                if not isinstance(value, str):
+                    raise MalformedLine(line_no, f"payload {name} on line {line_no} is not a string")
             for name in REQUIRED_PAYLOAD.get(obj["stream"], ()):
                 if name not in payload:
                     raise MissingField(name, line_no)
@@ -141,7 +144,7 @@ def replay_file(path: str | Path, start: int = 0) -> Iterator[RawEvent]:
                 stream=obj["stream"],
                 raw_symbol=obj["raw_symbol"],
                 event_time_us=obj["event_time_us"],
-                payload={k: str(v) for k, v in payload.items()},
+                payload=payload,
             )
 
 
@@ -186,16 +189,6 @@ def normalize(
     )
     event.validate()
     return event
-
-
-def render_payload(event: MarketEvent) -> dict[str, str]:
-    """Inverse of normalize for the payload fields, at 8 fractional digits."""
-    return {
-        "price": format_e8(event.price_e8),
-        "qty": format_e8(event.qty_e8),
-        "side": event.side,
-        "id": event.event_id,
-    }
 
 
 # -- token bucket -----------------------------------------------------------------

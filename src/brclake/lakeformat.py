@@ -19,9 +19,16 @@ Encodings:
            varints. Deltas wrap modulo 2^64 so any i64 sequence round-trips.
 
 Chunks carry a CRC-32C over exactly their encoded bytes and min/max stats
-(BYTES stats compare lexicographically and are truncated to 64 bytes). The
-payload holds no timestamps, so identical input yields identical bytes on any
-platform.
+(BYTES stats compare lexicographically, are truncated to 64 bytes and are
+stored as latin-1 text). The payload holds no timestamps, so identical input
+yields identical bytes on any platform.
+
+The footer is the JSON object of ``FileFooter``, written and read by
+``localfile``'s record codec (a chunk's encoding by its member name), so its
+dataclasses are the one statement of its fields. ``_check_footer`` adds what
+the codec cannot see: a valid schema with one chunk per column, counts that
+agree, chunk ranges between the leading magic and the footer, and stats of
+each column's type. Any way a footer can be wrong is FooterCorrupt.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ from .errors import (
     SchemaViolation,
 )
 from .fixedpoint import I64_MAX, I64_MIN
-from .localfile import typed_field
+from .localfile import record_from_json, record_to_json
 
 MAGIC = b"BRCL"
 FORMAT_VERSION = 1
@@ -80,6 +87,9 @@ class ColumnSchema:
 
 @dataclass
 class ColumnChunk:
+    """A chunk's place, coding and stats. In the footer JSON a BYTES stat is
+    latin-1 text; a read footer holds it as bytes."""
+
     encoding: Encoding
     value_count: int
     byte_offset: int
@@ -96,6 +106,7 @@ class FileFooter:
     schema: list[ColumnSchema]
     chunks: list[ColumnChunk]
     writer: str
+    codec: str = "none"
 
 
 # -- primitive codecs ----------------------------------------------------------
@@ -304,21 +315,6 @@ def choose_encoding(values: Sequence[Any], physical_type: str) -> Encoding:
     return Encoding.PLAIN
 
 
-# -- stats ----------------------------------------------------------------------------
-
-def _stat_to_json(value: Any, physical_type: str) -> Any:
-    if physical_type == BYTES:
-        return value.decode("latin-1")
-    return value
-
-
-def _stat_from_json(chunk: dict, name: str, physical_type: str) -> Any:
-    value = typed_field(chunk, name, {INT64: int, BYTES: str, BOOL: bool}[physical_type])
-    if physical_type == BYTES:
-        return value.encode("latin-1")
-    return value
-
-
 # -- file writer ---------------------------------------------------------------------------
 
 def _validate_schema(schema: Sequence[ColumnSchema]) -> None:
@@ -344,30 +340,13 @@ def write_file(rows: Sequence[Sequence[Any]], schema: Sequence[ColumnSchema]) ->
         encoding = choose_encoding(values, col.physical_type)
         encoded = encode_column(values, col.physical_type, encoding)
         if col.physical_type == BYTES:
-            lo, hi = lo[:STATS_TRUNCATE_BYTES], hi[:STATS_TRUNCATE_BYTES]
-        chunks.append(
-            {
-                "byte_length": len(encoded),
-                "byte_offset": offset,
-                "crc32c": crc32c(encoded),
-                "encoding": encoding.name,
-                "max": _stat_to_json(hi, col.physical_type),
-                "min": _stat_to_json(lo, col.physical_type),
-                "value_count": len(values),
-            }
-        )
+            lo, hi = lo[:STATS_TRUNCATE_BYTES].decode("latin-1"), hi[:STATS_TRUNCATE_BYTES].decode("latin-1")
+        chunks.append(ColumnChunk(encoding, len(values), offset, len(encoded), crc32c(encoded), lo, hi))
         parts.append(encoded)
         offset += len(encoded)
 
-    footer = {
-        "chunks": chunks,
-        "codec": "none",
-        "format_version": FORMAT_VERSION,
-        "row_count": len(rows),
-        "schema": [{"name": c.name, "physical_type": c.physical_type} for c in schema],
-        "writer": DEFAULT_WRITER,
-    }
-    footer_bytes = json.dumps(footer, sort_keys=True, separators=(",", ":")).encode()
+    footer = FileFooter(FORMAT_VERSION, len(rows), list(schema), chunks, DEFAULT_WRITER)
+    footer_bytes = json.dumps(record_to_json(footer), sort_keys=True, separators=(",", ":")).encode()
     parts.append(footer_bytes)
     parts.append(_U32.pack(len(footer_bytes)))
     parts.append(MAGIC)
@@ -395,11 +374,34 @@ def _checked_columns(rows: Sequence[Sequence[Any]], schema: Sequence[ColumnSchem
 
 # -- file reader ---------------------------------------------------------------------------
 
-def _count(obj: dict, name: str) -> int:
-    value = typed_field(obj, name, int)
-    if value < 0:
-        raise ConfigInvalid(name, f"must be >= 0, got {value}")
-    return value
+_STAT_TYPES = {INT64: int, BYTES: str, BOOL: bool}  # JSON type of each column type's stats
+
+def _check_footer(footer: FileFooter, footer_start: int) -> None:
+    """What the record codec cannot see: valid columns, one chunk each,
+    counts >= 0 that agree, chunks between the leading magic and
+    footer_start, and stats of their column's type, BYTES stats turned from
+    latin-1 text into bytes. FooterCorrupt or ValueError otherwise."""
+    _validate_schema(footer.schema)
+    if footer.format_version != FORMAT_VERSION:
+        raise FooterCorrupt(f"unsupported format version {footer.format_version}")
+    if len(footer.chunks) != len(footer.schema):
+        raise FooterCorrupt(f"{len(footer.chunks)} chunks for {len(footer.schema)} columns")
+    if footer.row_count < 0:
+        raise FooterCorrupt(f"negative row count {footer.row_count}")
+    for chunk, col in zip(footer.chunks, footer.schema):
+        if chunk.value_count != footer.row_count:
+            raise FooterCorrupt("chunk value counts disagree with row count")
+        end = chunk.byte_offset + chunk.byte_length
+        if not len(MAGIC) <= chunk.byte_offset <= end <= footer_start:
+            raise FooterCorrupt(f"chunk of {col.name!r} spans [{chunk.byte_offset}, {end}), "
+                                f"outside the chunk region [{len(MAGIC)}, {footer_start})")
+        if chunk.crc32c < 0:
+            raise FooterCorrupt(f"negative CRC-32C {chunk.crc32c} for {col.name!r}")
+        kind = _STAT_TYPES[col.physical_type]
+        if type(chunk.min) is not kind or type(chunk.max) is not kind:
+            raise FooterCorrupt(f"stats of {col.name!r} are not JSON {kind.__name__}s")
+        if kind is str:
+            chunk.min, chunk.max = chunk.min.encode("latin-1"), chunk.max.encode("latin-1")
 
 
 @dataclass
@@ -431,37 +433,12 @@ def read_file_via(
     if footer_start < len(MAGIC):
         raise FooterCorrupt(f"footer length {footer_len} exceeds file")
     try:
-        footer_obj = json.loads(fetch(footer_start, footer_len).decode())
-        schema = [ColumnSchema(typed_field(c, "name", str), typed_field(c, "physical_type", str))
-                  for c in typed_field(footer_obj, "schema", list, items=dict)]
-        _validate_schema(schema)
-        chunks = [
-            ColumnChunk(
-                encoding=Encoding[typed_field(c, "encoding", str)],
-                value_count=_count(c, "value_count"),
-                byte_offset=_count(c, "byte_offset"),
-                byte_length=_count(c, "byte_length"),
-                crc32c=_count(c, "crc32c"),
-                min=_stat_from_json(c, "min", s.physical_type),
-                max=_stat_from_json(c, "max", s.physical_type),
-            )
-            for c, s in zip(typed_field(footer_obj, "chunks", list, items=dict), schema, strict=True)
-        ]
-        footer = FileFooter(
-            format_version=_count(footer_obj, "format_version"),
-            row_count=_count(footer_obj, "row_count"),
-            schema=schema,
-            chunks=chunks,
-            writer=typed_field(footer_obj, "writer", str),
-        )
+        footer = record_from_json(FileFooter, json.loads(fetch(footer_start, footer_len).decode()))
+        _check_footer(footer, footer_start)
     except ConfigInvalid as exc:
         raise FooterCorrupt(f"footer field {exc.field!r} {exc.reason}")
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         raise FooterCorrupt(f"unparseable footer: {exc}")
-    if footer.format_version != FORMAT_VERSION:
-        raise FooterCorrupt(f"unsupported format version {footer.format_version}")
-    if any(c.value_count != footer.row_count for c in footer.chunks):
-        raise FooterCorrupt("chunk value counts disagree with row count")
 
     by_name = {s.name: i for i, s in enumerate(footer.schema)}
     if projection is None:

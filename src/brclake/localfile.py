@@ -16,17 +16,20 @@ tail before its next append.
 Operators' JSON files (app, connector, DAG and scenario configs) are read by
 ``load_json_config`` and every JSON field by ``typed_field``, so every way
 such a file can be wrong is ConfigInvalid. The connector, DAG and scenario
-configs, log entries, run-log lines and connector state are dataclasses, read
-by ``record_from_json`` and written by ``record_to_json`` from their fields'
-names, types and defaults. A union of records is an object whose one key
-names the member: its class name in snake case (``add_file``). Where
-positional construction rules out a dataclass default, a field states a
-factory of its JSON default in ``metadata[JSON_DEFAULT]``.
+configs, log entries, run-log lines, connector state and the ``.brcl``
+footer are dataclasses, read by ``record_from_json`` and written by
+``record_to_json`` from their fields' names, types and defaults. An enum is
+coded by its member's name. A field annotated ``Any`` holds any JSON value,
+which its owner checks. A union of records is an object whose one key names
+the member: its class name in snake case (``add_file``). Where positional
+construction rules out a dataclass default, a field states a factory of its
+JSON default in ``metadata[JSON_DEFAULT]``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import enum
 import fcntl
 import functools
 import json
@@ -117,7 +120,8 @@ _REQUIRED = object()
 
 
 def _has_type(value: Any, kind: type) -> bool:
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+    """value has the JSON type kind; kind object admits any JSON value."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool) or kind is object)
 
 
 def typed_field(obj: dict, name: str, kind: type, default: Any = _REQUIRED,
@@ -204,6 +208,10 @@ def _value_codec(tp: Any) -> tuple[type, type | None, Callable | None, Callable 
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if tp in _PRIMITIVES:
         return tp, None, None, None
+    if tp is Any:  # any JSON value; its owner checks it
+        return object, None, None, None
+    if isinstance(tp, type) and issubclass(tp, enum.Enum):
+        return str, None, functools.partial(_enum_from_json, tp), lambda v: v.name
     if dataclasses.is_dataclass(tp):
         return dict, None, lambda v, p, n: record_from_json(tp, v, p + n + "."), record_to_json
     if origin is types.UnionType:
@@ -223,6 +231,13 @@ def _value_codec(tp: Any) -> tuple[type, type | None, Callable | None, Callable 
             _, _, decode, encode = _value_codec(element)
         return list, dict, lambda v, p, n: origin(decode(x, p, n) for x in v), lambda v: list(map(encode, v))
     raise TypeError(f"no JSON record codec for {tp!r}")
+
+
+def _enum_from_json(cls: type[enum.Enum], name: str, prefix: str, field: str) -> enum.Enum:
+    try:
+        return cls[name]
+    except KeyError:
+        raise ConfigInvalid(prefix + field, f"must name a member of {cls.__name__}, got {name!r}") from None
 
 
 def _union_from_json(members: dict[str, type], obj: dict, prefix: str, name: str) -> Any:

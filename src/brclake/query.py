@@ -157,13 +157,3 @@ def export_events(events: Iterable[MarketEvent], fmt: str, sink) -> int:
 
 def export_bars(bars: Iterable[OhlcvBar], fmt: str, sink) -> int:
     return export_rows((_render_bar(b) for b in bars), BAR_HEADER, fmt, sink)
-
-
-def parse_event_csv(data: bytes) -> list[dict[str, str]]:
-    """Inverse of the CSV event rendering (for round-trip checks)."""
-    import csv
-
-    reader = csv.reader(io.StringIO(data.decode(), newline=""))
-    rows = list(reader)
-    header = rows[0]
-    return [dict(zip(header, row)) for row in rows[1:]]

@@ -28,7 +28,8 @@ A drain decodes each record line straight to the event's encoded table row
 MarketEvent. Its lines are type-checked a column at a time over the drained
 batch: a line must hold exactly the staged keys, its text fields JSON
 strings and its numeric fields JSON integers within int64 (``true`` is not
-an integer).
+an integer). A line's offset must be its position, the segment's start
+offset plus the line's index; it is compared once per segment drained.
 
 A checkpoint, connector state or record line that cannot be read back, or a
 record line that fails those checks, is CorruptStaging naming its file (and
@@ -109,11 +110,11 @@ def _cells(column: tuple, cell: int) -> list | tuple | None:
     return column
 
 
-def _corrupt_line(sources: list[tuple[int, Path, int]], index: int, detail: str) -> CorruptStaging:
+def _corrupt_line(sources: list[tuple[int, Path, int, int]], index: int, detail: str) -> CorruptStaging:
     """CorruptStaging naming the file and line of the index-th line a read
     took; sources holds (index of its first line taken, path, line index of
-    that line) per segment read."""
-    first, path, lo = sources[bisect_right([s[0] for s in sources], index) - 1]
+    that line, start offset) per segment read."""
+    first, path, lo, _ = sources[bisect_right([s[0] for s in sources], index) - 1]
     return CorruptStaging(str(path), detail, lo + index - first + 1)
 
 
@@ -232,13 +233,13 @@ class StagingStore:
         segs = self._segments(connector_id)
         idx = max(0, bisect_right([start for start, _ in segs], offset) - 1)
         values: list[tuple] = []  # _LINE_VALUES of each line read
-        sources: list[tuple[int, Path, int]] = []  # see _corrupt_line
+        sources: list[tuple[int, Path, int, int]] = []  # see _corrupt_line
         end = 0  # one past the last record of the segments read
         for start, path in segs[idx:]:
             lines = read_lines(path)
             end = start + len(lines)
             lo = max(0, offset - start)
-            sources.append((len(values), path, lo))
+            sources.append((len(values), path, lo, start))
             for line in lines[lo:lo + max_records - len(values)]:
                 try:
                     text = line.decode()
@@ -263,7 +264,13 @@ class StagingStore:
             index, cell = min((next(i for i, v in enumerate(column) if _cells((v,), cell) is None), cell)
                               for cell, column in enumerate(zip(*values)) if columns[cell] is None)
             raise _corrupt_line(sources, index, f"{_FIELD_NAMES[cell]} {values[index][cell]!r} has the wrong type")
-        return list(map(StagedRecord, columns.pop(), zip(*columns)))
+        offsets = columns.pop()
+        for (first, _, lo, start), stop in zip(sources, [s[0] for s in sources[1:]] + [len(values)]):
+            base = start + lo - first  # the position of the index-th line taken is base + index
+            if offsets[first:stop] != tuple(range(base + first, base + stop)):
+                index = next(i for i in range(first, stop) if offsets[i] != base + i)
+                raise _corrupt_line(sources, index, f"offset {offsets[index]} is not its position {base + index}")
+        return list(map(StagedRecord, offsets, zip(*columns)))
 
     # -- export checkpoint ----------------------------------------------------
 

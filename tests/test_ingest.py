@@ -15,12 +15,12 @@ from brclake.errors import (
     UnknownSymbol,
 )
 from brclake.events import ConnectorConfig
+from brclake.fixedpoint import format_e8
 from brclake.ingest import (
     SplitMix64,
     TokenBucket,
     generate_synthetic,
     normalize,
-    render_payload,
     replay_file,
     run_connector,
 )
@@ -196,6 +196,12 @@ def test_normalization_totality(seed, count):
         event.validate()  # every invariant holds
 
 
+def render_payload(event):
+    """Inverse of normalize for the payload fields, at 8 fractional digits."""
+    return {"price": format_e8(event.price_e8), "qty": format_e8(event.qty_e8),
+            "side": event.side, "id": event.event_id}
+
+
 def test_render_round_trip():
     config = make_config()
     event = normalize(_raw(price="0.00000001", qty="99999.999"), config, 7, 0)
@@ -285,6 +291,20 @@ def test_replay_ill_typed_raw_field_is_malformed(tmp_path, field, value):
     obj[field] = value
     with pytest.raises(MalformedLine) as err:
         list(replay_file(_write_lines(tmp_path, ["", json.dumps(obj)])))
+    assert err.value.line_no == 2
+
+
+@pytest.mark.parametrize("payload", [
+    {"price": 1e-9, "qty": "1", "side": "buy", "id": "r-0"},
+    {"price": "1", "qty": True, "side": "buy", "id": "r-0"},
+    {"price": "1", "qty": "1", "side": "buy", "id": 7},
+    {"price": "1", "qty": "1", "side": None, "id": "r-0"},
+], ids=["float_price", "bool_qty", "int_id", "null_side"])
+def test_replay_non_string_payload_value_is_malformed(tmp_path, payload):
+    obj = json.loads(_replay_line(0))
+    obj["payload"] = payload
+    with pytest.raises(MalformedLine) as err:
+        list(replay_file(_write_lines(tmp_path, [_replay_line(1), json.dumps(obj)])))
     assert err.value.line_no == 2
 
 

@@ -1,3 +1,4 @@
+import csv
 import io
 import random
 
@@ -17,7 +18,6 @@ from brclake.query import (
     export_bars,
     export_events,
     ohlcv,
-    parse_event_csv,
     scan,
 )
 from brclake.staging import StagingStore
@@ -294,6 +294,11 @@ def test_export_deterministic():
     export_events(events, "csv", a)
     export_events(events, "csv", b)
     assert a.getvalue() == b.getvalue()
+
+
+def parse_event_csv(data: bytes) -> list[dict[str, str]]:
+    """Inverse of the CSV event rendering."""
+    return list(csv.DictReader(io.StringIO(data.decode(), newline="")))
 
 
 def test_csv_parse_round_trip_preserves_e8():

@@ -378,6 +378,27 @@ def test_corrupt_staging_names_the_first_bad_line_across_segments(tmp_path):
     assert [r.event for r in store.read_from("c", 1, 4)] == events[1:5]
 
 
+@pytest.mark.parametrize("offsets, read_from, bad", [
+    ([0, 99, -5], 0, (0, 2)),
+    ([0, 1, 2, 3, 4, 4], 0, (3, 3)),
+    ([0, 2, 3], 1, (0, 2)),
+    ([0, 1, 2, 4, 5, 6], 2, (3, 1)),
+], ids=["rewritten_offsets", "repeated_offset_in_second_segment", "read_inside_segment",
+        "segment_start_disagrees"])
+def test_staged_offset_that_is_not_its_position_is_corrupt_staging(tmp_path, offsets, read_from, bad):
+    store = StagingStore(tmp_path, max_segment_records=3)
+    events = _events(len(offsets))
+    (tmp_path / "c").mkdir()
+    for start in range(0, len(offsets), 3):
+        lines = [_staged(e, o) for e, o in zip(events[start:start + 3], offsets[start:start + 3])]
+        (tmp_path / "c" / f"seg-{start:020}.jsonl").write_text(
+            "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines))
+    with pytest.raises(CorruptStaging) as err:
+        store.read_from("c", read_from, 100)
+    segment, line_no = bad
+    assert (err.value.path, err.value.line_no) == (str(tmp_path / "c" / f"seg-{segment:020}.jsonl"), line_no)
+
+
 # -- prune -----------------------------------------------------------------------------
 
 def test_prune_removes_only_fully_drained_sealed_segments(tmp_path):
