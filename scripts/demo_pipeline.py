@@ -22,6 +22,7 @@ from brclake.events import ConnectorConfig
 from brclake.fixedpoint import us_to_iso
 from brclake.ingest import run_connector
 from brclake.lakehouse import LakeTable
+from brclake.localfile import record_to_json
 from brclake.objectstore import FsStore
 from brclake.query import ScanRequest, export_bars, ohlcv, scan
 from brclake.staging import StagingStore
@@ -65,12 +66,7 @@ def main() -> int:
             symbols=dict(symbols), seed=100 + i, count=args.events, dup_prob_bp=150,
             ingest_time_mode="event_time",
         )
-        (root / f"connector-{connector_id}.json").write_text(json.dumps({
-            "connector_id": config.connector_id, "kind": config.kind,
-            "source": config.source, "symbols": config.symbols, "seed": config.seed,
-            "count": config.count, "dup_prob_bp": config.dup_prob_bp,
-            "ingest_time_mode": config.ingest_time_mode,
-        }, indent=2))
+        (root / f"connector-{connector_id}.json").write_text(json.dumps(record_to_json(config), indent=2))
         summary = run_connector(config, staging)
         print(f"[ingest]  {connector_id}: appended {summary.events_appended} events")
         result = export_all(staging, store, table, connector_id, max_records=8000)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Iterator
 
@@ -22,7 +21,6 @@ from . import crashpoints
 from .errors import BadDecimal, BadSide, MalformedLine, MissingField, UnknownSymbol
 from .events import REQUIRED_PAYLOAD, ConnectorConfig, MarketEvent, RawEvent
 from .fixedpoint import format_e8, parse_decimal_e8
-from .localfile import record_from_json, record_to_json
 from .staging import StagingStore
 
 MASK64 = (1 << 64) - 1
@@ -118,7 +116,7 @@ def replay_file(path: str | Path, start: int = 0) -> Iterator[RawEvent]:
                 continue
             try:
                 obj = json.loads(line)
-            except ValueError:
+            except (ValueError, RecursionError):
                 raise MalformedLine(line_no)
             if not isinstance(obj, dict):
                 raise MalformedLine(line_no, f"line {line_no} is not a JSON object")
@@ -260,7 +258,7 @@ def run_connector(config: ConnectorConfig, staging: StagingStore) -> SessionSumm
     appended = 0
     last_offset = -1
     with staging.open_session(config.connector_id) as session:
-        saved = session.load_state(partial(record_from_json, ConnectorState)) or ConnectorState()
+        saved = staging.load_connector_state(config.connector_id, ConnectorState) or ConnectorState()
         state = ConnectorState(saved.seq_counters)  # as of the last batch appended
         replay_line = saved.replay_line or 0
 
@@ -279,7 +277,7 @@ def run_connector(config: ConnectorConfig, staging: StagingStore) -> SessionSumm
             appended += len(batch)
             last_offset = last
             crashpoints.crashpoint("ingest.append")
-            session.save_state(record_to_json(state))
+            staging.save_connector_state(config.connector_id, state)
             batch.clear()
 
         for raws, gen_state in steps:

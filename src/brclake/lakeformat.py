@@ -46,14 +46,13 @@ from .crc32c import crc32c
 from .errors import (
     BadMagic,
     ChecksumMismatch,
-    ConfigInvalid,
     CorruptChunk,
     FooterCorrupt,
     IllegalEncoding,
     SchemaViolation,
 )
 from .fixedpoint import I64_MAX, I64_MIN
-from .localfile import record_from_json, record_to_json
+from .localfile import read_json, record_from_json, record_to_json
 
 MAGIC = b"BRCL"
 FORMAT_VERSION = 1
@@ -376,14 +375,17 @@ def _checked_columns(rows: Sequence[Sequence[Any]], schema: Sequence[ColumnSchem
 
 _STAT_TYPES = {INT64: int, BYTES: str, BOOL: bool}  # JSON type of each column type's stats
 
-def _check_footer(footer: FileFooter, footer_start: int) -> None:
-    """What the record codec cannot see: valid columns, one chunk each,
-    counts >= 0 that agree, chunks between the leading magic and
-    footer_start, and stats of their column's type, BYTES stats turned from
-    latin-1 text into bytes. FooterCorrupt or ValueError otherwise."""
+def _check_footer(footer: FileFooter, footer_start: int) -> FileFooter:
+    """footer, checked for what the record codec cannot see: valid columns,
+    one chunk each, no compression codec, counts >= 0 that agree, chunks
+    between the leading magic and footer_start, and stats of their column's
+    type, BYTES stats turned from latin-1 text into bytes. FooterCorrupt or
+    ValueError otherwise."""
     _validate_schema(footer.schema)
     if footer.format_version != FORMAT_VERSION:
         raise FooterCorrupt(f"unsupported format version {footer.format_version}")
+    if footer.codec != "none":
+        raise FooterCorrupt(f"unsupported codec {footer.codec!r}")
     if len(footer.chunks) != len(footer.schema):
         raise FooterCorrupt(f"{len(footer.chunks)} chunks for {len(footer.schema)} columns")
     if footer.row_count < 0:
@@ -402,6 +404,7 @@ def _check_footer(footer: FileFooter, footer_start: int) -> None:
             raise FooterCorrupt(f"stats of {col.name!r} are not JSON {kind.__name__}s")
         if kind is str:
             chunk.min, chunk.max = chunk.min.encode("latin-1"), chunk.max.encode("latin-1")
+    return footer
 
 
 @dataclass
@@ -432,13 +435,9 @@ def read_file_via(
     footer_start = size - 8 - footer_len
     if footer_start < len(MAGIC):
         raise FooterCorrupt(f"footer length {footer_len} exceeds file")
-    try:
-        footer = record_from_json(FileFooter, json.loads(fetch(footer_start, footer_len).decode()))
-        _check_footer(footer, footer_start)
-    except ConfigInvalid as exc:
-        raise FooterCorrupt(f"footer field {exc.field!r} {exc.reason}")
-    except ValueError as exc:
-        raise FooterCorrupt(f"unparseable footer: {exc}")
+    footer = read_json(fetch(footer_start, footer_len),
+                       lambda obj: _check_footer(record_from_json(FileFooter, obj), footer_start),
+                       lambda detail: FooterCorrupt(f"bad footer: {detail}"))
 
     by_name = {s.name: i for i, s in enumerate(footer.schema)}
     if projection is None:

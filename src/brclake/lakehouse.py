@@ -14,6 +14,7 @@ import json
 import time
 import uuid
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .fixedpoint import us_to_date
 from .lakeformat import ColumnSchema
-from .localfile import record_from_json, record_to_json
+from .localfile import read_json, record_from_json, record_to_json
 
 DEFAULT_COMMITTER = "brc"
 
@@ -84,10 +85,11 @@ class Snapshot:
 
     def check(self, entry: LogEntry) -> None:
         """The one rule for log entries, which folds and commits share: the
-        entry is the next version; each add_file has rows >= 1, min <= max
-        event time and a path not yet live; each remove_file names a live
-        path; no path appears twice; set_schema only at init (version 1).
-        A breach raises CorruptLog naming the version (and path)."""
+        entry is the next version; each add_file has rows >= 1, bytes >= 0,
+        min <= max event time, both within its partition's UTC day, and a
+        path not yet live; each remove_file names a live path; no path
+        appears twice; set_schema only at init (version 1). A breach raises
+        CorruptLog naming the version (and path)."""
         if entry.version != self.version + 1:
             raise CorruptLog(entry.version, f"does not follow version {self.version}")
         touched: set[str] = set()
@@ -106,9 +108,14 @@ class Snapshot:
                 raise CorruptLog(entry.version, f"adds live path {action.path}", action.path)
             elif action.rows < 1:
                 raise CorruptLog(entry.version, f"add_file {action.path}: rows must be >= 1", action.path)
+            elif action.bytes < 0:
+                raise CorruptLog(entry.version, f"add_file {action.path}: bytes must be >= 0", action.path)
             elif action.min_event_time_us > action.max_event_time_us:
                 raise CorruptLog(entry.version, f"add_file {action.path}: min > max event time",
                                  action.path)
+            elif not _within_day(action):
+                raise CorruptLog(entry.version, f"add_file {action.path}: event times outside "
+                                 f"partition date {action.partition.date}", action.path)
 
     def apply(self, entry: LogEntry) -> None:
         """Fold entry onto the snapshot; it is checked first, so an entry
@@ -122,6 +129,14 @@ class Snapshot:
             else:
                 self.schema_id = action.schema_id
         self.version = entry.version
+
+
+def _within_day(add: AddFile) -> bool:
+    """Both event times of add fall in its partition's UTC day."""
+    try:
+        return us_to_date(add.min_event_time_us) == add.partition.date == us_to_date(add.max_event_time_us)
+    except OverflowError:  # a day outside the years 1-9999 is no partition's
+        return False
 
 
 def entry_to_bytes(entry: LogEntry) -> bytes:
@@ -160,12 +175,7 @@ class LakeTable:
             data = self.store.get(self._entry_key(version))
         except NotFound:
             raise NoSuchVersion(version, self._cache.version)
-        try:
-            return record_from_json(LogEntry, json.loads(data))
-        except ConfigInvalid as exc:
-            raise CorruptLog(version, f"field {exc.field!r} {exc.reason}")
-        except ValueError as exc:
-            raise CorruptLog(version, str(exc))
+        return read_json(data, partial(record_from_json, LogEntry), partial(CorruptLog, version))
 
     def _entries_after(self, version: int) -> Iterator[LogEntry]:
         """Committed entries newer than version, probed upward until the

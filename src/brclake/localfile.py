@@ -16,14 +16,16 @@ tail before its next append.
 Operators' JSON files (app, connector, DAG and scenario configs) are read by
 ``load_json_config`` and every JSON field by ``typed_field``, so every way
 such a file can be wrong is ConfigInvalid. The connector, DAG and scenario
-configs, log entries, run-log lines, connector state and the ``.brcl``
-footer are dataclasses, read by ``record_from_json`` and written by
-``record_to_json`` from their fields' names, types and defaults. An enum is
-coded by its member's name. A field annotated ``Any`` holds any JSON value,
-which its owner checks. A union of records is an object whose one key names
-the member: its class name in snake case (``add_file``). Where positional
-construction rules out a dataclass default, a field states a factory of its
-JSON default in ``metadata[JSON_DEFAULT]``.
+configs, log entries, run-log lines, staging checkpoints, connector state
+and the ``.brcl`` footer are dataclasses, read by ``record_from_json`` and
+written by ``record_to_json`` from their fields' names, types and defaults.
+An enum is coded by its member's name. A field annotated ``Any`` holds any
+JSON value, which its owner checks. A union of records is an object whose
+one key names the member: its class name in snake case (``add_file``).
+Where positional construction rules out a dataclass default, a field states
+a factory of its JSON default in ``metadata[JSON_DEFAULT]``. A stored
+record's bytes are read by ``read_json``, which turns every way they can be
+wrong, JSON nested too deep included, into its owner's error.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def acquire_lock(path: Path, what: str) -> BinaryIO:
     except BlockingIOError:
         try:
             holder = f"pid {json.loads(f.read())['pid']}"
-        except (ValueError, KeyError, TypeError):  # the holder is still writing its body
+        except (ValueError, KeyError, TypeError, RecursionError):  # e.g. the holder is still writing it
             holder = "another holder"
         f.close()
         raise SessionLockHeld(f"{what} locked by {holder}")
@@ -106,12 +108,27 @@ def load_json_config(path: str | Path, build: Callable[[Any], T]) -> T:
             obj = json.load(f)
     except OSError as exc:
         raise ConfigInvalid("config", f"cannot read {path}: {exc}")
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigInvalid("config", f"invalid JSON in {path}: {exc}")
     try:
         return build(obj)
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid("config", f"ill-typed field in {path}: {exc}")
+
+
+def read_json(data: bytes, build: Callable[[Any], T], corrupt: Callable[[str], Exception]) -> T:
+    """build applied to the JSON value in data, which must be UTF-8. Bytes
+    that are not UTF-8 or JSON, JSON nested deeper than the parser's
+    recursion limit, and a ConfigInvalid or ValueError from build raise
+    corrupt(detail)."""
+    try:
+        return build(json.loads(data.decode()))
+    except ConfigInvalid as exc:
+        raise corrupt(f"field {exc.field!r} {exc.reason}") from None
+    except ValueError as exc:
+        raise corrupt(str(exc)) from None
+    except RecursionError:
+        raise corrupt("JSON nested too deep") from None
 
 
 _JSON_TYPE_NAMES = {str: "a string", int: "an integer", bool: "a boolean",
@@ -173,19 +190,22 @@ def record_from_json(cls: type[T], obj: Any, prefix: str = "") -> T:
 
 def record_to_json(record: Any) -> dict:
     """The JSON object of a dataclass record, the inverse of
-    ``record_from_json``; a field holding None is left out."""
+    ``record_from_json``; a field holding its default None is left out."""
     obj = {}
-    for name, encode in _plan(type(record))[1]:
+    for name, encode, omit_none in _plan(type(record))[1]:
         value = getattr(record, name)
         if value is not None:
             obj[name] = value if encode is None else encode(value)
+        elif not omit_none:
+            obj[name] = None
     return obj
 
 
 @functools.cache
 def _plan(cls: type) -> tuple[list[tuple], list[tuple]]:
     """How each field of cls is read, (name, JSON kind, item kind, decode,
-    missing), and written, (name, encode); resolved once per class."""
+    missing), and written, (name, encode, whether None is left out);
+    resolved once per class."""
     hints = typing.get_type_hints(cls)
     reads, writes = [], []
     for f in dataclasses.fields(cls):
@@ -194,7 +214,7 @@ def _plan(cls: type) -> tuple[list[tuple], list[tuple]]:
         if missing is dataclasses.MISSING:
             missing = None if f.default is dataclasses.MISSING else lambda d=f.default: d
         reads.append((f.name, kind, items, decode, missing))
-        writes.append((f.name, encode))
+        writes.append((f.name, encode, f.default is None))
     return reads, writes
 
 

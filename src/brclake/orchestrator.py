@@ -24,8 +24,8 @@ from .errors import (
     CycleDetected,
 )
 from .fixedpoint import US_PER_DAY
-from .localfile import (JSON_DEFAULT, acquire_lock, fsync_append, load_json_config, record_from_json,
-                        record_to_json, repair_tail)
+from .localfile import (JSON_DEFAULT, acquire_lock, fsync_append, load_json_config, read_json,
+                        record_from_json, record_to_json, repair_tail)
 
 PENDING = "Pending"
 QUEUED = "Queued"
@@ -266,15 +266,8 @@ class RunLog:
         mid-append is truncated first, so the next append starts cleanly."""
         if not self.path.exists():
             return []
-        out = []
-        for line_no, line in enumerate(repair_tail(self.path), start=1):
-            try:
-                out.append(Transition.from_json(json.loads(line)))
-            except ConfigInvalid as exc:
-                raise CorruptRunLog(line_no, f"line {line_no}: field {exc.field!r} {exc.reason}")
-            except ValueError as exc:
-                raise CorruptRunLog(line_no, f"line {line_no}: {exc}")
-        return out
+        return [read_json(line, Transition.from_json, lambda detail: CorruptRunLog(n, f"line {n}: {detail}"))
+                for n, line in enumerate(repair_tail(self.path), start=1)]
 
 
 def recover(transitions: list[Transition]) -> dict[str, tuple[str, int]]:

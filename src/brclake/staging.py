@@ -25,15 +25,16 @@ newest segment once more to check the checkpoint against the tail.
 
 A drain decodes each record line straight to the event's encoded table row
 (``events.TABLE_COLUMNS`` order, text as UTF-8), without building a
-MarketEvent. Its lines are type-checked a column at a time over the drained
-batch: a line must hold exactly the staged keys, its text fields JSON
-strings and its numeric fields JSON integers within int64 (``true`` is not
-an integer). A line's offset must be its position, the segment's start
-offset plus the line's index; it is compared once per segment drained.
+MarketEvent. It checks each segment's lines before it reads the next
+segment, a column at a time: a line must hold exactly the staged keys, its
+text fields JSON strings and its numeric fields JSON integers within int64
+(``true`` is not an integer), and its offset must be its position, the
+segment's start offset plus the line's index.
 
-A checkpoint, connector state or record line that cannot be read back, or a
-record line that fails those checks, is CorruptStaging naming its file (and
-line).
+The checkpoint and the connector state are records (``Checkpoint`` and the
+connector's own), written by the record codec. A checkpoint, connector state
+or record line that cannot be read back, or a record line that fails those
+checks, is CorruptStaging naming its file (and line).
 """
 
 from __future__ import annotations
@@ -44,14 +45,15 @@ import os
 import secrets
 from bisect import bisect_right
 from contextlib import contextmanager
+from dataclasses import dataclass
+from functools import partial
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, NamedTuple, TypeVar
+from typing import Any, BinaryIO, Iterator, NamedTuple, TypeVar
 
 from .errors import (
     CheckpointRegression,
-    ConfigInvalid,
     CorruptStaging,
     OffsetOutOfRange,
     StagingUnavailable,
@@ -59,7 +61,8 @@ from .errors import (
 )
 from .events import TABLE_COLUMNS, TEXT_FIELDS, MarketEvent, event_from_row
 from .fixedpoint import I64_MAX, I64_MIN
-from .localfile import acquire_lock, fsync_append, read_lines, repair_tail, typed_field
+from .localfile import (acquire_lock, fsync_append, read_json, read_lines, record_from_json, record_to_json,
+                        repair_tail)
 
 T = TypeVar("T")
 
@@ -75,6 +78,13 @@ class StagedRecord(NamedTuple):
     @property
     def event(self) -> MarketEvent:
         return event_from_row(self.row)
+
+
+@dataclass
+class Checkpoint:
+    """The exporter's committed offset: every record below it is published."""
+
+    committed_offset: int
 
 
 def _staged_line(event: MarketEvent, offset: int) -> str:
@@ -110,36 +120,50 @@ def _cells(column: tuple, cell: int) -> list | tuple | None:
     return column
 
 
-def _corrupt_line(sources: list[tuple[int, Path, int, int]], index: int, detail: str) -> CorruptStaging:
-    """CorruptStaging naming the file and line of the index-th line a read
-    took; sources holds (index of its first line taken, path, line index of
-    that line, start offset) per segment read."""
-    first, path, lo, _ = sources[bisect_right([s[0] for s in sources], index) - 1]
-    return CorruptStaging(str(path), detail, lo + index - first + 1)
+def _segment_records(path: Path, lines: list[bytes], lo: int, first: int) -> list[StagedRecord]:
+    """The records of lines, which a segment holds from its line index lo
+    on and whose offsets must run from first; a line that is not a staged
+    record raises CorruptStaging naming path and its line."""
+    values = []  # _LINE_VALUES of each line
+    for i, line in enumerate(lines):
+        try:
+            text = line.decode()
+            obj, stop = _DECODER.raw_decode(text)
+            if stop != len(text):
+                raise ValueError(f"extra data at column {stop + 1}")
+            if len(obj) != _LINE_KEYS:
+                raise ValueError(f"{len(obj)} keys, want {sorted(_FIELD_NAMES)}")
+            values.append(_LINE_VALUES(obj))
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            raise CorruptStaging(str(path), f"not a staged record: {exc!r}", lo + i + 1)
+    columns = [_cells(column, cell) for cell, column in enumerate(zip(*values))]
+    if None in columns:
+        i, cell = min((next(i for i, v in enumerate(column) if _cells((v,), cell) is None), cell)
+                      for cell, column in enumerate(zip(*values)) if columns[cell] is None)
+        raise CorruptStaging(str(path), f"{_FIELD_NAMES[cell]} {values[i][cell]!r} has the wrong type", lo + i + 1)
+    offsets = columns.pop()
+    if offsets != tuple(range(first, first + len(offsets))):
+        i = next(i for i, o in enumerate(offsets) if o != first + i)
+        raise CorruptStaging(str(path), f"offset {offsets[i]} is not its position {first + i}", lo + i + 1)
+    return list(map(StagedRecord, offsets, zip(*columns)))
 
 
-def _fsync_write(path: Path, data: bytes) -> None:
+def _write_record(path: Path, record: Any) -> None:
+    """Replace the file at path durably with the JSON object of record."""
     tmp = path.with_name(path.name + f".tmp-{secrets.token_hex(8)}")
     with open(tmp, "wb") as f:
-        f.write(data)
+        f.write(json.dumps(record_to_json(record), sort_keys=True).encode())
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, path)
 
 
-def _read_json(path: Path, read: Callable[[dict], T]) -> T:
-    """read applied to the JSON object in the staging file at path. A file
-    that is not a JSON object, or a field that read (through
-    ``typed_field``) finds missing or ill-typed, raises CorruptStaging."""
-    try:
-        obj = json.loads(path.read_bytes())
-        if not isinstance(obj, dict):
-            raise ValueError("not a JSON object")
-        return read(obj)
-    except ConfigInvalid as exc:
-        raise CorruptStaging(str(path), f"field {exc.field!r} {exc.reason}")
-    except ValueError as exc:
-        raise CorruptStaging(str(path), str(exc))
+def _read_record(path: Path, cls: type[T]) -> T | None:
+    """The record of class cls in the file at path, None if there is no
+    file; one that cannot be read back raises CorruptStaging."""
+    if not path.exists():
+        return None
+    return read_json(path.read_bytes(), partial(record_from_json, cls), partial(CorruptStaging, str(path)))
 
 
 class StagingStore:
@@ -232,45 +256,22 @@ class StagingStore:
         record raises CorruptStaging."""
         segs = self._segments(connector_id)
         idx = max(0, bisect_right([start for start, _ in segs], offset) - 1)
-        values: list[tuple] = []  # _LINE_VALUES of each line read
-        sources: list[tuple[int, Path, int, int]] = []  # see _corrupt_line
+        records: list[StagedRecord] = []
         end = 0  # one past the last record of the segments read
         for start, path in segs[idx:]:
             lines = read_lines(path)
             end = start + len(lines)
             lo = max(0, offset - start)
-            sources.append((len(values), path, lo, start))
-            for line in lines[lo:lo + max_records - len(values)]:
-                try:
-                    text = line.decode()
-                    obj, stop = _DECODER.raw_decode(text)
-                    if stop != len(text):
-                        raise ValueError(f"extra data at column {stop + 1}")
-                    if len(obj) != _LINE_KEYS:
-                        raise ValueError(f"{len(obj)} keys, want {sorted(_FIELD_NAMES)}")
-                    values.append(_LINE_VALUES(obj))
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise _corrupt_line(sources, len(values), f"not a staged record: {exc!r}")
-            if len(values) >= max_records:
+            taken = lines[lo:lo + max_records - len(records)]
+            if taken:
+                records += _segment_records(path, taken, lo, start + lo)
+            if len(records) >= max_records:
                 break
         # Segments are dense, so only the newest segment can end before
         # offset, and then end is the tail.
         if offset > end:
             raise OffsetOutOfRange(offset, end - 1)
-        if not values:
-            return []
-        columns = [_cells(column, cell) for cell, column in enumerate(zip(*values))]
-        if None in columns:
-            index, cell = min((next(i for i, v in enumerate(column) if _cells((v,), cell) is None), cell)
-                              for cell, column in enumerate(zip(*values)) if columns[cell] is None)
-            raise _corrupt_line(sources, index, f"{_FIELD_NAMES[cell]} {values[index][cell]!r} has the wrong type")
-        offsets = columns.pop()
-        for (first, _, lo, start), stop in zip(sources, [s[0] for s in sources[1:]] + [len(values)]):
-            base = start + lo - first  # the position of the index-th line taken is base + index
-            if offsets[first:stop] != tuple(range(base + first, base + stop)):
-                index = next(i for i in range(first, stop) if offsets[i] != base + i)
-                raise _corrupt_line(sources, index, f"offset {offsets[index]} is not its position {base + index}")
-        return list(map(StagedRecord, offsets, zip(*columns)))
+        return records
 
     # -- export checkpoint ----------------------------------------------------
 
@@ -278,10 +279,8 @@ class StagingStore:
         return self._dir(connector_id) / "checkpoint.json"
 
     def committed_offset(self, connector_id: str) -> int:
-        path = self._checkpoint_path(connector_id)
-        if not path.exists():
-            return 0
-        return _read_json(path, lambda obj: typed_field(obj, "committed_offset", int))
+        checkpoint = _read_record(self._checkpoint_path(connector_id), Checkpoint)
+        return checkpoint.committed_offset if checkpoint else 0
 
     def drain_batch(self, connector_id: str, max_records: int) -> tuple[list[StagedRecord], int]:
         """Records from the committed offset onward, plus the checkpoint to
@@ -297,26 +296,20 @@ class StagingStore:
         tail = self.tail_offset(connector_id)
         if next_checkpoint > tail:
             raise OffsetOutOfRange(next_checkpoint, tail - 1)
-        d = self._dir(connector_id)
-        d.mkdir(parents=True, exist_ok=True)
-        _fsync_write(
-            self._checkpoint_path(connector_id),
-            json.dumps({"committed_offset": next_checkpoint}, sort_keys=True).encode(),
-        )
+        self._dir(connector_id).mkdir(parents=True, exist_ok=True)
+        _write_record(self._checkpoint_path(connector_id), Checkpoint(next_checkpoint))
 
     # -- connector resume state ------------------------------------------------
 
-    def save_connector_state(self, connector_id: str, state: dict) -> None:
+    def save_connector_state(self, connector_id: str, state: Any) -> None:
+        """Save the connector's resume state, a record."""
         d = self._dir(connector_id)
         d.mkdir(parents=True, exist_ok=True)
-        _fsync_write(d / "connector_state.json", json.dumps(state, sort_keys=True).encode())
+        _write_record(d / "connector_state.json", state)
 
-    def load_connector_state(self, connector_id: str, read: Callable[[dict], T] = dict) -> T | None:
-        """read applied to the saved state, or None before the first save."""
-        path = self._dir(connector_id) / "connector_state.json"
-        if not path.exists():
-            return None
-        return _read_json(path, read)
+    def load_connector_state(self, connector_id: str, cls: type[T]) -> T | None:
+        """The saved state, a record of class cls, or None before the first save."""
+        return _read_record(self._dir(connector_id) / "connector_state.json", cls)
 
     # -- exporter lock -------------------------------------------------------------
 
@@ -368,12 +361,6 @@ class StagingSession:
             return tail, tail - 1
         first, last, self._active = self.store._append(self.connector_id, events, self._active)
         return first, last
-
-    def save_state(self, state: dict) -> None:
-        self.store.save_connector_state(self.connector_id, state)
-
-    def load_state(self, read: Callable[[dict], T]) -> T | None:
-        return self.store.load_connector_state(self.connector_id, read)
 
     def close(self) -> None:
         if self._open:

@@ -13,6 +13,7 @@ from brclake import errors
 from brclake.cli import build_parser, main, parse_bucket_width
 from brclake.config import load_config
 from brclake.errors import ConfigInvalid
+from brclake.fixedpoint import iso_to_us
 from brclake.lakehouse import AddFile, LogEntry, PartitionKey, entry_to_bytes
 from brclake.objectstore import FsStore
 from brclake.staging import StagingStore
@@ -244,8 +245,9 @@ def test_ill_typed_action_param_fails_task_with_config_invalid(tmp_path):
 
 def test_corrupt_log_is_typed_under_optimize(tmp_path):
     assert _brc("lake", "init", "--table", "trades", data_root=tmp_path).returncode == 0
+    noon = iso_to_us("2021-01-01T12:00:00Z")
     add = AddFile("tables/trades/data/symbol=BTC-USD/date=2021-01-01/part-x.brcl",
-                  PartitionKey("BTC-USD", "2021-01-01"), 1, 10, 1, 1)
+                  PartitionKey("BTC-USD", "2021-01-01"), 1, 10, noon, noon)
     store = FsStore(tmp_path / "store")
     for version in (2, 3):  # the second entry adds the same path again
         store.put(f"tables/trades/_log/{version:020}.json",

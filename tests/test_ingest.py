@@ -17,6 +17,7 @@ from brclake.errors import (
 from brclake.events import ConnectorConfig
 from brclake.fixedpoint import format_e8
 from brclake.ingest import (
+    ConnectorState,
     SplitMix64,
     TokenBucket,
     generate_synthetic,
@@ -267,7 +268,7 @@ def test_replay_resume_yields_only_appended_lines(tmp_path):
     assert run_connector(config, staging).events_appended == 2
     records = staging.read_from("c", 0, 100)
     assert [r.event.event_id for r in records] == [f"r-{i}" for i in range(5)]
-    assert staging.load_connector_state("c")["replay_line"] == 5
+    assert staging.load_connector_state("c", ConnectorState).replay_line == 5
     assert run_connector(config, staging).events_appended == 0
 
 
@@ -406,7 +407,7 @@ def test_crash_restart_reappends_suffix(tmp_path, monkeypatch):
     with pytest.raises(_SimulatedCrash):
         run_connector(config, staging)
     assert staging.tail_offset("c") == 50
-    assert staging.load_connector_state("c")["synthetic"]["next_index"] == 40
+    assert staging.load_connector_state("c", ConnectorState).synthetic.next_index == 40
 
     monkeypatch.setattr(crashpoints, "crashpoint", lambda site: None)
     summary = run_connector(config, staging)

@@ -310,11 +310,12 @@ def _with_footer(data: bytes, edit) -> bytes:
     lambda f: f["chunks"][2].update(byte_length=f["chunks"][2]["byte_length"] + 1),
     lambda f: f["chunks"][0].update(byte_offset=0),
     lambda f: f.update(codec=0),
+    lambda f: f.update(codec="zstd"),
     lambda f: f["chunks"][1].update(max="\u0100"),
 ], ids=["float_offset", "string_count", "negative_length", "bool_crc", "unknown_encoding",
         "float_row_count", "int_bytes_stat", "string_int64_stat", "unknown_physical_type",
         "repeated_column", "extra_chunk", "no_writer", "offset_past_file", "length_past_file",
-        "chunk_into_footer", "chunk_over_magic", "int_codec", "bytes_stat_beyond_latin1"])
+        "chunk_into_footer", "chunk_over_magic", "int_codec", "unknown_codec", "bytes_stat_beyond_latin1"])
 def test_ill_typed_footer_is_footer_corrupt(edit):
     data = write_file([(1, b"x", True), (2, b"y", False)], SCHEMA)
     assert read_file(_with_footer(data, lambda f: None)).rows() == [(1, b"x", True), (2, b"y", False)]

@@ -35,13 +35,13 @@ def _table(tmp_path, table_id="t"):
     return LakeTable(FsStore(tmp_path), table_id)
 
 
-def _add(path, symbol="BTC-USD", day=0, lo=0, hi=1000, rows=1):
+def _add(path, symbol="BTC-USD", day=0, lo=0, hi=1000, rows=1, size=100):
     start = DAY0 + day * US_PER_DAY
     return AddFile(
         path=path,
         partition=PartitionKey(symbol, us_to_date(start)),
         rows=rows,
-        bytes=100,
+        bytes=size,
         min_event_time_us=start + lo,
         max_event_time_us=start + hi,
     )
@@ -105,6 +105,21 @@ def test_duplicate_add_rejected(tmp_path):
     table.commit([_add("f1")])
     with pytest.raises(InvalidAction):
         table.commit([_add("f1")])
+
+
+@pytest.mark.parametrize("add", [
+    _add("c", size=-5),
+    _add("c", lo=-DAY0, hi=-DAY0),
+    _add("c", lo=US_PER_DAY - 1, hi=US_PER_DAY),
+    AddFile("c", PartitionKey("BTC-USD", "2021-03-01"), 1, 10, -(2**63), -(2**63)),
+    AddFile("c", PartitionKey("BTC-USD", "not-a-date"), 1, 10, DAY0, DAY0),
+], ids=["negative_bytes", "time_in_1970", "ends_next_day", "time_before_year_1", "date_not_a_date"])
+def test_commit_refuses_a_meaningless_add(tmp_path, add):
+    table = _table(tmp_path)
+    table.init("s", [])
+    with pytest.raises(InvalidAction):
+        table.commit([add])
+    assert table.current_version() == 1
 
 
 def test_log_entry_json_sorted_keys(tmp_path):
@@ -209,6 +224,9 @@ def test_fold_replay_reproduces_snapshot(script):
     (3, _add("c", lo=5, hi=4), "c"),  # min > max event time
     (3, SetSchema("other", ()), None),  # a schema change after init
     (3, [_add("new"), RemoveFile("ghost")], "ghost"),  # checked before any change
+    (3, _add("c", size=-5), "c"),  # negative size
+    (3, _add("c", lo=-1), "c"),  # starts the day before its partition's
+    (3, _add("c", hi=US_PER_DAY), "c"),  # ends the day after
 ])
 def test_corrupt_log_fold_is_typed(version, action, path):
     snapshot = Snapshot(version=1, schema_id="s")

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import struct
 import types
 import typing
 from typing import Any
@@ -8,14 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brclake.errors import ConfigInvalid
+from brclake.config import load_config
+from brclake.errors import (ConfigInvalid, CorruptLog, CorruptRunLog, CorruptStaging, FooterCorrupt, MalformedLine,
+                            SessionLockHeld)
 from brclake.events import ConnectorConfig, RateLimit
 from brclake.harness import Scenario
-from brclake.ingest import ConnectorState, SyntheticState
-from brclake.lakeformat import ColumnChunk, ColumnSchema, Encoding, FileFooter
-from brclake.lakehouse import AddFile, LogEntry, PartitionKey, RemoveFile, SetSchema
-from brclake.localfile import record_from_json, record_to_json
-from brclake.orchestrator import DagSpec, DailyAt, Interval, RetryPolicy, TaskSpec, Transition
+from brclake.ingest import ConnectorState, SyntheticState, replay_file
+from brclake.lakeformat import MAGIC, ColumnChunk, ColumnSchema, Encoding, FileFooter, read_file
+from brclake.lakehouse import AddFile, LakeTable, LogEntry, PartitionKey, RemoveFile, SetSchema
+from brclake.localfile import acquire_lock, fsync_append, record_from_json, record_to_json
+from brclake.objectstore import FsStore
+from brclake.orchestrator import DagSpec, DailyAt, Interval, RetryPolicy, RunLog, TaskSpec, Transition
+from brclake.staging import StagingStore
+from conftest import run_optimized
 
 RECORDS = [LogEntry, AddFile, PartitionKey, RemoveFile, SetSchema, ColumnSchema, FileFooter, ColumnChunk,
            ConnectorConfig, RateLimit, DagSpec, TaskSpec, RetryPolicy, Interval, DailyAt,
@@ -32,7 +38,7 @@ def _values(tp: Any) -> st.SearchStrategy:
     """Values of the annotated type tp, records built field by field."""
     if dataclasses.is_dataclass(tp):
         hints = typing.get_type_hints(tp)
-        return st.builds(tp, **{f.name: _field_values(hints[f.name]) for f in dataclasses.fields(tp)})
+        return st.builds(tp, **{f.name: _values(hints[f.name]) for f in dataclasses.fields(tp)})
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType:
         return st.one_of([_values(arg) for arg in args])
@@ -45,12 +51,6 @@ def _values(tp: Any) -> st.SearchStrategy:
     if tp is type(None):
         return st.none()
     return st.from_type(tp)
-
-
-def _field_values(tp: Any) -> st.SearchStrategy:
-    """Values of a field annotated tp. A field holding None is written as an
-    absent key, so an Any field, which has no default, never holds it."""
-    return JSON_VALUES.filter(lambda v: v is not None) if tp is Any else _values(tp)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=[cls.__name__ for cls in RECORDS])
@@ -110,3 +110,95 @@ def test_enum_field_is_coded_by_member_name():
 def test_any_field_passes_any_json_value(value):
     chunk = record_from_json(ColumnChunk, {**_CHUNK, "min": value})
     assert chunk.min == value and type(chunk.min) is type(value)
+
+
+# -- JSON nested deeper than the parser's recursion limit -----------------------------
+
+DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+def _deep_log_entry(root):
+    table = LakeTable(FsStore(root), "t")
+    table.store.put(table._entry_key(1), DEEP)
+    table.read_entry(1)
+
+
+def _deep_run_log_line(root):
+    log = RunLog(root / "events.jsonl")
+    log.append(Transition(0, "a", 1, "Queued"))
+    fsync_append(log.path, DEEP + b"\n")
+    log.replay()
+
+
+def _deep_footer(root):
+    read_file(MAGIC + DEEP + struct.pack("<I", len(DEEP)) + MAGIC)
+
+
+def _deep_staging_file(name, read):
+    """Write the deep body as connector c's staging file name (a segment's
+    one line) and read it back with read(store)."""
+    def write_and_read(root):
+        (root / "c").mkdir()
+        (root / "c" / name).write_bytes(DEEP + b"\n" if name.startswith("seg-") else DEEP)
+        read(StagingStore(root))
+    return write_and_read
+
+
+def _deep_replay_line(root):
+    (root / "replay.jsonl").write_bytes(DEEP + b"\n")
+    list(replay_file(root / "replay.jsonl"))
+
+
+def _deep_app_config(root):
+    (root / "app.json").write_bytes(DEEP)
+    load_config(str(root / "app.json"), env={})
+
+
+def _deep_lock_body(root):
+    with acquire_lock(root / "lock", "x"):
+        (root / "lock").write_bytes(DEEP)
+        acquire_lock(root / "lock", "x")
+
+
+# name: (write and read the deep body in its format, the error, the fields locating it)
+DEEP_READERS = {
+    "log_entry": (_deep_log_entry, CorruptLog, {"version": 1}),
+    "run_log_line": (_deep_run_log_line, CorruptRunLog, {"line_no": 2}),
+    "footer": (_deep_footer, FooterCorrupt, {}),
+    "checkpoint": (_deep_staging_file("checkpoint.json", lambda store: store.committed_offset("c")),
+                   CorruptStaging, {"line_no": None}),
+    "connector_state": (_deep_staging_file("connector_state.json",
+                                           lambda store: store.load_connector_state("c", ConnectorState)),
+                        CorruptStaging, {"line_no": None}),
+    "staged_line": (_deep_staging_file("seg-00000000000000000000.jsonl", lambda store: store.read_from("c", 0, 9)),
+                    CorruptStaging, {"line_no": 1}),
+    "replay_line": (_deep_replay_line, MalformedLine, {"line_no": 1}),
+    "app_config": (_deep_app_config, ConfigInvalid, {"field": "config"}),
+    "lock_body": (_deep_lock_body, SessionLockHeld, {}),
+}
+
+
+@pytest.mark.parametrize("name", DEEP_READERS)
+def test_json_nested_too_deep_is_the_readers_typed_error(tmp_path, name):
+    read, kind, fields = DEEP_READERS[name]
+    with pytest.raises(kind) as err:
+        read(tmp_path)
+    assert {key: err.value.fields[key] for key in fields} == fields
+    if kind is SessionLockHeld:
+        assert err.value.detail == "x locked by another holder"
+
+
+def test_json_nested_too_deep_is_typed_under_optimize(tmp_path):
+    result = run_optimized(f"""
+import tempfile
+from pathlib import Path
+import conftest
+from test_localfile import DEEP_READERS
+for name, (read, kind, _) in DEEP_READERS.items():
+    try:
+        read(Path(tempfile.mkdtemp(dir={str(tmp_path)!r})))
+    except kind as exc:
+        print(name, exc.kind)
+""")
+    assert result.stdout.split() == [word for name, (_, kind, _) in DEEP_READERS.items()
+                                     for word in (name, kind.__name__)], result.stderr

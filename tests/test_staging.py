@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from brclake import localfile
 from brclake.errors import CheckpointRegression, CorruptStaging, OffsetOutOfRange, SessionLockHeld
-from brclake.ingest import run_connector
+from brclake.ingest import ConnectorState, SyntheticState, run_connector
 from brclake.events import MarketEvent, event_to_row
 from brclake.staging import StagingStore, _staged_line
 
@@ -122,6 +122,22 @@ def test_checkpoint_commit_and_idempotence(tmp_path):
     assert store.committed_offset("c") == 3
     with pytest.raises(CheckpointRegression):
         store.commit_checkpoint("c", 2)
+
+
+def test_checkpoint_and_connector_state_bytes_are_pinned(tmp_path):
+    store = StagingStore(tmp_path)
+    with store.open_session("c") as session:
+        session.append_batch(_events(5))
+    store.commit_checkpoint("c", 3)
+    assert (tmp_path / "c" / "checkpoint.json").read_bytes() == b'{"committed_offset": 3}'
+    state = ConnectorState({"syn|trade|BTC-USD": 7}, SyntheticState(7, 2**64 - 1, 10**12, 1_600_000_000_000_000))
+    store.save_connector_state("c", state)
+    assert (tmp_path / "c" / "connector_state.json").read_bytes() == (
+        b'{"seq_counters": {"syn|trade|BTC-USD": 7}, "synthetic": {"last_event_time_us": 1600000000000000, '
+        b'"next_index": 7, "price_e8": 1000000000000, "prng_state": 18446744073709551615}}')
+    assert store.load_connector_state("c", ConnectorState) == state
+    store.save_connector_state("c", ConnectorState(replay_line=4))
+    assert (tmp_path / "c" / "connector_state.json").read_bytes() == b'{"replay_line": 4, "seq_counters": {}}'
 
 
 def test_drain_batch_does_not_advance(tmp_path):
