@@ -14,8 +14,8 @@ connector state, run log and CSV byte-identical.
 
 Each line is ``<sha256>  <path>``, sorted by path, paths relative to the run
 directory; the two CSV outputs appear as ``csv/<workload>.csv``. Lock files
-hold their holder's pid and a random token, so they are listed with
-``lock`` in place of a hash. The exit code is 1 if an operation failed or a
+hold their holder's pid, so they are listed with ``lock`` in place of a
+hash. The exit code is 1 if an operation failed or a
 CSV differs from the benchmark's oracle.
 """
 

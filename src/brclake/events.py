@@ -15,7 +15,7 @@ from operator import attrgetter
 from typing import Any
 
 from .errors import BadDecimal, BadSide, ConfigInvalid, InvalidEvent
-from .fixedpoint import I64_MAX, I64_MIN
+from .fixedpoint import I64_MAX, I64_MIN, US_YEAR_10000
 from .lakeformat import BYTES, INT64
 from .localfile import record_from_json
 
@@ -100,8 +100,8 @@ class MarketEvent:
             self.event_id.encode()
         except UnicodeEncodeError:  # a lone surrogate, which a JSON escape can carry
             raise InvalidEvent("event_id", f"event id {self.event_id!r} is not valid UTF-8")
-        if self.event_time_us <= 0:
-            raise InvalidEvent("event_time_us", f"event time {self.event_time_us} not a positive int64")
+        if not 0 < self.event_time_us < US_YEAR_10000:
+            raise InvalidEvent("event_time_us", f"event time {self.event_time_us} not in (0, US_YEAR_10000)")
         if self.sequence < 0:
             raise InvalidEvent("sequence", f"sequence {self.sequence} not a non-negative int64")
         if self.stream == "trade":

@@ -18,6 +18,7 @@ E8 = 10**8
 I64_MIN = -(2**63)
 I64_MAX = 2**63 - 1
 US_PER_DAY = 86_400_000_000
+US_YEAR_10000 = 253_402_300_800_000_000  # 10000-01-01T00:00:00Z, the first time us_to_date cannot render
 
 _DECIMAL_RE = re.compile(r"^([+-]?)(?:(\d+)(?:\.(\d*))?|\.(\d+))$")
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterator
 
 from . import crashpoints
-from .errors import BadDecimal, BadSide, MalformedLine, MissingField, UnknownSymbol
+from .errors import MalformedLine, MissingField, UnknownSymbol
 from .events import REQUIRED_PAYLOAD, ConnectorConfig, MarketEvent, RawEvent
 from .fixedpoint import format_e8, parse_decimal_e8
 from .staging import StagingStore
@@ -163,16 +163,7 @@ def normalize(
         raise MissingField("id")
     price_e8 = parse_decimal_e8(raw.payload["price"], "price") if "price" in raw.payload else 0
     qty_e8 = parse_decimal_e8(raw.payload["qty"], "qty") if "qty" in raw.payload else 0
-    if raw.stream == "trade":
-        side = raw.payload.get("side", "")
-        if side not in ("buy", "sell"):
-            raise BadSide(side)
-        if price_e8 <= 0:
-            raise BadDecimal("price", f"trade price {raw.payload.get('price')!r} not positive")
-        if qty_e8 <= 0:
-            raise BadDecimal("qty", f"trade qty {raw.payload.get('qty')!r} not positive")
-    else:
-        side = "na"
+    side = raw.payload.get("side", "") if raw.stream == "trade" else "na"
     event = MarketEvent(
         source=raw.source,
         stream=raw.stream,

@@ -6,8 +6,8 @@ that ``acquire_lock`` returns until it is closed. The kernel drops it when
 the holder's process dies, so a dead holder's lock is free to the next
 acquirer with no pid probe and nothing to steal; and as every acquirer
 locks the same file, which is never unlinked, two cannot both hold it. The
-file's body, ``{"pid", "token"}`` of the latest holder, only names that
-holder in SessionLockHeld. The lock is per open file, so two threads of one
+file's body, ``{"pid": N}`` of the latest holder, only names that holder in
+SessionLockHeld. The lock is per open file, so two threads of one
 process exclude each other too. An append is one buffered write + flush +
 fsync, so a crash can tear at most the final line of an append-only file.
 Readers see only newline-terminated lines, and the writer truncates a torn
@@ -37,7 +37,6 @@ import functools
 import json
 import os
 import re
-import secrets
 import types
 import typing
 from pathlib import Path
@@ -67,7 +66,7 @@ def acquire_lock(path: Path, what: str) -> BinaryIO:
         f.close()
         raise
     f.truncate()
-    f.write(json.dumps({"pid": os.getpid(), "token": secrets.token_hex(8)}).encode())
+    f.write(json.dumps({"pid": os.getpid()}).encode())
     f.flush()
     return f
 

@@ -11,9 +11,11 @@ at most ``max_parallel_tasks`` per scheduling instant.
 
 from __future__ import annotations
 
+import heapq
 import json
 import time
 from dataclasses import dataclass, field, fields
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 from typing import Any, Callable
 
@@ -113,7 +115,8 @@ class DagSpec:
     def task_map(self) -> dict[str, TaskSpec]:
         return {t.task_id: t for t in self.tasks}
 
-    def validate(self) -> None:
+    def validate(self) -> list[str]:
+        """Check the DAG and return its task order (see topo_order)."""
         schedule = self.schedule
         if isinstance(schedule, Interval) and schedule.period_us <= 0:
             raise ConfigInvalid("interval.period_us", "must be > 0")
@@ -134,7 +137,7 @@ class DagSpec:
             for dep in task.depends_on:
                 if dep not in seen:
                     raise ConfigInvalid("depends_on", f"{task.task_id!r} depends on unknown {dep!r}")
-        topo_order(self)  # raises CycleDetected
+        return topo_order(self)  # raises CycleDetected
 
     @classmethod
     def from_dict(cls, obj: dict) -> "DagSpec":
@@ -154,43 +157,22 @@ def load_dags(dags_dir: str | Path) -> dict[str, DagSpec]:
 
 
 def topo_order(dag: DagSpec) -> list[str]:
-    """Dependency-respecting order, ties broken by ascending task_id."""
-    import heapq
-
-    tasks = dag.task_map()
-    indegree = {tid: len(t.depends_on) for tid, t in tasks.items()}
-    dependents: dict[str, list[str]] = {tid: [] for tid in tasks}
-    for tid, task in tasks.items():
-        for dep in task.depends_on:
-            dependents[dep].append(tid)
-    ready = [tid for tid, deg in indegree.items() if deg == 0]
-    heapq.heapify(ready)
+    """Dependency-respecting order, ties broken by ascending task_id. A cycle
+    raises CycleDetected listing it with each task before its dependency."""
+    sorter = TopologicalSorter({t.task_id: t.depends_on for t in dag.tasks})
+    try:
+        sorter.prepare()
+    except CycleError as exc:
+        raise CycleDetected(exc.args[1][::-1]) from None
+    ready = sorted(sorter.get_ready())  # a sorted list is a heap
     order = []
     while ready:
         tid = heapq.heappop(ready)
         order.append(tid)
-        for nxt in dependents[tid]:
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                heapq.heappush(ready, nxt)
-    if len(order) != len(tasks):
-        remaining = {tid for tid in tasks if tid not in set(order)}
-        cycle = _find_cycle(tasks, remaining)
-        raise CycleDetected(cycle)
+        sorter.done(tid)
+        for nxt in sorter.get_ready():
+            heapq.heappush(ready, nxt)
     return order
-
-
-def _find_cycle(tasks: dict[str, TaskSpec], remaining: set[str]) -> list[str]:
-    start = sorted(remaining)[0]
-    seen: dict[str, int] = {}
-    path = [start]
-    while path[-1] not in seen:
-        seen[path[-1]] = len(path) - 1
-        node = path[-1]
-        nxt = sorted(d for d in tasks[node].depends_on if d in remaining)[0]
-        path.append(nxt)
-    loop_start = seen[path[-1]]
-    return path[loop_start:]
 
 
 def backoff_delay(retry: RetryPolicy, attempt: int) -> int:
@@ -326,13 +308,12 @@ def execute_run(
     runs_root: Path,
 ) -> RunResult:
     """Execute (or resume) one run of a DAG at a logical time."""
-    dag.validate()
+    order = dag.validate()
     tasks = dag.task_map()
     for task in dag.tasks:
         if task.action not in registry:
             raise ActionNotRegistered(task.task_id, task.action)
 
-    order = topo_order(dag)
     log = RunLog(run_log_path(runs_root, dag.dag_id, logical_time_us))
     states = {tid: PENDING for tid in order}
     attempts = {tid: 1 for tid in order}
@@ -345,19 +326,16 @@ def execute_run(
         log.append(Transition(clock.now_us(), tid, attempts[tid], state, extra))
         states[tid] = state
 
-    def deps_of(tid: str) -> list[str]:
-        return tasks[tid].depends_on
-
     while True:
         for tid in order:  # propagate upstream failure without running
-            if states[tid] in (PENDING, QUEUED) and any(states[d] == FAILED for d in deps_of(tid)):
+            if states[tid] in (PENDING, QUEUED) and any(states[d] == FAILED for d in tasks[tid].depends_on):
                 transition(tid, FAILED, cause="upstream")
         for tid in order:
-            if states[tid] == PENDING and all(states[d] == SUCCEEDED for d in deps_of(tid)):
+            if states[tid] == PENDING and all(states[d] == SUCCEEDED for d in tasks[tid].depends_on):
                 transition(tid, QUEUED)
 
         runnable = [tid for tid in order
-                    if states[tid] == QUEUED and all(states[d] == SUCCEEDED for d in deps_of(tid))]
+                    if states[tid] == QUEUED and all(states[d] == SUCCEEDED for d in tasks[tid].depends_on)]
         batch = sorted(runnable)[: dag.max_parallel_tasks]
         if batch:
             for tid in batch:

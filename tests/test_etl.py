@@ -347,7 +347,7 @@ def test_multiset_preserved_vs_staging_oracle(tmp_path):
     assert sorted(map(ROW_IDENTITY, table_rows)) == sorted(map(ROW_IDENTITY, oracle))
 
 
-@pytest.mark.parametrize("change", [{"source": 5}, {"price_e8": "100"}])
+@pytest.mark.parametrize("change", [{"source": 5}, {"price_e8": "100"}, {"event_time_us": 10**18}])
 def test_malformed_staged_line_fails_typed_at_drain(tmp_path, change):
     store, staging, table = _env(tmp_path)
     _stage(staging, [make_event(event_id="a")])

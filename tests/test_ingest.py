@@ -158,6 +158,7 @@ def test_normalize_unknown_symbol():
     ({"stream": "quote", "side": "hold"}, BadSide),
     ({"symbol": "BTC-USD\n"}, InvalidEvent),
     ({"source": "syn\n"}, InvalidEvent),
+    ({"event_time_us": 10**18}, InvalidEvent),  # after 9999-12-31: no partition date
 ])
 def test_event_validation_is_typed(fields, kind):
     with pytest.raises(kind):

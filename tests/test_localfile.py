@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import struct
 import types
 import typing
@@ -176,6 +177,14 @@ DEEP_READERS = {
     "app_config": (_deep_app_config, ConfigInvalid, {"field": "config"}),
     "lock_body": (_deep_lock_body, SessionLockHeld, {}),
 }
+
+
+def test_lock_body_names_its_holder_by_pid(tmp_path):
+    with acquire_lock(tmp_path / "lock", "x"):
+        assert json.loads((tmp_path / "lock").read_bytes()) == {"pid": os.getpid()}
+        with pytest.raises(SessionLockHeld) as err:
+            acquire_lock(tmp_path / "lock", "x")
+    assert f"pid {os.getpid()}" in str(err.value)
 
 
 @pytest.mark.parametrize("name", DEEP_READERS)

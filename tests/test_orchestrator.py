@@ -1,4 +1,6 @@
+import heapq
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -93,6 +95,73 @@ def test_cycle_detected_with_listing():
     with pytest.raises(CycleDetected) as err:
         topo_order(dag)
     assert set(err.value.cycle) >= {"A", "B"}
+
+
+def _reference_order(dag):
+    """Kahn's algorithm with a min-heap of ready ids, the order topo_order
+    keeps: the ready task with the smallest id comes next."""
+    tasks = dag.task_map()
+    indegree = {tid: len(t.depends_on) for tid, t in tasks.items()}
+    dependents = {tid: [] for tid in tasks}
+    for tid, task in tasks.items():
+        for dep in task.depends_on:
+            dependents[dep].append(tid)
+    ready = [tid for tid, deg in indegree.items() if deg == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        tid = heapq.heappop(ready)
+        order.append(tid)
+        for nxt in dependents[tid]:
+            indegree[nxt] -= 1
+            if indegree[nxt] == 0:
+                heapq.heappush(ready, nxt)
+    return order
+
+
+def _random_dag(seed):
+    """Up to 12 tasks whose ids are shuffled against their build order; each
+    task depends on up to 3 earlier-built tasks, so the DAG is acyclic."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    ids = [f"t{k:02}" for k in range(n)]
+    rng.shuffle(ids)
+    tasks = [TaskSpec(ids[i], rng.sample(ids[:i], rng.randint(0, min(i, 3))), "a") for i in range(n)]
+    rng.shuffle(tasks)
+    return _dag(tasks)
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=200, deadline=None)
+def test_topo_order_matches_the_min_heap_reference(seed):
+    dag = _random_dag(seed)
+    assert topo_order(dag) == _reference_order(dag)
+    assert dag.validate() == topo_order(dag)
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=200, deadline=None)
+def test_cycle_listing_is_a_closed_walk_along_dependencies(seed):
+    dag = _random_dag(seed)
+    tasks = dag.task_map()
+
+    def ancestors(tid):  # every task tid depends on, directly or not
+        seen, stack = set(), [tid]
+        while stack:
+            new = set(tasks[stack.pop()].depends_on) - seen
+            seen |= new
+            stack += new
+        return seen
+
+    rng = random.Random(seed)
+    late = rng.choice(sorted(tasks))
+    early = rng.choice(sorted(ancestors(late)) or [late])  # no ancestor: the back edge is a self-dependency
+    tasks[early].depends_on.append(late)
+    with pytest.raises(CycleDetected) as err:
+        topo_order(dag)
+    cycle = err.value.cycle
+    assert len(cycle) >= 2 and cycle[0] == cycle[-1]
+    assert all(dep in tasks[tid].depends_on for tid, dep in zip(cycle, cycle[1:]))
 
 
 def test_dependency_violations_respected_in_log(tmp_path):

@@ -5,7 +5,8 @@ name fail the test suite rather than a traced benchmark run."""
 import importlib.util
 from pathlib import Path
 
-from brclake import lakeformat, lakehouse, staging
+from brclake import lakeformat, lakehouse, orchestrator, staging
+from brclake.orchestrator import DagSpec, Interval, Scheduler, SimClock, TaskSpec, schedule_instants
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -28,3 +29,26 @@ def test_tracer_patches_every_name_and_restores_it():
     payloads = {name: payload for name, _, _, _, _, payload in tracer.spans}
     assert payloads["lakeformat.write_file"] == len(data)
     assert payloads["lakeformat.read_file"] == (len(data), 2)
+
+
+def test_backfill_and_run_forever_look_up_execute_run_at_each_run(tmp_path, monkeypatch):
+    """The late_increments workload times each run by replacing
+    orchestrator.execute_run and then calling orchestrator.backfill; an entry
+    point that bound execute_run early would bypass it and record nothing."""
+    real_execute_run = orchestrator.execute_run
+    calls = []
+
+    def counting_execute_run(*args, **kwargs):
+        calls.append(args[1])  # the workload reads the logical time positionally
+        return real_execute_run(*args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "execute_run", counting_execute_run)
+    minute = 60_000_000
+    dag = DagSpec("d", Interval(0, minute), [TaskSpec("a", [], "noop")])
+    registry = {"noop": lambda ctx: None}
+    orchestrator.backfill(dag, 0, 3 * minute, registry, SimClock(0), tmp_path / "backfill")
+    assert calls == schedule_instants(dag.schedule, 0, 3 * minute) == [0, minute, 2 * minute]
+    calls.clear()
+    with Scheduler(tmp_path / "forever", registry, clock=SimClock(0)) as scheduler:
+        scheduler.run_forever({"d": dag}, until_us=3 * minute)
+    assert calls == [minute, 2 * minute]

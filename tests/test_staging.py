@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 import threading
@@ -11,6 +12,7 @@ from brclake import localfile
 from brclake.errors import CheckpointRegression, CorruptStaging, OffsetOutOfRange, SessionLockHeld
 from brclake.ingest import ConnectorState, SyntheticState, run_connector
 from brclake.events import MarketEvent, event_to_row
+from brclake.fixedpoint import US_YEAR_10000
 from brclake.staging import StagingStore, _staged_line
 
 from conftest import make_config, make_event, run_optimized
@@ -248,7 +250,7 @@ def valid_events(draw):
         source=draw(st.from_regex(r"[a-z0-9_-]+", fullmatch=True)),
         stream=stream,
         symbol=draw(st.from_regex(r"[A-Z0-9]+-[A-Z0-9]+", fullmatch=True)),
-        event_time_us=draw(positive),
+        event_time_us=draw(st.integers(min_value=1, max_value=US_YEAR_10000 - 1)),
         ingest_time_us=draw(I64),
         sequence=draw(st.integers(min_value=0, max_value=2**63 - 1)),
         event_id=draw(ID_TEXT),
@@ -370,6 +372,23 @@ def test_missing_key_is_corrupt_staging(tmp_path, renamed):
     with pytest.raises(CorruptStaging) as err:
         store.read_from("c", 0, 10)
     assert err.value.line_no == 1
+
+
+@pytest.mark.parametrize("event_time_us", [0, -1, US_YEAR_10000, 10**18])
+def test_event_time_no_partition_can_date_is_corrupt_staging(tmp_path, event_time_us):
+    """A staged line whose time etl cannot turn into a partition date (a
+    line staged before MarketEvent.validate bounded event times) fails at
+    the drain."""
+    store = StagingStore(tmp_path)
+    events = _events(4)
+    events[1] = dataclasses.replace(events[1], event_time_us=US_YEAR_10000 - 1)  # 9999-12-31T23:59:59.999999Z
+    events[2] = dataclasses.replace(events[2], event_time_us=event_time_us)
+    with store.open_session("c") as session:
+        session.append_batch(events)
+    with pytest.raises(CorruptStaging) as err:
+        store.drain_batch("c", 100)
+    assert (err.value.path, err.value.line_no) == (str(tmp_path / "c" / SEGMENT), 3)
+    assert [r.event for r in store.read_from("c", 0, 2)] == events[:2]
 
 
 def test_corrupt_staging_names_the_first_bad_line_across_segments(tmp_path):
