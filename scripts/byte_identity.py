@@ -6,17 +6,22 @@
 Runs, in this process and against the program of the checkout at PATH
 (default: the checkout holding this script), one seed-N ``bulk_load`` job
 and one ``late_increments`` episode, built by that checkout's ``perfbench/``
-modules (imported, never changed). ``uuid.uuid4`` and ``time.time_ns`` are
-pinned to deterministic sequences, so two checkouts whose output bytes agree
-print the same manifest: diff the manifests of two checkouts to check that a
-change keeps every staging segment, ``.brcl`` file, log entry, checkpoint,
-connector state, run log and CSV byte-identical.
+modules (imported, never changed), and one simulated-clock DAG run whose
+run log holds the optional transition fields (``delay_s``, ``error`` and
+``cause``) that the episode's all-green runs never write. The DAG run calls
+only ``execute_run``, ``DagSpec``, ``TaskSpec``, ``RetryPolicy``,
+``Interval`` and ``SimClock``, so older checkouts run it too.
+``uuid.uuid4`` and ``time.time_ns`` are pinned to deterministic sequences,
+so two checkouts whose output bytes agree print the same manifest: diff the
+manifests of two checkouts to check that a change keeps every staging
+segment, ``.brcl`` file, log entry, checkpoint, connector state, run log and
+CSV byte-identical.
 
 Each line is ``<sha256>  <path>``, sorted by path, paths relative to the run
 directory; the two CSV outputs appear as ``csv/<workload>.csv``. Lock files
 hold their holder's pid, so they are listed with ``lock`` in place of a
-hash. The exit code is 1 if an operation failed or a
-CSV differs from the benchmark's oracle.
+hash. The exit code is 1 if an operation failed, a CSV differs from the
+benchmark's oracle, or a task of the DAG run ended otherwise than intended.
 """
 
 from __future__ import annotations
@@ -59,6 +64,32 @@ def manifest(root: Path, csvs: dict[str, bytes]) -> list[str]:
     return [f"{digest}  {rel}" for rel, digest in sorted(entries.items())]
 
 
+def scheduler_run(runs_root: Path) -> bool:
+    """Run a three-task DAG once under a SimClock: "flaky" fails twice and
+    then succeeds (its Retrying lines carry delay_s and error), "broken"
+    always fails (error), and "downstream", which depends on it, fails
+    without running (cause). True if every task ended as intended."""
+    from brclake.orchestrator import DagSpec, Interval, RetryPolicy, SimClock, TaskSpec, execute_run
+
+    failures_left = [2]
+
+    def flaky(ctx) -> None:
+        if failures_left[0]:
+            failures_left[0] -= 1
+            raise RuntimeError(f"flaky failure, {failures_left[0]} left")
+
+    def broken(ctx) -> None:
+        raise RuntimeError("always fails")
+
+    dag = DagSpec("byte-identity", Interval(0, 60_000_000), [
+        TaskSpec("broken", [], "broken"),
+        TaskSpec("downstream", ["broken"], "flaky"),
+        TaskSpec("flaky", [], "flaky", retry=RetryPolicy(3, 5, 300)),
+    ])
+    result = execute_run(dag, 0, {"flaky": flaky, "broken": broken}, SimClock(0), runs_root)
+    return result.states == {"broken": "Failed", "downstream": "Failed", "flaky": "Succeeded"}
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True)
@@ -77,12 +108,14 @@ def main(argv: list[str]) -> int:
         job = bulk.start(ops)
         late = workloads.LateIncrements(args.seed, scale, work)
         episode = late.run(ops, late.setup(ops))
-        ok = ops.failed == 0 and job["csv"] == bulk.expected and episode["csv"] == late.expected
+        dag_ok = scheduler_run(work / "scheduler")
+        ok = ops.failed == 0 and job["csv"] == bulk.expected and episode["csv"] == late.expected and dag_ok
         print("\n".join(manifest(work, {"bulk_load": job["csv"], "late_increments": episode["csv"]})))
     finally:
         shutil.rmtree(work)
     if not ok:
-        print(f"failed operations: {ops.failed}, or a CSV differs from its oracle", file=sys.stderr)
+        print(f"failed operations: {ops.failed}, a CSV differs from its oracle, or the DAG run "
+              "ended otherwise than intended", file=sys.stderr)
     return 0 if ok else 1
 
 

@@ -19,7 +19,7 @@ from .events import ConnectorConfig
 from .fixedpoint import iso_to_us
 from .ingest import run_connector
 from .lakehouse import entry_to_bytes
-from .localfile import load_json_config
+from .localfile import load_json_config, record_to_json
 from .orchestrator import Scheduler, load_dags
 from .query import ScanRequest, export_bars, export_events, ohlcv, scan
 
@@ -125,22 +125,15 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.group == "ingest":
         config = load_json_config(args.connector_config, ConnectorConfig.from_dict)
-        summary = run_connector(config, app.staging)
-        _emit({"events_appended": summary.events_appended, "last_offset": summary.last_offset})
+        _emit(record_to_json(run_connector(config, app.staging)))
 
     elif args.group == "staging":
         removed = app.staging.prune(args.connector)
         _emit({"segments_removed": removed})
 
     elif args.group == "etl" and args.cmd == "export":
-        result = export_all(app.staging, app.store, app.table(args.table),
-                            args.connector, max_records=args.max_records)
-        _emit({
-            "rows_published": result.rows_published,
-            "version": result.version,
-            "next_checkpoint": result.next_checkpoint,
-            "dropped_duplicates": result.dropped_duplicates,
-        })
+        _emit(record_to_json(export_all(app.staging, app.store, app.table(args.table),
+                                        args.connector, max_records=args.max_records)))
 
     elif args.group == "etl" and args.cmd == "compact":
         spec = "all" if args.all else args.partition

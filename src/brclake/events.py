@@ -110,6 +110,8 @@ class MarketEvent:
                     raise BadDecimal(name, f"trade {name} {value} e-8 not positive")
         if self.side not in (("buy", "sell") if self.stream == "trade" else SIDES):
             raise BadSide(self.side)
+        if not 0 < self.ingest_time_us < US_YEAR_10000:
+            raise InvalidEvent("ingest_time_us", f"ingest time {self.ingest_time_us} not in (0, US_YEAR_10000)")
 
     def sort_key(self) -> tuple:
         # (event_time_us, sequence, event_id) is the contractual order; the

@@ -40,6 +40,13 @@ _SITE_FOR_STEP = {
 
 
 @dataclass
+class Expected:
+    """What a scenario's run must show beyond oracle equality; None checks nothing."""
+
+    rows: int | None = None
+
+
+@dataclass
 class Scenario:
     name: str = "scenario"
     connectors: list[ConnectorConfig] = field(default_factory=list)
@@ -47,7 +54,7 @@ class Scenario:
     export_max_records: int = 100_000
     compact_after: bool = False
     crash_points: list[str] = field(default_factory=list)
-    expected: dict = field(default_factory=dict)
+    expected: Expected = field(default_factory=Expected)
 
     def validate(self) -> None:
         ids = [c.connector_id for c in self.connectors]
@@ -210,10 +217,10 @@ def run_scenario(scenario: Scenario, data_root: str | Path) -> dict:
         {"name": "oracle_csv_equality", "passed": actual_csv == expected_csv},
         {"name": "no_dangling_references", "passed": audit["dangling"] == []},
     ]
-    if "rows" in scenario.expected:
+    if scenario.expected.rows is not None:
         assertions.append({
             "name": "expected_row_count",
-            "passed": len(events) == scenario.expected["rows"],
+            "passed": len(events) == scenario.expected.rows,
         })
 
     report = {

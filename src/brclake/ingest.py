@@ -11,16 +11,17 @@ identity dedup.
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
-from typing import Iterator
+from typing import Any, Iterator
 
 from . import crashpoints
 from .errors import MalformedLine, MissingField, UnknownSymbol
 from .events import REQUIRED_PAYLOAD, ConnectorConfig, MarketEvent, RawEvent
 from .fixedpoint import format_e8, parse_decimal_e8
+from .localfile import read_json, record_from_json
 from .staging import StagingStore
 
 MASK64 = (1 << 64) - 1
@@ -99,51 +100,37 @@ def generate_synthetic(config: ConnectorConfig) -> Iterator[RawEvent]:
 
 # -- file replay ---------------------------------------------------------------
 
-RAW_FIELDS = ("source", "stream", "raw_symbol", "event_time_us", "payload")
+_RAW_FIELDS = [f.name for f in fields(RawEvent)]
+
+
+def _raw_event(obj: Any, line_no: int) -> RawEvent:
+    """The RawEvent of a replay line's JSON value: a raw field the line lacks
+    or a payload key its stream requires is MissingField."""
+    if isinstance(obj, dict):
+        for name in _RAW_FIELDS:
+            if name not in obj:
+                raise MissingField(name, line_no)
+    raw = record_from_json(RawEvent, obj)
+    for name in REQUIRED_PAYLOAD.get(raw.stream, ()):
+        if name not in raw.payload:
+            raise MissingField(name, line_no)
+    return raw
 
 
 def replay_file(path: str | Path, start: int = 0) -> Iterator[RawEvent]:
     """Yield RawEvents from a JSON Lines file, in file order, after its first
-    ``start`` non-blank lines. Those are counted but not parsed: a resumed
-    session pays for the lines it has not consumed yet. Errors carry file line
-    numbers, blank and skipped lines included."""
-    with open(path, encoding="utf-8") as f:
+    ``start`` non-blank lines. Those are counted but neither decoded nor
+    parsed: a resumed session pays for the lines it has not consumed yet.
+    A line that is not UTF-8, not JSON or not a raw event is MalformedLine,
+    and errors carry file line numbers, blank and skipped lines included."""
+    with open(path, "rb") as f:
         for line_no, line in enumerate(f, start=1):
             if not line.strip():
                 continue
             if start:
                 start -= 1
                 continue
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError):
-                raise MalformedLine(line_no)
-            if not isinstance(obj, dict):
-                raise MalformedLine(line_no, f"line {line_no} is not a JSON object")
-            for name in RAW_FIELDS:
-                if name not in obj:
-                    raise MissingField(name, line_no)
-            for name in ("source", "stream", "raw_symbol"):
-                if not isinstance(obj[name], str):
-                    raise MalformedLine(line_no, f"{name} on line {line_no} is not a string")
-            if type(obj["event_time_us"]) is not int:
-                raise MalformedLine(line_no, f"event_time_us on line {line_no} is not an integer")
-            payload = obj["payload"]
-            if not isinstance(payload, dict):
-                raise MalformedLine(line_no, f"payload on line {line_no} is not an object")
-            for name, value in payload.items():
-                if not isinstance(value, str):
-                    raise MalformedLine(line_no, f"payload {name} on line {line_no} is not a string")
-            for name in REQUIRED_PAYLOAD.get(obj["stream"], ()):
-                if name not in payload:
-                    raise MissingField(name, line_no)
-            yield RawEvent(
-                source=obj["source"],
-                stream=obj["stream"],
-                raw_symbol=obj["raw_symbol"],
-                event_time_us=obj["event_time_us"],
-                payload=payload,
-            )
+            yield read_json(line, partial(_raw_event, line_no=line_no), partial(MalformedLine, line_no))
 
 
 # -- normalization ---------------------------------------------------------------

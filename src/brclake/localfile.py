@@ -16,9 +16,10 @@ tail before its next append.
 Operators' JSON files (app, connector, DAG and scenario configs) are read by
 ``load_json_config`` and every JSON field by ``typed_field``, so every way
 such a file can be wrong is ConfigInvalid. The connector, DAG and scenario
-configs, log entries, run-log lines, staging checkpoints, connector state
-and the ``.brcl`` footer are dataclasses, read by ``record_from_json`` and
-written by ``record_to_json`` from their fields' names, types and defaults.
+configs, log entries, replay and run-log lines, staging checkpoints,
+connector state, ``brc`` result lines and the ``.brcl`` footer are
+dataclasses, read by ``record_from_json`` and written by ``record_to_json``
+from their fields' names, types and defaults.
 An enum is coded by its member's name. A field annotated ``Any`` holds any
 JSON value, which its owner checks. A union of records is an object whose
 one key names the member: its class name in snake case (``add_file``).

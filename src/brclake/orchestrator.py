@@ -14,7 +14,8 @@ from __future__ import annotations
 import heapq
 import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from functools import partial
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 from typing import Any, Callable
@@ -210,27 +211,20 @@ class SimClock:
 
 @dataclass
 class Transition:
+    """One run-log line: a task entering a state. A Retrying line gives the
+    backoff delay, a Retrying or Failed line the error, and a line failing a
+    task whose dependency failed the cause."""
+
     at_us: int
     task_id: str
     attempt: int
     state: str
-    extra: dict[str, Any] = field(default_factory=dict)
+    cause: str | None = None
+    delay_s: int | None = None
+    error: str | None = None
 
     def to_json(self) -> str:
-        """The run-log line: the extras are keys beside the fields."""
-        obj = record_to_json(self)
-        obj.update(obj.pop("extra"))
-        return json.dumps(obj, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, obj: Any) -> "Transition":
-        """Inverse of to_json; a missing or ill-typed field raises ConfigInvalid."""
-        transition = record_from_json(cls, obj)
-        transition.extra = {k: v for k, v in obj.items() if k not in _FIELDS}
-        return transition
-
-
-_FIELDS = {f.name for f in fields(Transition)}
+        return json.dumps(record_to_json(self), sort_keys=True)
 
 
 class RunLog:
@@ -248,7 +242,8 @@ class RunLog:
         mid-append is truncated first, so the next append starts cleanly."""
         if not self.path.exists():
             return []
-        return [read_json(line, Transition.from_json, lambda detail: CorruptRunLog(n, f"line {n}: {detail}"))
+        return [read_json(line, partial(record_from_json, Transition),
+                          lambda detail: CorruptRunLog(n, f"line {n}: {detail}"))
                 for n, line in enumerate(repair_tail(self.path), start=1)]
 
 
@@ -322,8 +317,8 @@ def execute_run(
         attempts[tid] = attempt
     wake: dict[str, int] = {}
 
-    def transition(tid: str, state: str, **extra) -> None:
-        log.append(Transition(clock.now_us(), tid, attempts[tid], state, extra))
+    def transition(tid: str, state: str, **details) -> None:
+        log.append(Transition(clock.now_us(), tid, attempts[tid], state, **details))
         states[tid] = state
 
     while True:

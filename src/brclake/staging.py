@@ -28,9 +28,10 @@ A drain decodes each record line straight to the event's encoded table row
 MarketEvent. It checks each segment's lines before it reads the next
 segment, a column at a time: a line must hold exactly the staged keys, its
 text fields JSON strings and its numeric fields JSON integers within int64
-(``true`` is not an integer), its event time must be in (0,
-``US_YEAR_10000``), so that etl can date it, and its offset must be its
-position, the segment's start offset plus the line's index.
+(``true`` is not an integer), its event and ingest times must be in (0,
+``US_YEAR_10000``), so that etl can date it and query can print it, and
+its offset must be its position, the segment's start offset plus the
+line's index.
 
 The checkpoint and the connector state are records (``Checkpoint`` and the
 connector's own), written by the record codec. A checkpoint, connector state
@@ -104,7 +105,7 @@ _LINE_VALUES = itemgetter(*(name for name, _ in TABLE_COLUMNS), "offset")
 _LINE_KEYS = len(TABLE_COLUMNS) + 1
 _TEXT_CELLS = {i for i, (name, _) in enumerate(TABLE_COLUMNS) if name in TEXT_FIELDS}
 _FIELD_NAMES = [name for name, _ in TABLE_COLUMNS] + ["offset"]
-_EVENT_TIME = _FIELD_NAMES.index("event_time_us")
+_TIME_CELLS = [_FIELD_NAMES.index("event_time_us"), _FIELD_NAMES.index("ingest_time_us")]
 
 
 def _cells(column: tuple, cell: int) -> list | tuple | None:
@@ -143,10 +144,12 @@ def _segment_records(path: Path, lines: list[bytes], lo: int, first: int) -> lis
         i, cell = min((next(i for i, v in enumerate(column) if _cells((v,), cell) is None), cell)
                       for cell, column in enumerate(zip(*values)) if columns[cell] is None)
         raise CorruptStaging(str(path), f"{_FIELD_NAMES[cell]} {values[i][cell]!r} has the wrong type", lo + i + 1)
-    times = columns[_EVENT_TIME]
-    if min(times) <= 0 or max(times) >= US_YEAR_10000:
-        i = next(i for i, t in enumerate(times) if not 0 < t < US_YEAR_10000)
-        raise CorruptStaging(str(path), f"event_time_us {times[i]} not in (0, US_YEAR_10000)", lo + i + 1)
+    bad_times = [(next(i for i, t in enumerate(columns[cell]) if not 0 < t < US_YEAR_10000), cell)
+                 for cell in _TIME_CELLS if min(columns[cell]) <= 0 or max(columns[cell]) >= US_YEAR_10000]
+    if bad_times:
+        i, cell = min(bad_times)
+        raise CorruptStaging(str(path), f"{_FIELD_NAMES[cell]} {columns[cell][i]} not in (0, US_YEAR_10000)",
+                             lo + i + 1)
     offsets = columns.pop()
     if offsets != tuple(range(first, first + len(offsets))):
         i = next(i for i, o in enumerate(offsets) if o != first + i)
@@ -336,13 +339,15 @@ class StagingStore:
         """Remove sealed segments fully below the committed checkpoint.
 
         The newest segment is always kept so the tail offset stays derivable.
+        Offsets are dense and only a full segment is sealed, so a sealed
+        segment ends where the next one starts, and no segment is read.
         Returns the number of segments removed.
         """
         committed = self.committed_offset(connector_id)
         segs = self._segments(connector_id)
         removed = 0
-        for start, path in segs[:-1]:
-            if start + len(read_lines(path)) <= committed:
+        for (_, path), (end, _) in zip(segs, segs[1:]):
+            if end <= committed:
                 os.unlink(path)
                 removed += 1
         return removed

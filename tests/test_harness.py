@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from brclake.errors import AssertionFailed
-from brclake.harness import Scenario, main, oracle_events, run_scenario
+from brclake.errors import AssertionFailed, ConfigInvalid
+from brclake.harness import Expected, Scenario, main, oracle_events, run_scenario
 
 
 def _scenario_dict(crash_points=None, count=800, compact=False):
@@ -28,6 +28,19 @@ def test_oracle_counts_distinct_identities():
     assert len(events) == 300
     assert len({e.identity for e in events}) == 300
     assert events == sorted(events, key=lambda e: e.sort_key())
+
+
+def test_expected_is_a_record():
+    assert Scenario.from_dict(_scenario_dict(count=5)).expected == Expected(rows=5)
+    assert Scenario.from_dict({**_scenario_dict(), "expected": {}}).expected == Expected()
+
+
+@pytest.mark.parametrize("expected", [{"rows": "100"}, {"rows": True}, {"rows": None}, []],
+                         ids=["string_rows", "bool_rows", "null_rows", "not_object"])
+def test_ill_typed_expected_is_config_invalid(expected):
+    with pytest.raises(ConfigInvalid) as err:
+        Scenario.from_dict({**_scenario_dict(), "expected": expected})
+    assert err.value.field == ("expected" if expected == [] else "expected.rows")
 
 
 def test_scenario_requires_deterministic_ingest_time():

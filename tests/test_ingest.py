@@ -176,6 +176,8 @@ def test_event_validation_is_typed(fields, kind):
     ({"qty_e8": True}, BadDecimal, "qty"),
     ({"source": 5}, InvalidEvent, "source"),
     ({"event_id": b"e-0"}, InvalidEvent, "event_id"),
+    ({"ingest_time_us": 10**18}, InvalidEvent, "ingest_time_us"),  # after 9999-12-31: no renderer prints it
+    ({"ingest_time_us": -1}, InvalidEvent, "ingest_time_us"),
 ])
 def test_event_validation_checks_types(fields, kind, field):
     with pytest.raises(kind) as err:
@@ -282,6 +284,27 @@ def test_replay_resume_reports_file_line_numbers(tmp_path):
     with pytest.raises(MalformedLine) as err:
         list(replay_file(path, start=3))
     assert err.value.line_no == 7
+
+
+def _write_bad_utf8(tmp_path):
+    """Three replay lines, the second holding a byte that is not UTF-8."""
+    path = tmp_path / "replay.jsonl"
+    lines = [_replay_line(i).encode() + b"\n" for i in range(3)]
+    lines[1] = lines[1].replace(b"r-1", b"r-\xff")
+    path.write_bytes(b"".join(lines))
+    return path
+
+
+def test_replay_line_that_is_not_utf8_is_malformed(tmp_path):
+    events = replay_file(_write_bad_utf8(tmp_path))
+    assert next(events).payload["id"] == "r-0"
+    with pytest.raises(MalformedLine) as err:
+        next(events)
+    assert err.value.line_no == 2
+
+
+def test_replay_consumed_line_that_is_not_utf8_is_skipped(tmp_path):
+    assert [e.payload["id"] for e in replay_file(_write_bad_utf8(tmp_path), start=2)] == ["r-2"]
 
 
 @pytest.mark.parametrize("field, value", [

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from brclake.config import load_config
 from brclake.errors import (ConfigInvalid, CorruptLog, CorruptRunLog, CorruptStaging, FooterCorrupt, MalformedLine,
                             SessionLockHeld)
-from brclake.events import ConnectorConfig, RateLimit
-from brclake.harness import Scenario
-from brclake.ingest import ConnectorState, SyntheticState, replay_file
+from brclake.events import ConnectorConfig, RateLimit, RawEvent
+from brclake.harness import Expected, Scenario
+from brclake.ingest import ConnectorState, SessionSummary, SyntheticState, replay_file
 from brclake.lakeformat import MAGIC, ColumnChunk, ColumnSchema, Encoding, FileFooter, read_file
 from brclake.lakehouse import AddFile, LakeTable, LogEntry, PartitionKey, RemoveFile, SetSchema
 from brclake.localfile import acquire_lock, fsync_append, record_from_json, record_to_json
@@ -26,7 +26,7 @@ from conftest import run_optimized
 
 RECORDS = [LogEntry, AddFile, PartitionKey, RemoveFile, SetSchema, ColumnSchema, FileFooter, ColumnChunk,
            ConnectorConfig, RateLimit, DagSpec, TaskSpec, RetryPolicy, Interval, DailyAt,
-           Scenario, Transition, ConnectorState, SyntheticState]
+           Scenario, Expected, Transition, ConnectorState, SyntheticState, RawEvent, SessionSummary]
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(),

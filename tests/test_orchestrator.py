@@ -330,13 +330,29 @@ def test_torn_trailing_log_line_ignored(tmp_path):
 
 
 def test_transition_line_is_pinned(tmp_path):
-    transition = Transition(120_000_000, "export", 2, "Retrying", {"delay_s": 10, "error": "boom"})
+    transition = Transition(120_000_000, "export", 2, "Retrying", delay_s=10, error="boom")
     line = transition.to_json()
     assert line == ('{"at_us": 120000000, "attempt": 2, "delay_s": 10, "error": "boom", '
                     '"state": "Retrying", "task_id": "export"}')
     log = RunLog(run_log_path(tmp_path, "d", 0))
     log.append(transition)
     assert log.replay() == [transition]
+
+
+def test_failed_and_upstream_failed_lines_are_pinned(tmp_path):
+    def bad(ctx):
+        raise RuntimeError("boom")
+
+    dag = _dag([TaskSpec("a", [], "bad"), TaskSpec("b", ["a"], "ok")])
+    execute_run(dag, 0, {"bad": bad, "ok": lambda ctx: None}, SimClock(7), tmp_path)
+    log = RunLog(run_log_path(tmp_path, "d", 0))
+    assert log.path.read_bytes() == (
+        b'{"at_us": 7, "attempt": 1, "state": "Queued", "task_id": "a"}\n'
+        b'{"at_us": 7, "attempt": 1, "state": "Running", "task_id": "a"}\n'
+        b'{"at_us": 7, "attempt": 1, "error": "boom", "state": "Failed", "task_id": "a"}\n'
+        b'{"at_us": 7, "attempt": 1, "cause": "upstream", "state": "Failed", "task_id": "b"}\n')
+    assert log.replay()[2:] == [Transition(7, "a", 1, "Failed", error="boom"),
+                                Transition(7, "b", 1, "Failed", cause="upstream")]
 
 
 @pytest.mark.parametrize("line", [
@@ -348,7 +364,9 @@ def test_transition_line_is_pinned(tmp_path):
     '{"at_us": 1.5, "task_id": "a", "attempt": 1, "state": "Running"}',
     '{"at_us": 1, "task_id": "a", "attempt": 1, "state": null}',
     '{"at_us": 1, "task_id": "a", "attempt": 1}',
-], ids=["array", "string", "number", "string_attempt", "int_task_id", "float_at_us", "null_state", "no_state"])
+    '{"at_us": 1, "task_id": "a", "attempt": 1, "state": "Retrying", "delay_s": "10"}',
+], ids=["array", "string", "number", "string_attempt", "int_task_id", "float_at_us", "null_state", "no_state",
+        "string_delay_s"])
 def test_ill_typed_run_log_line_is_corrupt_run_log(tmp_path, line):
     log = RunLog(run_log_path(tmp_path, "d", 0))
     log.append(Transition(0, "a", 1, "Queued"))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brclake import localfile
+from brclake import localfile, staging
 from brclake.errors import CheckpointRegression, CorruptStaging, OffsetOutOfRange, SessionLockHeld
 from brclake.ingest import ConnectorState, SyntheticState, run_connector
 from brclake.events import MarketEvent, event_to_row
@@ -251,7 +251,7 @@ def valid_events(draw):
         stream=stream,
         symbol=draw(st.from_regex(r"[A-Z0-9]+-[A-Z0-9]+", fullmatch=True)),
         event_time_us=draw(st.integers(min_value=1, max_value=US_YEAR_10000 - 1)),
-        ingest_time_us=draw(I64),
+        ingest_time_us=draw(st.integers(min_value=1, max_value=US_YEAR_10000 - 1)),
         sequence=draw(st.integers(min_value=0, max_value=2**63 - 1)),
         event_id=draw(ID_TEXT),
         price_e8=draw(positive if stream == "trade" else I64),
@@ -279,7 +279,7 @@ def _fixture_events():
         stream = ("trade", "quote", "book_snapshot")[i % 3]
         events.append(MarketEvent(
             source="syn_feed-2", stream=stream, symbol="BTC-USD",
-            event_time_us=1_600_000_000_000_000 + i, ingest_time_us=[-(2**63), 2**63 - 1, 0][i % 3],
+            event_time_us=1_600_000_000_000_000 + i, ingest_time_us=[1, US_YEAR_10000 - 1, 17][i % 3],
             sequence=[0, 2**63 - 1, 17][i % 3], event_id=event_id,
             price_e8=10**8 if stream == "trade" else [-(2**63), 0, 2**63 - 1][i % 3],
             qty_e8=2**63 - 1 if stream == "trade" else -5, side="sell" if stream == "trade" else "na"))
@@ -345,8 +345,11 @@ def _staged(event, offset):
     {"offset": "2"},
     {"venue": "x"},
     {"event_id": "\ud800"},
+    {"ingest_time_us": 10**18},
+    {"ingest_time_us": -1},
 ], ids=["int_source", "null_side", "list_event_id", "string_price", "bool_sequence", "float_qty",
-        "time_beyond_int64", "string_offset", "extra_key", "lone_surrogate"])
+        "time_beyond_int64", "string_offset", "extra_key", "lone_surrogate", "ingest_time_after_9999",
+        "negative_ingest_time"])
 def test_malformed_record_line_is_corrupt_staging(tmp_path, change):
     store = StagingStore(tmp_path)
     with store.open_session("c") as session:
@@ -446,6 +449,20 @@ def test_prune_removes_only_fully_drained_sealed_segments(tmp_path):
     store.commit_checkpoint("c", 12)
     assert store.prune("c") == 1  # 5..9 goes; newest segment always kept
     assert store.tail_offset("c") == 12
+
+
+def test_prune_reads_no_segment(tmp_path, monkeypatch):
+    store = StagingStore(tmp_path, max_segment_records=5)
+    with store.open_session("c") as session:
+        session.append_batch(_events(12))
+    store.commit_checkpoint("c", 10)
+
+    def no_read(path):
+        raise AssertionError(f"prune read {path}")
+
+    monkeypatch.setattr(staging, "read_lines", no_read)
+    assert store.prune("c") == 2
+    assert [p.name for p in (tmp_path / "c").glob("seg-*")] == [f"seg-{10:020}.jsonl"]
 
 
 def test_checkpoint_cannot_exceed_tail(tmp_path):
