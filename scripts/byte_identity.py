@@ -18,10 +18,16 @@ segment, ``.brcl`` file, log entry, checkpoint, connector state, run log and
 CSV byte-identical.
 
 Each line is ``<sha256>  <path>``, sorted by path, paths relative to the run
-directory; the two CSV outputs appear as ``csv/<workload>.csv``. Lock files
+directory; the two CSV outputs appear as ``csv/<workload>.csv``. Each
+``.brcl`` file is followed by ``<sha256>  rows:<path>``, a digest of its
+column names and the rows the checkout's reader decodes from it. Lock files
 hold their holder's pid, so they are listed with ``lock`` in place of a
 hash. The exit code is 1 if an operation failed, a CSV differs from the
 benchmark's oracle, or a task of the DAG run ended otherwise than intended.
+
+A change to the writer's encoding choice may change ``.brcl`` hashes, and
+with them the ``_log/`` entries that record each file's ``bytes``; the CSV
+lines and every ``rows:`` line may not change.
 """
 
 from __future__ import annotations
@@ -54,14 +60,25 @@ def pin_nondeterminism() -> None:
     time.time_ns = time_ns
 
 
+def rows_digest(data: bytes) -> str:
+    """sha256 of a .brcl file's column names and decoded rows."""
+    from brclake.lakeformat import read_file
+
+    parsed = read_file(data)
+    return hashlib.sha256(repr((list(parsed.columns), parsed.rows())).encode()).hexdigest()
+
+
 def manifest(root: Path, csvs: dict[str, bytes]) -> list[str]:
-    entries = {f"csv/{name}.csv": hashlib.sha256(data).hexdigest() for name, data in csvs.items()}
+    entries = {(f"csv/{name}.csv", ""): hashlib.sha256(data).hexdigest() for name, data in csvs.items()}
     for path in root.rglob("*"):
         if path.is_file():
             rel = path.relative_to(root).as_posix()
             is_lock = path.name in LOCK_NAMES
-            entries[rel] = "lock" if is_lock else hashlib.sha256(path.read_bytes()).hexdigest()
-    return [f"{digest}  {rel}" for rel, digest in sorted(entries.items())]
+            data = path.read_bytes()
+            entries[rel, ""] = "lock" if is_lock else hashlib.sha256(data).hexdigest()
+            if path.suffix == ".brcl":
+                entries[rel, "rows:"] = rows_digest(data)
+    return [f"{digest}  {label}{rel}" for (rel, label), digest in sorted(entries.items())]
 
 
 def scheduler_run(runs_root: Path) -> bool:

@@ -18,6 +18,12 @@ Encodings:
     DELTA  INT64 only: first value as raw i64, then per-delta zigzag LEB128
            varints. Deltas wrap modulo 2^64 so any i64 sequence round-trips.
 
+A writer stores sorted INT64 as DELTA and every other column in the
+smallest of PLAIN, RLE and, for BYTES only, DICT; equal sizes go to the first
+in that order (``choose_encoding`` counts the sizes). Readers decode any legal
+encoding of any column, so this choice is the writer's alone and changing it
+needs no new ``FORMAT_VERSION``.
+
 Chunks carry a CRC-32C over exactly their encoded bytes and min/max stats
 (BYTES stats compare lexicographically, are truncated to 64 bytes and are
 stored as latin-1 text). The payload holds no timestamps, so identical input
@@ -38,8 +44,8 @@ import re
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import accumulate, groupby, islice
-from operator import add, le
+from itertools import accumulate, compress, groupby, islice
+from operator import add, le, ne
 from typing import Any, Callable, Iterable, Sequence
 
 from .crc32c import crc32c
@@ -113,6 +119,7 @@ class FileFooter:
 _U32 = struct.Struct("<I")
 _I64 = struct.Struct("<q")
 _BOOL = struct.Struct("?")
+_WIDTHS = {INT64: _I64.size, BOOL: _BOOL.size}  # PLAIN bytes per value
 _U64_MOD = 1 << 64
 
 # One DELTA varint: up to nine continuation bytes and a final byte. A longer
@@ -301,17 +308,34 @@ def _decode_delta(data: bytes, value_count: int) -> list[int]:
 
 
 def choose_encoding(values: Sequence[Any], physical_type: str) -> Encoding:
-    """Deterministic encoding selection: sorted INT64 -> DELTA; low cardinality
-    -> DICT (BYTES) or RLE (INT64/BOOL); otherwise PLAIN."""
+    """The encoding a writer stores a column in: DELTA for sorted INT64,
+    otherwise the smallest of PLAIN, RLE and, for BYTES only, DICT, ties
+    going to the first of that order. Each size is counted, not encoded:
+
+        PLAIN  n * width, or 4n + sum of value lengths for BYTES
+        RLE    runs * (4 + width), or 8 runs + sum of run value lengths
+        DICT   4 + 4 distinct + sum of distinct value lengths + 4n
+
+    Readers decode any legal encoding of any column, so the choice changes a
+    file's bytes but not its rows, its readers or its format version."""
     n = len(values)
     if n == 0:
         return Encoding.PLAIN
     if physical_type == INT64 and all(map(le, values, islice(values, 1, None))):
         return Encoding.DELTA
-    distinct = len(set(map(bytes, values) if physical_type == BYTES else values))
-    if distinct <= max(1, n // 10):
-        return Encoding.DICT if physical_type == BYTES else Encoding.RLE
-    return Encoding.PLAIN
+    # the value of each maximal run, in order: a value that differs from the one before starts one
+    run_values = [values[0], *compress(islice(values, 1, None), map(ne, islice(values, 1, None), values))]
+    if physical_type == BYTES:
+        distinct = set(map(bytes, run_values))  # every distinct value starts a run
+        sizes = {
+            Encoding.PLAIN: 4 * n + sum(map(len, values)),
+            Encoding.RLE: 8 * len(run_values) + sum(map(len, run_values)),
+            Encoding.DICT: 4 + 4 * len(distinct) + sum(map(len, distinct)) + 4 * n,
+        }
+    else:
+        width = _WIDTHS[physical_type]
+        sizes = {Encoding.PLAIN: n * width, Encoding.RLE: len(run_values) * (4 + width)}
+    return min(sizes, key=sizes.__getitem__)  # the first of equal sizes
 
 
 # -- file writer ---------------------------------------------------------------------------

@@ -172,19 +172,22 @@ def record_from_json(cls: type[T], obj: Any, prefix: str = "") -> T:
     field are ignored, and a field without a default is required. A nested
     record's fields are named with the key that holds it as a prefix (for a
     union, the member's tag); an array's records take the prefix of the
-    array's owner. Anything else raises ConfigInvalid naming prefix + field;
-    nothing is coerced."""
+    array's owner. An ``X | None`` field whose default is not None reads
+    JSON null as None, as ``record_to_json`` writes it. Anything else raises
+    ConfigInvalid naming prefix + field; nothing is coerced."""
     if not isinstance(obj, dict):
         raise ConfigInvalid(_tag(cls), "must be an object")
     args = []
-    for name, kind, items, decode, missing in _plan(cls)[0]:
-        if name in obj:
+    for name, kind, items, decode, missing, reads_null in _plan(cls)[0]:
+        if name not in obj:
+            if missing is None:
+                raise ConfigInvalid(prefix + name, "is required")
+            args.append(missing())
+        elif obj[name] is None and reads_null:
+            args.append(None)
+        else:
             value = typed_field(obj, name, kind, prefix=prefix, items=items)
             args.append(value if decode is None else decode(value, prefix, name))
-        elif missing is None:
-            raise ConfigInvalid(prefix + name, "is required")
-        else:
-            args.append(missing())
     return cls(*args)
 
 
@@ -204,8 +207,10 @@ def record_to_json(record: Any) -> dict:
 @functools.cache
 def _plan(cls: type) -> tuple[list[tuple], list[tuple]]:
     """How each field of cls is read, (name, JSON kind, item kind, decode,
-    missing), and written, (name, encode, whether None is left out);
-    resolved once per class."""
+    missing, whether null reads as None), and written, (name, encode,
+    whether None is left out); resolved once per class. A None is left out
+    where it is the default and written as null elsewhere, and null reads
+    back only where an ``X | None`` field writes it."""
     hints = typing.get_type_hints(cls)
     reads, writes = [], []
     for f in dataclasses.fields(cls):
@@ -213,8 +218,10 @@ def _plan(cls: type) -> tuple[list[tuple], list[tuple]]:
         missing = f.metadata.get(JSON_DEFAULT, f.default_factory)
         if missing is dataclasses.MISSING:
             missing = None if f.default is dataclasses.MISSING else lambda d=f.default: d
-        reads.append((f.name, kind, items, decode, missing))
-        writes.append((f.name, encode, f.default is None))
+        omit_none = f.default is None
+        optional = type(None) in typing.get_args(hints[f.name])
+        reads.append((f.name, kind, items, decode, missing, optional and not omit_none))
+        writes.append((f.name, encode, omit_none))
     return reads, writes
 
 

@@ -13,6 +13,7 @@ from brclake.errors import (
     IllegalEncoding,
     SchemaViolation,
 )
+from brclake.events import TABLE_COLUMNS
 from brclake.lakeformat import (
     BOOL,
     BYTES,
@@ -110,9 +111,60 @@ def test_choose_sorted_int64_is_delta():
 
 
 def test_choose_low_cardinality():
+    # Few distinct values are not enough: the smallest encoding wins.
     assert choose_encoding([b"a", b"b", b"c"] * 3334, BYTES) == Encoding.DICT
-    assert choose_encoding([9, 3] * 50, INT64) == Encoding.RLE
-    assert choose_encoding([True, False] * 50, BOOL) == Encoding.RLE
+    assert choose_encoding([9, 3] * 50, INT64) == Encoding.PLAIN  # 800 B; RLE 1,200 B
+    assert choose_encoding([True, False] * 50, BOOL) == Encoding.PLAIN  # 100 B; RLE 500 B
+    assert choose_encoding([True] * 100, BOOL) == Encoding.RLE  # 5 B; PLAIN 100 B
+
+
+def test_choose_breaks_ties_plain_rle_dict():
+    assert choose_encoding([1, 1, 0], INT64) == Encoding.PLAIN  # 24 B each
+    assert choose_encoding([True] * 5, BOOL) == Encoding.PLAIN  # 5 B each
+    assert choose_encoding([b""] * 2, BYTES) == Encoding.PLAIN  # 8 B each; DICT 16 B
+    runs = [b"xxxxxx", b"xxxxxx", b"yyyyyy", b"yyyyyy"] * 2
+    assert choose_encoding(runs, BYTES) == Encoding.RLE  # RLE = DICT = 56 B; PLAIN 80 B
+
+
+# Encodings the rule weighs per type, in its tie order (sorted INT64 aside).
+CANDIDATES = {INT64: [Encoding.PLAIN, Encoding.RLE], BOOL: [Encoding.PLAIN, Encoding.RLE],
+              BYTES: [Encoding.PLAIN, Encoding.RLE, Encoding.DICT]}
+
+UNSORTED_COLUMNS = st.one_of(
+    st.tuples(st.just(INT64), st.lists(st.integers(-2, 2) | I64, min_size=2, max_size=80)
+              .filter(lambda v: v != sorted(v))),
+    st.tuples(st.just(BYTES), st.lists(st.sampled_from([b"", b"a", b"bc", b"BTC-USD"]) | st.binary(max_size=12),
+                                       min_size=1, max_size=80)),
+    st.tuples(st.just(BOOL), st.lists(st.booleans(), min_size=1, max_size=80)),
+)
+
+
+@given(UNSORTED_COLUMNS)
+@settings(max_examples=300, deadline=None)
+def test_choice_is_the_smallest_real_encoding(column):
+    physical_type, values = column
+    sizes = {e: len(encode_column(values, physical_type, e)) for e in CANDIDATES[physical_type]}
+    chosen = choose_encoding(values, physical_type)
+    assert len(encode_column(values, physical_type, chosen)) == min(sizes.values())
+    assert chosen == min(sizes, key=sizes.__getitem__)  # the first of equal sizes
+
+
+def test_partition_file_takes_the_small_encodings():
+    # One symbol-day file as etl writes it: one symbol and stream, rows in
+    # time order, random sides and quantities that repeat in short runs.
+    rows = []
+    for i in range(2000):
+        h = (i * 2654435761) % 2**32
+        rows.append((1_600_000_000_000_000 + i * 1_000, 1_600_000_000_500_000 + i * 1_000, b"coinbase",
+                     b"trades", b"BTC-USD", i, f"cb-{i:06d}".encode(), 3_000_000_000_000 + h % 10**9,
+                     (i // 3 + h % 2) % 5 * 10**6, [b"buy", b"sell"][h >> 31]))
+    schema = [ColumnSchema(name, physical_type) for name, physical_type in TABLE_COLUMNS]
+    parsed = read_file(write_file(rows, schema))
+    assert {col.name: chunk.encoding.name for col, chunk in zip(parsed.footer.schema, parsed.footer.chunks)} == {
+        "event_time_us": "DELTA", "ingest_time_us": "DELTA", "source": "RLE", "stream": "RLE",
+        "symbol": "RLE", "sequence": "DELTA", "event_id": "PLAIN", "price_e8": "PLAIN",
+        "qty_e8": "PLAIN", "side": "DICT"}
+    assert parsed.rows() == rows
 
 
 def test_choose_high_cardinality_plain():

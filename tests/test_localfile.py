@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from brclake.config import load_config
 from brclake.errors import (ConfigInvalid, CorruptLog, CorruptRunLog, CorruptStaging, FooterCorrupt, MalformedLine,
                             SessionLockHeld)
+from brclake.etl import ExportResult
 from brclake.events import ConnectorConfig, RateLimit, RawEvent
 from brclake.harness import Expected, Scenario
 from brclake.ingest import ConnectorState, SessionSummary, SyntheticState, replay_file
@@ -26,7 +27,7 @@ from conftest import run_optimized
 
 RECORDS = [LogEntry, AddFile, PartitionKey, RemoveFile, SetSchema, ColumnSchema, FileFooter, ColumnChunk,
            ConnectorConfig, RateLimit, DagSpec, TaskSpec, RetryPolicy, Interval, DailyAt,
-           Scenario, Expected, Transition, ConnectorState, SyntheticState, RawEvent, SessionSummary]
+           Scenario, Expected, Transition, ConnectorState, SyntheticState, RawEvent, SessionSummary, ExportResult]
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(),
@@ -60,6 +61,13 @@ def _values(tp: Any) -> st.SearchStrategy:
 def test_record_json_round_trip(cls, data):
     record = data.draw(_values(cls))
     assert record_from_json(cls, json.loads(json.dumps(record_to_json(record)))) == record
+
+
+def test_optional_field_without_default_reads_its_null_back():
+    result = ExportResult(rows_published=0, version=None, next_checkpoint=0, dropped_duplicates=0)
+    obj = json.loads(json.dumps(record_to_json(result)))
+    assert obj["version"] is None  # `brc etl export` prints "version": null when nothing was published
+    assert record_from_json(ExportResult, obj) == result
 
 
 _ADD = {"path": "p", "partition": {"symbol": "A-B", "date": "2021-03-01"}, "rows": 1, "bytes": 1,
