@@ -10,10 +10,11 @@ import argparse
 import json
 import re
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .config import AppContext, load_config
-from .errors import BrcError, ConfigInvalid
+from .errors import BrcError, ConfigInvalid, SinkError
 from .etl import SCHEMA_ID, TABLE_COLUMNS, build_action_registry, compact_partitions, export_all
 from .events import ConnectorConfig
 from .fixedpoint import iso_to_us
@@ -179,16 +180,16 @@ def _run(args: argparse.Namespace) -> int:
         )
         width_us = parse_bucket_width(args.ohlcv) if args.ohlcv else None
         events = scan(app.store, app.table(args.table), request)
-        sink = sys.stdout.buffer if args.out == "-" else open(args.out, "wb")
+        bars = ohlcv(events, width_us) if args.ohlcv else None
         try:
-            if args.ohlcv:
-                count = export_bars(ohlcv(events, width_us), args.format, sink)
-            else:
-                count = export_events(events, args.format, sink)
-            sink.flush()
-        finally:
-            if sink is not sys.stdout.buffer:
-                sink.close()
+            with nullcontext(sys.stdout.buffer) if args.out == "-" else open(args.out, "wb") as sink:
+                if bars is None:
+                    count = export_events(events, args.format, sink)
+                else:
+                    count = export_bars(bars, args.format, sink)
+                sink.flush()
+        except OSError as exc:  # opening, flushing or closing the sink
+            raise SinkError(f"--out {args.out}: {exc}") from None
         sys.stderr.write(f"{count} rows\n")
 
     elif args.group == "lake":

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .errors import ConfigInvalid
 from .lakehouse import LakeTable
-from .localfile import load_json_config, typed_field
+from .localfile import load_json_config, only_keys, typed_field
 from .objectstore import FsStore, S3Config, S3Store
 from .staging import StagingStore
 
@@ -41,6 +41,9 @@ def load_config(path: str | None = None, env: dict | None = None) -> AppConfig:
 
 
 def _resolve(obj: dict, env) -> AppConfig:
+    if not isinstance(obj, dict):
+        raise ConfigInvalid("config", "must be a JSON object")
+    only_keys(obj, ("data_root", "store", "s3", "dags_dir"))
     data_root = env.get(DATA_ROOT_ENV) or typed_field(obj, "data_root", str, "")
     if not data_root:
         raise ConfigInvalid("data_root", f"set in config file or {DATA_ROOT_ENV}")
@@ -57,6 +60,7 @@ def _resolve(obj: dict, env) -> AppConfig:
     s3 = None
     if store_kind == "s3":
         section = typed_field(obj, "s3", dict, {})
+        only_keys(section, ("endpoint", "region", "access_key", "secret_key", "bucket"), "s3.")
         s3 = S3Config(
             endpoint=env.get("BRC_S3_ENDPOINT") or typed_field(section, "endpoint", str, "", "s3."),
             region=env.get("BRC_S3_REGION") or typed_field(section, "region", str, "", "s3."),

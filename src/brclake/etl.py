@@ -35,7 +35,7 @@ from .events import SYMBOL_RE, TABLE_COLUMNS, event_from_row  # noqa: F401 (even
 from .fixedpoint import US_PER_DAY, us_to_date
 from .lakeformat import ColumnSchema, read_file, write_file
 from .lakehouse import AddFile, LakeTable, PartitionKey, RemoveFile
-from .localfile import load_json_config, typed_field
+from .localfile import load_json_config, only_keys, typed_field
 from .staging import StagingStore
 
 SCHEMA_ID = "trades_v1"
@@ -228,6 +228,7 @@ def compact_partitions(store, table: LakeTable, spec: str,
 
 def build_action_registry(app) -> dict:
     """Named actions for DAG tasks, bound to an AppContext (see cli module).
+    A param key that is none of an action's names raises ConfigInvalid.
 
     ingest.run    {"config_path": path} or {"connector": {...inline config...}}
     etl.export    {"connector_id": id, "table_id": id, "max_records": n}
@@ -238,6 +239,7 @@ def build_action_registry(app) -> dict:
     from .ingest import run_connector
 
     def ingest_run(ctx) -> None:
+        only_keys(ctx.params, ("config_path", "connector"))
         if "config_path" in ctx.params:
             config = load_json_config(typed_field(ctx.params, "config_path", str), ConnectorConfig.from_dict)
         else:
@@ -245,6 +247,7 @@ def build_action_registry(app) -> dict:
         run_connector(config, app.staging)
 
     def etl_export(ctx) -> None:
+        only_keys(ctx.params, ("connector_id", "table_id", "max_records"))
         table = app.table(typed_field(ctx.params, "table_id", str))
         export_all(
             app.staging, app.store, table,
@@ -253,6 +256,7 @@ def build_action_registry(app) -> dict:
         )
 
     def etl_compact(ctx) -> None:
+        only_keys(ctx.params, ("table_id", "partition", "min_files"))
         table = app.table(typed_field(ctx.params, "table_id", str))
         compact_partitions(app.store, table, typed_field(ctx.params, "partition", str, "all"),
                            min_files=typed_field(ctx.params, "min_files", int, 2))

@@ -17,7 +17,7 @@ from typing import Any
 from .errors import BadDecimal, BadSide, ConfigInvalid, InvalidEvent
 from .fixedpoint import I64_MAX, I64_MIN, US_YEAR_10000
 from .lakeformat import BYTES, INT64
-from .localfile import record_from_json
+from .localfile import config_from_json
 
 # Matched with fullmatch: a pattern ending in $ also matches before a final "\n".
 SOURCE_RE = re.compile(r"[a-z0-9_-]+")
@@ -210,10 +210,11 @@ class ConnectorConfig:
     @classmethod
     def from_dict(cls, obj: dict[str, Any]) -> "ConnectorConfig":
         """Read and validate a config from its JSON form; a missing or
-        ill-typed field raises ConfigInvalid naming it."""
+        ill-typed field, or a key that names no field, raises ConfigInvalid
+        naming it."""
         if not isinstance(obj, dict):
             raise ConfigInvalid("connector", "must be a JSON object")
-        cfg = record_from_json(cls, obj)
+        cfg = config_from_json(cls, obj)
         cfg.validate()
         return cfg
 

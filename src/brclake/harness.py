@@ -29,7 +29,7 @@ from .errors import AssertionFailed, BrcError
 from .events import ConnectorConfig, MarketEvent
 from .fixedpoint import us_to_iso
 from .ingest import ConnectorState, generate_synthetic, normalize, replay_file
-from .localfile import load_json_config, record_from_json, record_to_json
+from .localfile import config_from_json, load_json_config, record_to_json
 from .query import export_events
 
 _SITE_FOR_STEP = {
@@ -74,7 +74,7 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Scenario":
-        scenario = record_from_json(cls, obj)
+        scenario = config_from_json(cls, obj)
         scenario.validate()
         return scenario
 
@@ -118,7 +118,6 @@ class StepRunner:
     def __init__(self, data_root: Path, crash_points: list[str]):
         self.data_root = data_root
         self.pending = list(crash_points)
-        self.log: list[dict] = []
 
     def _take_crash(self, step_kind: str) -> str | None:
         for i, point in enumerate(self.pending):
@@ -135,11 +134,9 @@ class StepRunner:
                     f"step {argv} with {crash!r} exited {proc.returncode}, "
                     f"expected crash ({proc.stderr.strip()})"
                 )
-            self.log.append({"step": list(argv), "crashed_at": crash})
         proc = self._invoke(argv)
         if proc.returncode != 0:
             raise AssertionFailed(f"step {argv} failed: {proc.stderr.strip()}")
-        self.log.append({"step": list(argv), "stdout": proc.stdout.strip()})
         out = proc.stdout.strip().splitlines()
         return json.loads(out[-1]) if out else {}
 

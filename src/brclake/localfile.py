@@ -1,5 +1,6 @@
-"""Crash-safe local files shared by staging and the scheduler: a lock for
-the single writer, durable line appends, and torn-tail repair.
+"""Crash-safe local files shared by the object store, staging and the
+scheduler: a lock for the single writer, durable publishes, durable line
+appends, and torn-tail repair.
 
 A lock is an exclusive ``flock`` on the lock file, held by the open file
 that ``acquire_lock`` returns until it is closed. The kernel drops it when
@@ -11,7 +12,11 @@ SessionLockHeld. The lock is per open file, so two threads of one
 process exclude each other too. An append is one buffered write + flush +
 fsync, so a crash can tear at most the final line of an append-only file.
 Readers see only newline-terminated lines, and the writer truncates a torn
-tail before its next append.
+tail before its next append. A whole file is made durable at its name by
+``publish``: a temp file is written and fsynced, then renamed onto the name
+or linked to it, and no temp name outlives the call. ``publish`` is the one
+place that knows how a name is made durable; it and ``fsync_append`` raise
+StorageFull for a full disk or quota.
 
 Operators' JSON files (app, connector, DAG and scenario configs) are read by
 ``load_json_config`` and every JSON field by ``typed_field``, so every way
@@ -19,7 +24,10 @@ such a file can be wrong is ConfigInvalid. The connector, DAG and scenario
 configs, log entries, replay and run-log lines, staging checkpoints,
 connector state, ``brc`` result lines and the ``.brcl`` footer are
 dataclasses, read by ``record_from_json`` and written by ``record_to_json``
-from their fields' names, types and defaults.
+from their fields' names, types and defaults. A stored record's key that
+names no field is ignored, so that an older reader reads a newer record; an
+operator's config is read by ``config_from_json``, which refuses such a key
+at any depth, and the app config and action params by ``only_keys``.
 An enum is coded by its member's name. A field annotated ``Any`` holds any
 JSON value, which its owner checks. A union of records is an object whose
 one key names the member: its class name in snake case (``add_file``).
@@ -33,17 +41,19 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import errno
 import fcntl
 import functools
 import json
 import os
 import re
+import secrets
 import types
 import typing
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, TypeVar
+from typing import Any, BinaryIO, Callable, Collection, TypeVar
 
-from .errors import ConfigInvalid, SessionLockHeld
+from .errors import ConfigInvalid, SessionLockHeld, StorageFull
 
 T = TypeVar("T")
 
@@ -72,12 +82,47 @@ def acquire_lock(path: Path, what: str) -> BinaryIO:
     return f
 
 
+_FULL = (errno.ENOSPC, errno.EDQUOT)
+
+
+def publish(path: Path, data: bytes, tmp_dir: Path | None = None, exclusive: bool = False) -> None:
+    """Make data durable at path, creating its parent directories: write and
+    fsync a temp file in tmp_dir (default: path's directory), then rename it
+    onto path, or with exclusive link it there (FileExistsError if the name
+    exists). No temp file outlives the call; a full disk raises StorageFull."""
+    tmp = (tmp_dir or path.parent) / f"tmp-{secrets.token_hex(8)}"
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        if exclusive:
+            os.link(tmp, path)  # atomic no-replace
+        else:
+            os.replace(tmp, path)
+            tmp = None
+    except OSError as exc:
+        if exc.errno in _FULL:
+            raise StorageFull(str(exc)) from None
+        raise
+    finally:
+        if tmp is not None:
+            tmp.unlink(missing_ok=True)
+
+
 def fsync_append(path: Path, data: bytes) -> None:
-    """Append data durably: one buffered write, then flush and fsync."""
-    with open(path, "ab") as f:
-        f.write(data)
-        f.flush()
-        os.fsync(f.fileno())
+    """Append data durably: one buffered write, then flush and fsync. A full
+    disk raises StorageFull."""
+    try:
+        with open(path, "ab") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+    except OSError as exc:
+        if exc.errno in _FULL:
+            raise StorageFull(str(exc)) from None
+        raise
 
 
 def read_lines(path: Path) -> list[bytes]:
@@ -161,6 +206,14 @@ def typed_field(obj: dict, name: str, kind: type, default: Any = _REQUIRED,
     return value
 
 
+def only_keys(obj: dict, names: Collection[str], prefix: str = "") -> None:
+    """Raise ConfigInvalid naming prefix + the first key of obj that is not
+    one of names."""
+    for key in obj:
+        if key not in names:
+            raise ConfigInvalid(prefix + key, "names no field")
+
+
 # -- record codec --------------------------------------------------------------
 
 JSON_DEFAULT = "json_default"  # field metadata key: a factory of the field's JSON default
@@ -191,6 +244,26 @@ def record_from_json(cls: type[T], obj: Any, prefix: str = "") -> T:
     return cls(*args)
 
 
+def config_from_json(cls: type[T], obj: Any) -> T:
+    """``record_from_json`` for an operator's config: a key that names no
+    field, of the record or of a record nested in it (a union object's keys
+    must name members), raises ConfigInvalid naming it. Stored records keep
+    ignoring such keys and pay nothing for this check."""
+    record = record_from_json(cls, obj)
+    _check_keys(cls, obj, "")
+    return record
+
+
+def _check_keys(cls: type, obj: dict, prefix: str) -> None:
+    """Refuse a key of obj, the JSON object of a well-typed record of cls,
+    that names no field, at any depth."""
+    checks = _plan(cls)[2]
+    only_keys(obj, checks, prefix)
+    for name, value in obj.items():
+        if checks[name] is not None and value is not None:
+            checks[name](value, prefix, name)
+
+
 def record_to_json(record: Any) -> dict:
     """The JSON object of a dataclass record, the inverse of
     ``record_from_json``; a field holding its default None is left out."""
@@ -205,16 +278,17 @@ def record_to_json(record: Any) -> dict:
 
 
 @functools.cache
-def _plan(cls: type) -> tuple[list[tuple], list[tuple]]:
+def _plan(cls: type) -> tuple[list[tuple], list[tuple], dict[str, Callable | None]]:
     """How each field of cls is read, (name, JSON kind, item kind, decode,
     missing, whether null reads as None), and written, (name, encode,
-    whether None is left out); resolved once per class. A None is left out
+    whether None is left out), and each field's key check (see
+    ``config_from_json``); resolved once per class. A None is left out
     where it is the default and written as null elsewhere, and null reads
     back only where an ``X | None`` field writes it."""
     hints = typing.get_type_hints(cls)
-    reads, writes = [], []
+    reads, writes, checks = [], [], {}
     for f in dataclasses.fields(cls):
-        kind, items, decode, encode = _value_codec(hints[f.name])
+        kind, items, decode, encode, checks[f.name] = _value_codec(hints[f.name])
         missing = f.metadata.get(JSON_DEFAULT, f.default_factory)
         if missing is dataclasses.MISSING:
             missing = None if f.default is dataclasses.MISSING else lambda d=f.default: d
@@ -222,42 +296,53 @@ def _plan(cls: type) -> tuple[list[tuple], list[tuple]]:
         optional = type(None) in typing.get_args(hints[f.name])
         reads.append((f.name, kind, items, decode, missing, optional and not omit_none))
         writes.append((f.name, encode, omit_none))
-    return reads, writes
+    return reads, writes, checks
 
 
 def _tag(cls: type) -> str:
     return re.sub(r"(?<=[a-z0-9])(?=[A-Z])", "_", cls.__name__).lower()
 
 
-def _value_codec(tp: Any) -> tuple[type, type | None, Callable | None, Callable | None]:
-    """(JSON kind, item kind, decode(value, prefix, name), encode(value)) of
-    a field annotated tp; a None decode or encode keeps the value as it is."""
+def _value_codec(tp: Any) -> tuple[type, type | None, Callable | None, Callable | None, Callable | None]:
+    """(JSON kind, item kind, decode(value, prefix, name), encode(value),
+    check(value, prefix, name)) of a field annotated tp; a None decode or
+    encode keeps the value as it is, and check, which refuses unknown keys
+    of nested records, is None where the value holds no record."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if tp in _PRIMITIVES:
-        return tp, None, None, None
+        return tp, None, None, None, None
     if tp is Any:  # any JSON value; its owner checks it
-        return object, None, None, None
+        return object, None, None, None, None
     if isinstance(tp, type) and issubclass(tp, enum.Enum):
-        return str, None, functools.partial(_enum_from_json, tp), lambda v: v.name
+        return str, None, functools.partial(_enum_from_json, tp), lambda v: v.name, None
     if dataclasses.is_dataclass(tp):
-        return dict, None, lambda v, p, n: record_from_json(tp, v, p + n + "."), record_to_json
+        return (dict, None, lambda v, p, n: record_from_json(tp, v, p + n + "."), record_to_json,
+                lambda v, p, n: _check_keys(tp, v, p + n + "."))
     if origin is types.UnionType:
         members = {_tag(cls): cls for cls in args if cls is not type(None)}
         if len(members) == 1:  # X | None: absent and None are the same
             return _value_codec(*members.values())
-        return dict, None, functools.partial(_union_from_json, members), _union_to_json
+        return (dict, None, functools.partial(_union_from_json, members), _union_to_json,
+                functools.partial(_union_keys, members))
     if tp is dict or origin is dict:
-        return dict, args[1] if args and args[1] in _PRIMITIVES else None, lambda v, p, n: dict(v), None
+        return dict, args[1] if args and args[1] in _PRIMITIVES else None, lambda v, p, n: dict(v), None, None
     if origin in (list, tuple):
         element = args[0]
         if element in _PRIMITIVES:
-            return list, element, lambda v, p, n: origin(v), list
+            return list, element, lambda v, p, n: origin(v), list, None
         if dataclasses.is_dataclass(element):
-            decode, encode = (lambda x, p, n: record_from_json(element, x, p)), record_to_json
+            decode, encode, check = ((lambda x, p, n: record_from_json(element, x, p)), record_to_json,
+                                     lambda x, p, n: _check_keys(element, x, p))
         else:  # a union of records
-            _, _, decode, encode = _value_codec(element)
-        return list, dict, lambda v, p, n: origin(decode(x, p, n) for x in v), lambda v: list(map(encode, v))
+            _, _, decode, encode, check = _value_codec(element)
+        return (list, dict, lambda v, p, n: origin(decode(x, p, n) for x in v), lambda v: list(map(encode, v)),
+                functools.partial(_check_each, check))
     raise TypeError(f"no JSON record codec for {tp!r}")
+
+
+def _check_each(check: Callable, values: list, prefix: str, name: str) -> None:
+    for value in values:
+        check(value, prefix, name)
 
 
 def _enum_from_json(cls: type[enum.Enum], name: str, prefix: str, field: str) -> enum.Enum:
@@ -275,6 +360,13 @@ def _union_from_json(members: dict[str, type], obj: dict, prefix: str, name: str
         raise ConfigInvalid(prefix + name, f"must hold exactly one of {', '.join(members)}")
     return record_from_json(members[tags[0]], typed_field(obj, tags[0], dict, prefix=prefix),
                             prefix + tags[0] + ".")
+
+
+def _union_keys(members: dict[str, type], obj: dict, prefix: str, name: str) -> None:
+    """Refuse a key of a well-typed union object that names no member."""
+    only_keys(obj, members, prefix + name + ".")
+    (tag,) = obj
+    _check_keys(members[tag], obj[tag], prefix + tag + ".")
 
 
 def _union_to_json(record: Any) -> dict:

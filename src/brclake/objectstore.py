@@ -6,9 +6,9 @@ the transaction log uses as its only concurrency-control primitive.
 
 Keys are '/'-separated segments of [A-Za-z0-9._=-], other than '.' and
 '..', at most 900 bytes, so no key names a path outside the store. The
-filesystem backend maps keys to paths under ``root/objects`` and stages
-writes in ``root/tmp``; conditional puts become an os.link onto the final
-path, which the kernel makes atomic.
+filesystem backend maps keys to paths under ``root/objects`` and puts with
+``localfile.publish``, staging in ``root/tmp``; a conditional put becomes a
+link onto the final path, which the kernel makes atomic.
 """
 
 from __future__ import annotations
@@ -32,10 +32,24 @@ from .errors import (
     NotFound,
     PreconditionFailed,
 )
+from .localfile import publish
 from .sigv4 import EMPTY_PAYLOAD_SHA256, sign_request_v4, uri_encode_path
 
 _SEGMENT_RE = re.compile(r"[A-Za-z0-9._=-]+")
 MAX_KEY_BYTES = 900
+
+
+def _is_segment(name: str) -> bool:
+    return _SEGMENT_RE.fullmatch(name) is not None and name not in (".", "..")
+
+
+def path_segment(field: str, name: str) -> str:
+    """name, if it is one key segment, so that it names one directory under
+    its parent; otherwise ConfigInvalid naming field. Connector and DAG ids
+    are held to the rule every segment of a table's keys is."""
+    if not _is_segment(name):
+        raise ConfigInvalid(field, f"{name!r} must be one path segment of [A-Za-z0-9._=-], not '.' or '..'")
+    return name
 
 
 def validate_key(key: str) -> str:
@@ -44,7 +58,7 @@ def validate_key(key: str) -> str:
     if len(key.encode()) > MAX_KEY_BYTES:
         raise InvalidKey(key, f"key exceeds {MAX_KEY_BYTES} bytes")
     for segment in key.split("/"):
-        if not _SEGMENT_RE.fullmatch(segment) or segment in (".", ".."):
+        if not _is_segment(segment):
             raise InvalidKey(key, f"bad segment {segment!r}")
     return key
 
@@ -74,28 +88,12 @@ class FsStore:
         existing keys (below an object, or onto a directory of keys, both of
         which S3 allows) raises InvalidKey."""
         path = self._path(key)
-        tmp = self._tmp / f"put-{secrets.token_hex(8)}"
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with open(tmp, "wb") as f:
-                f.write(data)
-                f.flush()
-                os.fsync(f.fileno())
-            if if_none_match:
-                os.link(tmp, path)  # atomic no-replace
-            else:
-                os.replace(tmp, path)
-                tmp = None
+            publish(path, data, self._tmp, exclusive=if_none_match)
         except (FileExistsError, IsADirectoryError, NotADirectoryError):
             if if_none_match and path.is_file():
                 raise PreconditionFailed(key)
             raise InvalidKey(key, f"key {key!r} collides with a key or key prefix in the store")
-        finally:
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except FileNotFoundError:
-                    pass
         return ObjectMeta(key, len(data), hashlib.md5(data).hexdigest())
 
     def get(self, key: str) -> bytes:

@@ -27,8 +27,9 @@ from .errors import (
     CycleDetected,
 )
 from .fixedpoint import US_PER_DAY
-from .localfile import (JSON_DEFAULT, acquire_lock, fsync_append, load_json_config, read_json,
-                        record_from_json, record_to_json, repair_tail)
+from .localfile import (JSON_DEFAULT, acquire_lock, config_from_json, fsync_append, load_json_config,
+                        read_json, record_from_json, record_to_json, repair_tail)
+from .objectstore import path_segment
 
 PENDING = "Pending"
 QUEUED = "Queued"
@@ -143,8 +144,8 @@ class DagSpec:
     @classmethod
     def from_dict(cls, obj: dict) -> "DagSpec":
         """Read and validate a DAG from its JSON form; a missing or ill-typed
-        field raises ConfigInvalid naming it."""
-        dag = record_from_json(cls, obj)
+        field, or a key that names no field, raises ConfigInvalid naming it."""
+        dag = config_from_json(cls, obj)
         dag.validate()
         return dag
 
@@ -292,7 +293,7 @@ class RunResult:
 
 
 def run_log_path(runs_root: Path, dag_id: str, logical_time_us: int) -> Path:
-    return Path(runs_root) / dag_id / str(logical_time_us) / "events.jsonl"
+    return Path(runs_root) / path_segment("dag_id", dag_id) / str(logical_time_us) / "events.jsonl"
 
 
 def execute_run(

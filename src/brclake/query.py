@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 
 from .errors import ConfigInvalid, NonTradeEvent, SinkError
 from .etl import ROW_ORDER
-from .events import TABLE_COLUMNS, MarketEvent, event_from_row
+from .events import SYMBOL_RE, TABLE_COLUMNS, MarketEvent, event_from_row
 from .fixedpoint import format_e8, us_to_iso
 from .lakeformat import read_file
 from .lakehouse import LakeTable, list_files
@@ -38,6 +38,9 @@ class ScanRequest:
             raise ConfigInvalid("time_range", "must be non-empty")
         if not self.symbols:
             raise ConfigInvalid("symbols", "at least one symbol required")
+        for symbol in sorted(self.symbols):
+            if not SYMBOL_RE.fullmatch(symbol):
+                raise ConfigInvalid("symbols", f"{symbol!r} is not a normalized symbol (BASE-QUOTE)")
 
 
 def scan(store, table: LakeTable, request: ScanRequest) -> Iterator[MarketEvent]:

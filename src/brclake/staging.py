@@ -8,6 +8,9 @@ On-disk layout, one directory per connector under the staging root:
     {connector_id}/lock                           single-writer session lock
     {connector_id}/export.lock                    single-exporter lock
 
+A connector id must be one object-key segment (``objectstore.path_segment``),
+so that it names one directory under the root.
+
 Record lines are JSON objects: MarketEvent fields plus "offset", keys sorted,
 written from one template (``_staged_line``) whose output equals
 ``json.dumps({**vars(event), "offset": offset}, sort_keys=True)`` for every
@@ -34,17 +37,16 @@ its offset must be its position, the segment's start offset plus the
 line's index.
 
 The checkpoint and the connector state are records (``Checkpoint`` and the
-connector's own), written by the record codec. A checkpoint, connector state
+connector's own), written by the record codec and made durable by
+``localfile.publish``. A checkpoint, connector state
 or record line that cannot be read back, or a record line that fails those
 checks, is CorruptStaging naming its file (and line).
 """
 
 from __future__ import annotations
 
-import errno
 import json
 import os
-import secrets
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -59,12 +61,12 @@ from .errors import (
     CorruptStaging,
     OffsetOutOfRange,
     StagingUnavailable,
-    StorageFull,
 )
 from .events import TABLE_COLUMNS, TEXT_FIELDS, MarketEvent, event_from_row
 from .fixedpoint import I64_MAX, I64_MIN, US_YEAR_10000
-from .localfile import (acquire_lock, fsync_append, read_json, read_lines, record_from_json, record_to_json,
-                        repair_tail)
+from .localfile import (acquire_lock, fsync_append, publish, read_json, read_lines, record_from_json,
+                        record_to_json, repair_tail)
+from .objectstore import path_segment
 
 T = TypeVar("T")
 
@@ -159,12 +161,7 @@ def _segment_records(path: Path, lines: list[bytes], lo: int, first: int) -> lis
 
 def _write_record(path: Path, record: Any) -> None:
     """Replace the file at path durably with the JSON object of record."""
-    tmp = path.with_name(path.name + f".tmp-{secrets.token_hex(8)}")
-    with open(tmp, "wb") as f:
-        f.write(json.dumps(record_to_json(record), sort_keys=True).encode())
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
+    publish(path, json.dumps(record_to_json(record), sort_keys=True).encode())
 
 
 def _read_record(path: Path, cls: type[T]) -> T | None:
@@ -189,7 +186,7 @@ class StagingStore:
     # -- layout helpers --------------------------------------------------
 
     def _dir(self, connector_id: str) -> Path:
-        return self.root / connector_id
+        return self.root / path_segment("connector_id", connector_id)
 
     def _segment_path(self, connector_id: str, start_offset: int) -> Path:
         return self._dir(connector_id) / f"seg-{start_offset:020}.jsonl"
@@ -251,8 +248,6 @@ class StagingStore:
                 offset += len(chunk)
                 active_count += len(chunk)
         except OSError as exc:
-            if exc.errno == errno.ENOSPC:
-                raise StorageFull(str(exc))
             raise StagingUnavailable(str(exc))
         return first, offset - 1, (active_start, active_count)
 
@@ -305,16 +300,13 @@ class StagingStore:
         tail = self.tail_offset(connector_id)
         if next_checkpoint > tail:
             raise OffsetOutOfRange(next_checkpoint, tail - 1)
-        self._dir(connector_id).mkdir(parents=True, exist_ok=True)
         _write_record(self._checkpoint_path(connector_id), Checkpoint(next_checkpoint))
 
     # -- connector resume state ------------------------------------------------
 
     def save_connector_state(self, connector_id: str, state: Any) -> None:
         """Save the connector's resume state, a record."""
-        d = self._dir(connector_id)
-        d.mkdir(parents=True, exist_ok=True)
-        _write_record(d / "connector_state.json", state)
+        _write_record(self._dir(connector_id) / "connector_state.json", state)
 
     def load_connector_state(self, connector_id: str, cls: type[T]) -> T | None:
         """The saved state, a record of class cls, or None before the first save."""

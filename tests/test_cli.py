@@ -169,6 +169,15 @@ def test_query_argument_errors_are_typed(tmp_path, args):
     assert _error_kind(result) == "ConfigInvalid"
 
 
+@pytest.mark.parametrize("symbols", ["", "btc-usdt", "BTC-USDT,", "BTC-USDT\n", "BTCUSDT"])
+def test_query_symbol_that_is_not_normalized_is_config_invalid(tmp_path, symbols):
+    assert _brc("lake", "init", "--table", "trades", data_root=tmp_path).returncode == 0
+    result = _brc("query", "--table", "trades", "--symbols", symbols, *_DAY, data_root=tmp_path)
+    assert result.returncode == 1 and result.stdout == ""
+    error = json.loads(result.stderr.splitlines()[-1])
+    assert (error["error"], error["field"]) == ("ConfigInvalid", "symbols")
+
+
 def test_empty_query_range_rejected_under_optimize(tmp_path):
     assert _brc("lake", "init", "--table", "trades", data_root=tmp_path).returncode == 0
     result = _brc("query", "--table", "trades", "--symbols", "BTC-USDT",
@@ -241,6 +250,55 @@ def test_ill_typed_action_param_fails_task_with_config_invalid(tmp_path):
         "params": {"connector_id": "c1", "table_id": "trades", "max_records": "abc"}})
     assert failed["state"] == "Failed"
     assert failed["error"] == str(ConfigInvalid("max_records", "must be an integer, got 'abc'"))
+
+
+@pytest.mark.parametrize("task, field", [
+    ({"task_id": "export", "action": "etl.export",
+      "params": {"connector_id": "c1", "table_id": "trades", "max_record": 0}}, "max_record"),
+    ({"task_id": "compact", "action": "etl.compact", "params": {"table_id": "trades", "min_file": 0}},
+     "min_file"),
+    ({"task_id": "ingest", "action": "ingest.run", "params": {"config": "c1.json"}}, "config"),
+    ({"task_id": "ingest", "action": "ingest.run", "params": {"connector": {
+        "connector_id": "c1", "kind": "synthetic", "source": "syn", "symbols": {"BTCUSDT": "BTC-USDT"},
+        "cout": 5}}}, "cout"),
+], ids=["export_param", "compact_param", "ingest_param", "inline_connector_key"])
+def test_action_param_that_names_no_field_fails_task_with_config_invalid(tmp_path, task, field):
+    failed = _run_one_task_dag(tmp_path, task)
+    assert failed["state"] == "Failed"
+    assert failed["error"] == str(ConfigInvalid(field, "names no field"))
+
+
+def test_dag_file_key_that_names_no_field_is_config_invalid(tmp_path):
+    dags = tmp_path / "dags"
+    dags.mkdir()
+    (dags / "d.json").write_text(json.dumps({
+        "dag_id": "d", "schedule": {"interval": {"period_us": 3_600_000_000}},
+        "tasks": [{"task_id": "t", "action": "etl.compact", "max_attempt": 3}],
+    }))
+    result = _brc("sched", "run-once", "--dag", "d", "--at", "2021-01-01T00:00:00Z",
+                  "--dags", str(dags), data_root=tmp_path / "data")
+    assert result.returncode == 1
+    error = json.loads(result.stderr.splitlines()[-1])
+    assert (error["error"], error["field"]) == ("ConfigInvalid", "max_attempt")
+
+
+@pytest.mark.parametrize("extra, field", [({"dag_dir": "x"}, "dag_dir"),
+                                          ({"store": "s3", "s3": {"secret": "s"}}, "s3.secret")])
+def test_app_config_key_that_names_no_field_is_config_invalid(tmp_path, extra, field):
+    path = tmp_path / "app.json"
+    path.write_text(json.dumps({"data_root": str(tmp_path / "data"), **extra}))
+    with pytest.raises(ConfigInvalid) as info:
+        load_config(str(path), env={})
+    assert (info.value.field, info.value.reason) == (field, "names no field")
+
+
+@pytest.mark.parametrize("body", ["[1]", '"data_root"', "5"])
+def test_app_config_that_is_not_an_object_is_config_invalid(tmp_path, body):
+    path = tmp_path / "app.json"
+    path.write_text(body)
+    with pytest.raises(ConfigInvalid) as info:
+        load_config(str(path), env={"BRC_DATA_ROOT": str(tmp_path / "data")})
+    assert info.value.field == "config"
 
 
 def test_corrupt_log_is_typed_under_optimize(tmp_path):
@@ -337,17 +395,76 @@ def test_table_id_cannot_escape_the_store(tmp_path):
     assert [p for p in tmp_path.rglob("*") if p.is_file() and objects not in p.parents] == []
 
 
+def _files_outside(tmp_path, data_root) -> list:
+    return [p for p in tmp_path.rglob("*") if p.is_file() and data_root not in p.parents]
+
+
+@pytest.mark.parametrize("connector", ["../../escaped", "", "a/b", ".", "..", "c\n"])
+@pytest.mark.parametrize("command", [["etl", "export", "--table", "trades"], ["staging", "prune"]])
+def test_connector_id_is_one_path_segment(tmp_path, monkeypatch, command, connector):
+    data_root = tmp_path / "a" / "data"
+    monkeypatch.delenv("BRC_CONFIG", raising=False)
+    monkeypatch.setenv("BRC_DATA_ROOT", str(data_root))
+    code, err = _main(*command, "--connector", connector)
+    assert code == 1
+    error = json.loads(err.splitlines()[-1])
+    assert (error["error"], error["field"]) == ("ConfigInvalid", "connector_id")
+    assert _files_outside(tmp_path, data_root) == []
+    assert not (data_root / "staging").exists() or list((data_root / "staging").iterdir()) == []
+
+
+@pytest.mark.parametrize("dag_id", ["../../esc", "a/b", ".."])
+def test_dag_id_is_one_path_segment(tmp_path, dag_id):
+    data_root = tmp_path / "a" / "data"
+    dags = data_root / "dags"
+    dags.mkdir(parents=True)
+    (dags / "d.json").write_text(json.dumps({
+        "dag_id": dag_id, "schedule": {"interval": {"period_us": 3_600_000_000}},
+        "tasks": [{"task_id": "t", "action": "etl.compact", "params": {"table_id": "trades"}}],
+    }))
+    result = _brc("sched", "run-once", "--dag", dag_id, "--at", "1970-01-01T00:00:00Z", data_root=data_root)
+    assert result.returncode == 1
+    error = json.loads(result.stderr.splitlines()[-1])
+    assert (error["error"], error["field"]) == ("ConfigInvalid", "dag_id")
+    assert _files_outside(tmp_path, data_root) == []
+    assert [p.name for p in (data_root / "runs").iterdir()] == ["lock"]
+
+
+@pytest.mark.parametrize("out", ["missing/out.csv", ".", "trades.csv/x"])
+def test_query_sink_that_cannot_be_written_is_sink_error(tmp_path, monkeypatch, out):
+    _small_table(tmp_path, monkeypatch)
+    (tmp_path / "data" / "trades.csv").write_text("")
+    code, err = _main("query", "--table", "trades", "--symbols", "BTC-USDT",
+                      "--from", "2020-09-13T00:00:00Z", "--to", "2020-09-15T00:00:00Z",
+                      "--out", str(tmp_path / "data" / out))
+    assert code == 1
+    assert json.loads(err.splitlines()[-1])["error"] == "SinkError"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, whose writes fail with ENOSPC")
+def test_query_sink_flush_error_is_sink_error(tmp_path, monkeypatch):
+    _small_table(tmp_path, monkeypatch)
+    code, err = _main("query", "--table", "trades", "--symbols", "BTC-USDT",
+                      "--from", "2020-09-13T00:00:00Z", "--to", "2020-09-15T00:00:00Z", "--out", "/dev/full")
+    assert code == 1
+    assert json.loads(err.splitlines()[-1])["error"] == "SinkError"
+
+
 # The last name puts the table's keys below an existing object, the log entry.
 _TABLES = st.one_of(
     st.lists(st.sampled_from(["trades", "t", ".", "..", "/"]), max_size=4).map("".join),
     st.sampled_from(["trades", "../../..", "trades/_log/00000000000000000001.json"]))
 _TIMES = st.one_of(st.text(max_size=30), st.sampled_from(["2020-09-13T00:00:00Z", "2020-09-15T00:00:00Z"]))
+# --out values, paths under the data root once the fuzz test joins them to it:
+# a new file, a file in a missing directory, two directories; or stdout.
+_OUTS = st.none() | st.sampled_from(["out.csv", "missing/out.csv", ".", "store", "-"])
 _QUERY_ARGS = st.tuples(
     _TABLES, st.one_of(st.text(max_size=20), st.just("BTC-USDT")), _TIMES, _TIMES,
-    st.none() | st.integers(), st.none() | st.text(max_size=10) | st.just("1m"),
+    st.none() | st.integers(), st.none() | st.text(max_size=10) | st.just("1m"), _OUTS,
 ).map(lambda a: ["query", "--table", a[0], "--symbols", a[1], "--from", a[2], "--to", a[3]]
       + ([] if a[4] is None else ["--version", str(a[4])])
-      + ([] if a[5] is None else ["--ohlcv", a[5]]))
+      + ([] if a[5] is None else ["--ohlcv", a[5]])
+      + ([] if a[6] is None else ["--out", a[6]]))
 _COMPACT_ARGS = st.tuples(
     _TABLES, st.none() | st.text(max_size=40) | st.just("symbol=BTC-USDT/date=2020-09-13"),
     st.none() | st.integers(), st.booleans(),
@@ -355,22 +472,34 @@ _COMPACT_ARGS = st.tuples(
       + ([] if a[1] is None else ["--partition", a[1]])
       + ([] if a[2] is None else ["--min-files", str(a[2])])
       + (["--all"] if a[3] else []))
+_CONNECTORS = st.one_of(st.text(max_size=12),
+                        st.sampled_from(["c1", "../../escaped", "", "a/b", ".", "..", "c1/../.."]))
+_EXPORT_ARGS = st.tuples(_TABLES, _CONNECTORS, st.none() | st.integers()).map(
+    lambda a: ["etl", "export", "--table", a[0], "--connector", a[1]]
+    + ([] if a[2] is None else ["--max-records", str(a[2])]))
+_PRUNE_ARGS = _CONNECTORS.map(lambda c: ["staging", "prune", "--connector", c])
 
 
 def test_cli_argument_fuzz(tmp_path, monkeypatch):
-    """Any query or compaction arguments end in success, a typed error or a
-    usage error; never in an untyped exception."""
+    """Any query, compaction, export or prune arguments end in success, a
+    typed error or a usage error, never in an untyped exception, and write
+    nothing outside the data root."""
     _small_table(tmp_path, monkeypatch)
+    data_root = tmp_path / "data"
+    outside = _files_outside(tmp_path, data_root)
     kinds = {name for name, cls in vars(errors).items()
              if isinstance(cls, type) and issubclass(cls, errors.BrcError)}
 
-    @given(st.one_of(_QUERY_ARGS, _COMPACT_ARGS))
-    @settings(max_examples=150, deadline=None, database=None)
+    @given(st.one_of(_QUERY_ARGS, _COMPACT_ARGS, _EXPORT_ARGS, _PRUNE_ARGS))
+    @settings(max_examples=250, deadline=None, database=None)
     def run(argv):
+        if argv[-2:-1] == ["--out"] and argv[-1] != "-":
+            argv[-1] = str(data_root / argv[-1])
         code, err = _main(*argv)
         assert code in (0, 1, 2), (argv, err)
         if code == 1:
             assert json.loads(err.splitlines()[-1])["error"] in kinds, (argv, err)
+        assert _files_outside(tmp_path, data_root) == outside, argv
 
     run()
 

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import os
 import struct
@@ -12,18 +13,18 @@ from hypothesis import strategies as st
 
 from brclake.config import load_config
 from brclake.errors import (ConfigInvalid, CorruptLog, CorruptRunLog, CorruptStaging, FooterCorrupt, MalformedLine,
-                            SessionLockHeld)
+                            SessionLockHeld, StorageFull)
 from brclake.etl import ExportResult
 from brclake.events import ConnectorConfig, RateLimit, RawEvent
 from brclake.harness import Expected, Scenario
 from brclake.ingest import ConnectorState, SessionSummary, SyntheticState, replay_file
 from brclake.lakeformat import MAGIC, ColumnChunk, ColumnSchema, Encoding, FileFooter, read_file
 from brclake.lakehouse import AddFile, LakeTable, LogEntry, PartitionKey, RemoveFile, SetSchema
-from brclake.localfile import acquire_lock, fsync_append, record_from_json, record_to_json
+from brclake.localfile import acquire_lock, fsync_append, publish, record_from_json, record_to_json
 from brclake.objectstore import FsStore
 from brclake.orchestrator import DagSpec, DailyAt, Interval, RetryPolicy, RunLog, TaskSpec, Transition
 from brclake.staging import StagingStore
-from conftest import run_optimized
+from conftest import make_event, run_optimized
 
 RECORDS = [LogEntry, AddFile, PartitionKey, RemoveFile, SetSchema, ColumnSchema, FileFooter, ColumnChunk,
            ConnectorConfig, RateLimit, DagSpec, TaskSpec, RetryPolicy, Interval, DailyAt,
@@ -219,3 +220,55 @@ for name, (read, kind, _) in DEEP_READERS.items():
 """)
     assert result.stdout.split() == [word for name, (_, kind, _) in DEEP_READERS.items()
                                      for word in (name, kind.__name__)], result.stderr
+
+
+# -- durable publish -------------------------------------------------------------------
+
+def test_publish_replaces_or_links_and_creates_parents(tmp_path):
+    path = tmp_path / "a" / "b" / "obj"
+    publish(path, b"one")
+    publish(path, b"two")
+    assert path.read_bytes() == b"two"
+    with pytest.raises(FileExistsError):
+        publish(path, b"three", tmp_path, exclusive=True)
+    publish(tmp_path / "new", b"four", tmp_path / "a", exclusive=True)
+    assert path.read_bytes() == b"two" and (tmp_path / "new").read_bytes() == b"four"
+    assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["new", "obj"]
+
+
+def _checkpoint(root):
+    store = StagingStore(root / "staging")
+    with store.open_session("c") as session:
+        session.append_batch([make_event()])
+    return lambda: store.commit_checkpoint("c", 1)
+
+
+def _append(root):
+    session = StagingStore(root / "staging").open_session("c")
+    return lambda: session.append_batch([make_event()])
+
+
+# name: set up under root, then return the write that a full disk fails
+FULL_DISK_WRITERS = {
+    "put": lambda root: lambda: FsStore(root / "store").put("t/k", b"x"),
+    "put_if_absent": lambda root: lambda: FsStore(root / "store").put("t/k", b"x", if_none_match=True),
+    "checkpoint": _checkpoint,
+    "connector_state": lambda root: lambda: StagingStore(root / "staging").save_connector_state(
+        "c", ConnectorState()),
+    "run_log": lambda root: lambda: RunLog(root / "runs" / "events.jsonl").append(Transition(0, "a", 1, "Queued")),
+    "segment_append": _append,
+}
+
+
+@pytest.mark.parametrize("err", [errno.ENOSPC, errno.EDQUOT], ids=["ENOSPC", "EDQUOT"])
+@pytest.mark.parametrize("name", FULL_DISK_WRITERS)
+def test_full_disk_is_storage_full_and_leaves_no_temp_file(tmp_path, monkeypatch, name, err):
+    write = FULL_DISK_WRITERS[name](tmp_path)
+
+    def fsync(fd):
+        raise OSError(err, os.strerror(err))
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    with pytest.raises(StorageFull):
+        write()
+    assert [p for p in tmp_path.rglob("*") if "tmp" in p.name and p.is_file()] == []

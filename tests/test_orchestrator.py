@@ -14,8 +14,10 @@ from brclake.errors import (
     CycleDetected,
     SessionLockHeld,
 )
+from brclake.events import ConnectorConfig
 from brclake.fixedpoint import US_PER_DAY, iso_to_us
 from brclake.harness import Scenario
+from brclake.localfile import record_from_json
 from brclake.orchestrator import (
     DagSpec,
     DailyAt,
@@ -498,6 +500,30 @@ def test_config_fields_are_not_coerced(build, obj, field):
     with pytest.raises(ConfigInvalid) as info:
         build(obj)
     assert info.value.field == field
+
+
+_CONNECTOR = {"connector_id": "c", "kind": "synthetic", "source": "syn", "symbols": {"BTCUSDT": "BTC-USDT"},
+              "ingest_time_mode": "event_time"}
+_INTERVAL = {"interval": {"period_us": 1}}
+
+
+@pytest.mark.parametrize("cls, obj, field", [
+    (DagSpec, _dag_with(max_attempt=3), "max_attempt"),
+    (DagSpec, _dag_with(retry={"max_attempt": 3}), "retry.max_attempt"),
+    (DagSpec, {**_dag_with(), "max_parallel": 2}, "max_parallel"),
+    (DagSpec, {"dag_id": "x", "schedule": {"interval": {"period_us": 1, "anchor": 0}}}, "interval.anchor"),
+    (DagSpec, {"dag_id": "x", "schedule": {**_INTERVAL, "every": 5}}, "schedule.every"),
+    (ConnectorConfig, {**_CONNECTOR, "sed": 1}, "sed"),
+    (ConnectorConfig, {**_CONNECTOR, "rate_limit": {"rate": 1}}, "rate_limit.rate"),
+    (Scenario, {"name": "s", "expected": {"row": 5}}, "expected.row"),
+    (Scenario, {"name": "s", "connectors": [{**_CONNECTOR, "sed": 1}]}, "sed"),
+], ids=["task_key", "retry_key", "dag_key", "union_member_key", "union_key", "connector_key",
+        "nested_record_key", "scenario_expected_key", "array_record_key"])
+def test_config_key_that_names_no_field_is_config_invalid(cls, obj, field):
+    with pytest.raises(ConfigInvalid) as info:
+        cls.from_dict(obj)
+    assert (info.value.field, info.value.reason) == (field, "names no field")
+    record_from_json(cls, obj)  # a stored record's unknown keys are ignored
 
 
 def test_scheduler_lock_exclusive(tmp_path):
