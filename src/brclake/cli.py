@@ -7,6 +7,7 @@ stderr as one JSON line), 2 usage error. Commands never raise to the caller.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import re
 import sys
@@ -31,7 +32,8 @@ configuration:
   overrides the file: BRC_DATA_ROOT, BRC_S3_ENDPOINT, BRC_S3_REGION,
   BRC_S3_ACCESS_KEY, BRC_S3_SECRET_KEY, BRC_S3_BUCKET. Defaults: fs store
   under <data_root>/store, staging under <data_root>/staging, dags under
-  <data_root>/dags. Every table has the trades_v1 schema.
+  <data_root>/dags. A DAGs directory that does not exist, the default
+  one included, is ConfigInvalid. Every table has the trades_v1 schema.
 """
 
 
@@ -181,14 +183,18 @@ def _run(args: argparse.Namespace) -> int:
         width_us = parse_bucket_width(args.ohlcv) if args.ohlcv else None
         events = scan(app.store, app.table(args.table), request)
         bars = ohlcv(events, width_us) if args.ohlcv else None
+        # Rendered whole before the sink is opened, so a scan that fails
+        # leaves an earlier --out file as it was.
+        rendered = io.BytesIO()
+        if bars is None:
+            count = export_events(events, args.format, rendered)
+        else:
+            count = export_bars(bars, args.format, rendered)
         try:
             with nullcontext(sys.stdout.buffer) if args.out == "-" else open(args.out, "wb") as sink:
-                if bars is None:
-                    count = export_events(events, args.format, sink)
-                else:
-                    count = export_bars(bars, args.format, sink)
+                sink.write(rendered.getbuffer())
                 sink.flush()
-        except OSError as exc:  # opening, flushing or closing the sink
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in --out
             raise SinkError(f"--out {args.out}: {exc}") from None
         sys.stderr.write(f"{count} rows\n")
 

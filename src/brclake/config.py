@@ -6,17 +6,27 @@ scheduler actions.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigInvalid
 from .lakehouse import LakeTable
-from .localfile import load_json_config, only_keys, typed_field
+from .localfile import config_from_json, load_json_config
 from .objectstore import FsStore, S3Config, S3Store
 from .staging import StagingStore
 
 CONFIG_ENV = "BRC_CONFIG"
 DATA_ROOT_ENV = "BRC_DATA_ROOT"
+
+
+@dataclass
+class ConfigFile:
+    """The app config file's JSON object; the environment overrides it."""
+
+    data_root: str = ""
+    store: str = "fs"  # "fs" | "s3"
+    s3: S3Config = field(default_factory=S3Config)
+    dags_dir: str = ""
 
 
 @dataclass
@@ -43,8 +53,8 @@ def load_config(path: str | None = None, env: dict | None = None) -> AppConfig:
 def _resolve(obj: dict, env) -> AppConfig:
     if not isinstance(obj, dict):
         raise ConfigInvalid("config", "must be a JSON object")
-    only_keys(obj, ("data_root", "store", "s3", "dags_dir"))
-    data_root = env.get(DATA_ROOT_ENV) or typed_field(obj, "data_root", str, "")
+    file = config_from_json(ConfigFile, obj)
+    data_root = env.get(DATA_ROOT_ENV) or file.data_root
     if not data_root:
         raise ConfigInvalid("data_root", f"set in config file or {DATA_ROOT_ENV}")
     root = Path(data_root)
@@ -56,28 +66,17 @@ def _resolve(obj: dict, env) -> AppConfig:
     except OSError as exc:
         raise ConfigInvalid("data_root", f"{root} not writable: {exc}")
 
-    store_kind = typed_field(obj, "store", str, "fs")
-    s3 = None
-    if store_kind == "s3":
-        section = typed_field(obj, "s3", dict, {})
-        only_keys(section, ("endpoint", "region", "access_key", "secret_key", "bucket"), "s3.")
-        s3 = S3Config(
-            endpoint=env.get("BRC_S3_ENDPOINT") or typed_field(section, "endpoint", str, "", "s3."),
-            region=env.get("BRC_S3_REGION") or typed_field(section, "region", str, "", "s3."),
-            access_key=env.get("BRC_S3_ACCESS_KEY") or typed_field(section, "access_key", str, "", "s3."),
-            secret_key=env.get("BRC_S3_SECRET_KEY") or typed_field(section, "secret_key", str, "", "s3."),
-            bucket=env.get("BRC_S3_BUCKET") or typed_field(section, "bucket", str, "", "s3."),
-        )
-        s3.validate()
-    elif store_kind != "fs":
-        raise ConfigInvalid("store", f"unknown store kind {store_kind!r}")
-
-    dags_dir = typed_field(obj, "dags_dir", str, "")
+    for f in fields(S3Config):  # BRC_S3_ENDPOINT, BRC_S3_REGION, ...
+        setattr(file.s3, f.name, env.get(f"BRC_S3_{f.name.upper()}") or getattr(file.s3, f.name))
+    if file.store == "s3":
+        file.s3.validate()
+    elif file.store != "fs":
+        raise ConfigInvalid("store", f"unknown store kind {file.store!r}")
     return AppConfig(
         data_root=root,
-        store_kind=store_kind,
-        s3=s3,
-        dags_dir=Path(dags_dir) if dags_dir else root / "dags",
+        store_kind=file.store,
+        s3=file.s3 if file.store == "s3" else None,
+        dags_dir=Path(file.dags_dir) if file.dags_dir else root / "dags",
     )
 
 

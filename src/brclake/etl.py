@@ -35,7 +35,7 @@ from .events import SYMBOL_RE, TABLE_COLUMNS, event_from_row  # noqa: F401 (even
 from .fixedpoint import US_PER_DAY, us_to_date
 from .lakeformat import ColumnSchema, read_file, write_file
 from .lakehouse import AddFile, LakeTable, PartitionKey, RemoveFile
-from .localfile import load_json_config, only_keys, typed_field
+from .localfile import config_from_json, load_json_config
 from .staging import StagingStore
 
 SCHEMA_ID = "trades_v1"
@@ -226,40 +226,57 @@ def compact_partitions(store, table: LakeTable, spec: str,
 
 # -- orchestrator action bindings ------------------------------------------------
 
-def build_action_registry(app) -> dict:
-    """Named actions for DAG tasks, bound to an AppContext (see cli module).
-    A param key that is none of an action's names raises ConfigInvalid.
+@dataclass
+class IngestParams:
+    """``ingest.run``: a connector config file, or an inline connector config."""
 
-    ingest.run    {"config_path": path} or {"connector": {...inline config...}}
-    etl.export    {"connector_id": id, "table_id": id, "max_records": n}
-    etl.compact   {"table_id": id, "partition": "symbol=S/date=D" | "all",
-                   "min_files": n}
-    """
+    config_path: str | None = None
+    connector: dict | None = None  # read by ConnectorConfig.from_dict, whose errors name its fields
+
+
+@dataclass
+class ExportParams:
+    """``etl.export``: drain one connector's staging into one table."""
+
+    connector_id: str
+    table_id: str
+    max_records: int = 100_000
+
+
+@dataclass
+class CompactParams:
+    """``etl.compact``: ``partition`` is ``symbol=S/date=D`` or ``all``."""
+
+    table_id: str
+    partition: str = "all"
+    min_files: int = 2
+
+
+def build_action_registry(app) -> dict:
+    """Named actions for DAG tasks, bound to an AppContext (see cli module):
+    ``ingest.run``, ``etl.export`` and ``etl.compact``, whose params are an
+    ``IngestParams``, ``ExportParams`` and ``CompactParams`` record. A param
+    key that names no field raises ConfigInvalid."""
     from .events import ConnectorConfig
     from .ingest import run_connector
 
     def ingest_run(ctx) -> None:
-        only_keys(ctx.params, ("config_path", "connector"))
-        if "config_path" in ctx.params:
-            config = load_json_config(typed_field(ctx.params, "config_path", str), ConnectorConfig.from_dict)
+        params = config_from_json(IngestParams, ctx.params)
+        if params.config_path is not None:
+            config = load_json_config(params.config_path, ConnectorConfig.from_dict)
         else:
-            config = ConnectorConfig.from_dict(typed_field(ctx.params, "connector", dict))
+            config = ConnectorConfig.from_dict(params.connector)
         run_connector(config, app.staging)
 
     def etl_export(ctx) -> None:
-        only_keys(ctx.params, ("connector_id", "table_id", "max_records"))
-        table = app.table(typed_field(ctx.params, "table_id", str))
-        export_all(
-            app.staging, app.store, table,
-            connector_id=typed_field(ctx.params, "connector_id", str),
-            max_records=typed_field(ctx.params, "max_records", int, 100_000),
-        )
+        params = config_from_json(ExportParams, ctx.params)
+        export_all(app.staging, app.store, app.table(params.table_id),
+                   connector_id=params.connector_id, max_records=params.max_records)
 
     def etl_compact(ctx) -> None:
-        only_keys(ctx.params, ("table_id", "partition", "min_files"))
-        table = app.table(typed_field(ctx.params, "table_id", str))
-        compact_partitions(app.store, table, typed_field(ctx.params, "partition", str, "all"),
-                           min_files=typed_field(ctx.params, "min_files", int, 2))
+        params = config_from_json(CompactParams, ctx.params)
+        compact_partitions(app.store, app.table(params.table_id), params.partition,
+                           min_files=params.min_files)
 
     return {"ingest.run": ingest_run, "etl.export": etl_export, "etl.compact": etl_compact}
 

@@ -198,6 +198,8 @@ class ConnectorConfig:
             raise ConfigInvalid("count", "must be >= 0")
         if self.kind == "replay" and not self.replay_path:
             raise ConfigInvalid("replay_path", "required for replay connectors")
+        if "\0" in self.replay_path:
+            raise ConfigInvalid("replay_path", "must not hold a NUL byte")
         if self.rate_limit.rate_per_s < 1:
             raise ConfigInvalid("rate_limit.rate_per_s", "must be >= 1")
         if self.rate_limit.burst < 1:

@@ -19,15 +19,14 @@ place that knows how a name is made durable; it and ``fsync_append`` raise
 StorageFull for a full disk or quota.
 
 Operators' JSON files (app, connector, DAG and scenario configs) are read by
-``load_json_config`` and every JSON field by ``typed_field``, so every way
-such a file can be wrong is ConfigInvalid. The connector, DAG and scenario
-configs, log entries, replay and run-log lines, staging checkpoints,
-connector state, ``brc`` result lines and the ``.brcl`` footer are
-dataclasses, read by ``record_from_json`` and written by ``record_to_json``
-from their fields' names, types and defaults. A stored record's key that
-names no field is ignored, so that an older reader reads a newer record; an
-operator's config is read by ``config_from_json``, which refuses such a key
-at any depth, and the app config and action params by ``only_keys``.
+``load_json_config``, so every way such a file can be wrong is ConfigInvalid.
+These configs, the built-in actions' params, log entries, replay and
+run-log lines, staging checkpoints, connector state, ``brc`` result lines
+and the ``.brcl`` footer are dataclass records, read by ``record_from_json``
+and written by ``record_to_json`` from their fields' names, types and
+defaults. A stored record's key that names no field is ignored, so that an
+older reader reads a newer record; operator input is read by
+``config_from_json``, whose one decode walk refuses such a key at any depth.
 An enum is coded by its member's name. A field annotated ``Any`` holds any
 JSON value, which its owner checks. A union of records is an object whose
 one key names the member: its class name in snake case (``add_file``).
@@ -149,10 +148,12 @@ def load_json_config(path: str | Path, build: Callable[[Any], T]) -> T:
     invalid JSON, or a field that is missing or of the wrong type raises
     ConfigInvalid."""
     try:
-        with open(path, encoding="utf-8") as f:
-            obj = json.load(f)
-    except OSError as exc:
+        with open(path, "rb") as f:
+            data = f.read()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in path
         raise ConfigInvalid("config", f"cannot read {path}: {exc}")
+    try:
+        obj = json.loads(data.decode())
     except (ValueError, RecursionError) as exc:
         raise ConfigInvalid("config", f"invalid JSON in {path}: {exc}")
     try:
@@ -178,7 +179,6 @@ def read_json(data: bytes, build: Callable[[Any], T], corrupt: Callable[[str], E
 
 _JSON_TYPE_NAMES = {str: "a string", int: "an integer", bool: "a boolean",
                     dict: "an object", list: "an array"}
-_REQUIRED = object()
 
 
 def _has_type(value: Any, kind: type) -> bool:
@@ -186,17 +186,11 @@ def _has_type(value: Any, kind: type) -> bool:
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool) or kind is object)
 
 
-def typed_field(obj: dict, name: str, kind: type, default: Any = _REQUIRED,
-                prefix: str = "", items: type | None = None) -> Any:
-    """obj[name] if it has the JSON type kind (booleans are not integers),
-    default if absent; a field without a default is required. With items,
-    every element of an array (value of an object) must have that type too.
-    Anything else raises ConfigInvalid naming prefix + name; nothing is
-    coerced."""
-    if name not in obj:
-        if default is _REQUIRED:
-            raise ConfigInvalid(prefix + name, "is required")
-        return default
+def _typed_field(obj: dict, name: str, kind: type, prefix: str, items: type | None = None) -> Any:
+    """obj[name] if it has the JSON type kind (booleans are not integers).
+    With items, every element of an array (value of an object) must have
+    that type too. Anything else raises ConfigInvalid naming prefix + name;
+    nothing is coerced."""
     value = obj[name]
     if not _has_type(value, kind):
         raise ConfigInvalid(prefix + name, f"must be {_JSON_TYPE_NAMES[kind]}, got {value!r}")
@@ -206,7 +200,7 @@ def typed_field(obj: dict, name: str, kind: type, default: Any = _REQUIRED,
     return value
 
 
-def only_keys(obj: dict, names: Collection[str], prefix: str = "") -> None:
+def _only_keys(obj: dict, names: Collection[str], prefix: str) -> None:
     """Raise ConfigInvalid naming prefix + the first key of obj that is not
     one of names."""
     for key in obj:
@@ -228,10 +222,24 @@ def record_from_json(cls: type[T], obj: Any, prefix: str = "") -> T:
     array's owner. An ``X | None`` field whose default is not None reads
     JSON null as None, as ``record_to_json`` writes it. Anything else raises
     ConfigInvalid naming prefix + field; nothing is coerced."""
+    return _record(cls, obj, prefix, False)
+
+
+def config_from_json(cls: type[T], obj: Any) -> T:
+    """``record_from_json`` for an operator's config: a key that names no
+    field, of the record or of a record nested in it (a union object's keys
+    must name members), raises ConfigInvalid naming it."""
+    return _record(cls, obj, "", True)
+
+
+def _record(cls: type[T], obj: Any, prefix: str, strict: bool) -> T:
+    """The one decode walk; with strict, each record and union object refuses
+    a key that names none of its fields or members once its fields are read."""
     if not isinstance(obj, dict):
         raise ConfigInvalid(_tag(cls), "must be an object")
+    reads, _, names = _plan(cls)
     args = []
-    for name, kind, items, decode, missing, reads_null in _plan(cls)[0]:
+    for name, kind, items, decode, missing, reads_null in reads:
         if name not in obj:
             if missing is None:
                 raise ConfigInvalid(prefix + name, "is required")
@@ -239,29 +247,11 @@ def record_from_json(cls: type[T], obj: Any, prefix: str = "") -> T:
         elif obj[name] is None and reads_null:
             args.append(None)
         else:
-            value = typed_field(obj, name, kind, prefix=prefix, items=items)
-            args.append(value if decode is None else decode(value, prefix, name))
+            value = _typed_field(obj, name, kind, prefix, items)
+            args.append(value if decode is None else decode(value, prefix, name, strict))
+    if strict:
+        _only_keys(obj, names, prefix)
     return cls(*args)
-
-
-def config_from_json(cls: type[T], obj: Any) -> T:
-    """``record_from_json`` for an operator's config: a key that names no
-    field, of the record or of a record nested in it (a union object's keys
-    must name members), raises ConfigInvalid naming it. Stored records keep
-    ignoring such keys and pay nothing for this check."""
-    record = record_from_json(cls, obj)
-    _check_keys(cls, obj, "")
-    return record
-
-
-def _check_keys(cls: type, obj: dict, prefix: str) -> None:
-    """Refuse a key of obj, the JSON object of a well-typed record of cls,
-    that names no field, at any depth."""
-    checks = _plan(cls)[2]
-    only_keys(obj, checks, prefix)
-    for name, value in obj.items():
-        if checks[name] is not None and value is not None:
-            checks[name](value, prefix, name)
 
 
 def record_to_json(record: Any) -> dict:
@@ -278,17 +268,17 @@ def record_to_json(record: Any) -> dict:
 
 
 @functools.cache
-def _plan(cls: type) -> tuple[list[tuple], list[tuple], dict[str, Callable | None]]:
+def _plan(cls: type) -> tuple[list[tuple], list[tuple], frozenset[str]]:
     """How each field of cls is read, (name, JSON kind, item kind, decode,
     missing, whether null reads as None), and written, (name, encode,
-    whether None is left out), and each field's key check (see
-    ``config_from_json``); resolved once per class. A None is left out
-    where it is the default and written as null elsewhere, and null reads
-    back only where an ``X | None`` field writes it."""
+    whether None is left out), and the fields' names; resolved once per
+    class. A None is left out where it is the default and written as null
+    elsewhere, and null reads back only where an ``X | None`` field writes
+    it."""
     hints = typing.get_type_hints(cls)
-    reads, writes, checks = [], [], {}
+    reads, writes = [], []
     for f in dataclasses.fields(cls):
-        kind, items, decode, encode, checks[f.name] = _value_codec(hints[f.name])
+        kind, items, decode, encode = _value_codec(hints[f.name])
         missing = f.metadata.get(JSON_DEFAULT, f.default_factory)
         if missing is dataclasses.MISSING:
             missing = None if f.default is dataclasses.MISSING else lambda d=f.default: d
@@ -296,77 +286,64 @@ def _plan(cls: type) -> tuple[list[tuple], list[tuple], dict[str, Callable | Non
         optional = type(None) in typing.get_args(hints[f.name])
         reads.append((f.name, kind, items, decode, missing, optional and not omit_none))
         writes.append((f.name, encode, omit_none))
-    return reads, writes, checks
+    return reads, writes, frozenset(r[0] for r in reads)
 
 
 def _tag(cls: type) -> str:
     return re.sub(r"(?<=[a-z0-9])(?=[A-Z])", "_", cls.__name__).lower()
 
 
-def _value_codec(tp: Any) -> tuple[type, type | None, Callable | None, Callable | None, Callable | None]:
-    """(JSON kind, item kind, decode(value, prefix, name), encode(value),
-    check(value, prefix, name)) of a field annotated tp; a None decode or
-    encode keeps the value as it is, and check, which refuses unknown keys
-    of nested records, is None where the value holds no record."""
+def _value_codec(tp: Any) -> tuple[type, type | None, Callable | None, Callable | None]:
+    """(JSON kind, item kind, decode(value, prefix, name, strict),
+    encode(value)) of a field annotated tp; a None decode or encode keeps
+    the value as it is."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if tp in _PRIMITIVES:
-        return tp, None, None, None, None
+        return tp, None, None, None
     if tp is Any:  # any JSON value; its owner checks it
-        return object, None, None, None, None
+        return object, None, None, None
     if isinstance(tp, type) and issubclass(tp, enum.Enum):
-        return str, None, functools.partial(_enum_from_json, tp), lambda v: v.name, None
+        return str, None, functools.partial(_enum_from_json, tp), lambda v: v.name
     if dataclasses.is_dataclass(tp):
-        return (dict, None, lambda v, p, n: record_from_json(tp, v, p + n + "."), record_to_json,
-                lambda v, p, n: _check_keys(tp, v, p + n + "."))
+        return dict, None, lambda v, p, n, s: _record(tp, v, p + n + ".", s), record_to_json
     if origin is types.UnionType:
         members = {_tag(cls): cls for cls in args if cls is not type(None)}
         if len(members) == 1:  # X | None: absent and None are the same
             return _value_codec(*members.values())
-        return (dict, None, functools.partial(_union_from_json, members), _union_to_json,
-                functools.partial(_union_keys, members))
+        return dict, None, functools.partial(_union_from_json, members), _union_to_json
     if tp is dict or origin is dict:
-        return dict, args[1] if args and args[1] in _PRIMITIVES else None, lambda v, p, n: dict(v), None, None
+        return dict, args[1] if args and args[1] in _PRIMITIVES else None, lambda v, p, n, s: dict(v), None
     if origin in (list, tuple):
         element = args[0]
         if element in _PRIMITIVES:
-            return list, element, lambda v, p, n: origin(v), list, None
+            return list, element, lambda v, p, n, s: origin(v), list
         if dataclasses.is_dataclass(element):
-            decode, encode, check = ((lambda x, p, n: record_from_json(element, x, p)), record_to_json,
-                                     lambda x, p, n: _check_keys(element, x, p))
+            decode, encode = (lambda x, p, n, s: _record(element, x, p, s)), record_to_json
         else:  # a union of records
-            _, _, decode, encode, check = _value_codec(element)
-        return (list, dict, lambda v, p, n: origin(decode(x, p, n) for x in v), lambda v: list(map(encode, v)),
-                functools.partial(_check_each, check))
+            _, _, decode, encode = _value_codec(element)
+        return (list, dict, lambda v, p, n, s: origin(decode(x, p, n, s) for x in v),
+                lambda v: list(map(encode, v)))
     raise TypeError(f"no JSON record codec for {tp!r}")
 
 
-def _check_each(check: Callable, values: list, prefix: str, name: str) -> None:
-    for value in values:
-        check(value, prefix, name)
-
-
-def _enum_from_json(cls: type[enum.Enum], name: str, prefix: str, field: str) -> enum.Enum:
+def _enum_from_json(cls: type[enum.Enum], name: str, prefix: str, field: str, strict: bool) -> enum.Enum:
     try:
         return cls[name]
     except KeyError:
         raise ConfigInvalid(prefix + field, f"must name a member of {cls.__name__}, got {name!r}") from None
 
 
-def _union_from_json(members: dict[str, type], obj: dict, prefix: str, name: str) -> Any:
+def _union_from_json(members: dict[str, type], obj: dict, prefix: str, name: str, strict: bool) -> Any:
     """The member whose tag is the one key of obj that is a member's tag;
-    other keys are ignored, as in any record."""
+    other keys are ignored, as in any record, unless strict."""
     tags = [key for key in obj if key in members]
     if len(tags) != 1:
         raise ConfigInvalid(prefix + name, f"must hold exactly one of {', '.join(members)}")
-    return record_from_json(members[tags[0]], typed_field(obj, tags[0], dict, prefix=prefix),
-                            prefix + tags[0] + ".")
-
-
-def _union_keys(members: dict[str, type], obj: dict, prefix: str, name: str) -> None:
-    """Refuse a key of a well-typed union object that names no member."""
-    only_keys(obj, members, prefix + name + ".")
-    (tag,) = obj
-    _check_keys(members[tag], obj[tag], prefix + tag + ".")
+    tag = tags[0]
+    record = _record(members[tag], _typed_field(obj, tag, dict, prefix), prefix + tag + ".", strict)
+    if strict:
+        _only_keys(obj, members, prefix + name + ".")
+    return record
 
 
 def _union_to_json(record: Any) -> dict:

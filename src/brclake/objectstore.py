@@ -101,6 +101,8 @@ class FsStore:
             return self._path(key).read_bytes()
         except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
             raise NotFound(key)
+        except OSError as exc:
+            raise BackendUnavailable(f"fs store {self.root}: {exc}")
 
     def head(self, key: str) -> ObjectMeta:
         data = self.get(key)
@@ -133,11 +135,11 @@ class FsStore:
 
 @dataclass
 class S3Config:
-    endpoint: str
-    region: str
-    access_key: str
-    secret_key: str
-    bucket: str
+    endpoint: str = ""
+    region: str = ""
+    access_key: str = ""
+    secret_key: str = ""
+    bucket: str = ""
 
     def validate(self) -> None:
         scheme = urlsplit(self.endpoint).scheme

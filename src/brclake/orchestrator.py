@@ -151,6 +151,10 @@ class DagSpec:
 
 
 def load_dags(dags_dir: str | Path) -> dict[str, DagSpec]:
+    """The DAGs of the ``*.json`` files in dags_dir, by id; a dags_dir that
+    is not a directory raises ConfigInvalid."""
+    if not Path(dags_dir).is_dir():
+        raise ConfigInvalid("dags_dir", f"{dags_dir} is not a directory")
     dags = {}
     for path in sorted(Path(dags_dir).glob("*.json")):
         dag = load_json_config(path, DagSpec.from_dict)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 from itertools import groupby
 from typing import Iterable, Iterator
 
-from .errors import ConfigInvalid, NonTradeEvent, SinkError
+from .errors import ConfigInvalid, NonTradeEvent
 from .etl import ROW_ORDER
 from .events import SYMBOL_RE, TABLE_COLUMNS, MarketEvent, event_from_row
 from .fixedpoint import format_e8, us_to_iso
@@ -133,24 +133,21 @@ def export_rows(
         raise ConfigInvalid("format", f"unknown format {fmt!r}; want csv or jsonl")
     count = 0
     separators = len(header) - 1
-    try:
-        if fmt == "csv":
-            sink.write((",".join(header) + "\n").encode())
-            for row in rows:
-                # Quoting is checked once per line: only a field holding a
-                # comma, quote, CR or LF needs it, and a comma shows as one
-                # separator too many.
-                line = ",".join(map(str, row))
-                if line.count(",") > separators or '"' in line or "\n" in line or "\r" in line:
-                    line = ",".join(map(_csv_field, row))
-                sink.write((line + "\n").encode())
-                count += 1
-        else:
-            for row in rows:
-                sink.write((json.dumps(dict(zip(header, row)), sort_keys=True) + "\n").encode())
-                count += 1
-    except OSError as exc:
-        raise SinkError(str(exc))
+    if fmt == "csv":
+        sink.write((",".join(header) + "\n").encode())
+        for row in rows:
+            # Quoting is checked once per line: only a field holding a
+            # comma, quote, CR or LF needs it, and a comma shows as one
+            # separator too many.
+            line = ",".join(map(str, row))
+            if line.count(",") > separators or '"' in line or "\n" in line or "\r" in line:
+                line = ",".join(map(_csv_field, row))
+            sink.write((line + "\n").encode())
+            count += 1
+    else:
+        for row in rows:
+            sink.write((json.dumps(dict(zip(header, row)), sort_keys=True) + "\n").encode())
+            count += 1
     return count
 
 

@@ -1,7 +1,10 @@
 import contextlib
+import errno
 import io
 import json
 import os
+import pathlib
+import stat
 import subprocess
 import sys
 
@@ -252,6 +255,37 @@ def test_ill_typed_action_param_fails_task_with_config_invalid(tmp_path):
     assert failed["error"] == str(ConfigInvalid("max_records", "must be an integer, got 'abc'"))
 
 
+def test_nul_byte_in_action_config_path_is_config_invalid(tmp_path):
+    failed = _run_one_task_dag(tmp_path, {
+        "task_id": "ingest", "action": "ingest.run", "params": {"config_path": "c1\u0000.json"}})
+    assert failed["state"] == "Failed"
+    assert failed["error"].startswith(str(ConfigInvalid("config", "cannot read")))
+
+
+def test_nul_byte_in_replay_path_is_config_invalid(tmp_path):
+    path = tmp_path / "c1.json"
+    path.write_text(json.dumps({"connector_id": "c1", "kind": "replay", "source": "rep",
+                                "symbols": {"BTCUSDT": "BTC-USDT"}, "replay_path": "x\u0000.jsonl"}))
+    result = _brc("ingest", "run", "--config", str(path), data_root=tmp_path / "data")
+    assert result.returncode == 1
+    error = json.loads(result.stderr.splitlines()[-1])
+    assert (error["error"], error["field"]) == ("ConfigInvalid", "replay_path")
+
+
+def test_missing_dags_dir_is_config_invalid(tmp_path, monkeypatch):
+    monkeypatch.delenv("BRC_CONFIG", raising=False)
+    monkeypatch.setenv("BRC_DATA_ROOT", str(tmp_path / "data"))
+    (tmp_path / "empty").mkdir()
+    until = ["--until", "1970-01-01T01:00:00Z"]
+    assert _main("sched", "start", "--dags", str(tmp_path / "empty"), *until) == (0, "")
+    # A mistyped --dags, and the default <data_root>/dags that nothing created.
+    for dags in (["--dags", str(tmp_path / "typo")], []):
+        code, err = _main("sched", "start", *dags, *until)
+        assert code == 1
+        error = json.loads(err.splitlines()[-1])
+        assert (error["error"], error["field"]) == ("ConfigInvalid", "dags_dir")
+
+
 @pytest.mark.parametrize("task, field", [
     ({"task_id": "export", "action": "etl.export",
       "params": {"connector_id": "c1", "table_id": "trades", "max_record": 0}}, "max_record"),
@@ -283,13 +317,32 @@ def test_dag_file_key_that_names_no_field_is_config_invalid(tmp_path):
 
 
 @pytest.mark.parametrize("extra, field", [({"dag_dir": "x"}, "dag_dir"),
-                                          ({"store": "s3", "s3": {"secret": "s"}}, "s3.secret")])
+                                          ({"store": "s3", "s3": {"secret": "s"}}, "s3.secret"),
+                                          ({"s3": {"secret": "x"}}, "s3.secret")])  # fs store
 def test_app_config_key_that_names_no_field_is_config_invalid(tmp_path, extra, field):
     path = tmp_path / "app.json"
     path.write_text(json.dumps({"data_root": str(tmp_path / "data"), **extra}))
     with pytest.raises(ConfigInvalid) as info:
         load_config(str(path), env={})
     assert (info.value.field, info.value.reason) == (field, "names no field")
+
+
+def test_app_config_s3_section_is_read_with_fs_store(tmp_path):
+    path = tmp_path / "app.json"
+    path.write_text(json.dumps({"data_root": str(tmp_path / "data"), "store": "fs", "s3": 5}))
+    with pytest.raises(ConfigInvalid) as info:
+        load_config(str(path), env={})
+    assert (info.value.field, info.value.reason) == ("s3", "must be an object, got 5")
+
+
+def test_app_config_partial_s3_section_is_filled_from_env(tmp_path):
+    path = tmp_path / "app.json"
+    path.write_text(json.dumps({"data_root": str(tmp_path / "data"), "store": "s3",
+                                "s3": {"endpoint": "http://x:1", "bucket": "b"}}))
+    env = {"BRC_S3_REGION": "r", "BRC_S3_ACCESS_KEY": "k", "BRC_S3_SECRET_KEY": "s", "BRC_S3_BUCKET": "e"}
+    s3 = load_config(str(path), env=env).s3
+    assert (s3.endpoint, s3.region, s3.access_key, s3.secret_key, s3.bucket) == (
+        "http://x:1", "r", "k", "s", "e")
 
 
 @pytest.mark.parametrize("body", ["[1]", '"data_root"', "5"])
@@ -448,6 +501,50 @@ def test_query_sink_flush_error_is_sink_error(tmp_path, monkeypatch):
                       "--from", "2020-09-13T00:00:00Z", "--to", "2020-09-15T00:00:00Z", "--out", "/dev/full")
     assert code == 1
     assert json.loads(err.splitlines()[-1])["error"] == "SinkError"
+
+
+_QUERY = ["query", "--table", "trades", "--symbols", "BTC-USDT",
+          "--from", "2020-09-13T00:00:00Z", "--to", "2020-09-15T00:00:00Z"]
+
+
+def test_failed_query_leaves_out_file_as_it_was(tmp_path, monkeypatch):
+    _small_table(tmp_path, monkeypatch)
+    out = tmp_path / "prev.csv"
+    assert _main(*_QUERY, "--out", str(out)) == (0, "50 rows\n")
+    before = out.read_bytes()
+    data_file = next((tmp_path / "data" / "store" / "objects").rglob("*.brcl"))
+    body = bytearray(data_file.read_bytes())
+    body[5] ^= 0xFF  # inside the first column chunk
+    data_file.write_bytes(bytes(body))
+    code, err = _main(*_QUERY, "--out", str(out))
+    assert (code, json.loads(err.splitlines()[-1])["error"]) == (1, "ChecksumMismatch")
+    assert out.read_bytes() == before
+
+
+def test_query_out_file_keeps_its_mode_and_links(tmp_path, monkeypatch):
+    _small_table(tmp_path, monkeypatch)
+    out, link = tmp_path / "private.csv", tmp_path / "link.csv"
+    out.write_text("old\n")
+    out.chmod(0o600)
+    os.link(out, link)
+    assert _main(*_QUERY, "--out", str(out)) == (0, "50 rows\n")
+    assert stat.S_IMODE(out.stat().st_mode) == 0o600
+    assert link.read_bytes() == out.read_bytes() != b"old\n"
+
+
+def test_store_read_error_is_not_a_sink_error(tmp_path, monkeypatch):
+    _small_table(tmp_path, monkeypatch)
+    read_bytes = pathlib.Path.read_bytes
+
+    def failing_read(path):
+        if path.suffix == ".brcl":
+            raise OSError(errno.EIO, "Input/output error")
+        return read_bytes(path)
+
+    monkeypatch.setattr(pathlib.Path, "read_bytes", failing_read)
+    code, err = _main(*_QUERY, "--out", str(tmp_path / "x.csv"))
+    assert (code, json.loads(err.splitlines()[-1])["error"]) == (1, "BackendUnavailable")
+    assert not (tmp_path / "x.csv").exists()
 
 
 # The last name puts the table's keys below an existing object, the log entry.

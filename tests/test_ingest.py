@@ -382,6 +382,7 @@ def test_bucket_window_bound(raw_times, rate, burst):
     ({"symbols": {"BTCUSDT": 5}}, "symbols"),
     ({"rate_limit": {"burst": "1"}}, "rate_limit.burst"),
     ({"replay_path": None}, "replay_path"),
+    ({"replay_path": "x\u0000.jsonl"}, "replay_path"),
 ])
 def test_connector_config_names_ill_typed_field(overrides, field):
     obj = {"connector_id": "c", "kind": "synthetic", "source": "syn",

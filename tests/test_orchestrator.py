@@ -1,6 +1,7 @@
 import heapq
 import json
 import random
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -14,10 +15,11 @@ from brclake.errors import (
     CycleDetected,
     SessionLockHeld,
 )
+from brclake.etl import ExportParams
 from brclake.events import ConnectorConfig
 from brclake.fixedpoint import US_PER_DAY, iso_to_us
 from brclake.harness import Scenario
-from brclake.localfile import record_from_json
+from brclake.localfile import config_from_json, record_from_json
 from brclake.orchestrator import (
     DagSpec,
     DailyAt,
@@ -517,11 +519,14 @@ _INTERVAL = {"interval": {"period_us": 1}}
     (ConnectorConfig, {**_CONNECTOR, "rate_limit": {"rate": 1}}, "rate_limit.rate"),
     (Scenario, {"name": "s", "expected": {"row": 5}}, "expected.row"),
     (Scenario, {"name": "s", "connectors": [{**_CONNECTOR, "sed": 1}]}, "sed"),
+    (ExportParams, {"connector_id": "c", "table_id": "t", "max_record": 5}, "max_record"),
 ], ids=["task_key", "retry_key", "dag_key", "union_member_key", "union_key", "connector_key",
-        "nested_record_key", "scenario_expected_key", "array_record_key"])
+        "nested_record_key", "scenario_expected_key", "array_record_key", "action_params_key"])
 def test_config_key_that_names_no_field_is_config_invalid(cls, obj, field):
+    # An action's params record has no from_dict: its action reads it with config_from_json.
+    read = getattr(cls, "from_dict", partial(config_from_json, cls))
     with pytest.raises(ConfigInvalid) as info:
-        cls.from_dict(obj)
+        read(obj)
     assert (info.value.field, info.value.reason) == (field, "names no field")
     record_from_json(cls, obj)  # a stored record's unknown keys are ignored
 
