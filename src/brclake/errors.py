@@ -208,6 +208,9 @@ class ActionNotRegistered(BrcError):
 
 
 class CorruptRunLog(BrcError):
+    """A run log line that is no legal transition; line_no 0 is the whole
+    file, which could not be read."""
+
     def __init__(self, line_no: int, detail: str = ""):
         super().__init__(detail or f"corrupt run log at line {line_no}", line_no=line_no)
 

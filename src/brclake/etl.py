@@ -10,10 +10,13 @@ drains a connector: ``export_job`` holds the connector's exporter lock, a
 file beside the staging checkpoint, from the drain through the checkpoint,
 so two exporters sharing a checkpoint always share the lock too.
 
-The cross-batch check reads each live file once per ``LakeTable`` handle and
-keeps its identities in the handle's ``identity_cache`` while the file is
-live, so an export fetches only files no earlier export through that handle
-has checked.
+An export job reads the table's head once, after the drain, and checks
+every partition against that snapshot: a compaction committed meanwhile
+keeps the same rows in readable files, and a commit never re-deduplicates
+on rebase. The cross-batch check reads each live file once per
+``LakeTable`` handle, keeping its identities in the handle's
+``identity_cache`` while the file is live, so an export fetches only files
+no earlier export through that handle has checked.
 
 From the drain on, an event travels as its encoded table row
 (``events.TABLE_COLUMNS``), which the drain decodes staged lines to. Rows
@@ -34,7 +37,7 @@ from .errors import ConfigInvalid, InvalidAction
 from .events import SYMBOL_RE, TABLE_COLUMNS, event_from_row  # noqa: F401 (event_from_row re-exported)
 from .fixedpoint import US_PER_DAY, us_to_date
 from .lakeformat import ColumnSchema, read_file, write_file
-from .lakehouse import AddFile, LakeTable, PartitionKey, RemoveFile
+from .lakehouse import AddFile, LakeTable, PartitionKey, RemoveFile, Snapshot
 from .localfile import config_from_json, load_json_config
 from .staging import StagingStore
 
@@ -69,19 +72,17 @@ def dedup(rows: list[tuple]) -> tuple[list[tuple], int]:
     return kept, len(rows) - len(kept)
 
 
-def _live_identities(table: LakeTable, partition: PartitionKey, t_min: int, t_max: int) -> set[tuple]:
+def _live_identities(table: LakeTable, snapshot: Snapshot, partition: PartitionKey,
+                     t_min: int, t_max: int) -> set[tuple]:
     """Encoded identities (``ROW_IDENTITY``) already present in the
-    partition's live files overlapping [t_min, t_max] — the exact cross-batch
-    dedup check.
+    partition's files live in snapshot and overlapping [t_min, t_max] — the
+    exact cross-batch dedup check.
 
     Each file is fetched and decoded once per table handle: its identities
-    stay in ``table.identity_cache`` for as long as its path is live, and
-    paths no longer live are dropped on every call. Data keys are unique and
-    never rewritten, so a cached entry cannot go stale."""
-    snapshot = table.snapshot_at()
+    stay in ``table.identity_cache``, which ``export_job`` keeps to the
+    paths live in its snapshot. Data keys are unique and never rewritten,
+    so a cached entry cannot go stale."""
     cache = table.identity_cache
-    for path in cache.keys() - snapshot.live_files.keys():
-        del cache[path]
     identities: set[tuple] = set()
     for add in snapshot.live_files.values():
         if add.partition != partition:
@@ -127,12 +128,15 @@ def export_job(
     so a second exporter of the connector raises SessionLockHeld instead of
     publishing the same records again."""
     with staging.exporter_lock(connector_id):
-        records, next_checkpoint = staging.drain_batch(connector_id, max_records)
+        rows, next_checkpoint = staging.drain_batch(connector_id, max_records)
         crashpoints.crashpoint("etl.post_drain")
-        if not records:
+        if not rows:
             return ExportResult(0, None, next_checkpoint, 0)
+        snapshot = table.snapshot_at()
+        for path in table.identity_cache.keys() - snapshot.live_files.keys():
+            del table.identity_cache[path]
 
-        rows, dropped = dedup([record.row for record in records])
+        rows, dropped = dedup(rows)
         groups: dict[tuple[bytes, int], list[tuple]] = {}
         for row in rows:
             groups.setdefault((row[4], row[0] // US_PER_DAY), []).append(row)  # (symbol, UTC day)
@@ -141,7 +145,7 @@ def export_job(
         for (symbol, day), group in sorted(groups.items()):
             partition = PartitionKey(symbol.decode(), us_to_date(day * US_PER_DAY))
             group.sort(key=ROW_ORDER)
-            known = _live_identities(table, partition, group[0][0], group[-1][0])
+            known = _live_identities(table, snapshot, partition, group[0][0], group[-1][0])
             survivors = [row for row in group if ROW_IDENTITY(row) not in known]
             dropped += len(group) - len(survivors)
             if survivors:

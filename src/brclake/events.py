@@ -18,6 +18,7 @@ from .errors import BadDecimal, BadSide, ConfigInvalid, InvalidEvent
 from .fixedpoint import I64_MAX, I64_MIN, US_YEAR_10000
 from .lakeformat import BYTES, INT64
 from .localfile import config_from_json
+from .objectstore import MAX_SEGMENT_BYTES
 
 # Matched with fullmatch: a pattern ending in $ also matches before a final "\n".
 SOURCE_RE = re.compile(r"[a-z0-9_-]+")
@@ -192,6 +193,9 @@ class ConnectorConfig:
         for raw, normalized in self.symbols.items():
             if not SYMBOL_RE.fullmatch(normalized):
                 raise ConfigInvalid("symbols", f"{raw!r} maps to non-canonical {normalized!r}")
+            if len(f"symbol={normalized}") > MAX_SEGMENT_BYTES:  # its partitions' key segment
+                raise ConfigInvalid("symbols", f"{raw!r} maps to {normalized!r}, longer than a partition "
+                                               f"key segment of {MAX_SEGMENT_BYTES} bytes holds")
         if not 0 <= self.dup_prob_bp <= 10_000:
             raise ConfigInvalid("dup_prob_bp", "must be within [0, 10000]")
         if self.kind == "synthetic" and self.count < 0:

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from . import crashpoints
-from .errors import MalformedLine, MissingField, UnknownSymbol
+from .errors import ConfigInvalid, MalformedLine, MissingField, UnknownSymbol
 from .events import REQUIRED_PAYLOAD, ConnectorConfig, MarketEvent, RawEvent
 from .fixedpoint import format_e8, parse_decimal_e8
 from .localfile import read_json, record_from_json
@@ -122,15 +122,20 @@ def replay_file(path: str | Path, start: int = 0) -> Iterator[RawEvent]:
     ``start`` non-blank lines. Those are counted but neither decoded nor
     parsed: a resumed session pays for the lines it has not consumed yet.
     A line that is not UTF-8, not JSON or not a raw event is MalformedLine,
-    and errors carry file line numbers, blank and skipped lines included."""
-    with open(path, "rb") as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            if start:
-                start -= 1
-                continue
-            yield read_json(line, partial(_raw_event, line_no=line_no), partial(MalformedLine, line_no))
+    and errors carry file line numbers, blank and skipped lines included. A
+    file that cannot be opened or read (missing, a directory) is
+    ConfigInvalid naming ``replay_path``."""
+    try:
+        with open(path, "rb") as f:
+            for line_no, line in enumerate(f, start=1):
+                if not line.strip():
+                    continue
+                if start:
+                    start -= 1
+                    continue
+                yield read_json(line, partial(_raw_event, line_no=line_no), partial(MalformedLine, line_no))
+    except OSError as exc:
+        raise ConfigInvalid("replay_path", f"cannot read {path}: {exc}") from None
 
 
 # -- normalization ---------------------------------------------------------------

@@ -5,7 +5,8 @@ Log entries live at ``tables/{table_id}/_log/{version:020}.json`` and are
 written with put-if-absent, so the object store's conditional put is the only
 concurrency primitive. Data files are always written before the entry that
 references them: a crash can leave orphaned data files but never a dangling
-log reference.
+log reference. A table id is one key segment (``objectstore.path_segment``),
+so no table's keys lie inside another's.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import (
 from .fixedpoint import us_to_date
 from .lakeformat import ColumnSchema
 from .localfile import read_json, record_from_json, record_to_json
+from .objectstore import path_segment
 
 DEFAULT_COMMITTER = "brc"
 
@@ -148,7 +150,7 @@ class LakeTable:
 
     def __init__(self, store, table_id: str):
         self.store = store
-        self.table_id = table_id
+        self.table_id = path_segment("table_id", table_id)  # one directory under tables/
         self._cache = Snapshot(version=0)  # fold of entries 1.._cache.version
         # data-file path -> its encoded dedup identities; see etl._live_identities
         self.identity_cache: dict[str, frozenset] = {}

@@ -16,7 +16,8 @@ tail before its next append. A whole file is made durable at its name by
 ``publish``: a temp file is written and fsynced, then renamed onto the name
 or linked to it, and no temp name outlives the call. ``publish`` is the one
 place that knows how a name is made durable; it and ``fsync_append`` raise
-StorageFull for a full disk or quota.
+StorageFull for a full disk or quota. The lock, publish and append helpers
+create the directories their files go into, so no caller makes one.
 
 Operators' JSON files (app, connector, DAG and scenario configs) are read by
 ``load_json_config``, so every way such a file can be wrong is ConfigInvalid.
@@ -58,10 +59,11 @@ T = TypeVar("T")
 
 
 def acquire_lock(path: Path, what: str) -> BinaryIO:
-    """Lock the file at path, creating it if needed, and return the open
-    file that holds the lock; closing it releases the lock. A lock held by
-    another open file, in this process or another, raises SessionLockHeld
-    naming ``what``."""
+    """Lock the file at path, creating it and its parent directories if
+    needed, and return the open file that holds the lock; closing it
+    releases the lock. A lock held by another open file, in this process or
+    another, raises SessionLockHeld naming ``what``."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     f = os.fdopen(os.open(path, os.O_RDWR | os.O_CREAT, 0o666), "r+b")
     try:
         fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -85,13 +87,15 @@ _FULL = (errno.ENOSPC, errno.EDQUOT)
 
 
 def publish(path: Path, data: bytes, tmp_dir: Path | None = None, exclusive: bool = False) -> None:
-    """Make data durable at path, creating its parent directories: write and
-    fsync a temp file in tmp_dir (default: path's directory), then rename it
-    onto path, or with exclusive link it there (FileExistsError if the name
-    exists). No temp file outlives the call; a full disk raises StorageFull."""
+    """Make data durable at path, creating its parent directories and
+    tmp_dir: write and fsync a temp file in tmp_dir (default: path's
+    directory), then rename it onto path, or with exclusive link it there
+    (FileExistsError if the name exists). No temp file outlives the call; a
+    full disk raises StorageFull."""
     tmp = (tmp_dir or path.parent) / f"tmp-{secrets.token_hex(8)}"
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "wb") as f:
             f.write(data)
             f.flush()
@@ -111,9 +115,11 @@ def publish(path: Path, data: bytes, tmp_dir: Path | None = None, exclusive: boo
 
 
 def fsync_append(path: Path, data: bytes) -> None:
-    """Append data durably: one buffered write, then flush and fsync. A full
-    disk raises StorageFull."""
+    """Append data durably to the file at path, creating it and its parent
+    directories: one buffered write, then flush and fsync. A full disk
+    raises StorageFull."""
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "ab") as f:
             f.write(data)
             f.flush()

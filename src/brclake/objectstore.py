@@ -5,10 +5,13 @@ content-MD5 etags, bytewise-sorted listings, and an atomic put-if-absent that
 the transaction log uses as its only concurrency-control primitive.
 
 Keys are '/'-separated segments of [A-Za-z0-9._=-], other than '.' and
-'..', at most 900 bytes, so no key names a path outside the store. The
+'..', at most 900 bytes, so no key names a path outside the store. A
+segment is at most 255 bytes, the longest file name common filesystems
+hold, so either backend holds every valid key. The
 filesystem backend maps keys to paths under ``root/objects`` and puts with
-``localfile.publish``, staging in ``root/tmp``; a conditional put becomes a
-link onto the final path, which the kernel makes atomic.
+``localfile.publish``, staging in ``root/tmp`` (both made by the first
+put); a conditional put becomes a link onto the final path, which the
+kernel makes atomic.
 """
 
 from __future__ import annotations
@@ -37,18 +40,21 @@ from .sigv4 import EMPTY_PAYLOAD_SHA256, sign_request_v4, uri_encode_path
 
 _SEGMENT_RE = re.compile(r"[A-Za-z0-9._=-]+")
 MAX_KEY_BYTES = 900
+MAX_SEGMENT_BYTES = 255
 
 
 def _is_segment(name: str) -> bool:
-    return _SEGMENT_RE.fullmatch(name) is not None and name not in (".", "..")
+    return (_SEGMENT_RE.fullmatch(name) is not None and name not in (".", "..")
+            and len(name) <= MAX_SEGMENT_BYTES)  # the pattern admits only one-byte characters
 
 
 def path_segment(field: str, name: str) -> str:
     """name, if it is one key segment, so that it names one directory under
-    its parent; otherwise ConfigInvalid naming field. Connector and DAG ids
-    are held to the rule every segment of a table's keys is."""
+    its parent; otherwise ConfigInvalid naming field. Table, connector and
+    DAG ids are held to the rule every segment of a table's keys is."""
     if not _is_segment(name):
-        raise ConfigInvalid(field, f"{name!r} must be one path segment of [A-Za-z0-9._=-], not '.' or '..'")
+        raise ConfigInvalid(field, f"{name!r} must be one path segment of at most {MAX_SEGMENT_BYTES} "
+                                   "bytes of [A-Za-z0-9._=-], not '.' or '..'")
     return name
 
 
@@ -77,8 +83,6 @@ class FsStore:
         self.root = Path(root)
         self._objects = self.root / "objects"
         self._tmp = self.root / "tmp"
-        self._objects.mkdir(parents=True, exist_ok=True)
-        self._tmp.mkdir(parents=True, exist_ok=True)
 
     def _path(self, key: str) -> Path:
         return self._objects / validate_key(key)

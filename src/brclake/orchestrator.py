@@ -237,19 +237,23 @@ class RunLog:
 
     def __init__(self, path: Path):
         self.path = path
-        self.path.parent.mkdir(parents=True, exist_ok=True)
 
     def append(self, transition: Transition) -> None:
         fsync_append(self.path, transition.to_json().encode() + b"\n")
 
     def replay(self) -> list[Transition]:
         """Transitions logged so far. A torn trailing line from a crash
-        mid-append is truncated first, so the next append starts cleanly."""
+        mid-append is truncated first, so the next append starts cleanly. A
+        log that cannot be read at all is CorruptRunLog at line 0."""
         if not self.path.exists():
             return []
+        try:
+            lines = repair_tail(self.path)
+        except OSError as exc:
+            raise CorruptRunLog(0, f"cannot read {self.path}: {exc}") from None
         return [read_json(line, partial(record_from_json, Transition),
                           lambda detail: CorruptRunLog(n, f"line {n}: {detail}"))
-                for n, line in enumerate(repair_tail(self.path), start=1)]
+                for n, line in enumerate(lines, start=1)]
 
 
 def recover(transitions: list[Transition]) -> dict[str, tuple[str, int]]:
@@ -408,7 +412,6 @@ class Scheduler:
         self.runs_root = Path(runs_root)
         self.registry = registry
         self.clock = clock or WallClock()
-        self.runs_root.mkdir(parents=True, exist_ok=True)
         self._lock = acquire_lock(self.runs_root / "lock", f"scheduler runs root {self.runs_root}")
 
     def close(self) -> None:

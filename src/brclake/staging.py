@@ -40,7 +40,9 @@ The checkpoint and the connector state are records (``Checkpoint`` and the
 connector's own), written by the record codec and made durable by
 ``localfile.publish``. A checkpoint, connector state
 or record line that cannot be read back, or a record line that fails those
-checks, is CorruptStaging naming its file (and line).
+checks, is CorruptStaging naming its file (and line); a file that cannot be
+read at all (a directory in its place, an I/O error) is StagingUnavailable
+naming it.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from functools import partial
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, BinaryIO, Iterator, NamedTuple, TypeVar
+from typing import Any, BinaryIO, Callable, Iterator, TypeVar
 
 from .errors import (
     CheckpointRegression,
@@ -62,7 +64,7 @@ from .errors import (
     OffsetOutOfRange,
     StagingUnavailable,
 )
-from .events import TABLE_COLUMNS, TEXT_FIELDS, MarketEvent, event_from_row
+from .events import TABLE_COLUMNS, TEXT_FIELDS, MarketEvent
 from .fixedpoint import I64_MAX, I64_MIN, US_YEAR_10000
 from .localfile import (acquire_lock, fsync_append, publish, read_json, read_lines, record_from_json,
                         record_to_json, repair_tail)
@@ -71,17 +73,6 @@ from .objectstore import path_segment
 T = TypeVar("T")
 
 DEFAULT_MAX_SEGMENT_RECORDS = 10_000
-
-
-class StagedRecord(NamedTuple):
-    """A drained record: its staging offset and its encoded table row."""
-
-    offset: int
-    row: tuple
-
-    @property
-    def event(self) -> MarketEvent:
-        return event_from_row(self.row)
 
 
 @dataclass
@@ -125,10 +116,10 @@ def _cells(column: tuple, cell: int) -> list | tuple | None:
     return column
 
 
-def _segment_records(path: Path, lines: list[bytes], lo: int, first: int) -> list[StagedRecord]:
-    """The records of lines, which a segment holds from its line index lo
-    on and whose offsets must run from first; a line that is not a staged
-    record raises CorruptStaging naming path and its line."""
+def _segment_records(path: Path, lines: list[bytes], lo: int, first: int) -> list[tuple]:
+    """The encoded table rows of lines, which a segment holds from its line
+    index lo on and whose offsets must run from first; a line that is not a
+    staged record raises CorruptStaging naming path and its line."""
     values = []  # _LINE_VALUES of each line
     for i, line in enumerate(lines):
         try:
@@ -156,7 +147,16 @@ def _segment_records(path: Path, lines: list[bytes], lo: int, first: int) -> lis
     if offsets != tuple(range(first, first + len(offsets))):
         i = next(i for i, o in enumerate(offsets) if o != first + i)
         raise CorruptStaging(str(path), f"offset {offsets[i]} is not its position {first + i}", lo + i + 1)
-    return list(map(StagedRecord, offsets, zip(*columns)))
+    return list(zip(*columns))
+
+
+def _read(read: Callable[[Path], T], path: Path) -> T:
+    """read(path); an OSError, such as a directory where the file should
+    be, raises StagingUnavailable naming path."""
+    try:
+        return read(path)
+    except OSError as exc:
+        raise StagingUnavailable(f"cannot read {path}: {exc}") from None
 
 
 def _write_record(path: Path, record: Any) -> None:
@@ -169,7 +169,8 @@ def _read_record(path: Path, cls: type[T]) -> T | None:
     file; one that cannot be read back raises CorruptStaging."""
     if not path.exists():
         return None
-    return read_json(path.read_bytes(), partial(record_from_json, cls), partial(CorruptStaging, str(path)))
+    data = _read(Path.read_bytes, path)
+    return read_json(data, partial(record_from_json, cls), partial(CorruptStaging, str(path)))
 
 
 class StagingStore:
@@ -207,7 +208,7 @@ class StagingStore:
         if not segs:
             return 0
         start, path = segs[-1]
-        return start + len(read_lines(path))
+        return start + len(_read(read_lines, path))
 
     # -- writer session ----------------------------------------------------
 
@@ -217,12 +218,10 @@ class StagingStore:
         The lock dies with its holder's process; a lock held by a live
         session raises SessionLockHeld.
         """
-        d = self._dir(connector_id)
-        d.mkdir(parents=True, exist_ok=True)
-        lock = acquire_lock(d / "lock", f"connector {connector_id!r}")
+        lock = acquire_lock(self._dir(connector_id) / "lock", f"connector {connector_id!r}")
         try:
             segs = self._segments(connector_id)
-            active = (segs[-1][0], len(repair_tail(segs[-1][1]))) if segs else (0, 0)
+            active = (segs[-1][0], len(_read(repair_tail, segs[-1][1]))) if segs else (0, 0)
         except BaseException:
             lock.close()
             raise
@@ -253,29 +252,30 @@ class StagingStore:
 
     # -- readers -------------------------------------------------------------
 
-    def read_from(self, connector_id: str, offset: int, max_records: int) -> list[StagedRecord]:
-        """Up to max_records records from offset on. Lists the connector's
-        segments once and reads each segment it needs once; an offset past
-        the tail raises OffsetOutOfRange, and a line that is not a staged
-        record raises CorruptStaging."""
+    def read_from(self, connector_id: str, offset: int, max_records: int) -> list[tuple]:
+        """The encoded table rows of up to max_records records from offset
+        on, in offset order. Lists the connector's segments once and reads
+        each segment it needs once; an offset past the tail raises
+        OffsetOutOfRange, and a line that is not a staged record raises
+        CorruptStaging."""
         segs = self._segments(connector_id)
         idx = max(0, bisect_right([start for start, _ in segs], offset) - 1)
-        records: list[StagedRecord] = []
+        rows: list[tuple] = []
         end = 0  # one past the last record of the segments read
         for start, path in segs[idx:]:
-            lines = read_lines(path)
+            lines = _read(read_lines, path)
             end = start + len(lines)
             lo = max(0, offset - start)
-            taken = lines[lo:lo + max_records - len(records)]
+            taken = lines[lo:lo + max_records - len(rows)]
             if taken:
-                records += _segment_records(path, taken, lo, start + lo)
-            if len(records) >= max_records:
+                rows += _segment_records(path, taken, lo, start + lo)
+            if len(rows) >= max_records:
                 break
         # Segments are dense, so only the newest segment can end before
         # offset, and then end is the tail.
         if offset > end:
             raise OffsetOutOfRange(offset, end - 1)
-        return records
+        return rows
 
     # -- export checkpoint ----------------------------------------------------
 
@@ -286,12 +286,13 @@ class StagingStore:
         checkpoint = _read_record(self._checkpoint_path(connector_id), Checkpoint)
         return checkpoint.committed_offset if checkpoint else 0
 
-    def drain_batch(self, connector_id: str, max_records: int) -> tuple[list[StagedRecord], int]:
-        """Records from the committed offset onward, plus the checkpoint to
-        commit after downstream success. Does not advance the stored checkpoint."""
+    def drain_batch(self, connector_id: str, max_records: int) -> tuple[list[tuple], int]:
+        """The rows of the records from the committed offset onward, plus the
+        checkpoint to commit after downstream success. Does not advance the
+        stored checkpoint."""
         committed = self.committed_offset(connector_id)
-        records = self.read_from(connector_id, committed, max_records)
-        return records, committed + len(records)
+        rows = self.read_from(connector_id, committed, max_records)
+        return rows, committed + len(rows)
 
     def commit_checkpoint(self, connector_id: str, next_checkpoint: int) -> None:
         stored = self.committed_offset(connector_id)
@@ -320,9 +321,7 @@ class StagingStore:
         exporter at a time drains the connector and commits its checkpoint.
         A second exporter raises SessionLockHeld; the lock dies with its
         holder's process, and the body's exceptions release it."""
-        d = self._dir(connector_id)
-        d.mkdir(parents=True, exist_ok=True)
-        with acquire_lock(d / "export.lock", f"exporter of connector {connector_id!r}"):
+        with acquire_lock(self._dir(connector_id) / "export.lock", f"exporter of connector {connector_id!r}"):
             yield
 
     # -- maintenance -------------------------------------------------------------

@@ -17,7 +17,7 @@ from brclake.cli import build_parser, main, parse_bucket_width
 from brclake.config import load_config
 from brclake.errors import ConfigInvalid
 from brclake.fixedpoint import iso_to_us
-from brclake.lakehouse import AddFile, LogEntry, PartitionKey, entry_to_bytes
+from brclake.lakehouse import AddFile, LakeTable, LogEntry, PartitionKey, entry_to_bytes
 from brclake.objectstore import FsStore
 from brclake.staging import StagingStore
 
@@ -443,16 +443,35 @@ def test_compact_rejects_min_files_below_one(tmp_path, monkeypatch, args):
 def test_table_id_cannot_escape_the_store(tmp_path):
     result = _brc("lake", "init", "--table", "../../..", data_root=tmp_path)
     assert result.returncode == 1
-    assert _error_kind(result) == "InvalidKey"
+    assert json.loads(result.stderr.splitlines()[-1])["field"] == "table_id"
+    assert _error_kind(result) == "ConfigInvalid"
     objects = tmp_path / "store" / "objects"
     assert [p for p in tmp_path.rglob("*") if p.is_file() and objects not in p.parents] == []
+
+
+@pytest.mark.parametrize("table", ["a/data", pytest.param("t" * 256, id="256_bytes"),
+                                   pytest.param("a/" + "t" * 300, id="nested_300_bytes")])
+@pytest.mark.parametrize("command", [["lake", "init"], ["query", "--symbols", "BTC-USDT", *_DAY]])
+def test_table_id_is_one_path_segment(tmp_path, monkeypatch, command, table):
+    """A nested table id would put one table's log inside another's data
+    prefix, where an audit lists it as an orphan; a segment longer than a
+    file name is OSError on the filesystem store."""
+    monkeypatch.delenv("BRC_CONFIG", raising=False)
+    monkeypatch.setenv("BRC_DATA_ROOT", str(tmp_path / "data"))
+    assert _main("lake", "init", "--table", "a")[0] == 0
+    code, err = _main(*command, "--table", table)
+    assert code == 1
+    error = json.loads(err.splitlines()[-1])
+    assert (error["error"], error["field"]) == ("ConfigInvalid", "table_id")
+    assert LakeTable(FsStore(tmp_path / "data" / "store"), "a").audit()["orphans"] == []
 
 
 def _files_outside(tmp_path, data_root) -> list:
     return [p for p in tmp_path.rglob("*") if p.is_file() and data_root not in p.parents]
 
 
-@pytest.mark.parametrize("connector", ["../../escaped", "", "a/b", ".", "..", "c\n"])
+@pytest.mark.parametrize("connector", ["../../escaped", "", "a/b", ".", "..", "c\n",
+                                       pytest.param("c" * 256, id="256_bytes")])
 @pytest.mark.parametrize("command", [["etl", "export", "--table", "trades"], ["staging", "prune"]])
 def test_connector_id_is_one_path_segment(tmp_path, monkeypatch, command, connector):
     data_root = tmp_path / "a" / "data"
@@ -466,7 +485,7 @@ def test_connector_id_is_one_path_segment(tmp_path, monkeypatch, command, connec
     assert not (data_root / "staging").exists() or list((data_root / "staging").iterdir()) == []
 
 
-@pytest.mark.parametrize("dag_id", ["../../esc", "a/b", ".."])
+@pytest.mark.parametrize("dag_id", ["../../esc", "a/b", "..", pytest.param("d" * 256, id="256_bytes")])
 def test_dag_id_is_one_path_segment(tmp_path, dag_id):
     data_root = tmp_path / "a" / "data"
     dags = data_root / "dags"
@@ -481,6 +500,44 @@ def test_dag_id_is_one_path_segment(tmp_path, dag_id):
     assert (error["error"], error["field"]) == ("ConfigInvalid", "dag_id")
     assert _files_outside(tmp_path, data_root) == []
     assert [p.name for p in (data_root / "runs").iterdir()] == ["lock"]
+
+
+def _unreadable(data_root, case) -> list[str]:
+    """Put a directory where case's file should be; return the command that reads it."""
+    if case.startswith("replay"):
+        feed = data_root / "feed.jsonl"
+        if case == "replay_directory":
+            feed.mkdir(parents=True)
+        config = data_root / "r.json"
+        config.write_text(json.dumps({"connector_id": "r", "kind": "replay", "source": "rep",
+                                      "symbols": {"BTCUSDT": "BTC-USDT"}, "replay_path": str(feed)}))
+        return ["ingest", "run", "--config", str(config)]
+    if case == "run_log":
+        (data_root / "dags").mkdir()
+        (data_root / "dags" / "d.json").write_text(json.dumps({
+            "dag_id": "d", "schedule": {"interval": {"period_us": 3_600_000_000}},
+            "tasks": [{"task_id": "t", "action": "etl.compact", "params": {"table_id": "trades"}}]}))
+        (data_root / "runs" / "d" / "0" / "events.jsonl").mkdir(parents=True)
+        return ["sched", "run-once", "--dag", "d", "--at", "1970-01-01T00:00:00Z"]
+    (data_root / "staging" / "c" / case).mkdir(parents=True)
+    return ["etl", "export", "--table", "trades", "--connector", "c"]
+
+
+@pytest.mark.parametrize("case, kind", [
+    ("replay_missing", "ConfigInvalid"),
+    ("replay_directory", "ConfigInvalid"),
+    ("checkpoint.json", "StagingUnavailable"),
+    ("seg-00000000000000000000.jsonl", "StagingUnavailable"),
+    ("run_log", "CorruptRunLog"),
+], ids=["replay_missing", "replay_directory", "checkpoint", "segment", "run_log"])
+def test_local_file_that_cannot_be_read_is_a_typed_error(tmp_path, monkeypatch, case, kind):
+    data_root = tmp_path / "data"
+    monkeypatch.delenv("BRC_CONFIG", raising=False)
+    monkeypatch.setenv("BRC_DATA_ROOT", str(data_root))
+    assert _main("lake", "init", "--table", "trades")[0] == 0
+    code, err = _main(*_unreadable(data_root, case))
+    assert code == 1
+    assert json.loads(err.splitlines()[-1])["error"] == kind
 
 
 @pytest.mark.parametrize("out", ["missing/out.csv", ".", "trades.csv/x"])

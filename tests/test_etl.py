@@ -339,8 +339,7 @@ def test_multiset_preserved_vs_staging_oracle(tmp_path):
     _stage(staging, duplicated)
     export_all(staging, store, table, "c", max_records=16)
     # oracle: brute-force dedup of the staged stream
-    staged = staging.read_from("c", 0, 10_000)
-    oracle, _ = dedup([event_to_row(r.event) for r in staged])
+    oracle, _ = dedup(staging.read_from("c", 0, 10_000))
     table_rows = []
     for add in table.snapshot_at().live_files.values():
         table_rows.extend(read_file(store.get(add.path)).rows())
@@ -382,6 +381,19 @@ def test_one_export_reads_the_active_segment_twice(tmp_path, monkeypatch):
     result = export_all(staging, store, table, "c", max_records=100)  # one export_job
     assert result.rows_published == 30
     assert reads == [f"seg-{0:020}.jsonl"] * 2  # the drain and the checkpoint's tail check
+
+
+def test_longest_ids_and_symbol_a_key_segment_holds_export(tmp_path):
+    store = FsStore(tmp_path / "store")
+    staging = StagingStore(tmp_path / "staging")
+    table = LakeTable(store, "t" * 255)
+    table.init("trades_v1", TABLE_COLUMNS)
+    symbol = "B-" + "U" * 246  # its partition's key segment "symbol=B-UU..." is 255 bytes
+    make_config(symbols={"BU": symbol}).validate()
+    _stage(staging, [make_event(symbol=symbol)], connector="c" * 255)
+    assert export_all(staging, store, table, "c" * 255).rows_published == 1
+    (add,) = table.snapshot_at().live_files.values()
+    assert add.partition.symbol == symbol
 
 
 # -- cross-batch dedup identity cache ----------------------------------------------------
@@ -449,6 +461,45 @@ def test_duplicate_committed_by_another_handle_is_dropped(tmp_path):
     assert result.rows_published == 0 and result.dropped_duplicates == 60
     assert len(table.identity_cache) == 2
     assert sum(a.rows for a in table.snapshot_at().live_files.values()) == 60
+
+
+def test_export_job_reads_one_snapshot_whatever_its_partition_count(tmp_path, monkeypatch):
+    store, staging, table = _env(tmp_path)
+    calls = []
+    snapshot_at = table.snapshot_at
+    monkeypatch.setattr(table, "snapshot_at", lambda *args: calls.append(args) or snapshot_at(*args))
+    events = [e for symbol in ("BTC-USD", "ETH-USD") for day in (0, 86_400_000_000)
+              for e in _trades(10, symbol, start_id=day, day_offset_us=day)]
+    _stage(staging, events)
+    assert export_job(staging, store, table, "c").rows_published == 40
+    assert len(table.snapshot_at().live_files) == 4  # one file per partition
+    calls.clear()
+    _stage(staging, events)  # every partition's rows again: each checks a live file
+    assert export_job(staging, store, table, "c").dropped_duplicates == 40
+    assert calls == [()]
+    assert export_job(staging, store, table, "c").rows_published == 0  # nothing drained
+    assert calls == [()]
+
+
+def test_compaction_after_the_job_snapshot_loses_and_duplicates_nothing(tmp_path, monkeypatch):
+    store, staging, table = _fragmented_table(tmp_path)  # 100 rows in 4 files of one partition
+    events = _trades(110)
+    _stage(staging, events[90:])  # 10 rows already live, 10 new
+    partition = live_partitions(table)[0]
+    compactions = []
+
+    def compact_before_commit(site):
+        if site == "etl.pre_commit":
+            compactions.append(compact(store, LakeTable(store, "trades"), partition))
+
+    monkeypatch.setattr(crashpoints, "crashpoint", compact_before_commit)
+    result = export_job(staging, store, table, "c")
+    assert compactions[0] is not None and result.version == compactions[0] + 1
+    assert (result.rows_published, result.dropped_duplicates) == (10, 10)
+    live = table.snapshot_at().live_files.values()
+    assert len(live) == 2  # the merged file and the job's file
+    rows = [row for add in live for row in read_file(store.get(add.path)).rows()]
+    assert sorted(rows) == sorted(map(event_to_row, events))
 
 
 # -- compact -----------------------------------------------------------------------------

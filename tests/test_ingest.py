@@ -14,8 +14,9 @@ from brclake.errors import (
     MissingField,
     UnknownSymbol,
 )
-from brclake.events import ConnectorConfig
+from brclake.events import ConnectorConfig, event_from_row
 from brclake.fixedpoint import format_e8
+from brclake.harness import oracle_events
 from brclake.ingest import (
     ConnectorState,
     SplitMix64,
@@ -269,10 +270,21 @@ def test_replay_resume_yields_only_appended_lines(tmp_path):
     with open(path, "a", encoding="utf-8") as f:
         f.write("\n" + _replay_line(3) + "\n" + _replay_line(4) + "\n")
     assert run_connector(config, staging).events_appended == 2
-    records = staging.read_from("c", 0, 100)
-    assert [r.event.event_id for r in records] == [f"r-{i}" for i in range(5)]
+    rows = staging.read_from("c", 0, 100)
+    assert [event_from_row(row).event_id for row in rows] == [f"r-{i}" for i in range(5)]
     assert staging.load_connector_state("c", ConnectorState).replay_line == 5
     assert run_connector(config, staging).events_appended == 0
+
+
+@pytest.mark.parametrize("name", ["missing.jsonl", "."], ids=["missing", "directory"])
+def test_unreadable_replay_file_is_config_invalid(tmp_path, name):
+    config = make_config(kind="replay", replay_path=str(tmp_path / name))
+    for read in (lambda: list(replay_file(config.replay_path)),
+                 lambda: run_connector(config, StagingStore(tmp_path / "staging")),
+                 lambda: oracle_events([config])):
+        with pytest.raises(ConfigInvalid) as err:
+            read()
+        assert err.value.field == "replay_path" and str(tmp_path / name) in err.value.reason
 
 
 def test_replay_resume_reports_file_line_numbers(tmp_path):
@@ -383,6 +395,7 @@ def test_bucket_window_bound(raw_times, rate, burst):
     ({"rate_limit": {"burst": "1"}}, "rate_limit.burst"),
     ({"replay_path": None}, "replay_path"),
     ({"replay_path": "x\u0000.jsonl"}, "replay_path"),
+    ({"symbols": {"BTCUSDT": "B-" + "U" * 247}}, "symbols"),  # "symbol=B-UU..." is 256 bytes
 ])
 def test_connector_config_names_ill_typed_field(overrides, field):
     obj = {"connector_id": "c", "kind": "synthetic", "source": "syn",
@@ -437,12 +450,12 @@ def test_crash_restart_reappends_suffix(tmp_path, monkeypatch):
     monkeypatch.setattr(crashpoints, "crashpoint", lambda site: None)
     summary = run_connector(config, staging)
     assert summary.events_appended == 60
-    records = staging.read_from("c", 0, 10_000)
-    assert len(records) == 110
-    identities = {r.event.identity for r in records}
+    events = list(map(event_from_row, staging.read_from("c", 0, 10_000)))
+    assert len(events) == 110
+    identities = {e.identity for e in events}
     assert len(identities) == 100
     # the regenerated suffix is byte-identical: same identity implies same event
     by_identity = {}
-    for record in records:
-        prev = by_identity.setdefault(record.event.identity, record.event)
-        assert prev == record.event
+    for event in events:
+        prev = by_identity.setdefault(event.identity, event)
+        assert prev == event

@@ -236,6 +236,19 @@ def test_publish_replaces_or_links_and_creates_parents(tmp_path):
     assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["new", "obj"]
 
 
+def test_each_writer_makes_the_directories_its_file_goes_into(tmp_path):
+    acquire_lock(tmp_path / "l" / "m" / "lock", "x").close()
+    fsync_append(tmp_path / "a" / "b" / "log", b"line\n")
+    publish(tmp_path / "p" / "obj", b"x", tmp_path / "t" / "u")
+    assert (tmp_path / "a" / "b" / "log").read_bytes() == b"line\n"
+    assert (tmp_path / "p" / "obj").read_bytes() == b"x" and (tmp_path / "t" / "u").is_dir()
+    assert (tmp_path / "l" / "m" / "lock").is_file()
+    store = FsStore(tmp_path / "store")  # the first put makes its directories
+    assert not (tmp_path / "store").exists() and store.list() == []
+    store.put("t/k", b"x")
+    assert sorted(p.name for p in (tmp_path / "store").iterdir()) == ["objects", "tmp"]
+
+
 def _checkpoint(root):
     store = StagingStore(root / "staging")
     with store.open_session("c") as session:

@@ -70,7 +70,9 @@ def test_etag_is_content_md5(tmp_path):
 
 def test_key_validation():
     validate_key("a/b.c/d=e/f-g_h")
-    for bad in ("", "/lead", "a//b", "a/../b" + "!", "sp ace", "a" * 901, "a\n/b", "a/b\n"):
+    validate_key("a" * 255 + "/" + "b" * 255)
+    for bad in ("", "/lead", "a//b", "a/../b" + "!", "sp ace", "a" * 901, "a\n/b", "a/b\n", "a" * 256,
+                "b/" + "a" * 256):
         with pytest.raises(InvalidKey):
             validate_key(bad)
 

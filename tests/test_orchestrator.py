@@ -381,6 +381,14 @@ def test_ill_typed_run_log_line_is_corrupt_run_log(tmp_path, line):
     assert err.value.line_no == 2 and "line 2" in err.value.detail
 
 
+def test_run_log_that_cannot_be_read_is_corrupt_run_log_at_line_0(tmp_path):
+    path = run_log_path(tmp_path, "d", 0)
+    path.mkdir(parents=True)  # a directory where the log should be
+    with pytest.raises(CorruptRunLog) as err:
+        RunLog(path).replay()
+    assert err.value.line_no == 0 and str(path) in err.value.detail
+
+
 # -- backfill ------------------------------------------------------------------------------------
 
 def test_backfill_counts():

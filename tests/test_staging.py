@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brclake import localfile, staging
-from brclake.errors import CheckpointRegression, CorruptStaging, OffsetOutOfRange, SessionLockHeld
+from brclake.errors import (CheckpointRegression, CorruptStaging, OffsetOutOfRange, SessionLockHeld,
+                            StagingUnavailable)
 from brclake.ingest import ConnectorState, SyntheticState, run_connector
-from brclake.events import MarketEvent, event_to_row
+from brclake.events import MarketEvent, event_from_row, event_to_row
 from brclake.fixedpoint import US_YEAR_10000
 from brclake.staging import StagingStore, _staged_line
 
@@ -26,6 +27,11 @@ def _events(n, start=0):
             for i in range(n)]
 
 
+def _rows(events):
+    """The encoded table rows a drain returns for events."""
+    return [event_to_row(e) for e in events]
+
+
 def test_first_batch_offsets_dense_from_zero(tmp_path):
     store = StagingStore(tmp_path)
     with store.open_session("c") as session:
@@ -35,13 +41,14 @@ def test_first_batch_offsets_dense_from_zero(tmp_path):
 
 def test_batch_crossing_segment_cap(tmp_path):
     store = StagingStore(tmp_path, max_segment_records=10_000)
+    events = _events(10_001)
     with store.open_session("c") as session:
-        first, last = session.append_batch(_events(10_001))
+        first, last = session.append_batch(events)
     assert (first, last) == (0, 10_000)
     segments = sorted(p.name for p in (tmp_path / "c").glob("seg-*.jsonl"))
     assert segments == [f"seg-{0:020}.jsonl", f"seg-{10_000:020}.jsonl"]
-    assert len(store.read_from("c", 0, 20_000)) == 10_001
-    assert [r.offset for r in store.read_from("c", 9_999, 5)] == [9_999, 10_000]
+    assert store.read_from("c", 0, 20_000) == _rows(events)
+    assert store.read_from("c", 9_999, 5) == _rows(events[9_999:])
     with pytest.raises(OffsetOutOfRange) as info:
         store.read_from("c", 10_002, 0)
     assert (info.value.offset, info.value.tail) == (10_002, 10_000)
@@ -51,7 +58,7 @@ def test_read_from_window_and_tail(tmp_path):
     store = StagingStore(tmp_path)
     with store.open_session("c") as session:
         session.append_batch(_events(5))
-    assert [r.offset for r in store.read_from("c", 0, 3)] == [0, 1, 2]
+    assert store.read_from("c", 0, 3) == _rows(_events(3))
     assert store.read_from("c", 5, 10) == []
     with pytest.raises(OffsetOutOfRange) as info:
         store.read_from("c", 9, 1)
@@ -67,9 +74,7 @@ def test_append_read_round_trip(tmp_path):
     with store.open_session("c") as session:
         session.append_batch(events[:7])
         session.append_batch(events[7:])
-    records = store.read_from("c", 0, 100)
-    assert [r.event for r in records] == events
-    assert [r.offset for r in records] == list(range(20))
+    assert store.read_from("c", 0, 100) == _rows(events)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=8))
@@ -85,7 +90,7 @@ def test_round_trip_property_any_batching(batch_sizes):
             for size in batch_sizes:
                 session.append_batch(events[cursor:cursor + size])
                 cursor += size
-        assert [r.event for r in store.read_from("c", 0, total + 1)] == events
+        assert store.read_from("c", 0, total + 1) == _rows(events)
 
 
 def test_durability_across_reopen(tmp_path):
@@ -107,8 +112,7 @@ def test_torn_trailing_line_truncated_on_next_session(tmp_path):
     assert store.tail_offset("c") == 3  # readers ignore the torn line
     with store.open_session("c") as session:
         session.append_batch(_events(1, start=3))
-    records = store.read_from("c", 0, 10)
-    assert [r.offset for r in records] == [0, 1, 2, 3]
+    assert store.read_from("c", 0, 10) == _rows(_events(4))
 
 
 # -- checkpoints ------------------------------------------------------------------
@@ -146,14 +150,14 @@ def test_drain_batch_does_not_advance(tmp_path):
     store = StagingStore(tmp_path)
     with store.open_session("c") as session:
         session.append_batch(_events(5))
-    records, nxt = store.drain_batch("c", 3)
-    assert [r.offset for r in records] == [0, 1, 2] and nxt == 3
-    # crash before commit: drain again returns the same records
-    records2, nxt2 = store.drain_batch("c", 3)
-    assert [r.offset for r in records2] == [0, 1, 2] and nxt2 == 3
+    rows, nxt = store.drain_batch("c", 3)
+    assert rows == _rows(_events(3)) and nxt == 3
+    # crash before commit: drain again returns the same rows
+    rows2, nxt2 = store.drain_batch("c", 3)
+    assert rows2 == rows and nxt2 == 3
     store.commit_checkpoint("c", nxt2)
-    records3, nxt3 = store.drain_batch("c", 3)
-    assert [r.offset for r in records3] == [3, 4] and nxt3 == 5
+    rows3, nxt3 = store.drain_batch("c", 3)
+    assert rows3 == _rows(_events(2, start=3)) and nxt3 == 5
 
 
 def test_drain_caught_up(tmp_path):
@@ -161,8 +165,8 @@ def test_drain_caught_up(tmp_path):
     with store.open_session("c") as session:
         session.append_batch(_events(5))
     store.commit_checkpoint("c", 5)
-    records, nxt = store.drain_batch("c", 10)
-    assert records == [] and nxt == 5
+    rows, nxt = store.drain_batch("c", 10)
+    assert rows == [] and nxt == 5
 
 
 # -- session lock --------------------------------------------------------------------
@@ -291,9 +295,9 @@ def test_segment_written_by_json_dumps_drains_to_the_same_rows(tmp_path):
     events = _fixture_events()
     (tmp_path / "c").mkdir()
     shutil.copy(fixture, tmp_path / "c" / SEGMENT)
-    records = StagingStore(tmp_path).read_from("c", 0, 100)
-    assert [r.row for r in records] == [event_to_row(e) for e in events]
-    assert [r.event for r in records] == events
+    rows = StagingStore(tmp_path).read_from("c", 0, 100)
+    assert rows == _rows(events)
+    assert [event_from_row(row) for row in rows] == events
     with StagingStore(tmp_path / "rewritten").open_session("c") as session:
         session.append_batch(events)
     assert (tmp_path / "rewritten" / "c" / SEGMENT).read_bytes() == fixture.read_bytes()
@@ -330,6 +334,24 @@ def test_corrupt_staging_state_is_typed(tmp_path, name, content, reader, line_no
     assert (err.value.path, err.value.line_no) == (str(path), line_no)
 
 
+@pytest.mark.parametrize("name, reader", [
+    ("checkpoint.json", lambda store: store.drain_batch("c", 100)),
+    ("connector_state.json", lambda store: store.load_connector_state("c", ConnectorState)),
+    (SEGMENT, lambda store: store.drain_batch("c", 100)),
+    (SEGMENT, lambda store: store.tail_offset("c")),
+    (SEGMENT, lambda store: store.open_session("c")),
+], ids=["checkpoint", "connector_state", "segment_drain", "segment_tail", "segment_session"])
+def test_staging_file_that_cannot_be_read_is_staging_unavailable(tmp_path, name, reader):
+    (tmp_path / "c" / name).mkdir(parents=True)  # a directory where the file should be
+    store = StagingStore(tmp_path)
+    with pytest.raises(StagingUnavailable) as err:
+        reader(store)
+    assert str(tmp_path / "c" / name) in err.value.detail
+    if name == SEGMENT:  # a failed session open releases its lock
+        with pytest.raises(StagingUnavailable):
+            store.open_session("c")
+
+
 def _staged(event, offset):
     return {**vars(event), "offset": offset}
 
@@ -360,7 +382,7 @@ def test_malformed_record_line_is_corrupt_staging(tmp_path, change):
     with pytest.raises(CorruptStaging) as err:
         store.drain_batch("c", 100)
     assert (err.value.path, err.value.line_no) == (str(path), 3)
-    assert [r.offset for r in store.read_from("c", 0, 2)] == [0, 1]  # lines before it still drain
+    assert store.read_from("c", 0, 2) == _rows(_events(2))  # lines before it still drain
 
 
 @pytest.mark.parametrize("renamed", [None, "sidE"], ids=["missing", "renamed"])
@@ -391,7 +413,7 @@ def test_event_time_no_partition_can_date_is_corrupt_staging(tmp_path, event_tim
     with pytest.raises(CorruptStaging) as err:
         store.drain_batch("c", 100)
     assert (err.value.path, err.value.line_no) == (str(tmp_path / "c" / SEGMENT), 3)
-    assert [r.event for r in store.read_from("c", 0, 2)] == events[:2]
+    assert store.read_from("c", 0, 2) == _rows(events[:2])
 
 
 def test_corrupt_staging_names_the_first_bad_line_across_segments(tmp_path):
@@ -413,7 +435,7 @@ def test_corrupt_staging_names_the_first_bad_line_across_segments(tmp_path):
     with pytest.raises(CorruptStaging) as err:  # the read starts inside the bad line's segment
         store.read_from("c", 4, 100)
     assert (err.value.path, err.value.line_no) == (str(tmp_path / "c" / f"seg-{3:020}.jsonl"), 3)
-    assert [r.event for r in store.read_from("c", 1, 4)] == events[1:5]
+    assert store.read_from("c", 1, 4) == _rows(events[1:5])
 
 
 @pytest.mark.parametrize("offsets, read_from, bad", [
@@ -445,7 +467,7 @@ def test_prune_removes_only_fully_drained_sealed_segments(tmp_path):
         session.append_batch(_events(12))  # segments [0..4], [5..9], [10..11]
     store.commit_checkpoint("c", 7)
     assert store.prune("c") == 1  # only segment 0..4 is fully below 7
-    assert [r.offset for r in store.read_from("c", 7, 100)] == [7, 8, 9, 10, 11]
+    assert store.read_from("c", 7, 100) == _rows(_events(5, start=7))
     store.commit_checkpoint("c", 12)
     assert store.prune("c") == 1  # 5..9 goes; newest segment always kept
     assert store.tail_offset("c") == 12
