@@ -6,7 +6,10 @@ written with put-if-absent, so the object store's conditional put is the only
 concurrency primitive. Data files are always written before the entry that
 references them: a crash can leave orphaned data files but never a dangling
 log reference. A table id is one key segment (``objectstore.path_segment``),
-so no table's keys lie inside another's.
+so no table's keys lie inside another's. A data file lies under its table's
+``data/`` prefix, in its partition's directory
+``data/symbol={symbol}/date={date}/``, where every writer puts it, or
+directly in ``data/``.
 """
 
 from __future__ import annotations
@@ -79,19 +82,27 @@ class LogEntry:
     committer: str
 
 
+def data_prefix(table_id: str) -> str:
+    """The key prefix of the table's data files."""
+    return f"tables/{table_id}/data/"
+
+
 @dataclass
 class Snapshot:
+    table_id: str
     version: int
     live_files: dict[str, AddFile] = field(default_factory=dict)
     schema_id: str = ""
 
     def check(self, entry: LogEntry) -> None:
         """The one rule for log entries, which folds and commits share: the
-        entry is the next version; each add_file has rows >= 1, bytes >= 0,
-        min <= max event time, both within its partition's UTC day, and a
-        path not yet live; each remove_file names a live path; no path
-        appears twice; set_schema only at init (version 1). A breach raises
-        CorruptLog naming the version (and path)."""
+        entry is the next version; each add_file has a path not yet live
+        that names a file in the table's data directory or in its
+        partition's directory under it, rows >= 1, bytes >= 0, min <= max
+        event time, both within its partition's UTC day; each remove_file
+        names a live path; no path appears twice; set_schema only at init
+        (version 1). A breach raises CorruptLog naming the version (and
+        path)."""
         if entry.version != self.version + 1:
             raise CorruptLog(entry.version, f"does not follow version {self.version}")
         touched: set[str] = set()
@@ -108,6 +119,9 @@ class Snapshot:
                     raise CorruptLog(entry.version, f"removes non-live path {action.path}", action.path)
             elif action.path in self.live_files:
                 raise CorruptLog(entry.version, f"adds live path {action.path}", action.path)
+            elif not self._in_data_dir(action):
+                raise CorruptLog(entry.version, f"add_file {action.path}: not a file of "
+                                 f"{data_prefix(self.table_id)} or of its partition's directory", action.path)
             elif action.rows < 1:
                 raise CorruptLog(entry.version, f"add_file {action.path}: rows must be >= 1", action.path)
             elif action.bytes < 0:
@@ -132,6 +146,13 @@ class Snapshot:
                 self.schema_id = action.schema_id
         self.version = entry.version
 
+    def _in_data_dir(self, add: AddFile) -> bool:
+        """add's path names a file directly in the table's data directory
+        or in its partition's directory there."""
+        prefix = data_prefix(self.table_id)
+        directory, _, name = add.path[len(prefix):].rpartition("/")
+        return add.path.startswith(prefix) and directory in ("", add.partition.render()) and name != ""
+
 
 def _within_day(add: AddFile) -> bool:
     """Both event times of add fall in its partition's UTC day."""
@@ -151,7 +172,7 @@ class LakeTable:
     def __init__(self, store, table_id: str):
         self.store = store
         self.table_id = path_segment("table_id", table_id)  # one directory under tables/
-        self._cache = Snapshot(version=0)  # fold of entries 1.._cache.version
+        self._cache = Snapshot(self.table_id, 0)  # fold of entries 1.._cache.version
         # data-file path -> its encoded dedup identities; see etl._live_identities
         self.identity_cache: dict[str, frozenset] = {}
 
@@ -165,10 +186,7 @@ class LakeTable:
         return f"{self.log_prefix}{version:020}.json"
 
     def data_key(self, partition: PartitionKey, committer: str) -> str:
-        return (
-            f"tables/{self.table_id}/data/{partition.render()}/"
-            f"part-{committer}-{uuid.uuid4().hex}.brcl"
-        )
+        return f"{data_prefix(self.table_id)}{partition.render()}/part-{committer}-{uuid.uuid4().hex}.brcl"
 
     # -- log access --------------------------------------------------------------
 
@@ -267,8 +285,8 @@ class LakeTable:
         if version < 1 or version > current:
             raise NoSuchVersion(version, current)
         if version == current:  # current_version left the cache at the head
-            return Snapshot(current, dict(self._cache.live_files), self._cache.schema_id)
-        fresh = Snapshot(version=0)  # time travel below the cache: refold
+            return Snapshot(self.table_id, current, dict(self._cache.live_files), self._cache.schema_id)
+        fresh = Snapshot(self.table_id, 0)  # time travel below the cache: refold
         for v in range(1, version + 1):
             fresh.apply(self.read_entry(v))
         return fresh
@@ -277,8 +295,7 @@ class LakeTable:
         """Referential integrity report: dangling references are failures,
         orphaned data files are informational."""
         snapshot = self.snapshot_at()
-        data_prefix = f"tables/{self.table_id}/data/"
-        stored = {m.key for m in self.store.list(data_prefix)}
+        stored = {m.key for m in self.store.list(data_prefix(self.table_id))}
         live = set(snapshot.live_files)
         return {
             "version": snapshot.version,

@@ -26,7 +26,7 @@ import time
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
-from urllib.parse import quote, urlsplit
+from urllib.parse import urlsplit
 
 from .errors import (
     BackendUnavailable,
@@ -36,7 +36,7 @@ from .errors import (
     PreconditionFailed,
 )
 from .localfile import publish
-from .sigv4 import EMPTY_PAYLOAD_SHA256, sign_request_v4, uri_encode_path
+from .sigv4 import EMPTY_PAYLOAD_SHA256, canonical_query, sign_request_v4, uri_encode_path
 
 _SEGMENT_RE = re.compile(r"[A-Za-z0-9._=-]+")
 MAX_KEY_BYTES = 900
@@ -198,7 +198,7 @@ class S3Store:
             send_headers["Content-Length"] = str(len(body))
         url = uri_encode_path(path)
         if query:
-            url += "?" + "&".join(f"{quote(k, safe='')}={quote(v, safe='')}" for k, v in query)
+            url += "?" + canonical_query(query)  # the query string that was signed
         try:
             if self._https:
                 conn = http.client.HTTPSConnection(self._host, context=ssl.create_default_context())

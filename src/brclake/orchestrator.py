@@ -3,10 +3,12 @@ backoff, backfill over historical windows, and replay-based crash recovery.
 
 Every state transition is appended to a durable run log before it takes
 effect, so a killed scheduler resumes exactly where the log ends: Succeeded
-tasks are never re-run, tasks caught Running are re-queued with their attempt
-preserved. Under a simulated clock the whole execution is deterministic —
-ready tasks start in task-id order, backoff has no jitter, and actions run
-at most ``max_parallel_tasks`` per scheduling instant.
+tasks are never re-run, and a resumed run logs a requeue of each task the log
+leaves interrupted (Running at the same attempt, Retrying at the next), so
+its log replays like any other. Under a simulated clock the whole execution
+is deterministic — ready tasks start in task-id order, backoff has no
+jitter, and actions run at most ``max_parallel_tasks`` per scheduling
+instant.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ _LEGAL = {
     (RUNNING, SUCCEEDED),
     (RUNNING, FAILED),
     (RUNNING, RETRYING),
+    (RUNNING, QUEUED),  # requeued on resume after a kill
     (RETRYING, QUEUED),
 }
 
@@ -257,25 +260,16 @@ class RunLog:
 
 
 def recover(transitions: list[Transition]) -> dict[str, tuple[str, int]]:
-    """Fold a transition log into per-task (state, attempt), validating
-    legality, then convert interrupted work back to Queued: a task caught
-    Running re-queues with the same attempt, a task caught Retrying re-queues
-    with the next attempt (its backoff deadline died with the process)."""
+    """Fold a transition log into per-task (state, attempt) as last logged,
+    validating legality; execute_run requeues the work it leaves
+    interrupted."""
     states: dict[str, tuple[str, int]] = {}
     for i, tr in enumerate(transitions, start=1):
         prev = states.get(tr.task_id, (PENDING, 1))[0]
         if (prev, tr.state) not in _LEGAL:
             raise CorruptRunLog(i, f"illegal transition {prev} -> {tr.state} for {tr.task_id!r}")
         states[tr.task_id] = (tr.state, tr.attempt)
-    resumed = {}
-    for task_id, (state, attempt) in states.items():
-        if state == RUNNING:
-            resumed[task_id] = (QUEUED, attempt)
-        elif state == RETRYING:
-            resumed[task_id] = (QUEUED, attempt + 1)
-        else:
-            resumed[task_id] = (state, attempt)
-    return resumed
+    return states
 
 
 # -- execution ------------------------------------------------------------------------------
@@ -329,6 +323,12 @@ def execute_run(
     def transition(tid: str, state: str, **details) -> None:
         log.append(Transition(clock.now_us(), tid, attempts[tid], state, **details))
         states[tid] = state
+
+    for tid in order:  # requeue work a killed run left: Running at its attempt, Retrying at the next
+        if states[tid] in (RUNNING, RETRYING):
+            if states[tid] == RETRYING:  # its backoff deadline died with the process
+                attempts[tid] += 1
+            transition(tid, QUEUED)
 
     while True:
         for tid in order:  # propagate upstream failure without running

@@ -22,6 +22,8 @@ def uri_encode_path(path: str) -> str:
 
 
 def canonical_query(query: list[tuple[str, str]]) -> str:
+    """query's pairs percent-encoded and sorted: the query string a request
+    signs and sends."""
     pairs = sorted((quote(str(k), safe=""), quote(str(v), safe="")) for k, v in query)
     return "&".join(f"{k}={v}" for k, v in pairs)
 

@@ -15,12 +15,14 @@ Record lines are JSON objects: MarketEvent fields plus "offset", keys sorted,
 written from one template (``_staged_line``) whose output equals
 ``json.dumps({**vars(event), "offset": offset}, sort_keys=True)`` for every
 event that passes ``MarketEvent.validate``. Offsets are dense per connector,
-starting at 0; a segment holds at most ``max_segment_records`` records and is
-immutable once full. Appends are a single buffered write + fsync, so a crash
-between operations never tears a batch; a torn trailing line from a crash
-inside a write is truncated the next time a writer session opens the
-connector. The session lock, the durable append and the torn-tail repair are
-the ``localfile`` helpers the scheduler's run logs use too.
+starting at 0; a segment holds at most ``SEGMENT_RECORDS`` records and is
+immutable once full. The writer session owns the appends: it keeps the
+newest segment's start offset and record count, and starts the next segment
+at their sum. A segment's share of a batch is a single buffered write +
+fsync, so a crash between operations never tears a batch; a torn trailing
+line from a crash inside a write is truncated the next time a writer session
+opens the connector. The session lock, the durable append and the torn-tail
+repair are the ``localfile`` helpers the scheduler's run logs use too.
 
 A drain lists a connector's segments once and reads each segment it needs
 once, finding the tail from what it read; a checkpoint commit reads the
@@ -72,7 +74,7 @@ from .objectstore import path_segment
 
 T = TypeVar("T")
 
-DEFAULT_MAX_SEGMENT_RECORDS = 10_000
+SEGMENT_RECORDS = 10_000  # records per segment
 
 
 @dataclass
@@ -176,9 +178,8 @@ def _read_record(path: Path, cls: type[T]) -> T | None:
 class StagingStore:
     """Segmented JSONL staging under a local root directory."""
 
-    def __init__(self, root: str | Path, max_segment_records: int = DEFAULT_MAX_SEGMENT_RECORDS):
+    def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.max_segment_records = max_segment_records
         try:
             self.root.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -202,13 +203,18 @@ class StagingStore:
                 segs.append((int(name[4:-6]), d / name))
         return segs
 
-    def tail_offset(self, connector_id: str) -> int:
-        """Offset one past the last appended record (0 for a fresh connector)."""
+    def _newest_segment(self, connector_id: str, read: Callable[[Path], list[bytes]]) -> tuple[int, int]:
+        """(start offset, record count) of the connector's newest segment,
+        whose lines read returns; (0, 0) for a fresh connector."""
         segs = self._segments(connector_id)
         if not segs:
-            return 0
+            return 0, 0
         start, path = segs[-1]
-        return start + len(_read(read_lines, path))
+        return start, len(_read(read, path))
+
+    def tail_offset(self, connector_id: str) -> int:
+        """Offset one past the last appended record (0 for a fresh connector)."""
+        return sum(self._newest_segment(connector_id, read_lines))
 
     # -- writer session ----------------------------------------------------
 
@@ -220,35 +226,11 @@ class StagingStore:
         """
         lock = acquire_lock(self._dir(connector_id) / "lock", f"connector {connector_id!r}")
         try:
-            segs = self._segments(connector_id)
-            active = (segs[-1][0], len(_read(repair_tail, segs[-1][1]))) if segs else (0, 0)
+            newest = self._newest_segment(connector_id, repair_tail)
         except BaseException:
             lock.close()
             raise
-        return StagingSession(self, connector_id, lock, active)
-
-    def _append(
-        self, connector_id: str, events: list[MarketEvent], active: tuple[int, int]
-    ) -> tuple[int, int, tuple[int, int]]:
-        active_start, active_count = active
-        first = active_start + active_count
-        offset = first
-        remaining = events
-        try:
-            while remaining:
-                room = self.max_segment_records - active_count
-                if room == 0:
-                    active_start += active_count
-                    active_count = 0
-                    room = self.max_segment_records
-                chunk, remaining = remaining[:room], remaining[room:]
-                blob = "".join(map(_staged_line, chunk, range(offset, offset + len(chunk)))).encode()
-                fsync_append(self._segment_path(connector_id, active_start), blob)
-                offset += len(chunk)
-                active_count += len(chunk)
-        except OSError as exc:
-            raise StagingUnavailable(str(exc))
-        return first, offset - 1, (active_start, active_count)
+        return StagingSession(self, connector_id, lock, newest)
 
     # -- readers -------------------------------------------------------------
 
@@ -347,27 +329,34 @@ class StagingStore:
 class StagingSession:
     """Holder of a connector's single-writer lock; releases on close/exit."""
 
-    def __init__(self, store: StagingStore, connector_id: str, lock: BinaryIO, active: tuple[int, int]):
+    def __init__(self, store: StagingStore, connector_id: str, lock: BinaryIO, newest: tuple[int, int]):
         self.store = store
         self.connector_id = connector_id
         self._lock = lock
-        self._open = True
-        self._active = active  # (start_offset, record_count) of the newest segment
+        self._start, self._count = newest  # the newest segment's start offset and record count
 
     def append_batch(self, events: list[MarketEvent]) -> tuple[int, int]:
-        """Append events with consecutive offsets; returns (first, last)."""
-        if not self._open:
+        """Append events with consecutive offsets; returns (first, last),
+        which for no events is (tail, tail - 1)."""
+        if self._lock.closed:
             raise StagingUnavailable(f"session of connector {self.connector_id!r} is closed")
-        if not events:
-            tail = self._active[0] + self._active[1]
-            return tail, tail - 1
-        first, last, self._active = self.store._append(self.connector_id, events, self._active)
-        return first, last
+        first = self._start + self._count
+        try:
+            while events:
+                if self._count >= SEGMENT_RECORDS:
+                    self._start, self._count = self._start + self._count, 0
+                room = SEGMENT_RECORDS - self._count
+                chunk, events = events[:room], events[room:]
+                offset = self._start + self._count
+                blob = "".join(map(_staged_line, chunk, range(offset, offset + len(chunk)))).encode()
+                fsync_append(self.store._segment_path(self.connector_id, self._start), blob)
+                self._count += len(chunk)
+        except OSError as exc:
+            raise StagingUnavailable(str(exc))
+        return first, self._start + self._count - 1
 
     def close(self) -> None:
-        if self._open:
-            self._lock.close()
-            self._open = False
+        self._lock.close()
 
     def __enter__(self) -> "StagingSession":
         return self

@@ -102,6 +102,21 @@ def test_bad_bool_byte_rejected():
         decode_column(bytes([2]), BOOL, Encoding.PLAIN, 1)
 
 
+@pytest.mark.parametrize("data, physical_type, encoding, value_count", [
+    (bytes([1]), BOOL, Encoding.PLAIN, 2),
+    (bytes(2), BYTES, Encoding.PLAIN, 1),
+    (struct.pack("<I", 5) + b"ab", BYTES, Encoding.PLAIN, 1),
+    (bytes(2), INT64, Encoding.RLE, 1),
+    (struct.pack("<I", 3) + struct.pack("<q", 1), INT64, Encoding.RLE, 2),
+    (bytes(1), BYTES, Encoding.DICT, 1),
+    (encode_column([b"a", b"b"], BYTES, Encoding.DICT)[:-1], BYTES, Encoding.DICT, 2),
+], ids=["plain_bool_truncated", "bytes_length_truncated", "bytes_value_truncated", "rle_header_truncated",
+        "rle_run_overshoots_count", "dict_header_truncated", "dict_indices_truncated"])
+def test_chunk_that_ends_early_or_runs_over_is_corrupt_chunk(data, physical_type, encoding, value_count):
+    with pytest.raises(CorruptChunk):
+        decode_column(data, physical_type, encoding, value_count)
+
+
 # -- choose_encoding rule ---------------------------------------------------------------
 
 def test_choose_sorted_int64_is_delta():
@@ -329,6 +344,8 @@ def test_bad_magic_and_footer():
         read_file(b"XXXX" + data[4:])
     with pytest.raises(BadMagic):
         read_file(data[:-4] + b"YYYY")
+    with pytest.raises(BadMagic):  # too short for two magics and a footer length
+        read_file(data[:4] + data[-7:])
     # footer length pointing outside the file
     broken = data[:-8] + struct.pack("<I", 2**31) + data[-4:]
     with pytest.raises(FooterCorrupt):
@@ -364,10 +381,15 @@ def _with_footer(data: bytes, edit) -> bytes:
     lambda f: f.update(codec=0),
     lambda f: f.update(codec="zstd"),
     lambda f: f["chunks"][1].update(max="\u0100"),
+    lambda f: f.update(format_version=2),
+    lambda f: f.update(row_count=-1),
+    lambda f: f["chunks"][1].update(value_count=1),
+    lambda f: f["chunks"][2].update(crc32c=-1),
 ], ids=["float_offset", "string_count", "negative_length", "bool_crc", "unknown_encoding",
         "float_row_count", "int_bytes_stat", "string_int64_stat", "unknown_physical_type",
         "repeated_column", "extra_chunk", "no_writer", "offset_past_file", "length_past_file",
-        "chunk_into_footer", "chunk_over_magic", "int_codec", "unknown_codec", "bytes_stat_beyond_latin1"])
+        "chunk_into_footer", "chunk_over_magic", "int_codec", "unknown_codec", "bytes_stat_beyond_latin1",
+        "format_version_2", "negative_row_count", "value_count_disagrees", "negative_crc"])
 def test_ill_typed_footer_is_footer_corrupt(edit):
     data = write_file([(1, b"x", True), (2, b"y", False)], SCHEMA)
     assert read_file(_with_footer(data, lambda f: None)).rows() == [(1, b"x", True), (2, b"y", False)]
@@ -399,6 +421,8 @@ def test_projection_of_full_file_round_trips():
     data = write_file(rows, SCHEMA)
     parsed = read_file(data, projection=["up", "ts"])
     assert parsed.columns == {"up": [True, False], "ts": [1, 2]}
+    with pytest.raises(FooterCorrupt):  # a column the file does not hold
+        read_file(data, projection=["ts", "nope"])
 
 
 # -- column-at-a-time write and decode paths --------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import threading
 
@@ -7,10 +8,12 @@ from hypothesis import strategies as st
 
 from brclake.errors import (
     AlreadyInitialized,
+    CommitConflictExhausted,
     CorruptLog,
     InvalidAction,
     NoSuchVersion,
     NotInitialized,
+    PreconditionFailed,
 )
 from brclake.fixedpoint import US_PER_DAY, iso_to_us, us_to_date
 from brclake.lakehouse import (
@@ -35,16 +38,32 @@ def _table(tmp_path, table_id="t"):
     return LakeTable(FsStore(tmp_path), table_id)
 
 
-def _add(path, symbol="BTC-USD", day=0, lo=0, hi=1000, rows=1, size=100):
+def _path(name, symbol="BTC-USD", day=0):
+    """The key of data file name of table t in the partition of symbol and
+    day (days after DAY0), where writers put it."""
+    return f"tables/t/data/{PartitionKey(symbol, us_to_date(DAY0 + day * US_PER_DAY)).render()}/{name}"
+
+
+def _names(paths):
+    """The file names of data file keys."""
+    return [path.rsplit("/", 1)[1] for path in paths]
+
+
+def _add(name, symbol="BTC-USD", day=0, lo=0, hi=1000, rows=1, size=100):
     start = DAY0 + day * US_PER_DAY
     return AddFile(
-        path=path,
+        path=_path(name, symbol, day),
         partition=PartitionKey(symbol, us_to_date(start)),
         rows=rows,
         bytes=size,
         min_event_time_us=start + lo,
         max_event_time_us=start + hi,
     )
+
+
+def _add_at(path):
+    """A file that is good but for its key, path."""
+    return dataclasses.replace(_add("c"), path=path)
 
 
 # -- init ---------------------------------------------------------------------
@@ -85,9 +104,9 @@ def test_snapshot_fold_and_time_travel(tmp_path):
     table = _table(tmp_path)
     table.init("s", [])
     table.commit([_add("f1"), _add("f2")])  # v2
-    table.commit([RemoveFile("f1"), _add("f3")])  # v3
-    assert set(table.snapshot_at().live_files) == {"f2", "f3"}
-    assert set(table.snapshot_at(2).live_files) == {"f1", "f2"}
+    table.commit([RemoveFile(_path("f1")), _add("f3")])  # v3
+    assert set(_names(table.snapshot_at().live_files)) == {"f2", "f3"}
+    assert set(_names(table.snapshot_at(2).live_files)) == {"f1", "f2"}
     with pytest.raises(NoSuchVersion):
         table.snapshot_at(99)
 
@@ -111,15 +130,44 @@ def test_duplicate_add_rejected(tmp_path):
     _add("c", size=-5),
     _add("c", lo=-DAY0, hi=-DAY0),
     _add("c", lo=US_PER_DAY - 1, hi=US_PER_DAY),
-    AddFile("c", PartitionKey("BTC-USD", "2021-03-01"), 1, 10, -(2**63), -(2**63)),
-    AddFile("c", PartitionKey("BTC-USD", "not-a-date"), 1, 10, DAY0, DAY0),
-], ids=["negative_bytes", "time_in_1970", "ends_next_day", "time_before_year_1", "date_not_a_date"])
+    AddFile(_path("c"), PartitionKey("BTC-USD", "2021-03-01"), 1, 10, -(2**63), -(2**63)),
+    AddFile("tables/t/data/symbol=BTC-USD/date=not-a-date/c", PartitionKey("BTC-USD", "not-a-date"),
+            1, 10, DAY0, DAY0),
+    _add_at("tables/other/data/symbol=BTC-USD/date=2021-03-01/part-x.brcl"),
+    _add_at("tables/t/data/symbol=ETH-USD/date=2021-03-05/part-x.brcl"),
+    _add_at("tables/t/_log/00000000000000000001.json"),
+], ids=["negative_bytes", "time_in_1970", "ends_next_day", "time_before_year_1", "date_not_a_date",
+        "another_tables_file", "partition_disagrees_with_path", "log_entry"])
 def test_commit_refuses_a_meaningless_add(tmp_path, add):
     table = _table(tmp_path)
     table.init("s", [])
     with pytest.raises(InvalidAction):
         table.commit([add])
     assert table.current_version() == 1
+
+
+def test_commit_refuses_an_entry_that_is_empty_or_touches_a_path_twice(tmp_path):
+    table = _table(tmp_path)
+    table.init("s", [])
+    for actions in ([], [_add("a"), _add("a")], [_add("a"), RemoveFile(_path("a"))]):
+        with pytest.raises(InvalidAction):
+            table.commit(actions)
+    assert table.current_version() == 1
+
+
+def test_commit_gives_up_after_max_retries_refused_puts(tmp_path):
+    table = _table(tmp_path)
+    table.init("s", [])
+    refused = []
+
+    def put(key, data, if_none_match=False):
+        refused.append(key)
+        raise PreconditionFailed(key)
+
+    table.store.put = put  # every conditional put loses, as to a writer that always commits first
+    with pytest.raises(CommitConflictExhausted):
+        table.commit([_add("a")])
+    assert refused == [table._entry_key(2)] * 10
 
 
 def test_log_entry_json_sorted_keys(tmp_path):
@@ -142,7 +190,7 @@ def test_two_writers_disjoint_adds_both_land(tmp_path):
     b_entry = b.commit([_add("fb")])
     assert {a_entry.version, b_entry.version} == {2, 3}
     final = LakeTable(store, "t").snapshot_at()
-    assert set(final.live_files) == {"fa", "fb"}
+    assert set(_names(final.live_files)) == {"fa", "fb"}
 
 
 def test_concurrent_committers_dense_versions(tmp_path):
@@ -181,9 +229,9 @@ def test_losing_remove_fails_on_rebase(tmp_path):
     a, b = LakeTable(store, "t"), LakeTable(store, "t")
     a.init("s", [])
     a.commit([_add("shared")])
-    b.commit([RemoveFile("shared"), _add("b-new")])
+    b.commit([RemoveFile(_path("shared")), _add("b-new")])
     with pytest.raises(InvalidAction):
-        a.commit([RemoveFile("shared"), _add("a-new")])
+        a.commit([RemoveFile(_path("shared")), _add("a-new")])
 
 
 # -- fold determinism property ---------------------------------------------------------
@@ -206,36 +254,48 @@ def test_fold_replay_reproduces_snapshot(script):
                 table.commit([_add(f"f{file_no}")])
                 live.add(f"f{file_no}")
             else:
-                table.commit([RemoveFile(f"f{file_no}")])
+                table.commit([RemoveFile(_path(f"f{file_no}"))])
                 live.discard(f"f{file_no}")
             counter += 1
-        replayed = Snapshot(version=0)
+        replayed = Snapshot("t", version=0)
         for entry in table.read_log():
             replayed.apply(entry)
-        assert set(replayed.live_files) == live
+        assert set(_names(replayed.live_files)) == live
         assert replayed.version == table.current_version() == counter + 1
+
+
+_LOG_KEY = "tables/t/_log/00000000000000000002.json"
 
 
 @pytest.mark.parametrize("version, action, path", [
     (4, _add("b"), None),  # skips version 3
-    (3, _add("a"), "a"),  # adds a live path again
+    (3, _add("a"), _path("a")),  # adds a live path again
     (3, RemoveFile("b"), "b"),  # removes a path that is not live
-    (3, _add("c", rows=0), "c"),  # commit refuses an empty file
-    (3, _add("c", lo=5, hi=4), "c"),  # min > max event time
+    (3, _add("c", rows=0), _path("c")),  # commit refuses an empty file
+    (3, _add("c", lo=5, hi=4), _path("c")),  # min > max event time
     (3, SetSchema("other", ()), None),  # a schema change after init
     (3, [_add("new"), RemoveFile("ghost")], "ghost"),  # checked before any change
-    (3, _add("c", size=-5), "c"),  # negative size
-    (3, _add("c", lo=-1), "c"),  # starts the day before its partition's
-    (3, _add("c", hi=US_PER_DAY), "c"),  # ends the day after
-])
+    (3, _add("c", size=-5), _path("c")),  # negative size
+    (3, _add("c", lo=-1), _path("c")),  # starts the day before its partition's
+    (3, _add("c", hi=US_PER_DAY), _path("c")),  # ends the day after
+    (3, _add_at("c"), "c"),
+    (3, _add_at("tables/u/data/c"), "tables/u/data/c"),
+    (3, _add_at(_path("c", day=1)), _path("c", day=1)),
+    (3, _add_at(_path("c", "ETH-USD")), _path("c", "ETH-USD")),
+    (3, _add_at(_LOG_KEY), _LOG_KEY),
+    (3, _add_at(_path("")), _path("")),
+], ids=["4-action0-None", "3-action1-a", "3-action2-b", "3-action3-c", "3-action4-c", "3-action5-None",
+        "3-action6-ghost", "3-action7-c", "3-action8-c", "3-action9-c", "outside_every_table",
+        "another_tables_data", "another_dates_directory", "another_symbols_directory", "log_entry",
+        "partition_directory"])
 def test_corrupt_log_fold_is_typed(version, action, path):
-    snapshot = Snapshot(version=1, schema_id="s")
+    snapshot = Snapshot("t", version=1, schema_id="s")
     snapshot.apply(LogEntry(2, 1, 0, [_add("a")], "w"))
     actions = action if isinstance(action, list) else [action]
     with pytest.raises(CorruptLog) as err:
         snapshot.apply(LogEntry(version, version - 1, 0, actions, "w"))
     assert (err.value.version, err.value.path) == (version, path)
-    assert (snapshot.version, set(snapshot.live_files), snapshot.schema_id) == (2, {"a"}, "s")
+    assert (snapshot.version, set(snapshot.live_files), snapshot.schema_id) == (2, {_path("a")}, "s")
 
 
 _GOOD_ENTRY = json.loads(entry_to_bytes(LogEntry(2, 1, 0, [_add("a")], "w")))
@@ -337,7 +397,7 @@ def test_list_files_thirty_days_two_day_window(tmp_path):
     t0 = DAY0 + 5 * US_PER_DAY
     t1 = DAY0 + 7 * US_PER_DAY
     planned = list_files(snapshot, (t0, t1), ["BTC-USD"])
-    assert [f.path for f in planned] == ["BTC-USD-d05", "BTC-USD-d06"]
+    assert _names(f.path for f in planned) == ["BTC-USD-d05", "BTC-USD-d06"]
     assert planned == _brute_force_filter(adds, t0, t1, ["BTC-USD"])
 
 
@@ -348,7 +408,7 @@ def test_list_files_overlap_rule_excludes_edge(tmp_path):
     snapshot = table.snapshot_at()
     t0 = DAY0 + 500
     planned = list_files(snapshot, (t0, t0 + 100), ["BTC-USD"])
-    assert [f.path for f in planned] == ["late"]  # max == t0 - 1 excluded
+    assert _names(f.path for f in planned) == ["late"]  # max == t0 - 1 excluded
 
 
 @given(st.integers(0, 2**31), st.integers(1, 40))
@@ -363,7 +423,7 @@ def test_list_files_matches_brute_force(seed, n_files):
         lo = rng.randrange(US_PER_DAY - 1)
         hi = rng.randrange(lo, US_PER_DAY)
         files.append(_add(f"f{i}", symbol=rng.choice(symbols), day=day, lo=lo, hi=hi))
-    snapshot = Snapshot(version=1, live_files={f.path: f for f in files})
+    snapshot = Snapshot("t", version=1, live_files={f.path: f for f in files})
     t0 = DAY0 + rng.randrange(10 * US_PER_DAY)
     t1 = t0 + 1 + rng.randrange(3 * US_PER_DAY)
     wanted = rng.sample(symbols, rng.randrange(1, 4))
@@ -376,12 +436,12 @@ def test_audit_reports_orphans_and_dangling(tmp_path):
     store = FsStore(tmp_path)
     table = LakeTable(store, "t")
     table.init("s", [])
-    store.put("tables/t/data/real", b"x")
-    table.commit([_add("tables/t/data/real")])
+    store.put(_path("real"), b"x")
+    table.commit([_add("real")])
     report = table.audit()
     assert report["dangling"] == [] and report["orphans"] == []
     store.put("tables/t/data/orphan", b"y")
-    table.commit([_add("tables/t/data/ghost")])  # referenced but never written
+    table.commit([_add("ghost")])  # referenced but never written
     report = table.audit()
     assert report["orphans"] == ["tables/t/data/orphan"]
-    assert report["dangling"] == ["tables/t/data/ghost"]
+    assert report["dangling"] == [_path("ghost")]

@@ -283,14 +283,49 @@ def test_determinism_across_repetitions(tmp_path):
 
 # -- recovery ----------------------------------------------------------------------------------
 
-def test_recover_running_becomes_queued_same_attempt():
+def test_recover_running_becomes_queued_same_attempt(tmp_path):
+    """recover folds the log as written; the resumed run logs the requeue of
+    the task the log leaves Running, at the same attempt."""
     transitions = [
         Transition(0, "a", 1, "Queued"), Transition(0, "a", 1, "Running"),
         Transition(1, "a", 1, "Succeeded"),
         Transition(1, "b", 2, "Queued"), Transition(1, "b", 2, "Running"),
     ]
-    state = recover(transitions)
-    assert state == {"a": ("Succeeded", 1), "b": ("Queued", 2)}
+    assert recover(transitions) == {"a": ("Succeeded", 1), "b": ("Running", 2)}
+    log = RunLog(run_log_path(tmp_path, "d", 0))
+    for transition in transitions:
+        log.append(transition)
+    dag = _dag([TaskSpec("a", [], "ok"), TaskSpec("b", [], "ok", retry=RetryPolicy(3))])
+    result = execute_run(dag, 0, {"ok": lambda ctx: None}, SimClock(9), tmp_path)
+    assert result.succeeded and result.attempts == {"a": 1, "b": 2}
+    assert log.replay()[len(transitions):] == [
+        Transition(9, "b", 2, "Queued"), Transition(9, "b", 2, "Running"), Transition(9, "b", 2, "Succeeded")]
+
+
+def test_run_killed_after_any_log_line_resumes_to_a_log_that_replays(tmp_path):
+    """A retrying run's log cut after each of its lines, as a kill leaves it,
+    resumes to success twice over, and the log it ends with replays."""
+    calls = []
+
+    def flaky(ctx):
+        calls.append(ctx)
+        if len(calls) <= 2:
+            raise RuntimeError("scripted")
+
+    dag = _dag([TaskSpec("a", [], "ok"), TaskSpec("b", ["a"], "flaky", retry=RetryPolicy(3, 5, 300)),
+                TaskSpec("c", ["b"], "ok")])
+    ok = {"ok": lambda ctx: None}
+    execute_run(dag, 0, {**ok, "flaky": flaky}, SimClock(0), tmp_path / "full")
+    lines = run_log_path(tmp_path / "full", "d", 0).read_bytes().splitlines(keepends=True)
+    assert "Retrying" in {tr["state"] for tr in _read_log(tmp_path / "full", "d", 0)}
+    for cut in range(1, len(lines)):
+        root = tmp_path / f"cut{cut}"
+        log = RunLog(run_log_path(root, "d", 0))
+        log.path.parent.mkdir(parents=True)
+        log.path.write_bytes(b"".join(lines[:cut]))
+        for _ in range(2):  # the resume, then a visit that finds it done
+            assert execute_run(dag, 0, {**ok, "flaky": lambda ctx: None}, SimClock(0), root).succeeded
+        assert {state for state, _ in recover(log.replay()).values()} == {"Succeeded"}
 
 
 def test_recover_rejects_illegal_transition():
@@ -413,6 +448,25 @@ def test_backfill_executes_in_order_and_skips_done(tmp_path):
     executed.clear()
     backfill(dag, 0, 3 * US_PER_DAY, registry, SimClock(0), tmp_path)
     assert executed == []
+
+
+def test_backfill_over_a_killed_instant_resumes_then_is_a_no_op(tmp_path):
+    """A backfill whose window holds a run killed while its task ran resumes
+    that run, and the same backfill run again resumes every run as a no-op."""
+    executed = []
+
+    def act(ctx):
+        executed.append(ctx.logical_time_us)
+
+    dag = DagSpec("bf", Interval(0, US_PER_DAY), [TaskSpec("a", [], "act")])
+    killed = RunLog(run_log_path(tmp_path, "bf", US_PER_DAY))
+    killed.append(Transition(0, "a", 1, "Queued"))
+    killed.append(Transition(0, "a", 1, "Running"))
+    for expected in ([0, US_PER_DAY, 2 * US_PER_DAY], []):
+        results = backfill(dag, 0, 3 * US_PER_DAY, {"act": act}, SimClock(0), tmp_path)
+        assert all(r.succeeded for r in results) and executed == expected
+        executed.clear()
+    assert [t.state for t in killed.replay()] == ["Queued", "Running", "Queued", "Running", "Succeeded"]
 
 
 def test_backfill_empty_window_rejected(tmp_path):

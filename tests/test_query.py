@@ -182,7 +182,7 @@ def test_empty_inputs_rejected_without_assert():
     with pytest.raises(ConfigInvalid):
         ohlcv([], 0)
     with pytest.raises(ConfigInvalid):
-        list_files(Snapshot(version=1), (T0, T0), {"BTC-USD"})
+        list_files(Snapshot("trades", version=1), (T0, T0), {"BTC-USD"})
     with pytest.raises(ConfigInvalid):
         ScanRequest("trades", (T0, T0 + 1), set()).validate()
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from brclake import localfile, staging
 from brclake.errors import (CheckpointRegression, CorruptStaging, OffsetOutOfRange, SessionLockHeld,
-                            StagingUnavailable)
+                            StagingUnavailable, StorageFull)
 from brclake.ingest import ConnectorState, SyntheticState, run_connector
 from brclake.events import MarketEvent, event_from_row, event_to_row
 from brclake.fixedpoint import US_YEAR_10000
@@ -39,8 +39,9 @@ def test_first_batch_offsets_dense_from_zero(tmp_path):
         assert session.append_batch(_events(2, start=3)) == (3, 4)
 
 
-def test_batch_crossing_segment_cap(tmp_path):
-    store = StagingStore(tmp_path, max_segment_records=10_000)
+def test_batch_crossing_segment_cap(tmp_path, monkeypatch):
+    monkeypatch.setattr(staging, "SEGMENT_RECORDS", 10_000)
+    store = StagingStore(tmp_path)
     events = _events(10_001)
     with store.open_session("c") as session:
         first, last = session.append_batch(events)
@@ -52,6 +53,30 @@ def test_batch_crossing_segment_cap(tmp_path):
     with pytest.raises(OffsetOutOfRange) as info:
         store.read_from("c", 10_002, 0)
     assert (info.value.offset, info.value.tail) == (10_002, 10_000)
+
+
+def test_append_after_a_failed_write_continues_at_the_tail(tmp_path, monkeypatch):
+    """A batch whose write to its second segment fails leaves the session at
+    the tail its first write reached, so the next append's offsets stay
+    dense."""
+    monkeypatch.setattr(staging, "SEGMENT_RECORDS", 3)
+    store = StagingStore(tmp_path)
+    append = staging.fsync_append
+    writes = []
+
+    def full_on_second_write(path, data):
+        writes.append(path.name)
+        if len(writes) == 2:
+            raise StorageFull("scripted")
+        append(path, data)
+
+    monkeypatch.setattr(staging, "fsync_append", full_on_second_write)
+    with store.open_session("c") as session:
+        with pytest.raises(StorageFull):
+            session.append_batch(_events(5))  # offsets 0..2 land, 3..4 do not
+        assert session.append_batch(_events(2, start=3)) == (3, 4)
+    assert writes == [f"seg-{0:020}.jsonl", f"seg-{3:020}.jsonl", f"seg-{3:020}.jsonl"]
+    assert store.read_from("c", 0, 10) == _rows(_events(5))
 
 
 def test_read_from_window_and_tail(tmp_path):
@@ -83,8 +108,9 @@ def test_round_trip_property_any_batching(batch_sizes):
     import tempfile
     total = sum(batch_sizes)
     events = _events(total)
-    with tempfile.TemporaryDirectory() as root:
-        store = StagingStore(root, max_segment_records=7)
+    with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(staging, "SEGMENT_RECORDS", 7)
+        store = StagingStore(root)
         cursor = 0
         with store.open_session("c") as session:
             for size in batch_sizes:
@@ -315,8 +341,10 @@ SEGMENT = "seg-00000000000000000000.jsonl"
     ("connector_state.json", '{"seq_counters": 5}', "ingest", None),
     ("connector_state.json", '{"synthetic": {"a": 1}}', "ingest", None),
     (SEGMENT, '{"x": 1}\n', "drain", 3),
+    (SEGMENT, _staged_line(_events(3)[2], 2)[:-1] + " \n", "drain", 3),
+    (SEGMENT, _staged_line(_events(3)[2], 2)[:-1] + "{}\n", "drain", 3),
 ], ids=["string_offset", "not_json", "missing_offset", "counters_not_object",
-        "unknown_generator_field", "record_without_offset"])
+        "unknown_generator_field", "record_without_offset", "record_then_space", "record_then_object"])
 def test_corrupt_staging_state_is_typed(tmp_path, name, content, reader, line_no):
     store = StagingStore(tmp_path)
     with store.open_session("c") as session:
@@ -416,8 +444,9 @@ def test_event_time_no_partition_can_date_is_corrupt_staging(tmp_path, event_tim
     assert store.read_from("c", 0, 2) == _rows(events[:2])
 
 
-def test_corrupt_staging_names_the_first_bad_line_across_segments(tmp_path):
-    store = StagingStore(tmp_path, max_segment_records=3)
+def test_corrupt_staging_names_the_first_bad_line_across_segments(tmp_path, monkeypatch):
+    monkeypatch.setattr(staging, "SEGMENT_RECORDS", 3)
+    store = StagingStore(tmp_path)
     events = _events(8)
     segments = [(0, events[:3]), (3, events[3:6]), (6, events[6:])]
     (tmp_path / "c").mkdir()
@@ -445,8 +474,9 @@ def test_corrupt_staging_names_the_first_bad_line_across_segments(tmp_path):
     ([0, 1, 2, 4, 5, 6], 2, (3, 1)),
 ], ids=["rewritten_offsets", "repeated_offset_in_second_segment", "read_inside_segment",
         "segment_start_disagrees"])
-def test_staged_offset_that_is_not_its_position_is_corrupt_staging(tmp_path, offsets, read_from, bad):
-    store = StagingStore(tmp_path, max_segment_records=3)
+def test_staged_offset_that_is_not_its_position_is_corrupt_staging(tmp_path, monkeypatch, offsets, read_from, bad):
+    monkeypatch.setattr(staging, "SEGMENT_RECORDS", 3)
+    store = StagingStore(tmp_path)
     events = _events(len(offsets))
     (tmp_path / "c").mkdir()
     for start in range(0, len(offsets), 3):
@@ -461,8 +491,9 @@ def test_staged_offset_that_is_not_its_position_is_corrupt_staging(tmp_path, off
 
 # -- prune -----------------------------------------------------------------------------
 
-def test_prune_removes_only_fully_drained_sealed_segments(tmp_path):
-    store = StagingStore(tmp_path, max_segment_records=5)
+def test_prune_removes_only_fully_drained_sealed_segments(tmp_path, monkeypatch):
+    monkeypatch.setattr(staging, "SEGMENT_RECORDS", 5)
+    store = StagingStore(tmp_path)
     with store.open_session("c") as session:
         session.append_batch(_events(12))  # segments [0..4], [5..9], [10..11]
     store.commit_checkpoint("c", 7)
@@ -474,7 +505,8 @@ def test_prune_removes_only_fully_drained_sealed_segments(tmp_path):
 
 
 def test_prune_reads_no_segment(tmp_path, monkeypatch):
-    store = StagingStore(tmp_path, max_segment_records=5)
+    monkeypatch.setattr(staging, "SEGMENT_RECORDS", 5)
+    store = StagingStore(tmp_path)
     with store.open_session("c") as session:
         session.append_batch(_events(12))
     store.commit_checkpoint("c", 10)
