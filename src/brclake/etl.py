@@ -13,10 +13,12 @@ so two exporters sharing a checkpoint always share the lock too.
 An export job reads the table's head once, after the drain, and checks
 every partition against that snapshot: a compaction committed meanwhile
 keeps the same rows in readable files, and a commit never re-deduplicates
-on rebase. The cross-batch check reads each live file once per
-``LakeTable`` handle, keeping its identities in the handle's
-``identity_cache`` while the file is live, so an export fetches only files
-no earlier export through that handle has checked.
+on rebase. It groups the snapshot's live files by partition once, and tests
+each row against the identity set of each live file of its partition that
+overlaps the batch. Those sets stay in the ``LakeTable`` handle's
+``identity_cache`` while their files are live; an export or compaction puts
+there the sets of the files it publishes once its commit succeeds, so a
+handle fetches a file for dedup only if another handle wrote it.
 
 From the drain on, an event travels as its encoded table row
 (``events.TABLE_COLUMNS``), which the drain decodes staged lines to. Rows
@@ -37,7 +39,7 @@ from .errors import ConfigInvalid, InvalidAction
 from .events import SYMBOL_RE, TABLE_COLUMNS, event_from_row  # noqa: F401 (event_from_row re-exported)
 from .fixedpoint import US_PER_DAY, us_to_date
 from .lakeformat import ColumnSchema, read_file, write_file
-from .lakehouse import AddFile, LakeTable, PartitionKey, RemoveFile, Snapshot
+from .lakehouse import AddFile, LakeTable, PartitionKey, RemoveFile
 from .localfile import config_from_json, load_json_config
 from .staging import StagingStore
 
@@ -72,29 +74,29 @@ def dedup(rows: list[tuple]) -> tuple[list[tuple], int]:
     return kept, len(rows) - len(kept)
 
 
-def _live_identities(table: LakeTable, snapshot: Snapshot, partition: PartitionKey,
-                     t_min: int, t_max: int) -> set[tuple]:
-    """Encoded identities (``ROW_IDENTITY``) already present in the
-    partition's files live in snapshot and overlapping [t_min, t_max] — the
-    exact cross-batch dedup check.
+def _live_identities(table: LakeTable, live: dict[PartitionKey, list[AddFile]], partition: PartitionKey,
+                     t_min: int, t_max: int) -> list[frozenset]:
+    """The encoded identity sets (``ROW_IDENTITY``) of the partition's live
+    files (``live``: a snapshot's live files by partition) that overlap
+    [t_min, t_max] — the exact cross-batch dedup check is a row's identity
+    being in one of them.
 
-    Each file is fetched and decoded once per table handle: its identities
-    stay in ``table.identity_cache``, which ``export_job`` keeps to the
-    paths live in its snapshot. Data keys are unique and never rewritten,
-    so a cached entry cannot go stale."""
+    A file's set comes from ``table.identity_cache``, or else the file is
+    fetched and decoded once per table handle to fill it; ``export_job`` and
+    ``compact`` fill it for the files they publish, once their commit
+    succeeds, so a lost race leaves no entry. Data keys are unique and
+    never rewritten, so a cached entry cannot go stale."""
     cache = table.identity_cache
-    identities: set[tuple] = set()
-    for add in snapshot.live_files.values():
-        if add.partition != partition:
-            continue
+    sets = []
+    for add in live.get(partition, ()):
         if add.max_event_time_us < t_min or add.min_event_time_us > t_max:
             continue
         known = cache.get(add.path)
         if known is None:
             data = table.store.get(add.path)
             known = cache[add.path] = frozenset(read_file(data, projection=IDENTITY_COLUMNS).rows())
-        identities |= known
-    return identities
+        sets.append(known)
+    return sets
 
 
 def _publish(store, table: LakeTable, partition: PartitionKey, rows: list[tuple], committer: str) -> AddFile:
@@ -135,30 +137,36 @@ def export_job(
         snapshot = table.snapshot_at()
         for path in table.identity_cache.keys() - snapshot.live_files.keys():
             del table.identity_cache[path]
+        live: dict[PartitionKey, list[AddFile]] = {}
+        for add in snapshot.live_files.values():
+            live.setdefault(add.partition, []).append(add)
 
         rows, dropped = dedup(rows)
         groups: dict[tuple[bytes, int], list[tuple]] = {}
         for row in rows:
             groups.setdefault((row[4], row[0] // US_PER_DAY), []).append(row)  # (symbol, UTC day)
 
-        actions = []
+        published = []  # (AddFile, its rows)
         for (symbol, day), group in sorted(groups.items()):
             partition = PartitionKey(symbol.decode(), us_to_date(day * US_PER_DAY))
             group.sort(key=ROW_ORDER)
-            known = _live_identities(table, snapshot, partition, group[0][0], group[-1][0])
-            survivors = [row for row in group if ROW_IDENTITY(row) not in known]
+            survivors = group
+            for identities in _live_identities(table, live, partition, group[0][0], group[-1][0]):
+                survivors = [row for row in survivors if ROW_IDENTITY(row) not in identities]
             dropped += len(group) - len(survivors)
             if survivors:
-                actions.append(_publish(store, table, partition, survivors, "etl"))
+                published.append((_publish(store, table, partition, survivors, "etl"), survivors))
 
-        if not actions:
+        if not published:
             staging.commit_checkpoint(connector_id, next_checkpoint)
             return ExportResult(0, None, next_checkpoint, dropped)
         crashpoints.crashpoint("etl.pre_commit")
-        entry = table.commit(actions, committer="etl")
+        entry = table.commit([add for add, _ in published], committer="etl")
+        for add, survivors in published:  # only once committed, as a read of the file would return them
+            table.identity_cache[add.path] = frozenset(map(ROW_IDENTITY, survivors))
         crashpoints.crashpoint("etl.post_commit_pre_checkpoint")
         staging.commit_checkpoint(connector_id, next_checkpoint)
-        return ExportResult(sum(a.rows for a in actions), entry.version, next_checkpoint, dropped)
+        return ExportResult(sum(add.rows for add, _ in published), entry.version, next_checkpoint, dropped)
 
 
 def export_all(
@@ -209,6 +217,7 @@ def compact(store, table: LakeTable, partition: PartitionKey, min_files: int = 2
         entry = table.commit([merged] + [RemoveFile(a.path) for a in victims], committer="compact")
     except InvalidAction:
         return None  # lost the race to a concurrent compaction
+    table.identity_cache[merged.path] = frozenset(map(ROW_IDENTITY, rows))  # only once committed
     return entry.version
 
 

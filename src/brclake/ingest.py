@@ -7,10 +7,15 @@ state between primary events, so a connector killed mid-run resumes from its
 last saved state and regenerates the identical suffix (same timestamps,
 prices, and sequence numbers). Redelivered events are absorbed downstream by
 identity dedup.
+
+A replay connector resumes by byte offset: it saves the offset just after
+its last consumed line and seeks there, so a run reads only the lines
+appended to its feed since the last one, however long the feed has grown.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -117,25 +122,60 @@ def _raw_event(obj: Any, line_no: int) -> RawEvent:
     return raw
 
 
-def replay_file(path: str | Path, start: int = 0) -> Iterator[RawEvent]:
-    """Yield RawEvents from a JSON Lines file, in file order, after its first
-    ``start`` non-blank lines. Those are counted but neither decoded nor
-    parsed: a resumed session pays for the lines it has not consumed yet.
+def _decode_line(line: bytes, line_no: int) -> RawEvent:
+    return read_json(line, partial(_raw_event, line_no=line_no), partial(MalformedLine, line_no))
+
+
+def replay_events(path: str | Path, offset: int = 0, start: int = 0) -> Iterator[tuple[RawEvent, int]]:
+    """Yield (RawEvent, byte offset just after its line) from a JSON Lines
+    file, in file order, from byte ``offset`` on and after the first
+    ``start`` non-blank lines there. Skipped lines are counted but neither
+    decoded nor parsed, and the bytes before offset are not read, so a
+    session resumed by offset pays only for the lines it has not consumed
+    yet. An offset must end a line: it falls just after a newline, just
+    before one (a last line consumed before its newline was written) or at
+    the end of the file. One that does not, or lies past the end, means the
+    file was rewritten under its reader, and is ConfigInvalid naming
+    ``replay_path``.
+
     A line that is not UTF-8, not JSON or not a raw event is MalformedLine,
-    and errors carry file line numbers, blank and skipped lines included. A
-    file that cannot be opened or read (missing, a directory) is
-    ConfigInvalid naming ``replay_path``."""
+    and errors carry file line numbers, blank and skipped lines included:
+    the newlines before offset are counted only to number an error. A file
+    that cannot be opened or read (missing, a directory) is ConfigInvalid
+    naming ``replay_path``."""
     try:
         with open(path, "rb") as f:
-            for line_no, line in enumerate(f, start=1):
+            size = f.seek(0, os.SEEK_END)
+            f.seek(max(offset - 1, 0))
+            if offset > size or 0 < offset < size and b"\n" not in f.read(2):  # the bytes around offset
+                raise ConfigInvalid("replay_path", f"{path} holds no line that ends at byte {offset}: "
+                                    "the feed was truncated or rewritten")
+            f.seek(offset)
+            end = offset
+            for n, line in enumerate(f, start=1):
+                end += len(line)
                 if not line.strip():
                     continue
                 if start:
                     start -= 1
                     continue
-                yield read_json(line, partial(_raw_event, line_no=line_no), partial(MalformedLine, line_no))
+                try:
+                    raw = _decode_line(line, n)
+                except (MalformedLine, MissingField):
+                    if not offset:
+                        raise
+                    f.seek(0)
+                    _decode_line(line, f.read(offset).count(b"\n") + n)  # the same error, numbered in the file
+                    raise
+                yield raw, end
     except OSError as exc:
         raise ConfigInvalid("replay_path", f"cannot read {path}: {exc}") from None
+
+
+def replay_file(path: str | Path, start: int = 0) -> Iterator[RawEvent]:
+    """The RawEvents of ``replay_events(path, 0, start)``."""
+    for raw, _ in replay_events(path, 0, start):
+        yield raw
 
 
 # -- normalization ---------------------------------------------------------------
@@ -216,11 +256,23 @@ class SessionSummary:
 class ConnectorState:
     """What a connector saves after each appended batch: its per-(source,
     stream, symbol) sequence counters and its position, the synthetic
-    generator's state or the count of replay lines consumed."""
+    generator's state or the count of replay lines consumed and the byte
+    offset just after the last of them. A replay resumes at that offset; a
+    state saved without one resumes by counting lines."""
 
     seq_counters: dict[str, int] = field(default_factory=dict)
     synthetic: SyntheticState | None = None
     replay_line: int | None = None
+    replay_offset: int | None = None
+
+    def __post_init__(self):
+        """A saved position is never negative: one that is raises
+        ValueError, which makes the state file that holds it CorruptStaging."""
+        positions = {"replay_line": self.replay_line, "replay_offset": self.replay_offset,
+                     "next_index": self.synthetic and self.synthetic.next_index}
+        for name, value in positions.items():
+            if value is not None and value < 0:
+                raise ValueError(f"{name} {value} is negative")
 
     def next_sequence(self, event_key: tuple[str, str, str]) -> int:
         key = "|".join(event_key)
@@ -245,10 +297,13 @@ def run_connector(config: ConnectorConfig, staging: StagingStore) -> SessionSumm
         state = ConnectorState(saved.seq_counters)  # as of the last batch appended
         replay_line = saved.replay_line or 0
 
+        # Each step's raw events, then the position after it: the generator's
+        # state, or the byte offset just after the replay line.
         if config.kind == "synthetic":
             steps = synthetic_steps(config, saved.synthetic)
-        else:
-            steps = (([raw], None) for raw in replay_file(config.replay_path, replay_line))
+        else:  # at the saved offset, or else after the count of lines consumed
+            resume = (saved.replay_offset, 0) if saved.replay_offset is not None else (0, replay_line)
+            steps = (([raw], end) for raw, end in replay_events(config.replay_path, *resume))
 
         batch: list[MarketEvent] = []
 
@@ -263,7 +318,7 @@ def run_connector(config: ConnectorConfig, staging: StagingStore) -> SessionSumm
             staging.save_connector_state(config.connector_id, state)
             batch.clear()
 
-        for raws, gen_state in steps:
+        for raws, position in steps:
             for raw in raws:
                 while not bucket.take(time.time_ns() // 1000):
                     time.sleep(bucket.wait_us() / 1_000_000)
@@ -274,10 +329,10 @@ def run_connector(config: ConnectorConfig, staging: StagingStore) -> SessionSumm
                 seq = state.next_sequence((raw.source, raw.stream, symbol))
                 batch.append(normalize(raw, config, ingest_time, seq))
             if config.kind == "synthetic":
-                state.synthetic = gen_state
+                state.synthetic = position
             else:
                 replay_line += 1
-                state.replay_line = replay_line
+                state.replay_line, state.replay_offset = replay_line, position
             if len(batch) >= config.batch_size:
                 flush()
         flush()

@@ -12,9 +12,11 @@ SessionLockHeld. The lock is per open file, so two threads of one
 process exclude each other too. An append is one buffered write + flush +
 fsync, so a crash can tear at most the final line of an append-only file.
 Readers see only newline-terminated lines, and the writer truncates a torn
-tail before its next append. A whole file is made durable at its name by
-``publish``: a temp file is written and fsynced, then renamed onto the name
-or linked to it, and no temp name outlives the call. ``publish`` is the one
+tail before its next append; ``last_line``, the one torn-tail repair, reads
+back from the end of the file only, so its cost does not grow with the
+file. A whole file is made durable at its name by ``publish``: a temp file
+is written and fsynced, then renamed onto the name or linked to it, and no
+temp name outlives the call. ``publish`` is the one
 place that knows how a name is made durable; it and ``fsync_append`` raise
 StorageFull for a full disk or quota. The lock, publish and append helpers
 create the directories their files go into, so no caller makes one.
@@ -136,17 +138,34 @@ def read_lines(path: Path) -> list[bytes]:
     return path.read_bytes().split(b"\n")[:-1]
 
 
-def repair_tail(path: Path) -> list[bytes]:
-    """Truncate a torn trailing line, so the next append starts a line of its
-    own, and return the complete lines. Only the file's writer calls this."""
-    lines = read_lines(path)
-    size = sum(len(line) + 1 for line in lines)
-    if path.stat().st_size != size:
+TAIL_CHUNK = 4096  # bytes read per step back from the end of a file
+
+
+def last_line(path: Path, repair: bool = False) -> bytes | None:
+    """The last complete (newline-terminated) line of an append-only file,
+    without its newline; None if it has none. Reads back from the end of the
+    file one ``TAIL_CHUNK`` at a time, to the newline before that line: one
+    chunk unless the torn tail and the line are longer. With repair, a torn
+    trailing line is truncated first, so that the next append starts a line
+    of its own; only the file's writer repairs."""
+    with open(path, "rb") as f:
+        size = pos = f.seek(0, os.SEEK_END)
+        tail = b""
+        end = start = -1  # the newlines that end the last line and the one before it
+        while pos and start < 0:
+            step = min(TAIL_CHUNK, pos)
+            pos -= step
+            f.seek(pos)
+            tail = f.read(step) + tail
+            end = tail.rfind(b"\n") if end < 0 else end + step
+            start = tail.rfind(b"\n", 0, max(end, 0))
+    complete = pos + end + 1  # bytes up to the last newline, 0 if there is none
+    if repair and complete != size:
         with open(path, "r+b") as f:
-            f.truncate(size)
+            f.truncate(complete)
             f.flush()
             os.fsync(f.fileno())
-    return lines
+    return None if end < 0 else tail[start + 1:end]
 
 
 def load_json_config(path: str | Path, build: Callable[[Any], T]) -> T:

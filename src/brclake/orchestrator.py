@@ -29,8 +29,8 @@ from .errors import (
     CycleDetected,
 )
 from .fixedpoint import US_PER_DAY
-from .localfile import (JSON_DEFAULT, acquire_lock, config_from_json, fsync_append, load_json_config,
-                        read_json, record_from_json, record_to_json, repair_tail)
+from .localfile import (JSON_DEFAULT, acquire_lock, config_from_json, fsync_append, last_line,
+                        load_json_config, read_json, read_lines, record_from_json, record_to_json)
 from .objectstore import path_segment
 
 PENDING = "Pending"
@@ -251,7 +251,8 @@ class RunLog:
         if not self.path.exists():
             return []
         try:
-            lines = repair_tail(self.path)
+            last_line(self.path, repair=True)
+            lines = read_lines(self.path)
         except OSError as exc:
             raise CorruptRunLog(0, f"cannot read {self.path}: {exc}") from None
         return [read_json(line, partial(record_from_json, Transition),

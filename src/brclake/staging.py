@@ -18,15 +18,21 @@ event that passes ``MarketEvent.validate``. Offsets are dense per connector,
 starting at 0; a segment holds at most ``SEGMENT_RECORDS`` records and is
 immutable once full. The writer session owns the appends: it keeps the
 newest segment's start offset and record count, and starts the next segment
-at their sum. A segment's share of a batch is a single buffered write +
-fsync, so a crash between operations never tears a batch; a torn trailing
-line from a crash inside a write is truncated the next time a writer session
-opens the connector. The session lock, the durable append and the torn-tail
+at their sum. That count, and so the tail offset, comes from the offset of
+the newest segment's last complete line, read from one chunk at the end of
+the file, so opening a session does not read the segment. A segment's share
+of a batch is a single buffered write + fsync, so a crash between operations
+never tears a batch; a torn trailing line, from a crash inside a write or
+from a failed write (which ends its session), is truncated the next time a
+writer session opens the connector. The session lock, the durable append and the torn-tail
 repair are the ``localfile`` helpers the scheduler's run logs use too.
 
 A drain lists a connector's segments once and reads each segment it needs
-once, finding the tail from what it read; a checkpoint commit reads the
-newest segment once more to check the checkpoint against the tail.
+once, finding the tail from what it read: it is an export's one read of the
+active segment, which it reads whole. A checkpoint commit checks the
+checkpoint against the tail, which it reads only for a checkpoint past the
+records its store has read, so committing a drain's checkpoint reads no
+segment.
 
 A drain decodes each record line straight to the event's encoded table row
 (``events.TABLE_COLUMNS`` order, text as UTF-8), without building a
@@ -41,8 +47,9 @@ line's index.
 The checkpoint and the connector state are records (``Checkpoint`` and the
 connector's own), written by the record codec and made durable by
 ``localfile.publish``. A checkpoint, connector state
-or record line that cannot be read back, or a record line that fails those
-checks, is CorruptStaging naming its file (and line); a file that cannot be
+or record line that cannot be read back, a record line that fails those
+checks, or a newest segment whose last line's offset lies outside it, is
+CorruptStaging naming its file (and line); a file that cannot be
 read at all (a directory in its place, an I/O error) is StagingUnavailable
 naming it.
 """
@@ -68,8 +75,8 @@ from .errors import (
 )
 from .events import TABLE_COLUMNS, TEXT_FIELDS, MarketEvent
 from .fixedpoint import I64_MAX, I64_MIN, US_YEAR_10000
-from .localfile import (acquire_lock, fsync_append, publish, read_json, read_lines, record_from_json,
-                        record_to_json, repair_tail)
+from .localfile import (acquire_lock, fsync_append, last_line, publish, read_json, read_lines,
+                        record_from_json, record_to_json)
 from .objectstore import path_segment
 
 T = TypeVar("T")
@@ -184,6 +191,9 @@ class StagingStore:
             self.root.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise StagingUnavailable(f"cannot create staging root {self.root}: {exc}")
+        # connector id -> one past the last record read_from returned: a
+        # bound the tail never falls below, as no record is ever removed from it
+        self._read_to: dict[str, int] = {}
 
     # -- layout helpers --------------------------------------------------
 
@@ -203,18 +213,32 @@ class StagingStore:
                 segs.append((int(name[4:-6]), d / name))
         return segs
 
-    def _newest_segment(self, connector_id: str, read: Callable[[Path], list[bytes]]) -> tuple[int, int]:
+    def _newest_segment(self, connector_id: str, repair: bool = False) -> tuple[int, int]:
         """(start offset, record count) of the connector's newest segment,
-        whose lines read returns; (0, 0) for a fresh connector."""
+        (0, 0) for a fresh connector. The count comes from the offset of the
+        segment's last complete line, read from the end of the file (see
+        ``localfile.last_line``, which with repair also truncates a torn
+        tail); a last line that is not a staged record, or whose offset lies
+        outside the segment, raises CorruptStaging."""
         segs = self._segments(connector_id)
         if not segs:
             return 0, 0
         start, path = segs[-1]
-        return start, len(_read(read, path))
+        line = _read(partial(last_line, repair=repair), path)
+        if line is None:
+            return start, 0
+        try:
+            offset = _DECODER.decode(line.decode())["offset"]
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            raise CorruptStaging(str(path), f"last line is not a staged record: {exc!r}")
+        if type(offset) is not int or not start <= offset < start + SEGMENT_RECORDS:
+            raise CorruptStaging(str(path), f"last line's offset {offset!r} lies outside the segment")
+        _segment_records(path, [line], offset - start, offset)  # the rest of the record's checks
+        return start, offset - start + 1
 
     def tail_offset(self, connector_id: str) -> int:
         """Offset one past the last appended record (0 for a fresh connector)."""
-        return sum(self._newest_segment(connector_id, read_lines))
+        return sum(self._newest_segment(connector_id))
 
     # -- writer session ----------------------------------------------------
 
@@ -226,7 +250,7 @@ class StagingStore:
         """
         lock = acquire_lock(self._dir(connector_id) / "lock", f"connector {connector_id!r}")
         try:
-            newest = self._newest_segment(connector_id, repair_tail)
+            newest = self._newest_segment(connector_id, repair=True)
         except BaseException:
             lock.close()
             raise
@@ -257,6 +281,7 @@ class StagingStore:
         # offset, and then end is the tail.
         if offset > end:
             raise OffsetOutOfRange(offset, end - 1)
+        self._read_to[connector_id] = max(self._read_to.get(connector_id, 0), offset + len(rows))
         return rows
 
     # -- export checkpoint ----------------------------------------------------
@@ -277,12 +302,18 @@ class StagingStore:
         return rows, committed + len(rows)
 
     def commit_checkpoint(self, connector_id: str, next_checkpoint: int) -> None:
+        """Store next_checkpoint as the committed offset. A regression raises
+        CheckpointRegression, and a checkpoint past the tail
+        OffsetOutOfRange; the tail is read only for a checkpoint past every
+        record this store has read, so a drain's checkpoint is committed
+        without reading the segment again."""
         stored = self.committed_offset(connector_id)
         if next_checkpoint < stored:
             raise CheckpointRegression(stored, next_checkpoint)
-        tail = self.tail_offset(connector_id)
-        if next_checkpoint > tail:
-            raise OffsetOutOfRange(next_checkpoint, tail - 1)
+        if next_checkpoint > self._read_to.get(connector_id, 0):
+            tail = self.tail_offset(connector_id)
+            if next_checkpoint > tail:
+                raise OffsetOutOfRange(next_checkpoint, tail - 1)
         _write_record(self._checkpoint_path(connector_id), Checkpoint(next_checkpoint))
 
     # -- connector resume state ------------------------------------------------
@@ -341,18 +372,25 @@ class StagingSession:
         if self._lock.closed:
             raise StagingUnavailable(f"session of connector {self.connector_id!r} is closed")
         first = self._start + self._count
-        try:
-            while events:
-                if self._count >= SEGMENT_RECORDS:
-                    self._start, self._count = self._start + self._count, 0
-                room = SEGMENT_RECORDS - self._count
-                chunk, events = events[:room], events[room:]
-                offset = self._start + self._count
-                blob = "".join(map(_staged_line, chunk, range(offset, offset + len(chunk)))).encode()
+        while events:
+            if self._count >= SEGMENT_RECORDS:
+                self._start, self._count = self._start + self._count, 0
+            room = SEGMENT_RECORDS - self._count
+            chunk, events = events[:room], events[room:]
+            offset = self._start + self._count
+            blob = "".join(map(_staged_line, chunk, range(offset, offset + len(chunk)))).encode()
+            # A failed write may leave part of blob in the segment, so it
+            # ends the session: the next session's tail repair truncates a
+            # torn line before anything is appended after it.
+            try:
                 fsync_append(self.store._segment_path(self.connector_id, self._start), blob)
-                self._count += len(chunk)
-        except OSError as exc:
-            raise StagingUnavailable(str(exc))
+            except OSError as exc:
+                self.close()
+                raise StagingUnavailable(str(exc))
+            except BaseException:
+                self.close()
+                raise
+            self._count += len(chunk)
         return first, self._start + self._count - 1
 
     def close(self) -> None:

@@ -7,9 +7,10 @@ import threading
 
 import pytest
 
-from brclake import crashpoints, staging as staging_module
+from brclake import crashpoints
 from brclake.errors import ConfigInvalid, CorruptStaging, InvalidAction, SessionLockHeld
 from brclake.etl import (
+    IDENTITY_COLUMNS,
     ROW_IDENTITY,
     ROW_ORDER,
     TABLE_COLUMNS,
@@ -367,20 +368,23 @@ def test_export_all_rejects_non_positive_batch(tmp_path):
         export_all(staging, store, table, "c", max_records=0)
 
 
-def test_one_export_reads_the_active_segment_twice(tmp_path, monkeypatch):
+def test_one_export_reads_the_active_segment_once(tmp_path, monkeypatch):
     store, staging, table = _env(tmp_path)
     _stage(staging, _trades(30))
-    reads = []
-    read_lines = staging_module.read_lines
+    segment = tmp_path / "staging" / "c" / f"seg-{0:020}.jsonl"
+    opens = []
+    real_open = io.open
 
-    def counting_read_lines(path):
-        reads.append(path.name)
-        return read_lines(path)
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == str(segment):
+            opens.append(args)
+        return real_open(file, *args, **kwargs)
 
-    monkeypatch.setattr(staging_module, "read_lines", counting_read_lines)
+    monkeypatch.setattr(io, "open", counting_open)  # pathlib opens through io.open
+    monkeypatch.setattr("builtins.open", counting_open)
     result = export_all(staging, store, table, "c", max_records=100)  # one export_job
     assert result.rows_published == 30
-    assert reads == [f"seg-{0:020}.jsonl"] * 2  # the drain and the checkpoint's tail check
+    assert len(opens) == 1  # the drain's; the checkpoint commit reads no segment
 
 
 def test_longest_ids_and_symbol_a_key_segment_holds_export(tmp_path):
@@ -417,9 +421,9 @@ class _CountingStore:
 def test_overlapping_export_reads_each_live_file_once(tmp_path):
     store, staging, _ = _env(tmp_path)
     counting = _CountingStore(store)
+    _stage(staging, _trades(40), connector="d")
+    export_job(staging, store, LakeTable(store, "trades"), "d")  # another process's handle
     table = LakeTable(counting, "trades")
-    _stage(staging, _trades(40))
-    export_job(staging, counting, table, "c")
     first = next(iter(table.snapshot_at().live_files))
     _stage(staging, _trades(40, start_id=20))  # overlaps the first file's range
     result = export_job(staging, counting, table, "c")
@@ -428,22 +432,66 @@ def test_overlapping_export_reads_each_live_file_once(tmp_path):
     _stage(staging, _trades(40, start_id=10))  # overlaps both live files
     result = export_job(staging, counting, table, "c")
     assert result.rows_published == 0 and result.dropped_duplicates == 40
-    assert sorted(counting.data_gets) == sorted(table.snapshot_at().live_files)
+    assert counting.data_gets == [first]  # the second file is this handle's own
     assert table.identity_cache.keys() == table.snapshot_at().live_files.keys()
+
+
+def test_files_the_handle_wrote_or_compacted_are_never_fetched_for_dedup(tmp_path):
+    store, staging, _ = _env(tmp_path)
+    counting = _CountingStore(store)
+    table = LakeTable(counting, "trades")
+    _stage(staging, _trades(100))
+    export_all(staging, counting, table, "c", max_records=25)  # four files
+    _stage(staging, _trades(100))  # every row again
+    assert export_job(staging, counting, table, "c").dropped_duplicates == 100
+    assert counting.data_gets == []
+    compact(counting, table, live_partitions(table)[0])
+    counting.data_gets.clear()  # the compaction's reads of its victims
+    _stage(staging, _trades(110))  # every compacted row again, and 10 new ones
+    result = export_job(staging, counting, table, "c")
+    assert (result.rows_published, result.dropped_duplicates) == (10, 100)
+    assert counting.data_gets == []
 
 
 def test_compacted_paths_leave_the_identity_cache(tmp_path):
     store, staging, table = _fragmented_table(tmp_path)
-    _stage(staging, _trades(100))  # full redelivery reads every live file
-    assert export_job(staging, store, table, "c").dropped_duplicates == 100
     victims = set(table.snapshot_at().live_files)
-    assert table.identity_cache.keys() == victims
+    assert table.identity_cache.keys() == victims  # the exports' own files
     compact(store, table, live_partitions(table)[0])
+    (merged,) = table.snapshot_at().live_files
+    assert merged in table.identity_cache
     _stage(staging, _trades(10, start_id=95))  # 5 duplicates of compacted rows
     result = export_job(staging, store, table, "c")
     assert result.rows_published == 5 and result.dropped_duplicates == 5
-    (merged,) = table.identity_cache  # the compacted file, victims gone
-    assert merged not in victims and merged in table.snapshot_at().live_files
+    assert merged in table.identity_cache and not victims & table.identity_cache.keys()
+    assert table.identity_cache.keys() == table.snapshot_at().live_files.keys()
+
+
+@pytest.mark.parametrize("warm", [True, False], ids=["victims_cached", "cold_handle"])
+def test_compacted_file_is_cached_as_a_read_returns_it(tmp_path, warm):
+    store, _, table = _fragmented_table(tmp_path)
+    handle = table if warm else LakeTable(store, "trades")
+    compact(store, handle, live_partitions(table)[0])
+    (merged,) = table.snapshot_at().live_files
+    assert handle.identity_cache[merged] == frozenset(
+        read_file(store.get(merged), projection=IDENTITY_COLUMNS).rows())
+
+
+def test_lost_compaction_leaves_no_identity_cache_entry(tmp_path, monkeypatch):
+    store, _, table = _fragmented_table(tmp_path)
+    partition = live_partitions(table)[0]
+    loser = LakeTable(store, "trades")
+    commit = loser.commit
+
+    def commit_after_the_winner(*args, **kwargs):
+        assert compact(store, table, partition) is not None
+        return commit(*args, **kwargs)
+
+    monkeypatch.setattr(loser, "commit", commit_after_the_winner)
+    assert compact(store, loser, partition) is None
+    assert loser.identity_cache == {}
+    (merged,) = table.snapshot_at().live_files
+    assert merged in table.identity_cache
 
 
 def test_duplicate_committed_by_another_handle_is_dropped(tmp_path):

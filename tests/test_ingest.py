@@ -1,4 +1,6 @@
+import io
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -23,12 +25,13 @@ from brclake.ingest import (
     TokenBucket,
     generate_synthetic,
     normalize,
+    replay_events,
     replay_file,
     run_connector,
 )
 from brclake.staging import StagingStore
 
-from conftest import make_config, make_event
+from conftest import make_config, make_event, run_optimized
 
 
 # -- synthetic generator ---------------------------------------------------------
@@ -272,8 +275,144 @@ def test_replay_resume_yields_only_appended_lines(tmp_path):
     assert run_connector(config, staging).events_appended == 2
     rows = staging.read_from("c", 0, 100)
     assert [event_from_row(row).event_id for row in rows] == [f"r-{i}" for i in range(5)]
-    assert staging.load_connector_state("c", ConnectorState).replay_line == 5
+    state = staging.load_connector_state("c", ConnectorState)
+    assert (state.replay_line, state.replay_offset) == (5, path.stat().st_size)
     assert run_connector(config, staging).events_appended == 0
+
+
+def _read_positions(monkeypatch, path):
+    """(position, bytes) of every read the program makes from the file at path."""
+    reads = []
+
+    class CountingFile(io.FileIO):
+        def readinto(self, buffer):
+            position = self.tell()
+            n = super().readinto(buffer)
+            reads.append((position, n))
+            return n
+
+    real_open = io.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == str(path):
+            assert mode == "rb"
+            return io.BufferedReader(CountingFile(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr("builtins.open", counting_open)
+    return reads
+
+
+def test_replay_resume_reads_no_consumed_byte(tmp_path, monkeypatch):
+    path = _write_lines(tmp_path, [_replay_line(i) for i in range(200)])
+    staging = StagingStore(tmp_path / "staging")
+    config = make_config(kind="replay", replay_path=str(path), batch_size=7)
+    assert run_connector(config, staging).events_appended == 200
+    consumed = path.stat().st_size
+    with open(path, "a", encoding="utf-8") as f:
+        f.write(_replay_line(200) + "\n")
+    reads = _read_positions(monkeypatch, path)
+    assert run_connector(config, staging).events_appended == 1
+    # the one consumed byte read is the newline that ends the last consumed line
+    assert min(position for position, _ in reads) == consumed - 1
+    assert staging.load_connector_state("c", ConnectorState).replay_offset == path.stat().st_size
+
+
+def test_state_without_replay_offset_resumes_by_counting_lines(tmp_path):
+    path = _write_lines(tmp_path, [_replay_line(0), "", _replay_line(1)])
+    staging = StagingStore(tmp_path / "staging")
+    config = make_config(kind="replay", replay_path=str(path))
+    assert run_connector(config, staging).events_appended == 2
+    state = staging.load_connector_state("c", ConnectorState)
+    state.replay_offset = None  # as a state saved before replay offsets were
+    staging.save_connector_state("c", state)
+    with open(path, "a", encoding="utf-8") as f:
+        f.write(_replay_line(2) + "\n")
+    assert run_connector(config, staging).events_appended == 1
+    rows = staging.read_from("c", 0, 100)
+    assert [event_from_row(row).event_id for row in rows] == ["r-0", "r-1", "r-2"]
+    state = staging.load_connector_state("c", ConnectorState)
+    assert (state.replay_line, state.replay_offset) == (3, path.stat().st_size)
+
+
+@pytest.mark.parametrize("rewrite", [
+    lambda text: text[:-5],
+    lambda text: "  " + text + _replay_line(2) + "\n",  # neither byte around the offset a newline
+    lambda text: _replay_line(2) + "\n",
+], ids=["truncated", "shifted", "replaced"])
+def test_feed_rewritten_under_its_offset_is_config_invalid(tmp_path, rewrite):
+    path = _write_lines(tmp_path, [_replay_line(0), _replay_line(1)])
+    staging = StagingStore(tmp_path / "staging")
+    config = make_config(kind="replay", replay_path=str(path))
+    assert run_connector(config, staging).events_appended == 2
+    path.write_text(rewrite(path.read_text()))
+    with pytest.raises(ConfigInvalid) as err:
+        run_connector(config, staging)
+    assert err.value.field == "replay_path"
+    assert len(staging.read_from("c", 0, 100)) == 2
+
+
+def test_replay_resumed_at_an_offset_reports_file_line_numbers(tmp_path):
+    lines = [_replay_line(0), "{not json", "", _replay_line(2), "", "", "{not json either"]
+    path = _write_lines(tmp_path, lines)
+    after_line_2 = len(lines[0]) + len(lines[1]) + 2
+    raw, end = next(replay_events(path, after_line_2))
+    assert raw.payload["id"] == "r-2" and end == after_line_2 + 1 + len(lines[3]) + 1
+    with pytest.raises(MalformedLine) as err:
+        list(replay_events(path, end))
+    assert err.value.line_no == 7
+
+
+def test_feed_without_a_final_newline_resumes_at_its_end(tmp_path):
+    path = tmp_path / "replay.jsonl"
+    path.write_text(_replay_line(0) + "\n" + _replay_line(1))
+    staging = StagingStore(tmp_path / "staging")
+    config = make_config(kind="replay", replay_path=str(path))
+    assert run_connector(config, staging).events_appended == 2
+    assert staging.load_connector_state("c", ConnectorState).replay_offset == path.stat().st_size
+    assert run_connector(config, staging).events_appended == 0
+    with open(path, "a", encoding="utf-8") as f:
+        f.write("\n" + _replay_line(2) + "\n")  # the last line's newline, written late
+    assert run_connector(config, staging).events_appended == 1
+    with open(path, "a", encoding="utf-8") as f:
+        f.write(_replay_line(3))
+    assert run_connector(config, staging).events_appended == 1
+    with open(path, "a", encoding="utf-8") as f:
+        f.write("x\n")  # extends a line already consumed
+    with pytest.raises(ConfigInvalid):
+        run_connector(config, staging)
+    rows = staging.read_from("c", 0, 100)
+    assert [event_from_row(row).event_id for row in rows] == [f"r-{i}" for i in range(4)]
+
+
+def test_negative_saved_position_is_corrupt_staging_under_optimize(tmp_path):
+    """A saved position below 0 would skip every line or regenerate events
+    before the first; its state file is refused, also under python -O."""
+    feed = _write_lines(tmp_path, [_replay_line(i) for i in range(3)])
+    result = run_optimized(f"""
+import json
+from pathlib import Path
+from conftest import make_config
+from brclake.errors import CorruptStaging
+from brclake.ingest import run_connector
+from brclake.staging import StagingStore
+root = Path({str(tmp_path)!r})
+synthetic = {{"next_index": -2, "prng_state": 1, "price_e8": 1, "last_event_time_us": 1}}
+for name, state in [("replay_line", {{"replay_line": -3}}), ("replay_offset", {{"replay_offset": -1}}),
+                    ("next_index", {{"synthetic": synthetic}})]:
+    config = make_config() if name == "next_index" else make_config(kind="replay", replay_path={str(feed)!r})
+    store = StagingStore(root / name)
+    (root / name / "c").mkdir()
+    (root / name / "c" / "connector_state.json").write_text(json.dumps(state))
+    try:
+        run_connector(config, store)
+    except CorruptStaging as exc:
+        print(name, Path(exc.path).name, name in str(exc))
+""")
+    assert result.stdout.splitlines() == [
+        f"{name} connector_state.json True" for name in ("replay_line", "replay_offset", "next_index")
+    ], result.stderr
 
 
 @pytest.mark.parametrize("name", ["missing.jsonl", "."], ids=["missing", "directory"])

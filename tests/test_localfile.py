@@ -8,7 +8,7 @@ import typing
 from typing import Any
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from brclake.config import load_config
@@ -20,7 +20,9 @@ from brclake.harness import Expected, Scenario
 from brclake.ingest import ConnectorState, SessionSummary, SyntheticState, replay_file
 from brclake.lakeformat import MAGIC, ColumnChunk, ColumnSchema, Encoding, FileFooter, read_file
 from brclake.lakehouse import AddFile, LakeTable, LogEntry, PartitionKey, RemoveFile, SetSchema
-from brclake.localfile import acquire_lock, fsync_append, publish, record_from_json, record_to_json
+from brclake import localfile
+from brclake.localfile import (acquire_lock, fsync_append, last_line, publish, read_lines, record_from_json,
+                               record_to_json)
 from brclake.objectstore import FsStore
 from brclake.orchestrator import DagSpec, DailyAt, Interval, RetryPolicy, RunLog, TaskSpec, Transition
 from brclake.staging import StagingStore
@@ -37,11 +39,20 @@ JSON_VALUES = st.recursive(
 )
 
 
+def _record(tp: type, **fields: Any) -> Any:
+    """tp(**fields); fields that tp refuses (a negative saved position) are
+    no draw."""
+    try:
+        return tp(**fields)
+    except ValueError:
+        reject()
+
+
 def _values(tp: Any) -> st.SearchStrategy:
     """Values of the annotated type tp, records built field by field."""
     if dataclasses.is_dataclass(tp):
         hints = typing.get_type_hints(tp)
-        return st.builds(tp, **{f.name: _values(hints[f.name]) for f in dataclasses.fields(tp)})
+        return st.builds(_record, st.just(tp), **{f.name: _values(hints[f.name]) for f in dataclasses.fields(tp)})
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType:
         return st.one_of([_values(arg) for arg in args])
@@ -220,6 +231,22 @@ for name, (read, kind, _) in DEEP_READERS.items():
 """)
     assert result.stdout.split() == [word for name, (_, kind, _) in DEEP_READERS.items()
                                      for word in (name, kind.__name__)], result.stderr
+
+
+# -- torn-tail repair --------------------------------------------------------------------
+
+@pytest.mark.parametrize("content", [
+    b"", b"torn", b"\n", b"a\n", b"a\nbc", b"ab\ncd\n", b"abcdefgh\nijklmnopq\nrs", b"\n\nabcdefghij\n",
+])
+def test_last_line_reads_back_from_the_end_in_chunks(tmp_path, monkeypatch, content):
+    monkeypatch.setattr(localfile, "TAIL_CHUNK", 3)  # lines and torn tails span chunks
+    path = tmp_path / "log"
+    path.write_bytes(content)
+    lines = read_lines(path)
+    expected = lines[-1] if lines else None
+    assert last_line(path) == expected and path.read_bytes() == content
+    assert last_line(path, repair=True) == expected
+    assert path.read_bytes() == b"".join(line + b"\n" for line in lines)
 
 
 # -- durable publish -------------------------------------------------------------------

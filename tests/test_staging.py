@@ -1,5 +1,7 @@
 import dataclasses
+import io
 import json
+import os
 import shutil
 import threading
 from pathlib import Path
@@ -56,9 +58,9 @@ def test_batch_crossing_segment_cap(tmp_path, monkeypatch):
 
 
 def test_append_after_a_failed_write_continues_at_the_tail(tmp_path, monkeypatch):
-    """A batch whose write to its second segment fails leaves the session at
-    the tail its first write reached, so the next append's offsets stay
-    dense."""
+    """A batch whose write to its second segment fails ends its session; the
+    next session starts at the tail the first write reached, so the next
+    append's offsets stay dense."""
     monkeypatch.setattr(staging, "SEGMENT_RECORDS", 3)
     store = StagingStore(tmp_path)
     append = staging.fsync_append
@@ -74,6 +76,9 @@ def test_append_after_a_failed_write_continues_at_the_tail(tmp_path, monkeypatch
     with store.open_session("c") as session:
         with pytest.raises(StorageFull):
             session.append_batch(_events(5))  # offsets 0..2 land, 3..4 do not
+        with pytest.raises(StagingUnavailable):
+            session.append_batch(_events(2, start=3))
+    with store.open_session("c") as session:
         assert session.append_batch(_events(2, start=3)) == (3, 4)
     assert writes == [f"seg-{0:020}.jsonl", f"seg-{3:020}.jsonl", f"seg-{3:020}.jsonl"]
     assert store.read_from("c", 0, 10) == _rows(_events(5))
@@ -139,6 +144,95 @@ def test_torn_trailing_line_truncated_on_next_session(tmp_path):
     with store.open_session("c") as session:
         session.append_batch(_events(1, start=3))
     assert store.read_from("c", 0, 10) == _rows(_events(4))
+
+
+def _segment_reads(monkeypatch, segment):
+    """The bytes of every read the program makes from the file segment."""
+    reads = []
+
+    class CountingFile(io.FileIO):
+        def readinto(self, buffer):
+            n = super().readinto(buffer)
+            reads.append(n)
+            return n
+
+    real_open = io.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if mode in ("rb", "r+b") and isinstance(file, (str, os.PathLike)) and os.fspath(file) == str(segment):
+            raw = CountingFile(file, mode.replace("b", ""))
+            return io.BufferedRandom(raw) if "+" in mode else io.BufferedReader(raw)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)  # pathlib opens through io.open
+    monkeypatch.setattr("builtins.open", counting_open)
+    return reads
+
+
+def test_session_and_tail_read_one_end_chunk_of_a_long_segment(tmp_path, monkeypatch):
+    store = StagingStore(tmp_path)
+    with store.open_session("c") as session:
+        session.append_batch(_events(500))
+    segment = tmp_path / "c" / SEGMENT
+    with open(segment, "ab") as f:
+        f.write(b'{"offset": 500, "event_time_us": 99')  # crash mid-write
+    assert segment.stat().st_size > 20 * localfile.TAIL_CHUNK
+    reads = _segment_reads(monkeypatch, segment)
+    assert store.tail_offset("c") == 500
+    assert sum(reads) <= localfile.TAIL_CHUNK
+    reads.clear()
+    with store.open_session("c") as session:  # repairs the torn tail
+        assert sum(reads) <= localfile.TAIL_CHUNK
+        assert session.append_batch(_events(1, start=500)) == (500, 500)
+    assert store.read_from("c", 0, 1000) == _rows(_events(501))
+
+
+@pytest.mark.parametrize("last_line, detail", [
+    (b"garbage", "not a staged record"),
+    (b"[500]", "not a staged record"),
+    (b'{"offset": 2}', "keys"),
+    (_staged_line(_events(1)[0], 10).encode()[:-1], "outside the segment"),
+    (_staged_line(_events(1)[0], -1).encode()[:-1], "outside the segment"),
+    (json.dumps({**vars(_events(1)[0]), "offset": "2"}, sort_keys=True).encode(), "outside the segment"),
+    (json.dumps({**vars(_events(1)[0]), "offset": 2, "source": 5}, sort_keys=True).encode(), "wrong type"),
+], ids=["not_json", "not_object", "missing_keys", "past_segment", "negative", "string_offset", "bad_field"])
+def test_corrupt_last_line_is_corrupt_staging(tmp_path, monkeypatch, last_line, detail):
+    monkeypatch.setattr(staging, "SEGMENT_RECORDS", 5)
+    store = StagingStore(tmp_path)
+    with store.open_session("c") as session:
+        session.append_batch(_events(2))
+    segment = tmp_path / "c" / SEGMENT
+    with open(segment, "ab") as f:
+        f.write(last_line + b"\n")
+    for read in (store.tail_offset, store.open_session):
+        with pytest.raises(CorruptStaging) as err:
+            read("c")
+        assert err.value.path == str(segment) and detail in str(err.value)
+    assert store.read_from("c", 0, 2) == _rows(_events(2))  # the lines before it still drain
+
+
+def test_a_failed_segment_write_ends_the_session(tmp_path, monkeypatch):
+    """Part of a batch reaches the file before the disk fills: the session
+    ends, so nothing is appended after the torn line, and the next session's
+    tail repair removes it; the connector then appends the batch again."""
+    store = StagingStore(tmp_path)
+    append = staging.fsync_append
+
+    def half_then_full(path, data):
+        append(path, data[:len(data) // 2])  # offset 2 whole, then half of offset 3
+        raise StorageFull("scripted")
+
+    with store.open_session("c") as session:
+        session.append_batch(_events(2))
+        monkeypatch.setattr(staging, "fsync_append", half_then_full)
+        with pytest.raises(StorageFull):
+            session.append_batch(_events(3, start=2))
+        monkeypatch.setattr(staging, "fsync_append", append)
+        with pytest.raises(StagingUnavailable):
+            session.append_batch(_events(3, start=2))
+    with store.open_session("c") as session:
+        assert session.append_batch(_events(3, start=2)) == (3, 5)
+    assert store.read_from("c", 0, 10) == _rows(_events(3) + _events(3, start=2))
 
 
 # -- checkpoints ------------------------------------------------------------------
