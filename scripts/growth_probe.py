@@ -1,19 +1,18 @@
 #!/usr/bin/env python3
 """Print how the per-run cost of hourly increments grows with history.
 
-    python3 scripts/growth_probe.py [--seed 3] [--history 2000] [--instants 200]
-                                    [--per-instant 150] [--window 20] [--checkout PATH]
+    python3 scripts/growth_probe.py [--checkout PATH]
 
-Builds ``feeds.late_feed(seed, history, instants, per_instant)`` with the
-``perfbench/`` modules of the checkout at PATH (default: the checkout
-holding this script; imported, never changed) and feeds it to one replay
+Builds ``feeds.late_feed(3, 2000, 200, 150)`` with the ``perfbench/``
+modules of the checkout at PATH (default: the checkout holding this
+script; imported, never changed) and feeds it to one replay
 connector of that checkout's program: first the history, then one increment
 per instant. Each instant appends its increment to the feed, runs the
 connector, and exports through one warm ``LakeTable`` handle; every tenth
 instant then compacts every live partition, as the ``late_increments``
 workload does. Loading the history is not timed.
 
-For the first and the last ``window`` instants it prints the median per-run
+For instants 0-20 and 180-200 it prints the median per-run
 ingest, export and ``etl._live_identities`` milliseconds, each with the
 ratio of the last window's median to the first's, and the dedup GETs (data
 files fetched during exports) of each window. The last line gives the dedup
@@ -30,9 +29,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+SEED, HISTORY, INSTANTS, PER_INSTANT = 3, 2000, 200, 150
+WINDOW = 20  # instants at each end whose medians are printed
 
-def probe(args: argparse.Namespace) -> list[tuple[float, float, float, int]]:
-    """(ingest s, export s, _live_identities s, dedup GETs) of each instant."""
+
+def probe(history: int = HISTORY, instants: int = INSTANTS,
+          per_instant: int = PER_INSTANT) -> list[tuple[float, float, float, int]]:
+    """(ingest s, export s, _live_identities s, dedup GETs) of each instant
+    of ``feeds.late_feed(SEED, history, instants, per_instant)``. The
+    ``perfbench/`` and ``src/`` directories must be on ``sys.path``."""
     import feeds
     from spans import CountingStore, clock
     from workloads import COMPACT_EVERY, TABLE
@@ -42,7 +47,7 @@ def probe(args: argparse.Namespace) -> list[tuple[float, float, float, int]]:
     from brclake.objectstore import FsStore
     from brclake.staging import StagingStore
 
-    feed = feeds.late_feed(args.seed, args.history, args.instants, args.per_instant)
+    feed = feeds.late_feed(SEED, history, instants, per_instant)
     work = Path(tempfile.mkdtemp(prefix="growth-probe-"))
     live_identities = etl._live_identities
     live_s = 0.0
@@ -99,23 +104,14 @@ def probe(args: argparse.Namespace) -> list[tuple[float, float, float, int]]:
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument("--history", type=int, default=2000)
-    parser.add_argument("--instants", type=int, default=200)
-    parser.add_argument("--per-instant", type=int, default=150)
-    parser.add_argument("--window", type=int, default=20)
     parser.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parent.parent)
-    args = parser.parse_args(argv)
-    if not 1 <= args.window <= args.instants:
-        parser.error("--window must be in [1, --instants]")
-    checkout = args.checkout.resolve()
+    checkout = parser.parse_args(argv).checkout.resolve()
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
 
-    runs = probe(args)
-    first, last = runs[:args.window], runs[-args.window:]
-    n = args.instants
-    print(f"seed {args.seed}, history {args.history}, {args.per_instant} lines per instant; "
-          f"medians at instants 0-{args.window} and {n - args.window}-{n}")
+    runs = probe()
+    first, last = runs[:WINDOW], runs[-WINDOW:]
+    print(f"seed {SEED}, history {HISTORY}, {PER_INSTANT} lines per instant; "
+          f"medians at instants 0-{WINDOW} and {INSTANTS - WINDOW}-{INSTANTS}")
     for i, name in enumerate(("ingest_ms", "export_ms", "live_identities_ms")):
         a = 1000 * statistics.median(r[i] for r in first)
         b = 1000 * statistics.median(r[i] for r in last)

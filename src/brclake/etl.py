@@ -18,7 +18,10 @@ each row against the identity set of each live file of its partition that
 overlaps the batch. Those sets stay in the ``LakeTable`` handle's
 ``identity_cache`` while their files are live; an export or compaction puts
 there the sets of the files it publishes once its commit succeeds, so a
-handle fetches a file for dedup only if another handle wrote it.
+handle fetches a file for dedup only if another handle wrote it or the
+cache evicted it. The cache holds at most ``IDENTITY_CACHE_ROWS``
+identities, evicting the least recently used files first, so a long-lived
+handle's memory stays bounded as the table grows.
 
 From the drain on, an event travels as its encoded table row
 (``events.TABLE_COLUMNS``), which the drain decodes staged lines to. Rows
@@ -59,6 +62,12 @@ ROW_ORDER = itemgetter(*(_COLUMN_INDEX[name] for name in (
 IDENTITY_COLUMNS = ["source", "stream", "symbol", "event_id"]
 ROW_IDENTITY = itemgetter(*(_COLUMN_INDEX[name] for name in IDENTITY_COLUMNS))
 
+# Identities a table handle's identity_cache keeps, about 340 bytes each
+# (tuple, set slot and its four bytes values): some 170 MB. Beyond it, the
+# least recently used files are evicted and fetched again when a batch
+# overlaps them.
+IDENTITY_CACHE_ROWS = 500_000
+
 
 def dedup(rows: list[tuple]) -> tuple[list[tuple], int]:
     """First occurrence per dedup identity (``ROW_IDENTITY``) wins; later
@@ -82,21 +91,35 @@ def _live_identities(table: LakeTable, live: dict[PartitionKey, list[AddFile]], 
     being in one of them.
 
     A file's set comes from ``table.identity_cache``, or else the file is
-    fetched and decoded once per table handle to fill it; ``export_job`` and
-    ``compact`` fill it for the files they publish, once their commit
-    succeeds, so a lost race leaves no entry. Data keys are unique and
-    never rewritten, so a cached entry cannot go stale."""
-    cache = table.identity_cache
+    fetched and decoded to fill it; ``export_job`` and ``compact`` fill it
+    for the files they publish, once their commit succeeds, so a lost race
+    leaves no entry. Data keys are unique and never rewritten, so a cached
+    entry cannot go stale."""
     sets = []
     for add in live.get(partition, ()):
         if add.max_event_time_us < t_min or add.min_event_time_us > t_max:
             continue
-        known = cache.get(add.path)
+        known = table.identity_cache.pop(add.path, None)
         if known is None:
             data = table.store.get(add.path)
-            known = cache[add.path] = frozenset(read_file(data, projection=IDENTITY_COLUMNS).rows())
+            known = frozenset(read_file(data, projection=IDENTITY_COLUMNS).rows())
+            _remember(table, {add.path: known})
+        else:  # now the most recently used entry; the cache's size is unchanged
+            table.identity_cache[add.path] = known
         sets.append(known)
     return sets
+
+
+def _remember(table: LakeTable, sets: dict[str, frozenset]) -> None:
+    """Put the identity sets of files not in the handle's cache into it as
+    its most recently used entries, then evict the least recently used
+    entries (the dict's first) while the cache holds more than
+    ``IDENTITY_CACHE_ROWS`` identities; a set larger than that is not kept."""
+    cache = table.identity_cache
+    cache.update(sets)
+    held = sum(map(len, cache.values()))
+    while held > IDENTITY_CACHE_ROWS:
+        held -= len(cache.pop(next(iter(cache))))
 
 
 def _publish(store, table: LakeTable, partition: PartitionKey, rows: list[tuple], committer: str) -> AddFile:
@@ -162,8 +185,8 @@ def export_job(
             return ExportResult(0, None, next_checkpoint, dropped)
         crashpoints.crashpoint("etl.pre_commit")
         entry = table.commit([add for add, _ in published], committer="etl")
-        for add, survivors in published:  # only once committed, as a read of the file would return them
-            table.identity_cache[add.path] = frozenset(map(ROW_IDENTITY, survivors))
+        # only once committed, as a read of each file would return them
+        _remember(table, {add.path: frozenset(map(ROW_IDENTITY, survivors)) for add, survivors in published})
         crashpoints.crashpoint("etl.post_commit_pre_checkpoint")
         staging.commit_checkpoint(connector_id, next_checkpoint)
         return ExportResult(sum(add.rows for add, _ in published), entry.version, next_checkpoint, dropped)
@@ -217,7 +240,7 @@ def compact(store, table: LakeTable, partition: PartitionKey, min_files: int = 2
         entry = table.commit([merged] + [RemoveFile(a.path) for a in victims], committer="compact")
     except InvalidAction:
         return None  # lost the race to a concurrent compaction
-    table.identity_cache[merged.path] = frozenset(map(ROW_IDENTITY, rows))  # only once committed
+    _remember(table, {merged.path: frozenset(map(ROW_IDENTITY, rows))})  # only once committed
     return entry.version
 
 

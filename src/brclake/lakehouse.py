@@ -173,7 +173,8 @@ class LakeTable:
         self.store = store
         self.table_id = path_segment("table_id", table_id)  # one directory under tables/
         self._cache = Snapshot(self.table_id, 0)  # fold of entries 1.._cache.version
-        # data-file path -> its encoded dedup identities; see etl._live_identities
+        # data-file path -> its encoded dedup identities, least recently
+        # used first; see etl._live_identities and etl._remember
         self.identity_cache: dict[str, frozenset] = {}
 
     # -- layout --------------------------------------------------------------

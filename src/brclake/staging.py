@@ -30,9 +30,8 @@ repair are the ``localfile`` helpers the scheduler's run logs use too.
 A drain lists a connector's segments once and reads each segment it needs
 once, finding the tail from what it read: it is an export's one read of the
 active segment, which it reads whole. A checkpoint commit checks the
-checkpoint against the tail, which it reads only for a checkpoint past the
-records its store has read, so committing a drain's checkpoint reads no
-segment.
+checkpoint against the tail, so it reads one chunk at the end of the
+newest segment.
 
 A drain decodes each record line straight to the event's encoded table row
 (``events.TABLE_COLUMNS`` order, text as UTF-8), without building a
@@ -191,9 +190,6 @@ class StagingStore:
             self.root.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise StagingUnavailable(f"cannot create staging root {self.root}: {exc}")
-        # connector id -> one past the last record read_from returned: a
-        # bound the tail never falls below, as no record is ever removed from it
-        self._read_to: dict[str, int] = {}
 
     # -- layout helpers --------------------------------------------------
 
@@ -281,7 +277,6 @@ class StagingStore:
         # offset, and then end is the tail.
         if offset > end:
             raise OffsetOutOfRange(offset, end - 1)
-        self._read_to[connector_id] = max(self._read_to.get(connector_id, 0), offset + len(rows))
         return rows
 
     # -- export checkpoint ----------------------------------------------------
@@ -302,18 +297,12 @@ class StagingStore:
         return rows, committed + len(rows)
 
     def commit_checkpoint(self, connector_id: str, next_checkpoint: int) -> None:
-        """Store next_checkpoint as the committed offset. A regression raises
-        CheckpointRegression, and a checkpoint past the tail
-        OffsetOutOfRange; the tail is read only for a checkpoint past every
-        record this store has read, so a drain's checkpoint is committed
-        without reading the segment again."""
         stored = self.committed_offset(connector_id)
         if next_checkpoint < stored:
             raise CheckpointRegression(stored, next_checkpoint)
-        if next_checkpoint > self._read_to.get(connector_id, 0):
-            tail = self.tail_offset(connector_id)
-            if next_checkpoint > tail:
-                raise OffsetOutOfRange(next_checkpoint, tail - 1)
+        tail = self.tail_offset(connector_id)
+        if next_checkpoint > tail:
+            raise OffsetOutOfRange(next_checkpoint, tail - 1)
         _write_record(self._checkpoint_path(connector_id), Checkpoint(next_checkpoint))
 
     # -- connector resume state ------------------------------------------------

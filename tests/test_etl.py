@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from brclake import crashpoints
+from brclake import crashpoints, etl
 from brclake.errors import ConfigInvalid, CorruptStaging, InvalidAction, SessionLockHeld
 from brclake.etl import (
     IDENTITY_COLUMNS,
@@ -27,6 +27,7 @@ from brclake.harness import oracle_csv, oracle_events
 from brclake.ingest import run_connector
 from brclake.lakeformat import read_file
 from brclake.lakehouse import LakeTable, PartitionKey
+from brclake.localfile import TAIL_CHUNK
 from brclake.objectstore import FsStore
 from brclake.query import ScanRequest, export_events, scan
 from brclake.staging import StagingStore
@@ -369,22 +370,42 @@ def test_export_all_rejects_non_positive_batch(tmp_path):
 
 
 def test_one_export_reads_the_active_segment_once(tmp_path, monkeypatch):
+    """The drain is an export's one read of the whole active segment; the
+    checkpoint commit's tail check reads one chunk at its end."""
     store, staging, table = _env(tmp_path)
-    _stage(staging, _trades(30))
+    _stage(staging, _trades(60))
     segment = tmp_path / "staging" / "c" / f"seg-{0:020}.jsonl"
-    opens = []
+    size = segment.stat().st_size
+    assert size > 2 * TAIL_CHUNK
+    opens = []  # bytes read through each open of the segment
     real_open = io.open
 
-    def counting_open(file, *args, **kwargs):
+    class CountingFile(io.FileIO):
+        def readinto(self, buffer):
+            n = super().readinto(buffer)
+            opens[self.index] += n
+            return n
+
+        def readall(self):
+            data = super().readall()
+            opens[self.index] += len(data)
+            return data
+
+    def counting_open(file, mode="r", *args, **kwargs):
         if isinstance(file, (str, os.PathLike)) and os.fspath(file) == str(segment):
-            opens.append(args)
-        return real_open(file, *args, **kwargs)
+            assert mode == "rb"
+            raw = CountingFile(file)
+            raw.index = len(opens)
+            opens.append(0)
+            return io.BufferedReader(raw)
+        return real_open(file, mode, *args, **kwargs)
 
     monkeypatch.setattr(io, "open", counting_open)  # pathlib opens through io.open
     monkeypatch.setattr("builtins.open", counting_open)
     result = export_all(staging, store, table, "c", max_records=100)  # one export_job
-    assert result.rows_published == 30
-    assert len(opens) == 1  # the drain's; the checkpoint commit reads no segment
+    assert result.rows_published == 60
+    assert opens.count(size) == 1  # the drain's
+    assert all(n <= TAIL_CHUNK for n in opens if n != size)
 
 
 def test_longest_ids_and_symbol_a_key_segment_holds_export(tmp_path):
@@ -492,6 +513,25 @@ def test_lost_compaction_leaves_no_identity_cache_entry(tmp_path, monkeypatch):
     assert loser.identity_cache == {}
     (merged,) = table.snapshot_at().live_files
     assert merged in table.identity_cache
+
+
+def test_identity_cache_keeps_the_most_recently_used_files_within_its_bound(tmp_path, monkeypatch):
+    monkeypatch.setattr(etl, "IDENTITY_CACHE_ROWS", 50)
+    store, staging, _ = _env(tmp_path)
+    counting = _CountingStore(store)
+    table = LakeTable(counting, "trades")
+    _stage(staging, _trades(100))
+    export_all(staging, counting, table, "c", max_records=25)  # four files of 25 rows
+    files = [a.path for a in sorted(table.snapshot_at().live_files.values(), key=lambda a: a.min_event_time_us)]
+    assert list(table.identity_cache) == files[2:]  # the two published last
+    _stage(staging, _trades(25))  # the first file's rows again
+    assert export_job(staging, counting, table, "c").dropped_duplicates == 25
+    assert counting.data_gets == files[:1]  # evicted, so fetched again
+    assert list(table.identity_cache) == [files[3], files[0]]
+    monkeypatch.setattr(etl, "IDENTITY_CACHE_ROWS", 20)
+    _stage(staging, _trades(50)[25:])  # the second file's rows again
+    assert export_job(staging, counting, table, "c").dropped_duplicates == 25
+    assert counting.data_gets == files[:2] and table.identity_cache == {}  # no file fits
 
 
 def test_duplicate_committed_by_another_handle_is_dropped(tmp_path):

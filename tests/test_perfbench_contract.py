@@ -3,8 +3,6 @@ and methods by name. Entering and leaving it here makes a renamed or removed
 name fail the test suite rather than a traced benchmark run."""
 
 import importlib.util
-import subprocess
-import sys
 from pathlib import Path
 
 from brclake import lakeformat, lakehouse, orchestrator, staging
@@ -56,15 +54,14 @@ def test_backfill_and_run_forever_look_up_execute_run_at_each_run(tmp_path, monk
     assert calls == [minute, 2 * minute]
 
 
-def test_growth_probe_runs_at_a_tiny_size():
+def test_growth_probe_runs_at_a_tiny_size(monkeypatch):
     """``scripts/growth_probe.py`` imports ``perfbench/`` modules by name;
     a tiny run keeps it working, and its warm handle fetches no file for
     dedup, since it wrote or compacted every live file itself."""
-    probe = SPANS.parent.parent / "scripts" / "growth_probe.py"
-    result = subprocess.run([sys.executable, str(probe), "--history", "60", "--instants", "12",
-                             "--per-instant", "15", "--window", "3"], capture_output=True, text=True, timeout=60)
-    assert result.returncode == 0, result.stderr
-    lines = result.stdout.splitlines()
-    assert [line.split()[0] for line in lines[1:]] == [
-        "ingest_ms", "export_ms", "live_identities_ms", "dedup_gets", "dedup_gets_total"]
-    assert lines[-1] == "dedup_gets_total 0"
+    monkeypatch.syspath_prepend(str(SPANS.parent))
+    spec = importlib.util.spec_from_file_location("growth_probe", SPANS.parent.parent / "scripts" / "growth_probe.py")
+    growth_probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(growth_probe)
+    runs = growth_probe.probe(history=60, instants=12, per_instant=15)
+    assert len(runs) == 12
+    assert [gets for _, _, _, gets in runs] == [0] * 12
