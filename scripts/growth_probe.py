@@ -16,13 +16,16 @@ For instants 0-20 and 180-200 it prints the median per-run
 ingest, export and ``etl._live_identities`` milliseconds, each with the
 ratio of the last window's median to the first's, and the dedup GETs (data
 files fetched during exports) of each window. The last line gives the dedup
-GETs of every instant. The program runs in this process against a
-temporary directory, which is removed at the end.
+GETs of every instant, and the last the peak resident set size in MiB
+(``ru_maxrss``). That peak covers the whole process: the program, the
+probe, and the generation of the feed. The program runs in this process
+against a temporary directory, which is removed at the end.
 """
 
 from __future__ import annotations
 
 import argparse
+import resource
 import shutil
 import statistics
 import sys
@@ -118,6 +121,7 @@ def main(argv: list[str]) -> int:
         print(f"{name:<20} {a:9.2f} {b:9.2f}  x{b / a if a else float('nan'):.2f}")
     print(f"{'dedup_gets':<20} {sum(r[3] for r in first):9d} {sum(r[3] for r in last):9d}")
     print(f"dedup_gets_total {sum(r[3] for r in runs)}")
+    print(f"peak_rss_mib {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f}")  # ru_maxrss is KiB
     return 0
 
 

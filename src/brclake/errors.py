@@ -195,6 +195,13 @@ class NoSuchVersion(BrcError):
         super().__init__(f"no version {version} (current {current})", version=version, current=current)
 
 
+class DataFileMismatch(BrcError):
+    """A data file whose bytes are not the file its AddFile describes."""
+
+    def __init__(self, path: str, detail: str):
+        super().__init__(f"{path}: {detail}", path=path)
+
+
 # -- orchestrator ------------------------------------------------------------
 
 class CycleDetected(BrcError):

@@ -41,8 +41,8 @@ from . import crashpoints
 from .errors import ConfigInvalid, InvalidAction
 from .events import SYMBOL_RE, TABLE_COLUMNS, event_from_row  # noqa: F401 (event_from_row re-exported)
 from .fixedpoint import US_PER_DAY, us_to_date
-from .lakeformat import ColumnSchema, read_file, write_file
-from .lakehouse import AddFile, LakeTable, PartitionKey, RemoveFile
+from .lakeformat import ColumnSchema, write_file
+from .lakehouse import AddFile, LakeTable, PartitionKey, RemoveFile, read_data_file
 from .localfile import config_from_json, load_json_config
 from .staging import StagingStore
 
@@ -91,9 +91,9 @@ def _live_identities(table: LakeTable, live: dict[PartitionKey, list[AddFile]], 
     being in one of them.
 
     A file's set comes from ``table.identity_cache``, or else the file is
-    fetched and decoded to fill it; ``export_job`` and ``compact`` fill it
-    for the files they publish, once their commit succeeds, so a lost race
-    leaves no entry. Data keys are unique and never rewritten, so a cached
+    read through ``read_data_file`` to fill it; ``export_job`` and
+    ``compact`` fill it for the files they publish, once their commit
+    succeeds, so a lost race leaves no entry. Data keys are unique and never rewritten, so a cached
     entry cannot go stale."""
     sets = []
     for add in live.get(partition, ()):
@@ -101,8 +101,7 @@ def _live_identities(table: LakeTable, live: dict[PartitionKey, list[AddFile]], 
             continue
         known = table.identity_cache.pop(add.path, None)
         if known is None:
-            data = table.store.get(add.path)
-            known = frozenset(read_file(data, projection=IDENTITY_COLUMNS).rows())
+            known = frozenset(read_data_file(table.store, add, IDENTITY_COLUMNS).rows())
             _remember(table, {add.path: known})
         else:  # now the most recently used entry; the cache's size is unchanged
             table.identity_cache[add.path] = known
@@ -232,7 +231,7 @@ def compact(store, table: LakeTable, partition: PartitionKey, min_files: int = 2
         return None
     rows: list[tuple] = []
     for add in victims:
-        rows.extend(read_file(store.get(add.path)).rows())
+        rows.extend(read_data_file(store, add).rows())
     rows.sort(key=ROW_ORDER)
     merged = _publish(store, table, partition, rows, "compact")
     crashpoints.crashpoint("etl.mid_compaction")

@@ -11,6 +11,10 @@ identity dedup.
 A replay connector resumes by byte offset: it saves the offset just after
 its last consumed line and seeks there, so a run reads only the lines
 appended to its feed since the last one, however long the feed has grown.
+A state without an offset starts the feed over at byte 0 with empty
+sequence counters; the lines it stages again keep their sequence numbers
+and are dropped as duplicates at export, at the cost of one re-read of the
+feed.
 """
 
 from __future__ import annotations
@@ -126,23 +130,21 @@ def _decode_line(line: bytes, line_no: int) -> RawEvent:
     return read_json(line, partial(_raw_event, line_no=line_no), partial(MalformedLine, line_no))
 
 
-def replay_events(path: str | Path, offset: int = 0, start: int = 0) -> Iterator[tuple[RawEvent, int]]:
+def replay_events(path: str | Path, offset: int = 0) -> Iterator[tuple[RawEvent, int]]:
     """Yield (RawEvent, byte offset just after its line) from a JSON Lines
-    file, in file order, from byte ``offset`` on and after the first
-    ``start`` non-blank lines there. Skipped lines are counted but neither
-    decoded nor parsed, and the bytes before offset are not read, so a
-    session resumed by offset pays only for the lines it has not consumed
-    yet. An offset must end a line: it falls just after a newline, just
-    before one (a last line consumed before its newline was written) or at
-    the end of the file. One that does not, or lies past the end, means the
-    file was rewritten under its reader, and is ConfigInvalid naming
-    ``replay_path``.
+    file, in file order, from byte ``offset`` on. The bytes before offset
+    are not read, so a session resumed by offset pays only for the lines it
+    has not consumed yet. An offset must end a line: it falls just after a
+    newline, just before one (a last line consumed before its newline was
+    written) or at the end of the file. One that does not, or lies past the
+    end, means the file was rewritten under its reader, and is ConfigInvalid
+    naming ``replay_path``.
 
     A line that is not UTF-8, not JSON or not a raw event is MalformedLine,
-    and errors carry file line numbers, blank and skipped lines included:
-    the newlines before offset are counted only to number an error. A file
-    that cannot be opened or read (missing, a directory) is ConfigInvalid
-    naming ``replay_path``."""
+    and errors carry file line numbers, blank lines included: the newlines
+    before offset are counted only to number an error. A file that cannot be
+    opened or read (missing, a directory) is ConfigInvalid naming
+    ``replay_path``."""
     try:
         with open(path, "rb") as f:
             size = f.seek(0, os.SEEK_END)
@@ -155,9 +157,6 @@ def replay_events(path: str | Path, offset: int = 0, start: int = 0) -> Iterator
             for n, line in enumerate(f, start=1):
                 end += len(line)
                 if not line.strip():
-                    continue
-                if start:
-                    start -= 1
                     continue
                 try:
                     raw = _decode_line(line, n)
@@ -172,9 +171,9 @@ def replay_events(path: str | Path, offset: int = 0, start: int = 0) -> Iterator
         raise ConfigInvalid("replay_path", f"cannot read {path}: {exc}") from None
 
 
-def replay_file(path: str | Path, start: int = 0) -> Iterator[RawEvent]:
-    """The RawEvents of ``replay_events(path, 0, start)``."""
-    for raw, _ in replay_events(path, 0, start):
+def replay_file(path: str | Path) -> Iterator[RawEvent]:
+    """The RawEvents of ``replay_events(path)``."""
+    for raw, _ in replay_events(path):
         yield raw
 
 
@@ -256,19 +255,19 @@ class SessionSummary:
 class ConnectorState:
     """What a connector saves after each appended batch: its per-(source,
     stream, symbol) sequence counters and its position, the synthetic
-    generator's state or the count of replay lines consumed and the byte
-    offset just after the last of them. A replay resumes at that offset; a
-    state saved without one resumes by counting lines."""
+    generator's state or the byte offset just after the last replay line
+    consumed. The counters hold only with the position saved beside them: a
+    state without a position, such as a replay state saved before offsets
+    were, starts over at the first event with empty counters."""
 
     seq_counters: dict[str, int] = field(default_factory=dict)
     synthetic: SyntheticState | None = None
-    replay_line: int | None = None
     replay_offset: int | None = None
 
     def __post_init__(self):
         """A saved position is never negative: one that is raises
         ValueError, which makes the state file that holds it CorruptStaging."""
-        positions = {"replay_line": self.replay_line, "replay_offset": self.replay_offset,
+        positions = {"replay_offset": self.replay_offset,
                      "next_index": self.synthetic and self.synthetic.next_index}
         for name, value in positions.items():
             if value is not None and value < 0:
@@ -294,16 +293,16 @@ def run_connector(config: ConnectorConfig, staging: StagingStore) -> SessionSumm
     last_offset = -1
     with staging.open_session(config.connector_id) as session:
         saved = staging.load_connector_state(config.connector_id, ConnectorState) or ConnectorState()
-        state = ConnectorState(saved.seq_counters)  # as of the last batch appended
-        replay_line = saved.replay_line or 0
-
         # Each step's raw events, then the position after it: the generator's
         # state, or the byte offset just after the replay line.
         if config.kind == "synthetic":
-            steps = synthetic_steps(config, saved.synthetic)
-        else:  # at the saved offset, or else after the count of lines consumed
-            resume = (saved.replay_offset, 0) if saved.replay_offset is not None else (0, replay_line)
-            steps = (([raw], end) for raw, end in replay_events(config.replay_path, *resume))
+            resume = saved.synthetic
+            steps = synthetic_steps(config, resume)
+        else:
+            resume = saved.replay_offset
+            steps = (([raw], end) for raw, end in replay_events(config.replay_path, resume or 0))
+        # as of the last batch appended; counters saved without a position start over
+        state = ConnectorState(saved.seq_counters if resume is not None else {})
 
         batch: list[MarketEvent] = []
 
@@ -331,8 +330,7 @@ def run_connector(config: ConnectorConfig, staging: StagingStore) -> SessionSumm
             if config.kind == "synthetic":
                 state.synthetic = position
             else:
-                replay_line += 1
-                state.replay_line, state.replay_offset = replay_line, position
+                state.replay_offset = position
             if len(batch) >= config.batch_size:
                 flush()
         flush()

@@ -9,7 +9,9 @@ log reference. A table id is one key segment (``objectstore.path_segment``),
 so no table's keys lie inside another's. A data file lies under its table's
 ``data/`` prefix, in its partition's directory
 ``data/symbol={symbol}/date={date}/``, where every writer puts it, or
-directly in ``data/``.
+directly in ``data/``. Every reader of a live data file goes through
+``read_data_file``, which checks the file's size and footer against the
+AddFile that publishes it before any row of it is used.
 """
 
 from __future__ import annotations
@@ -19,13 +21,14 @@ import time
 import uuid
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     AlreadyInitialized,
     CommitConflictExhausted,
     ConfigInvalid,
     CorruptLog,
+    DataFileMismatch,
     InvalidAction,
     NoSuchVersion,
     NotFound,
@@ -33,7 +36,7 @@ from .errors import (
     PreconditionFailed,
 )
 from .fixedpoint import us_to_date
-from .lakeformat import ColumnSchema
+from .lakeformat import STATS_TRUNCATE_BYTES, ColumnSchema, ParsedFile, read_file
 from .localfile import read_json, record_from_json, record_to_json
 from .objectstore import path_segment
 
@@ -304,6 +307,28 @@ class LakeTable:
             "dangling": sorted(live - stored),
             "orphans": sorted(stored - live),
         }
+
+
+def read_data_file(store, add: AddFile, projection: Sequence[str] | None = None) -> ParsedFile:
+    """The live data file ``add`` publishes, fetched and read (its projected
+    columns), once its size and footer agree with ``add``: its row count,
+    the min and max of ``event_time_us``, and the partition's symbol
+    (truncated as the writer truncates stats) as both stats of ``symbol``.
+    Other bytes under the key, such as another valid data file, raise
+    DataFileMismatch naming the path, and no row of them is used."""
+    data = store.get(add.path)
+    if len(data) != add.bytes:
+        raise DataFileMismatch(add.path, f"{len(data)} bytes where its AddFile says {add.bytes}")
+    parsed = read_file(data, projection)
+    footer = parsed.footer
+    stats = {col.name: (chunk.min, chunk.max) for col, chunk in zip(footer.schema, footer.chunks)}
+    symbol = add.partition.symbol.encode()[:STATS_TRUNCATE_BYTES]
+    found = (footer.row_count, stats.get("event_time_us"), stats.get("symbol"))
+    wanted = (add.rows, (add.min_event_time_us, add.max_event_time_us), (symbol, symbol))
+    if found != wanted:
+        raise DataFileMismatch(add.path, f"footer holds (rows, event time range, symbol range) {found} "
+                                         f"where its AddFile says {wanted}")
+    return parsed
 
 
 def list_files(

@@ -42,6 +42,10 @@ _SEGMENT_RE = re.compile(r"[A-Za-z0-9._=-]+")
 MAX_KEY_BYTES = 900
 MAX_SEGMENT_BYTES = 255
 
+# Seconds an S3 request waits to connect, and for each read of the reply,
+# before it fails as BackendUnavailable. Nothing retries it.
+REQUEST_TIMEOUT_S = 30.0
+
 
 def _is_segment(name: str) -> bool:
     return (_SEGMENT_RE.fullmatch(name) is not None and name not in (".", "..")
@@ -201,9 +205,10 @@ class S3Store:
             url += "?" + canonical_query(query)  # the query string that was signed
         try:
             if self._https:
-                conn = http.client.HTTPSConnection(self._host, context=ssl.create_default_context())
+                conn = http.client.HTTPSConnection(self._host, timeout=REQUEST_TIMEOUT_S,
+                                                   context=ssl.create_default_context())
             else:
-                conn = http.client.HTTPConnection(self._host)
+                conn = http.client.HTTPConnection(self._host, timeout=REQUEST_TIMEOUT_S)
             try:
                 conn.request(method, url, body=body or None, headers=send_headers)
                 resp = conn.getresponse()
@@ -211,7 +216,7 @@ class S3Store:
                 return resp.status, {k.lower(): v for k, v in resp.getheaders()}, data
             finally:
                 conn.close()
-        except OSError as exc:
+        except OSError as exc:  # a timeout too
             raise BackendUnavailable(f"s3 endpoint {self.config.endpoint}: {exc}")
 
     @staticmethod
@@ -247,7 +252,8 @@ class S3Store:
             raise NotFound(key)
         if status != 200:
             raise self._unexpected(status, body)
-        return ObjectMeta(key, int(headers.get("content-length", "0")), headers.get("etag", "").strip('"'))
+        size = _size(headers.get("content-length", "0"), "HEAD content-length")
+        return ObjectMeta(key, size, headers.get("etag", "").strip('"'))
 
     def delete(self, key: str) -> None:
         validate_key(key)
@@ -302,6 +308,14 @@ def _strip_ns(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
+def _size(text: str, what: str) -> int:
+    """The object size an endpoint sent as text; BackendUnavailable unless
+    it is a decimal integer."""
+    if not re.fullmatch(r"[0-9]+", text):
+        raise BackendUnavailable(f"{what} {text!r} is not an object size")
+    return int(text)
+
+
 def _parse_list_response(body: bytes) -> tuple[list[ObjectMeta], str | None]:
     try:
         root = ET.fromstring(body)
@@ -317,7 +331,7 @@ def _parse_list_response(body: bytes) -> tuple[list[ObjectMeta], str | None]:
             metas.append(
                 ObjectMeta(
                     key=fields.get("Key", ""),
-                    size_bytes=int(fields.get("Size", "0")),
+                    size_bytes=_size(fields.get("Size", "0"), "list <Size>"),
                     etag=fields.get("ETag", "").strip('"'),
                 )
             )

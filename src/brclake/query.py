@@ -21,8 +21,7 @@ from .errors import ConfigInvalid, NonTradeEvent
 from .etl import ROW_ORDER
 from .events import SYMBOL_RE, TABLE_COLUMNS, MarketEvent, event_from_row
 from .fixedpoint import format_e8, us_to_iso
-from .lakeformat import read_file
-from .lakehouse import LakeTable, list_files
+from .lakehouse import AddFile, LakeTable, list_files, read_data_file
 
 
 @dataclass
@@ -47,18 +46,19 @@ def scan(store, table: LakeTable, request: ScanRequest) -> Iterator[MarketEvent]
     """Events within the request's range and symbols, globally sorted by
     ROW_ORDER. Only partitions of the requested symbols are planned, so rows
     need filtering by time alone; each file is fetched and decoded when the
-    merge first pulls from it, and only yielded rows become events."""
+    merge first pulls from it, and checked against its AddFile
+    (``read_data_file``), and only yielded rows become events."""
     request.validate()
     t0, t1 = request.time_range
     snapshot = table.snapshot_at(request.version)
     planned = list_files(snapshot, request.time_range, request.symbols)
 
-    def file_rows(path: str) -> Iterator[tuple]:
-        for row in read_file(store.get(path)).rows():
+    def file_rows(add: AddFile) -> Iterator[tuple]:
+        for row in read_data_file(store, add).rows():
             if t0 <= row[0] < t1:
                 yield row
 
-    streams = [file_rows(add.path) for add in planned]
+    streams = [file_rows(add) for add in planned]
     return map(event_from_row, heapq.merge(*streams, key=ROW_ORDER))
 
 

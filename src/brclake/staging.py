@@ -45,12 +45,12 @@ line's index.
 
 The checkpoint and the connector state are records (``Checkpoint`` and the
 connector's own), written by the record codec and made durable by
-``localfile.publish``. A checkpoint, connector state
-or record line that cannot be read back, a record line that fails those
+``localfile.publish``. A checkpoint, connector state or record line that
+cannot be read back, a negative checkpoint, a record line that fails those
 checks, or a newest segment whose last line's offset lies outside it, is
-CorruptStaging naming its file (and line); a file that cannot be
-read at all (a directory in its place, an I/O error) is StagingUnavailable
-naming it.
+CorruptStaging naming its file (and line); a file that cannot be read at
+all (a directory in its place, an I/O error) is StagingUnavailable naming
+it.
 """
 
 from __future__ import annotations
@@ -88,6 +88,12 @@ class Checkpoint:
     """The exporter's committed offset: every record below it is published."""
 
     committed_offset: int
+
+    def __post_init__(self):
+        """An offset is never negative: one that is raises ValueError, which
+        makes the checkpoint file that holds it CorruptStaging."""
+        if self.committed_offset < 0:
+            raise ValueError(f"committed_offset {self.committed_offset} is negative")
 
 
 def _staged_line(event: MarketEvent, offset: int) -> str:

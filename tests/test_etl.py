@@ -4,11 +4,12 @@ import os
 import random
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 
 from brclake import crashpoints, etl
-from brclake.errors import ConfigInvalid, CorruptStaging, InvalidAction, SessionLockHeld
+from brclake.errors import ConfigInvalid, CorruptStaging, DataFileMismatch, InvalidAction, SessionLockHeld
 from brclake.etl import (
     IDENTITY_COLUMNS,
     ROW_IDENTITY,
@@ -22,11 +23,11 @@ from brclake.etl import (
     parse_partition,
 )
 from brclake.events import event_from_row, event_to_row
-from brclake.fixedpoint import iso_to_us
+from brclake.fixedpoint import US_PER_DAY, iso_to_us
 from brclake.harness import oracle_csv, oracle_events
 from brclake.ingest import run_connector
 from brclake.lakeformat import read_file
-from brclake.lakehouse import LakeTable, PartitionKey
+from brclake.lakehouse import LakeTable, PartitionKey, read_data_file
 from brclake.localfile import TAIL_CHUNK
 from brclake.objectstore import FsStore
 from brclake.query import ScanRequest, export_events, scan
@@ -419,6 +420,9 @@ def test_longest_ids_and_symbol_a_key_segment_holds_export(tmp_path):
     assert export_all(staging, store, table, "c" * 255).rows_published == 1
     (add,) = table.snapshot_at().live_files.values()
     assert add.partition.symbol == symbol
+    # the file's symbol stats are truncated to 64 bytes, and still agree with its AddFile
+    request = ScanRequest("t" * 255, (add.min_event_time_us, add.max_event_time_us + 1), {symbol})
+    assert [event.symbol for event in scan(store, table, request)] == [symbol]
 
 
 # -- cross-batch dedup identity cache ----------------------------------------------------
@@ -648,3 +652,58 @@ def test_concurrent_compactions_one_winner(tmp_path):
     assert sorted(r is None for r in results) == [False, True]  # exactly one wins
     assert len(table.snapshot_at().live_files) == 1
     assert sum(a.rows for a in table.snapshot_at().live_files.values()) == 100
+
+
+# -- a live file checked against its AddFile -------------------------------------------
+
+def _swapped_table(tmp_path):
+    """A table whose BTC-USD file (3 rows) holds the bytes of its valid
+    ETH-USD file of the same day (5 rows); returns the BTC-USD AddFile too."""
+    store, staging, table = _env(tmp_path)
+    _stage(staging, _trades(3, "BTC-USD") + _trades(5, "ETH-USD"))
+    export_all(staging, store, table, "c")
+    adds = {add.partition.symbol: add for add in table.snapshot_at().live_files.values()}
+    store.put(adds["BTC-USD"].path, store.get(adds["ETH-USD"].path))
+    return store, staging, table, adds["BTC-USD"]
+
+
+def test_scan_of_a_swapped_file_is_data_file_mismatch(tmp_path):
+    store, _, table, btc = _swapped_table(tmp_path)
+    with pytest.raises(DataFileMismatch) as err:
+        list(scan(store, table, ScanRequest("trades", (T0, T0 + US_PER_DAY), {"BTC-USD"})))
+    assert err.value.path == btc.path
+
+
+def test_compaction_of_a_swapped_file_commits_nothing(tmp_path):
+    store, _, table, btc = _swapped_table(tmp_path)
+    version = table.current_version()
+    with pytest.raises(DataFileMismatch) as err:
+        compact(store, table, btc.partition, min_files=1)
+    assert err.value.path == btc.path and table.current_version() == version
+
+
+def test_dedup_against_a_swapped_file_is_data_file_mismatch(tmp_path):
+    store, staging, _, btc = _swapped_table(tmp_path)
+    _stage(staging, _trades(1, "BTC-USD"))  # redelivered, so dedup must read the BTC-USD file
+    cold = LakeTable(store, "trades")  # a handle that did not write the file fetches it
+    with pytest.raises(DataFileMismatch) as err:
+        export_all(staging, store, cold, "c")
+    assert err.value.path == btc.path and staging.committed_offset("c") == 8
+
+
+@pytest.mark.parametrize("change", [
+    {"bytes": 1}, {"rows": 1}, {"min_event_time_us": -1}, {"max_event_time_us": 1}, {"symbol": "ETH-USD"},
+], ids=lambda change: next(iter(change)))
+def test_file_that_disagrees_with_any_checked_add_file_field_is_mismatch(tmp_path, change):
+    store, staging, table = _env(tmp_path)
+    _stage(staging, _trades(3))
+    export_all(staging, store, table, "c")
+    (add,) = table.snapshot_at().live_files.values()
+    assert read_data_file(store, add, IDENTITY_COLUMNS).footer.row_count == 3
+    if "symbol" in change:
+        wrong = replace(add, partition=PartitionKey(change["symbol"], add.partition.date))
+    else:
+        wrong = replace(add, **{name: getattr(add, name) + delta for name, delta in change.items()})
+    with pytest.raises(DataFileMismatch) as err:
+        read_data_file(store, wrong, IDENTITY_COLUMNS)
+    assert err.value.path == add.path and err.value.kind == "DataFileMismatch"

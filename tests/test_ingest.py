@@ -16,9 +16,10 @@ from brclake.errors import (
     MissingField,
     UnknownSymbol,
 )
+from brclake.etl import SCHEMA_ID, TABLE_COLUMNS, export_all
 from brclake.events import ConnectorConfig, event_from_row
 from brclake.fixedpoint import format_e8
-from brclake.harness import oracle_events
+from brclake.harness import oracle_csv, oracle_events
 from brclake.ingest import (
     ConnectorState,
     SplitMix64,
@@ -29,6 +30,9 @@ from brclake.ingest import (
     replay_file,
     run_connector,
 )
+from brclake.lakehouse import LakeTable
+from brclake.objectstore import FsStore
+from brclake.query import ScanRequest, export_events, scan
 from brclake.staging import StagingStore
 
 from conftest import make_config, make_event, run_optimized
@@ -275,8 +279,7 @@ def test_replay_resume_yields_only_appended_lines(tmp_path):
     assert run_connector(config, staging).events_appended == 2
     rows = staging.read_from("c", 0, 100)
     assert [event_from_row(row).event_id for row in rows] == [f"r-{i}" for i in range(5)]
-    state = staging.load_connector_state("c", ConnectorState)
-    assert (state.replay_line, state.replay_offset) == (5, path.stat().st_size)
+    assert staging.load_connector_state("c", ConnectorState).replay_offset == path.stat().st_size
     assert run_connector(config, staging).events_appended == 0
 
 
@@ -319,21 +322,32 @@ def test_replay_resume_reads_no_consumed_byte(tmp_path, monkeypatch):
     assert staging.load_connector_state("c", ConnectorState).replay_offset == path.stat().st_size
 
 
-def test_state_without_replay_offset_resumes_by_counting_lines(tmp_path):
-    path = _write_lines(tmp_path, [_replay_line(0), "", _replay_line(1)])
+def test_state_without_replay_offset_starts_over_and_exports_the_oracle(tmp_path):
+    """A state saved before replay offsets were holds a count of lines and
+    no offset: the feed is staged again from byte 0 with fresh sequence
+    counters, and export drops every line staged twice."""
+    path = _write_lines(tmp_path, [_replay_line(i) for i in range(6)])
+    store = FsStore(tmp_path / "store")
     staging = StagingStore(tmp_path / "staging")
-    config = make_config(kind="replay", replay_path=str(path))
-    assert run_connector(config, staging).events_appended == 2
-    state = staging.load_connector_state("c", ConnectorState)
-    state.replay_offset = None  # as a state saved before replay offsets were
-    staging.save_connector_state("c", state)
+    table = LakeTable(store, "trades")
+    table.init(SCHEMA_ID, TABLE_COLUMNS)
+    config = make_config(kind="replay", replay_path=str(path), batch_size=4)
+    run_connector(config, staging)
+    assert export_all(staging, store, table, "c").rows_published == 6
+    (tmp_path / "staging" / "c" / "connector_state.json").write_text(
+        json.dumps({"replay_line": 6, "seq_counters": {"x|trade|BTC-USDT": 6}}))
+    late = json.loads(_replay_line(6))
+    late["event_time_us"] -= 10  # before every line published
     with open(path, "a", encoding="utf-8") as f:
-        f.write(_replay_line(2) + "\n")
-    assert run_connector(config, staging).events_appended == 1
-    rows = staging.read_from("c", 0, 100)
-    assert [event_from_row(row).event_id for row in rows] == ["r-0", "r-1", "r-2"]
-    state = staging.load_connector_state("c", ConnectorState)
-    assert (state.replay_line, state.replay_offset) == (3, path.stat().st_size)
+        f.write(json.dumps(late) + "\n" + _replay_line(1) + "\n")  # a late line, then line 1 redelivered
+    assert run_connector(config, staging).events_appended == 8
+    assert staging.load_connector_state("c", ConnectorState).replay_offset == path.stat().st_size
+    result = export_all(staging, store, table, "c")
+    assert (result.rows_published, result.dropped_duplicates) == (1, 7)
+    request = ScanRequest("trades", (1_500_000_000_000_000, 1_700_000_000_000_000), {"BTC-USDT"})
+    sink = io.BytesIO()
+    export_events(scan(store, table, request), "csv", sink)
+    assert sink.getvalue() == oracle_csv(oracle_events([config]), request.time_range, request.symbols)
 
 
 @pytest.mark.parametrize("rewrite", [
@@ -387,8 +401,9 @@ def test_feed_without_a_final_newline_resumes_at_its_end(tmp_path):
 
 
 def test_negative_saved_position_is_corrupt_staging_under_optimize(tmp_path):
-    """A saved position below 0 would skip every line or regenerate events
-    before the first; its state file is refused, also under python -O."""
+    """A saved position below 0 would name no byte of the feed or
+    regenerate events before the first; its state file is refused, also
+    under python -O."""
     feed = _write_lines(tmp_path, [_replay_line(i) for i in range(3)])
     result = run_optimized(f"""
 import json
@@ -399,8 +414,7 @@ from brclake.ingest import run_connector
 from brclake.staging import StagingStore
 root = Path({str(tmp_path)!r})
 synthetic = {{"next_index": -2, "prng_state": 1, "price_e8": 1, "last_event_time_us": 1}}
-for name, state in [("replay_line", {{"replay_line": -3}}), ("replay_offset", {{"replay_offset": -1}}),
-                    ("next_index", {{"synthetic": synthetic}})]:
+for name, state in [("replay_offset", {{"replay_offset": -1}}), ("next_index", {{"synthetic": synthetic}})]:
     config = make_config() if name == "next_index" else make_config(kind="replay", replay_path={str(feed)!r})
     store = StagingStore(root / name)
     (root / name / "c").mkdir()
@@ -411,7 +425,7 @@ for name, state in [("replay_line", {{"replay_line": -3}}), ("replay_offset", {{
         print(name, Path(exc.path).name, name in str(exc))
 """)
     assert result.stdout.splitlines() == [
-        f"{name} connector_state.json True" for name in ("replay_line", "replay_offset", "next_index")
+        f"{name} connector_state.json True" for name in ("replay_offset", "next_index")
     ], result.stderr
 
 
@@ -424,17 +438,6 @@ def test_unreadable_replay_file_is_config_invalid(tmp_path, name):
         with pytest.raises(ConfigInvalid) as err:
             read()
         assert err.value.field == "replay_path" and str(tmp_path / name) in err.value.reason
-
-
-def test_replay_resume_reports_file_line_numbers(tmp_path):
-    # consumed lines are counted, not parsed: the malformed line 2 before the
-    # resume point is not re-validated, the one after it keeps its number
-    lines = [_replay_line(0), "{not json", "", _replay_line(2), "", "", "{not json either"]
-    path = _write_lines(tmp_path, lines)
-    assert next(replay_file(path, start=2)).payload["id"] == "r-2"
-    with pytest.raises(MalformedLine) as err:
-        list(replay_file(path, start=3))
-    assert err.value.line_no == 7
 
 
 def _write_bad_utf8(tmp_path):
@@ -455,7 +458,9 @@ def test_replay_line_that_is_not_utf8_is_malformed(tmp_path):
 
 
 def test_replay_consumed_line_that_is_not_utf8_is_skipped(tmp_path):
-    assert [e.payload["id"] for e in replay_file(_write_bad_utf8(tmp_path), start=2)] == ["r-2"]
+    path = _write_bad_utf8(tmp_path)
+    after_line_2 = sum(map(len, path.read_bytes().splitlines(keepends=True)[:2]))
+    assert [raw.payload["id"] for raw, _ in replay_events(path, after_line_2)] == ["r-2"]
 
 
 @pytest.mark.parametrize("field, value", [

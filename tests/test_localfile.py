@@ -105,7 +105,7 @@ _CHUNK = {"encoding": "DICT", "value_count": 1, "byte_offset": 4, "byte_length":
     (ConnectorState, {"seq_counters": {"k": "1"}}, "seq_counters"),
     (ConnectorState, {"synthetic": {"next_index": 0, "prng_state": 0, "price_e8": 0}},
      "synthetic.last_event_time_us"),
-    (ConnectorState, {"replay_line": None}, "replay_line"),
+    (ConnectorState, {"replay_offset": None}, "replay_offset"),
     (ColumnChunk, {**_CHUNK, "encoding": "ZSTD"}, "encoding"),
     (ColumnChunk, {**_CHUNK, "encoding": "__class__"}, "encoding"),
     (ColumnChunk, {**_CHUNK, "encoding": 2}, "encoding"),

@@ -2,9 +2,12 @@
 signature; the FS backend is the reference model for equivalence."""
 
 import random
+import socket
+import threading
 
 import pytest
 
+from brclake import objectstore
 from brclake.errors import BackendUnavailable, NotFound, PreconditionFailed
 from brclake.objectstore import FsStore, S3Config, S3Store
 
@@ -73,6 +76,44 @@ def test_bad_credentials_rejected_by_endpoint():
         ))
         with pytest.raises(BackendUnavailable):
             bad.put("k", b"x")
+
+
+def test_endpoint_that_never_answers_fails_fast(monkeypatch):
+    """A listener that accepts connections and never replies: the request
+    times out as BackendUnavailable instead of waiting for ever."""
+    monkeypatch.setattr(objectstore, "REQUEST_TIMEOUT_S", 0.2)
+    with socket.create_server(("127.0.0.1", 0)) as silent:
+        port = silent.getsockname()[1]
+        store = S3Store(S3Config(endpoint=f"http://127.0.0.1:{port}", region="r",
+                                 access_key="a", secret_key="s", bucket="b"))
+        outcome = []
+
+        def get():
+            try:
+                store.get("k")
+            except Exception as exc:  # noqa: BLE001 (the test inspects it)
+                outcome.append(exc)
+
+        worker = threading.Thread(target=get, daemon=True)
+        worker.start()
+        worker.join(timeout=5)
+        assert not worker.is_alive(), "the GET is still waiting for a reply"
+    assert [type(exc) for exc in outcome] == [BackendUnavailable]
+
+
+@pytest.mark.parametrize("method, reply", [
+    ("list", (200, {}, b"<ListBucketResult><Contents><Key>k</Key><Size>x</Size></Contents>"
+                       b"</ListBucketResult>")),
+    ("list", (200, {}, b"<ListBucketResult><Contents><Key>k</Key><Size>-1</Size></Contents>"
+                       b"</ListBucketResult>")),
+    ("head", (200, {"content-length": "12x"}, b"")),
+], ids=["list_size_not_a_number", "list_size_negative", "head_content_length"])
+def test_malformed_object_size_is_backend_unavailable(monkeypatch, method, reply):
+    store = S3Store(S3Config(endpoint="http://127.0.0.1:9", region="r", access_key="a",
+                             secret_key="s", bucket="b"))
+    monkeypatch.setattr(store, "_request", lambda *a, **k: reply)
+    with pytest.raises(BackendUnavailable):
+        store.list("") if method == "list" else store.head("k")
 
 
 def test_probe_accepts_honest_endpoint_and_refuses_liar():

@@ -262,8 +262,8 @@ def test_checkpoint_and_connector_state_bytes_are_pinned(tmp_path):
         b'{"seq_counters": {"syn|trade|BTC-USD": 7}, "synthetic": {"last_event_time_us": 1600000000000000, '
         b'"next_index": 7, "price_e8": 1000000000000, "prng_state": 18446744073709551615}}')
     assert store.load_connector_state("c", ConnectorState) == state
-    store.save_connector_state("c", ConnectorState(replay_line=4))
-    assert (tmp_path / "c" / "connector_state.json").read_bytes() == b'{"replay_line": 4, "seq_counters": {}}'
+    store.save_connector_state("c", ConnectorState(replay_offset=4))
+    assert (tmp_path / "c" / "connector_state.json").read_bytes() == b'{"replay_offset": 4, "seq_counters": {}}'
 
 
 def test_drain_batch_does_not_advance(tmp_path):
@@ -454,6 +454,32 @@ def test_corrupt_staging_state_is_typed(tmp_path, name, content, reader, line_no
         else:
             run_connector(make_config(), store)
     assert (err.value.path, err.value.line_no) == (str(path), line_no)
+
+
+def test_negative_checkpoint_is_corrupt_staging_under_optimize(tmp_path):
+    """A checkpoint below 0 would drain records again that are published,
+    and a drain would return a next checkpoint below its records' offsets;
+    its file is refused by every reader, also under python -O."""
+    result = run_optimized(f"""
+from pathlib import Path
+from conftest import make_event
+from brclake.errors import CorruptStaging
+from brclake.staging import StagingStore
+root = Path({str(tmp_path)!r})
+store = StagingStore(root)
+with store.open_session("c") as session:
+    session.append_batch([make_event(event_id=f"e-{{i}}") for i in range(3)])
+(root / "c" / "checkpoint.json").write_text('{{"committed_offset": -2}}')
+for name, read in [("drain", lambda: store.drain_batch("c", 100)),
+                   ("commit", lambda: store.commit_checkpoint("c", 1)), ("prune", lambda: store.prune("c"))]:
+    try:
+        print(name, read())
+    except CorruptStaging as exc:
+        print(name, Path(exc.path).name, "committed_offset -2" in str(exc))
+""")
+    assert result.stdout.splitlines() == [
+        f"{name} checkpoint.json True" for name in ("drain", "commit", "prune")
+    ], result.stderr
 
 
 @pytest.mark.parametrize("name, reader", [
