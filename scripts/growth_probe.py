@@ -14,10 +14,12 @@ workload does. Loading the history is not timed.
 
 For instants 0-20 and 180-200 it prints the median per-run
 ingest, export and ``etl._live_identities`` milliseconds, each with the
-ratio of the last window's median to the first's, and the dedup GETs (data
-files fetched during exports) of each window. The last line gives the dedup
-GETs of every instant, and the last the peak resident set size in MiB
-(``ru_maxrss``). That peak covers the whole process: the program, the
+ratio of the last window's median to the first's, the median milliseconds
+of the window's compaction passes, the dedup GETs (data files fetched
+during exports) and the rows that compaction rewrote (the rows of the files
+it published) in each window. Then come the dedup GETs, compaction seconds
+and rows rewritten over every instant, and last the peak resident set size
+in MiB (``ru_maxrss``). That peak covers the whole process: the program, the
 probe, and the generation of the feed. The program runs in this process
 against a temporary directory, which is removed at the end.
 """
@@ -36,11 +38,13 @@ SEED, HISTORY, INSTANTS, PER_INSTANT = 3, 2000, 200, 150
 WINDOW = 20  # instants at each end whose medians are printed
 
 
-def probe(history: int = HISTORY, instants: int = INSTANTS,
-          per_instant: int = PER_INSTANT) -> list[tuple[float, float, float, int]]:
-    """(ingest s, export s, _live_identities s, dedup GETs) of each instant
-    of ``feeds.late_feed(SEED, history, instants, per_instant)``. The
-    ``perfbench/`` and ``src/`` directories must be on ``sys.path``."""
+def probe(history: int = HISTORY, instants: int = INSTANTS, per_instant: int = PER_INSTANT
+          ) -> list[tuple[float, float, float, int, float | None, int]]:
+    """(ingest s, export s, _live_identities s, dedup GETs, compaction pass
+    s or None where the instant does not compact, rows rewritten by
+    compaction) of each instant of ``feeds.late_feed(SEED, history,
+    instants, per_instant)``. The ``perfbench/`` and ``src/`` directories
+    must be on ``sys.path``."""
     import feeds
     from spans import CountingStore, clock
     from workloads import COMPACT_EVERY, TABLE
@@ -71,10 +75,13 @@ def probe(history: int = HISTORY, instants: int = INSTANTS,
         store.phase = "export"
         etl.export_all(staging, store, table, "desk")
 
-    def compact_all() -> None:
+    def compact_all() -> int:
+        """The rows of the files the pass published."""
         store.phase = "compact"
+        before = table.snapshot_at().live_files
         for partition in etl.live_partitions(table):
             etl.compact(store, table, partition)
+        return sum(add.rows for path, add in table.snapshot_at().live_files.items() if path not in before)
 
     etl._live_identities = timed_live_identities  # export_job looks it up at each call
     try:
@@ -96,9 +103,14 @@ def probe(history: int = HISTORY, instants: int = INSTANTS,
             t1 = clock()
             live_s, gets = 0.0, store.counts["export.data_get_ops"]
             export()
-            runs.append((t1 - t0, clock() - t1, live_s, store.counts["export.data_get_ops"] - gets))
+            t2 = clock()
+            run = (t1 - t0, t2 - t1, live_s, store.counts["export.data_get_ops"] - gets)
             if k % COMPACT_EVERY == COMPACT_EVERY - 1:
-                compact_all()
+                rewritten = compact_all()
+                run += (clock() - t2, rewritten)
+            else:
+                run += (None, 0)
+            runs.append(run)
         return runs
     finally:
         etl._live_identities = live_identities
@@ -119,8 +131,14 @@ def main(argv: list[str]) -> int:
         a = 1000 * statistics.median(r[i] for r in first)
         b = 1000 * statistics.median(r[i] for r in last)
         print(f"{name:<20} {a:9.2f} {b:9.2f}  x{b / a if a else float('nan'):.2f}")
-    print(f"{'dedup_gets':<20} {sum(r[3] for r in first):9d} {sum(r[3] for r in last):9d}")
+    passes = [[1000 * r[4] for r in window if r[4] is not None] for window in (first, last)]
+    print(f"{'compact_pass_ms':<20} " + " ".join(
+        f"{statistics.median(p) if p else float('nan'):9.2f}" for p in passes))
+    for i, name in ((3, "dedup_gets"), (5, "compact_rows")):
+        print(f"{name:<20} {sum(r[i] for r in first):9d} {sum(r[i] for r in last):9d}")
     print(f"dedup_gets_total {sum(r[3] for r in runs)}")
+    print(f"compact_s_total {sum(r[4] for r in runs if r[4] is not None):.2f}")
+    print(f"compact_rows_total {sum(r[5] for r in runs)}")
     print(f"peak_rss_mib {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f}")  # ru_maxrss is KiB
     return 0
 

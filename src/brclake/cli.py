@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--connector", required=True)
     p.add_argument("--table", required=True)
     p.add_argument("--max-records", type=int, default=100_000)
-    p = etl.add_parser("compact", help="merge a partition's files")
+    p = etl.add_parser("compact", help="merge a partition's small files")
     p.add_argument("--table", required=True)
     p.add_argument("--partition", help="symbol=SYM/date=YYYY-MM-DD")
     p.add_argument("--all", action="store_true", help="compact every live partition")
@@ -209,7 +209,7 @@ def _run(args: argparse.Namespace) -> int:
         else:
             report = table.audit()
             _emit(report)
-            if report["dangling"]:
+            if report["dangling"] or report["mismatched"]:
                 return 1
 
     return 0

@@ -1,5 +1,6 @@
 """Transformation stage: drain staged records, deduplicate, partition, write
-columnar files, and publish them atomically to the lakehouse; plus compaction.
+columnar files, and publish them atomically to the lakehouse; plus compaction,
+which merges a partition's small files.
 
 Exactly-once effect is the composition of three guarantees, in this order:
 at-least-once staging delivery, exact identity dedup (within the batch and
@@ -29,6 +30,12 @@ are grouped by (symbol, UTC day) into partitions, ordered by ``ROW_ORDER``
 and deduplicated, in the batch and across batches, by ``ROW_IDENTITY``; both
 are defined here and nowhere else. Export and compaction write every data file through
 ``_publish``.
+
+Compaction is size-tiered, as in LSM stores: a file holding more than
+``FULL_RATIO`` times the rows of its partition's smaller live files
+together is full, and is neither read nor rewritten; the smaller files merge
+into one (``_merge_set``). A partition that keeps receiving late rows then
+rewrites each row about log3(rows) times, not at every compaction.
 """
 
 from __future__ import annotations
@@ -67,6 +74,11 @@ ROW_IDENTITY = itemgetter(*(_COLUMN_INDEX[name] for name in IDENTITY_COLUMNS))
 # least recently used files are evicted and fetched again when a batch
 # overlaps them.
 IDENTITY_CACHE_ROWS = 500_000
+
+# Compaction leaves alone a file whose rows exceed FULL_RATIO times those of
+# its partition's smaller files together (``_merge_set``). It counts rows,
+# not bytes, because a file of a few rows is mostly footer.
+FULL_RATIO = 2
 
 
 def dedup(rows: list[tuple]) -> tuple[list[tuple], int]:
@@ -215,8 +227,26 @@ def export_all(
             return ExportResult(total_rows, version, result.next_checkpoint, dropped)
 
 
+def _merge_set(files: list[AddFile]) -> list[AddFile]:
+    """The files of one partition that compaction merges. Sorted by
+    ``(rows, path)``, a file is full when its rows exceed ``FULL_RATIO``
+    times the rows of all smaller files together; the walk from the largest
+    file down drops full files and stops at the first that is not full,
+    which is merged with every smaller file. The smallest file is never
+    full."""
+    files = sorted(files, key=lambda a: (a.rows, a.path))
+    smaller = sum(a.rows for a in files)
+    while len(files) > 1:
+        smaller -= files[-1].rows
+        if files[-1].rows <= FULL_RATIO * smaller:
+            break
+        files.pop()
+    return files
+
+
 def compact(store, table: LakeTable, partition: PartitionKey, min_files: int = 2) -> int | None:
-    """Merge a partition's live files into one; no-op below min_files.
+    """Merge a partition's small files (``_merge_set``) into one, leaving
+    its full files unread; no-op when fewer than min_files would merge.
 
     A concurrent compaction of the same partition loses the OCC race: its
     RemoveFiles are no longer live on rebase, so the commit raises
@@ -225,7 +255,7 @@ def compact(store, table: LakeTable, partition: PartitionKey, min_files: int = 2
     if min_files < 1:
         raise ConfigInvalid("min_files", "must be >= 1")
     snapshot = table.snapshot_at()
-    victims = sorted((a for a in snapshot.live_files.values() if a.partition == partition),
+    victims = sorted(_merge_set([a for a in snapshot.live_files.values() if a.partition == partition]),
                      key=lambda a: a.path)
     if len(victims) < min_files:
         return None
@@ -287,11 +317,19 @@ class CompactParams:
     min_files: int = 2
 
 
+@dataclass
+class PruneParams:
+    """``staging.prune``: drop one connector's fully exported segments."""
+
+    connector_id: str
+
+
 def build_action_registry(app) -> dict:
     """Named actions for DAG tasks, bound to an AppContext (see cli module):
-    ``ingest.run``, ``etl.export`` and ``etl.compact``, whose params are an
-    ``IngestParams``, ``ExportParams`` and ``CompactParams`` record. A param
-    key that names no field raises ConfigInvalid."""
+    ``ingest.run``, ``etl.export``, ``etl.compact`` and ``staging.prune``,
+    whose params are an ``IngestParams``, ``ExportParams``, ``CompactParams``
+    and ``PruneParams`` record. A param key that names no field raises
+    ConfigInvalid."""
     from .events import ConnectorConfig
     from .ingest import run_connector
 
@@ -313,7 +351,11 @@ def build_action_registry(app) -> dict:
         compact_partitions(app.store, app.table(params.table_id), params.partition,
                            min_files=params.min_files)
 
-    return {"ingest.run": ingest_run, "etl.export": etl_export, "etl.compact": etl_compact}
+    def staging_prune(ctx) -> None:
+        app.staging.prune(config_from_json(PruneParams, ctx.params).connector_id)
+
+    return {"ingest.run": ingest_run, "etl.export": etl_export, "etl.compact": etl_compact,
+            "staging.prune": staging_prune}
 
 
 def parse_partition(spec: str) -> PartitionKey:

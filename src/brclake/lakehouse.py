@@ -296,15 +296,24 @@ class LakeTable:
         return fresh
 
     def audit(self) -> dict:
-        """Referential integrity report: dangling references are failures,
-        orphaned data files are informational."""
+        """Referential integrity report: dangling references and
+        ``mismatched`` live files (whose bytes ``read_data_file`` finds
+        disagree with their AddFile, from one GET and the footer) are
+        failures, orphaned data files are informational."""
         snapshot = self.snapshot_at()
         stored = {m.key for m in self.store.list(data_prefix(self.table_id))}
         live = set(snapshot.live_files)
+        mismatched = []
+        for path in sorted(live & stored):
+            try:
+                read_data_file(self.store, snapshot.live_files[path], ())
+            except DataFileMismatch:
+                mismatched.append(path)
         return {
             "version": snapshot.version,
             "live_files": len(live),
             "dangling": sorted(live - stored),
+            "mismatched": mismatched,
             "orphans": sorted(stored - live),
         }
 

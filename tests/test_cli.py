@@ -12,13 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brclake import errors
+from brclake import errors, staging
 from brclake.cli import build_parser, main, parse_bucket_width
-from brclake.config import load_config
+from brclake.config import AppContext, load_config
 from brclake.errors import ConfigInvalid
+from brclake.etl import SCHEMA_ID, TABLE_COLUMNS, build_action_registry
 from brclake.fixedpoint import iso_to_us
 from brclake.lakehouse import AddFile, LakeTable, LogEntry, PartitionKey, entry_to_bytes
 from brclake.objectstore import FsStore
+from brclake.orchestrator import DagSpec, Interval, Scheduler, SimClock, TaskSpec
 from brclake.staging import StagingStore
 
 
@@ -292,14 +294,35 @@ def test_missing_dags_dir_is_config_invalid(tmp_path, monkeypatch):
     ({"task_id": "compact", "action": "etl.compact", "params": {"table_id": "trades", "min_file": 0}},
      "min_file"),
     ({"task_id": "ingest", "action": "ingest.run", "params": {"config": "c1.json"}}, "config"),
+    ({"task_id": "prune", "action": "staging.prune", "params": {"connector_id": "c1", "table_id": "trades"}},
+     "table_id"),
     ({"task_id": "ingest", "action": "ingest.run", "params": {"connector": {
         "connector_id": "c1", "kind": "synthetic", "source": "syn", "symbols": {"BTCUSDT": "BTC-USDT"},
         "cout": 5}}}, "cout"),
-], ids=["export_param", "compact_param", "ingest_param", "inline_connector_key"])
+], ids=["export_param", "compact_param", "ingest_param", "prune_param", "inline_connector_key"])
 def test_action_param_that_names_no_field_fails_task_with_config_invalid(tmp_path, task, field):
     failed = _run_one_task_dag(tmp_path, task)
     assert failed["state"] == "Failed"
     assert failed["error"] == str(ConfigInvalid(field, "names no field"))
+
+
+def test_scheduled_prune_after_export_keeps_only_the_newest_segment(tmp_path, monkeypatch):
+    monkeypatch.setattr(staging, "SEGMENT_RECORDS", 7)
+    config = tmp_path / "app.json"
+    config.write_text(json.dumps({"data_root": str(tmp_path / "data")}))
+    app = AppContext(load_config(str(config), env={}))
+    app.table("trades").init(SCHEMA_ID, TABLE_COLUMNS)
+    dag = DagSpec("d", Interval(0, 3_600_000_000), [
+        TaskSpec("ingest", [], "ingest.run", {"config_path": str(_connector_file(tmp_path, count=50))}),
+        TaskSpec("export", ["ingest"], "etl.export", {"connector_id": "c1", "table_id": "trades"}),
+        TaskSpec("prune", ["export"], "staging.prune", {"connector_id": "c1"}),
+    ])
+    with Scheduler(app.runs_root, build_action_registry(app), clock=SimClock(0)) as scheduler:
+        assert scheduler.run_once(dag, 0).succeeded
+    tail = app.staging.tail_offset("c1")
+    assert tail > 7 and app.staging.committed_offset("c1") == tail
+    segments = [p.name for p in (tmp_path / "data" / "staging" / "c1").glob("seg-*")]
+    assert segments == [f"seg-{(tail - 1) // 7 * 7:020}.jsonl"]
 
 
 def test_dag_file_key_that_names_no_field_is_config_invalid(tmp_path):
@@ -438,6 +461,17 @@ def test_compact_rejects_min_files_below_one(tmp_path, monkeypatch, args):
     assert code == 1
     error = json.loads(err.splitlines()[-1])
     assert (error["error"], error["field"]) == ("ConfigInvalid", "min_files")
+
+
+def test_audit_of_a_file_holding_another_files_bytes_exits_one(tmp_path, monkeypatch):
+    _small_table(tmp_path, monkeypatch)
+    store = FsStore(tmp_path / "data" / "store")
+    first, second = sorted(LakeTable(store, "trades").snapshot_at().live_files)[:2]
+    store.put(first, store.get(second))
+    result = _brc("lake", "audit", "--table", "trades", data_root=tmp_path / "data")
+    report = json.loads(result.stdout)
+    assert result.returncode == 1
+    assert (report["mismatched"], report["dangling"]) == ([first], [])
 
 
 def test_table_id_cannot_escape_the_store(tmp_path):

@@ -1,16 +1,22 @@
 import io
 import json
+import math
 import os
 import random
 import sys
+import tempfile
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brclake import crashpoints, etl
 from brclake.errors import ConfigInvalid, CorruptStaging, DataFileMismatch, InvalidAction, SessionLockHeld
 from brclake.etl import (
+    FULL_RATIO,
     IDENTITY_COLUMNS,
     ROW_IDENTITY,
     ROW_ORDER,
@@ -654,6 +660,90 @@ def test_concurrent_compactions_one_winner(tmp_path):
     assert sum(a.rows for a in table.snapshot_at().live_files.values()) == 100
 
 
+def _layered_table(tmp_path, counts):
+    """A table whose BTC-USD partition of one day holds one exported file of
+    each row count in counts, in that order; every file's rows start at the
+    day's first microsecond, so each later file is late."""
+    store, staging, table = _env(tmp_path)
+    start = 0
+    for n in counts:
+        _stage(staging, _trades(n, start_id=start))
+        export_job(staging, store, table, "c")
+        start += n
+    return store, staging, table
+
+
+def _scanned(store, table):
+    return list(scan(store, table, ScanRequest("trades", (T0, T0 + US_PER_DAY), {"BTC-USD"})))
+
+
+def test_compaction_never_fetches_a_full_file_and_keeps_its_path(tmp_path):
+    store, _, table = _layered_table(tmp_path, [100, 5, 7, 9])
+    (full,) = [path for path, add in table.snapshot_at().live_files.items() if add.rows == 100]
+    counting = _CountingStore(store)
+    assert compact(counting, table, live_partitions(table)[0]) is not None
+    live = table.snapshot_at().live_files
+    assert full in live and sorted(add.rows for add in live.values()) == [21, 100]
+    assert len(counting.data_gets) == 3 and full not in counting.data_gets
+
+
+def test_one_large_and_one_small_file_is_a_no_op_at_two_min_files(tmp_path):
+    store, _, table = _layered_table(tmp_path, [100, 5])
+    version = table.current_version()
+    counting = _CountingStore(store)
+    assert compact(counting, table, live_partitions(table)[0], min_files=2) is None
+    assert table.current_version() == version and counting.data_gets == []
+
+
+def test_rows_rewritten_by_repeated_compaction_stay_below_twice_the_big_file(tmp_path):
+    store, staging, table = _layered_table(tmp_path, [1000])
+    partition = live_partitions(table)[0]
+    rewritten = 0
+    for k in range(60):
+        _stage(staging, _trades(5, start_id=1000 + 5 * k))  # late rows inside the big file's range
+        export_job(staging, store, table, "c")
+        before = table.snapshot_at().live_files
+        compact(store, table, partition)
+        live = table.snapshot_at().live_files
+        rewritten += sum(add.rows for path, add in live.items() if path not in before)
+        assert len(live) <= 1 + math.log(sum(add.rows for add in live.values()), 3)
+    assert rewritten < 2 * 1000
+    assert sum(add.rows for add in live.values()) == 1300 and len(_scanned(store, table)) == 1300
+
+
+@given(st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=6))
+@settings(max_examples=30, deadline=None, database=None)
+def test_compaction_merges_the_files_below_the_first_that_is_not_full(counts):
+    with tempfile.TemporaryDirectory() as tmp:
+        store, _, table = _layered_table(Path(tmp), counts)
+        partition = live_partitions(table)[0]
+        before = table.snapshot_at().live_files
+        scanned = _scanned(store, table)
+        cached_at_commit = []
+        commit = table.commit
+
+        def commit_noting_the_cache(actions, committer):
+            cached_at_commit.append(actions[0].path in table.identity_cache)
+            return commit(actions, committer)
+
+        table.commit = commit_noting_the_cache
+        assert compact(store, table, partition, min_files=1) is not None
+        after = table.snapshot_at().live_files
+        order = sorted(before.values(), key=lambda a: (a.rows, a.path))
+        smaller = {add.path: sum(a.rows for a in order[:i]) for i, add in enumerate(order)}
+        merged = [add for add in order if add.path not in after]  # a prefix of order
+        assert merged == order[:len(merged)]
+        for add in order[len(merged):]:  # left alone
+            assert add.rows > FULL_RATIO * smaller[add.path]
+        assert len(merged) == 1 or merged[-1].rows <= FULL_RATIO * smaller[merged[-1].path]
+        (new,) = [add for path, add in after.items() if path not in before]
+        assert new.rows == sum(add.rows for add in merged)
+        assert _scanned(store, table) == scanned
+        assert cached_at_commit == [False]
+        assert table.identity_cache[new.path] == frozenset(
+            read_file(store.get(new.path), projection=IDENTITY_COLUMNS).rows())
+
+
 # -- a live file checked against its AddFile -------------------------------------------
 
 def _swapped_table(tmp_path):
@@ -680,6 +770,12 @@ def test_compaction_of_a_swapped_file_commits_nothing(tmp_path):
     with pytest.raises(DataFileMismatch) as err:
         compact(store, table, btc.partition, min_files=1)
     assert err.value.path == btc.path and table.current_version() == version
+
+
+def test_audit_reports_a_swapped_file_as_mismatched(tmp_path):
+    store, _, table, btc = _swapped_table(tmp_path)
+    report = table.audit()
+    assert (report["mismatched"], report["dangling"], report["live_files"]) == ([btc.path], [], 2)
 
 
 def test_dedup_against_a_swapped_file_is_data_file_mismatch(tmp_path):
