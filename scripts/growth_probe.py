@@ -18,8 +18,10 @@ ratio of the last window's median to the first's, the median milliseconds
 of the window's compaction passes, the dedup GETs (data files fetched
 during exports) and the rows that compaction rewrote (the rows of the files
 it published) in each window. Then come the dedup GETs, compaction seconds
-and rows rewritten over every instant, and last the peak resident set size
-in MiB (``ru_maxrss``). That peak covers the whole process: the program, the
+and rows rewritten over every instant, the store's ``stored_bytes_per_row``
+after the last instant (every byte under the store root over the live rows,
+as perfbench counts it), and last the peak resident set size in MiB
+(``ru_maxrss``). That peak covers the whole process: the program, the
 probe, and the generation of the feed. The program runs in this process
 against a temporary directory, which is removed at the end.
 """
@@ -39,14 +41,15 @@ WINDOW = 20  # instants at each end whose medians are printed
 
 
 def probe(history: int = HISTORY, instants: int = INSTANTS, per_instant: int = PER_INSTANT
-          ) -> list[tuple[float, float, float, int, float | None, int]]:
+          ) -> tuple[list[tuple[float, float, float, int, float | None, int]], float]:
     """(ingest s, export s, _live_identities s, dedup GETs, compaction pass
     s or None where the instant does not compact, rows rewritten by
     compaction) of each instant of ``feeds.late_feed(SEED, history,
-    instants, per_instant)``. The ``perfbench/`` and ``src/`` directories
-    must be on ``sys.path``."""
+    instants, per_instant)``, and the stored bytes per live row after the
+    last instant. The ``perfbench/`` and ``src/`` directories must be on
+    ``sys.path``."""
     import feeds
-    from spans import CountingStore, clock
+    from spans import CountingStore, clock, tree_bytes
     from workloads import COMPACT_EVERY, TABLE
 
     from brclake import etl, ingest
@@ -111,7 +114,8 @@ def probe(history: int = HISTORY, instants: int = INSTANTS, per_instant: int = P
             else:
                 run += (None, 0)
             runs.append(run)
-        return runs
+        live_rows = sum(add.rows for add in table.snapshot_at().live_files.values())
+        return runs, tree_bytes(work / "store") / live_rows
     finally:
         etl._live_identities = live_identities
         shutil.rmtree(work)
@@ -123,7 +127,7 @@ def main(argv: list[str]) -> int:
     checkout = parser.parse_args(argv).checkout.resolve()
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
 
-    runs = probe()
+    runs, stored_bytes_per_row = probe()
     first, last = runs[:WINDOW], runs[-WINDOW:]
     print(f"seed {SEED}, history {HISTORY}, {PER_INSTANT} lines per instant; "
           f"medians at instants 0-{WINDOW} and {INSTANTS - WINDOW}-{INSTANTS}")
@@ -139,6 +143,7 @@ def main(argv: list[str]) -> int:
     print(f"dedup_gets_total {sum(r[3] for r in runs)}")
     print(f"compact_s_total {sum(r[4] for r in runs if r[4] is not None):.2f}")
     print(f"compact_rows_total {sum(r[5] for r in runs)}")
+    print(f"stored_bytes_per_row {stored_bytes_per_row:.2f}")
     print(f"peak_rss_mib {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f}")  # ru_maxrss is KiB
     return 0
 

@@ -3,8 +3,8 @@
 File layout, all integers little-endian:
 
     magic "BRCL"
-    column chunks, schema order, each encoded per its chosen encoding
-    footer: UTF-8 JSON, lexicographically sorted keys
+    column chunks, schema order, back to back, each encoded per its encoding
+    footer
     u32 footer length
     magic "BRCL"
 
@@ -25,21 +25,39 @@ encoding of any column, so this choice is the writer's alone and changing it
 needs no new ``FORMAT_VERSION``.
 
 Chunks carry a CRC-32C over exactly their encoded bytes and min/max stats
-(BYTES stats compare lexicographically, are truncated to 64 bytes and are
-stored as latin-1 text). The payload holds no timestamps, so identical input
-yields identical bytes on any platform.
+(BYTES stats compare lexicographically and are truncated to 64 bytes). The
+payload holds no timestamps, so identical input yields identical bytes on
+any platform.
 
-The footer is the JSON object of ``FileFooter``, written and read by
-``localfile``'s record codec (a chunk's encoding by its member name), so its
-dataclasses are the one statement of its fields. ``_check_footer`` adds what
-the codec cannot see: a valid schema with one chunk per column, counts that
-agree, chunk ranges between the leading magic and the footer, and stats of
-each column's type. Any way a footer can be wrong is FooterCorrupt.
+The writer writes format version 2, whose footer is binary. Its strings
+and stats are PLAIN values: a string is a u32 length and its bytes (names
+and the writer in UTF-8), and min and max are PLAIN in their column's type.
+
+    u8 version (2), u32 row_count, u32 column count, writer string
+    per column, in schema order:
+        name string, u8 physical type (0 INT64, 1 BYTES, 2 BOOL),
+        u8 encoding, u32 chunk byte length, u32 chunk CRC-32C,
+        min and max: i64 each for INT64, one byte 0 or 1 each for BOOL,
+        a string of at most 64 raw bytes each for BYTES
+    u32 CRC-32C over every footer byte before it
+
+A chunk holds row_count values, chunks tile the bytes between the leading
+magic and the footer, so each chunk starts where the one before it ends,
+and the codec is "none"; the reader fills these ``FileFooter`` fields in.
+
+The reader also reads format version 1, whose footer is the UTF-8 JSON
+object of ``FileFooter`` with sorted keys, written by ``localfile``'s record
+codec (a chunk's encoding by its member name, BYTES stats as latin-1
+text). A footer's first byte tells the versions apart: ``{`` is version 1,
+``0x02`` version 2, anything else is unsupported. ``_check_footer`` adds to
+a version-1 footer what the codec cannot see: a valid schema with one chunk
+per column, counts that agree, chunk ranges between the leading magic and
+the footer, and stats of each column's type. Any way a footer of either
+version can be wrong is FooterCorrupt.
 """
 
 from __future__ import annotations
 
-import json
 import re
 import struct
 from dataclasses import dataclass
@@ -58,17 +76,20 @@ from .errors import (
     SchemaViolation,
 )
 from .fixedpoint import I64_MAX, I64_MIN
-from .localfile import read_json, record_from_json, record_to_json
+from .localfile import read_json, record_from_json
 
 MAGIC = b"BRCL"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 DEFAULT_WRITER = "brclake/1"
 STATS_TRUNCATE_BYTES = 64
 
 INT64 = "INT64"
 BYTES = "BYTES"
 BOOL = "BOOL"
-PHYSICAL_TYPES = (INT64, BYTES, BOOL)
+PHYSICAL_TYPES = (INT64, BYTES, BOOL)  # a version-2 footer codes a type by its index here
+
+
+_COLUMN_NAME = re.compile(r"[a-z_][a-z0-9_]*")
 
 
 class Encoding(IntEnum):
@@ -84,7 +105,7 @@ class ColumnSchema:
     physical_type: str
 
     def validate(self) -> None:
-        if not re.fullmatch(r"[a-z_][a-z0-9_]*", self.name):
+        if not _COLUMN_NAME.fullmatch(self.name):
             raise ValueError(f"bad column name {self.name!r}")
         if self.physical_type not in PHYSICAL_TYPES:
             raise ValueError(f"bad physical type {self.physical_type!r}")
@@ -92,8 +113,8 @@ class ColumnSchema:
 
 @dataclass
 class ColumnChunk:
-    """A chunk's place, coding and stats. In the footer JSON a BYTES stat is
-    latin-1 text; a read footer holds it as bytes."""
+    """A chunk's place, coding and stats. A BYTES stat is bytes, held as
+    latin-1 text only in a version-1 footer's JSON."""
 
     encoding: Encoding
     value_count: int
@@ -363,13 +384,12 @@ def write_file(rows: Sequence[Sequence[Any]], schema: Sequence[ColumnSchema]) ->
         encoding = choose_encoding(values, col.physical_type)
         encoded = encode_column(values, col.physical_type, encoding)
         if col.physical_type == BYTES:
-            lo, hi = lo[:STATS_TRUNCATE_BYTES].decode("latin-1"), hi[:STATS_TRUNCATE_BYTES].decode("latin-1")
+            lo, hi = bytes(lo[:STATS_TRUNCATE_BYTES]), bytes(hi[:STATS_TRUNCATE_BYTES])
         chunks.append(ColumnChunk(encoding, len(values), offset, len(encoded), crc32c(encoded), lo, hi))
         parts.append(encoded)
         offset += len(encoded)
 
-    footer = FileFooter(FORMAT_VERSION, len(rows), list(schema), chunks, DEFAULT_WRITER)
-    footer_bytes = json.dumps(record_to_json(footer), sort_keys=True, separators=(",", ":")).encode()
+    footer_bytes = _encode_footer(FileFooter(FORMAT_VERSION, len(rows), list(schema), chunks, DEFAULT_WRITER))
     parts.append(footer_bytes)
     parts.append(_U32.pack(len(footer_bytes)))
     parts.append(MAGIC)
@@ -395,18 +415,75 @@ def _checked_columns(rows: Sequence[Sequence[Any]], schema: Sequence[ColumnSchem
     return list(zip(columns, bounds))
 
 
+# -- footer codec --------------------------------------------------------------------------
+
+_V2_HEAD = struct.Struct("<BII")  # format version, row_count, column count
+_V2_CHUNK = struct.Struct("<BBII")  # physical type, encoding, chunk byte length, chunk CRC-32C
+
+
+def _encode_footer(footer: FileFooter) -> bytes:
+    """The version-2 footer bytes of footer, its CRC-32C last. Strings and
+    stats are PLAIN-encoded values."""
+    parts = [_V2_HEAD.pack(FORMAT_VERSION, footer.row_count, len(footer.schema)),
+             _encode_plain([footer.writer.encode()], BYTES)]
+    for col, chunk in zip(footer.schema, footer.chunks):
+        parts += (_encode_plain([col.name.encode()], BYTES),
+                  _V2_CHUNK.pack(PHYSICAL_TYPES.index(col.physical_type), chunk.encoding,
+                                 chunk.byte_length, chunk.crc32c),
+                  _encode_plain([chunk.min, chunk.max], col.physical_type))
+    body = b"".join(parts)
+    return body + _U32.pack(crc32c(body))
+
+
+def _decode_footer(data: bytes, footer_start: int) -> FileFooter:
+    """The version-2 footer data of a file whose chunks end at footer_start:
+    its CRC-32C checked first, then every field, chunks tiling the chunk
+    region. FooterCorrupt for any other bytes."""
+    body, crc = data[:-4], data[-4:]
+    if len(crc) < 4 or crc32c(body) != _U32.unpack(crc)[0]:
+        raise FooterCorrupt("footer CRC-32C mismatch")
+    try:
+        _, row_count, n_columns = _V2_HEAD.unpack_from(body)
+        (writer,), pos = _decode_plain(body, BYTES, 1, _V2_HEAD.size)
+        schema, chunks = [], []
+        offset = len(MAGIC)
+        for _ in range(n_columns):
+            (name,), pos = _decode_plain(body, BYTES, 1, pos)
+            code, encoding, length, chunk_crc = _V2_CHUNK.unpack_from(body, pos)
+            if code >= len(PHYSICAL_TYPES):
+                raise FooterCorrupt(f"unknown physical type code {code}")
+            col = ColumnSchema(name.decode(), PHYSICAL_TYPES[code])
+            (lo, hi), pos = _decode_plain(body, col.physical_type, 2, pos + _V2_CHUNK.size)
+            if col.physical_type == BYTES and max(len(lo), len(hi)) > STATS_TRUNCATE_BYTES:
+                raise FooterCorrupt(f"stats of {col.name!r} longer than {STATS_TRUNCATE_BYTES} bytes")
+            schema.append(col)
+            chunks.append(ColumnChunk(Encoding(encoding), row_count, offset, length, chunk_crc, lo, hi))
+            offset += length
+        footer = FileFooter(FORMAT_VERSION, row_count, schema, chunks, writer.decode())
+        _validate_schema(schema)
+    # a field past the footer's end, a BOOL stat above 1, a name or writer
+    # not UTF-8, an unknown encoding, a bad or repeated column name
+    except (struct.error, CorruptChunk, ValueError) as exc:
+        raise FooterCorrupt(f"bad footer: {exc}") from None
+    if pos != len(body):
+        raise FooterCorrupt(f"{len(body) - pos} trailing footer bytes")
+    if offset != footer_start:
+        raise FooterCorrupt(f"chunks end at {offset}, not at the footer start {footer_start}")
+    return footer
+
+
 # -- file reader ---------------------------------------------------------------------------
 
 _STAT_TYPES = {INT64: int, BYTES: str, BOOL: bool}  # JSON type of each column type's stats
 
 def _check_footer(footer: FileFooter, footer_start: int) -> FileFooter:
-    """footer, checked for what the record codec cannot see: valid columns,
-    one chunk each, no compression codec, counts >= 0 that agree, chunks
-    between the leading magic and footer_start, and stats of their column's
-    type, BYTES stats turned from latin-1 text into bytes. FooterCorrupt or
-    ValueError otherwise."""
+    """A version-1 footer, checked for what the record codec cannot see:
+    valid columns, one chunk each, no compression codec, counts >= 0 that
+    agree, chunks between the leading magic and footer_start, and stats of
+    their column's type, BYTES stats turned from latin-1 text into bytes.
+    FooterCorrupt or ValueError otherwise."""
     _validate_schema(footer.schema)
-    if footer.format_version != FORMAT_VERSION:
+    if footer.format_version != 1:
         raise FooterCorrupt(f"unsupported format version {footer.format_version}")
     if footer.codec != "none":
         raise FooterCorrupt(f"unsupported codec {footer.codec!r}")
@@ -441,13 +518,10 @@ class ParsedFile:
         return list(zip(*self.columns.values())) if self.columns else []
 
 
-def read_file_via(
-    fetch: Callable[[int, int], bytes],
-    size: int,
-    projection: Sequence[str] | None = None,
-) -> ParsedFile:
-    """Read via a byte-range fetcher, touching only the projected chunks'
-    ranges plus magics and footer."""
+def read_footer(fetch: Callable[[int, int], bytes], size: int) -> FileFooter:
+    """The checked footer of the size-byte file that the byte-range fetcher
+    reads, of either format version; only the magics, the footer length and
+    the footer are fetched."""
     if size < 2 * len(MAGIC) + 4:
         raise BadMagic("file too small")
     if fetch(0, 4) != MAGIC:
@@ -459,10 +533,23 @@ def read_file_via(
     footer_start = size - 8 - footer_len
     if footer_start < len(MAGIC):
         raise FooterCorrupt(f"footer length {footer_len} exceeds file")
-    footer = read_json(fetch(footer_start, footer_len),
-                       lambda obj: _check_footer(record_from_json(FileFooter, obj), footer_start),
-                       lambda detail: FooterCorrupt(f"bad footer: {detail}"))
+    data = fetch(footer_start, footer_len)
+    if data[:1] == bytes([FORMAT_VERSION]):
+        return _decode_footer(data, footer_start)
+    if data[:1] == b"{":
+        return read_json(data, lambda obj: _check_footer(record_from_json(FileFooter, obj), footer_start),
+                         lambda detail: FooterCorrupt(f"bad footer: {detail}"))
+    raise FooterCorrupt(f"unsupported format version: the footer starts with {data[:1]!r}")
 
+
+def read_file_via(
+    fetch: Callable[[int, int], bytes],
+    size: int,
+    projection: Sequence[str] | None = None,
+) -> ParsedFile:
+    """Read via a byte-range fetcher, touching only the projected chunks'
+    ranges plus magics and footer."""
+    footer = read_footer(fetch, size)
     by_name = {s.name: i for i, s in enumerate(footer.schema)}
     if projection is None:
         wanted = [s.name for s in footer.schema]

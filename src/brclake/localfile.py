@@ -25,11 +25,12 @@ Operators' JSON files (app, connector, DAG and scenario configs) are read by
 ``load_json_config``, so every way such a file can be wrong is ConfigInvalid.
 These configs, the built-in actions' params, log entries, replay and
 run-log lines, staging checkpoints, connector state, ``brc`` result lines
-and the ``.brcl`` footer are dataclass records, read by ``record_from_json``
-and written by ``record_to_json`` from their fields' names, types and
-defaults. A stored record's key that names no field is ignored, so that an
-older reader reads a newer record; operator input is read by
-``config_from_json``, whose one decode walk refuses such a key at any depth.
+and the ``.brcl`` footer of format version 1 are dataclass records, read by
+``record_from_json`` and written by ``record_to_json`` from their fields'
+names, types and defaults. A stored record's key that names no field is
+ignored, so that an older reader reads a newer record; operator input is
+read by ``config_from_json``, whose one decode walk refuses such a key at
+any depth.
 An enum is coded by its member's name. A field annotated ``Any`` holds any
 JSON value, which its owner checks. A union of records is an object whose
 one key names the member: its class name in snake case (``add_file``).

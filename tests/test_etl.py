@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brclake import crashpoints, etl
+from brclake import crashpoints, etl, lakeformat
 from brclake.errors import ConfigInvalid, CorruptStaging, DataFileMismatch, InvalidAction, SessionLockHeld
 from brclake.etl import (
     FULL_RATIO,
@@ -770,6 +770,21 @@ def test_compaction_of_a_swapped_file_commits_nothing(tmp_path):
     with pytest.raises(DataFileMismatch) as err:
         compact(store, table, btc.partition, min_files=1)
     assert err.value.path == btc.path and table.current_version() == version
+
+
+def test_a_swapped_file_is_refused_before_any_chunk_is_decoded(tmp_path, monkeypatch):
+    """Also when its size matches the AddFile, so that only its footer
+    tells it apart."""
+    store, _, table, btc = _swapped_table(tmp_path)
+    decoded = []
+    decode_column = lakeformat.decode_column
+    monkeypatch.setattr(lakeformat, "decode_column", lambda *a: decoded.append(a) or decode_column(*a))
+    for add in (btc, replace(btc, bytes=len(store.get(btc.path)))):
+        with pytest.raises(DataFileMismatch):
+            read_data_file(store, add)
+    assert decoded == []
+    (eth,) = (add for add in table.snapshot_at().live_files.values() if add.partition.symbol == "ETH-USD")
+    assert read_data_file(store, eth).footer.row_count == 5 and len(decoded) == len(TABLE_COLUMNS)
 
 
 def test_audit_reports_a_swapped_file_as_mismatched(tmp_path):

@@ -1,10 +1,13 @@
+import hashlib
 import json
 import struct
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+from brclake.crc32c import crc32c
 from brclake.errors import (
     BadMagic,
     ChecksumMismatch,
@@ -18,6 +21,8 @@ from brclake.lakeformat import (
     BOOL,
     BYTES,
     INT64,
+    MAGIC,
+    STATS_TRUNCATE_BYTES,
     ColumnSchema,
     Encoding,
     choose_encoding,
@@ -25,8 +30,11 @@ from brclake.lakeformat import (
     encode_column,
     read_file,
     read_file_via,
+    read_footer,
     write_file,
 )
+
+from conftest import run_optimized
 
 I64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 
@@ -352,8 +360,14 @@ def test_bad_magic_and_footer():
         read_file(broken)
 
 
+# The bytes write_file([(1, b"x", True), (2, b"y", False)], SCHEMA) gave under
+# format version 1, whose footer is JSON (tests/fixtures/v1/generate.py).
+V1_SMALL = (Path(__file__).resolve().parent / "fixtures" / "v1" / "small.brcl").read_bytes()
+
+
 def _with_footer(data: bytes, edit) -> bytes:
-    """The file data with its footer object changed in place by edit."""
+    """The version-1 file data with its JSON footer object changed in place
+    by edit."""
     (footer_len,) = struct.unpack("<I", data[-8:-4])
     footer = json.loads(data[-8 - footer_len:-8])
     edit(footer)
@@ -391,10 +405,9 @@ def _with_footer(data: bytes, edit) -> bytes:
         "chunk_into_footer", "chunk_over_magic", "int_codec", "unknown_codec", "bytes_stat_beyond_latin1",
         "format_version_2", "negative_row_count", "value_count_disagrees", "negative_crc"])
 def test_ill_typed_footer_is_footer_corrupt(edit):
-    data = write_file([(1, b"x", True), (2, b"y", False)], SCHEMA)
-    assert read_file(_with_footer(data, lambda f: None)).rows() == [(1, b"x", True), (2, b"y", False)]
+    assert read_file(_with_footer(V1_SMALL, lambda f: None)).rows() == [(1, b"x", True), (2, b"y", False)]
     with pytest.raises(FooterCorrupt):
-        read_file(_with_footer(data, edit))
+        read_file(_with_footer(V1_SMALL, edit))
 
 
 def test_projection_reads_only_needed_ranges():
@@ -520,11 +533,197 @@ def _mixed_rows():
 
 
 def test_mixed_table_bytes_are_pinned():
-    import hashlib
     rows = _mixed_rows()
     data = write_file(rows, MIXED_SCHEMA)
     parsed = read_file(data)
     assert [c.encoding.name for c in parsed.footer.chunks] == [
         "DELTA", "RLE", "PLAIN", "DICT", "PLAIN", "PLAIN", "RLE", "RLE", "DELTA"]
-    assert hashlib.sha256(data).hexdigest() == "a2cf4788b6d2678b8aa1d234ab0edd4236c1c64fdd8812602b084e4767275b52"
+    assert hashlib.sha256(data).hexdigest() == "3567994e1c242501a061b72af1d8048bc86c8611a0c558e60db6748bc70b45dd"
+    # The chunk region is what format version 1 wrote: version 2 changed the footer alone.
+    (footer_len,) = struct.unpack("<I", data[-8:-4])
+    assert hashlib.sha256(data[4:len(data) - 8 - footer_len]).hexdigest() == (
+        "43fdf609427752dec0aaad08f4f914d2b5b5e5f9c78857ec42165a4d8c0354bb")
     assert parsed.rows() == rows
+
+
+# -- format version 2 footer ------------------------------------------------------------
+
+SMALL_ROWS = [(1, b"x", True), (2, b"y", False)]
+
+
+def _string(data: bytes) -> bytes:
+    return struct.pack("<I", len(data)) + data
+
+
+def _v2_footer(row_count, columns, count=None, writer=b"brclake/1", tail=b"", version=2) -> bytes:
+    """Version-2 footer bytes built field by field, as the module docstring
+    lays them out. columns are [name, type code, encoding, chunk byte
+    length, chunk CRC-32C, stats bytes]; count overrides the column count,
+    and tail goes between the last column and the CRC."""
+    body = struct.pack("<BII", version, row_count, len(columns) if count is None else count) + _string(writer)
+    for name, code, encoding, length, crc, stats in columns:
+        body += _string(name) + struct.pack("<BBII", code, encoding, length, crc) + stats
+    return _sealed(body + tail)
+
+
+def _sealed(body: bytes) -> bytes:
+    """body followed by its CRC-32C, as a v2 footer ends."""
+    return body + struct.pack("<I", crc32c(body))
+
+
+def _footer_region(data: bytes) -> tuple[int, int]:
+    (footer_len,) = struct.unpack("<I", data[-8:-4])
+    return len(data) - 8 - footer_len, footer_len
+
+
+def _with_v2_footer(data: bytes, footer: bytes) -> bytes:
+    start, _ = _footer_region(data)
+    return data[:start] + footer + struct.pack("<I", len(footer)) + MAGIC
+
+
+def _small_columns() -> list[list]:
+    """The footer fields of write_file(SMALL_ROWS, SCHEMA), column by column."""
+    ts, sym, up = read_file(write_file(SMALL_ROWS, SCHEMA)).footer.chunks
+    return [[b"ts", 0, ts.encoding, ts.byte_length, ts.crc32c, struct.pack("<qq", 1, 2)],
+            [b"sym", 1, sym.encoding, sym.byte_length, sym.crc32c, _string(b"x") + _string(b"y")],
+            [b"up", 2, up.encoding, up.byte_length, up.crc32c, bytes([0, 1])]]
+
+
+def test_v2_footer_layout_is_pinned():
+    data = write_file(SMALL_ROWS, SCHEMA)
+    start, footer_len = _footer_region(data)
+    assert data[start:start + footer_len] == _v2_footer(2, _small_columns())
+    footer = read_file(data).footer
+    assert (footer.format_version, footer.codec, footer.writer) == (2, "none", "brclake/1")
+    assert [c.byte_offset for c in footer.chunks] == [4, 4 + footer.chunks[0].byte_length,
+                                                      start - footer.chunks[2].byte_length]
+    assert [c.value_count for c in footer.chunks] == [2, 2, 2]
+
+
+def test_v1_file_reads_as_written():
+    assert read_file(V1_SMALL).rows() == SMALL_ROWS
+    v1, v2 = read_file(V1_SMALL).footer, read_file(write_file(SMALL_ROWS, SCHEMA)).footer
+    assert v1.format_version == 1 and v1.schema == v2.schema
+    assert [(c.encoding, c.crc32c, c.min, c.max) for c in v1.chunks] == [
+        (c.encoding, c.crc32c, c.min, c.max) for c in v2.chunks]
+
+
+def _edit(edit):
+    """The small file with a v2 footer of its columns after edit(columns)
+    returns the footer's keyword arguments (or None for none)."""
+    def build():
+        columns = _small_columns()
+        return _with_v2_footer(write_file(SMALL_ROWS, SCHEMA), _v2_footer(2, columns, **(edit(columns) or {})))
+    return build
+
+
+def _set(row, field, value):
+    return lambda columns: columns[row].__setitem__(field, value)
+
+
+MALFORMED_V2 = {
+    "empty_footer": lambda: _with_v2_footer(write_file(SMALL_ROWS, SCHEMA), b""),
+    "shorter_than_a_crc": lambda: _with_v2_footer(write_file(SMALL_ROWS, SCHEMA), b"\x02\x00\x00"),
+    "version_3": _edit(lambda columns: {"version": 3}),
+    "truncated_head": lambda: _with_v2_footer(write_file(SMALL_ROWS, SCHEMA), _sealed(bytes([2, 2, 0, 0, 0, 3]))),
+    "truncated_stats": _edit(_set(2, 5, b"\x00")),
+    "string_past_footer": _edit(_set(1, 5, struct.pack("<I", 1000) + b"x" + _string(b"y"))),
+    "column_count_too_high": _edit(lambda columns: {"count": 4}),
+    "column_count_too_low": _edit(lambda columns: {"count": 2}),
+    "trailing_bytes": _edit(lambda columns: {"tail": b"\x00"}),
+    "unknown_physical_type": _edit(_set(1, 1, 3)),
+    "unknown_encoding": _edit(_set(0, 2, 4)),
+    "bad_column_name": _edit(_set(0, 0, b"Ts")),
+    "empty_column_name": _edit(_set(0, 0, b"")),
+    "column_name_not_utf8": _edit(_set(0, 0, b"\xff")),
+    "writer_not_utf8": _edit(lambda columns: {"writer": b"\xc3"}),
+    "duplicate_column_name": _edit(_set(2, 0, b"ts")),
+    "bool_stat_byte_2": _edit(_set(2, 5, bytes([0, 2]))),
+    "bytes_stat_of_65_bytes": _edit(_set(1, 5, _string(b"x" * 65) + _string(b"y"))),
+    "chunks_end_short_of_footer": _edit(lambda columns: columns[0].__setitem__(3, columns[0][3] - 1)),
+    "chunks_run_into_footer": _edit(lambda columns: columns[2].__setitem__(3, columns[2][3] + 1)),
+    "crc_mismatch": lambda: (lambda data: data[:-9] + bytes([data[-9] ^ 1]) + data[-8:])(
+        write_file(SMALL_ROWS, SCHEMA)),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_V2)
+def test_malformed_v2_footer_is_footer_corrupt(name):
+    assert read_file(_edit(lambda columns: None)()).rows() == SMALL_ROWS
+    with pytest.raises(FooterCorrupt):
+        read_file(MALFORMED_V2[name]())
+
+
+def test_malformed_v2_footers_are_footer_corrupt_under_optimize(tmp_path):
+    """The footer checks are not assert statements: python -O refuses every
+    malformed footer as well."""
+    for name, build in MALFORMED_V2.items():
+        (tmp_path / f"{name}.brcl").write_bytes(build())
+    result = run_optimized(f"""
+from pathlib import Path
+import conftest
+from brclake.lakeformat import read_file
+for path in sorted(Path({str(tmp_path)!r}).iterdir()):
+    try:
+        read_file(path.read_bytes())
+    except Exception as exc:
+        print(path.stem, type(exc).__name__)
+""")
+    assert result.stdout.splitlines() == [f"{name} FooterCorrupt" for name in sorted(MALFORMED_V2)], result.stderr
+
+
+def test_every_bit_flip_of_a_v2_footer_is_footer_corrupt():
+    rows = [(1_600_000_000_000_000 + i * 1_000, 1_600_000_000_500_000 + i * 1_000, b"coinbase", b"trades",
+             b"BTC-USD", i, f"cb-{i:06d}".encode(), 3_000_000_000_000 + i * 7, (i % 5) * 10**6,
+             [b"buy", b"sell"][i % 2]) for i in range(8)]
+    data = write_file(rows, [ColumnSchema(name, physical_type) for name, physical_type in TABLE_COLUMNS])
+    start, footer_len = _footer_region(data)
+    assert data[start] == 2 and read_file(data).rows() == rows
+    for bit in range(8 * footer_len):
+        flipped = bytearray(data)
+        flipped[start + bit // 8] ^= 1 << (bit % 8)
+        with pytest.raises(FooterCorrupt):
+            read_file(bytes(flipped))
+
+
+NAMES = st.from_regex(r"[a-z_][a-z0-9_]{0,6}", fullmatch=True)
+CELLS = {
+    INT64: st.sampled_from([-(2**63), 2**63 - 1, 0, -1]) | I64,
+    BYTES: st.sampled_from([b"", b"\xff\xfe", "\u00e9".encode(), b"a" * 64, b"\x80" * 65, b"z" * 100])
+    | st.binary(max_size=80),
+    BOOL: st.booleans(),
+}
+
+
+@st.composite
+def tables(draw):
+    names = draw(st.lists(NAMES, min_size=1, max_size=6, unique=True))
+    schema = [ColumnSchema(name, draw(st.sampled_from([INT64, BYTES, BOOL]))) for name in names]
+    rows = draw(st.lists(st.tuples(*(CELLS[col.physical_type] for col in schema)), min_size=1, max_size=6))
+    return schema, rows
+
+
+EDGES = ([ColumnSchema("b", BYTES), ColumnSchema("i", INT64), ColumnSchema("f", BOOL)],
+         [(b"", -(2**63), False), (b"\xff" * 70, 2**63 - 1, True), (b"\xc3(", 0, True)])
+
+
+@given(tables())
+@example(EDGES)
+@seed(24)
+@settings(max_examples=200, deadline=None)
+def test_v2_footer_round_trip(table):
+    schema, rows = table
+    data = write_file(rows, schema)
+    footer = read_footer(lambda offset, length: data[offset:offset + length], len(data))
+    assert read_file(data).rows() == rows and footer.schema == schema
+    assert (footer.format_version, footer.row_count, footer.codec) == (2, len(rows), "none")
+    offset = len(MAGIC)
+    for i, (col, chunk) in enumerate(zip(schema, footer.chunks)):
+        column = [row[i] for row in rows]
+        lo, hi = min(column), max(column)
+        if col.physical_type == BYTES:
+            lo, hi = lo[:STATS_TRUNCATE_BYTES], hi[:STATS_TRUNCATE_BYTES]
+        assert (chunk.min, chunk.max) == (lo, hi) and type(chunk.min) is type(lo)
+        assert (chunk.byte_offset, chunk.value_count) == (offset, len(rows))
+        offset += chunk.byte_length
+    assert offset == _footer_region(data)[0]

@@ -152,7 +152,8 @@ def _deep_run_log_line(root):
 
 
 def _deep_footer(root):
-    read_file(MAGIC + DEEP + struct.pack("<I", len(DEEP)) + MAGIC)
+    body = b'{"schema":' + DEEP + b"}"  # a JSON footer, as format version 1 writes
+    read_file(MAGIC + body + struct.pack("<I", len(body)) + MAGIC)
 
 
 def _deep_staging_file(name, read):

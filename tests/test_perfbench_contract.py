@@ -58,13 +58,15 @@ def test_growth_probe_runs_at_a_tiny_size(monkeypatch):
     """``scripts/growth_probe.py`` imports ``perfbench/`` modules by name;
     a tiny run keeps it working, and its warm handle fetches no file for
     dedup, since it wrote or compacted every live file itself. Only every
-    tenth instant compacts, and only its compaction time is given."""
+    tenth instant compacts, and only its compaction time is given. The
+    stored bytes per live row come last."""
     monkeypatch.syspath_prepend(str(SPANS.parent))
     spec = importlib.util.spec_from_file_location("growth_probe", SPANS.parent.parent / "scripts" / "growth_probe.py")
     growth_probe = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(growth_probe)
-    runs = growth_probe.probe(history=60, instants=12, per_instant=15)
+    runs, stored_bytes_per_row = growth_probe.probe(history=60, instants=12, per_instant=15)
     assert len(runs) == 12
     assert [gets for _, _, _, gets, _, _ in runs] == [0] * 12
     compactions = [k for k, (*_, compact_s, rows) in enumerate(runs) if compact_s is not None or rows]
     assert compactions == [9] and runs[9][4] > 0  # every tenth instant compacts
+    assert 50 < stored_bytes_per_row < 1_000
