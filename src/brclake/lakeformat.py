@@ -18,11 +18,11 @@ Encodings:
     DELTA  INT64 only: first value as raw i64, then per-delta zigzag LEB128
            varints. Deltas wrap modulo 2^64 so any i64 sequence round-trips.
 
-A writer stores sorted INT64 as DELTA and every other column in the
-smallest of PLAIN, RLE and, for BYTES only, DICT; equal sizes go to the first
-in that order (``choose_encoding`` counts the sizes). Readers decode any legal
-encoding of any column, so this choice is the writer's alone and changing it
-needs no new ``FORMAT_VERSION``.
+A writer stores every column in the smallest encoding legal for its type:
+PLAIN, RLE and DICT for all three, and DELTA for INT64 too; equal sizes go
+to the first in ``Encoding`` order (``choose_encoding`` gives the sizes).
+Readers decode any legal encoding of any column, so this choice is the
+writer's alone and changing it needs no new ``FORMAT_VERSION``.
 
 Chunks carry a CRC-32C over exactly their encoded bytes and min/max stats
 (BYTES stats compare lexicographically and are truncated to 64 bytes). The
@@ -62,9 +62,9 @@ import re
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import accumulate, compress, groupby, islice
-from operator import add, le, ne
-from typing import Any, Callable, Iterable, Sequence
+from itertools import accumulate, compress, groupby, islice, repeat
+from operator import add, ne
+from typing import Any, Callable, Collection, Iterable, Sequence
 
 from .crc32c import crc32c
 from .errors import (
@@ -142,10 +142,6 @@ _I64 = struct.Struct("<q")
 _BOOL = struct.Struct("?")
 _WIDTHS = {INT64: _I64.size, BOOL: _BOOL.size}  # PLAIN bytes per value
 _U64_MOD = 1 << 64
-
-# One DELTA varint: up to nine continuation bytes and a final byte. A longer
-# run of continuation bytes leaves bytes no match covers.
-_VARINT = re.compile(rb"[\x80-\xff]{0,9}[\x00-\x7f]")
 
 
 _VALUE_TYPES = {INT64: {int}, BYTES: {bytes, bytearray}, BOOL: {bool}}
@@ -302,6 +298,24 @@ def decode_column(data: bytes, physical_type: str, encoding: Encoding, value_cou
     return values
 
 
+# -- DELTA decoding -----------------------------------------------------------------
+#
+# A chunk whose varints are at most 8 bytes each, so whose deltas are below
+# 2**55 in magnitude, is decoded a chunk at a time: each varint, padded
+# with zero bytes, takes an 8-byte lane of one int, and three mask-and-shift
+# steps on that int squeeze every lane's 7-bit groups together at once. A
+# chunk with a longer varint is decoded one varint at a time.
+
+_LANE_ONE = (1).to_bytes(8, "little")
+# Each squeeze step: its shift, and the upper half of each 16-, 32- and
+# then 64-bit field of a lane.
+_SQUEEZE = ((1, 0xFF00FF00FF00FF00), (2, 0xFFFF0000FFFF0000), (4, 0xFFFFFFFF00000000))
+_LOW7 = bytes(b & 0x7F for b in range(256))  # a varint byte without its continuation bit
+# One varint: up to nine continuation bytes and a final byte. A longer run
+# of continuation bytes leaves bytes no match covers.
+_VARINT = re.compile(rb"[\x80-\xff]{0,9}[\x00-\x7f]")
+
+
 def _decode_delta(data: bytes, value_count: int) -> list[int]:
     """The value_count values of a non-empty DELTA chunk: the first value,
     then each value's varint delta from the one before."""
@@ -311,14 +325,8 @@ def _decode_delta(data: bytes, value_count: int) -> list[int]:
     if len(varints) != value_count - 1 or sum(map(len, varints)) != len(data) - 8:
         raise CorruptChunk(f"DELTA chunk of {value_count} values does not hold "
                            f"{value_count - 1} whole varints of at most 10 bytes")
-    deltas = []
-    for varint in varints:
-        u = 0
-        for b in reversed(varint):
-            u = (u << 7) | (b & 0x7F)
-        deltas.append((u >> 1) ^ -(u & 1))
-    if deltas and (max(deltas) > I64_MAX or min(deltas) < I64_MIN):  # the varint was >= 2**64
-        raise CorruptChunk("varint overflow")
+    lanes = b"".join(map(bytes.ljust, varints, repeat(8), repeat(b"\0")))  # ljust leaves a longer varint whole
+    deltas = _lane_deltas(lanes) if len(lanes) == 8 * len(varints) else _varint_deltas(varints)
     (first,) = _I64.unpack_from(data, 0)
     values = list(accumulate(deltas, initial=first))
     if min(values) < I64_MIN or max(values) > I64_MAX:  # some delta wrapped around int64
@@ -328,35 +336,77 @@ def _decode_delta(data: bytes, value_count: int) -> list[int]:
     return values
 
 
+def _lane_deltas(lanes: bytes) -> tuple[int, ...]:
+    """The deltas of varints that lanes holds, each padded with zero bytes
+    to its 8-byte lane."""
+    n = len(lanes) // 8
+    ones = int.from_bytes(_LANE_ONE * n, "little")
+    x = int.from_bytes(lanes.translate(_LOW7), "little")
+    for shift, mask in _SQUEEZE:
+        high = x & (ones * mask)
+        x = (x ^ high) | (high >> shift)
+    odd = x & ones  # the zigzag of a negative delta is odd
+    x = ((x ^ odd) >> 1) ^ ((odd << 64) - odd)  # halved, and all 64 bits flipped where odd
+    return struct.unpack(f"<{n}q", x.to_bytes(8 * n, "little"))
+
+
+def _varint_deltas(varints: list[bytes]) -> list[int]:
+    """The deltas of varints, one at a time."""
+    deltas = []
+    for varint in varints:
+        u = 0
+        for b in reversed(varint):
+            u = (u << 7) | (b & 0x7F)
+        deltas.append((u >> 1) ^ -(u & 1))
+    if deltas and (max(deltas) > I64_MAX or min(deltas) < I64_MIN):  # the varint was >= 2**64
+        raise CorruptChunk("varint overflow")
+    return deltas
+
+
 def choose_encoding(values: Sequence[Any], physical_type: str) -> Encoding:
-    """The encoding a writer stores a column in: DELTA for sorted INT64,
-    otherwise the smallest of PLAIN, RLE and, for BYTES only, DICT, ties
-    going to the first of that order. Each size is counted, not encoded:
+    """The smallest encoding legal for a column of physical_type: PLAIN, RLE
+    and DICT, and for INT64 also DELTA, the first in ``Encoding`` order of
+    equal sizes. With PLAIN(vs) 8 bytes per INT64 value, 1 per BOOL and
+    4 + its length per BYTES value, the sizes are
 
-        PLAIN  n * width, or 4n + sum of value lengths for BYTES
-        RLE    runs * (4 + width), or 8 runs + sum of run value lengths
-        DICT   4 + 4 distinct + sum of distinct value lengths + 4n
+        PLAIN  PLAIN(values)
+        RLE    4 runs + PLAIN(run values)
+        DICT   4 + PLAIN(distinct values) + 4n
+        DELTA  8 + 1 byte per started 7 bits of each delta's zigzag
 
-    Readers decode any legal encoding of any column, so the choice changes a
-    file's bytes but not its rows, its readers or its format version."""
-    n = len(values)
-    if n == 0:
-        return Encoding.PLAIN
-    if physical_type == INT64 and all(map(le, values, islice(values, 1, None))):
-        return Encoding.DELTA
+    PLAIN, RLE and DICT sizes are counted, not encoded. DELTA's is the
+    length of its encoding, which a writer that chooses DELTA then stores.
+    Readers decode any legal encoding of any column, so the choice changes
+    a file's bytes but not its rows, its readers or its format version."""
+    return _encode_smallest(values, physical_type)[0]
+
+
+def _encode_smallest(values: Sequence[Any], physical_type: str) -> tuple[Encoding, bytes]:
+    """choose_encoding's encoding of a column, and the chunk it encodes."""
+    if not values:
+        return Encoding.PLAIN, b""
     # the value of each maximal run, in order: a value that differs from the one before starts one
     run_values = [values[0], *compress(islice(values, 1, None), map(ne, islice(values, 1, None), values))]
+    distinct = set(map(bytes, run_values) if physical_type == BYTES else run_values)  # each starts a run
+    sizes = {
+        Encoding.PLAIN: _plain_size(values, physical_type),
+        Encoding.RLE: 4 * len(run_values) + _plain_size(run_values, physical_type),
+        Encoding.DICT: 4 + _plain_size(distinct, physical_type) + 4 * len(values),
+    }
+    if physical_type == INT64:
+        delta = encode_column(values, INT64, Encoding.DELTA)
+        sizes[Encoding.DELTA] = len(delta)
+    encoding = min(sizes, key=sizes.__getitem__)  # the first of equal sizes
+    if encoding == Encoding.DELTA:
+        return encoding, delta
+    return encoding, encode_column(values, physical_type, encoding)
+
+
+def _plain_size(values: Collection[Any], physical_type: str) -> int:
+    """The bytes of values' PLAIN encoding."""
     if physical_type == BYTES:
-        distinct = set(map(bytes, run_values))  # every distinct value starts a run
-        sizes = {
-            Encoding.PLAIN: 4 * n + sum(map(len, values)),
-            Encoding.RLE: 8 * len(run_values) + sum(map(len, run_values)),
-            Encoding.DICT: 4 + 4 * len(distinct) + sum(map(len, distinct)) + 4 * n,
-        }
-    else:
-        width = _WIDTHS[physical_type]
-        sizes = {Encoding.PLAIN: n * width, Encoding.RLE: len(run_values) * (4 + width)}
-    return min(sizes, key=sizes.__getitem__)  # the first of equal sizes
+        return 4 * len(values) + sum(map(len, values))
+    return _WIDTHS[physical_type] * len(values)
 
 
 # -- file writer ---------------------------------------------------------------------------
@@ -381,8 +431,7 @@ def write_file(rows: Sequence[Sequence[Any]], schema: Sequence[ColumnSchema]) ->
     offset = len(MAGIC)
     chunks = []
     for col, (values, (lo, hi)) in zip(schema, columns):
-        encoding = choose_encoding(values, col.physical_type)
-        encoded = encode_column(values, col.physical_type, encoding)
+        encoding, encoded = _encode_smallest(values, col.physical_type)
         if col.physical_type == BYTES:
             lo, hi = bytes(lo[:STATS_TRUNCATE_BYTES]), bytes(hi[:STATS_TRUNCATE_BYTES])
         chunks.append(ColumnChunk(encoding, len(values), offset, len(encoded), crc32c(encoded), lo, hi))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,8 @@ from brclake.lakeformat import (
     read_file_via,
     read_footer,
     write_file,
+    _VARINT,
+    _varint_deltas,
 )
 
 from conftest import run_optimized
@@ -128,41 +131,54 @@ def test_chunk_that_ends_early_or_runs_over_is_corrupt_chunk(data, physical_type
 # -- choose_encoding rule ---------------------------------------------------------------
 
 def test_choose_sorted_int64_is_delta():
-    assert choose_encoding([1, 2, 3], INT64) == Encoding.DELTA
-    assert choose_encoding([5], INT64) == Encoding.DELTA
-    assert choose_encoding([2, 2, 2], INT64) == Encoding.DELTA
+    assert choose_encoding([1, 2, 3], INT64) == Encoding.DELTA  # 10 B; PLAIN 24 B
+    assert choose_encoding([2, 2, 2], INT64) == Encoding.DELTA  # 10 B; RLE 12 B
+    assert choose_encoding([5], INT64) == Encoding.PLAIN  # 8 B each as PLAIN and DELTA
+
+
+def test_choose_never_larger_than_plain():
+    # Sorted, but deltas near 2**62 take 10 and 9 varint bytes: DELTA 27 B.
+    assert choose_encoding([0, 2**62, 2**63 - 1], INT64) == Encoding.PLAIN  # 24 B
+
+
+def test_choose_dict_for_few_wide_int64():
+    assert choose_encoding([2**40, -(2**40)] * 50, INT64) == Encoding.DICT  # 420 B; DELTA 701 B; PLAIN 800 B
 
 
 def test_choose_low_cardinality():
     # Few distinct values are not enough: the smallest encoding wins.
     assert choose_encoding([b"a", b"b", b"c"] * 3334, BYTES) == Encoding.DICT
-    assert choose_encoding([9, 3] * 50, INT64) == Encoding.PLAIN  # 800 B; RLE 1,200 B
+    assert choose_encoding([9, 3] * 50, INT64) == Encoding.DELTA  # 107 B; DICT 420 B; PLAIN 800 B
     assert choose_encoding([True, False] * 50, BOOL) == Encoding.PLAIN  # 100 B; RLE 500 B
     assert choose_encoding([True] * 100, BOOL) == Encoding.RLE  # 5 B; PLAIN 100 B
 
 
 def test_choose_breaks_ties_plain_rle_dict():
-    assert choose_encoding([1, 1, 0], INT64) == Encoding.PLAIN  # 24 B each
+    assert choose_encoding([1, 1, 0], INT64) == Encoding.DELTA  # 10 B; PLAIN = RLE = 24 B
+    assert choose_encoding([0, 2**40] * 4 + [0], INT64) == Encoding.DICT  # DICT = DELTA = 56 B; PLAIN 72 B
     assert choose_encoding([True] * 5, BOOL) == Encoding.PLAIN  # 5 B each
     assert choose_encoding([b""] * 2, BYTES) == Encoding.PLAIN  # 8 B each; DICT 16 B
     runs = [b"xxxxxx", b"xxxxxx", b"yyyyyy", b"yyyyyy"] * 2
     assert choose_encoding(runs, BYTES) == Encoding.RLE  # RLE = DICT = 56 B; PLAIN 80 B
 
 
-# Encodings the rule weighs per type, in its tie order (sorted INT64 aside).
-CANDIDATES = {INT64: [Encoding.PLAIN, Encoding.RLE], BOOL: [Encoding.PLAIN, Encoding.RLE],
+# Every encoding legal per type, in the rule's tie order.
+CANDIDATES = {INT64: list(Encoding), BOOL: [Encoding.PLAIN, Encoding.RLE, Encoding.DICT],
               BYTES: [Encoding.PLAIN, Encoding.RLE, Encoding.DICT]}
 
-UNSORTED_COLUMNS = st.one_of(
-    st.tuples(st.just(INT64), st.lists(st.integers(-2, 2) | I64, min_size=2, max_size=80)
-              .filter(lambda v: v != sorted(v))),
+RANDOM_WALKS = st.tuples(I64, st.lists(st.integers(-(2**20), 2**20) | st.integers(-3, 3), max_size=79)).map(
+    lambda walk: list(accumulate(walk[1], lambda value, step: max(-(2**63), min(2**63 - 1, value + step)),
+                                 initial=walk[0])))
+
+COLUMNS = st.one_of(
+    st.tuples(st.just(INT64), st.lists(st.integers(-2, 2) | I64, min_size=1, max_size=80) | RANDOM_WALKS),
     st.tuples(st.just(BYTES), st.lists(st.sampled_from([b"", b"a", b"bc", b"BTC-USD"]) | st.binary(max_size=12),
                                        min_size=1, max_size=80)),
     st.tuples(st.just(BOOL), st.lists(st.booleans(), min_size=1, max_size=80)),
 )
 
 
-@given(UNSORTED_COLUMNS)
+@given(COLUMNS)
 @settings(max_examples=300, deadline=None)
 def test_choice_is_the_smallest_real_encoding(column):
     physical_type, values = column
@@ -185,15 +201,18 @@ def test_partition_file_takes_the_small_encodings():
     parsed = read_file(write_file(rows, schema))
     assert {col.name: chunk.encoding.name for col, chunk in zip(parsed.footer.schema, parsed.footer.chunks)} == {
         "event_time_us": "DELTA", "ingest_time_us": "DELTA", "source": "RLE", "stream": "RLE",
-        "symbol": "RLE", "sequence": "DELTA", "event_id": "PLAIN", "price_e8": "PLAIN",
-        "qty_e8": "PLAIN", "side": "DICT"}
+        "symbol": "RLE", "sequence": "DELTA", "event_id": "PLAIN", "price_e8": "DELTA",
+        "qty_e8": "DELTA", "side": "DICT"}
     assert parsed.rows() == rows
 
 
-def test_choose_high_cardinality_plain():
+def test_choose_high_cardinality_by_delta_width():
     values = [((i * 2654435761) % 2**32) - i for i in range(1000)]
     assert len(set(values)) == 1000
-    assert choose_encoding(values, INT64) == Encoding.PLAIN
+    assert choose_encoding(values, INT64) == Encoding.DELTA  # 5-byte varints: 5,003 B; PLAIN 8,000 B
+    wide = [(i * 2654435761 * 2**31) % 2**64 - 2**63 for i in range(1000)]
+    assert len(set(wide)) == 1000
+    assert choose_encoding(wide, INT64) == Encoding.PLAIN  # most deltas take 9 or 10 varint bytes
 
 
 # -- encode/decode round-trip properties -----------------------------------------------
@@ -479,25 +498,68 @@ def test_bytearray_cells_write_the_bytes_of_bytes_cells():
 
 
 def test_delta_varints_of_ten_bytes_and_beyond():
-    i64_max, i64_min = 2**63 - 1, -(2**63)
+    i64_max = 2**63 - 1
     first = struct.pack("<q", i64_max)
     ten_bytes = _varint(2**64 - 1)  # zigzag of -2**63
     assert len(ten_bytes) == 10
     assert decode_column(first + ten_bytes, INT64, Encoding.DELTA, 2) == [i64_max, -1]
-    for bad in (b"\x80" * 10 + b"\x00",  # 11 bytes
-                b"\x80" * 9 + b"\x02",  # 2**64
-                b"\xff" * 9 + b"\x03",  # above 2**64
-                b"\x81",  # truncated continuation
-                b"\x02\x81"):  # truncated after a whole varint
-        count = 3 if bad == b"\x02\x81" else 2
-        with pytest.raises(CorruptChunk):
-            decode_column(first + bad, INT64, Encoding.DELTA, count)
-    with pytest.raises(CorruptChunk):  # fewer varints than values
-        decode_column(first + b"\x02", INT64, Encoding.DELTA, 3)
-    with pytest.raises(CorruptChunk):  # more varints than values
-        decode_column(first + b"\x02\x02", INT64, Encoding.DELTA, 2)
     with pytest.raises(CorruptChunk):
         decode_column(first[:7], INT64, Encoding.DELTA, 1)
+
+
+# Malformed varint bytes after a chunk's first value, each with the number
+# of values the chunk claims to hold besides the first.
+MALFORMED_VARINTS = {
+    "eleven_bytes": (b"\x80" * 10 + b"\x00", 1),
+    "two_to_the_64": (b"\x80" * 9 + b"\x02", 1),
+    "above_two_to_the_64": (b"\xff" * 9 + b"\x03", 1),
+    "truncated_continuation": (b"\x81", 1),
+    "truncated_after_a_whole_varint": (b"\x02\x81", 2),
+    "fewer_varints_than_values": (b"\x02", 2),
+    "more_varints_than_values": (b"\x02\x02", 1),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_VARINTS)
+@pytest.mark.parametrize("short_around", [0, 20])
+def test_malformed_delta_varints_are_corrupt_chunk(name, short_around):
+    # Alone and among short varints: the count and length checks come before
+    # either decoding path, and a varint over 8 bytes sends the chunk to the
+    # per-varint loop, which refuses a value of 2**64 or more.
+    bad, count = MALFORMED_VARINTS[name]
+    short = bytes(range(0, 2 * short_around, 2))  # zigzags of deltas 0 .. short_around - 1
+    data = struct.pack("<q", 2**63 - 1) + short + bad + short
+    with pytest.raises(CorruptChunk):
+        decode_column(data, INT64, Encoding.DELTA, 1 + 2 * short_around + count)
+
+
+def _wrapped_sum(first: int, deltas: list[int]) -> list[int]:
+    """first, then each running sum with a delta, wrapped to int64."""
+    return list(accumulate(deltas, lambda value, delta: (value + delta + 2**63) % 2**64 - 2**63, initial=first))
+
+
+def _zigzag_of_length(length: int) -> st.SearchStrategy[int]:
+    """Deltas whose zigzag takes exactly length varint bytes."""
+    low, high = (0 if length == 1 else 1 << 7 * (length - 1)), min(1 << 7 * length, 2**64) - 1
+    return st.integers(low, high).map(lambda u: (u >> 1) ^ -(u & 1))
+
+
+DELTAS_UP_TO = st.integers(1, 10).flatmap(  # a longest varint length per chunk, then deltas no longer
+    lambda top: st.lists(st.integers(1, top).flatmap(_zigzag_of_length), max_size=599))
+
+
+@seed(20261020)
+@given(I64 | st.sampled_from([-(2**63), 2**63 - 1]), DELTAS_UP_TO)
+@example(2**63 - 1, [1, -1, -1])  # wraps up past int64 and back
+@example(-(2**63), [-1] * 8 + [2**55] * 4)  # wraps down, then 9-byte varints
+@example(0, [0, 2**48, 0, 0, 2**48, 0, 2**54, 0])  # zero varints beside 8-byte ones that start with 7 bytes of 0x80
+@settings(max_examples=300, deadline=None)
+def test_delta_lanes_match_the_per_varint_loop(first, deltas):
+    values = _wrapped_sum(first, deltas)
+    encoded = encode_column(values, INT64, Encoding.DELTA)
+    assert encoded == struct.pack("<q", first) + b"".join(_varint((d << 1) ^ (d >> 63)) for d in deltas)
+    assert _wrapped_sum(first, _varint_deltas(_VARINT.findall(encoded, 8))) == values
+    assert decode_column(encoded, INT64, Encoding.DELTA, len(values)) == values
 
 
 def test_delta_wraps_around_int64():
@@ -537,12 +599,11 @@ def test_mixed_table_bytes_are_pinned():
     data = write_file(rows, MIXED_SCHEMA)
     parsed = read_file(data)
     assert [c.encoding.name for c in parsed.footer.chunks] == [
-        "DELTA", "RLE", "PLAIN", "DICT", "PLAIN", "PLAIN", "RLE", "RLE", "DELTA"]
-    assert hashlib.sha256(data).hexdigest() == "3567994e1c242501a061b72af1d8048bc86c8611a0c558e60db6748bc70b45dd"
-    # The chunk region is what format version 1 wrote: version 2 changed the footer alone.
+        "DELTA", "RLE", "DELTA", "DICT", "PLAIN", "PLAIN", "RLE", "RLE", "PLAIN"]
+    assert hashlib.sha256(data).hexdigest() == "9257d2fb3603fdc2933b0bc267fbd7536d3b6e6dbe84e56a6428796461ef6065"
     (footer_len,) = struct.unpack("<I", data[-8:-4])
     assert hashlib.sha256(data[4:len(data) - 8 - footer_len]).hexdigest() == (
-        "43fdf609427752dec0aaad08f4f914d2b5b5e5f9c78857ec42165a4d8c0354bb")
+        "997aec0a944d991f4bcc83208bea2ba23f7a5838b2592beeaf97862cf0cda44e")
     assert parsed.rows() == rows
 
 
