@@ -20,8 +20,7 @@ from .etl import SCHEMA_ID, TABLE_COLUMNS, build_action_registry, compact_partit
 from .events import ConnectorConfig
 from .fixedpoint import iso_to_us
 from .ingest import run_connector
-from .lakehouse import entry_to_bytes
-from .localfile import load_json_config, record_to_json
+from .localfile import load_json_config, record_bytes, record_to_json
 from .orchestrator import Scheduler, load_dags
 from .query import ScanRequest, export_bars, export_events, ohlcv, scan
 
@@ -62,9 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-records", type=int, default=100_000)
     p = etl.add_parser("compact", help="merge a partition's small files")
     p.add_argument("--table", required=True)
-    p.add_argument("--partition", help="symbol=SYM/date=YYYY-MM-DD")
-    p.add_argument("--all", action="store_true", help="compact every live partition")
-    p.add_argument("--min-files", type=int, default=2)
+    p.add_argument("--partition", default="all", help="symbol=SYM/date=YYYY-MM-DD, or all (default)")
 
     sched = sub.add_parser("sched", help="DAG scheduling").add_subparsers(dest="cmd", required=True)
     p = sched.add_parser("start", help="run schedules until stopped")
@@ -139,11 +136,7 @@ def _run(args: argparse.Namespace) -> int:
                                         args.connector, max_records=args.max_records)))
 
     elif args.group == "etl" and args.cmd == "compact":
-        spec = "all" if args.all else args.partition
-        if not spec:
-            raise ConfigInvalid("partition", "give --partition or --all")
-        versions = compact_partitions(app.store, app.table(args.table), spec, args.min_files)
-        _emit({"compacted": versions})
+        _emit({"compacted": compact_partitions(app.store, app.table(args.table), args.partition)})
 
     elif args.group == "sched":
         dags_dir = Path(args.dags) if args.dags else app.config.dags_dir
@@ -205,7 +198,7 @@ def _run(args: argparse.Namespace) -> int:
             _emit({"table": args.table, "version": entry.version, "schema_id": SCHEMA_ID})
         elif args.cmd == "log":
             for entry in table.read_log():
-                sys.stdout.write(entry_to_bytes(entry).decode() + "\n")
+                sys.stdout.write(record_bytes(entry).decode() + "\n")
         else:
             report = table.audit()
             _emit(report)

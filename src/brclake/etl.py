@@ -244,20 +244,19 @@ def _merge_set(files: list[AddFile]) -> list[AddFile]:
     return files
 
 
-def compact(store, table: LakeTable, partition: PartitionKey, min_files: int = 2) -> int | None:
+def compact(store, table: LakeTable, partition: PartitionKey) -> int | None:
     """Merge a partition's small files (``_merge_set``) into one, leaving
-    its full files unread; no-op when fewer than min_files would merge.
+    its full files unread, and return the new version; None, with nothing
+    read or written, when the merge set holds fewer than two files.
 
     A concurrent compaction of the same partition loses the OCC race: its
     RemoveFiles are no longer live on rebase, so the commit raises
     InvalidAction and the loser aborts cleanly, leaving an orphaned file.
     """
-    if min_files < 1:
-        raise ConfigInvalid("min_files", "must be >= 1")
     snapshot = table.snapshot_at()
     victims = sorted(_merge_set([a for a in snapshot.live_files.values() if a.partition == partition]),
                      key=lambda a: a.path)
-    if len(victims) < min_files:
+    if len(victims) < 2:
         return None
     rows: list[tuple] = []
     for add in victims:
@@ -279,14 +278,14 @@ def live_partitions(table: LakeTable) -> list[PartitionKey]:
                   key=lambda p: (p.symbol, p.date))
 
 
-def compact_partitions(store, table: LakeTable, spec: str,
-                       min_files: int = 2) -> dict[str, int | None]:
+def compact_partitions(store, table: LakeTable, spec: str) -> dict[str, int | None]:
     """Compact every live partition (spec ``"all"``) or the one partition
     ``symbol=S/date=D``; map each rendered partition to its new version, or
     None where ``compact`` did nothing. ``brc etl compact`` and the
-    ``etl.compact`` action both run through here."""
+    ``etl.compact`` action both run through here, and both default the spec
+    to ``"all"``."""
     partitions = live_partitions(table) if spec == "all" else [parse_partition(spec)]
-    return {p.render(): compact(store, table, p, min_files=min_files) for p in partitions}
+    return {p.render(): compact(store, table, p) for p in partitions}
 
 
 # -- orchestrator action bindings ------------------------------------------------
@@ -314,7 +313,6 @@ class CompactParams:
 
     table_id: str
     partition: str = "all"
-    min_files: int = 2
 
 
 @dataclass
@@ -348,8 +346,7 @@ def build_action_registry(app) -> dict:
 
     def etl_compact(ctx) -> None:
         params = config_from_json(CompactParams, ctx.params)
-        compact_partitions(app.store, app.table(params.table_id), params.partition,
-                           min_files=params.min_files)
+        compact_partitions(app.store, app.table(params.table_id), params.partition)
 
     def staging_prune(ctx) -> None:
         app.staging.prune(config_from_json(PruneParams, ctx.params).connector_id)

@@ -29,7 +29,7 @@ from .errors import AssertionFailed, BrcError
 from .events import ConnectorConfig, MarketEvent
 from .fixedpoint import us_to_iso
 from .ingest import ConnectorState, generate_synthetic, normalize, replay_file
-from .localfile import config_from_json, load_json_config, record_to_json
+from .localfile import config_from_json, load_json_config, record_bytes
 from .query import export_events
 
 _SITE_FOR_STEP = {
@@ -172,7 +172,7 @@ def run_scenario(scenario: Scenario, data_root: str | Path) -> dict:
 
     for config in scenario.connectors:
         config_path = root / f"connector-{config.connector_id}.json"
-        config_path.write_text(json.dumps(record_to_json(config), sort_keys=True))
+        config_path.write_bytes(record_bytes(config))
         runner.run("ingest", "ingest", "run", "--config", str(config_path))
 
     exports = {}
@@ -185,7 +185,7 @@ def run_scenario(scenario: Scenario, data_root: str | Path) -> dict:
         )
 
     if scenario.compact_after:
-        runner.run("compact", "etl", "compact", "--table", scenario.table_id, "--all")
+        runner.run("compact", "etl", "compact", "--table", scenario.table_id)
 
     if runner.pending:
         raise AssertionFailed(f"unused crash points: {runner.pending}")

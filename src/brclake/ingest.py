@@ -219,12 +219,11 @@ class TokenBucket:
 
     rate_per_s: int
     burst: int
-    tokens: float = field(default=-1.0)
-    last_us: int = 0
+    tokens: float = field(init=False)
+    last_us: int = field(init=False, default=0)
 
     def __post_init__(self):
-        if self.tokens < 0:
-            self.tokens = float(self.burst)
+        self.tokens = float(self.burst)
 
     def take(self, now_us: int) -> bool:
         elapsed = max(0, now_us - self.last_us)

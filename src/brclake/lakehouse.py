@@ -16,7 +16,6 @@ AddFile that publishes it before any chunk of it is decoded.
 
 from __future__ import annotations
 
-import json
 import time
 import uuid
 from dataclasses import dataclass, field
@@ -37,7 +36,7 @@ from .errors import (
 )
 from .fixedpoint import us_to_date
 from .lakeformat import STATS_TRUNCATE_BYTES, ColumnSchema, ParsedFile, read_file, read_footer
-from .localfile import read_json, record_from_json, record_to_json
+from .localfile import read_json, record_bytes, record_from_json
 from .objectstore import path_segment
 
 DEFAULT_COMMITTER = "brc"
@@ -165,10 +164,6 @@ def _within_day(add: AddFile) -> bool:
         return False
 
 
-def entry_to_bytes(entry: LogEntry) -> bytes:
-    return json.dumps(record_to_json(entry), sort_keys=True).encode()
-
-
 class LakeTable:
     """One versioned table on an object store."""
 
@@ -239,7 +234,7 @@ class LakeTable:
             committer=DEFAULT_COMMITTER,
         )
         try:
-            self.store.put(self._entry_key(1), entry_to_bytes(entry), if_none_match=True)
+            self.store.put(self._entry_key(1), record_bytes(entry), if_none_match=True)
         except PreconditionFailed:
             raise AlreadyInitialized(f"table {self.table_id!r} already has a log")
         return entry
@@ -274,7 +269,7 @@ class LakeTable:
             except CorruptLog as exc:
                 raise InvalidAction(exc.detail) from None
             try:
-                self.store.put(self._entry_key(entry.version), entry_to_bytes(entry), if_none_match=True)
+                self.store.put(self._entry_key(entry.version), record_bytes(entry), if_none_match=True)
                 return entry
             except PreconditionFailed:
                 continue

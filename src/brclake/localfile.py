@@ -36,7 +36,8 @@ JSON value, which its owner checks. A union of records is an object whose
 one key names the member: its class name in snake case (``add_file``).
 Where positional construction rules out a dataclass default, a field states
 a factory of its JSON default in ``metadata[JSON_DEFAULT]``. A stored
-record's bytes are read by ``read_json``, which turns every way they can be
+record's bytes are made in one place, ``record_bytes`` (its JSON object with
+sorted keys), and read by ``read_json``, which turns every way they can be
 wrong, JSON nested too deep included, into its owner's error.
 """
 
@@ -240,15 +241,15 @@ JSON_DEFAULT = "json_default"  # field metadata key: a factory of the field's JS
 _PRIMITIVES = (str, int, bool)
 
 
-def record_from_json(cls: type[T], obj: Any, prefix: str = "") -> T:
+def record_from_json(cls: type[T], obj: Any) -> T:
     """The dataclass cls read from its JSON object obj; keys that name no
     field are ignored, and a field without a default is required. A nested
     record's fields are named with the key that holds it as a prefix (for a
     union, the member's tag); an array's records take the prefix of the
     array's owner. An ``X | None`` field whose default is not None reads
     JSON null as None, as ``record_to_json`` writes it. Anything else raises
-    ConfigInvalid naming prefix + field; nothing is coerced."""
-    return _record(cls, obj, prefix, False)
+    ConfigInvalid naming the field; nothing is coerced."""
+    return _record(cls, obj, "", False)
 
 
 def config_from_json(cls: type[T], obj: Any) -> T:
@@ -291,6 +292,12 @@ def record_to_json(record: Any) -> dict:
         elif not omit_none:
             obj[name] = None
     return obj
+
+
+def record_bytes(record: Any) -> bytes:
+    """The stored bytes of a dataclass record, the one place they are made:
+    its ``record_to_json`` object as JSON with sorted keys."""
+    return json.dumps(record_to_json(record), sort_keys=True).encode()
 
 
 @functools.cache

@@ -273,7 +273,7 @@ class S3Store:
             status, _, body = self._request("GET", None, query=query)
             if status != 200:
                 raise self._unexpected(status, body)
-            page, token = _parse_list_response(body)
+            page, token = _parse_list_response(body, prefix, token)
             metas.extend(page)
             if token is None:
                 break
@@ -316,7 +316,11 @@ def _size(text: str, what: str) -> int:
     return int(text)
 
 
-def _parse_list_response(body: bytes) -> tuple[list[ObjectMeta], str | None]:
+def _parse_list_response(body: bytes, prefix: str, asked: str | None) -> tuple[list[ObjectMeta], str | None]:
+    """The objects of the list page asked for with token asked, and the next
+    page's token if it is truncated. So that a listing neither ends early nor
+    loops, a listed key that is no valid key under prefix (a missing one
+    included) and a truncated page without a new token are BackendUnavailable."""
     try:
         root = ET.fromstring(body)
     except ET.ParseError as exc:
@@ -328,9 +332,15 @@ def _parse_list_response(body: bytes) -> tuple[list[ObjectMeta], str | None]:
         tag = _strip_ns(child.tag)
         if tag == "Contents":
             fields = {_strip_ns(g.tag): (g.text or "") for g in child}
+            key = fields.get("Key", "")
+            try:
+                if not validate_key(key).startswith(prefix):
+                    raise InvalidKey(key, f"not under prefix {prefix!r}")
+            except InvalidKey as exc:
+                raise BackendUnavailable(f"list <Key> {key!r}: {exc.detail}") from None
             metas.append(
                 ObjectMeta(
-                    key=fields.get("Key", ""),
+                    key=key,
                     size_bytes=_size(fields.get("Size", "0"), "list <Size>"),
                     etag=fields.get("ETag", "").strip('"'),
                 )
@@ -339,4 +349,6 @@ def _parse_list_response(body: bytes) -> tuple[list[ObjectMeta], str | None]:
             truncated = (child.text or "").strip() == "true"
         elif tag == "NextContinuationToken":
             token = child.text or None
+    if truncated and token in (None, asked):
+        raise BackendUnavailable(f"truncated list response without a new continuation token: {token!r}")
     return metas, (token if truncated else None)

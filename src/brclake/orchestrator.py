@@ -14,7 +14,6 @@ instant.
 from __future__ import annotations
 
 import heapq
-import json
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -30,7 +29,7 @@ from .errors import (
 )
 from .fixedpoint import US_PER_DAY
 from .localfile import (JSON_DEFAULT, acquire_lock, config_from_json, fsync_append, last_line,
-                        load_json_config, read_json, read_lines, record_from_json, record_to_json)
+                        load_json_config, read_json, read_lines, record_bytes, record_from_json)
 from .objectstore import path_segment
 
 PENDING = "Pending"
@@ -231,9 +230,6 @@ class Transition:
     delay_s: int | None = None
     error: str | None = None
 
-    def to_json(self) -> str:
-        return json.dumps(record_to_json(self), sort_keys=True)
-
 
 class RunLog:
     """Append-only JSONL transition log for one (dag, logical_time) run."""
@@ -242,7 +238,7 @@ class RunLog:
         self.path = path
 
     def append(self, transition: Transition) -> None:
-        fsync_append(self.path, transition.to_json().encode() + b"\n")
+        fsync_append(self.path, record_bytes(transition) + b"\n")
 
     def replay(self) -> list[Transition]:
         """Transitions logged so far. A torn trailing line from a crash

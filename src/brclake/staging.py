@@ -47,7 +47,8 @@ The checkpoint and the connector state are records (``Checkpoint`` and the
 connector's own), written by the record codec and made durable by
 ``localfile.publish``. A checkpoint, connector state or record line that
 cannot be read back, a negative checkpoint, a record line that fails those
-checks, or a newest segment whose last line's offset lies outside it, is
+checks, a newest segment whose last line's offset lies outside it, or a
+``seg-*.jsonl`` name that is not ``seg-`` plus 20 digits plus ``.jsonl``, is
 CorruptStaging naming its file (and line); a file that cannot be read at
 all (a directory in its place, an I/O error) is StagingUnavailable naming
 it.
@@ -57,6 +58,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -75,12 +77,13 @@ from .errors import (
 from .events import TABLE_COLUMNS, TEXT_FIELDS, MarketEvent
 from .fixedpoint import I64_MAX, I64_MIN, US_YEAR_10000
 from .localfile import (acquire_lock, fsync_append, last_line, publish, read_json, read_lines,
-                        record_from_json, record_to_json)
+                        record_bytes, record_from_json)
 from .objectstore import path_segment
 
 T = TypeVar("T")
 
 SEGMENT_RECORDS = 10_000  # records per segment
+_SEGMENT_NAME = re.compile(r"seg-[0-9]{20}\.jsonl")  # the name _segment_path gives
 
 
 @dataclass
@@ -173,11 +176,6 @@ def _read(read: Callable[[Path], T], path: Path) -> T:
         raise StagingUnavailable(f"cannot read {path}: {exc}") from None
 
 
-def _write_record(path: Path, record: Any) -> None:
-    """Replace the file at path durably with the JSON object of record."""
-    publish(path, json.dumps(record_to_json(record), sort_keys=True).encode())
-
-
 def _read_record(path: Path, cls: type[T]) -> T | None:
     """The record of class cls in the file at path, None if there is no
     file; one that cannot be read back raises CorruptStaging."""
@@ -212,6 +210,8 @@ class StagingStore:
         segs = []
         for name in sorted(os.listdir(d)):
             if name.startswith("seg-") and name.endswith(".jsonl"):
+                if not _SEGMENT_NAME.fullmatch(name):
+                    raise CorruptStaging(str(d / name), "not a segment name: want seg-<20 digits>.jsonl")
                 segs.append((int(name[4:-6]), d / name))
         return segs
 
@@ -309,13 +309,13 @@ class StagingStore:
         tail = self.tail_offset(connector_id)
         if next_checkpoint > tail:
             raise OffsetOutOfRange(next_checkpoint, tail - 1)
-        _write_record(self._checkpoint_path(connector_id), Checkpoint(next_checkpoint))
+        publish(self._checkpoint_path(connector_id), record_bytes(Checkpoint(next_checkpoint)))
 
     # -- connector resume state ------------------------------------------------
 
     def save_connector_state(self, connector_id: str, state: Any) -> None:
         """Save the connector's resume state, a record."""
-        _write_record(self._dir(connector_id) / "connector_state.json", state)
+        publish(self._dir(connector_id) / "connector_state.json", record_bytes(state))
 
     def load_connector_state(self, connector_id: str, cls: type[T]) -> T | None:
         """The saved state, a record of class cls, or None before the first save."""

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import shlex
 import stat
 import subprocess
 import sys
@@ -18,7 +19,8 @@ from brclake.config import AppContext, load_config
 from brclake.errors import ConfigInvalid
 from brclake.etl import SCHEMA_ID, TABLE_COLUMNS, build_action_registry
 from brclake.fixedpoint import iso_to_us
-from brclake.lakehouse import AddFile, LakeTable, LogEntry, PartitionKey, entry_to_bytes
+from brclake.lakehouse import AddFile, LakeTable, LogEntry, PartitionKey
+from brclake.localfile import record_bytes
 from brclake.objectstore import FsStore
 from brclake.orchestrator import DagSpec, Interval, Scheduler, SimClock, TaskSpec
 from brclake.staging import StagingStore
@@ -291,8 +293,8 @@ def test_missing_dags_dir_is_config_invalid(tmp_path, monkeypatch):
 @pytest.mark.parametrize("task, field", [
     ({"task_id": "export", "action": "etl.export",
       "params": {"connector_id": "c1", "table_id": "trades", "max_record": 0}}, "max_record"),
-    ({"task_id": "compact", "action": "etl.compact", "params": {"table_id": "trades", "min_file": 0}},
-     "min_file"),
+    ({"task_id": "compact", "action": "etl.compact", "params": {"table_id": "trades", "min_files": 2}},
+     "min_files"),
     ({"task_id": "ingest", "action": "ingest.run", "params": {"config": "c1.json"}}, "config"),
     ({"task_id": "prune", "action": "staging.prune", "params": {"connector_id": "c1", "table_id": "trades"}},
      "table_id"),
@@ -385,7 +387,7 @@ def test_corrupt_log_is_typed_under_optimize(tmp_path):
     store = FsStore(tmp_path / "store")
     for version in (2, 3):  # the second entry adds the same path again
         store.put(f"tables/trades/_log/{version:020}.json",
-                  entry_to_bytes(LogEntry(version, version - 1, 0, [add], "hand")))
+                  record_bytes(LogEntry(version, version - 1, 0, [add], "hand")))
     result = _brc("lake", "audit", "--table", "trades", data_root=tmp_path, optimize=True)
     assert result.returncode == 1
     error = json.loads(result.stderr.splitlines()[-1])
@@ -426,6 +428,22 @@ def test_parser_covers_spec_flags():
     assert args.version == 3 and args.format == "jsonl"
 
 
+def test_readme_commands_parse():
+    """Every ``brc`` line of the README's code blocks, its backslash
+    continuations joined, parses; a removed or renamed flag cannot leave a
+    stale command behind."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.replace("\\\n", " ").split("```")[1::2]
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("brc ")]
+    assert len(lines) >= 10
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+
+
 # -- in-process CLI ------------------------------------------------------------------------
 
 def _main(*argv: str) -> tuple[int, str]:
@@ -451,16 +469,26 @@ def _small_table(tmp_path, monkeypatch) -> None:
         assert _main(*argv) == (0, "")
 
 
-@pytest.mark.parametrize("args", [
-    ["--partition", "symbol=BTC-USD/date=2021-01-01", "--min-files", "0"],
-    ["--all", "--min-files", "-3"],
-])
-def test_compact_rejects_min_files_below_one(tmp_path, monkeypatch, args):
-    _small_table(tmp_path, monkeypatch)
-    code, err = _main("etl", "compact", "--table", "trades", *args)
-    assert code == 1
-    error = json.loads(err.splitlines()[-1])
-    assert (error["error"], error["field"]) == ("ConfigInvalid", "min_files")
+def test_compact_without_partition_compacts_every_partition(tmp_path, monkeypatch):
+    monkeypatch.delenv("BRC_CONFIG", raising=False)
+    monkeypatch.setenv("BRC_DATA_ROOT", str(tmp_path / "data"))
+    connector = _connector_file(tmp_path, count=60)
+    connector.write_text(json.dumps({**json.loads(connector.read_text()),
+                                     "symbols": {"BTCUSDT": "BTC-USDT", "ETHUSDT": "ETH-USDT"}}))
+    for argv in (["lake", "init", "--table", "trades"],
+                 ["ingest", "run", "--config", str(connector)],
+                 ["etl", "export", "--connector", "c1", "--table", "trades", "--max-records", "20"]):
+        assert _main(*argv) == (0, "")
+    table = LakeTable(FsStore(tmp_path / "data" / "store"), "trades")
+    before = table.snapshot_at().live_files
+    for flags in (["--all"], ["--min-files", "2"]):  # no flags of brc etl compact
+        assert _main("etl", "compact", "--table", "trades", *flags)[0] == 2
+    assert table.snapshot_at().live_files == before
+    assert _main("etl", "compact", "--table", "trades") == (0, "")
+    partitions = {add.partition for add in before.values()}
+    assert len(partitions) > 1 and len(before) > len(partitions)
+    after = [add.partition for add in table.snapshot_at().live_files.values()]
+    assert len(after) == len(partitions) and set(after) == partitions  # one file each
 
 
 def test_audit_of_a_file_holding_another_files_bytes_exits_one(tmp_path, monkeypatch):
@@ -574,6 +602,18 @@ def test_local_file_that_cannot_be_read_is_a_typed_error(tmp_path, monkeypatch, 
     assert json.loads(err.splitlines()[-1])["error"] == kind
 
 
+@pytest.mark.parametrize("command", [["staging", "prune"], ["etl", "export", "--table", "trades"]],
+                         ids=["prune", "export"])
+def test_stray_segment_name_is_corrupt_staging(tmp_path, monkeypatch, command):
+    _small_table(tmp_path, monkeypatch)
+    stray = tmp_path / "data" / "staging" / "c1" / "seg-x.jsonl"
+    stray.write_text("")
+    code, err = _main(*command, "--connector", "c1")
+    assert code == 1
+    error = json.loads(err.splitlines()[-1])
+    assert (error["error"], error["path"]) == ("CorruptStaging", str(stray))
+
+
 @pytest.mark.parametrize("out", ["missing/out.csv", ".", "trades.csv/x"])
 def test_query_sink_that_cannot_be_written_is_sink_error(tmp_path, monkeypatch, out):
     _small_table(tmp_path, monkeypatch)
@@ -655,11 +695,7 @@ _QUERY_ARGS = st.tuples(
       + ([] if a[6] is None else ["--out", a[6]]))
 _COMPACT_ARGS = st.tuples(
     _TABLES, st.none() | st.text(max_size=40) | st.just("symbol=BTC-USDT/date=2020-09-13"),
-    st.none() | st.integers(), st.booleans(),
-).map(lambda a: ["etl", "compact", "--table", a[0]]
-      + ([] if a[1] is None else ["--partition", a[1]])
-      + ([] if a[2] is None else ["--min-files", str(a[2])])
-      + (["--all"] if a[3] else []))
+).map(lambda a: ["etl", "compact", "--table", a[0]] + ([] if a[1] is None else ["--partition", a[1]]))
 _CONNECTORS = st.one_of(st.text(max_size=12),
                         st.sampled_from(["c1", "../../escaped", "", "a/b", ".", "..", "c1/../.."]))
 _EXPORT_ARGS = st.tuples(_TABLES, _CONNECTORS, st.none() | st.integers()).map(
@@ -707,7 +743,7 @@ def test_pipeline_and_prune_via_cli(tmp_path):
     out = json.loads(result.stdout)
     assert out["rows_published"] == 120 and out["next_checkpoint"] == 120
 
-    result = _brc("etl", "compact", "--table", "trades", "--all", data_root=tmp_path)
+    result = _brc("etl", "compact", "--table", "trades", data_root=tmp_path)
     assert result.returncode == 0
 
     result = _brc("query", "--table", "trades", "--symbols", "BTC-USDT",

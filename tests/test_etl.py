@@ -105,7 +105,8 @@ def test_source_tie_scans_in_oracle_order(tmp_path, max_records):
         return sink.getvalue()
 
     assert scanned() == expected
-    assert compact(store, table, PartitionKey("BTC-USDT", "2021-03-04"), min_files=1) is not None
+    merged = compact(store, table, PartitionKey("BTC-USDT", "2021-03-04"))
+    assert (merged is not None) == (max_records == 1)  # one file is no merge set
     assert scanned() == expected
 
 
@@ -691,7 +692,7 @@ def test_one_large_and_one_small_file_is_a_no_op_at_two_min_files(tmp_path):
     store, _, table = _layered_table(tmp_path, [100, 5])
     version = table.current_version()
     counting = _CountingStore(store)
-    assert compact(counting, table, live_partitions(table)[0], min_files=2) is None
+    assert compact(counting, table, live_partitions(table)[0]) is None
     assert table.current_version() == version and counting.data_gets == []
 
 
@@ -727,15 +728,19 @@ def test_compaction_merges_the_files_below_the_first_that_is_not_full(counts):
             return commit(actions, committer)
 
         table.commit = commit_noting_the_cache
-        assert compact(store, table, partition, min_files=1) is not None
+        version = compact(store, table, partition)
         after = table.snapshot_at().live_files
         order = sorted(before.values(), key=lambda a: (a.rows, a.path))
         smaller = {add.path: sum(a.rows for a in order[:i]) for i, add in enumerate(order)}
+        if version is None:  # a one-file merge set: every file but the smallest is full
+            assert all(add.rows > FULL_RATIO * smaller[add.path] for add in order[1:])
+            assert after == before and cached_at_commit == []
+            return
         merged = [add for add in order if add.path not in after]  # a prefix of order
-        assert merged == order[:len(merged)]
+        assert len(merged) > 1 and merged == order[:len(merged)]
         for add in order[len(merged):]:  # left alone
             assert add.rows > FULL_RATIO * smaller[add.path]
-        assert len(merged) == 1 or merged[-1].rows <= FULL_RATIO * smaller[merged[-1].path]
+        assert merged[-1].rows <= FULL_RATIO * smaller[merged[-1].path]
         (new,) = [add for path, add in after.items() if path not in before]
         assert new.rows == sum(add.rows for add in merged)
         assert _scanned(store, table) == scanned
@@ -765,10 +770,12 @@ def test_scan_of_a_swapped_file_is_data_file_mismatch(tmp_path):
 
 
 def test_compaction_of_a_swapped_file_commits_nothing(tmp_path):
-    store, _, table, btc = _swapped_table(tmp_path)
+    store, staging, table, btc = _swapped_table(tmp_path)
+    _stage(staging, _trades(2, "BTC-USD", start_id=3, day_offset_us=10_000))  # a second small file
+    export_all(staging, store, table, "c")
     version = table.current_version()
     with pytest.raises(DataFileMismatch) as err:
-        compact(store, table, btc.partition, min_files=1)
+        compact(store, table, btc.partition)
     assert err.value.path == btc.path and table.current_version() == version
 
 

@@ -24,10 +24,10 @@ from brclake.lakehouse import (
     RemoveFile,
     SetSchema,
     Snapshot,
-    entry_to_bytes,
     list_files,
 )
 from brclake.lakeformat import ColumnSchema
+from brclake.localfile import record_bytes
 from brclake.objectstore import FsStore
 from conftest import run_optimized
 
@@ -298,7 +298,7 @@ def test_corrupt_log_fold_is_typed(version, action, path):
     assert (snapshot.version, set(snapshot.live_files), snapshot.schema_id) == (2, {_path("a")}, "s")
 
 
-_GOOD_ENTRY = json.loads(entry_to_bytes(LogEntry(2, 1, 0, [_add("a")], "w")))
+_GOOD_ENTRY = json.loads(record_bytes(LogEntry(2, 1, 0, [_add("a")], "w")))
 
 
 def _entry_with(**fields) -> bytes:
@@ -339,7 +339,7 @@ def test_entry_bytes_are_pinned():
                 PartitionKey("BTC-USD", "2020-09-13"), 2, 310, 1_600_000_000_000_000, 1_600_000_000_999_999),
         RemoveFile("tables/t/data/symbol=BTC-USD/date=2020-09-13/part-0.brcl"),
     ], "brc")
-    data = entry_to_bytes(entry)
+    data = record_bytes(entry)
     assert data == (
         b'{"actions": [{"set_schema": {"columns": [{"name": "event_time_us", "physical_type": "INT64"}, '
         b'{"name": "symbol", "physical_type": "BYTES"}], "schema_id": "trades_v1"}}, '

@@ -370,11 +370,10 @@ def test_torn_trailing_log_line_ignored(tmp_path):
 
 def test_transition_line_is_pinned(tmp_path):
     transition = Transition(120_000_000, "export", 2, "Retrying", delay_s=10, error="boom")
-    line = transition.to_json()
-    assert line == ('{"at_us": 120000000, "attempt": 2, "delay_s": 10, "error": "boom", '
-                    '"state": "Retrying", "task_id": "export"}')
     log = RunLog(run_log_path(tmp_path, "d", 0))
     log.append(transition)
+    assert log.path.read_bytes() == (b'{"at_us": 120000000, "attempt": 2, "delay_s": 10, "error": "boom", '
+                                     b'"state": "Retrying", "task_id": "export"}\n')
     assert log.replay() == [transition]
 
 

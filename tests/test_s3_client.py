@@ -116,6 +116,41 @@ def test_malformed_object_size_is_backend_unavailable(monkeypatch, method, reply
         store.list("") if method == "list" else store.head("k")
 
 
+def _page(contents: bytes, tail: bytes = b"") -> bytes:
+    return b"<ListBucketResult>" + contents + tail + b"</ListBucketResult>"
+
+
+@pytest.mark.parametrize("body", [
+    _page(b"<Contents><Key>logs/a</Key><Size>1</Size></Contents>", b"<IsTruncated>true</IsTruncated>"),
+    _page(b"<Contents><Key>logs/a</Key><Size>1</Size></Contents>",
+          b"<IsTruncated>true</IsTruncated><NextContinuationToken></NextContinuationToken>"),
+    _page(b"<Contents><Size>1</Size></Contents>"),
+    _page(b"<Contents><Key>logs/../a</Key><Size>1</Size></Contents>"),
+    _page(b"<Contents><Key>other/a</Key><Size>1</Size></Contents>"),
+    _page(b"<Contents><Key>logs/a</Key><Size>1</Size></Contents>",
+          b"<IsTruncated>true</IsTruncated><NextContinuationToken>t</NextContinuationToken>"),
+], ids=["truncated_without_token", "truncated_with_empty_token", "contents_without_key", "invalid_key",
+        "key_outside_prefix", "repeated_token"])
+def test_malformed_listing_is_backend_unavailable(monkeypatch, body):
+    """A listing that would end early, loop, or hold a key that is not one
+    under the prefix asked for is refused. A page that only repeats the
+    token it was asked with never ends, so the fake gives up after a few
+    pages."""
+    store = S3Store(S3Config(endpoint="http://127.0.0.1:9", region="r", access_key="a",
+                             secret_key="s", bucket="b"))
+    pages = []
+
+    def request(*args, **kwargs):
+        pages.append(kwargs["query"])
+        if len(pages) > 5:
+            raise AssertionError("list asked for more pages than the fake holds")
+        return 200, {}, body
+
+    monkeypatch.setattr(store, "_request", request)
+    with pytest.raises(BackendUnavailable):
+        store.list("logs/")
+
+
 def test_probe_accepts_honest_endpoint_and_refuses_liar():
     with S3Stub() as stub:
         _client(stub).probe_conditional_put()

@@ -609,6 +609,26 @@ def test_staged_offset_that_is_not_its_position_is_corrupt_staging(tmp_path, mon
     assert (err.value.path, err.value.line_no) == (str(tmp_path / "c" / f"seg-{segment:020}.jsonl"), line_no)
 
 
+@pytest.mark.parametrize("name", ["seg-x.jsonl", "seg-7.jsonl", f"seg-{0:021}.jsonl", "seg-" + "０" * 20 + ".jsonl"],
+                         ids=["not_digits", "short", "21_digits", "fullwidth_digits"])
+@pytest.mark.parametrize("call", [
+    lambda store: store.tail_offset("c"),
+    lambda store: store.read_from("c", 0, 10),
+    lambda store: store.prune("c"),
+    lambda store: store.open_session("c").close(),
+], ids=["tail_offset", "read_from", "prune", "open_session"])
+def test_stray_segment_name_is_corrupt_staging(tmp_path, name, call):
+    """A ``seg-*.jsonl`` name that is not seg- plus the 20 digits its
+    writer puts there is no segment of the connector's."""
+    store = StagingStore(tmp_path)
+    with store.open_session("c") as session:
+        session.append_batch(_events(2))
+    (tmp_path / "c" / name).write_text("")
+    with pytest.raises(CorruptStaging) as err:
+        call(store)
+    assert err.value.path == str(tmp_path / "c" / name)
+
+
 # -- prune -----------------------------------------------------------------------------
 
 def test_prune_removes_only_fully_drained_sealed_segments(tmp_path, monkeypatch):
