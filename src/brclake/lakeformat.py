@@ -8,15 +8,28 @@ File layout, all integers little-endian:
     u32 footer length
     magic "BRCL"
 
-Encodings:
+Encodings, as format version 3 lays them out:
 
     PLAIN  INT64: 8 bytes/value. BYTES: u32 length + raw bytes per value.
            BOOL: one byte per value, 0 or 1.
     RLE    repeated (u32 run_length, PLAIN-encoded single value); runs maximal.
     DICT   u32 dict_size, dictionary values PLAIN in first-occurrence order,
-           then u32 index per value.
-    DELTA  INT64 only: first value as raw i64, then per-delta zigzag LEB128
-           varints. Deltas wrap modulo 2^64 so any i64 sequence round-trips.
+           then each value's index bit-packed LSB-first at b bits, b the
+           smallest of 1, 2, 4, 8, 16 and 32 with 2**b >= dict_size; the
+           padding bits of the last byte are 0.
+    DELTA  INT64 only: first value as raw i64, then the deltas, each wrapped
+           modulo 2^64 to int64 so any i64 sequence round-trips, in blocks
+           of 1024 (the last holds the rest). A block is its least delta as
+           a zigzag LEB128 varint, a u8 width of 0 to 8 bytes, then each
+           delta less that least one in planes, lowest bytes first. Width 0
+           has no plane (every delta is the least), width 8 one 8-byte
+           plane, and any other width one plane for each of 4, 2 and 1
+           bytes that it sums: width 3 is a 2-byte plane of each delta's low
+           16 bits, then a 1-byte plane of its next 8.
+
+Format versions 1 and 2 lay PLAIN and RLE out the same, but a DICT index is
+a u32, and DELTA holds each delta after the first value as a zigzag LEB128
+varint.
 
 A writer stores every column in the smallest encoding legal for its type:
 PLAIN, RLE and DICT for all three, and DELTA for INT64 too; equal sizes go
@@ -29,11 +42,12 @@ Chunks carry a CRC-32C over exactly their encoded bytes and min/max stats
 payload holds no timestamps, so identical input yields identical bytes on
 any platform.
 
-The writer writes format version 2, whose footer is binary. Its strings
-and stats are PLAIN values: a string is a u32 length and its bytes (names
-and the writer in UTF-8), and min and max are PLAIN in their column's type.
+The writer writes format version 3, whose footer is binary and laid out as
+version 2's. Its strings and stats are PLAIN values: a string is a u32
+length and its bytes (names and the writer in UTF-8), and min and max are
+PLAIN in their column's type.
 
-    u8 version (2), u32 row_count, u32 column count, writer string
+    u8 version (3, or 2), u32 row_count, u32 column count, writer string
     per column, in schema order:
         name string, u8 physical type (0 INT64, 1 BYTES, 2 BOOL),
         u8 encoding, u32 chunk byte length, u32 chunk CRC-32C,
@@ -49,11 +63,12 @@ The reader also reads format version 1, whose footer is the UTF-8 JSON
 object of ``FileFooter`` with sorted keys, written by ``localfile``'s record
 codec (a chunk's encoding by its member name, BYTES stats as latin-1
 text). A footer's first byte tells the versions apart: ``{`` is version 1,
-``0x02`` version 2, anything else is unsupported. ``_check_footer`` adds to
-a version-1 footer what the codec cannot see: a valid schema with one chunk
-per column, counts that agree, chunk ranges between the leading magic and
-the footer, and stats of each column's type. Any way a footer of either
-version can be wrong is FooterCorrupt.
+``0x02`` version 2, ``0x03`` version 3, anything else is unsupported, and
+the reader decodes each chunk in its footer's version's layout.
+``_check_footer`` adds to a version-1 footer what the codec cannot see: a
+valid schema with one chunk per column, counts that agree, chunk ranges
+between the leading magic and the footer, and stats of each column's type.
+Any way a footer of any version can be wrong is FooterCorrupt.
 """
 
 from __future__ import annotations
@@ -63,7 +78,7 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import accumulate, compress, groupby, islice, repeat
-from operator import add, ne
+from operator import add, lshift, ne, or_, sub
 from typing import Any, Callable, Collection, Iterable, Sequence
 
 from .crc32c import crc32c
@@ -79,14 +94,14 @@ from .fixedpoint import I64_MAX, I64_MIN
 from .localfile import read_json, record_from_json
 
 MAGIC = b"BRCL"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 DEFAULT_WRITER = "brclake/1"
 STATS_TRUNCATE_BYTES = 64
 
 INT64 = "INT64"
 BYTES = "BYTES"
 BOOL = "BOOL"
-PHYSICAL_TYPES = (INT64, BYTES, BOOL)  # a version-2 footer codes a type by its index here
+PHYSICAL_TYPES = (INT64, BYTES, BOOL)  # a binary footer codes a type by its index here
 
 
 _COLUMN_NAME = re.compile(r"[a-z_][a-z0-9_]*")
@@ -205,8 +220,10 @@ def _decode_plain(data: bytes, physical_type: str, count: int, pos: int = 0) -> 
 
 # -- column encode / decode -------------------------------------------------------
 
-def encode_column(values: Sequence[Any], physical_type: str, encoding: Encoding) -> bytes:
-    """Encode one column chunk; layouts are bit-exact per the module docstring."""
+def encode_column(values: Sequence[Any], physical_type: str, encoding: Encoding, format_version: int = 2) -> bytes:
+    """Encode one column chunk in the layout of format_version, bit-exact
+    per the module docstring: versions 1 and 2 share one layout, and version
+    3 changes DICT's and DELTA's."""
     if encoding == Encoding.DELTA and physical_type != INT64:
         raise IllegalEncoding(physical_type, encoding.name)
 
@@ -223,35 +240,23 @@ def encode_column(values: Sequence[Any], physical_type: str, encoding: Encoding)
     if encoding == Encoding.DICT:
         keys = list(map(bytes, values)) if physical_type == BYTES else values
         dictionary = list(dict.fromkeys(keys))  # first-occurrence order
-        codes = map({key: code for code, key in enumerate(dictionary)}.__getitem__, keys)
-        return (
-            _U32.pack(len(dictionary))
-            + _encode_plain(dictionary, physical_type)
-            + struct.pack(f"<{len(keys)}I", *codes)
-        )
+        codes = list(map({key: code for code, key in enumerate(dictionary)}.__getitem__, keys))
+        width = _code_width(len(dictionary), format_version)
+        return _U32.pack(len(dictionary)) + _encode_plain(dictionary, physical_type) + _pack_codes(codes, width)
 
-    # DELTA: each delta wrapped to int64, zigzagged and written as a varint
-    if not values:
+    if not values:  # DELTA
         return b""
-    out = bytearray(_I64.pack(values[0]))
-    prev = values[0]
-    for value in islice(values, 1, None):
-        delta = value - prev
-        prev = value
-        if delta > I64_MAX:
-            delta -= _U64_MOD
-        elif delta < I64_MIN:
-            delta += _U64_MOD
-        u = delta << 1 if delta >= 0 else (-delta << 1) - 1
-        while u >= 0x80:
-            out.append((u & 0x7F) | 0x80)
-            u >>= 7
-        out.append(u)
-    return bytes(out)
+    deltas = list(map(sub, islice(values, 1, None), values))
+    if format_version < 3:
+        return _I64.pack(values[0]) + b"".join(map(_zigzag_varint, _wrapped(deltas)))
+    return _I64.pack(values[0]) + b"".join(
+        _delta_block(deltas[start:start + _DELTA_BLOCK]) for start in range(0, len(deltas), _DELTA_BLOCK))
 
 
-def decode_column(data: bytes, physical_type: str, encoding: Encoding, value_count: int) -> list:
-    """Exact inverse of encode_column; CorruptChunk on any malformed input."""
+def decode_column(data: bytes, physical_type: str, encoding: Encoding, value_count: int,
+                  format_version: int = 2) -> list:
+    """Exact inverse of encode_column in the layout of format_version;
+    CorruptChunk on any malformed input."""
     if encoding == Encoding.DELTA and physical_type != INT64:
         raise IllegalEncoding(physical_type, encoding.name)
 
@@ -278,10 +283,11 @@ def decode_column(data: bytes, physical_type: str, encoding: Encoding, value_cou
             raise CorruptChunk("truncated DICT header")
         (dict_size,) = _U32.unpack_from(data, 0)
         dictionary, pos = _decode_plain(data, physical_type, dict_size, 4)
-        end = pos + 4 * value_count
+        width = _code_width(dict_size, format_version)
+        end = pos + (value_count * width + 7) // 8
         if end > len(data):
             raise CorruptChunk("truncated DICT indices")
-        codes = struct.unpack_from(f"<{value_count}I", data, pos)
+        codes = _unpack_codes(data[pos:end], width, value_count)
         pos = end
         if codes and max(codes) >= dict_size:
             raise CorruptChunk(f"DICT index {max(codes)} >= dict size {dict_size}")
@@ -289,23 +295,89 @@ def decode_column(data: bytes, physical_type: str, encoding: Encoding, value_cou
 
     elif value_count == 0:  # DELTA
         values, pos = [], 0
-    else:
+    elif format_version < 3:
         values = _decode_delta(data, value_count)
         pos = len(data)
+    else:
+        values, pos = _decode_delta_blocks(data, value_count)
 
     if pos != len(data):
         raise CorruptChunk(f"{len(data) - pos} trailing bytes")
     return values
 
 
-# -- DELTA decoding -----------------------------------------------------------------
+# -- DICT indices ----------------------------------------------------------------------
 #
-# A chunk whose varints are at most 8 bytes each, so whose deltas are below
-# 2**55 in magnitude, is decoded a chunk at a time: each varint, padded
-# with zero bytes, takes an 8-byte lane of one int, and three mask-and-shift
-# steps on that int squeeze every lane's 7-bit groups together at once. A
-# chunk with a longer varint is decoded one varint at a time.
+# Indices of 8, 16 or 32 bits are one struct call each way. Narrower ones
+# are packed a chunk at a time: one code to a byte of one int, then
+# mask-and-shift steps squeeze each pair of fields into one, until a byte
+# holds 8 // width codes in every (8 // width)-th byte. A table maps each
+# packed byte back to its codes, one to a byte.
 
+_CODE_FORMATS = {8: "B", 16: "H", 32: "I"}
+_BYTE_CODES = {width: [bytes(byte >> shift & (1 << width) - 1 for shift in range(0, 8, width))
+                       for byte in range(256)]
+               for width in (1, 2, 4)}
+
+
+def _code_width(dict_size: int, format_version: int) -> int:
+    """The bits of a DICT index into dict_size values: 32 before version 3,
+    then the fewest of 1, 2, 4, 8, 16 and 32 that can tell them apart."""
+    if format_version < 3:
+        return 32
+    return 1 << (max(1, (dict_size - 1).bit_length()) - 1).bit_length()  # the power of 2 >= the bits needed
+
+
+def _pack_codes(codes: list[int], width: int) -> bytes:
+    """codes packed LSB-first at width bits each, padding bits 0."""
+    if width in _CODE_FORMATS:
+        return struct.pack(f"<{len(codes)}{_CODE_FORMATS[width]}", *codes)
+    per_byte = 8 // width
+    lanes = bytes(codes) + bytes(-len(codes) % per_byte)
+    x = int.from_bytes(lanes, "little")
+    field, used = 1, width  # bytes in a field, and its bits in use
+    while used < 8:
+        high = x & int.from_bytes((bytes(field) + b"\xff" * field) * (len(lanes) // (2 * field)), "little")
+        x = (x ^ high) | (high >> (8 * field - used))  # each pair of fields, squeezed into the lower one
+        field, used = 2 * field, 2 * used
+    return x.to_bytes(len(lanes), "little")[::per_byte]
+
+
+def _unpack_codes(packed: bytes, width: int, count: int) -> Sequence[int]:
+    """The count codes that packed holds at width bits each; CorruptChunk
+    if a padding bit is set."""
+    if width in _CODE_FORMATS:
+        return struct.unpack(f"<{count}{_CODE_FORMATS[width]}", packed)
+    codes = b"".join(map(_BYTE_CODES[width].__getitem__, packed))
+    if any(codes[count:]):
+        raise CorruptChunk("nonzero DICT padding bits")
+    return codes[:count]
+
+
+# -- DELTA ------------------------------------------------------------------------------
+#
+# Version 3: a block is decoded a plane at a time, each plane one
+# struct.unpack, and the planes of a width are ORed together. Versions 1
+# and 2: a chunk whose varints are at most 8 bytes each, so whose deltas
+# are below 2**55 in magnitude, is decoded a chunk at a time: each varint,
+# padded with zero bytes, takes an 8-byte lane of one int, and three
+# mask-and-shift steps on that int squeeze every lane's 7-bit groups
+# together at once. A chunk with a longer varint is decoded one varint at a
+# time.
+
+_DELTA_BLOCK = 1024  # deltas in a version-3 block
+# Each width's planes, lowest bytes first: (struct code, bytes, shift).
+_PLANES = (
+    (),
+    (("B", 1, 0),),
+    (("H", 2, 0),),
+    (("H", 2, 0), ("B", 1, 16)),
+    (("I", 4, 0),),
+    (("I", 4, 0), ("B", 1, 32)),
+    (("I", 4, 0), ("H", 2, 32)),
+    (("I", 4, 0), ("H", 2, 32), ("B", 1, 48)),
+    (("Q", 8, 0),),
+)
 _LANE_ONE = (1).to_bytes(8, "little")
 # Each squeeze step: its shift, and the upper half of each 16-, 32- and
 # then 64-bit field of a lane.
@@ -316,9 +388,81 @@ _LOW7 = bytes(b & 0x7F for b in range(256))  # a varint byte without its continu
 _VARINT = re.compile(rb"[\x80-\xff]{0,9}[\x00-\x7f]")
 
 
+def _zigzag_varint(delta: int) -> bytes:
+    """The zigzag LEB128 varint of an int64."""
+    u = (delta << 1) ^ (delta >> 63)
+    out = bytearray()
+    while u >= 0x80:
+        out.append((u & 0x7F) | 0x80)
+        u >>= 7
+    out.append(u)
+    return bytes(out)
+
+
+def _wrapped(deltas: list[int]) -> list[int]:
+    """deltas, each wrapped modulo 2**64 to int64."""
+    if deltas and (min(deltas) < I64_MIN or max(deltas) > I64_MAX):
+        return [(delta - I64_MIN) % _U64_MOD + I64_MIN for delta in deltas]
+    return deltas
+
+
+def _delta_block(deltas: list[int]) -> bytes:
+    """One version-3 DELTA block of deltas."""
+    least, most = min(deltas), max(deltas)
+    if least < I64_MIN or most > I64_MAX:  # some delta wraps around int64
+        return _delta_block(_wrapped(deltas))
+    width = ((most - least).bit_length() + 7) // 8
+    parts = [_zigzag_varint(least), bytes([width])]
+    if width:
+        rest = [delta - least for delta in deltas]
+        planes = _PLANES[width]
+        for code, size, shift in planes:
+            plane = rest if len(planes) == 1 else [r >> shift & (1 << 8 * size) - 1 for r in rest]
+            parts.append(struct.pack(f"<{len(deltas)}{code}", *plane))
+    return b"".join(parts)
+
+
+def _decode_delta_blocks(data: bytes, value_count: int) -> tuple[list[int], int]:
+    """The value_count values of a non-empty version-3 DELTA chunk, and the
+    bytes its blocks take."""
+    if len(data) < 8:
+        raise CorruptChunk("truncated DELTA first value")
+    deltas: list[int] = []
+    pos = 8
+    for start in range(0, value_count - 1, _DELTA_BLOCK):
+        n = min(_DELTA_BLOCK, value_count - 1 - start)
+        varint = _VARINT.match(data, pos)
+        if varint is None or varint.end() == len(data):
+            raise CorruptChunk("DELTA block without a whole least-delta varint and width")
+        (least,) = _varint_deltas([varint.group()])
+        width = data[varint.end()]
+        if width > 8:
+            raise CorruptChunk(f"DELTA block width {width} over 8 bytes")
+        pos = varint.end() + 1
+        block: Iterable[int] = repeat(0, n)
+        for code, size, shift in _PLANES[width]:
+            if pos + n * size > len(data):
+                raise CorruptChunk(f"truncated DELTA plane of {size} bytes")
+            plane = struct.unpack_from(f"<{n}{code}", data, pos)
+            block = plane if shift == 0 else map(or_, block, map(lshift, plane, repeat(shift)))
+            pos += n * size
+        deltas += map(add, block, repeat(least))
+    return _running_sums(_I64.unpack_from(data, 0)[0], deltas), pos
+
+
+def _running_sums(first: int, deltas: Sequence[int]) -> list[int]:
+    """first, then its running sums with each delta, wrapped to int64."""
+    values = list(accumulate(deltas, initial=first))
+    if min(values) < I64_MIN or max(values) > I64_MAX:  # some delta wrapped around int64
+        values = [first]
+        for delta in deltas:
+            values.append((values[-1] + delta - I64_MIN) % _U64_MOD + I64_MIN)
+    return values
+
+
 def _decode_delta(data: bytes, value_count: int) -> list[int]:
-    """The value_count values of a non-empty DELTA chunk: the first value,
-    then each value's varint delta from the one before."""
+    """The value_count values of a non-empty version-1 or -2 DELTA chunk:
+    the first value, then each value's varint delta from the one before."""
     if len(data) < 8:
         raise CorruptChunk("truncated DELTA first value")
     varints = _VARINT.findall(data, 8)
@@ -327,13 +471,7 @@ def _decode_delta(data: bytes, value_count: int) -> list[int]:
                            f"{value_count - 1} whole varints of at most 10 bytes")
     lanes = b"".join(map(bytes.ljust, varints, repeat(8), repeat(b"\0")))  # ljust leaves a longer varint whole
     deltas = _lane_deltas(lanes) if len(lanes) == 8 * len(varints) else _varint_deltas(varints)
-    (first,) = _I64.unpack_from(data, 0)
-    values = list(accumulate(deltas, initial=first))
-    if min(values) < I64_MIN or max(values) > I64_MAX:  # some delta wrapped around int64
-        values = [first]
-        for delta in deltas:
-            values.append((values[-1] + delta + 2**63) % _U64_MOD - 2**63)
-    return values
+    return _running_sums(_I64.unpack_from(data, 0)[0], deltas)
 
 
 def _lane_deltas(lanes: bytes) -> tuple[int, ...]:
@@ -351,7 +489,8 @@ def _lane_deltas(lanes: bytes) -> tuple[int, ...]:
 
 
 def _varint_deltas(varints: list[bytes]) -> list[int]:
-    """The deltas of varints, one at a time."""
+    """The deltas of varints, one at a time; CorruptChunk for a varint of
+    2**64 or more, which codes no int64."""
     deltas = []
     for varint in varints:
         u = 0
@@ -363,16 +502,20 @@ def _varint_deltas(varints: list[bytes]) -> list[int]:
     return deltas
 
 
+# -- encoding choice -------------------------------------------------------------------
+
 def choose_encoding(values: Sequence[Any], physical_type: str) -> Encoding:
-    """The smallest encoding legal for a column of physical_type: PLAIN, RLE
-    and DICT, and for INT64 also DELTA, the first in ``Encoding`` order of
-    equal sizes. With PLAIN(vs) 8 bytes per INT64 value, 1 per BOOL and
-    4 + its length per BYTES value, the sizes are
+    """The smallest encoding legal for a column of physical_type in the
+    layouts of ``FORMAT_VERSION``: PLAIN, RLE and DICT, and for INT64 also
+    DELTA, the first in ``Encoding`` order of equal sizes. With PLAIN(vs)
+    8 bytes per INT64 value, 1 per BOOL and 4 + its length per BYTES value,
+    and b the bits of a DICT index (the module docstring), the sizes are
 
         PLAIN  PLAIN(values)
         RLE    4 runs + PLAIN(run values)
-        DICT   4 + PLAIN(distinct values) + 4n
-        DELTA  8 + 1 byte per started 7 bits of each delta's zigzag
+        DICT   4 + PLAIN(distinct values) + ceil(n * b / 8)
+        DELTA  8 + per block of up to 1024 deltas: its least delta's
+               varint, 1, and its width times its deltas
 
     PLAIN, RLE and DICT sizes are counted, not encoded. DELTA's is the
     length of its encoding, which a writer that chooses DELTA then stores.
@@ -385,21 +528,30 @@ def _encode_smallest(values: Sequence[Any], physical_type: str) -> tuple[Encodin
     """choose_encoding's encoding of a column, and the chunk it encodes."""
     if not values:
         return Encoding.PLAIN, b""
+    sizes, delta = _encoding_sizes(values, physical_type)
+    encoding = min(sizes, key=sizes.__getitem__)  # the first of equal sizes
+    if encoding == Encoding.DELTA:
+        return encoding, delta
+    return encoding, encode_column(values, physical_type, encoding, FORMAT_VERSION)
+
+
+def _encoding_sizes(values: Sequence[Any], physical_type: str) -> tuple[dict[Encoding, int], bytes]:
+    """The size of each encoding legal for a non-empty column, in the
+    layouts of ``FORMAT_VERSION``, and its DELTA chunk (b"" off INT64)."""
     # the value of each maximal run, in order: a value that differs from the one before starts one
     run_values = [values[0], *compress(islice(values, 1, None), map(ne, islice(values, 1, None), values))]
     distinct = set(map(bytes, run_values) if physical_type == BYTES else run_values)  # each starts a run
     sizes = {
         Encoding.PLAIN: _plain_size(values, physical_type),
         Encoding.RLE: 4 * len(run_values) + _plain_size(run_values, physical_type),
-        Encoding.DICT: 4 + _plain_size(distinct, physical_type) + 4 * len(values),
+        Encoding.DICT: (4 + _plain_size(distinct, physical_type)
+                        + (len(values) * _code_width(len(distinct), FORMAT_VERSION) + 7) // 8),
     }
-    if physical_type == INT64:
-        delta = encode_column(values, INT64, Encoding.DELTA)
-        sizes[Encoding.DELTA] = len(delta)
-    encoding = min(sizes, key=sizes.__getitem__)  # the first of equal sizes
-    if encoding == Encoding.DELTA:
-        return encoding, delta
-    return encoding, encode_column(values, physical_type, encoding)
+    if physical_type != INT64:
+        return sizes, b""
+    delta = encode_column(values, INT64, Encoding.DELTA, FORMAT_VERSION)
+    sizes[Encoding.DELTA] = len(delta)
+    return sizes, delta
 
 
 def _plain_size(values: Collection[Any], physical_type: str) -> int:
@@ -466,49 +618,50 @@ def _checked_columns(rows: Sequence[Sequence[Any]], schema: Sequence[ColumnSchem
 
 # -- footer codec --------------------------------------------------------------------------
 
-_V2_HEAD = struct.Struct("<BII")  # format version, row_count, column count
-_V2_CHUNK = struct.Struct("<BBII")  # physical type, encoding, chunk byte length, chunk CRC-32C
+_FOOTER_HEAD = struct.Struct("<BII")  # format version, row_count, column count
+_FOOTER_CHUNK = struct.Struct("<BBII")  # physical type, encoding, chunk byte length, chunk CRC-32C
+_BINARY_FOOTER_VERSIONS = (2, 3)
 
 
 def _encode_footer(footer: FileFooter) -> bytes:
-    """The version-2 footer bytes of footer, its CRC-32C last. Strings and
+    """The binary footer bytes of footer, its CRC-32C last. Strings and
     stats are PLAIN-encoded values."""
-    parts = [_V2_HEAD.pack(FORMAT_VERSION, footer.row_count, len(footer.schema)),
+    parts = [_FOOTER_HEAD.pack(footer.format_version, footer.row_count, len(footer.schema)),
              _encode_plain([footer.writer.encode()], BYTES)]
     for col, chunk in zip(footer.schema, footer.chunks):
         parts += (_encode_plain([col.name.encode()], BYTES),
-                  _V2_CHUNK.pack(PHYSICAL_TYPES.index(col.physical_type), chunk.encoding,
-                                 chunk.byte_length, chunk.crc32c),
+                  _FOOTER_CHUNK.pack(PHYSICAL_TYPES.index(col.physical_type), chunk.encoding,
+                                     chunk.byte_length, chunk.crc32c),
                   _encode_plain([chunk.min, chunk.max], col.physical_type))
     body = b"".join(parts)
     return body + _U32.pack(crc32c(body))
 
 
 def _decode_footer(data: bytes, footer_start: int) -> FileFooter:
-    """The version-2 footer data of a file whose chunks end at footer_start:
-    its CRC-32C checked first, then every field, chunks tiling the chunk
-    region. FooterCorrupt for any other bytes."""
+    """The binary footer data (version 2 or 3) of a file whose chunks end at
+    footer_start: its CRC-32C checked first, then every field, chunks tiling
+    the chunk region. FooterCorrupt for any other bytes."""
     body, crc = data[:-4], data[-4:]
     if len(crc) < 4 or crc32c(body) != _U32.unpack(crc)[0]:
         raise FooterCorrupt("footer CRC-32C mismatch")
     try:
-        _, row_count, n_columns = _V2_HEAD.unpack_from(body)
-        (writer,), pos = _decode_plain(body, BYTES, 1, _V2_HEAD.size)
+        version, row_count, n_columns = _FOOTER_HEAD.unpack_from(body)
+        (writer,), pos = _decode_plain(body, BYTES, 1, _FOOTER_HEAD.size)
         schema, chunks = [], []
         offset = len(MAGIC)
         for _ in range(n_columns):
             (name,), pos = _decode_plain(body, BYTES, 1, pos)
-            code, encoding, length, chunk_crc = _V2_CHUNK.unpack_from(body, pos)
+            code, encoding, length, chunk_crc = _FOOTER_CHUNK.unpack_from(body, pos)
             if code >= len(PHYSICAL_TYPES):
                 raise FooterCorrupt(f"unknown physical type code {code}")
             col = ColumnSchema(name.decode(), PHYSICAL_TYPES[code])
-            (lo, hi), pos = _decode_plain(body, col.physical_type, 2, pos + _V2_CHUNK.size)
+            (lo, hi), pos = _decode_plain(body, col.physical_type, 2, pos + _FOOTER_CHUNK.size)
             if col.physical_type == BYTES and max(len(lo), len(hi)) > STATS_TRUNCATE_BYTES:
                 raise FooterCorrupt(f"stats of {col.name!r} longer than {STATS_TRUNCATE_BYTES} bytes")
             schema.append(col)
             chunks.append(ColumnChunk(Encoding(encoding), row_count, offset, length, chunk_crc, lo, hi))
             offset += length
-        footer = FileFooter(FORMAT_VERSION, row_count, schema, chunks, writer.decode())
+        footer = FileFooter(version, row_count, schema, chunks, writer.decode())
         _validate_schema(schema)
     # a field past the footer's end, a BOOL stat above 1, a name or writer
     # not UTF-8, an unknown encoding, a bad or repeated column name
@@ -569,7 +722,7 @@ class ParsedFile:
 
 def read_footer(fetch: Callable[[int, int], bytes], size: int) -> FileFooter:
     """The checked footer of the size-byte file that the byte-range fetcher
-    reads, of either format version; only the magics, the footer length and
+    reads, of any format version; only the magics, the footer length and
     the footer are fetched."""
     if size < 2 * len(MAGIC) + 4:
         raise BadMagic("file too small")
@@ -583,7 +736,7 @@ def read_footer(fetch: Callable[[int, int], bytes], size: int) -> FileFooter:
     if footer_start < len(MAGIC):
         raise FooterCorrupt(f"footer length {footer_len} exceeds file")
     data = fetch(footer_start, footer_len)
-    if data[:1] == bytes([FORMAT_VERSION]):
+    if data[:1] and data[0] in _BINARY_FOOTER_VERSIONS:
         return _decode_footer(data, footer_start)
     if data[:1] == b"{":
         return read_json(data, lambda obj: _check_footer(record_from_json(FileFooter, obj), footer_start),
@@ -615,7 +768,8 @@ def read_file_via(
         encoded = fetch(chunk.byte_offset, chunk.byte_length)
         if crc32c(encoded) != chunk.crc32c:
             raise ChecksumMismatch(name)
-        columns[name] = decode_column(encoded, col.physical_type, chunk.encoding, chunk.value_count)
+        columns[name] = decode_column(encoded, col.physical_type, chunk.encoding, chunk.value_count,
+                                      footer.format_version)
     return ParsedFile(columns=columns, footer=footer)
 
 

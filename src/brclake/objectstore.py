@@ -264,6 +264,7 @@ class S3Store:
     def list(self, prefix: str = "") -> list[ObjectMeta]:
         metas: list[ObjectMeta] = []
         token: str | None = None
+        asked: set[str | None] = {None}  # every token asked with; the first page has none
         while True:
             query: list[tuple[str, str]] = [("list-type", "2")]
             if prefix:
@@ -273,10 +274,11 @@ class S3Store:
             status, _, body = self._request("GET", None, query=query)
             if status != 200:
                 raise self._unexpected(status, body)
-            page, token = _parse_list_response(body, prefix, token)
+            page, token = _parse_list_response(body, prefix, asked)
             metas.extend(page)
             if token is None:
                 break
+            asked.add(token)
         metas.sort(key=lambda m: m.key)
         return metas
 
@@ -316,11 +318,12 @@ def _size(text: str, what: str) -> int:
     return int(text)
 
 
-def _parse_list_response(body: bytes, prefix: str, asked: str | None) -> tuple[list[ObjectMeta], str | None]:
-    """The objects of the list page asked for with token asked, and the next
-    page's token if it is truncated. So that a listing neither ends early nor
-    loops, a listed key that is no valid key under prefix (a missing one
-    included) and a truncated page without a new token are BackendUnavailable."""
+def _parse_list_response(body: bytes, prefix: str, asked: set[str | None]) -> tuple[list[ObjectMeta], str | None]:
+    """The objects of a list page, and the next page's token if it is
+    truncated; asked holds None and every token the listing asked with so
+    far. So that a listing neither ends early nor loops, a listed key that
+    is no valid key under prefix (a missing one included) and a truncated
+    page without a token not yet asked with are BackendUnavailable."""
     try:
         root = ET.fromstring(body)
     except ET.ParseError as exc:
@@ -349,6 +352,6 @@ def _parse_list_response(body: bytes, prefix: str, asked: str | None) -> tuple[l
             truncated = (child.text or "").strip() == "true"
         elif tag == "NextContinuationToken":
             token = child.text or None
-    if truncated and token in (None, asked):
+    if truncated and token in asked:
         raise BackendUnavailable(f"truncated list response without a new continuation token: {token!r}")
     return metas, (token if truncated else None)

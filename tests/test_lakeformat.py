@@ -21,6 +21,7 @@ from brclake.events import TABLE_COLUMNS
 from brclake.lakeformat import (
     BOOL,
     BYTES,
+    FORMAT_VERSION,
     INT64,
     MAGIC,
     STATS_TRUNCATE_BYTES,
@@ -34,6 +35,7 @@ from brclake.lakeformat import (
     read_footer,
     write_file,
     _VARINT,
+    _encoding_sizes,
     _varint_deltas,
 )
 
@@ -137,29 +139,31 @@ def test_choose_sorted_int64_is_delta():
 
 
 def test_choose_never_larger_than_plain():
-    # Sorted, but deltas near 2**62 take 10 and 9 varint bytes: DELTA 27 B.
-    assert choose_encoding([0, 2**62, 2**63 - 1], INT64) == Encoding.PLAIN  # 24 B
+    # Deltas 2**61 and -2**62: a 9-byte least-delta varint and a width of 8, so DELTA 34 B.
+    assert choose_encoding([0, 2**61, -(2**61)], INT64) == Encoding.PLAIN  # 24 B; DICT 29 B
 
 
 def test_choose_dict_for_few_wide_int64():
-    assert choose_encoding([2**40, -(2**40)] * 50, INT64) == Encoding.DICT  # 420 B; DELTA 701 B; PLAIN 800 B
+    assert choose_encoding([2**40, -(2**40)] * 50, INT64) == Encoding.DICT  # 33 B; DELTA 609 B; PLAIN 800 B
 
 
 def test_choose_low_cardinality():
     # Few distinct values are not enough: the smallest encoding wins.
     assert choose_encoding([b"a", b"b", b"c"] * 3334, BYTES) == Encoding.DICT
-    assert choose_encoding([9, 3] * 50, INT64) == Encoding.DELTA  # 107 B; DICT 420 B; PLAIN 800 B
-    assert choose_encoding([True, False] * 50, BOOL) == Encoding.PLAIN  # 100 B; RLE 500 B
-    assert choose_encoding([True] * 100, BOOL) == Encoding.RLE  # 5 B; PLAIN 100 B
+    assert choose_encoding([9, 3] * 50, INT64) == Encoding.DICT  # 33 B; DELTA 109 B; PLAIN 800 B
+    assert choose_encoding([i % 20 for i in range(100)], INT64) == Encoding.DELTA  # 109 B; DICT 264 B
+    assert choose_encoding([True, False] * 50, BOOL) == Encoding.DICT  # 19 B; PLAIN 100 B; RLE 500 B
+    assert choose_encoding([True, False, True], BOOL) == Encoding.PLAIN  # 3 B; DICT 7 B
+    assert choose_encoding([True] * 100, BOOL) == Encoding.RLE  # 5 B; DICT 18 B; PLAIN 100 B
 
 
 def test_choose_breaks_ties_plain_rle_dict():
-    assert choose_encoding([1, 1, 0], INT64) == Encoding.DELTA  # 10 B; PLAIN = RLE = 24 B
-    assert choose_encoding([0, 2**40] * 4 + [0], INT64) == Encoding.DICT  # DICT = DELTA = 56 B; PLAIN 72 B
-    assert choose_encoding([True] * 5, BOOL) == Encoding.PLAIN  # 5 B each
-    assert choose_encoding([b""] * 2, BYTES) == Encoding.PLAIN  # 8 B each; DICT 16 B
-    runs = [b"xxxxxx", b"xxxxxx", b"yyyyyy", b"yyyyyy"] * 2
-    assert choose_encoding(runs, BYTES) == Encoding.RLE  # RLE = DICT = 56 B; PLAIN 80 B
+    assert choose_encoding([1, 1, 0], INT64) == Encoding.DELTA  # 12 B; PLAIN = RLE = 24 B
+    assert choose_encoding([0, 2**24, 0], INT64) == Encoding.DICT  # DICT = DELTA = 21 B; PLAIN 24 B
+    assert choose_encoding([True] * 5, BOOL) == Encoding.PLAIN  # 5 B each; DICT 6 B
+    assert choose_encoding([b""] * 2, BYTES) == Encoding.PLAIN  # 8 B each; DICT 9 B
+    runs = [b"x"] * 13 + [b"y"] * 13
+    assert choose_encoding(runs, BYTES) == Encoding.RLE  # RLE = DICT = 18 B; PLAIN 130 B
 
 
 # Every encoding legal per type, in the rule's tie order.
@@ -178,16 +182,6 @@ COLUMNS = st.one_of(
 )
 
 
-@given(COLUMNS)
-@settings(max_examples=300, deadline=None)
-def test_choice_is_the_smallest_real_encoding(column):
-    physical_type, values = column
-    sizes = {e: len(encode_column(values, physical_type, e)) for e in CANDIDATES[physical_type]}
-    chosen = choose_encoding(values, physical_type)
-    assert len(encode_column(values, physical_type, chosen)) == min(sizes.values())
-    assert chosen == min(sizes, key=sizes.__getitem__)  # the first of equal sizes
-
-
 def test_partition_file_takes_the_small_encodings():
     # One symbol-day file as etl writes it: one symbol and stream, rows in
     # time order, random sides and quantities that repeat in short runs.
@@ -202,17 +196,19 @@ def test_partition_file_takes_the_small_encodings():
     assert {col.name: chunk.encoding.name for col, chunk in zip(parsed.footer.schema, parsed.footer.chunks)} == {
         "event_time_us": "DELTA", "ingest_time_us": "DELTA", "source": "RLE", "stream": "RLE",
         "symbol": "RLE", "sequence": "DELTA", "event_id": "PLAIN", "price_e8": "DELTA",
-        "qty_e8": "DELTA", "side": "DICT"}
+        "qty_e8": "DICT", "side": "DICT"}
     assert parsed.rows() == rows
 
 
 def test_choose_high_cardinality_by_delta_width():
     values = [((i * 2654435761) % 2**32) - i for i in range(1000)]
     assert len(set(values)) == 1000
-    assert choose_encoding(values, INT64) == Encoding.DELTA  # 5-byte varints: 5,003 B; PLAIN 8,000 B
-    wide = [(i * 2654435761 * 2**31) % 2**64 - 2**63 for i in range(1000)]
+    assert choose_encoding(values, INT64) == Encoding.DELTA  # 5-byte planes: 5,009 B; PLAIN 8,000 B
+    steps = [(i * 2654435761 * 2**31) % 2**64 - 2**63 for i in range(1000)]
+    assert choose_encoding(steps, INT64) == Encoding.DELTA  # one delta, wrapped: width 0, so 19 B
+    wide = [((i * 2654435761) ** 3) % 2**64 - 2**63 for i in range(1000)]
     assert len(set(wide)) == 1000
-    assert choose_encoding(wide, INT64) == Encoding.PLAIN  # most deltas take 9 or 10 varint bytes
+    assert choose_encoding(wide, INT64) == Encoding.PLAIN  # deltas span 8 bytes: DELTA 8,011 B
 
 
 # -- encode/decode round-trip properties -----------------------------------------------
@@ -382,6 +378,8 @@ def test_bad_magic_and_footer():
 # The bytes write_file([(1, b"x", True), (2, b"y", False)], SCHEMA) gave under
 # format version 1, whose footer is JSON (tests/fixtures/v1/generate.py).
 V1_SMALL = (Path(__file__).resolve().parent / "fixtures" / "v1" / "small.brcl").read_bytes()
+# The same call's bytes under format version 2 (tests/fixtures/v2/generate.py).
+V2_SMALL = (Path(__file__).resolve().parent / "fixtures" / "v2" / "small.brcl").read_bytes()
 
 
 def _with_footer(data: bytes, edit) -> bytes:
@@ -599,15 +597,15 @@ def test_mixed_table_bytes_are_pinned():
     data = write_file(rows, MIXED_SCHEMA)
     parsed = read_file(data)
     assert [c.encoding.name for c in parsed.footer.chunks] == [
-        "DELTA", "RLE", "DELTA", "DICT", "PLAIN", "PLAIN", "RLE", "RLE", "PLAIN"]
-    assert hashlib.sha256(data).hexdigest() == "9257d2fb3603fdc2933b0bc267fbd7536d3b6e6dbe84e56a6428796461ef6065"
+        "DELTA", "DICT", "DELTA", "DICT", "PLAIN", "PLAIN", "DICT", "DICT", "PLAIN"]
+    assert hashlib.sha256(data).hexdigest() == "9287b1d2bbfd9eed1e68eaf977edf835d67d3cc58de1c204463de62095c0d8a1"
     (footer_len,) = struct.unpack("<I", data[-8:-4])
     assert hashlib.sha256(data[4:len(data) - 8 - footer_len]).hexdigest() == (
-        "997aec0a944d991f4bcc83208bea2ba23f7a5838b2592beeaf97862cf0cda44e")
+        "818d0b67dc25eb250327c246f017b9258eb64ec22f15c12197e8134ca1dcda92")
     assert parsed.rows() == rows
 
 
-# -- format version 2 footer ------------------------------------------------------------
+# -- binary footer (format versions 2 and 3) --------------------------------------------
 
 SMALL_ROWS = [(1, b"x", True), (2, b"y", False)]
 
@@ -616,9 +614,9 @@ def _string(data: bytes) -> bytes:
     return struct.pack("<I", len(data)) + data
 
 
-def _v2_footer(row_count, columns, count=None, writer=b"brclake/1", tail=b"", version=2) -> bytes:
-    """Version-2 footer bytes built field by field, as the module docstring
-    lays them out. columns are [name, type code, encoding, chunk byte
+def _v2_footer(row_count, columns, count=None, writer=b"brclake/1", tail=b"", version=FORMAT_VERSION) -> bytes:
+    """Footer bytes in the version-2 layout, which version 3 keeps, built
+    field by field as the module docstring lays them out. columns are [name, type code, encoding, chunk byte
     length, chunk CRC-32C, stats bytes]; count overrides the column count,
     and tail goes between the last column and the CRC."""
     body = struct.pack("<BII", version, row_count, len(columns) if count is None else count) + _string(writer)
@@ -655,16 +653,16 @@ def test_v2_footer_layout_is_pinned():
     start, footer_len = _footer_region(data)
     assert data[start:start + footer_len] == _v2_footer(2, _small_columns())
     footer = read_file(data).footer
-    assert (footer.format_version, footer.codec, footer.writer) == (2, "none", "brclake/1")
+    assert (footer.format_version, footer.codec, footer.writer) == (3, "none", "brclake/1")
     assert [c.byte_offset for c in footer.chunks] == [4, 4 + footer.chunks[0].byte_length,
                                                       start - footer.chunks[2].byte_length]
     assert [c.value_count for c in footer.chunks] == [2, 2, 2]
 
 
 def test_v1_file_reads_as_written():
-    assert read_file(V1_SMALL).rows() == SMALL_ROWS
-    v1, v2 = read_file(V1_SMALL).footer, read_file(write_file(SMALL_ROWS, SCHEMA)).footer
-    assert v1.format_version == 1 and v1.schema == v2.schema
+    assert read_file(V1_SMALL).rows() == SMALL_ROWS == read_file(V2_SMALL).rows()
+    v1, v2 = read_file(V1_SMALL).footer, read_file(V2_SMALL).footer
+    assert (v1.format_version, v2.format_version) == (1, 2) and v1.schema == v2.schema
     assert [(c.encoding, c.crc32c, c.min, c.max) for c in v1.chunks] == [
         (c.encoding, c.crc32c, c.min, c.max) for c in v2.chunks]
 
@@ -685,7 +683,7 @@ def _set(row, field, value):
 MALFORMED_V2 = {
     "empty_footer": lambda: _with_v2_footer(write_file(SMALL_ROWS, SCHEMA), b""),
     "shorter_than_a_crc": lambda: _with_v2_footer(write_file(SMALL_ROWS, SCHEMA), b"\x02\x00\x00"),
-    "version_3": _edit(lambda columns: {"version": 3}),
+    "version_4": _edit(lambda columns: {"version": 4}),
     "truncated_head": lambda: _with_v2_footer(write_file(SMALL_ROWS, SCHEMA), _sealed(bytes([2, 2, 0, 0, 0, 3]))),
     "truncated_stats": _edit(_set(2, 5, b"\x00")),
     "string_past_footer": _edit(_set(1, 5, struct.pack("<I", 1000) + b"x" + _string(b"y"))),
@@ -739,7 +737,7 @@ def test_every_bit_flip_of_a_v2_footer_is_footer_corrupt():
              [b"buy", b"sell"][i % 2]) for i in range(8)]
     data = write_file(rows, [ColumnSchema(name, physical_type) for name, physical_type in TABLE_COLUMNS])
     start, footer_len = _footer_region(data)
-    assert data[start] == 2 and read_file(data).rows() == rows
+    assert data[start] == 3 and read_file(data).rows() == rows
     for bit in range(8 * footer_len):
         flipped = bytearray(data)
         flipped[start + bit // 8] ^= 1 << (bit % 8)
@@ -777,7 +775,7 @@ def test_v2_footer_round_trip(table):
     data = write_file(rows, schema)
     footer = read_footer(lambda offset, length: data[offset:offset + length], len(data))
     assert read_file(data).rows() == rows and footer.schema == schema
-    assert (footer.format_version, footer.row_count, footer.codec) == (2, len(rows), "none")
+    assert (footer.format_version, footer.row_count, footer.codec) == (3, len(rows), "none")
     offset = len(MAGIC)
     for i, (col, chunk) in enumerate(zip(schema, footer.chunks)):
         column = [row[i] for row in rows]
@@ -788,3 +786,139 @@ def test_v2_footer_round_trip(table):
         assert (chunk.byte_offset, chunk.value_count) == (offset, len(rows))
         offset += chunk.byte_length
     assert offset == _footer_region(data)[0]
+
+
+# -- format version 3 chunks ---------------------------------------------------------------
+
+def test_v3_delta_layout_forced():
+    # deltas 1 and 2: least 1 (zigzag 2), width 1, plane [0, 1]
+    assert encode_column([100, 101, 103], INT64, Encoding.DELTA, 3) == struct.pack("<q", 100) + bytes([2, 1, 0, 1])
+    # deltas 0x123456 and 0: least 0, width 3, a 2-byte plane of the low 16 bits, then a 1-byte plane
+    assert encode_column([0, 0x123456, 0x123456], INT64, Encoding.DELTA, 3) == (
+        bytes(8) + bytes([0, 3]) + bytes.fromhex("56340000") + bytes.fromhex("1200"))
+    # 1,025 deltas of 1: a full block and a block of one, each of width 0
+    assert encode_column(list(range(1026)), INT64, Encoding.DELTA, 3) == bytes(8) + bytes([2, 0]) * 2
+    assert encode_column([7], INT64, Encoding.DELTA, 3) == struct.pack("<q", 7)
+    assert encode_column([], INT64, Encoding.DELTA, 3) == b""
+
+
+def test_v3_dict_layout_forced():
+    head = struct.pack("<I", 2) + struct.pack("<I", 1) + b"a" + struct.pack("<I", 1) + b"b"
+    assert encode_column([b"a", b"b", b"a"], BYTES, Encoding.DICT, 3) == head + bytes([0b010])
+    codes = [0, 1, 2, 1, 0, 2, 2]  # three values: 2 bits each, LSB first
+    assert encode_column(codes, INT64, Encoding.DICT, 3)[-2:] == bytes([0b01_10_01_00, 0b10_10_00])
+    assert encode_column([9] * 5 + [3], INT64, Encoding.DICT, 3)[-1:] == bytes([0b100000])
+
+
+@pytest.mark.parametrize("distinct, width", [(1, 1), (2, 1), (3, 2), (4, 2), (5, 4), (16, 4), (17, 8), (256, 8),
+                                             (257, 16), (65_536, 16), (65_537, 32)])
+def test_v3_dict_index_width(distinct, width):
+    values = [*range(distinct), 0, distinct - 1, 0]
+    encoded = encode_column(values, INT64, Encoding.DICT, 3)
+    assert len(encoded) == 4 + 8 * distinct + (len(values) * width + 7) // 8
+    assert decode_column(encoded, INT64, Encoding.DICT, len(values), 3) == values
+    assert _encoding_sizes(values, INT64)[0][Encoding.DICT] == len(encoded)
+
+
+def test_v3_chunks_keep_the_v2_layouts_of_plain_and_rle():
+    for physical_type, values in [(INT64, [3, 3, 5]), (BYTES, [b"a", b"", b"a"]), (BOOL, [True, True, False])]:
+        for encoding in (Encoding.PLAIN, Encoding.RLE):
+            assert encode_column(values, physical_type, encoding, 3) == encode_column(values, physical_type, encoding)
+
+
+# Malformed version-3 chunks: (data, physical type, encoding, value count).
+_TWO_BLOCKS = encode_column(list(range(1026)), INT64, Encoding.DELTA, 3)
+MALFORMED_V3 = {
+    "delta_width_9": (bytes(8) + bytes([0, 9]) + bytes(9), INT64, Encoding.DELTA, 2),
+    "delta_width_255": (bytes(8) + bytes([0, 255]) + bytes(8), INT64, Encoding.DELTA, 2),
+    "delta_truncated_first_value": (bytes(7), INT64, Encoding.DELTA, 1),
+    "delta_truncated_plane": (bytes(8) + bytes([0, 2]) + bytes(3), INT64, Encoding.DELTA, 3),
+    "delta_truncated_second_plane": (bytes(8) + bytes([0, 3]) + bytes(4) + bytes(1), INT64, Encoding.DELTA, 3),
+    "delta_truncated_least_varint": (bytes(8) + b"\x80", INT64, Encoding.DELTA, 2),
+    "delta_no_width": (bytes(8) + b"\x00", INT64, Encoding.DELTA, 2),
+    "delta_no_block": (bytes(8), INT64, Encoding.DELTA, 2),
+    "delta_least_varint_of_11_bytes": (bytes(8) + b"\x80" * 10 + b"\x00" + bytes([0]), INT64, Encoding.DELTA, 2),
+    "delta_least_of_2_to_the_64": (bytes(8) + _varint(2**64) + bytes([0]), INT64, Encoding.DELTA, 2),
+    "delta_least_above_2_to_the_64": (bytes(8) + _varint(2**70 - 1) + bytes([0]), INT64, Encoding.DELTA, 2),
+    "delta_trailing_byte": (encode_column([1, 2, 4], INT64, Encoding.DELTA, 3) + b"\x00", INT64, Encoding.DELTA, 3),
+    "delta_block_more_than_the_count": (_TWO_BLOCKS, INT64, Encoding.DELTA, 1025),
+    "delta_blocks_fewer_than_the_count": (_TWO_BLOCKS, INT64, Encoding.DELTA, 2050),
+    "delta_plane_shorter_than_the_count": (encode_column([1, 2, 4], INT64, Encoding.DELTA, 3),
+                                           INT64, Encoding.DELTA, 4),
+    "delta_one_value_with_a_block": (bytes(8) + bytes([0, 0]), INT64, Encoding.DELTA, 1),
+    "dict_index_at_dict_size": (struct.pack("<I3q", 3, 7, 8, 9) + bytes([0b11_00]), INT64, Encoding.DICT, 2),
+    "dict_index_of_an_empty_dict": (struct.pack("<I", 0) + bytes(1), BYTES, Encoding.DICT, 1),
+    "dict_16_bit_index_above_dict_size": (
+        encode_column(list(range(300)), INT64, Encoding.DICT, 3)[:-2] + struct.pack("<H", 300),
+        INT64, Encoding.DICT, 300),
+    "dict_padding_bit_set": (struct.pack("<I", 2) + bytes([0, 1]) + bytes([0b1010]), BOOL, Encoding.DICT, 3),
+    "dict_padding_bits_of_4_bit_index": (
+        encode_column([b"a", b"b", b"c", b"d", b"e"], BYTES, Encoding.DICT, 3)[:-1] + bytes([0x14]),
+        BYTES, Encoding.DICT, 5),
+    "dict_truncated_1_bit_indices": (struct.pack("<I", 2) + bytes([0, 1]) + bytes(1), BOOL, Encoding.DICT, 9),
+    "dict_truncated_8_bit_indices": (encode_column(list(range(20)), INT64, Encoding.DICT, 3)[:-1],
+                                     INT64, Encoding.DICT, 20),
+    "dict_trailing_byte": (encode_column([b"a", b"b"], BYTES, Encoding.DICT, 3) + b"\x00", BYTES, Encoding.DICT, 2),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_V3)
+def test_malformed_v3_chunk_is_corrupt_chunk(name):
+    data, physical_type, encoding, value_count = MALFORMED_V3[name]
+    with pytest.raises(CorruptChunk):
+        decode_column(data, physical_type, encoding, value_count, 3)
+
+
+def test_malformed_v3_chunks_are_corrupt_chunk_under_optimize():
+    """The chunk checks are not assert statements: python -O refuses every
+    malformed version-3 chunk as well."""
+    result = run_optimized("""
+import conftest
+from brclake.lakeformat import decode_column
+from test_lakeformat import MALFORMED_V3
+for name, (data, physical_type, encoding, value_count) in sorted(MALFORMED_V3.items()):
+    try:
+        decode_column(data, physical_type, encoding, value_count, 3)
+    except Exception as exc:
+        print(name, type(exc).__name__)
+""")
+    assert result.stdout.splitlines() == [f"{name} CorruptChunk" for name in sorted(MALFORMED_V3)], result.stderr
+
+
+@st.composite
+def long_columns_of_few_values(draw):
+    """Columns of up to 3,000 values drawn from at most 40: several DELTA
+    blocks, and DICT indices of 1 to 8 bits."""
+    physical_type = draw(st.sampled_from([INT64, BYTES, BOOL]))
+    pool = draw(st.lists(CELLS[physical_type], min_size=1, max_size=40, unique=True))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=50))
+    length = draw(st.sampled_from([1024, 1025, 1026, 2049]) | st.integers(1, 3000))
+    return physical_type, [pool[picks[i % len(picks)]] for i in range(length)]
+
+
+V3_COLUMNS = st.one_of(
+    COLUMNS,
+    long_columns_of_few_values(),
+    # wrapping sequences from the int64 extremes on, with deltas of every varint length
+    st.tuples(st.just(INT64), st.tuples(I64 | st.sampled_from([-(2**63), 2**63 - 1]), DELTAS_UP_TO).map(
+        lambda walk: _wrapped_sum(*walk))),
+)
+
+
+@given(V3_COLUMNS)
+@example((INT64, [-(2**63), 2**63 - 1, 0, -(2**63)]))
+@example((INT64, [2**63 - 1, -(2**63)] * 700))  # every delta wraps, over two blocks
+@example((INT64, _wrapped_sum(-(2**63), [2**55 + 12345] * 2000)))  # sums pass 2**63 and wrap
+@seed(27)
+@settings(max_examples=300, deadline=None)
+def test_choice_is_the_smallest_real_encoding(column):
+    """The sizes the writer counts are the lengths of the chunks of every
+    encoding legal in format version 3, it picks the smallest (the first of
+    equal sizes), and every one of those chunks round-trips."""
+    physical_type, values = column
+    chunks = {e: encode_column(values, physical_type, e, FORMAT_VERSION) for e in CANDIDATES[physical_type]}
+    sizes, _ = _encoding_sizes(values, physical_type)
+    assert sizes == {e: len(chunk) for e, chunk in chunks.items()}
+    assert choose_encoding(values, physical_type) == min(sizes, key=sizes.__getitem__)
+    for encoding, chunk in chunks.items():
+        assert decode_column(chunk, physical_type, encoding, len(values), FORMAT_VERSION) == values

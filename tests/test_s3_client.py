@@ -151,6 +151,30 @@ def test_malformed_listing_is_backend_unavailable(monkeypatch, body):
         store.list("logs/")
 
 
+def test_cycling_continuation_tokens_are_backend_unavailable(monkeypatch):
+    """A gateway whose tokens cycle (first page -> A -> B -> A) would page
+    forever; the token asked for a second time is refused. The fake gives up
+    after a few pages, so a client that loops fails instead of hanging."""
+    store = S3Store(S3Config(endpoint="http://127.0.0.1:9", region="r", access_key="a",
+                             secret_key="s", bucket="b"))
+    next_token = {None: "A", "A": "B", "B": "A"}
+    asked = []
+
+    def request(*args, **kwargs):
+        token = dict(kwargs["query"]).get("continuation-token")
+        asked.append(token)
+        if len(asked) > 5:
+            raise AssertionError("list asked for more pages than the fake holds")
+        return 200, {}, _page(b"<Contents><Key>logs/a</Key><Size>1</Size></Contents>",
+                              b"<IsTruncated>true</IsTruncated><NextContinuationToken>"
+                              + next_token[token].encode() + b"</NextContinuationToken>")
+
+    monkeypatch.setattr(store, "_request", request)
+    with pytest.raises(BackendUnavailable):
+        store.list("logs/")
+    assert asked == [None, "A", "B"]
+
+
 def test_probe_accepts_honest_endpoint_and_refuses_liar():
     with S3Stub() as stub:
         _client(stub).probe_conditional_put()

@@ -11,7 +11,7 @@ from pathlib import Path
 from brclake.etl import compact, export_all
 from brclake.events import event_from_row
 from brclake.fixedpoint import US_PER_DAY, iso_to_us
-from brclake.lakeformat import read_file
+from brclake.lakeformat import FORMAT_VERSION, read_file
 from brclake.lakehouse import LakeTable, PartitionKey
 from brclake.objectstore import FsStore
 from brclake.query import ScanRequest, export_events, scan
@@ -48,13 +48,13 @@ def test_a_v1_table_scans_audits_compacts_and_dedups(tmp_path):
     report = table.audit()
     assert (report["live_files"], report["dangling"], report["mismatched"]) == (4, [], [])
 
-    # Compaction merges the three v1 files of ETH-USD into one v2 file.
+    # Compaction merges the three v1 files of ETH-USD into one file of the current version.
     assert compact(store, table, ETH) is not None
-    assert _versions(store, table, ETH) == [2]
+    assert _versions(store, table, ETH) == [FORMAT_VERSION]
     assert _scan(store, table) == expected
 
     # An export makes BTC-USD a mixed partition; then a handle that read no
-    # file yet drops every redelivered row, against the v1 and the v2 file.
+    # file yet drops every redelivered row, against the v1 and the new file.
     (v1_file,) = (add for add in table.snapshot_at().live_files.values() if add.partition == BTC)
     old = [event_from_row(row) for row in read_file(store.get(v1_file.path)).rows()]
     new = replace(old[-1], event_id="BTC-USD-3-0", sequence=12, event_time_us=old[-1].event_time_us + 60_000_000)
@@ -62,7 +62,7 @@ def test_a_v1_table_scans_audits_compacts_and_dedups(tmp_path):
     with staging.open_session("c") as session:
         session.append_batch([new])
     assert export_all(staging, store, table, "c").rows_published == 1
-    assert sorted(_versions(store, table, BTC)) == [1, 2]
+    assert sorted(_versions(store, table, BTC)) == [1, FORMAT_VERSION]
     with staging.open_session("c") as session:
         session.append_batch([*old, new])
     result = export_all(staging, store, LakeTable(store, "trades"), "c")
