@@ -358,12 +358,10 @@ def _unpack_codes(packed: bytes, width: int, count: int) -> Sequence[int]:
 #
 # Version 3: a block is decoded a plane at a time, each plane one
 # struct.unpack, and the planes of a width are ORed together. Versions 1
-# and 2: a chunk whose varints are at most 8 bytes each, so whose deltas
-# are below 2**55 in magnitude, is decoded a chunk at a time: each varint,
-# padded with zero bytes, takes an 8-byte lane of one int, and three
-# mask-and-shift steps on that int squeeze every lane's 7-bit groups
-# together at once. A chunk with a longer varint is decoded one varint at a
-# time.
+# and 2: one regex splits a chunk into its varints, which are decoded one at
+# a time. Either way the values are the running sums of the deltas, wrapped
+# to int64 once at the end: wrapping is reduction modulo 2**64, which
+# commutes with summing.
 
 _DELTA_BLOCK = 1024  # deltas in a version-3 block
 # Each width's planes, lowest bytes first: (struct code, bytes, shift).
@@ -378,11 +376,6 @@ _PLANES = (
     (("I", 4, 0), ("H", 2, 32), ("B", 1, 48)),
     (("Q", 8, 0),),
 )
-_LANE_ONE = (1).to_bytes(8, "little")
-# Each squeeze step: its shift, and the upper half of each 16-, 32- and
-# then 64-bit field of a lane.
-_SQUEEZE = ((1, 0xFF00FF00FF00FF00), (2, 0xFFFF0000FFFF0000), (4, 0xFFFFFFFF00000000))
-_LOW7 = bytes(b & 0x7F for b in range(256))  # a varint byte without its continuation bit
 # One varint: up to nine continuation bytes and a final byte. A longer run
 # of continuation bytes leaves bytes no match covers.
 _VARINT = re.compile(rb"[\x80-\xff]{0,9}[\x00-\x7f]")
@@ -399,11 +392,12 @@ def _zigzag_varint(delta: int) -> bytes:
     return bytes(out)
 
 
-def _wrapped(deltas: list[int]) -> list[int]:
-    """deltas, each wrapped modulo 2**64 to int64."""
-    if deltas and (min(deltas) < I64_MIN or max(deltas) > I64_MAX):
-        return [(delta - I64_MIN) % _U64_MOD + I64_MIN for delta in deltas]
-    return deltas
+def _wrapped(ints: list[int]) -> list[int]:
+    """ints, each wrapped modulo 2**64 to int64: the deltas a writer stores,
+    and the running sums a reader makes of them."""
+    if ints and (min(ints) < I64_MIN or max(ints) > I64_MAX):
+        return [(i - I64_MIN) % _U64_MOD + I64_MIN for i in ints]
+    return ints
 
 
 def _delta_block(deltas: list[int]) -> bytes:
@@ -447,49 +441,24 @@ def _decode_delta_blocks(data: bytes, value_count: int) -> tuple[list[int], int]
             block = plane if shift == 0 else map(or_, block, map(lshift, plane, repeat(shift)))
             pos += n * size
         deltas += map(add, block, repeat(least))
-    return _running_sums(_I64.unpack_from(data, 0)[0], deltas), pos
-
-
-def _running_sums(first: int, deltas: Sequence[int]) -> list[int]:
-    """first, then its running sums with each delta, wrapped to int64."""
-    values = list(accumulate(deltas, initial=first))
-    if min(values) < I64_MIN or max(values) > I64_MAX:  # some delta wrapped around int64
-        values = [first]
-        for delta in deltas:
-            values.append((values[-1] + delta - I64_MIN) % _U64_MOD + I64_MIN)
-    return values
+    return _wrapped(list(accumulate(deltas, initial=_I64.unpack_from(data, 0)[0]))), pos
 
 
 def _decode_delta(data: bytes, value_count: int) -> list[int]:
     """The value_count values of a non-empty version-1 or -2 DELTA chunk:
-    the first value, then each value's varint delta from the one before."""
+    the first value, then the running sums with each value's varint delta
+    from the one before, wrapped to int64."""
     if len(data) < 8:
         raise CorruptChunk("truncated DELTA first value")
     varints = _VARINT.findall(data, 8)
     if len(varints) != value_count - 1 or sum(map(len, varints)) != len(data) - 8:
         raise CorruptChunk(f"DELTA chunk of {value_count} values does not hold "
                            f"{value_count - 1} whole varints of at most 10 bytes")
-    lanes = b"".join(map(bytes.ljust, varints, repeat(8), repeat(b"\0")))  # ljust leaves a longer varint whole
-    deltas = _lane_deltas(lanes) if len(lanes) == 8 * len(varints) else _varint_deltas(varints)
-    return _running_sums(_I64.unpack_from(data, 0)[0], deltas)
-
-
-def _lane_deltas(lanes: bytes) -> tuple[int, ...]:
-    """The deltas of varints that lanes holds, each padded with zero bytes
-    to its 8-byte lane."""
-    n = len(lanes) // 8
-    ones = int.from_bytes(_LANE_ONE * n, "little")
-    x = int.from_bytes(lanes.translate(_LOW7), "little")
-    for shift, mask in _SQUEEZE:
-        high = x & (ones * mask)
-        x = (x ^ high) | (high >> shift)
-    odd = x & ones  # the zigzag of a negative delta is odd
-    x = ((x ^ odd) >> 1) ^ ((odd << 64) - odd)  # halved, and all 64 bits flipped where odd
-    return struct.unpack(f"<{n}q", x.to_bytes(8 * n, "little"))
+    return _wrapped(list(accumulate(_varint_deltas(varints), initial=_I64.unpack_from(data, 0)[0])))
 
 
 def _varint_deltas(varints: list[bytes]) -> list[int]:
-    """The deltas of varints, one at a time; CorruptChunk for a varint of
+    """The deltas of zigzag LEB128 varints; CorruptChunk for a varint of
     2**64 or more, which codes no int64."""
     deltas = []
     for varint in varints:

@@ -94,7 +94,8 @@ class FsStore:
     def put(self, key: str, data: bytes, if_none_match: bool = False) -> ObjectMeta:
         """Store data at key. A key that a filesystem cannot hold beside the
         existing keys (below an object, or onto a directory of keys, both of
-        which S3 allows) raises InvalidKey."""
+        which S3 allows) raises InvalidKey; any other I/O error,
+        BackendUnavailable."""
         path = self._path(key)
         try:
             publish(path, data, self._tmp, exclusive=if_none_match)
@@ -102,6 +103,8 @@ class FsStore:
             if if_none_match and path.is_file():
                 raise PreconditionFailed(key)
             raise InvalidKey(key, f"key {key!r} collides with a key or key prefix in the store")
+        except OSError as exc:
+            raise BackendUnavailable(f"fs store {self.root}: {exc}")
         return ObjectMeta(key, len(data), hashlib.md5(data).hexdigest())
 
     def get(self, key: str) -> bytes:

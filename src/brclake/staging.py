@@ -50,8 +50,9 @@ cannot be read back, a negative checkpoint, a record line that fails those
 checks, a newest segment whose last line's offset lies outside it, or a
 ``seg-*.jsonl`` name that is not ``seg-`` plus 20 digits plus ``.jsonl``, is
 CorruptStaging naming its file (and line); a file that cannot be read at
-all (a directory in its place, an I/O error) is StagingUnavailable naming
-it.
+all (a directory in its place, an I/O error), or a checkpoint, connector
+state or pruned segment that cannot be written or removed, is
+StagingUnavailable naming it. A full disk stays StorageFull.
 """
 
 from __future__ import annotations
@@ -174,6 +175,14 @@ def _read(read: Callable[[Path], T], path: Path) -> T:
         return read(path)
     except OSError as exc:
         raise StagingUnavailable(f"cannot read {path}: {exc}") from None
+
+
+def _write(write: Callable[[Path], None], path: Path) -> None:
+    """write(path); an OSError raises StagingUnavailable naming path."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise StagingUnavailable(f"cannot write {path}: {exc}") from None
 
 
 def _read_record(path: Path, cls: type[T]) -> T | None:
@@ -309,13 +318,13 @@ class StagingStore:
         tail = self.tail_offset(connector_id)
         if next_checkpoint > tail:
             raise OffsetOutOfRange(next_checkpoint, tail - 1)
-        publish(self._checkpoint_path(connector_id), record_bytes(Checkpoint(next_checkpoint)))
+        _write(partial(publish, data=record_bytes(Checkpoint(next_checkpoint))), self._checkpoint_path(connector_id))
 
     # -- connector resume state ------------------------------------------------
 
     def save_connector_state(self, connector_id: str, state: Any) -> None:
         """Save the connector's resume state, a record."""
-        publish(self._dir(connector_id) / "connector_state.json", record_bytes(state))
+        _write(partial(publish, data=record_bytes(state)), self._dir(connector_id) / "connector_state.json")
 
     def load_connector_state(self, connector_id: str, cls: type[T]) -> T | None:
         """The saved state, a record of class cls, or None before the first save."""
@@ -347,7 +356,7 @@ class StagingStore:
         removed = 0
         for (_, path), (end, _) in zip(segs, segs[1:]):
             if end <= committed:
-                os.unlink(path)
+                _write(os.unlink, path)
                 removed += 1
         return removed
 

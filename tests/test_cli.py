@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import errno
 import io
@@ -442,6 +443,17 @@ def test_readme_commands_parse():
             parser.parse_args(shlex.split(line, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
+
+
+def test_no_source_module_has_an_assert_statement():
+    """python -O strips assert statements, so no check of the package may
+    rest on one: every module under src/brclake parses without one."""
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "brclake"
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) >= 10
+    asserts = [f"{path.name}:{node.lineno}" for path in modules
+               for node in ast.walk(ast.parse(path.read_text(), str(path))) if isinstance(node, ast.Assert)]
+    assert asserts == []
 
 
 # -- in-process CLI ------------------------------------------------------------------------

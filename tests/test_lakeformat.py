@@ -34,9 +34,7 @@ from brclake.lakeformat import (
     read_file_via,
     read_footer,
     write_file,
-    _VARINT,
     _encoding_sizes,
-    _varint_deltas,
 )
 
 from conftest import run_optimized
@@ -518,17 +516,45 @@ MALFORMED_VARINTS = {
 }
 
 
-@pytest.mark.parametrize("name", MALFORMED_VARINTS)
-@pytest.mark.parametrize("short_around", [0, 20])
-def test_malformed_delta_varints_are_corrupt_chunk(name, short_around):
-    # Alone and among short varints: the count and length checks come before
-    # either decoding path, and a varint over 8 bytes sends the chunk to the
-    # per-varint loop, which refuses a value of 2**64 or more.
+SHORT_AROUND = [0, 20]
+
+
+def _malformed_delta_chunk(name: str, short_around: int) -> tuple[bytes, int]:
+    """A DELTA chunk whose varints are MALFORMED_VARINTS[name] with
+    short_around short varints on each side, and the value count it claims."""
     bad, count = MALFORMED_VARINTS[name]
     short = bytes(range(0, 2 * short_around, 2))  # zigzags of deltas 0 .. short_around - 1
-    data = struct.pack("<q", 2**63 - 1) + short + bad + short
+    return struct.pack("<q", 2**63 - 1) + short + bad + short, 1 + 2 * short_around + count
+
+
+@pytest.mark.parametrize("name", MALFORMED_VARINTS)
+@pytest.mark.parametrize("short_around", SHORT_AROUND)
+def test_malformed_delta_varints_are_corrupt_chunk(name, short_around):
+    # Alone and among short varints: the count and length checks come before
+    # any varint is decoded, and the varint decoder refuses a value of 2**64
+    # or more.
+    data, value_count = _malformed_delta_chunk(name, short_around)
     with pytest.raises(CorruptChunk):
-        decode_column(data, INT64, Encoding.DELTA, 1 + 2 * short_around + count)
+        decode_column(data, INT64, Encoding.DELTA, value_count)
+
+
+def test_malformed_delta_varints_are_corrupt_chunk_under_optimize():
+    """The varint checks are not assert statements: python -O refuses every
+    malformed varint, alone and among short ones, as well."""
+    result = run_optimized("""
+import conftest
+from brclake.lakeformat import INT64, Encoding, decode_column
+from test_lakeformat import MALFORMED_VARINTS, SHORT_AROUND, _malformed_delta_chunk
+for name in sorted(MALFORMED_VARINTS):
+    for short_around in SHORT_AROUND:
+        data, value_count = _malformed_delta_chunk(name, short_around)
+        try:
+            decode_column(data, INT64, Encoding.DELTA, value_count)
+        except Exception as exc:
+            print(name, short_around, type(exc).__name__)
+""")
+    assert result.stdout.splitlines() == [f"{name} {short_around} CorruptChunk" for name in sorted(MALFORMED_VARINTS)
+                                          for short_around in SHORT_AROUND], result.stderr
 
 
 def _wrapped_sum(first: int, deltas: list[int]) -> list[int]:
@@ -552,11 +578,10 @@ DELTAS_UP_TO = st.integers(1, 10).flatmap(  # a longest varint length per chunk,
 @example(-(2**63), [-1] * 8 + [2**55] * 4)  # wraps down, then 9-byte varints
 @example(0, [0, 2**48, 0, 0, 2**48, 0, 2**54, 0])  # zero varints beside 8-byte ones that start with 7 bytes of 0x80
 @settings(max_examples=300, deadline=None)
-def test_delta_lanes_match_the_per_varint_loop(first, deltas):
+def test_v2_delta_round_trips_every_varint_length(first, deltas):
     values = _wrapped_sum(first, deltas)
     encoded = encode_column(values, INT64, Encoding.DELTA)
     assert encoded == struct.pack("<q", first) + b"".join(_varint((d << 1) ^ (d >> 63)) for d in deltas)
-    assert _wrapped_sum(first, _varint_deltas(_VARINT.findall(encoded, 8))) == values
     assert decode_column(encoded, INT64, Encoding.DELTA, len(values)) == values
 
 

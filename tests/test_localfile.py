@@ -12,8 +12,8 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from brclake.config import load_config
-from brclake.errors import (ConfigInvalid, CorruptLog, CorruptRunLog, CorruptStaging, FooterCorrupt, MalformedLine,
-                            SessionLockHeld, StorageFull)
+from brclake.errors import (BackendUnavailable, ConfigInvalid, CorruptLog, CorruptRunLog, CorruptStaging,
+                            FooterCorrupt, MalformedLine, SessionLockHeld, StagingUnavailable, StorageFull)
 from brclake.etl import ExportResult
 from brclake.events import ConnectorConfig, RateLimit, RawEvent
 from brclake.harness import Expected, Scenario
@@ -25,7 +25,7 @@ from brclake.localfile import (acquire_lock, fsync_append, last_line, publish, r
                                record_to_json)
 from brclake.objectstore import FsStore
 from brclake.orchestrator import DagSpec, DailyAt, Interval, RetryPolicy, RunLog, TaskSpec, Transition
-from brclake.staging import StagingStore
+from brclake.staging import SEGMENT_RECORDS, StagingStore
 from conftest import make_event, run_optimized
 
 RECORDS = [LogEntry, AddFile, PartitionKey, RemoveFile, SetSchema, ColumnSchema, FileFooter, ColumnChunk,
@@ -312,4 +312,38 @@ def test_full_disk_is_storage_full_and_leaves_no_temp_file(tmp_path, monkeypatch
     monkeypatch.setattr(os, "fsync", fsync)
     with pytest.raises(StorageFull):
         write()
+    assert [p for p in tmp_path.rglob("*") if "tmp" in p.name and p.is_file()] == []
+
+
+def _prune(root):
+    store = StagingStore(root / "staging")
+    with store.open_session("c") as session:
+        session.append_batch([make_event()] * (SEGMENT_RECORDS + 1))  # seals the first segment
+    store.commit_checkpoint("c", SEGMENT_RECORDS)
+    return lambda: store.prune("c")
+
+
+# name: (set up under root, then return the write; the os call that fails
+# with EIO; the error the write raises; the file that error names)
+WRITE_ERROR_WRITERS = {
+    "put": (FULL_DISK_WRITERS["put"], "fsync", BackendUnavailable, None),
+    "put_if_absent": (FULL_DISK_WRITERS["put_if_absent"], "fsync", BackendUnavailable, None),
+    "checkpoint": (_checkpoint, "fsync", StagingUnavailable, "checkpoint.json"),
+    "connector_state": (FULL_DISK_WRITERS["connector_state"], "fsync", StagingUnavailable, "connector_state.json"),
+    "prune": (_prune, "unlink", StagingUnavailable, "seg-00000000000000000000.jsonl"),
+}
+
+
+@pytest.mark.parametrize("name", WRITE_ERROR_WRITERS)
+def test_write_error_is_the_owners_typed_error(tmp_path, monkeypatch, name):
+    setup, call, kind, file_name = WRITE_ERROR_WRITERS[name]
+    write = setup(tmp_path)
+
+    def fail(*args, **kwargs):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(os, call, fail)
+    with pytest.raises(kind) as err:
+        write()
+    assert file_name is None or file_name in err.value.detail
     assert [p for p in tmp_path.rglob("*") if "tmp" in p.name and p.is_file()] == []
