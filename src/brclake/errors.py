@@ -214,6 +214,11 @@ class ActionNotRegistered(BrcError):
         super().__init__(f"task {task_id!r}: no action {action!r} registered", task_id=task_id, action=action)
 
 
+class RunLogUnavailable(BrcError):
+    """A run log append that failed for another reason than a full disk,
+    which is StorageFull."""
+
+
 class CorruptRunLog(BrcError):
     """A run log line that is no legal transition; line_no 0 is the whole
     file, which could not be read."""

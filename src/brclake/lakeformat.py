@@ -8,9 +8,17 @@ File layout, all integers little-endian:
     u32 footer length
     magic "BRCL"
 
-Encodings, as format version 3 lays them out:
+A sequence of BYTES values, as format version 4 lays it out, is front-coded:
 
-    PLAIN  INT64: 8 bytes/value. BYTES: u32 length + raw bytes per value.
+    u8 width, 1 or 4 (1 where every length below is under 256)
+    per value, its prefix length: the bytes it shares with the value
+        before it (0 for the first), width bytes each
+    per value, its suffix length: the bytes that follow that prefix
+    the suffixes, back to back
+
+Encodings, as format version 4 lays them out:
+
+    PLAIN  INT64: 8 bytes/value. BYTES: one front-coded sequence.
            BOOL: one byte per value, 0 or 1.
     RLE    repeated (u32 run_length, PLAIN-encoded single value); runs maximal.
     DICT   u32 dict_size, dictionary values PLAIN in first-occurrence order,
@@ -27,9 +35,11 @@ Encodings, as format version 3 lays them out:
            bytes that it sums: width 3 is a 2-byte plane of each delta's low
            16 bits, then a 1-byte plane of its next 8.
 
-Format versions 1 and 2 lay PLAIN and RLE out the same, but a DICT index is
-a u32, and DELTA holds each delta after the first value as a zigzag LEB128
-varint.
+Format version 3 lays out all but BYTES the same, but a BYTES value, in a
+PLAIN chunk, an RLE run or a DICT dictionary, is a u32 length and its raw
+bytes. Versions 1 and 2 lay PLAIN and RLE out as version 3 does, but a
+DICT index is a u32, and DELTA holds each delta after the first value as a
+zigzag LEB128 varint.
 
 A writer stores every column in the smallest encoding legal for its type:
 PLAIN, RLE and DICT for all three, and DELTA for INT64 too; equal sizes go
@@ -42,17 +52,18 @@ Chunks carry a CRC-32C over exactly their encoded bytes and min/max stats
 payload holds no timestamps, so identical input yields identical bytes on
 any platform.
 
-The writer writes format version 3, whose footer is binary and laid out as
-version 2's. Its strings and stats are PLAIN values: a string is a u32
-length and its bytes (names and the writer in UTF-8), and min and max are
-PLAIN in their column's type.
+The writer writes format version 4, whose footer is binary and laid out as
+those of versions 2 and 3. Its strings and stats are PLAIN values in the
+footer's version: a string is a BYTES sequence of one (a u32 length and its
+bytes before version 4; names and the writer in UTF-8), and min and max are
+PLAIN in their column's type, the pair one sequence for BYTES.
 
-    u8 version (3, or 2), u32 row_count, u32 column count, writer string
+    u8 version (4, 3 or 2), u32 row_count, u32 column count, writer string
     per column, in schema order:
         name string, u8 physical type (0 INT64, 1 BYTES, 2 BOOL),
         u8 encoding, u32 chunk byte length, u32 chunk CRC-32C,
         min and max: i64 each for INT64, one byte 0 or 1 each for BOOL,
-        a string of at most 64 raw bytes each for BYTES
+        a sequence of two values of at most 64 raw bytes for BYTES
     u32 CRC-32C over every footer byte before it
 
 A chunk holds row_count values, chunks tile the bytes between the leading
@@ -63,8 +74,8 @@ The reader also reads format version 1, whose footer is the UTF-8 JSON
 object of ``FileFooter`` with sorted keys, written by ``localfile``'s record
 codec (a chunk's encoding by its member name, BYTES stats as latin-1
 text). A footer's first byte tells the versions apart: ``{`` is version 1,
-``0x02`` version 2, ``0x03`` version 3, anything else is unsupported, and
-the reader decodes each chunk in its footer's version's layout.
+``0x02`` to ``0x04`` versions 2 to 4, anything else is unsupported, and the
+reader decodes each chunk in its footer's version's layout.
 ``_check_footer`` adds to a version-1 footer what the codec cannot see: a
 valid schema with one chunk per column, counts that agree, chunk ranges
 between the leading magic and the footer, and stats of each column's type.
@@ -78,8 +89,8 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import accumulate, compress, groupby, islice, repeat
-from operator import add, lshift, ne, or_, sub
-from typing import Any, Callable, Collection, Iterable, Sequence
+from operator import add, getitem, gt, lshift, ne, or_, sub
+from typing import Any, Callable, Iterable, Sequence
 
 from .crc32c import crc32c
 from .errors import (
@@ -94,7 +105,7 @@ from .fixedpoint import I64_MAX, I64_MIN
 from .localfile import read_json, record_from_json
 
 MAGIC = b"BRCL"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 DEFAULT_WRITER = "brclake/1"
 STATS_TRUNCATE_BYTES = 64
 
@@ -174,22 +185,27 @@ def _column_bounds(values: Sequence[Any], physical_type: str) -> tuple[Any, Any]
     return lo, hi
 
 
-def _plain_values(values: Sequence[Any], physical_type: str) -> Iterable[bytes]:
-    """The PLAIN encoding of each value."""
+def _plain_values(values: Sequence[Any], physical_type: str, format_version: int) -> Iterable[bytes]:
+    """The PLAIN encoding of each value on its own: in version 4 a BYTES
+    value is a front-coded sequence of one."""
     if physical_type == INT64:
         return map(_I64.pack, values)
     if physical_type == BOOL:
         return map(_BOOL.pack, values)
+    if format_version >= 4:
+        return map(_front_coded_one, values)
     return map(add, map(_U32.pack, map(len, values)), values)
 
 
-def _encode_plain(values: Sequence[Any], physical_type: str) -> bytes:
+def _encode_plain(values: Sequence[Any], physical_type: str, format_version: int) -> bytes:
     if physical_type == INT64:
         return struct.pack(f"<{len(values)}q", *values)
-    return b"".join(_plain_values(values, physical_type))
+    if physical_type == BYTES and format_version >= 4:
+        return _encode_front_coded(values)
+    return b"".join(_plain_values(values, physical_type, format_version))
 
 
-def _decode_plain(data: bytes, physical_type: str, count: int, pos: int = 0) -> tuple[list, int]:
+def _decode_plain(data: bytes, physical_type: str, count: int, pos: int, format_version: int) -> tuple[list, int]:
     if physical_type == INT64:
         end = pos + 8 * count
         if end > len(data):
@@ -205,6 +221,8 @@ def _decode_plain(data: bytes, physical_type: str, count: int, pos: int = 0) -> 
                 raise CorruptChunk(f"bad BOOL byte {b}")
             out.append(b == 1)
         return out, end
+    if format_version >= 4:
+        return _decode_front_coded(data, count, pos)
     out = []
     for _ in range(count):
         if pos + 4 > len(data):
@@ -218,31 +236,110 @@ def _decode_plain(data: bytes, physical_type: str, count: int, pos: int = 0) -> 
     return out, pos
 
 
+# -- front-coded BYTES (version 4) ----------------------------------------------------
+#
+# Two neighbours' shared prefix is found without a loop over bytes: each
+# value is a big-endian int, the longer of the two is shifted down to the
+# shorter's length, and the highest set bit of their XOR falls in the first
+# byte where they differ.
+
+
+def _shared_prefixes(values: Sequence[bytes]) -> list[int]:
+    """The bytes each value shares with the one before it, 0 for the first."""
+    ints, lengths = list(map(int.from_bytes, values)), list(map(len, values))
+    prefixes = [0] * len(values)
+    for i in range(1, len(values)):
+        before, value, shorter = ints[i - 1], ints[i], lengths[i]
+        if lengths[i - 1] > shorter:
+            before >>= 8 * (lengths[i - 1] - shorter)
+        else:
+            shorter = lengths[i - 1]
+            value >>= 8 * (lengths[i] - shorter)
+        prefixes[i] = shorter - ((before ^ value).bit_length() + 7) // 8
+    return prefixes
+
+
+def _front_coded_one(value: bytes) -> bytes:
+    """The version-4 sequence of value alone: a string, an RLE run value."""
+    if len(value) < 256:
+        return bytes((1, 0, len(value))) + value
+    return b"\x04" + struct.pack("<II", 0, len(value)) + value
+
+
+def _encode_front_coded(values: Sequence[bytes]) -> bytes:
+    """The version-4 sequence of values: a width, the prefix lengths, the
+    suffix lengths, then the suffixes."""
+    if len(values) == 1:
+        return _front_coded_one(values[0])
+    prefixes = _shared_prefixes(values)
+    lengths = [*prefixes, *map(sub, map(len, values), prefixes)]
+    try:
+        head = b"\x01" + bytes(lengths)  # ValueError if a length is over 255
+    except ValueError:
+        head = b"\x04" + struct.pack(f"<{len(lengths)}I", *lengths)
+    return head + b"".join(map(getitem, values, map(slice, prefixes, repeat(None))))
+
+
+def _decode_front_coded(data: bytes, count: int, pos: int) -> tuple[list[bytes], int]:
+    """The count values of the version-4 sequence at pos, and its end;
+    CorruptChunk if it is not one."""
+    width = data[pos] if pos < len(data) else None
+    if width not in (1, 4):
+        raise CorruptChunk(f"BYTES length width {width}, not 1 or 4")
+    start = pos + 1 + 2 * count * width
+    if start > len(data):
+        raise CorruptChunk("truncated BYTES lengths")
+    if width == 1:
+        prefixes, sizes = data[pos + 1:pos + 1 + count], data[pos + 1 + count:start]
+    else:
+        lengths = struct.unpack_from(f"<{2 * count}I", data, pos + 1)
+        prefixes, sizes = lengths[:count], lengths[count:]
+    if count == 1:  # a value on its own, such as a string: the loop below, unrolled
+        end = start + sizes[0]
+        if prefixes[0] or end > len(data):
+            raise CorruptChunk(f"BYTES value of {prefixes[0]} shared and {sizes[0]} more bytes, "
+                               f"{len(data) - start} left")
+        return [data[start:end]], end
+    values = []
+    value = b""  # before the first value, so that it shares nothing
+    end = start
+    for prefix, size in zip(prefixes, sizes):
+        if prefix > len(value):
+            raise CorruptChunk(f"BYTES value shares {prefix} bytes with the {len(value)} before it")
+        begin, end = end, end + size
+        value = value[:prefix] + data[begin:end]
+        values.append(value)
+    if end > len(data):  # the slices above stopped at the end of data
+        raise CorruptChunk("truncated BYTES suffixes")
+    return values, end
+
+
 # -- column encode / decode -------------------------------------------------------
 
 def encode_column(values: Sequence[Any], physical_type: str, encoding: Encoding, format_version: int = 2) -> bytes:
     """Encode one column chunk in the layout of format_version, bit-exact
-    per the module docstring: versions 1 and 2 share one layout, and version
-    3 changes DICT's and DELTA's."""
+    per the module docstring: versions 1 and 2 share one layout, version 3
+    changes DICT's and DELTA's, and version 4 how BYTES values are coded."""
     if encoding == Encoding.DELTA and physical_type != INT64:
         raise IllegalEncoding(physical_type, encoding.name)
 
     if encoding == Encoding.PLAIN:
-        return _encode_plain(values, physical_type)
+        return _encode_plain(values, physical_type, format_version)
 
     if encoding == Encoding.RLE:
         run_values, run_lengths = [], []
         for value, run in groupby(values):
             run_values.append(value)
             run_lengths.append(_U32.pack(len(list(run))))
-        return b"".join(map(add, run_lengths, _plain_values(run_values, physical_type)))
+        return b"".join(map(add, run_lengths, _plain_values(run_values, physical_type, format_version)))
 
     if encoding == Encoding.DICT:
         keys = list(map(bytes, values)) if physical_type == BYTES else values
         dictionary = list(dict.fromkeys(keys))  # first-occurrence order
         codes = list(map({key: code for code, key in enumerate(dictionary)}.__getitem__, keys))
         width = _code_width(len(dictionary), format_version)
-        return _U32.pack(len(dictionary)) + _encode_plain(dictionary, physical_type) + _pack_codes(codes, width)
+        return (_U32.pack(len(dictionary)) + _encode_plain(dictionary, physical_type, format_version)
+                + _pack_codes(codes, width))
 
     if not values:  # DELTA
         return b""
@@ -261,7 +358,7 @@ def decode_column(data: bytes, physical_type: str, encoding: Encoding, value_cou
         raise IllegalEncoding(physical_type, encoding.name)
 
     if encoding == Encoding.PLAIN:
-        values, pos = _decode_plain(data, physical_type, value_count)
+        values, pos = _decode_plain(data, physical_type, value_count, 0, format_version)
 
     elif encoding == Encoding.RLE:
         values = []
@@ -275,14 +372,14 @@ def decode_column(data: bytes, physical_type: str, encoding: Encoding, value_cou
                 raise CorruptChunk("zero-length RLE run")
             if len(values) + run > value_count:
                 raise CorruptChunk("RLE run overshoots value count")
-            single, pos = _decode_plain(data, physical_type, 1, pos)
+            single, pos = _decode_plain(data, physical_type, 1, pos, format_version)
             values.extend(single * run)
 
     elif encoding == Encoding.DICT:
         if len(data) < 4:
             raise CorruptChunk("truncated DICT header")
         (dict_size,) = _U32.unpack_from(data, 0)
-        dictionary, pos = _decode_plain(data, physical_type, dict_size, 4)
+        dictionary, pos = _decode_plain(data, physical_type, dict_size, 4, format_version)
         width = _code_width(dict_size, format_version)
         end = pos + (value_count * width + 7) // 8
         if end > len(data):
@@ -477,17 +574,24 @@ def choose_encoding(values: Sequence[Any], physical_type: str) -> Encoding:
     """The smallest encoding legal for a column of physical_type in the
     layouts of ``FORMAT_VERSION``: PLAIN, RLE and DICT, and for INT64 also
     DELTA, the first in ``Encoding`` order of equal sizes. With PLAIN(vs)
-    8 bytes per INT64 value, 1 per BOOL and 4 + its length per BYTES value,
-    and b the bits of a DICT index (the module docstring), the sizes are
+    8 bytes per INT64 value, 1 per BOOL and the length of vs' front-coded
+    sequence for BYTES, and b the bits of a DICT index (the module
+    docstring), the sizes are
 
         PLAIN  PLAIN(values)
-        RLE    4 runs + PLAIN(run values)
+        RLE    per run: 4 + PLAIN(its value), which for BYTES is 3 + its
+               length, or 9 + its length past 255 bytes
         DICT   4 + PLAIN(distinct values) + ceil(n * b / 8)
         DELTA  8 + per block of up to 1024 deltas: its least delta's
                varint, 1, and its width times its deltas
 
-    PLAIN, RLE and DICT sizes are counted, not encoded. DELTA's is the
-    length of its encoding, which a writer that chooses DELTA then stores.
+    INT64 and BOOL sizes and BYTES RLE's are counted, not encoded. DELTA's,
+    and BYTES PLAIN's and DICT's, are the lengths of their encodings, and a
+    writer that chooses DELTA or BYTES PLAIN stores the chunk it measured.
+    Front coding costs about as much as decoding, so BYTES PLAIN is only
+    measured where RLE or DICT is not already below its least size, 1 + 2n
+    (width 1, no suffix bytes), and DICT not where every value is distinct,
+    which makes its dictionary the column and DICT larger than PLAIN.
     Readers decode any legal encoding of any column, so the choice changes
     a file's bytes but not its rows, its readers or its format version."""
     return _encode_smallest(values, physical_type)[0]
@@ -496,38 +600,45 @@ def choose_encoding(values: Sequence[Any], physical_type: str) -> Encoding:
 def _encode_smallest(values: Sequence[Any], physical_type: str) -> tuple[Encoding, bytes]:
     """choose_encoding's encoding of a column, and the chunk it encodes."""
     if not values:
-        return Encoding.PLAIN, b""
-    sizes, delta = _encoding_sizes(values, physical_type)
+        return Encoding.PLAIN, encode_column(values, physical_type, Encoding.PLAIN, FORMAT_VERSION)
+    sizes, chunks = _encoding_sizes(values, physical_type)
     encoding = min(sizes, key=sizes.__getitem__)  # the first of equal sizes
-    if encoding == Encoding.DELTA:
-        return encoding, delta
+    if encoding in chunks:
+        return encoding, chunks[encoding]
     return encoding, encode_column(values, physical_type, encoding, FORMAT_VERSION)
 
 
-def _encoding_sizes(values: Sequence[Any], physical_type: str) -> tuple[dict[Encoding, int], bytes]:
+def _encoding_sizes(values: Sequence[Any], physical_type: str) -> tuple[dict[Encoding, int], dict[Encoding, bytes]]:
     """The size of each encoding legal for a non-empty column, in the
-    layouts of ``FORMAT_VERSION``, and its DELTA chunk (b"" off INT64)."""
+    layouts of ``FORMAT_VERSION`` and in ``Encoding`` order, but BYTES PLAIN
+    or DICT where another size shows it cannot be the smallest; and the
+    chunks encoded to measure a size (INT64 DELTA, BYTES PLAIN)."""
     # the value of each maximal run, in order: a value that differs from the one before starts one
     run_values = [values[0], *compress(islice(values, 1, None), map(ne, islice(values, 1, None), values))]
-    distinct = set(map(bytes, run_values) if physical_type == BYTES else run_values)  # each starts a run
-    sizes = {
-        Encoding.PLAIN: _plain_size(values, physical_type),
-        Encoding.RLE: 4 * len(run_values) + _plain_size(run_values, physical_type),
-        Encoding.DICT: (4 + _plain_size(distinct, physical_type)
-                        + (len(values) * _code_width(len(distinct), FORMAT_VERSION) + 7) // 8),
-    }
-    if physical_type != INT64:
-        return sizes, b""
-    delta = encode_column(values, INT64, Encoding.DELTA, FORMAT_VERSION)
-    sizes[Encoding.DELTA] = len(delta)
-    return sizes, delta
+    if physical_type != BYTES:
+        width, distinct = _WIDTHS[physical_type], len(set(run_values))  # each distinct value starts a run
+        sizes = {Encoding.PLAIN: width * len(values), Encoding.RLE: (4 + width) * len(run_values),
+                 Encoding.DICT: 4 + width * distinct + _codes_size(len(values), distinct)}
+        if physical_type == BOOL:
+            return sizes, {}
+        delta = encode_column(values, INT64, Encoding.DELTA, FORMAT_VERSION)
+        return {**sizes, Encoding.DELTA: len(delta)}, {Encoding.DELTA: delta}
+    # an RLE run is a u32 length and its value as a sequence of its own: a
+    # width, two lengths at that width (4 bytes past 255), and the value
+    lengths = list(map(len, run_values))
+    sizes = {Encoding.RLE: 7 * len(lengths) + sum(lengths) + 6 * sum(map(gt, lengths, repeat(255)))}
+    dictionary = list(dict.fromkeys(map(bytes, run_values)))  # in first-occurrence order
+    if len(dictionary) < len(values):  # otherwise the dictionary is the values, and DICT is PLAIN and more
+        sizes[Encoding.DICT] = 4 + len(_encode_front_coded(dictionary)) + _codes_size(len(values), len(dictionary))
+    if min(sizes.values()) < 1 + 2 * len(values):  # PLAIN's least size: width 1 and no suffix bytes
+        return sizes, {}
+    plain = _encode_front_coded(values)
+    return {Encoding.PLAIN: len(plain), **sizes}, {Encoding.PLAIN: plain}
 
 
-def _plain_size(values: Collection[Any], physical_type: str) -> int:
-    """The bytes of values' PLAIN encoding."""
-    if physical_type == BYTES:
-        return 4 * len(values) + sum(map(len, values))
-    return _WIDTHS[physical_type] * len(values)
+def _codes_size(count: int, dict_size: int) -> int:
+    """The bytes of count DICT indices into dict_size values."""
+    return (count * _code_width(dict_size, FORMAT_VERSION) + 7) // 8
 
 
 # -- file writer ---------------------------------------------------------------------------
@@ -589,19 +700,20 @@ def _checked_columns(rows: Sequence[Sequence[Any]], schema: Sequence[ColumnSchem
 
 _FOOTER_HEAD = struct.Struct("<BII")  # format version, row_count, column count
 _FOOTER_CHUNK = struct.Struct("<BBII")  # physical type, encoding, chunk byte length, chunk CRC-32C
-_BINARY_FOOTER_VERSIONS = (2, 3)
+_BINARY_FOOTER_VERSIONS = (2, 3, 4)
 
 
 def _encode_footer(footer: FileFooter) -> bytes:
     """The binary footer bytes of footer, its CRC-32C last. Strings and
     stats are PLAIN-encoded values."""
-    parts = [_FOOTER_HEAD.pack(footer.format_version, footer.row_count, len(footer.schema)),
-             _encode_plain([footer.writer.encode()], BYTES)]
+    version = footer.format_version
+    parts = [_FOOTER_HEAD.pack(version, footer.row_count, len(footer.schema)),
+             _encode_plain([footer.writer.encode()], BYTES, version)]
     for col, chunk in zip(footer.schema, footer.chunks):
-        parts += (_encode_plain([col.name.encode()], BYTES),
+        parts += (_encode_plain([col.name.encode()], BYTES, version),
                   _FOOTER_CHUNK.pack(PHYSICAL_TYPES.index(col.physical_type), chunk.encoding,
                                      chunk.byte_length, chunk.crc32c),
-                  _encode_plain([chunk.min, chunk.max], col.physical_type))
+                  _encode_plain([chunk.min, chunk.max], col.physical_type, version))
     body = b"".join(parts)
     return body + _U32.pack(crc32c(body))
 
@@ -615,16 +727,16 @@ def _decode_footer(data: bytes, footer_start: int) -> FileFooter:
         raise FooterCorrupt("footer CRC-32C mismatch")
     try:
         version, row_count, n_columns = _FOOTER_HEAD.unpack_from(body)
-        (writer,), pos = _decode_plain(body, BYTES, 1, _FOOTER_HEAD.size)
+        (writer,), pos = _decode_plain(body, BYTES, 1, _FOOTER_HEAD.size, version)
         schema, chunks = [], []
         offset = len(MAGIC)
         for _ in range(n_columns):
-            (name,), pos = _decode_plain(body, BYTES, 1, pos)
+            (name,), pos = _decode_plain(body, BYTES, 1, pos, version)
             code, encoding, length, chunk_crc = _FOOTER_CHUNK.unpack_from(body, pos)
             if code >= len(PHYSICAL_TYPES):
                 raise FooterCorrupt(f"unknown physical type code {code}")
             col = ColumnSchema(name.decode(), PHYSICAL_TYPES[code])
-            (lo, hi), pos = _decode_plain(body, col.physical_type, 2, pos + _FOOTER_CHUNK.size)
+            (lo, hi), pos = _decode_plain(body, col.physical_type, 2, pos + _FOOTER_CHUNK.size, version)
             if col.physical_type == BYTES and max(len(lo), len(hi)) > STATS_TRUNCATE_BYTES:
                 raise FooterCorrupt(f"stats of {col.name!r} longer than {STATS_TRUNCATE_BYTES} bytes")
             schema.append(col)

@@ -26,6 +26,7 @@ from .errors import (
     ConfigInvalid,
     CorruptRunLog,
     CycleDetected,
+    RunLogUnavailable,
 )
 from .fixedpoint import US_PER_DAY
 from .localfile import (JSON_DEFAULT, acquire_lock, config_from_json, fsync_append, last_line,
@@ -238,7 +239,12 @@ class RunLog:
         self.path = path
 
     def append(self, transition: Transition) -> None:
-        fsync_append(self.path, record_bytes(transition) + b"\n")
+        """Log transition durably. A full disk raises StorageFull, any other
+        I/O error RunLogUnavailable naming the file."""
+        try:
+            fsync_append(self.path, record_bytes(transition) + b"\n")
+        except OSError as exc:
+            raise RunLogUnavailable(f"cannot append to {self.path}: {exc}") from None
 
     def replay(self) -> list[Transition]:
         """Transitions logged so far. A torn trailing line from a crash

@@ -159,9 +159,9 @@ def test_choose_breaks_ties_plain_rle_dict():
     assert choose_encoding([1, 1, 0], INT64) == Encoding.DELTA  # 12 B; PLAIN = RLE = 24 B
     assert choose_encoding([0, 2**24, 0], INT64) == Encoding.DICT  # DICT = DELTA = 21 B; PLAIN 24 B
     assert choose_encoding([True] * 5, BOOL) == Encoding.PLAIN  # 5 B each; DICT 6 B
-    assert choose_encoding([b""] * 2, BYTES) == Encoding.PLAIN  # 8 B each; DICT 9 B
-    runs = [b"x"] * 13 + [b"y"] * 13
-    assert choose_encoding(runs, BYTES) == Encoding.RLE  # RLE = DICT = 18 B; PLAIN 130 B
+    assert choose_encoding([b"x"] * 3, BYTES) == Encoding.PLAIN  # 8 B each; DICT 9 B
+    runs = [b"x"] * 20 + [b"y"] * 20
+    assert choose_encoding(runs, BYTES) == Encoding.RLE  # RLE = DICT = 16 B; PLAIN 83 B
 
 
 # Every encoding legal per type, in the rule's tie order.
@@ -623,30 +623,34 @@ def test_mixed_table_bytes_are_pinned():
     parsed = read_file(data)
     assert [c.encoding.name for c in parsed.footer.chunks] == [
         "DELTA", "DICT", "DELTA", "DICT", "PLAIN", "PLAIN", "DICT", "DICT", "PLAIN"]
-    assert hashlib.sha256(data).hexdigest() == "9287b1d2bbfd9eed1e68eaf977edf835d67d3cc58de1c204463de62095c0d8a1"
+    assert hashlib.sha256(data).hexdigest() == "19f08cb1c6ff8cd60cf6ea51c85ba3ddfed5fba1695325304ca1495de2b9b14a"
     (footer_len,) = struct.unpack("<I", data[-8:-4])
     assert hashlib.sha256(data[4:len(data) - 8 - footer_len]).hexdigest() == (
-        "818d0b67dc25eb250327c246f017b9258eb64ec22f15c12197e8134ca1dcda92")
+        "b2ef4e61e2a1bee2945773f7d77740e6849f2cd0142f18acd1e0836fa39d8792")
     assert parsed.rows() == rows
 
 
-# -- binary footer (format versions 2 and 3) --------------------------------------------
+# -- binary footer (format versions 2 to 4) ---------------------------------------------
 
 SMALL_ROWS = [(1, b"x", True), (2, b"y", False)]
 
 
-def _string(data: bytes) -> bytes:
-    return struct.pack("<I", len(data)) + data
+def _strings(*values: bytes) -> bytes:
+    """values as a version-4 BYTES sequence of width 1 whose values share no
+    prefix: a width byte, the prefix lengths, the lengths, the values."""
+    return bytes([1, *[0] * len(values), *map(len, values)]) + b"".join(values)
 
 
 def _v2_footer(row_count, columns, count=None, writer=b"brclake/1", tail=b"", version=FORMAT_VERSION) -> bytes:
-    """Footer bytes in the version-2 layout, which version 3 keeps, built
-    field by field as the module docstring lays them out. columns are [name, type code, encoding, chunk byte
-    length, chunk CRC-32C, stats bytes]; count overrides the column count,
-    and tail goes between the last column and the CRC."""
-    body = struct.pack("<BII", version, row_count, len(columns) if count is None else count) + _string(writer)
+    """Footer bytes of version 4: the fields of the version-2 layout, which
+    versions 3 and 4 keep, and strings front-coded, built field by field as
+    the module docstring lays them out. columns are [name, type code,
+    encoding, chunk byte length, chunk CRC-32C, stats bytes]; count
+    overrides the column count, and tail goes between the last column and
+    the CRC."""
+    body = struct.pack("<BII", version, row_count, len(columns) if count is None else count) + _strings(writer)
     for name, code, encoding, length, crc, stats in columns:
-        body += _string(name) + struct.pack("<BBII", code, encoding, length, crc) + stats
+        body += _strings(name) + struct.pack("<BBII", code, encoding, length, crc) + stats
     return _sealed(body + tail)
 
 
@@ -669,7 +673,7 @@ def _small_columns() -> list[list]:
     """The footer fields of write_file(SMALL_ROWS, SCHEMA), column by column."""
     ts, sym, up = read_file(write_file(SMALL_ROWS, SCHEMA)).footer.chunks
     return [[b"ts", 0, ts.encoding, ts.byte_length, ts.crc32c, struct.pack("<qq", 1, 2)],
-            [b"sym", 1, sym.encoding, sym.byte_length, sym.crc32c, _string(b"x") + _string(b"y")],
+            [b"sym", 1, sym.encoding, sym.byte_length, sym.crc32c, _strings(b"x", b"y")],
             [b"up", 2, up.encoding, up.byte_length, up.crc32c, bytes([0, 1])]]
 
 
@@ -678,7 +682,7 @@ def test_v2_footer_layout_is_pinned():
     start, footer_len = _footer_region(data)
     assert data[start:start + footer_len] == _v2_footer(2, _small_columns())
     footer = read_file(data).footer
-    assert (footer.format_version, footer.codec, footer.writer) == (3, "none", "brclake/1")
+    assert (footer.format_version, footer.codec, footer.writer) == (FORMAT_VERSION, "none", "brclake/1")
     assert [c.byte_offset for c in footer.chunks] == [4, 4 + footer.chunks[0].byte_length,
                                                       start - footer.chunks[2].byte_length]
     assert [c.value_count for c in footer.chunks] == [2, 2, 2]
@@ -708,10 +712,10 @@ def _set(row, field, value):
 MALFORMED_V2 = {
     "empty_footer": lambda: _with_v2_footer(write_file(SMALL_ROWS, SCHEMA), b""),
     "shorter_than_a_crc": lambda: _with_v2_footer(write_file(SMALL_ROWS, SCHEMA), b"\x02\x00\x00"),
-    "version_4": _edit(lambda columns: {"version": 4}),
+    "version_5": _edit(lambda columns: {"version": 5}),
     "truncated_head": lambda: _with_v2_footer(write_file(SMALL_ROWS, SCHEMA), _sealed(bytes([2, 2, 0, 0, 0, 3]))),
     "truncated_stats": _edit(_set(2, 5, b"\x00")),
-    "string_past_footer": _edit(_set(1, 5, struct.pack("<I", 1000) + b"x" + _string(b"y"))),
+    "string_past_footer": _edit(_set(1, 5, bytes([1, 0, 0, 200, 1]) + b"xy")),
     "column_count_too_high": _edit(lambda columns: {"count": 4}),
     "column_count_too_low": _edit(lambda columns: {"count": 2}),
     "trailing_bytes": _edit(lambda columns: {"tail": b"\x00"}),
@@ -723,7 +727,7 @@ MALFORMED_V2 = {
     "writer_not_utf8": _edit(lambda columns: {"writer": b"\xc3"}),
     "duplicate_column_name": _edit(_set(2, 0, b"ts")),
     "bool_stat_byte_2": _edit(_set(2, 5, bytes([0, 2]))),
-    "bytes_stat_of_65_bytes": _edit(_set(1, 5, _string(b"x" * 65) + _string(b"y"))),
+    "bytes_stat_of_65_bytes": _edit(_set(1, 5, _strings(b"x" * 65, b"y"))),
     "chunks_end_short_of_footer": _edit(lambda columns: columns[0].__setitem__(3, columns[0][3] - 1)),
     "chunks_run_into_footer": _edit(lambda columns: columns[2].__setitem__(3, columns[2][3] + 1)),
     "crc_mismatch": lambda: (lambda data: data[:-9] + bytes([data[-9] ^ 1]) + data[-8:])(
@@ -762,7 +766,7 @@ def test_every_bit_flip_of_a_v2_footer_is_footer_corrupt():
              [b"buy", b"sell"][i % 2]) for i in range(8)]
     data = write_file(rows, [ColumnSchema(name, physical_type) for name, physical_type in TABLE_COLUMNS])
     start, footer_len = _footer_region(data)
-    assert data[start] == 3 and read_file(data).rows() == rows
+    assert data[start] == FORMAT_VERSION and read_file(data).rows() == rows
     for bit in range(8 * footer_len):
         flipped = bytearray(data)
         flipped[start + bit // 8] ^= 1 << (bit % 8)
@@ -800,7 +804,7 @@ def test_v2_footer_round_trip(table):
     data = write_file(rows, schema)
     footer = read_footer(lambda offset, length: data[offset:offset + length], len(data))
     assert read_file(data).rows() == rows and footer.schema == schema
-    assert (footer.format_version, footer.row_count, footer.codec) == (3, len(rows), "none")
+    assert (footer.format_version, footer.row_count, footer.codec) == (FORMAT_VERSION, len(rows), "none")
     offset = len(MAGIC)
     for i, (col, chunk) in enumerate(zip(schema, footer.chunks)):
         column = [row[i] for row in rows]
@@ -934,16 +938,124 @@ V3_COLUMNS = st.one_of(
 @example((INT64, [-(2**63), 2**63 - 1, 0, -(2**63)]))
 @example((INT64, [2**63 - 1, -(2**63)] * 700))  # every delta wraps, over two blocks
 @example((INT64, _wrapped_sum(-(2**63), [2**55 + 12345] * 2000)))  # sums pass 2**63 and wrap
+@example((BYTES, [b"k" * 300] * 5))  # RLE, its run value's lengths 4 bytes each
+@example((BYTES, [b"k" * 300, b"k" * 300, b"z" * 256, b"k" * 300 + b"q", b""]))  # lengths past 255
 @seed(27)
 @settings(max_examples=300, deadline=None)
 def test_choice_is_the_smallest_real_encoding(column):
-    """The sizes the writer counts are the lengths of the chunks of every
-    encoding legal in format version 3, it picks the smallest (the first of
-    equal sizes), and every one of those chunks round-trips."""
+    """The sizes the writer counts are the lengths of the chunks of the
+    encodings legal in the current format version (every one but a BYTES
+    PLAIN or DICT that another size shows cannot be the smallest), and the
+    chunks it measures by encoding are those chunks. It picks the smallest
+    of all (the first of equal sizes), and every chunk round-trips."""
     physical_type, values = column
     chunks = {e: encode_column(values, physical_type, e, FORMAT_VERSION) for e in CANDIDATES[physical_type]}
-    sizes, _ = _encoding_sizes(values, physical_type)
-    assert sizes == {e: len(chunk) for e, chunk in chunks.items()}
-    assert choose_encoding(values, physical_type) == min(sizes, key=sizes.__getitem__)
+    sizes, encoded = _encoding_sizes(values, physical_type)
+    real = {e: len(chunk) for e, chunk in chunks.items()}
+    assert sizes == {e: real[e] for e in sizes} and encoded == {e: chunks[e] for e in encoded}
+    assert list(sizes) == sorted(sizes)  # Encoding order, so that min() takes the first of equal sizes
+    assert set(real) - set(sizes) <= ({Encoding.PLAIN, Encoding.DICT} if physical_type == BYTES else set())
+    assert choose_encoding(values, physical_type) == min(real, key=real.__getitem__)
     for encoding, chunk in chunks.items():
         assert decode_column(chunk, physical_type, encoding, len(values), FORMAT_VERSION) == values
+
+
+# -- format version 4: front-coded BYTES values ----------------------------------------------
+
+def test_v4_bytes_layout_forced():
+    # prefixes 0, 2, 0; suffix lengths 2, 1, 1; suffixes "ab", "c", "b"
+    assert encode_column([b"ab", b"abc", b"b"], BYTES, Encoding.PLAIN, 4) == bytes([1, 0, 2, 0, 2, 1, 1]) + b"abcb"
+    # each run value a sequence of one
+    assert encode_column([b"ab", b"ab", b"b"], BYTES, Encoding.RLE, 4) == (
+        struct.pack("<I", 2) + bytes([1, 0, 2]) + b"ab" + struct.pack("<I", 1) + bytes([1, 0, 1]) + b"b")
+    # the dictionary a sequence, then 1-bit indices
+    assert encode_column([b"ab", b"abc", b"ab"], BYTES, Encoding.DICT, 4) == (
+        struct.pack("<I", 2) + bytes([1, 0, 2, 2, 1]) + b"abc" + bytes([0b010]))
+    # a length over 255 takes every length to 4 bytes
+    long = b"p" * 300
+    assert encode_column([long, long + b"q"], BYTES, Encoding.PLAIN, 4) == (
+        bytes([4]) + struct.pack("<4I", 0, 300, 300, 1) + long + b"q")
+    assert encode_column([], BYTES, Encoding.PLAIN, 4) == bytes([1])
+
+
+V4_BYTES_SEQUENCES = {
+    "empty_values": [b"", b"", b"x", b"", b"x"],
+    "long_prefix_and_suffix": [b"k" * 260, b"k" * 260 + b"v" * 256, b"k" * 259, b"k" * 600],
+    "bytearrays": [bytearray(b"conn0-1"), bytearray(b"conn0-10"), bytearray(b"conn1-1")],
+    "not_utf8": [b"\xff\xfe\x00", b"\xff\xfe\x80", b"\xc3(", b"\xc3"],
+    "one_value": [b"only"],
+    "no_values": [],
+}
+
+
+@pytest.mark.parametrize("encoding", [Encoding.PLAIN, Encoding.RLE, Encoding.DICT])
+@pytest.mark.parametrize("name", V4_BYTES_SEQUENCES)
+def test_v4_bytes_round_trip(name, encoding):
+    values = V4_BYTES_SEQUENCES[name]
+    encoded = encode_column(values, BYTES, encoding, 4)
+    decoded = decode_column(encoded, BYTES, encoding, len(values), 4)
+    assert decoded == values and all(type(value) is bytes for value in decoded)
+    if name == "long_prefix_and_suffix" and encoding == Encoding.PLAIN:
+        assert encoded[0] == 4
+
+
+def test_v4_keeps_the_v3_layouts_off_bytes():
+    for physical_type, values in [(INT64, [3, 3, 5, 1]), (BOOL, [True, True, False])]:
+        for encoding in CANDIDATES[physical_type]:
+            assert encode_column(values, physical_type, encoding, 4) == encode_column(values, physical_type,
+                                                                                     encoding, 3)
+
+
+def test_a_v4_file_front_codes_its_footer_strings_and_bytes_stats():
+    rows = [(1, b"BTC-USD-0001", True), (2, b"BTC-USD-0002", False)]
+    data = write_file(rows, SCHEMA)
+    start, footer_len = _footer_region(data)
+    ts, sym, up = read_file(data).footer.chunks
+    assert (sym.min, sym.max) == (b"BTC-USD-0001", b"BTC-USD-0002")
+    assert data[start:start + footer_len] == _v2_footer(2, [
+        [b"ts", 0, ts.encoding, ts.byte_length, ts.crc32c, struct.pack("<qq", 1, 2)],
+        [b"sym", 1, sym.encoding, sym.byte_length, sym.crc32c, bytes([1, 0, 11, 12, 1]) + b"BTC-USD-00012"],
+        [b"up", 2, up.encoding, up.byte_length, up.crc32c, bytes([0, 1])]])
+
+
+# Malformed version-4 BYTES chunks: (data, encoding, value count).
+MALFORMED_V4 = {
+    "bytes_no_width": (b"", Encoding.PLAIN, 1),
+    "bytes_width_0": (bytes([0]), Encoding.PLAIN, 0),
+    "bytes_width_2": (bytes([2, 0, 0, 1, 0]) + b"x", Encoding.PLAIN, 1),
+    "bytes_first_prefix_not_0": (bytes([1, 1, 1]) + b"x", Encoding.PLAIN, 1),
+    "bytes_prefix_longer_than_the_value_before": (bytes([1, 0, 2, 1, 0]) + b"x", Encoding.PLAIN, 2),
+    "bytes_truncated_lengths": (bytes([1, 0]), Encoding.PLAIN, 1),
+    "bytes_truncated_4_byte_lengths": (bytes([4]) + struct.pack("<I", 0) + bytes(3), Encoding.PLAIN, 1),
+    "bytes_truncated_suffixes": (bytes([1, 0, 3]) + b"ab", Encoding.PLAIN, 1),
+    "bytes_trailing_byte": (bytes([1, 0, 1]) + b"xy", Encoding.PLAIN, 1),
+    "bytes_fewer_than_the_count": (bytes([1, 0, 1]) + b"x", Encoding.PLAIN, 2),
+    "rle_run_value_with_a_prefix": (struct.pack("<I", 2) + bytes([1, 1, 1]) + b"x", Encoding.RLE, 2),
+    "rle_run_value_of_width_3": (struct.pack("<I", 2) + bytes([3, 0, 1]) + b"x", Encoding.RLE, 2),
+    "dict_truncated_dictionary": (struct.pack("<I", 1) + bytes([1, 0, 5]) + b"ab" + bytes(1), Encoding.DICT, 1),
+    "dict_prefix_past_the_entry_before": (struct.pack("<I", 2) + bytes([1, 0, 3, 1, 1]) + b"xy" + bytes([0b10]),
+                                          Encoding.DICT, 2),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_V4)
+def test_malformed_v4_bytes_chunk_is_corrupt_chunk(name):
+    data, encoding, value_count = MALFORMED_V4[name]
+    with pytest.raises(CorruptChunk):
+        decode_column(data, BYTES, encoding, value_count, 4)
+
+
+def test_malformed_v4_bytes_chunks_are_corrupt_chunk_under_optimize():
+    """The BYTES checks are not assert statements: python -O refuses every
+    malformed version-4 BYTES chunk as well."""
+    result = run_optimized("""
+import conftest
+from brclake.lakeformat import BYTES, decode_column
+from test_lakeformat import MALFORMED_V4
+for name, (data, encoding, value_count) in sorted(MALFORMED_V4.items()):
+    try:
+        decode_column(data, BYTES, encoding, value_count, 4)
+    except Exception as exc:
+        print(name, type(exc).__name__)
+""")
+    assert result.stdout.splitlines() == [f"{name} CorruptChunk" for name in sorted(MALFORMED_V4)], result.stderr

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import errno
 import json
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 from brclake.config import load_config
 from brclake.errors import (BackendUnavailable, ConfigInvalid, CorruptLog, CorruptRunLog, CorruptStaging,
-                            FooterCorrupt, MalformedLine, SessionLockHeld, StagingUnavailable, StorageFull)
+                            FooterCorrupt, MalformedLine, RunLogUnavailable, SessionLockHeld, StagingUnavailable,
+                            StorageFull)
 from brclake.etl import ExportResult
 from brclake.events import ConnectorConfig, RateLimit, RawEvent
 from brclake.harness import Expected, Scenario
@@ -264,6 +266,23 @@ def test_publish_replaces_or_links_and_creates_parents(tmp_path):
     assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["new", "obj"]
 
 
+@pytest.mark.parametrize("exclusive", [False, True], ids=["replace", "exclusive"])
+def test_publish_makes_directories_only_where_they_are_missing(tmp_path, monkeypatch, exclusive):
+    made = []
+    real_mkdir = os.mkdir
+    monkeypatch.setattr(os, "mkdir", lambda path, *args: made.append(str(path)) or real_mkdir(path, *args))
+    path, tmp_dir = tmp_path / "a" / "b" / "obj", tmp_path / "t"
+    publish(path, b"one", tmp_dir, exclusive)  # into a missing tree
+    assert set(made) == {str(tmp_dir), str(tmp_path / "a"), str(path.parent)}
+    made.clear()
+    publish(path.with_name("two"), b"two", tmp_dir, exclusive)  # into an existing one
+    with pytest.raises(FileExistsError) if exclusive else contextlib.nullcontext():
+        publish(path, b"three", tmp_dir, exclusive)
+    assert made == []
+    assert (path.read_bytes(), path.with_name("two").read_bytes()) == (b"one" if exclusive else b"three", b"two")
+    assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["obj", "two"]
+
+
 def test_each_writer_makes_the_directories_its_file_goes_into(tmp_path):
     acquire_lock(tmp_path / "l" / "m" / "lock", "x").close()
     fsync_append(tmp_path / "a" / "b" / "log", b"line\n")
@@ -331,6 +350,7 @@ WRITE_ERROR_WRITERS = {
     "checkpoint": (_checkpoint, "fsync", StagingUnavailable, "checkpoint.json"),
     "connector_state": (FULL_DISK_WRITERS["connector_state"], "fsync", StagingUnavailable, "connector_state.json"),
     "prune": (_prune, "unlink", StagingUnavailable, "seg-00000000000000000000.jsonl"),
+    "run_log": (FULL_DISK_WRITERS["run_log"], "fsync", RunLogUnavailable, "events.jsonl"),
 }
 
 
