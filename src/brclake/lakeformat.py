@@ -193,7 +193,7 @@ def _plain_values(values: Sequence[Any], physical_type: str, format_version: int
     if physical_type == BOOL:
         return map(_BOOL.pack, values)
     if format_version >= 4:
-        return map(_front_coded_one, values)
+        return (_encode_front_coded((value,)) for value in values)
     return map(add, map(_U32.pack, map(len, values)), values)
 
 
@@ -246,7 +246,7 @@ def _decode_plain(data: bytes, physical_type: str, count: int, pos: int, format_
 
 def _shared_prefixes(values: Sequence[bytes]) -> list[int]:
     """The bytes each value shares with the one before it, 0 for the first."""
-    ints, lengths = list(map(int.from_bytes, values)), list(map(len, values))
+    ints, lengths = list(map(int.from_bytes, values, repeat("big"))), list(map(len, values))
     prefixes = [0] * len(values)
     for i in range(1, len(values)):
         before, value, shorter = ints[i - 1], ints[i], lengths[i]
@@ -259,25 +259,17 @@ def _shared_prefixes(values: Sequence[bytes]) -> list[int]:
     return prefixes
 
 
-def _front_coded_one(value: bytes) -> bytes:
-    """The version-4 sequence of value alone: a string, an RLE run value."""
-    if len(value) < 256:
-        return bytes((1, 0, len(value))) + value
-    return b"\x04" + struct.pack("<II", 0, len(value)) + value
-
-
 def _encode_front_coded(values: Sequence[bytes]) -> bytes:
     """The version-4 sequence of values: a width, the prefix lengths, the
     suffix lengths, then the suffixes."""
-    if len(values) == 1:
-        return _front_coded_one(values[0])
     prefixes = _shared_prefixes(values)
-    lengths = [*prefixes, *map(sub, map(len, values), prefixes)]
+    suffixes = list(map(getitem, values, map(slice, prefixes, repeat(None))))
+    lengths = [*prefixes, *map(len, suffixes)]
     try:
         head = b"\x01" + bytes(lengths)  # ValueError if a length is over 255
     except ValueError:
         head = b"\x04" + struct.pack(f"<{len(lengths)}I", *lengths)
-    return head + b"".join(map(getitem, values, map(slice, prefixes, repeat(None))))
+    return head + b"".join(suffixes)
 
 
 def _decode_front_coded(data: bytes, count: int, pos: int) -> tuple[list[bytes], int]:
@@ -294,12 +286,6 @@ def _decode_front_coded(data: bytes, count: int, pos: int) -> tuple[list[bytes],
     else:
         lengths = struct.unpack_from(f"<{2 * count}I", data, pos + 1)
         prefixes, sizes = lengths[:count], lengths[count:]
-    if count == 1:  # a value on its own, such as a string: the loop below, unrolled
-        end = start + sizes[0]
-        if prefixes[0] or end > len(data):
-            raise CorruptChunk(f"BYTES value of {prefixes[0]} shared and {sizes[0]} more bytes, "
-                               f"{len(data) - start} left")
-        return [data[start:end]], end
     values = []
     value = b""  # before the first value, so that it shares nothing
     end = start
@@ -719,7 +705,7 @@ def _encode_footer(footer: FileFooter) -> bytes:
 
 
 def _decode_footer(data: bytes, footer_start: int) -> FileFooter:
-    """The binary footer data (version 2 or 3) of a file whose chunks end at
+    """The binary footer data (version 2, 3 or 4) of a file whose chunks end at
     footer_start: its CRC-32C checked first, then every field, chunks tiling
     the chunk region. FooterCorrupt for any other bytes."""
     body, crc = data[:-4], data[-4:]

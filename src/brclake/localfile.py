@@ -90,32 +90,24 @@ def acquire_lock(path: Path, what: str) -> BinaryIO:
 _FULL = (errno.ENOSPC, errno.EDQUOT)
 
 
-def _in_made_dir(directory: Path, call: Callable[[], Any]) -> Any:
-    """call(), and if it fails for want of directory, directory created and
-    call() once more: no mkdir where the directory exists."""
-    try:
-        return call()
-    except FileNotFoundError:
-        directory.mkdir(parents=True, exist_ok=True)
-        return call()
-
-
 def publish(path: Path, data: bytes, tmp_dir: Path | None = None, exclusive: bool = False) -> None:
     """Make data durable at path, creating its parent directories and
-    tmp_dir where they are missing: write and fsync a temp file in tmp_dir
-    (default: path's directory), then rename it onto path, or with exclusive
-    link it there (FileExistsError if the name exists). No temp file
-    outlives the call; a full disk raises StorageFull."""
+    tmp_dir: write and fsync a temp file in tmp_dir (default: path's
+    directory), then rename it onto path, or with exclusive link it there
+    (FileExistsError if the name exists). No temp file outlives the call; a
+    full disk raises StorageFull."""
     tmp = (tmp_dir or path.parent) / f"tmp-{secrets.token_hex(8)}"
     try:
-        with _in_made_dir(tmp.parent, functools.partial(open, tmp, "wb")) as f:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "wb") as f:
             f.write(data)
             f.flush()
             os.fsync(f.fileno())
         if exclusive:
-            _in_made_dir(path.parent, functools.partial(os.link, tmp, path))  # atomic no-replace
+            os.link(tmp, path)  # atomic no-replace
         else:
-            _in_made_dir(path.parent, functools.partial(os.replace, tmp, path))
+            os.replace(tmp, path)
             tmp = None
     except OSError as exc:
         if exc.errno in _FULL:

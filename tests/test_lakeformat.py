@@ -378,6 +378,8 @@ def test_bad_magic_and_footer():
 V1_SMALL = (Path(__file__).resolve().parent / "fixtures" / "v1" / "small.brcl").read_bytes()
 # The same call's bytes under format version 2 (tests/fixtures/v2/generate.py).
 V2_SMALL = (Path(__file__).resolve().parent / "fixtures" / "v2" / "small.brcl").read_bytes()
+# ... and under format version 3 (tests/fixtures/v3/generate.py).
+V3_SMALL = (Path(__file__).resolve().parent / "fixtures" / "v3" / "small.brcl").read_bytes()
 
 
 def _with_footer(data: bytes, edit) -> bytes:
@@ -635,22 +637,34 @@ def test_mixed_table_bytes_are_pinned():
 SMALL_ROWS = [(1, b"x", True), (2, b"y", False)]
 
 
-def _strings(*values: bytes) -> bytes:
-    """values as a version-4 BYTES sequence of width 1 whose values share no
-    prefix: a width byte, the prefix lengths, the lengths, the values."""
+# The footer versions whose strings differ: version 3 codes each as a u32
+# length and its bytes, as versions 1 and 2 do; version 4 front-codes them.
+FOOTER_VERSIONS = [3, FORMAT_VERSION]
+
+
+def _strings(*values: bytes, version: int = FORMAT_VERSION) -> bytes:
+    """values as a BYTES sequence of the given format version: before
+    version 4 a u32 length and the bytes of each; from version 4 on a width
+    byte of 1, the prefix lengths (all 0, so values must share no prefix),
+    the lengths, the values."""
+    if version < 4:
+        return b"".join(struct.pack("<I", len(value)) + value for value in values)
     return bytes([1, *[0] * len(values), *map(len, values)]) + b"".join(values)
 
 
-def _v2_footer(row_count, columns, count=None, writer=b"brclake/1", tail=b"", version=FORMAT_VERSION) -> bytes:
-    """Footer bytes of version 4: the fields of the version-2 layout, which
-    versions 3 and 4 keep, and strings front-coded, built field by field as
-    the module docstring lays them out. columns are [name, type code,
-    encoding, chunk byte length, chunk CRC-32C, stats bytes]; count
-    overrides the column count, and tail goes between the last column and
-    the CRC."""
-    body = struct.pack("<BII", version, row_count, len(columns) if count is None else count) + _strings(writer)
+def _v2_footer(row_count, columns, count=None, writer=b"brclake/1", tail=b"", version=FORMAT_VERSION,
+               layout=None) -> bytes:
+    """Footer bytes in the version-2 layout, which versions 3 and 4 keep,
+    built field by field as the module docstring lays them out, with strings
+    coded as in format version layout (default: version). columns are
+    [name, type code, encoding, chunk byte length, chunk CRC-32C, stats
+    bytes]; count overrides the column count, and tail goes between the last
+    column and the CRC."""
+    layout = version if layout is None else layout
+    body = struct.pack("<BII", version, row_count, len(columns) if count is None else count)
+    body += _strings(writer, version=layout)
     for name, code, encoding, length, crc, stats in columns:
-        body += _strings(name) + struct.pack("<BBII", code, encoding, length, crc) + stats
+        body += _strings(name, version=layout) + struct.pack("<BBII", code, encoding, length, crc) + stats
     return _sealed(body + tail)
 
 
@@ -669,11 +683,17 @@ def _with_v2_footer(data: bytes, footer: bytes) -> bytes:
     return data[:start] + footer + struct.pack("<I", len(footer)) + MAGIC
 
 
-def _small_columns() -> list[list]:
-    """The footer fields of write_file(SMALL_ROWS, SCHEMA), column by column."""
-    ts, sym, up = read_file(write_file(SMALL_ROWS, SCHEMA)).footer.chunks
+def _small_file(version: int = FORMAT_VERSION) -> bytes:
+    """write_file(SMALL_ROWS, SCHEMA) by the writer of format version 3 (the
+    fixture) or of FORMAT_VERSION."""
+    return V3_SMALL if version == 3 else write_file(SMALL_ROWS, SCHEMA)
+
+
+def _small_columns(version: int = FORMAT_VERSION) -> list[list]:
+    """The footer fields of _small_file(version), column by column."""
+    ts, sym, up = read_file(_small_file(version)).footer.chunks
     return [[b"ts", 0, ts.encoding, ts.byte_length, ts.crc32c, struct.pack("<qq", 1, 2)],
-            [b"sym", 1, sym.encoding, sym.byte_length, sym.crc32c, _strings(b"x", b"y")],
+            [b"sym", 1, sym.encoding, sym.byte_length, sym.crc32c, _strings(b"x", b"y", version=version)],
             [b"up", 2, up.encoding, up.byte_length, up.crc32c, bytes([0, 1])]]
 
 
@@ -697,56 +717,79 @@ def test_v1_file_reads_as_written():
 
 
 def _edit(edit):
-    """The small file with a v2 footer of its columns after edit(columns)
-    returns the footer's keyword arguments (or None for none)."""
-    def build():
-        columns = _small_columns()
-        return _with_v2_footer(write_file(SMALL_ROWS, SCHEMA), _v2_footer(2, columns, **(edit(columns) or {})))
+    """A builder of the small file of a format version with a binary footer
+    of its columns after edit(columns, version) returns the footer's keyword
+    arguments (or None for none)."""
+    def build(version):
+        columns = _small_columns(version)
+        footer = _v2_footer(2, columns, **{"version": version, **(edit(columns, version) or {})})
+        return _with_v2_footer(_small_file(version), footer)
     return build
 
 
 def _set(row, field, value):
-    return lambda columns: columns[row].__setitem__(field, value)
+    """An edit that sets columns[row][field] to value, or to value(version)
+    where value is callable."""
+    return lambda columns, version: columns[row].__setitem__(field, value(version) if callable(value) else value)
+
+
+def _string_past_footer(version: int) -> bytes:
+    """sym's stats pair with the first value's length running past the footer."""
+    if version < 4:
+        return struct.pack("<I", 1000) + b"x" + _strings(b"y", version=version)
+    return bytes([1, 0, 0, 200, 1]) + b"xy"
 
 
 MALFORMED_V2 = {
-    "empty_footer": lambda: _with_v2_footer(write_file(SMALL_ROWS, SCHEMA), b""),
-    "shorter_than_a_crc": lambda: _with_v2_footer(write_file(SMALL_ROWS, SCHEMA), b"\x02\x00\x00"),
-    "version_5": _edit(lambda columns: {"version": 5}),
-    "truncated_head": lambda: _with_v2_footer(write_file(SMALL_ROWS, SCHEMA), _sealed(bytes([2, 2, 0, 0, 0, 3]))),
+    "empty_footer": lambda version: _with_v2_footer(_small_file(version), b""),
+    "shorter_than_a_crc": lambda version: _with_v2_footer(_small_file(version), b"\x02\x00\x00"),
+    "version_5": _edit(lambda columns, version: {"version": 5, "layout": version}),
+    "truncated_head": lambda version: _with_v2_footer(_small_file(version), _sealed(bytes([version, 2, 0, 0, 0, 3]))),
     "truncated_stats": _edit(_set(2, 5, b"\x00")),
-    "string_past_footer": _edit(_set(1, 5, bytes([1, 0, 0, 200, 1]) + b"xy")),
-    "column_count_too_high": _edit(lambda columns: {"count": 4}),
-    "column_count_too_low": _edit(lambda columns: {"count": 2}),
-    "trailing_bytes": _edit(lambda columns: {"tail": b"\x00"}),
+    "string_past_footer": _edit(_set(1, 5, _string_past_footer)),
+    "column_count_too_high": _edit(lambda columns, version: {"count": 4}),
+    "column_count_too_low": _edit(lambda columns, version: {"count": 2}),
+    "trailing_bytes": _edit(lambda columns, version: {"tail": b"\x00"}),
     "unknown_physical_type": _edit(_set(1, 1, 3)),
     "unknown_encoding": _edit(_set(0, 2, 4)),
     "bad_column_name": _edit(_set(0, 0, b"Ts")),
     "empty_column_name": _edit(_set(0, 0, b"")),
     "column_name_not_utf8": _edit(_set(0, 0, b"\xff")),
-    "writer_not_utf8": _edit(lambda columns: {"writer": b"\xc3"}),
+    "writer_not_utf8": _edit(lambda columns, version: {"writer": b"\xc3"}),
     "duplicate_column_name": _edit(_set(2, 0, b"ts")),
     "bool_stat_byte_2": _edit(_set(2, 5, bytes([0, 2]))),
-    "bytes_stat_of_65_bytes": _edit(_set(1, 5, _strings(b"x" * 65, b"y"))),
-    "chunks_end_short_of_footer": _edit(lambda columns: columns[0].__setitem__(3, columns[0][3] - 1)),
-    "chunks_run_into_footer": _edit(lambda columns: columns[2].__setitem__(3, columns[2][3] + 1)),
-    "crc_mismatch": lambda: (lambda data: data[:-9] + bytes([data[-9] ^ 1]) + data[-8:])(
-        write_file(SMALL_ROWS, SCHEMA)),
+    "bytes_stat_of_65_bytes": _edit(_set(1, 5, lambda version: _strings(b"x" * 65, b"y", version=version))),
+    "chunks_end_short_of_footer": _edit(lambda columns, version: columns[0].__setitem__(3, columns[0][3] - 1)),
+    "chunks_run_into_footer": _edit(lambda columns, version: columns[2].__setitem__(3, columns[2][3] + 1)),
+    "crc_mismatch": lambda version: (lambda data: data[:-9] + bytes([data[-9] ^ 1]) + data[-8:])(
+        _small_file(version)),
 }
+
+
+def _assert_malformed_footer_is_footer_corrupt(name, version):
+    intact = read_file(_edit(lambda columns, version: None)(version))
+    assert (intact.footer.format_version, intact.rows()) == (version, SMALL_ROWS)
+    with pytest.raises(FooterCorrupt):
+        read_file(MALFORMED_V2[name](version))
 
 
 @pytest.mark.parametrize("name", MALFORMED_V2)
 def test_malformed_v2_footer_is_footer_corrupt(name):
-    assert read_file(_edit(lambda columns: None)()).rows() == SMALL_ROWS
-    with pytest.raises(FooterCorrupt):
-        read_file(MALFORMED_V2[name]())
+    _assert_malformed_footer_is_footer_corrupt(name, FORMAT_VERSION)
+
+
+@pytest.mark.parametrize("name", MALFORMED_V2)
+def test_malformed_v3_footer_is_footer_corrupt(name):
+    """The same cases with strings of u32 lengths, as versions 2 and 3 code them."""
+    _assert_malformed_footer_is_footer_corrupt(name, 3)
 
 
 def test_malformed_v2_footers_are_footer_corrupt_under_optimize(tmp_path):
     """The footer checks are not assert statements: python -O refuses every
     malformed footer as well."""
     for name, build in MALFORMED_V2.items():
-        (tmp_path / f"{name}.brcl").write_bytes(build())
+        for version in FOOTER_VERSIONS:
+            (tmp_path / f"{name}-v{version}.brcl").write_bytes(build(version))
     result = run_optimized(f"""
 from pathlib import Path
 import conftest
@@ -757,7 +800,18 @@ for path in sorted(Path({str(tmp_path)!r}).iterdir()):
     except Exception as exc:
         print(path.stem, type(exc).__name__)
 """)
-    assert result.stdout.splitlines() == [f"{name} FooterCorrupt" for name in sorted(MALFORMED_V2)], result.stderr
+    assert result.stdout.splitlines() == sorted(
+        f"{name}-v{version} FooterCorrupt" for name in MALFORMED_V2 for version in FOOTER_VERSIONS), result.stderr
+
+
+def _assert_every_bit_flip_is_footer_corrupt(data, version):
+    start, footer_len = _footer_region(data)
+    assert data[start] == version
+    for bit in range(8 * footer_len):
+        flipped = bytearray(data)
+        flipped[start + bit // 8] ^= 1 << (bit % 8)
+        with pytest.raises(FooterCorrupt):
+            read_file(bytes(flipped))
 
 
 def test_every_bit_flip_of_a_v2_footer_is_footer_corrupt():
@@ -765,13 +819,17 @@ def test_every_bit_flip_of_a_v2_footer_is_footer_corrupt():
              b"BTC-USD", i, f"cb-{i:06d}".encode(), 3_000_000_000_000 + i * 7, (i % 5) * 10**6,
              [b"buy", b"sell"][i % 2]) for i in range(8)]
     data = write_file(rows, [ColumnSchema(name, physical_type) for name, physical_type in TABLE_COLUMNS])
-    start, footer_len = _footer_region(data)
-    assert data[start] == FORMAT_VERSION and read_file(data).rows() == rows
-    for bit in range(8 * footer_len):
-        flipped = bytearray(data)
-        flipped[start + bit // 8] ^= 1 << (bit % 8)
-        with pytest.raises(FooterCorrupt):
-            read_file(bytes(flipped))
+    assert read_file(data).rows() == rows
+    _assert_every_bit_flip_is_footer_corrupt(data, FORMAT_VERSION)
+
+
+def test_every_bit_flip_of_a_v3_footer_is_footer_corrupt():
+    """A footer whose strings are u32-length coded: the first export of the
+    v3 fixture, a file of the trades table's ten columns."""
+    store = Path(__file__).resolve().parent / "fixtures" / "v3" / "store"
+    data = next(store.rglob("part-etl-*1.brcl")).read_bytes()
+    assert len(read_file(data).rows()) == 8
+    _assert_every_bit_flip_is_footer_corrupt(data, 3)
 
 
 NAMES = st.from_regex(r"[a-z_][a-z0-9_]{0,6}", fullmatch=True)

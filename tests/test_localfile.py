@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import errno
 import json
@@ -264,23 +263,6 @@ def test_publish_replaces_or_links_and_creates_parents(tmp_path):
     publish(tmp_path / "new", b"four", tmp_path / "a", exclusive=True)
     assert path.read_bytes() == b"two" and (tmp_path / "new").read_bytes() == b"four"
     assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["new", "obj"]
-
-
-@pytest.mark.parametrize("exclusive", [False, True], ids=["replace", "exclusive"])
-def test_publish_makes_directories_only_where_they_are_missing(tmp_path, monkeypatch, exclusive):
-    made = []
-    real_mkdir = os.mkdir
-    monkeypatch.setattr(os, "mkdir", lambda path, *args: made.append(str(path)) or real_mkdir(path, *args))
-    path, tmp_dir = tmp_path / "a" / "b" / "obj", tmp_path / "t"
-    publish(path, b"one", tmp_dir, exclusive)  # into a missing tree
-    assert set(made) == {str(tmp_dir), str(tmp_path / "a"), str(path.parent)}
-    made.clear()
-    publish(path.with_name("two"), b"two", tmp_dir, exclusive)  # into an existing one
-    with pytest.raises(FileExistsError) if exclusive else contextlib.nullcontext():
-        publish(path, b"three", tmp_dir, exclusive)
-    assert made == []
-    assert (path.read_bytes(), path.with_name("two").read_bytes()) == (b"one" if exclusive else b"three", b"two")
-    assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["obj", "two"]
 
 
 def test_each_writer_makes_the_directories_its_file_goes_into(tmp_path):
