@@ -16,7 +16,9 @@ prints the bytes per live row of:
   deletes them);
 - ``other files``: anything else under the store root;
 - then, over every data file, live or not: ``footers`` (each file's
-  footer, footer length and both magics) and each column's chunks.
+  footer, footer length and both magics) and each column's chunks. A chunk
+  that several columns share (format version 5) counts once, under the
+  first of them.
 
 The first four add up to ``total``, and the footers and chunks to the data
 files. The exit code is 1 if an operation failed, a CSV differs from the
@@ -52,13 +54,14 @@ def breakdown(store_root: Path, live_files: dict) -> tuple[Counter, list[str]]:
         else:
             parts["live data files" if key in live_files else "compacted-away data files"] += size
             footer = read_file(path.read_bytes(), projection=()).footer
-            chunk_bytes = 0
+            stored = set()  # the byte ranges of the chunks counted so far
             for col, chunk in zip(footer.schema, footer.chunks):
                 if col.name not in columns:
                     columns.append(col.name)
-                parts[f"chunks: {col.name}"] += chunk.byte_length
-                chunk_bytes += chunk.byte_length
-            parts["footers"] += size - chunk_bytes
+                if (chunk.byte_offset, chunk.byte_length) not in stored:
+                    stored.add((chunk.byte_offset, chunk.byte_length))
+                    parts[f"chunks: {col.name}"] += chunk.byte_length
+            parts["footers"] += size - sum(length for _, length in stored)
     return parts, columns
 
 

@@ -3,12 +3,14 @@
 File layout, all integers little-endian:
 
     magic "BRCL"
-    column chunks, schema order, back to back, each encoded per its encoding
+    column chunks, schema order, back to back, each encoded per its encoding;
+        from format version 5, none for a column that shares an earlier
+        column's chunk
     footer
     u32 footer length
     magic "BRCL"
 
-A sequence of BYTES values, as format version 4 lays it out, is front-coded:
+A sequence of BYTES values, as format versions 4 and 5 lay it out, is front-coded:
 
     u8 width, 1 or 4 (1 where every length below is under 256)
     per value, its prefix length: the bytes it shares with the value
@@ -16,7 +18,7 @@ A sequence of BYTES values, as format version 4 lays it out, is front-coded:
     per value, its suffix length: the bytes that follow that prefix
     the suffixes, back to back
 
-Encodings, as format version 4 lays them out:
+Encodings, as format versions 4 and 5 lay them out:
 
     PLAIN  INT64: 8 bytes/value. BYTES: one front-coded sequence.
            BOOL: one byte per value, 0 or 1.
@@ -52,30 +54,47 @@ Chunks carry a CRC-32C over exactly their encoded bytes and min/max stats
 payload holds no timestamps, so identical input yields identical bytes on
 any platform.
 
-The writer writes format version 4, whose footer is binary and laid out as
-those of versions 2 and 3. Its strings and stats are PLAIN values in the
+The writer writes format version 5, whose footer is binary and laid out as
+those of versions 2 to 4. Its strings and stats are PLAIN values in the
 footer's version: a string is a BYTES sequence of one (a u32 length and its
 bytes before version 4; names and the writer in UTF-8), and min and max are
 PLAIN in their column's type, the pair one sequence for BYTES.
 
-    u8 version (4, 3 or 2), u32 row_count, u32 column count, writer string
+    u8 version (5, 4, 3 or 2), u32 row_count, u32 column count, writer string
     per column, in schema order:
-        name string, u8 physical type (0 INT64, 1 BYTES, 2 BOOL),
-        u8 encoding, u32 chunk byte length, u32 chunk CRC-32C,
-        min and max: i64 each for INT64, one byte 0 or 1 each for BOOL,
-        a sequence of two values of at most 64 raw bytes for BYTES
+        name string, u8 physical type (0 INT64, 1 BYTES, 2 BOOL), then
+        either, for a column that stores its chunk:
+            u8 encoding, u32 chunk byte length, u32 chunk CRC-32C,
+            min and max: i64 each for INT64, one byte 0 or 1 each for BOOL,
+            a sequence of two values of at most 64 raw bytes for BYTES
+        or, from version 5, for a column that shares an earlier column's:
+            u8 0xFF, u32 the index of that column
     u32 CRC-32C over every footer byte before it
 
-A chunk holds row_count values, chunks tile the bytes between the leading
-magic and the footer, so each chunk starts where the one before it ends,
-and the codec is "none"; the reader fills these ``FileFooter`` fields in.
+Where a column's values equal those of an earlier column of its physical
+type, a version-5 writer stores no chunk and no stats for it: its footer
+entry names the first such column, which stores its own. The rule reads
+values only, never names. Files whose ingest times are their event times
+(``ingest_time_mode="event_time"``) so store ``ingest_time_us`` once; with
+wall-clock ingest times no two columns are equal, every column stores its
+chunk, and the check costs one dict lookup per column. The reader gives a
+shared column its source's ``ColumnChunk`` (the same object), and fetches,
+checks and decodes each chunk once.
+
+A chunk holds row_count values, the stored chunks tile the bytes between
+the leading magic and the footer, so each starts where the one before it
+ends, and the codec is "none"; the reader fills these ``FileFooter`` fields
+in.
 
 The reader also reads format version 1, whose footer is the UTF-8 JSON
 object of ``FileFooter`` with sorted keys, written by ``localfile``'s record
 codec (a chunk's encoding by its member name, BYTES stats as latin-1
 text). A footer's first byte tells the versions apart: ``{`` is version 1,
-``0x02`` to ``0x04`` versions 2 to 4, anything else is unsupported, and the
-reader decodes each chunk in its footer's version's layout.
+``0x02`` to ``0x05`` versions 2 to 5, anything else is unsupported, and the
+reader decodes each chunk in its footer's version's layout. A version-1
+footer may point two columns at one byte range; the reader decodes a range
+once per chunk entry (offset, length, CRC-32C, encoding) and physical type,
+so each column reads in its own type.
 ``_check_footer`` adds to a version-1 footer what the codec cannot see: a
 valid schema with one chunk per column, counts that agree, chunk ranges
 between the leading magic and the footer, and stats of each column's type.
@@ -105,7 +124,7 @@ from .fixedpoint import I64_MAX, I64_MIN
 from .localfile import read_json, record_from_json
 
 MAGIC = b"BRCL"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 DEFAULT_WRITER = "brclake/1"
 STATS_TRUNCATE_BYTES = 64
 
@@ -140,7 +159,8 @@ class ColumnSchema:
 @dataclass
 class ColumnChunk:
     """A chunk's place, coding and stats. A BYTES stat is bytes, held as
-    latin-1 text only in a version-1 footer's JSON."""
+    latin-1 text only in a version-1 footer's JSON. A column that shares an
+    earlier column's chunk (version 5) holds that column's ColumnChunk."""
 
     encoding: Encoding
     value_count: int
@@ -639,7 +659,9 @@ def _validate_schema(schema: Sequence[ColumnSchema]) -> None:
 
 
 def write_file(rows: Sequence[Sequence[Any]], schema: Sequence[ColumnSchema]) -> bytes:
-    """Serialize rows to a complete .brcl file; byte-identical across runs."""
+    """Serialize rows to a complete .brcl file; byte-identical across runs.
+    A column whose values equal an earlier column's of its type stores no
+    chunk: it shares the first such column's."""
     _validate_schema(schema)
     if not rows:
         raise SchemaViolation(0, "", "row_count must be >= 1")
@@ -647,8 +669,17 @@ def write_file(rows: Sequence[Sequence[Any]], schema: Sequence[ColumnSchema]) ->
     columns = _checked_columns(rows, schema)
     parts = [MAGIC]
     offset = len(MAGIC)
-    chunks = []
-    for col, (values, (lo, hi)) in zip(schema, columns):
+    chunks, sources = [], []
+    stored: dict[tuple, int] = {}  # (physical type, values) -> the column that stores them
+    for i, (col, (values, (lo, hi))) in enumerate(zip(schema, columns)):
+        try:
+            source = stored.setdefault((col.physical_type, values), i)
+        except TypeError:  # a bytearray cell has no hash: key on the bytes of every cell
+            source = stored.setdefault((col.physical_type, tuple(map(bytes, values))), i)
+        sources.append(source)
+        if source < i:
+            chunks.append(chunks[source])
+            continue
         encoding, encoded = _encode_smallest(values, col.physical_type)
         if col.physical_type == BYTES:
             lo, hi = bytes(lo[:STATS_TRUNCATE_BYTES]), bytes(hi[:STATS_TRUNCATE_BYTES])
@@ -656,7 +687,8 @@ def write_file(rows: Sequence[Sequence[Any]], schema: Sequence[ColumnSchema]) ->
         parts.append(encoded)
         offset += len(encoded)
 
-    footer_bytes = _encode_footer(FileFooter(FORMAT_VERSION, len(rows), list(schema), chunks, DEFAULT_WRITER))
+    footer_bytes = _encode_footer(FileFooter(FORMAT_VERSION, len(rows), list(schema), chunks, DEFAULT_WRITER),
+                                  sources)
     parts.append(footer_bytes)
     parts.append(_U32.pack(len(footer_bytes)))
     parts.append(MAGIC)
@@ -685,49 +717,69 @@ def _checked_columns(rows: Sequence[Sequence[Any]], schema: Sequence[ColumnSchem
 # -- footer codec --------------------------------------------------------------------------
 
 _FOOTER_HEAD = struct.Struct("<BII")  # format version, row_count, column count
-_FOOTER_CHUNK = struct.Struct("<BBII")  # physical type, encoding, chunk byte length, chunk CRC-32C
-_BINARY_FOOTER_VERSIONS = (2, 3, 4)
+_FOOTER_COLUMN = struct.Struct("<BB")  # physical type, encoding (or _SHARED)
+_FOOTER_CHUNK = struct.Struct("<II")  # chunk byte length, chunk CRC-32C
+_SHARED = 0xFF  # from version 5, the encoding byte of a column that shares an earlier column's chunk
+_BINARY_FOOTER_VERSIONS = (2, 3, 4, 5)
 
 
-def _encode_footer(footer: FileFooter) -> bytes:
+def _encode_footer(footer: FileFooter, sources: Sequence[int]) -> bytes:
     """The binary footer bytes of footer, its CRC-32C last. Strings and
-    stats are PLAIN-encoded values."""
+    stats are PLAIN-encoded values. sources[i] is the column whose chunk
+    column i stores: i itself, or in version 5 an earlier column's."""
     version = footer.format_version
     parts = [_FOOTER_HEAD.pack(version, footer.row_count, len(footer.schema)),
              _encode_plain([footer.writer.encode()], BYTES, version)]
-    for col, chunk in zip(footer.schema, footer.chunks):
-        parts += (_encode_plain([col.name.encode()], BYTES, version),
-                  _FOOTER_CHUNK.pack(PHYSICAL_TYPES.index(col.physical_type), chunk.encoding,
-                                     chunk.byte_length, chunk.crc32c),
-                  _encode_plain([chunk.min, chunk.max], col.physical_type, version))
+    for i, (col, chunk, source) in enumerate(zip(footer.schema, footer.chunks, sources)):
+        code = PHYSICAL_TYPES.index(col.physical_type)
+        parts.append(_encode_plain([col.name.encode()], BYTES, version))
+        if source < i:
+            parts += (_FOOTER_COLUMN.pack(code, _SHARED), _U32.pack(source))
+        else:
+            parts += (_FOOTER_COLUMN.pack(code, chunk.encoding), _FOOTER_CHUNK.pack(chunk.byte_length, chunk.crc32c),
+                      _encode_plain([chunk.min, chunk.max], col.physical_type, version))
     body = b"".join(parts)
     return body + _U32.pack(crc32c(body))
 
 
 def _decode_footer(data: bytes, footer_start: int) -> FileFooter:
-    """The binary footer data (version 2, 3 or 4) of a file whose chunks end at
-    footer_start: its CRC-32C checked first, then every field, chunks tiling
-    the chunk region. FooterCorrupt for any other bytes."""
+    """The binary footer data (version 2 to 5) of a file whose stored chunks
+    end at footer_start: its CRC-32C checked first, then every field, the
+    stored chunks tiling the chunk region, and a shared column's chunk
+    entry that of the earlier column it names. FooterCorrupt for any other
+    bytes."""
     body, crc = data[:-4], data[-4:]
     if len(crc) < 4 or crc32c(body) != _U32.unpack(crc)[0]:
         raise FooterCorrupt("footer CRC-32C mismatch")
     try:
         version, row_count, n_columns = _FOOTER_HEAD.unpack_from(body)
         (writer,), pos = _decode_plain(body, BYTES, 1, _FOOTER_HEAD.size, version)
-        schema, chunks = [], []
+        schema, chunks, shared = [], [], set()
         offset = len(MAGIC)
-        for _ in range(n_columns):
+        for i in range(n_columns):
             (name,), pos = _decode_plain(body, BYTES, 1, pos, version)
-            code, encoding, length, chunk_crc = _FOOTER_CHUNK.unpack_from(body, pos)
+            code, encoding = _FOOTER_COLUMN.unpack_from(body, pos)
+            pos += _FOOTER_COLUMN.size
             if code >= len(PHYSICAL_TYPES):
                 raise FooterCorrupt(f"unknown physical type code {code}")
             col = ColumnSchema(name.decode(), PHYSICAL_TYPES[code])
-            (lo, hi), pos = _decode_plain(body, col.physical_type, 2, pos + _FOOTER_CHUNK.size, version)
-            if col.physical_type == BYTES and max(len(lo), len(hi)) > STATS_TRUNCATE_BYTES:
-                raise FooterCorrupt(f"stats of {col.name!r} longer than {STATS_TRUNCATE_BYTES} bytes")
+            if encoding == _SHARED and version >= 5:
+                (source,) = _U32.unpack_from(body, pos)
+                pos += _U32.size
+                if source >= i or source in shared or schema[source].physical_type != col.physical_type:
+                    raise FooterCorrupt(f"column {col.name!r} shares the chunk of column {source}, "
+                                        f"not an earlier {col.physical_type} column that stores its own")
+                shared.add(i)
+                chunk = chunks[source]
+            else:
+                length, chunk_crc = _FOOTER_CHUNK.unpack_from(body, pos)
+                (lo, hi), pos = _decode_plain(body, col.physical_type, 2, pos + _FOOTER_CHUNK.size, version)
+                if col.physical_type == BYTES and max(len(lo), len(hi)) > STATS_TRUNCATE_BYTES:
+                    raise FooterCorrupt(f"stats of {col.name!r} longer than {STATS_TRUNCATE_BYTES} bytes")
+                chunk = ColumnChunk(Encoding(encoding), row_count, offset, length, chunk_crc, lo, hi)
+                offset += length
             schema.append(col)
-            chunks.append(ColumnChunk(Encoding(encoding), row_count, offset, length, chunk_crc, lo, hi))
-            offset += length
+            chunks.append(chunk)
         footer = FileFooter(version, row_count, schema, chunks, writer.decode())
         _validate_schema(schema)
     # a field past the footer's end, a BOOL stat above 1, a name or writer
@@ -817,7 +869,8 @@ def read_file_via(
     projection: Sequence[str] | None = None,
 ) -> ParsedFile:
     """Read via a byte-range fetcher, touching only the projected chunks'
-    ranges plus magics and footer."""
+    ranges plus magics and footer; a chunk that projected columns share is
+    fetched, checked and decoded once, and they get the one list."""
     footer = read_footer(fetch, size)
     by_name = {s.name: i for i, s in enumerate(footer.schema)}
     if projection is None:
@@ -829,14 +882,18 @@ def read_file_via(
         wanted = list(projection)
 
     columns: dict[str, list] = {}
+    decoded: dict[tuple, list] = {}  # each chunk entry's values, decoded once for every column that shares it
     for name in wanted:
         i = by_name[name]
         chunk, col = footer.chunks[i], footer.schema[i]
-        encoded = fetch(chunk.byte_offset, chunk.byte_length)
-        if crc32c(encoded) != chunk.crc32c:
-            raise ChecksumMismatch(name)
-        columns[name] = decode_column(encoded, col.physical_type, chunk.encoding, chunk.value_count,
-                                      footer.format_version)
+        key = (chunk.byte_offset, chunk.byte_length, chunk.crc32c, chunk.encoding, col.physical_type)
+        if key not in decoded:
+            encoded = fetch(chunk.byte_offset, chunk.byte_length)
+            if crc32c(encoded) != chunk.crc32c:
+                raise ChecksumMismatch(name)
+            decoded[key] = decode_column(encoded, col.physical_type, chunk.encoding, chunk.value_count,
+                                         footer.format_version)
+        columns[name] = decoded[key]
     return ParsedFile(columns=columns, footer=footer)
 
 

@@ -456,6 +456,35 @@ def test_no_source_module_has_an_assert_statement():
     assert asserts == []
 
 
+def _names_its_byte_order(node: ast.Attribute, parents: dict) -> bool:
+    """Whether the int.to_bytes or int.from_bytes that node names is handed
+    a byte order: called with one (which Python 3.10 requires), or mapped
+    over a second iterable that holds it."""
+    call = parents.get(node)
+    if not isinstance(call, ast.Call):
+        return False
+    if call.func is node:
+        return len(call.args) >= 2 or any(keyword.arg == "byteorder" for keyword in call.keywords)
+    return isinstance(call.func, ast.Name) and call.func.id == "map" and call.args[:1] == [node] and len(call.args) >= 3
+
+
+def test_every_source_module_parses_and_converts_ints_as_python_3_10_does():
+    """pyproject.toml says requires-python >= 3.10: every module under
+    src/brclake parses under 3.10's grammar, and every int.to_bytes and
+    int.from_bytes names its byte order, which 3.11 made optional."""
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "brclake"
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) >= 10
+    unnamed = []
+    for path in modules:
+        tree = ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        unnamed += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr in ("to_bytes", "from_bytes")
+                    and not _names_its_byte_order(node, parents)]
+    assert unnamed == []
+
+
 # -- in-process CLI ------------------------------------------------------------------------
 
 def _main(*argv: str) -> tuple[int, str]:

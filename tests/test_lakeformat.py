@@ -625,7 +625,7 @@ def test_mixed_table_bytes_are_pinned():
     parsed = read_file(data)
     assert [c.encoding.name for c in parsed.footer.chunks] == [
         "DELTA", "DICT", "DELTA", "DICT", "PLAIN", "PLAIN", "DICT", "DICT", "PLAIN"]
-    assert hashlib.sha256(data).hexdigest() == "19f08cb1c6ff8cd60cf6ea51c85ba3ddfed5fba1695325304ca1495de2b9b14a"
+    assert hashlib.sha256(data).hexdigest() == "2faf272bd28f6b5d8aed09fa402da8f1c23702f6aa777aab6edb61323884db9b"
     (footer_len,) = struct.unpack("<I", data[-8:-4])
     assert hashlib.sha256(data[4:len(data) - 8 - footer_len]).hexdigest() == (
         "b2ef4e61e2a1bee2945773f7d77740e6849f2cd0142f18acd1e0836fa39d8792")
@@ -654,17 +654,23 @@ def _strings(*values: bytes, version: int = FORMAT_VERSION) -> bytes:
 
 def _v2_footer(row_count, columns, count=None, writer=b"brclake/1", tail=b"", version=FORMAT_VERSION,
                layout=None) -> bytes:
-    """Footer bytes in the version-2 layout, which versions 3 and 4 keep,
+    """Footer bytes in the version-2 layout, which versions 3 to 5 keep,
     built field by field as the module docstring lays them out, with strings
     coded as in format version layout (default: version). columns are
     [name, type code, encoding, chunk byte length, chunk CRC-32C, stats
-    bytes]; count overrides the column count, and tail goes between the last
-    column and the CRC."""
+    bytes], or for a version-5 column that shares an earlier column's chunk
+    [name, type code, 0xFF, that column's index]; count overrides the
+    column count, and tail goes between the last column and the CRC."""
     layout = version if layout is None else layout
     body = struct.pack("<BII", version, row_count, len(columns) if count is None else count)
     body += _strings(writer, version=layout)
-    for name, code, encoding, length, crc, stats in columns:
-        body += _strings(name, version=layout) + struct.pack("<BBII", code, encoding, length, crc) + stats
+    for name, code, encoding, *rest in columns:
+        body += _strings(name, version=layout) + struct.pack("<BB", code, encoding)
+        if len(rest) == 1:
+            body += struct.pack("<I", *rest)
+        else:
+            length, crc, stats = rest
+            body += struct.pack("<II", length, crc) + stats
     return _sealed(body + tail)
 
 
@@ -743,7 +749,7 @@ def _string_past_footer(version: int) -> bytes:
 MALFORMED_V2 = {
     "empty_footer": lambda version: _with_v2_footer(_small_file(version), b""),
     "shorter_than_a_crc": lambda version: _with_v2_footer(_small_file(version), b"\x02\x00\x00"),
-    "version_5": _edit(lambda columns, version: {"version": 5, "layout": version}),
+    "version_6": _edit(lambda columns, version: {"version": 6, "layout": version}),
     "truncated_head": lambda version: _with_v2_footer(_small_file(version), _sealed(bytes([version, 2, 0, 0, 0, 3]))),
     "truncated_stats": _edit(_set(2, 5, b"\x00")),
     "string_past_footer": _edit(_set(1, 5, _string_past_footer)),
@@ -864,12 +870,17 @@ def test_v2_footer_round_trip(table):
     assert read_file(data).rows() == rows and footer.schema == schema
     assert (footer.format_version, footer.row_count, footer.codec) == (FORMAT_VERSION, len(rows), "none")
     offset = len(MAGIC)
+    stored = {}  # (physical type, values) -> the first column holding them
     for i, (col, chunk) in enumerate(zip(schema, footer.chunks)):
         column = [row[i] for row in rows]
         lo, hi = min(column), max(column)
         if col.physical_type == BYTES:
             lo, hi = lo[:STATS_TRUNCATE_BYTES], hi[:STATS_TRUNCATE_BYTES]
         assert (chunk.min, chunk.max) == (lo, hi) and type(chunk.min) is type(lo)
+        source = stored.setdefault((col.physical_type, tuple(column)), i)
+        if source < i:  # a column equal to an earlier one shares its chunk entry, and stores no chunk
+            assert chunk is footer.chunks[source]
+            continue
         assert (chunk.byte_offset, chunk.value_count) == (offset, len(rows))
         offset += chunk.byte_length
     assert offset == _footer_region(data)[0]
@@ -1117,3 +1128,191 @@ for name, (data, encoding, value_count) in sorted(MALFORMED_V4.items()):
         print(name, type(exc).__name__)
 """)
     assert result.stdout.splitlines() == [f"{name} CorruptChunk" for name in sorted(MALFORMED_V4)], result.stderr
+
+
+# -- format version 5: a column equal to an earlier one shares its chunk -----------------------
+
+SHARE_SCHEMA = [*SCHEMA, ColumnSchema("t2", INT64), ColumnSchema("t3", INT64)]
+SHARE_ROWS = [(ts, sym, up, ts, ts) for ts, sym, up in SMALL_ROWS]
+
+
+def _share_file() -> bytes:
+    """SHARE_ROWS written: t2 and t3 hold ts's values, so they share its chunk."""
+    return write_file(SHARE_ROWS, SHARE_SCHEMA)
+
+
+def _share_columns() -> list[list]:
+    """The footer fields of _share_file(), column by column: those of the
+    small file, then t2 and t3 naming column 0."""
+    return [*_small_columns(), [b"t2", 0, 0xFF, 0], [b"t3", 0, 0xFF, 0]]
+
+
+def test_v5_shared_footer_layout_is_pinned():
+    data = _share_file()
+    start, footer_len = _footer_region(data)
+    assert data[start:start + footer_len] == _v2_footer(2, _share_columns())
+    assert data[:start] == _small_file()[:start]  # the small file's chunks: t2 and t3 store none
+    parsed = read_file(data)
+    assert parsed.rows() == SHARE_ROWS and parsed.footer.schema == SHARE_SCHEMA
+    ts, sym, up, t2, t3 = parsed.footer.chunks
+    assert t2 is ts and t3 is ts and ts.encoding in Encoding
+    assert parsed.columns["t2"] is parsed.columns["ts"] is parsed.columns["t3"]
+
+
+def test_a_column_equal_to_an_earlier_one_adds_no_chunk():
+    """The rule is the values': copies of three columns, under any names,
+    add only footer entries, and a copy of a column of another type does not
+    share even where Python calls the values equal (0 == False)."""
+    rows = _mixed_rows()
+    schema = [*MIXED_SCHEMA, ColumnSchema("a", BOOL), ColumnSchema("zz", INT64), ColumnSchema("c", BYTES),
+              ColumnSchema("b", INT64)]
+    copies = [(*row, row[6], row[0], row[3], int(row[6])) for row in rows]  # up, ts, sym, and up as INT64
+    data, plain = write_file(copies, schema), write_file(rows, MIXED_SCHEMA)
+    parsed = read_file(data)
+    assert parsed.rows() == copies
+    chunks = parsed.footer.chunks
+    assert chunks[9] is chunks[6] and chunks[10] is chunks[0] and chunks[11] is chunks[3]
+    assert chunks[12].byte_offset == _footer_region(plain)[0]  # the INT64 copy of a BOOL column stores its own
+    assert data[:chunks[12].byte_offset] == plain[:chunks[12].byte_offset]
+
+
+def test_bytearray_cells_share_as_their_bytes_do():
+    schema = [*SCHEMA, ColumnSchema("sym2", BYTES)]
+    rows = [(i, b"id-%d" % i, i % 3 == 0, b"id-%d" % i) for i in range(20)]
+    mixed = [(t, s, up, bytearray(s2)) for t, s, up, s2 in rows]
+    assert write_file(mixed, schema) == write_file(rows, schema)
+    chunks = read_file(write_file(mixed, schema)).footer.chunks
+    assert chunks[3] is chunks[1]
+
+
+def test_a_shared_chunk_is_fetched_and_decoded_once():
+    data = _share_file()
+    fetched = []
+
+    def fetch(offset, length):
+        fetched.append((offset, length))
+        return data[offset:offset + length]
+
+    ts = read_file(data).footer.chunks[0]
+    parsed = read_file_via(fetch, len(data), projection=["t3", "t2", "ts"])
+    assert parsed.columns == {"t3": [1, 2], "t2": [1, 2], "ts": [1, 2]}
+    assert fetched.count((ts.byte_offset, ts.byte_length)) == 1
+
+
+@pytest.mark.parametrize("projection, named", [(None, "ts"), (["t2"], "t2"), (["t3", "ts"], "t3"),
+                                               (["up", "ts", "t2"], "ts")])
+def test_a_flipped_bit_in_a_shared_chunk_names_the_projected_column(projection, named):
+    data = _share_file()
+    ts = read_file(data).footer.chunks[0]
+    for bit in range(8 * ts.byte_length):
+        flipped = bytearray(data)
+        flipped[ts.byte_offset + bit // 8] ^= 1 << (bit % 8)
+        with pytest.raises(ChecksumMismatch) as err:
+            read_file(bytes(flipped), projection)
+        assert err.value.column == named
+
+
+def _shared_edit(edit):
+    """A builder of _share_file() with a footer of its columns after
+    edit(columns) returns the footer's keyword arguments (or None for none)."""
+    def build():
+        columns = _share_columns()
+        return _with_v2_footer(_share_file(), _v2_footer(2, columns, **(edit(columns) or {})))
+    return build
+
+
+def _share(row, source):
+    """An edit that makes column row share the chunk of column source."""
+    return lambda columns: columns[row].__setitem__(3, source)
+
+
+def _truncate_t3(columns):
+    """An edit that cuts the footer off two bytes into t3's column index."""
+    columns.pop()
+    return {"count": 5, "tail": _strings(b"t3") + bytes([0, 0xFF, 0, 0])}
+
+
+MALFORMED_V5 = {
+    "shares_its_own_chunk": _shared_edit(_share(3, 3)),
+    "shares_a_later_column": _shared_edit(_share(3, 4)),
+    "shares_a_column_out_of_range": _shared_edit(_share(4, 5)),
+    "shares_column_2_to_the_32_less_1": _shared_edit(_share(4, 2**32 - 1)),
+    "shares_a_column_that_shares": _shared_edit(_share(4, 3)),
+    "shares_a_bytes_column": _shared_edit(_share(3, 1)),
+    "shares_a_bool_column": _shared_edit(_share(4, 2)),
+    "truncated_shared_entry": _shared_edit(_truncate_t3),
+    "shared_entry_in_a_v4_footer": _shared_edit(lambda columns: {"version": 4}),
+    "first_column_shares": _shared_edit(lambda columns: columns.__setitem__(0, [b"ts", 0, 0xFF, 0])),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_V5)
+def test_malformed_v5_shared_entry_is_footer_corrupt(name):
+    with pytest.raises(FooterCorrupt):
+        read_file(MALFORMED_V5[name]())
+
+
+def test_malformed_v5_shared_entries_are_footer_corrupt_under_optimize():
+    """The shared-entry checks are not assert statements: python -O refuses
+    every malformed one as well."""
+    result = run_optimized("""
+import conftest
+from brclake.lakeformat import read_file
+from test_lakeformat import MALFORMED_V5
+for name, build in sorted(MALFORMED_V5.items()):
+    try:
+        read_file(build())
+    except Exception as exc:
+        print(name, type(exc).__name__)
+""")
+    assert result.stdout.splitlines() == [f"{name} FooterCorrupt" for name in sorted(MALFORMED_V5)], result.stderr
+
+
+def test_every_bit_flip_of_a_v5_footer_with_a_shared_entry_is_footer_corrupt():
+    """A file of the trades table's ten columns whose ingest times are its
+    event times, as in ``ingest_time_mode="event_time"``."""
+    rows = [(1_600_000_000_000_000 + i * 1_000, 1_600_000_000_000_000 + i * 1_000, b"coinbase", b"trades",
+             b"BTC-USD", i, f"cb-{i:06d}".encode(), 3_000_000_000_000 + i * 7, (i % 5) * 10**6,
+             [b"buy", b"sell"][i % 2]) for i in range(8)]
+    data = write_file(rows, [ColumnSchema(name, physical_type) for name, physical_type in TABLE_COLUMNS])
+    parsed = read_file(data)
+    assert parsed.rows() == rows and parsed.footer.chunks[1] is parsed.footer.chunks[0]
+    _assert_every_bit_flip_is_footer_corrupt(data, 5)
+
+
+def _v1_file(chunk: bytes, schema: list[tuple[str, str]], entries: list[dict]) -> bytes:
+    """A version-1 file of two rows: chunk after the leading magic, then a
+    JSON footer of the columns schema whose chunk entries are entries."""
+    footer = {"format_version": 1, "row_count": 2, "codec": "none", "writer": "brclake/1",
+              "schema": [{"name": name, "physical_type": physical_type} for name, physical_type in schema],
+              "chunks": [{"byte_offset": 4, "byte_length": len(chunk), "encoding": "PLAIN", "value_count": 2,
+                          **entry} for entry in entries]}
+    body = json.dumps(footer).encode()
+    return MAGIC + chunk + body + struct.pack("<I", len(body)) + MAGIC
+
+
+# Sixteen bytes that are PLAIN both as two INT64 values and as two
+# version-1 BYTES values, a u32 length and its bytes each.
+TWO_WAY_CHUNK = struct.pack("<I", 4) + b"abcd" + struct.pack("<I", 4) + b"efgh"
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_v1_columns_of_two_types_on_one_range_read_each_in_its_own_type(order):
+    """A version-1 footer can point two columns at one byte range. The
+    reader decodes a range once per chunk entry and physical type, so it
+    never hands one type's values to a column of another."""
+    crc = crc32c(TWO_WAY_CHUNK)
+    schema = [("i", INT64), ("b", BYTES)][::order]
+    entries = [{"crc32c": crc, "min": 0, "max": 0}, {"crc32c": crc, "min": "abcd", "max": "efgh"}][::order]
+    parsed = read_file(_v1_file(TWO_WAY_CHUNK, schema, entries))
+    assert parsed.columns == {"i": list(struct.unpack("<2q", TWO_WAY_CHUNK)), "b": [b"abcd", b"efgh"]}
+
+
+def test_v1_columns_on_one_range_check_their_own_crcs():
+    crc = crc32c(TWO_WAY_CHUNK)
+    data = _v1_file(TWO_WAY_CHUNK, [("i", INT64), ("j", INT64)],
+                    [{"crc32c": crc, "min": 0, "max": 0}, {"crc32c": crc ^ 1, "min": 0, "max": 0}])
+    assert read_file(data, ["i"]).columns["i"] == list(struct.unpack("<2q", TWO_WAY_CHUNK))
+    with pytest.raises(ChecksumMismatch) as err:
+        read_file(data)
+    assert err.value.column == "j"
