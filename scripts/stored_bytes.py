@@ -18,7 +18,8 @@ prints the bytes per live row of:
 - then, over every data file, live or not: ``footers`` (each file's
   footer, footer length and both magics) and each column's chunks. A chunk
   that several columns share (format version 5) counts once, under the
-  first of them.
+  first of them; and the number of data files, with their mean footer
+  bytes per file.
 
 The first four add up to ``total``, and the footers and chunks to the data
 files. The exit code is 1 if an operation failed, a CSV differs from the
@@ -35,12 +36,14 @@ from collections import Counter
 from pathlib import Path
 
 
-def breakdown(store_root: Path, live_files: dict) -> tuple[Counter, list[str]]:
-    """Bytes under store_root by part, and the column names in schema order."""
+def breakdown(store_root: Path, live_files: dict) -> tuple[Counter, list[str], int]:
+    """Bytes under store_root by part, the column names in schema order, and
+    the number of data files."""
     from brclake.lakeformat import read_file
 
     parts: Counter = Counter()
     columns: list[str] = []
+    data_files = 0
     objects = store_root / "objects"
     for path in sorted(store_root.rglob("*")):
         if not path.is_file():
@@ -53,6 +56,7 @@ def breakdown(store_root: Path, live_files: dict) -> tuple[Counter, list[str]]:
             parts["log entries"] += size
         else:
             parts["live data files" if key in live_files else "compacted-away data files"] += size
+            data_files += 1
             footer = read_file(path.read_bytes(), projection=()).footer
             stored = set()  # the byte ranges of the chunks counted so far
             for col, chunk in zip(footer.schema, footer.chunks):
@@ -62,19 +66,20 @@ def breakdown(store_root: Path, live_files: dict) -> tuple[Counter, list[str]]:
                     stored.add((chunk.byte_offset, chunk.byte_length))
                     parts[f"chunks: {col.name}"] += chunk.byte_length
             parts["footers"] += size - sum(length for _, length in stored)
-    return parts, columns
+    return parts, columns, data_files
 
 
 def report(name: str, unit: dict, gauge: dict, live_files: dict) -> tuple[list[str], bool]:
     """The lines of one workload's breakdown, and whether its total is the gauge."""
     live_rows = sum(add.rows for add in live_files.values())
-    parts, columns = breakdown(unit["store"].root, live_files)
+    parts, columns, data_files = breakdown(unit["store"].root, live_files)
     files = ("log entries", "live data files", "compacted-away data files", "other files")
     total = sum(parts[part] for part in files)
     lines = [f"{name}: {live_rows} live rows, {len(live_files)} live data files"]
     lines += [f"  {part:<28} {parts[part] / live_rows:9.2f}" for part in files]
     lines.append(f"  {'total':<28} {total / live_rows:9.2f}")
-    lines.append("  data files by part:")
+    lines.append(f"  data files by part ({data_files} files, footers "
+                 f"{parts['footers'] / data_files:.1f} B per file):")
     lines += [f"    {part:<26} {parts[part] / live_rows:9.2f}"
               for part in ["footers", *(f"chunks: {column}" for column in columns)]]
     return lines, total / live_rows == gauge["stored_bytes_per_row"]

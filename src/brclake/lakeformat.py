@@ -10,7 +10,7 @@ File layout, all integers little-endian:
     u32 footer length
     magic "BRCL"
 
-A sequence of BYTES values, as format versions 4 and 5 lay it out, is front-coded:
+A sequence of BYTES values, as format versions 4 to 6 lay it out, is front-coded:
 
     u8 width, 1 or 4 (1 where every length below is under 256)
     per value, its prefix length: the bytes it shares with the value
@@ -18,7 +18,7 @@ A sequence of BYTES values, as format versions 4 and 5 lay it out, is front-code
     per value, its suffix length: the bytes that follow that prefix
     the suffixes, back to back
 
-Encodings, as format versions 4 and 5 lay them out:
+Encodings, as format versions 4 to 6 lay them out:
 
     PLAIN  INT64: 8 bytes/value. BYTES: one front-coded sequence.
            BOOL: one byte per value, 0 or 1.
@@ -54,32 +54,53 @@ Chunks carry a CRC-32C over exactly their encoded bytes and min/max stats
 payload holds no timestamps, so identical input yields identical bytes on
 any platform.
 
-The writer writes format version 5, whose footer is binary and laid out as
-those of versions 2 to 4. Its strings and stats are PLAIN values in the
-footer's version: a string is a BYTES sequence of one (a u32 length and its
-bytes before version 4; names and the writer in UTF-8), and min and max are
-PLAIN in their column's type, the pair one sequence for BYTES.
+The writer writes format version 6, whose footer is binary and laid out as
+those of versions 2 to 5 but for a schema index. Its strings and stats are
+PLAIN values in the footer's version: a string is a BYTES sequence of one (a
+u32 length and its bytes before version 4; names and the writer in UTF-8),
+and min and max are PLAIN in their column's type, the pair one sequence for
+BYTES.
 
-    u8 version (5, 4, 3 or 2), u32 row_count, u32 column count, writer string
+    u8 version (6, 5, 4, 3 or 2), u32 row_count,
+    from version 6, u8 schema index: 0 where the schema is spelled out
+        below, k for the k-th entry of ``KNOWN_SCHEMAS`` (from 1),
+    u32 column count, writer string
     per column, in schema order:
-        name string, u8 physical type (0 INT64, 1 BYTES, 2 BOOL), then
-        either, for a column that stores its chunk:
+        for a spelled-out schema, name string and u8 physical type
+        (0 INT64, 1 BYTES, 2 BOOL); nothing for a known one; then either,
+        for a column that stores its chunk:
             u8 encoding, u32 chunk byte length, u32 chunk CRC-32C,
             min and max: i64 each for INT64, one byte 0 or 1 each for BOOL,
-            a sequence of two values of at most 64 raw bytes for BYTES
+            a sequence of two values of at most 64 raw bytes for BYTES;
+            in a known schema, only for the entry's stats columns
         or, from version 5, for a column that shares an earlier column's:
             u8 0xFF, u32 the index of that column
     u32 CRC-32C over every footer byte before it
 
+``KNOWN_SCHEMAS`` is a static table of schemas, as HPACK's static table
+(RFC 7541) is of headers. An entry gives its columns' names and physical
+types, in order, and the columns whose stats a file of it keeps. A version-6
+writer matches a schema to an entry by names and types alone, never by
+values. A file of a known schema stores the entry's index in place of its
+names and types, and min and max for the entry's stats columns only; the
+reader rebuilds the names and types from the entry and gives every other
+column that stores its chunk min = max = None. Any other schema is spelled
+out, index 0, with every stat, as in version 5. An entry never changes once
+a file uses it, and a new schema gets a new entry at the end. The one entry,
+index 1, is the trades table's (``events.TABLE_COLUMNS``), with stats on
+``event_time_us`` and ``symbol``, those ``lakehouse.read_data_file`` checks.
+
 Where a column's values equal those of an earlier column of its physical
-type, a version-5 writer stores no chunk and no stats for it: its footer
-entry names the first such column, which stores its own. The rule reads
-values only, never names. Files whose ingest times are their event times
-(``ingest_time_mode="event_time"``) so store ``ingest_time_us`` once; with
-wall-clock ingest times no two columns are equal, every column stores its
-chunk, and the check costs one dict lookup per column. The reader gives a
-shared column its source's ``ColumnChunk`` (the same object), and fetches,
-checks and decodes each chunk once.
+type, a writer from version 5 on stores no chunk and no stats for it: its
+footer entry names the first such column, which stores its own. The rule
+reads values only, never names, but in a known schema a stats column shares
+only a stats column's chunk, so its stats are always stored. Files whose
+ingest times are their event times (``ingest_time_mode="event_time"``) so
+store ``ingest_time_us`` once; with wall-clock ingest times no two columns
+are equal, every column stores its chunk, and the check costs one dict
+lookup per column. The reader gives a shared column its source's
+``ColumnChunk`` (the same object), and fetches, checks and decodes each
+chunk once.
 
 A chunk holds row_count values, the stored chunks tile the bytes between
 the leading magic and the footer, so each starts where the one before it
@@ -90,7 +111,7 @@ The reader also reads format version 1, whose footer is the UTF-8 JSON
 object of ``FileFooter`` with sorted keys, written by ``localfile``'s record
 codec (a chunk's encoding by its member name, BYTES stats as latin-1
 text). A footer's first byte tells the versions apart: ``{`` is version 1,
-``0x02`` to ``0x05`` versions 2 to 5, anything else is unsupported, and the
+``0x02`` to ``0x06`` versions 2 to 6, anything else is unsupported, and the
 reader decodes each chunk in its footer's version's layout. A version-1
 footer may point two columns at one byte range; the reader decodes a range
 once per chunk entry (offset, length, CRC-32C, encoding) and physical type,
@@ -124,7 +145,7 @@ from .fixedpoint import I64_MAX, I64_MIN
 from .localfile import read_json, record_from_json
 
 MAGIC = b"BRCL"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 DEFAULT_WRITER = "brclake/1"
 STATS_TRUNCATE_BYTES = 64
 
@@ -156,11 +177,34 @@ class ColumnSchema:
             raise ValueError(f"bad physical type {self.physical_type!r}")
 
 
+@dataclass(frozen=True)
+class KnownSchema:
+    """An entry of the static schema table (format version 6): a schema's
+    columns, in order, and the names of those whose stats its files keep."""
+
+    columns: tuple[ColumnSchema, ...]
+    stats: frozenset[str]
+
+
+# The static schema table; a version-6 footer names an entry by its place
+# here, from 1. Append only: an entry never changes once a file uses it. The
+# trades columns are a literal of their own, since events imports this module.
+KNOWN_SCHEMAS = (
+    KnownSchema(tuple(ColumnSchema(name, physical_type) for name, physical_type in (
+        ("event_time_us", INT64), ("ingest_time_us", INT64), ("source", BYTES), ("stream", BYTES),
+        ("symbol", BYTES), ("sequence", INT64), ("event_id", BYTES), ("price_e8", INT64), ("qty_e8", INT64),
+        ("side", BYTES))), frozenset({"event_time_us", "symbol"})),
+)
+_SCHEMA_INDEX = {entry.columns: index for index, entry in enumerate(KNOWN_SCHEMAS, 1)}
+
+
 @dataclass
 class ColumnChunk:
     """A chunk's place, coding and stats. A BYTES stat is bytes, held as
     latin-1 text only in a version-1 footer's JSON. A column that shares an
-    earlier column's chunk (version 5) holds that column's ColumnChunk."""
+    earlier column's chunk (version 5) holds that column's ColumnChunk. In a
+    version-6 file of a known schema, a column that is none of its entry's
+    stats columns has no stored stats: min = max = None."""
 
     encoding: Encoding
     value_count: int
@@ -193,16 +237,19 @@ _U64_MOD = 1 << 64
 _VALUE_TYPES = {INT64: {int}, BYTES: {bytes, bytearray}, BOOL: {bool}}
 
 
-def _column_bounds(values: Sequence[Any], physical_type: str) -> tuple[Any, Any] | None:
+def _column_bounds(values: Sequence[Any], physical_type: str, stats: bool = True) -> tuple[Any, Any] | None:
     """(min, max) of a non-empty column whose every value has its physical
-    type; None if any value does not. INT64 values are ints (not bools)
-    within int64, BYTES values bytes or bytearray, BOOL values bools."""
+    type, or (None, None) where stats is false; None if any value does not.
+    INT64 values are ints (not bools) within int64, BYTES values bytes or
+    bytearray, BOOL values bools."""
     if not set(map(type, values)) <= _VALUE_TYPES[physical_type]:
         return None
-    lo, hi = min(values), max(values)
-    if physical_type == INT64 and (lo < I64_MIN or hi > I64_MAX):
-        return None
-    return lo, hi
+    if physical_type == INT64:
+        lo, hi = min(values), max(values)  # the int64 range check needs them, stats or not
+        if lo < I64_MIN or hi > I64_MAX:
+            return None
+        return (lo, hi) if stats else (None, None)
+    return (min(values), max(values)) if stats else (None, None)
 
 
 def _plain_values(values: Sequence[Any], physical_type: str, format_version: int) -> Iterable[bytes]:
@@ -661,12 +708,15 @@ def _validate_schema(schema: Sequence[ColumnSchema]) -> None:
 def write_file(rows: Sequence[Sequence[Any]], schema: Sequence[ColumnSchema]) -> bytes:
     """Serialize rows to a complete .brcl file; byte-identical across runs.
     A column whose values equal an earlier column's of its type stores no
-    chunk: it shares the first such column's."""
+    chunk: it shares the first such column's. A schema that is a known one
+    is named by its index, and only its stats columns keep stats."""
     _validate_schema(schema)
     if not rows:
         raise SchemaViolation(0, "", "row_count must be >= 1")
 
-    columns = _checked_columns(rows, schema)
+    index = _SCHEMA_INDEX.get(tuple(schema), 0)
+    keeps_stats = [not index or col.name in KNOWN_SCHEMAS[index - 1].stats for col in schema]
+    columns = _checked_columns(rows, schema, keeps_stats)
     parts = [MAGIC]
     offset = len(MAGIC)
     chunks, sources = [], []
@@ -676,34 +726,38 @@ def write_file(rows: Sequence[Sequence[Any]], schema: Sequence[ColumnSchema]) ->
             source = stored.setdefault((col.physical_type, values), i)
         except TypeError:  # a bytearray cell has no hash: key on the bytes of every cell
             source = stored.setdefault((col.physical_type, tuple(map(bytes, values))), i)
+        if keeps_stats[i] and not keeps_stats[source]:  # a stats column shares only a chunk with stats
+            source = i
         sources.append(source)
         if source < i:
             chunks.append(chunks[source])
             continue
         encoding, encoded = _encode_smallest(values, col.physical_type)
-        if col.physical_type == BYTES:
+        if col.physical_type == BYTES and keeps_stats[i]:
             lo, hi = bytes(lo[:STATS_TRUNCATE_BYTES]), bytes(hi[:STATS_TRUNCATE_BYTES])
         chunks.append(ColumnChunk(encoding, len(values), offset, len(encoded), crc32c(encoded), lo, hi))
         parts.append(encoded)
         offset += len(encoded)
 
     footer_bytes = _encode_footer(FileFooter(FORMAT_VERSION, len(rows), list(schema), chunks, DEFAULT_WRITER),
-                                  sources)
+                                  sources, index)
     parts.append(footer_bytes)
     parts.append(_U32.pack(len(footer_bytes)))
     parts.append(MAGIC)
     return b"".join(parts)
 
 
-def _checked_columns(rows: Sequence[Sequence[Any]], schema: Sequence[ColumnSchema]) -> list[tuple]:
-    """(values, (min, max)) of each column of rows. The first bad cell in
-    row-major order raises SchemaViolation: a row with the wrong number of
-    cells, or a value not of its column's physical type."""
+def _checked_columns(rows: Sequence[Sequence[Any]], schema: Sequence[ColumnSchema],
+                     keeps_stats: Sequence[bool]) -> list[tuple]:
+    """(values, (min, max)) of each column of rows, (values, (None, None))
+    where keeps_stats is false. The first bad cell in row-major order raises
+    SchemaViolation: a row with the wrong number of cells, or a value not of
+    its column's physical type."""
     width = len(schema)
     ragged = None if set(map(len, rows)) == {width} else next(
         r for r, row in enumerate(rows) if len(row) != width)
     columns = list(zip(*(rows if ragged is None else rows[:ragged])))
-    bounds = [_column_bounds(values, col.physical_type) for col, values in zip(schema, columns)]
+    bounds = list(map(_column_bounds, columns, [col.physical_type for col in schema], keeps_stats))
     if None in bounds:
         r, c = min((next(r for r, v in enumerate(values) if _column_bounds((v,), col.physical_type) is None), c)
                    for c, (col, values) in enumerate(zip(schema, columns)) if bounds[c] is None)
@@ -716,75 +770,105 @@ def _checked_columns(rows: Sequence[Sequence[Any]], schema: Sequence[ColumnSchem
 
 # -- footer codec --------------------------------------------------------------------------
 
-_FOOTER_HEAD = struct.Struct("<BII")  # format version, row_count, column count
-_FOOTER_COLUMN = struct.Struct("<BB")  # physical type, encoding (or _SHARED)
-_FOOTER_CHUNK = struct.Struct("<II")  # chunk byte length, chunk CRC-32C
+_FOOTER_HEAD = struct.Struct("<BII")  # format version, row_count, column count (versions 2 to 5)
+_FOOTER_HEAD_V6 = struct.Struct("<BIBI")  # format version, row_count, schema index, column count
+_FOOTER_TYPE = struct.Struct("<B")  # physical type, of a spelled-out column
+_FOOTER_CHUNK = struct.Struct("<BII")  # encoding, chunk byte length, chunk CRC-32C
+_FOOTER_SHARED = struct.Struct("<BI")  # _SHARED, the column whose chunk it shares
 _SHARED = 0xFF  # from version 5, the encoding byte of a column that shares an earlier column's chunk
-_BINARY_FOOTER_VERSIONS = (2, 3, 4, 5)
+_BINARY_FOOTER_VERSIONS = (2, 3, 4, 5, 6)
 
 
-def _encode_footer(footer: FileFooter, sources: Sequence[int]) -> bytes:
-    """The binary footer bytes of footer, its CRC-32C last. Strings and
-    stats are PLAIN-encoded values. sources[i] is the column whose chunk
-    column i stores: i itself, or in version 5 an earlier column's."""
+def _encode_footer(footer: FileFooter, sources: Sequence[int], index: int) -> bytes:
+    """The version-6 binary footer bytes of footer, its CRC-32C last.
+    Strings and stats are PLAIN-encoded values. sources[i] is the column
+    whose chunk column i stores: i itself, or an earlier column's. index
+    names the footer's entry of KNOWN_SCHEMAS, or is 0 to spell it out."""
     version = footer.format_version
-    parts = [_FOOTER_HEAD.pack(version, footer.row_count, len(footer.schema)),
+    stats = KNOWN_SCHEMAS[index - 1].stats if index else None
+    parts = [_FOOTER_HEAD_V6.pack(version, footer.row_count, index, len(footer.schema)),
              _encode_plain([footer.writer.encode()], BYTES, version)]
     for i, (col, chunk, source) in enumerate(zip(footer.schema, footer.chunks, sources)):
-        code = PHYSICAL_TYPES.index(col.physical_type)
-        parts.append(_encode_plain([col.name.encode()], BYTES, version))
+        if stats is None:
+            parts += (_encode_plain([col.name.encode()], BYTES, version),
+                      _FOOTER_TYPE.pack(PHYSICAL_TYPES.index(col.physical_type)))
         if source < i:
-            parts += (_FOOTER_COLUMN.pack(code, _SHARED), _U32.pack(source))
-        else:
-            parts += (_FOOTER_COLUMN.pack(code, chunk.encoding), _FOOTER_CHUNK.pack(chunk.byte_length, chunk.crc32c),
-                      _encode_plain([chunk.min, chunk.max], col.physical_type, version))
+            parts.append(_FOOTER_SHARED.pack(_SHARED, source))
+            continue
+        parts.append(_FOOTER_CHUNK.pack(chunk.encoding, chunk.byte_length, chunk.crc32c))
+        if stats is None or col.name in stats:
+            parts.append(_encode_plain([chunk.min, chunk.max], col.physical_type, version))
     body = b"".join(parts)
     return body + _U32.pack(crc32c(body))
 
 
 def _decode_footer(data: bytes, footer_start: int) -> FileFooter:
-    """The binary footer data (version 2 to 5) of a file whose stored chunks
-    end at footer_start: its CRC-32C checked first, then every field, the
-    stored chunks tiling the chunk region, and a shared column's chunk
-    entry that of the earlier column it names. FooterCorrupt for any other
-    bytes."""
+    """The binary footer data (version 2 to 6) of a file whose stored chunks
+    end at footer_start: its CRC-32C checked first, then every field, a
+    known schema's index and column count, the stored chunks tiling the
+    chunk region, and a shared column's chunk entry that of the earlier
+    column it names. FooterCorrupt for any other bytes."""
     body, crc = data[:-4], data[-4:]
     if len(crc) < 4 or crc32c(body) != _U32.unpack(crc)[0]:
         raise FooterCorrupt("footer CRC-32C mismatch")
     try:
-        version, row_count, n_columns = _FOOTER_HEAD.unpack_from(body)
-        (writer,), pos = _decode_plain(body, BYTES, 1, _FOOTER_HEAD.size, version)
+        version, index = body[0], 0
+        if version >= 6:
+            _, row_count, index, n_columns = _FOOTER_HEAD_V6.unpack_from(body)
+            pos = _FOOTER_HEAD_V6.size
+        else:
+            _, row_count, n_columns = _FOOTER_HEAD.unpack_from(body)
+            pos = _FOOTER_HEAD.size
+        entry = None
+        if index:
+            if index > len(KNOWN_SCHEMAS):
+                raise FooterCorrupt(f"unknown schema index {index}")
+            entry = KNOWN_SCHEMAS[index - 1]
+            if n_columns != len(entry.columns):
+                raise FooterCorrupt(f"{n_columns} columns where schema {index} has {len(entry.columns)}")
+        (writer,), pos = _decode_plain(body, BYTES, 1, pos, version)
         schema, chunks, shared = [], [], set()
         offset = len(MAGIC)
         for i in range(n_columns):
-            (name,), pos = _decode_plain(body, BYTES, 1, pos, version)
-            code, encoding = _FOOTER_COLUMN.unpack_from(body, pos)
-            pos += _FOOTER_COLUMN.size
-            if code >= len(PHYSICAL_TYPES):
-                raise FooterCorrupt(f"unknown physical type code {code}")
-            col = ColumnSchema(name.decode(), PHYSICAL_TYPES[code])
-            if encoding == _SHARED and version >= 5:
-                (source,) = _U32.unpack_from(body, pos)
-                pos += _U32.size
+            if entry is None:
+                (name,), pos = _decode_plain(body, BYTES, 1, pos, version)
+                (code,) = _FOOTER_TYPE.unpack_from(body, pos)
+                pos += _FOOTER_TYPE.size
+                if code >= len(PHYSICAL_TYPES):
+                    raise FooterCorrupt(f"unknown physical type code {code}")
+                col = ColumnSchema(name.decode(), PHYSICAL_TYPES[code])
+            else:
+                col = entry.columns[i]
+            keeps_stats = entry is None or col.name in entry.stats
+            if body[pos] == _SHARED and version >= 5:
+                _, source = _FOOTER_SHARED.unpack_from(body, pos)
+                pos += _FOOTER_SHARED.size
                 if source >= i or source in shared or schema[source].physical_type != col.physical_type:
                     raise FooterCorrupt(f"column {col.name!r} shares the chunk of column {source}, "
                                         f"not an earlier {col.physical_type} column that stores its own")
+                if keeps_stats and chunks[source].min is None:
+                    raise FooterCorrupt(f"stats column {col.name!r} shares the chunk of column {source}, "
+                                        f"which keeps no stats")
                 shared.add(i)
                 chunk = chunks[source]
             else:
-                length, chunk_crc = _FOOTER_CHUNK.unpack_from(body, pos)
-                (lo, hi), pos = _decode_plain(body, col.physical_type, 2, pos + _FOOTER_CHUNK.size, version)
-                if col.physical_type == BYTES and max(len(lo), len(hi)) > STATS_TRUNCATE_BYTES:
-                    raise FooterCorrupt(f"stats of {col.name!r} longer than {STATS_TRUNCATE_BYTES} bytes")
+                encoding, length, chunk_crc = _FOOTER_CHUNK.unpack_from(body, pos)
+                pos += _FOOTER_CHUNK.size
+                lo = hi = None
+                if keeps_stats:
+                    (lo, hi), pos = _decode_plain(body, col.physical_type, 2, pos, version)
+                    if col.physical_type == BYTES and max(len(lo), len(hi)) > STATS_TRUNCATE_BYTES:
+                        raise FooterCorrupt(f"stats of {col.name!r} longer than {STATS_TRUNCATE_BYTES} bytes")
                 chunk = ColumnChunk(Encoding(encoding), row_count, offset, length, chunk_crc, lo, hi)
                 offset += length
             schema.append(col)
             chunks.append(chunk)
         footer = FileFooter(version, row_count, schema, chunks, writer.decode())
-        _validate_schema(schema)
+        if entry is None:
+            _validate_schema(schema)
     # a field past the footer's end, a BOOL stat above 1, a name or writer
     # not UTF-8, an unknown encoding, a bad or repeated column name
-    except (struct.error, CorruptChunk, ValueError) as exc:
+    except (struct.error, IndexError, CorruptChunk, ValueError) as exc:
         raise FooterCorrupt(f"bad footer: {exc}") from None
     if pos != len(body):
         raise FooterCorrupt(f"{len(body) - pos} trailing footer bytes")

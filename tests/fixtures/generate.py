@@ -1,18 +1,27 @@
 #!/usr/bin/env python3
-"""Write the format-version-4 fixtures of this directory.
+"""Write the fixtures of one format version into ``tests/fixtures/vN/``.
 
-    python3 tests/fixtures/v4/generate.py --src PATH
+    python3 tests/fixtures/generate.py --version N --src PATH
 
 PATH is the ``src/`` directory of a checkout whose ``lakeformat`` writes
-format version 4 (a binary footer, bit-packed DICT indices, DELTA blocks of
-byte planes, front-coded BYTES values, and a chunk for every column); the
-fixtures exist to pin that writer's bytes, so a writer of any other version
-refuses to run this. It writes, into this directory:
+format version N; the fixtures exist to pin that writer's bytes, so a writer
+of any other version refuses to run this. The writers of each version:
+
+- 1: a JSON footer;
+- 2: a binary footer, u32 DICT indices and varint DELTA deltas;
+- 3: bit-packed DICT indices, DELTA blocks of byte planes, and BYTES values
+  each a u32 length and its bytes;
+- 4: front-coded BYTES values, and a chunk for every column;
+- 5: a column whose values equal an earlier column's shares its chunk, and
+  every footer spells out its column names, types and stats.
+
+It writes, into ``vN/``:
 
 - ``store/``: an ``FsStore`` root holding table ``trades``. Three exports
-  each add an 8-row file to partitions BTC-USD and ETH-USD of one day, then
-  BTC-USD alone is compacted, so BTC-USD holds one merged file and ETH-USD
-  three. Their ``side`` chunks are DICT, their times DELTA, their
+  each add a file to partitions BTC-USD and ETH-USD of one day (4 rows a
+  file for version 1, 8 from version 2 on), then BTC-USD alone is
+  compacted, so BTC-USD holds one merged file and ETH-USD three. From
+  version 3 on, their ``side`` chunks are DICT, their times DELTA, their
   ``symbol`` chunks RLE and their ``event_id`` chunks PLAIN;
 - ``events.csv``: ``query.export_events`` over a scan of the whole table;
 - ``small.brcl``: ``write_file([(1, b"x", True), (2, b"y", False)], SCHEMA)``
@@ -35,7 +44,11 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 T0 = 1_614_816_000_000_000  # 2021-03-04T00:00:00Z
 SYMBOLS = ("BTC-USD", "ETH-USD")
-EXPORTS, ROWS_PER_FILE = 3, 8
+EXPORTS = 3
+
+
+def rows_per_file(version: int) -> int:
+    return 4 if version == 1 else 8
 
 
 def pin_nondeterminism() -> None:
@@ -55,8 +68,10 @@ def pin_nondeterminism() -> None:
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--version", type=int, required=True)
     parser.add_argument("--src", type=Path, required=True)
-    sys.path.insert(0, str(parser.parse_args(argv).src.resolve()))
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
     pin_nondeterminism()
 
     from brclake import etl, lakeformat
@@ -66,33 +81,36 @@ def main(argv: list[str]) -> int:
     from brclake.query import ScanRequest, export_events, scan
     from brclake.staging import StagingStore
 
-    if lakeformat.FORMAT_VERSION != 4:
-        sys.exit(f"the writer under --src writes format version {lakeformat.FORMAT_VERSION}, not 4")
+    if lakeformat.FORMAT_VERSION != args.version:
+        sys.exit(f"the writer under --src writes format version {lakeformat.FORMAT_VERSION}, not {args.version}")
+    out = HERE / f"v{args.version}"
+    out.mkdir(exist_ok=True)
     schema = [lakeformat.ColumnSchema("ts", lakeformat.INT64), lakeformat.ColumnSchema("sym", lakeformat.BYTES),
               lakeformat.ColumnSchema("up", lakeformat.BOOL)]
-    (HERE / "small.brcl").write_bytes(lakeformat.write_file([(1, b"x", True), (2, b"y", False)], schema))
+    (out / "small.brcl").write_bytes(lakeformat.write_file([(1, b"x", True), (2, b"y", False)], schema))
 
-    shutil.rmtree(HERE / "store", ignore_errors=True)
-    store = FsStore(HERE / "store")
+    shutil.rmtree(out / "store", ignore_errors=True)
+    store = FsStore(out / "store")
     table = LakeTable(store, "trades")
     table.init(etl.SCHEMA_ID, etl.TABLE_COLUMNS)
+    n = rows_per_file(args.version)
     with tempfile.TemporaryDirectory() as staging_dir:
         staging = StagingStore(Path(staging_dir))
         for k in range(EXPORTS):
             events = [
                 MarketEvent(source="syn", stream="trade", symbol=symbol,
-                            event_time_us=T0 + (k * ROWS_PER_FILE + i) * 60_000_000,
-                            ingest_time_us=T0 + (k * ROWS_PER_FILE + i) * 60_000_000 + 500,
-                            sequence=k * ROWS_PER_FILE + i, event_id=f"{symbol}-{k}-{i}",
+                            event_time_us=T0 + (k * n + i) * 60_000_000,
+                            ingest_time_us=T0 + (k * n + i) * 60_000_000 + 500,
+                            sequence=k * n + i, event_id=f"{symbol}-{k}-{i}",
                             price_e8=(30_000 + 7 * i - 3 * k) * 10**8, qty_e8=(i % 3 + 1) * 10**7,
                             side=("buy", "sell")[(i + k) % 2])
-                for symbol in SYMBOLS for i in range(ROWS_PER_FILE)
+                for symbol in SYMBOLS for i in range(n)
             ]
             with staging.open_session("c") as session:
                 session.append_batch(events)
             etl.export_all(staging, store, table, "c")
     etl.compact(store, table, PartitionKey("BTC-USD", "2021-03-04"))
-    with open(HERE / "events.csv", "wb") as sink:
+    with open(out / "events.csv", "wb") as sink:
         export_events(scan(store, table, ScanRequest("trades", (T0, T0 + 86_400_000_000), set(SYMBOLS))),
                       "csv", sink)
     return 0

@@ -795,6 +795,24 @@ def test_a_swapped_file_is_refused_before_any_chunk_is_decoded(tmp_path, monkeyp
     assert read_data_file(store, eth).footer.row_count == 5 and len(decoded) == len(TABLE_COLUMNS) - 1
 
 
+def test_a_swap_between_two_v6_trades_files_of_equal_size_is_data_file_mismatch(tmp_path):
+    """Their footers name the trades schema and keep only the stats that
+    read_data_file checks, which still tell the two files apart."""
+    store, staging, table = _env(tmp_path)
+    _stage(staging, _trades(3, "BTC-USD") + _trades(3, "ETH-USD"))
+    export_all(staging, store, table, "c")
+    adds = {add.partition.symbol: add for add in table.snapshot_at().live_files.values()}
+    btc, eth = store.get(adds["BTC-USD"].path), store.get(adds["ETH-USD"].path)
+    assert len(btc) == len(eth) and read_file(btc).footer.format_version == lakeformat.FORMAT_VERSION == 6
+    assert read_file(btc).footer.chunks[2].min is None  # a known schema's footer: no stats of source
+    store.put(adds["BTC-USD"].path, eth)
+    store.put(adds["ETH-USD"].path, btc)
+    for add in adds.values():
+        with pytest.raises(DataFileMismatch) as err:
+            read_data_file(store, add)
+        assert err.value.path == add.path
+
+
 def test_audit_reports_a_swapped_file_as_mismatched(tmp_path):
     store, _, table, btc = _swapped_table(tmp_path)
     report = table.audit()

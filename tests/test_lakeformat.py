@@ -17,16 +17,19 @@ from brclake.errors import (
     IllegalEncoding,
     SchemaViolation,
 )
+from brclake.etl import TABLE_SCHEMA
 from brclake.events import TABLE_COLUMNS
 from brclake.lakeformat import (
     BOOL,
     BYTES,
     FORMAT_VERSION,
     INT64,
+    KNOWN_SCHEMAS,
     MAGIC,
     STATS_TRUNCATE_BYTES,
     ColumnSchema,
     Encoding,
+    KnownSchema,
     choose_encoding,
     decode_column,
     encode_column,
@@ -374,11 +377,11 @@ def test_bad_magic_and_footer():
 
 
 # The bytes write_file([(1, b"x", True), (2, b"y", False)], SCHEMA) gave under
-# format version 1, whose footer is JSON (tests/fixtures/v1/generate.py).
+# format version 1, whose footer is JSON (tests/fixtures/generate.py --version 1).
 V1_SMALL = (Path(__file__).resolve().parent / "fixtures" / "v1" / "small.brcl").read_bytes()
-# The same call's bytes under format version 2 (tests/fixtures/v2/generate.py).
+# The same call's bytes under format version 2 (--version 2).
 V2_SMALL = (Path(__file__).resolve().parent / "fixtures" / "v2" / "small.brcl").read_bytes()
-# ... and under format version 3 (tests/fixtures/v3/generate.py).
+# ... and under format version 3 (--version 3).
 V3_SMALL = (Path(__file__).resolve().parent / "fixtures" / "v3" / "small.brcl").read_bytes()
 
 
@@ -625,7 +628,7 @@ def test_mixed_table_bytes_are_pinned():
     parsed = read_file(data)
     assert [c.encoding.name for c in parsed.footer.chunks] == [
         "DELTA", "DICT", "DELTA", "DICT", "PLAIN", "PLAIN", "DICT", "DICT", "PLAIN"]
-    assert hashlib.sha256(data).hexdigest() == "2faf272bd28f6b5d8aed09fa402da8f1c23702f6aa777aab6edb61323884db9b"
+    assert hashlib.sha256(data).hexdigest() == "b687a1da6b88ed1e8702faa6f648fd89ad3fa7bc1867a5b1250748b87c160080"
     (footer_len,) = struct.unpack("<I", data[-8:-4])
     assert hashlib.sha256(data[4:len(data) - 8 - footer_len]).hexdigest() == (
         "b2ef4e61e2a1bee2945773f7d77740e6849f2cd0142f18acd1e0836fa39d8792")
@@ -653,19 +656,29 @@ def _strings(*values: bytes, version: int = FORMAT_VERSION) -> bytes:
 
 
 def _v2_footer(row_count, columns, count=None, writer=b"brclake/1", tail=b"", version=FORMAT_VERSION,
-               layout=None) -> bytes:
-    """Footer bytes in the version-2 layout, which versions 3 to 5 keep,
+               layout=None, index=None) -> bytes:
+    """Footer bytes in the version-2 layout, which versions 3 to 6 keep,
     built field by field as the module docstring lays them out, with strings
     coded as in format version layout (default: version). columns are
     [name, type code, encoding, chunk byte length, chunk CRC-32C, stats
     bytes], or for a version-5 column that shares an earlier column's chunk
     [name, type code, 0xFF, that column's index]; count overrides the
-    column count, and tail goes between the last column and the CRC."""
+    column count, and tail goes between the last column and the CRC. index
+    is the version-6 schema index, by default 0 from version 6 on and none
+    before; where it is not 0, each column's name and type code are left
+    out."""
     layout = version if layout is None else layout
-    body = struct.pack("<BII", version, row_count, len(columns) if count is None else count)
+    index = (0 if layout >= 6 else None) if index is None else index
+    count = len(columns) if count is None else count
+    if index is None:
+        body = struct.pack("<BII", version, row_count, count)
+    else:
+        body = struct.pack("<BIBI", version, row_count, index, count)
     body += _strings(writer, version=layout)
     for name, code, encoding, *rest in columns:
-        body += _strings(name, version=layout) + struct.pack("<BB", code, encoding)
+        if not index:
+            body += _strings(name, version=layout) + struct.pack("<B", code)
+        body += struct.pack("<B", encoding)
         if len(rest) == 1:
             body += struct.pack("<I", *rest)
         else:
@@ -749,7 +762,8 @@ def _string_past_footer(version: int) -> bytes:
 MALFORMED_V2 = {
     "empty_footer": lambda version: _with_v2_footer(_small_file(version), b""),
     "shorter_than_a_crc": lambda version: _with_v2_footer(_small_file(version), b"\x02\x00\x00"),
-    "version_6": _edit(lambda columns, version: {"version": 6, "layout": version}),
+    f"version_{FORMAT_VERSION + 1}": _edit(lambda columns, version: {"version": FORMAT_VERSION + 1,
+                                                                       "layout": version}),
     "truncated_head": lambda version: _with_v2_footer(_small_file(version), _sealed(bytes([version, 2, 0, 0, 0, 3]))),
     "truncated_stats": _edit(_set(2, 5, b"\x00")),
     "string_past_footer": _edit(_set(1, 5, _string_past_footer)),
@@ -1268,16 +1282,192 @@ for name, build in sorted(MALFORMED_V5.items()):
     assert result.stdout.splitlines() == [f"{name} FooterCorrupt" for name in sorted(MALFORMED_V5)], result.stderr
 
 
+# The trades table's ten columns, ingested at their event times as under
+# ``ingest_time_mode="event_time"``, so ingest_time_us shares a chunk.
+TRADES_SCHEMA = [ColumnSchema(name, physical_type) for name, physical_type in TABLE_COLUMNS]
+TRADES_ROWS = [(1_600_000_000_000_000 + i * 1_000, 1_600_000_000_000_000 + i * 1_000, b"coinbase", b"trades",
+                b"BTC-USD", i, f"cb-{i:06d}".encode(), 3_000_000_000_000 + i * 7, (i % 5) * 10**6,
+                [b"buy", b"sell"][i % 2]) for i in range(8)]
+RENAMED_TRADES = [*TRADES_SCHEMA[:-1], ColumnSchema("sides", BYTES)]  # no known schema
+
+
 def test_every_bit_flip_of_a_v5_footer_with_a_shared_entry_is_footer_corrupt():
     """A file of the trades table's ten columns whose ingest times are its
-    event times, as in ``ingest_time_mode="event_time"``."""
-    rows = [(1_600_000_000_000_000 + i * 1_000, 1_600_000_000_000_000 + i * 1_000, b"coinbase", b"trades",
-             b"BTC-USD", i, f"cb-{i:06d}".encode(), 3_000_000_000_000 + i * 7, (i % 5) * 10**6,
-             [b"buy", b"sell"][i % 2]) for i in range(8)]
-    data = write_file(rows, [ColumnSchema(name, physical_type) for name, physical_type in TABLE_COLUMNS])
+    event times. From version 6 on its footer names the trades schema by
+    index, so this sweeps a known schema's footer with a shared entry."""
+    data = write_file(TRADES_ROWS, TRADES_SCHEMA)
     parsed = read_file(data)
-    assert parsed.rows() == rows and parsed.footer.chunks[1] is parsed.footer.chunks[0]
-    _assert_every_bit_flip_is_footer_corrupt(data, 5)
+    assert parsed.rows() == TRADES_ROWS and parsed.footer.chunks[1] is parsed.footer.chunks[0]
+    _assert_every_bit_flip_is_footer_corrupt(data, FORMAT_VERSION)
+
+
+def test_every_bit_flip_of_a_spelled_out_v6_footer_with_a_shared_entry_is_footer_corrupt():
+    data = _share_file()
+    assert data[_footer_region(data)[0] + 5] == 0  # schema index 0: spelled out
+    _assert_every_bit_flip_is_footer_corrupt(data, FORMAT_VERSION)
+
+
+# -- format version 6: a known schema's footer names its entry -------------------------------
+
+def test_the_static_schema_table_is_pinned():
+    """Files name an entry by its index, so an entry edited in place would
+    misread every file that names it; a new schema gets a new entry."""
+    assert KNOWN_SCHEMAS == (
+        KnownSchema((ColumnSchema("event_time_us", INT64), ColumnSchema("ingest_time_us", INT64),
+                     ColumnSchema("source", BYTES), ColumnSchema("stream", BYTES), ColumnSchema("symbol", BYTES),
+                     ColumnSchema("sequence", INT64), ColumnSchema("event_id", BYTES),
+                     ColumnSchema("price_e8", INT64), ColumnSchema("qty_e8", INT64), ColumnSchema("side", BYTES)),
+                    frozenset({"event_time_us", "symbol"})),
+    )
+
+
+def test_the_trades_table_is_a_known_schema():
+    """Were it not, the trades table's footers would fall back to spelling
+    out their names and every stat, and its stored bytes would grow."""
+    (index,) = [index for index, entry in enumerate(KNOWN_SCHEMAS, 1)
+                if [(col.name, col.physical_type) for col in entry.columns] == TABLE_COLUMNS]
+    data = write_file(TRADES_ROWS, TABLE_SCHEMA)
+    start, _ = _footer_region(data)
+    assert data[start:start + 6] == struct.pack("<BIB", FORMAT_VERSION, len(TRADES_ROWS), index)
+
+
+def _trades_columns(data: bytes) -> list[list]:
+    """The footer fields of a file of TRADES_ROWS, column by column, as
+    _v2_footer takes them: no names, and stats for event_time_us and symbol
+    only."""
+    chunks = read_file(data).footer.chunks
+    columns = [[b"", 0, chunk.encoding, chunk.byte_length, chunk.crc32c, b""] for chunk in chunks]
+    columns[0][5] = struct.pack("<qq", TRADES_ROWS[0][0], TRADES_ROWS[-1][0])
+    columns[1] = [b"", 0, 0xFF, 0]
+    columns[4][5] = bytes([1, 0, 7, 7, 0]) + b"BTC-USD"  # the pair front-coded: the second shares all 7 bytes
+    return columns
+
+
+def test_v6_known_schema_footer_layout_is_pinned():
+    data = write_file(TRADES_ROWS, TRADES_SCHEMA)
+    start, footer_len = _footer_region(data)
+    assert data[start:start + footer_len] == _v2_footer(len(TRADES_ROWS), _trades_columns(data), index=1)
+    parsed = read_file(data)
+    assert parsed.rows() == TRADES_ROWS and parsed.footer.schema == TRADES_SCHEMA
+    t0, t7 = TRADES_ROWS[0][0], TRADES_ROWS[-1][0]
+    assert [(chunk.min, chunk.max) for chunk in parsed.footer.chunks] == [
+        (t0, t7), (t0, t7), (None, None), (None, None), (b"BTC-USD", b"BTC-USD"), *[(None, None)] * 5]
+    # Spelled out under one other name, the file holds the same chunks and a
+    # footer with every name, type and stat: 219 bytes more.
+    spelled = write_file(TRADES_ROWS, RENAMED_TRADES)
+    spelled_start, spelled_len = _footer_region(spelled)
+    assert spelled[:spelled_start] == data[:start] and spelled[spelled_start + 5] == 0
+    assert (footer_len, spelled_len) == (140, 359)
+    assert all(chunk.min is not None for chunk in read_file(spelled).footer.chunks)
+
+
+def test_a_known_schema_matches_by_names_and_types_in_order():
+    """The trades columns in another order, one of them renamed, or one of
+    another type are no known schema: the footer spells them out."""
+    swapped = [(row[1], row[0], *row[2:]) for row in TRADES_ROWS]
+    bool_side = [(*row[:9], row[9] == b"buy") for row in TRADES_ROWS]
+    for schema, rows in (([TRADES_SCHEMA[1], TRADES_SCHEMA[0], *TRADES_SCHEMA[2:]], swapped),
+                         ([*TRADES_SCHEMA[:5], ColumnSchema("seq", INT64), *TRADES_SCHEMA[6:]], TRADES_ROWS),
+                         ([*TRADES_SCHEMA[:9], ColumnSchema("side", BOOL)], bool_side)):
+        data = write_file(rows, schema)
+        parsed = read_file(data)
+        assert data[_footer_region(data)[0] + 5] == 0 and parsed.footer.schema == schema
+        assert parsed.rows() == rows and all(chunk.min is not None for chunk in parsed.footer.chunks)
+
+
+SOURCE_IS_SYMBOL = [(*row[:2], b"BTC-USD", *row[3:]) for row in TRADES_ROWS]
+
+
+def test_a_stats_column_shares_no_chunk_without_stats():
+    """symbol equals source here, but source keeps no stats in a known
+    schema, so symbol stores its own chunk and its stats; spelled out,
+    where every column keeps stats, it shares source's chunk."""
+    chunks = read_file(write_file(SOURCE_IS_SYMBOL, TRADES_SCHEMA)).footer.chunks
+    assert chunks[4] is not chunks[2] and (chunks[2].min, chunks[4].min) == (None, b"BTC-USD")
+    spelled = read_file(write_file(SOURCE_IS_SYMBOL, RENAMED_TRADES)).footer.chunks
+    assert spelled[4] is spelled[2]
+
+
+def _symbol_shares_source() -> bytes:
+    """The file of SOURCE_IS_SYMBOL spelled out, where symbol shares
+    source's chunk, with its footer rewritten under the trades schema's
+    index."""
+    spelled = write_file(SOURCE_IS_SYMBOL, RENAMED_TRADES)
+    columns = _trades_columns(spelled)
+    columns[4] = [b"", 1, 0xFF, 2]
+    return _with_v2_footer(spelled, _v2_footer(len(SOURCE_IS_SYMBOL), columns, index=1))
+
+
+def test_a_stats_column_sharing_a_chunk_without_stats_is_footer_corrupt():
+    """The chunks are those of a spelled-out file that reads; under the
+    trades schema's index, only the stats rule refuses them."""
+    assert read_file(write_file(SOURCE_IS_SYMBOL, RENAMED_TRADES)).rows() == SOURCE_IS_SYMBOL
+    with pytest.raises(FooterCorrupt, match="keeps no stats"):
+        read_file(_symbol_shares_source())
+
+
+def _known_edit(edit):
+    """A function that writes the file of TRADES_ROWS with a footer of its
+    columns after edit(columns) returns _v2_footer's keyword arguments (or
+    None for none)."""
+    def build():
+        data = write_file(TRADES_ROWS, TRADES_SCHEMA)
+        columns = _trades_columns(data)
+        footer = _v2_footer(len(TRADES_ROWS), columns, **{"index": 1, **(edit(columns) or {})})
+        return _with_v2_footer(data, footer)
+    return build
+
+
+def _truncated_stats(column, keep):
+    """An edit that ends the footer keep bytes into column's stats, the
+    column count left at 10."""
+    def edit(columns):
+        columns[column][5] = columns[column][5][:keep]
+        del columns[column + 1:]
+        return {"count": 10}
+    return edit
+
+
+MALFORMED_V6 = {
+    "unknown_schema_index": _known_edit(lambda columns: {"index": len(KNOWN_SCHEMAS) + 1}),
+    "schema_index_255": _known_edit(lambda columns: {"index": 255}),
+    "column_count_too_high": _known_edit(lambda columns: {"count": 11}),
+    "column_count_too_low": _known_edit(lambda columns: {"count": 9}),
+    "column_count_2_to_the_32_less_1": _known_edit(lambda columns: {"count": 2**32 - 1}),
+    "truncated_event_time_stats": _known_edit(_truncated_stats(0, 12)),
+    "truncated_symbol_stats": _known_edit(_truncated_stats(4, 6)),
+    "stats_of_a_column_without_stats": _known_edit(
+        lambda columns: columns[2].__setitem__(5, bytes([1, 0, 8, 8, 0]) + b"coinbase")),
+    "stats_column_shares_a_chunk_without_stats": _symbol_shares_source,
+    "schema_index_in_a_v5_footer": _known_edit(lambda columns: {"version": 5}),
+    "spelled_out_schema_index_in_a_v5_footer": lambda: _with_v2_footer(
+        _small_file(), _v2_footer(2, _small_columns(), version=5, index=0)),
+    "v5_layout_under_version_6": lambda: _with_v2_footer(
+        _small_file(), _v2_footer(2, _small_columns(), version=6, index=None, layout=5)),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_V6)
+def test_malformed_v6_footer_is_footer_corrupt(name):
+    assert read_file(_known_edit(lambda columns: None)()).rows() == TRADES_ROWS
+    with pytest.raises(FooterCorrupt):
+        read_file(MALFORMED_V6[name]())
+
+
+def test_malformed_v6_footers_are_footer_corrupt_under_optimize():
+    """The schema-index checks are not assert statements: python -O refuses
+    every malformed version-6 footer as well."""
+    result = run_optimized("""
+import conftest
+from brclake.lakeformat import read_file
+from test_lakeformat import MALFORMED_V6
+for name, build in sorted(MALFORMED_V6.items()):
+    try:
+        read_file(build())
+    except Exception as exc:
+        print(name, type(exc).__name__)
+""")
+    assert result.stdout.splitlines() == [f"{name} FooterCorrupt" for name in sorted(MALFORMED_V6)], result.stderr
 
 
 def _v1_file(chunk: bytes, schema: list[tuple[str, str]], entries: list[dict]) -> bytes:
